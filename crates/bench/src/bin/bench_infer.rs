@@ -1,12 +1,12 @@
 //! Generates the `BENCH_infer.json` measurements: frozen-hyperparameter
-//! fit + 256-query predict under the three GP inference engines (exact
-//! Cholesky, iterative CG, subset-of-data) across training-set sizes up to
-//! 5120 observations.
+//! fit + 256-query predict under the two GP inference engines (exact
+//! Cholesky, subset-of-data) across training-set sizes up to 5120
+//! observations.
 //!
 //! Usage: `cargo run --release -p mfbo-bench --bin bench_infer > BENCH_infer.json`
 //! (`MFBO_BENCH_SCALE=quick` restricts to the small sizes for smoke runs.)
 //!
-//! Harness: interleaved A/B/C sampling — one sample of each engine in
+//! Harness: interleaved A/B sampling — one sample of each engine in
 //! round-robin so container load drift affects all medians equally, median
 //! statistic, one fit+predict per sample (a 4096-point exact factorization
 //! is its own multi-second sample; calibrated inner loops would be noise).
@@ -16,7 +16,6 @@
 use mfbo_bench::median;
 use mfbo_gp::kernel::SquaredExponential;
 use mfbo_gp::{Gp, InferenceMode};
-use mfbo_pool::Parallelism;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -63,7 +62,6 @@ fn fit_predict_ns(xs: &[Vec<f64>], ys: &[f64], qs: &[Vec<f64>], mode: InferenceM
         -3.0,
         true,
         mode,
-        Parallelism::Serial,
     )
     .unwrap();
     black_box(gp.predict_batch(qs));
@@ -73,17 +71,16 @@ fn fit_predict_ns(xs: &[Vec<f64>], ys: &[f64], qs: &[Vec<f64>], mode: InferenceM
 struct Row {
     n: usize,
     exact_ns: Option<f64>,
-    iterative_ns: f64,
     subset_ns: f64,
 }
 
 fn main() {
     let scale = std::env::var("MFBO_BENCH_SCALE").unwrap_or_default();
     // Exact is the O(n^3) baseline; it is skipped above 4096 where the
-    // acceptance only asks for the approximate engines ("5k fit+predict").
+    // acceptance only asks for the approximate engine ("5k fit+predict").
     // "quick" keeps everything below the subset cap (a smoke of the
     // harness itself); "large-smoke" is the CI time-budget check: one
-    // n=2048 fit+predict under each approximate engine, no exact baseline.
+    // n=2048 subset-of-data fit+predict, no exact baseline.
     let sizes: &[(usize, bool, usize)] = match scale.as_str() {
         "quick" => &[(256, true, 5), (512, true, 5)],
         "large-smoke" => &[(2048, false, 1)],
@@ -100,13 +97,11 @@ fn main() {
     for &(n, with_exact, samples) in sizes {
         let (xs, ys) = bench_data(n);
         let mut se = Vec::new();
-        let mut si = Vec::new();
         let mut ss = Vec::new();
         for _ in 0..samples {
             if with_exact {
                 se.push(fit_predict_ns(&xs, &ys, &qs, InferenceMode::Exact));
             }
-            si.push(fit_predict_ns(&xs, &ys, &qs, InferenceMode::iterative()));
             ss.push(fit_predict_ns(
                 &xs,
                 &ys,
@@ -117,7 +112,6 @@ fn main() {
         rows.push(Row {
             n,
             exact_ns: with_exact.then(|| median(se.clone())),
-            iterative_ns: median(si),
             subset_ns: median(ss),
         });
         eprintln!("n={n} done");
@@ -130,14 +124,14 @@ fn main() {
         }
     };
     let at_4096 = rows.iter().find(|r| r.n == 4096);
-    let best_speedup_4096 = at_4096
-        .and_then(|r| r.exact_ns.map(|e| e / r.iterative_ns.min(r.subset_ns)))
+    let speedup_4096 = at_4096
+        .and_then(|r| r.exact_ns.map(|e| e / r.subset_ns))
         .unwrap_or(f64::NAN);
 
     println!("{{");
-    println!("  \"description\": \"GP inference engine A/B/C: frozen-hyperparameter fit plus a 256-query predict_batch under the exact Cholesky path, the iterative CG engine (subset 1024, rank-capped preconditioned solve over the full data), and subset-of-data (farthest-point cap 1024). The exact rows are the differential oracle the approximate engines are property-tested against (crates/gp/tests/properties.rs); these rows measure the cost they save.\",");
+    println!("  \"description\": \"GP inference engine A/B: frozen-hyperparameter fit plus a 256-query predict_batch under the exact Cholesky path and subset-of-data (farthest-point cap 1024). The exact rows are the differential oracle the subset engine is tested against (crates/gp/src/gp.rs); these rows measure the cost it saves.\",");
     println!("  \"methodology\": {{");
-    println!("    \"harness\": \"interleaved A/B/C sampling: one sample of each engine in round-robin so container load drift affects all medians equally\",");
+    println!("    \"harness\": \"interleaved A/B sampling: one sample of each engine in round-robin so container load drift affects all medians equally\",");
     println!("    \"statistic\": \"median\",");
     println!("    \"samples_per_row\": \"9 at n=512 down to 3 at n>=4096 (one fit is its own multi-second sample at the top sizes)\",");
     println!("    \"build\": \"cargo --release, default codegen settings\",");
@@ -147,16 +141,13 @@ fn main() {
     println!("    \"date\": \"2026-08-08\",");
     println!("    \"caveats\": [");
     println!("      \"Measured in a shared 1-CPU container; absolute times carry +/-40% run-to-run drift. The interleaved harness makes the *ratios* stable to a few percent, but absolute nanoseconds should not be compared across machines or runs.\",");
-    println!("      \"The iterative engine's cost is dominated by the matrix-free CG matvecs (O(iters * n^2) kernel evaluations); on problems where CG converges in few iterations it lands well under exact, and it always preserves the full-data posterior mean to the CG tolerance. Subset-of-data trades accuracy for a hard O(cap^3) ceiling and dominates the speedup column.\",");
+    println!("      \"Subset-of-data trades accuracy for a hard O(cap^3) ceiling; below the cap it is the exact path.\",");
     println!("      \"Reproduce with: cargo run --release -p mfbo-bench --bin bench_infer > BENCH_infer.json (MFBO_BENCH_SCALE=quick for a small smoke run).\"");
     println!("    ]");
     println!("  }},");
     println!("  \"acceptance\": {{");
-    println!("    \"required\": \">=5x speedup over exact at n=4096 for at least one approximate engine, and 5k-observation fit+predict completing under both\",");
-    println!(
-        "    \"best_approximate_speedup_at_n4096\": {:.2}",
-        best_speedup_4096
-    );
+    println!("    \"required\": \">=5x speedup over exact at n=4096, and 5k-observation fit+predict completing under subset-of-data\",");
+    println!("    \"subset_speedup_at_n4096\": {speedup_4096:.2}");
     println!("  }},");
     println!("  \"results\": {{");
     println!("    \"fit_predict\": {{");
@@ -169,11 +160,9 @@ fn main() {
             .map(|e| format!("{:.0}", e))
             .unwrap_or_else(|| "null".into());
         println!(
-            "        {{ \"n\": {}, \"exact_ns\": {exact}, \"iterative_ns\": {:.0}, \"subset_ns\": {:.0}, \"iterative_speedup\": {}, \"subset_speedup\": {} }}{comma}",
+            "        {{ \"n\": {}, \"exact_ns\": {exact}, \"subset_ns\": {:.0}, \"subset_speedup\": {} }}{comma}",
             r.n,
-            r.iterative_ns,
             r.subset_ns,
-            speedup(r.exact_ns, r.iterative_ns),
             speedup(r.exact_ns, r.subset_ns),
         );
     }

@@ -189,16 +189,6 @@ pub struct AskTellMfbo<P, R> {
     /// set: refits append only the new points' diffs instead of rebuilding
     /// the full O(n²·d) lower triangle (see `mfbo_gp::FitCache`).
     fit_cache: FitCache,
-    /// Consecutive full refits in which the warm-start seed won every
-    /// model's NLML search (see `MfBoConfig::adaptive_restarts`).
-    warm_win_streak: usize,
-    /// Previous iteration's accepted acquisition optimum in unit space —
-    /// the `MfBoConfig::acq_warm_start` seed.
-    prev_acq_unit: Option<Vec<f64>>,
-    prev_surrogates: Option<MfSurrogates>,
-    /// Bundle from the generation whose candidate is in flight, kept so the
-    /// rank-one append can extend it at commit (`max_pending = 1` only).
-    rank1_stash: Option<MfSurrogates>,
     next_iteration: usize,
     next_id: u64,
     pending: VecDeque<Slot>,
@@ -299,10 +289,6 @@ where
             thetas: None,
             iterations_since_refit: 0,
             fit_cache: FitCache::default(),
-            warm_win_streak: 0,
-            prev_acq_unit: None,
-            prev_surrogates: None,
-            rank1_stash: None,
             next_iteration: 1,
             next_id: 1,
             pending: VecDeque::new(),
@@ -676,85 +662,39 @@ where
         );
         let surrogates = match &self.thetas {
             Some(t) if self.iterations_since_refit < self.cfg.refit_every => {
-                match self.prev_surrogates.take() {
-                    Some(s) => s,
-                    None => match MfSurrogates::fit_frozen_infer_with_cache(
+                match MfSurrogates::fit_frozen_infer_with_cache(
+                    &low_u,
+                    &high_u,
+                    t,
+                    self.model_cfg.mc_samples,
+                    self.cfg.parallelism,
+                    self.cfg.gp_inference,
+                    &mut self.fit_cache,
+                ) {
+                    Ok(s) => s,
+                    // Frozen-refresh recovery: a full re-optimization from
+                    // scratch.
+                    Err(_) => MfSurrogates::fit_with_cache(
                         &low_u,
                         &high_u,
-                        t,
-                        self.model_cfg.mc_samples,
-                        self.cfg.parallelism,
-                        self.cfg.gp_inference,
+                        &self.model_cfg,
+                        &mut self.rng,
                         &mut self.fit_cache,
-                    ) {
-                        Ok(s) => s,
-                        // Frozen-refresh recovery: a full re-optimization
-                        // from scratch, optionally seeded with the stale
-                        // thetas (warm_start_thetas). The warm seed draws no
-                        // extra randomness, so both arms consume the RNG
-                        // identically; only the winning start can differ.
-                        Err(_) if self.cfg.warm_start_thetas => {
-                            let s = MfSurrogates::fit_warm_with_cache(
-                                &low_u,
-                                &high_u,
-                                &self.model_cfg,
-                                t,
-                                &mut self.rng,
-                                &mut self.fit_cache,
-                            )?;
-                            // This is a full refit like the scheduled one, so
-                            // it must feed the same win-streak evidence.
-                            if s.warm_seed_won() {
-                                self.warm_win_streak += 1;
-                                mfbo_telemetry::counter!("theta_warm_wins", 1);
-                            } else {
-                                self.warm_win_streak = 0;
-                            }
-                            s
-                        }
-                        Err(_) => {
-                            // A full refit with no warm seed breaks the
-                            // consecutive-win evidence chain.
-                            self.warm_win_streak = 0;
-                            MfSurrogates::fit_with_cache(
-                                &low_u,
-                                &high_u,
-                                &self.model_cfg,
-                                &mut self.rng,
-                                &mut self.fit_cache,
-                            )?
-                        }
-                    },
+                    )?,
                 }
             }
             Some(t) => {
                 self.iterations_since_refit = 0;
-                // Adaptive restart shrinking: once the warm seed has won
-                // `adaptive_restarts` consecutive full refits outright, the
-                // hyperparameter landscape has stabilized and half the cold
-                // restarts (never below one) buy nothing — drop them.
-                let shrink = self.cfg.adaptive_restarts > 0
-                    && self.warm_win_streak >= self.cfg.adaptive_restarts;
-                let shrunk = shrink.then(|| {
-                    let mut c = self.model_cfg.clone();
-                    c.low.restarts = (c.low.restarts / 2).max(1);
-                    c.high.restarts = (c.high.restarts / 2).max(1);
-                    c
-                });
-                let model_cfg = shrunk.as_ref().unwrap_or(&self.model_cfg);
                 let s = MfSurrogates::fit_warm_with_cache(
                     &low_u,
                     &high_u,
-                    model_cfg,
+                    &self.model_cfg,
                     t,
                     &mut self.rng,
                     &mut self.fit_cache,
                 )?;
                 if s.warm_seed_won() {
-                    self.warm_win_streak += 1;
                     mfbo_telemetry::counter!("theta_warm_wins", 1);
-                } else {
-                    self.warm_win_streak = 0;
                 }
                 s
             }
@@ -815,22 +755,6 @@ where
             Vec::new()
         };
         let acq_span = span!("acq_opt", iteration = iteration);
-        // Acquisition warm-start (MfBoConfig::acq_warm_start): deterministic
-        // extra starts at the previous iteration's accepted optimum and the
-        // current high-fidelity incumbent. Seeds draw no randomness, so the
-        // random start cloud is unchanged; off (the default) adds nothing.
-        let acq_seeds: Vec<Vec<f64>> = if self.cfg.acq_warm_start {
-            let mut s = Vec::new();
-            if let Some(p) = &self.prev_acq_unit {
-                s.push(p.clone());
-            }
-            if let Some((k, _)) = high_data.best_feasible().or_else(|| high_data.best_any()) {
-                s.push(high_u.xs[k].clone());
-            }
-            s
-        } else {
-            Vec::new()
-        };
         let drove_feasibility = self.nc > 0 && !has_feasible_high;
         let (xt_unit, acq_value, landscape) = if drove_feasibility {
             // §4.2: no feasible point known — minimize Σ max(0, μ_h,i).
@@ -844,9 +768,6 @@ where
             let mut ms = MultiStart::new(self.cfg.msp_starts)
                 .with_local_search(local.clone())
                 .with_parallelism(self.cfg.parallelism);
-            if !acq_seeds.is_empty() {
-                ms = ms.with_seeds(acq_seeds.clone());
-            }
             if !taboo.is_empty() {
                 ms = ms.with_taboo(taboo.clone(), TABOO_RADIUS);
             }
@@ -888,9 +809,6 @@ where
                     self.cfg.frac_around_tau_l,
                     self.cfg.anchor_spread,
                 );
-            }
-            if !acq_seeds.is_empty() {
-                ms_high = ms_high.with_seeds(acq_seeds.clone());
             }
             if !taboo.is_empty() {
                 ms_high = ms_high.with_taboo(taboo.clone(), TABOO_RADIUS);
@@ -947,15 +865,9 @@ where
 
         // Line 8 is now split: the simulation happens outside, between
         // ask() and tell(); here the candidate enters the in-flight set.
-        if self.cfg.acq_warm_start {
-            self.prev_acq_unit = Some(xt_unit.clone());
-        }
         let xt = self.bounds.from_unit(&xt_unit);
         let snap = self.rng.state_snapshot();
         let lie = self.lie_for(fidelity);
-        if self.cfg.rank1_appends {
-            self.rank1_stash = Some(surrogates);
-        }
         let id = self.next_id;
         self.next_id += 1;
         self.next_iteration += 1;
@@ -1153,17 +1065,6 @@ where
         match slot.fidelity {
             Fidelity::Low => self.low.push(slot.x.clone(), &eval),
             Fidelity::High => self.high.push(slot.x.clone(), &eval),
-        }
-        // Rank-one path (sequential mode only): extend the bundle that
-        // generated this candidate with its observation, so the next frozen
-        // refresh is an O(n²) no-op.
-        if self.cfg.rank1_appends && slot.iteration > 0 {
-            if let Some(mut s) = self.rank1_stash.take() {
-                self.prev_surrogates = s
-                    .append_observation(slot.fidelity, &slot.x_unit, &eval)
-                    .is_ok()
-                    .then_some(s);
-            }
         }
         self.history.push(EvaluationRecord {
             iteration: slot.iteration,

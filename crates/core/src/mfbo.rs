@@ -61,18 +61,6 @@ pub struct MfBoConfig {
     /// between, refresh the models with frozen hyperparameters. `1` = refit
     /// every iteration (most faithful, most expensive).
     pub refit_every: usize,
-    /// Replace frozen-refit iterations with O(n²) rank-one Cholesky appends
-    /// (see [`crate::surrogate::MfSurrogates::append_observation`]): instead
-    /// of refactorizing every kernel matrix from scratch, the previous
-    /// iteration's surrogates are extended in place with the new
-    /// observation. This is an *approximation* — output standardizers stay
-    /// frozen between full refits and low-fidelity appends leave the high
-    /// GP's augmented coordinates stale — so trajectories differ slightly
-    /// from the default; full refits every `refit_every` iterations
-    /// resynchronize the model. Off by default (bit-exact paper-faithful
-    /// trajectories); incompatible with `winsorize_sigma`, whose retroactive
-    /// target clipping invalidates incremental extension.
-    pub rank1_appends: bool,
     /// Optional winsorization of surrogate training targets at
     /// `mean ± k·std` (see [`crate::FidelityData::winsorized`]). `None`
     /// (paper-faithful) fits the raw observations; heavy-tailed problems
@@ -101,39 +89,16 @@ pub struct MfBoConfig {
     /// sequential drivers ([`MfBayesOpt::run`]/[`MfBayesOpt::run_with`])
     /// still evaluate one candidate at a time regardless of this knob;
     /// values > 1 only pay off with a concurrent evaluator such as the
-    /// `mfbo-server` evaluation service. Incompatible with `rank1_appends`.
+    /// `mfbo-server` evaluation service.
     pub max_pending: usize,
     /// GP inference engine for every surrogate fit (full and frozen
     /// refits), applied to both fusion stages. [`InferenceMode::Exact`] —
     /// the default — reproduces every historical trajectory byte for byte;
-    /// the approximate modes (`iterative`, `subset-of-data`) cap the cubic
-    /// fit cost once a run accumulates more observations than their subset
-    /// size (see DESIGN.md item 15). Approximate runs are still
-    /// deterministic and journal-replayable: subset selection keys off
-    /// committed history order and the CG solves use fixed-order
-    /// reductions. Incompatible with `rank1_appends`.
+    /// `subset-of-data` caps the cubic fit cost once a run accumulates more
+    /// observations than its subset size (see DESIGN.md item 15). Subset
+    /// runs are still deterministic and journal-replayable: the selection
+    /// keys off committed history order.
     pub gp_inference: InferenceMode,
-    /// Extends warm-started hyperparameter seeding to the cold fits that
-    /// back frozen-refresh recovery: when a frozen refit fails and the
-    /// driver falls back to a full re-optimization, the previous thetas
-    /// seed one deterministic extra restart (full refits already warm-start
-    /// by default). Off by default — enabling it changes RNG consumption,
-    /// so warm-start runs carry their own golden trajectories.
-    pub warm_start_thetas: bool,
-    /// Adaptive restart shrinking: after the warm-started seed wins this
-    /// many *consecutive* full refits across every model in the bundle
-    /// (tracked via the `theta_warm_wins` telemetry counter), later refits
-    /// halve their cold-restart count (never below one cold start). `0`
-    /// (default) disables the adaptation; any nonzero value changes RNG
-    /// consumption once triggered, so adaptive runs carry their own
-    /// goldens. Requires `refit_every` full refits to ever trigger.
-    pub adaptive_restarts: usize,
-    /// Warm-starts the acquisition search: seeds the high-fidelity MSP
-    /// stage with the previous iteration's accepted acquisition optimum
-    /// (unit-space) in addition to the standard anchor clouds. Off by
-    /// default; seeded runs carry their own goldens because the extra
-    /// deterministic start changes which local optimum each restart finds.
-    pub acq_warm_start: bool,
 }
 
 impl Default for MfBoConfig {
@@ -150,15 +115,11 @@ impl Default for MfBoConfig {
             gamma: 0.01,
             model: MfGpConfig::fast(),
             refit_every: 1,
-            rank1_appends: false,
             winsorize_sigma: None,
             max_low_streak: 25,
             parallelism: Parallelism::Serial,
             max_pending: 1,
             gp_inference: InferenceMode::Exact,
-            warm_start_thetas: false,
-            adaptive_restarts: 0,
-            acq_warm_start: false,
         }
     }
 }
@@ -185,15 +146,6 @@ impl MfBoConfig {
                 reason: "budget must be positive and finite".into(),
             });
         }
-        if self.rank1_appends && self.winsorize_sigma.is_some() {
-            return Err(MfboError::InvalidConfig {
-                reason: "rank1_appends is incompatible with winsorize_sigma: \
-                         winsorization re-clips historical targets every \
-                         iteration, which incremental Cholesky extension \
-                         cannot represent"
-                    .into(),
-            });
-        }
         if self.max_pending == 0 {
             return Err(MfboError::InvalidConfig {
                 reason: "max_pending must be at least 1".into(),
@@ -203,31 +155,6 @@ impl MfBoConfig {
             return Err(MfboError::InvalidConfig {
                 reason: "refit_every must be at least 1 (1 = re-optimize \
                          hyperparameters every iteration)"
-                    .into(),
-            });
-        }
-        if self.adaptive_restarts > 0 && self.model.low.restarts < 2 {
-            return Err(MfboError::InvalidConfig {
-                reason: "adaptive_restarts needs at least 2 restarts in the \
-                         low-stage GP config: with a single restart there is \
-                         no cold-start budget left to shrink"
-                    .into(),
-            });
-        }
-        if self.max_pending > 1 && self.rank1_appends {
-            return Err(MfboError::InvalidConfig {
-                reason: "rank1_appends requires sequential evaluation \
-                         (max_pending = 1): the incremental bundle extends \
-                         one observation at a time in commit order"
-                    .into(),
-            });
-        }
-        if self.rank1_appends && !self.gp_inference.is_exact() {
-            return Err(MfboError::InvalidConfig {
-                reason: "rank1_appends requires exact GP inference: the \
-                         approximate modes (iterative, subset-of-data) do \
-                         not maintain the full-data Cholesky factor that \
-                         incremental extension updates"
                     .into(),
             });
         }
@@ -495,32 +422,31 @@ mod tests {
             other => panic!("expected InvalidConfig, got {other:?}"),
         };
         let r = reason(MfBoConfig {
-            rank1_appends: true,
-            winsorize_sigma: Some(2.5),
+            initial_high: 0,
             ..MfBoConfig::default()
         });
-        assert!(r.contains("winsorize_sigma"), "{r}");
+        assert!(r.contains("initial designs"), "{r}");
         let r = reason(MfBoConfig {
-            rank1_appends: true,
-            max_pending: 4,
+            budget: f64::INFINITY,
             ..MfBoConfig::default()
         });
-        assert!(r.contains("max_pending = 1"), "{r}");
+        assert!(r.contains("budget"), "{r}");
         let r = reason(MfBoConfig {
-            rank1_appends: true,
-            gp_inference: InferenceMode::iterative(),
+            max_pending: 0,
             ..MfBoConfig::default()
         });
-        assert!(r.contains("exact GP inference"), "{r}");
+        assert!(r.contains("max_pending"), "{r}");
         let r = reason(MfBoConfig {
-            rank1_appends: true,
-            gp_inference: InferenceMode::subset_of_data(),
+            refit_every: 0,
             ..MfBoConfig::default()
         });
-        assert!(r.contains("exact GP inference"), "{r}");
-        // Approximate inference without rank-one appends is fine.
+        assert!(r.contains("refit_every"), "{r}");
+        // The remaining knobs combine freely.
         assert!(MfBoConfig {
-            gp_inference: InferenceMode::iterative(),
+            refit_every: 4,
+            winsorize_sigma: Some(2.5),
+            max_pending: 4,
+            gp_inference: InferenceMode::subset_of_data(),
             ..MfBoConfig::default()
         }
         .validate()
@@ -529,32 +455,20 @@ mod tests {
 
     #[test]
     fn approximate_inference_solves_forrester() {
-        // Subset caps far below the observation counts force the
-        // approximate code paths through the whole loop.
-        for mode in [
-            InferenceMode::Iterative {
-                subset: 8,
-                max_iters: 64,
-            },
-            InferenceMode::SubsetOfData { max_points: 8 },
-        ] {
-            let mut rng = StdRng::seed_from_u64(7);
-            let config = MfBoConfig {
-                initial_low: 10,
-                initial_high: 4,
-                budget: 10.0,
-                gp_inference: mode,
-                ..MfBoConfig::default()
-            };
-            let out = MfBayesOpt::new(config).run(&forrester(), &mut rng).unwrap();
-            // A subset cap of 8 points is a deliberately crude surrogate, so
-            // expect progress (true minimum ≈ −6.02), not the optimum.
-            assert!(
-                out.best_objective < -4.0,
-                "{mode:?}: best {}",
-                out.best_objective
-            );
-        }
+        // A subset cap far below the observation counts forces the
+        // approximate code path through the whole loop.
+        let mut rng = StdRng::seed_from_u64(7);
+        let config = MfBoConfig {
+            initial_low: 10,
+            initial_high: 4,
+            budget: 10.0,
+            gp_inference: InferenceMode::SubsetOfData { max_points: 8 },
+            ..MfBoConfig::default()
+        };
+        let out = MfBayesOpt::new(config).run(&forrester(), &mut rng).unwrap();
+        // A subset cap of 8 points is a deliberately crude surrogate, so
+        // expect progress (true minimum ≈ −6.02), not the optimum.
+        assert!(out.best_objective < -4.0, "best {}", out.best_objective);
     }
 
     #[test]
@@ -633,46 +547,6 @@ mod tests {
 
         assert_eq!(sink.named("run_start").len(), 1);
         assert_eq!(sink.named("run_end").len(), 1);
-    }
-
-    #[test]
-    fn rank1_appends_solve_forrester() {
-        // The O(n²) append path replaces frozen refactorizations between
-        // full refits; trajectories are approximate but the optimizer must
-        // still reach the Forrester optimum. The debug-level counter proves
-        // the rank-one path actually ran.
-        let sink = std::sync::Arc::new(mfbo_telemetry::sinks::CollectSink::with_level(
-            mfbo_telemetry::Level::Debug,
-        ));
-        let guard = mfbo_telemetry::scoped_sink(sink.clone());
-        let mut rng = StdRng::seed_from_u64(2024);
-        let config = MfBoConfig {
-            initial_low: 8,
-            initial_high: 4,
-            budget: 14.0,
-            refit_every: 4,
-            rank1_appends: true,
-            ..MfBoConfig::default()
-        };
-        let out = MfBayesOpt::new(config).run(&forrester(), &mut rng).unwrap();
-        drop(guard);
-        assert!(out.best_objective < -5.5, "best = {}", out.best_objective);
-        assert!(
-            !sink.named("chol_rank1_appends").is_empty(),
-            "rank-one append path never ran"
-        );
-    }
-
-    #[test]
-    fn rank1_appends_reject_winsorization() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let e = MfBayesOpt::new(MfBoConfig {
-            rank1_appends: true,
-            winsorize_sigma: Some(2.5),
-            ..MfBoConfig::default()
-        })
-        .run(&forrester(), &mut rng);
-        assert!(matches!(e, Err(MfboError::InvalidConfig { .. })));
     }
 
     #[test]

@@ -18,8 +18,7 @@
 //! the downstream acquisition optimizer needs; the approximation converges
 //! to the same integral.
 
-use crate::problem::Fidelity;
-use mfbo_gp::kernel::{Kernel, NargpKernel, SquaredExponential};
+use mfbo_gp::kernel::{NargpKernel, SquaredExponential};
 use mfbo_gp::{DiffBatch, Gp, GpConfig, GpError, InferenceMode, Prediction};
 use mfbo_linalg::norm_inv_cdf;
 use mfbo_pool::{par_map_indexed, Parallelism};
@@ -371,49 +370,6 @@ impl MfGp {
         .collect()
     }
 
-    /// Appends one raw observation at `fidelity` by rank-one-extending the
-    /// corresponding stage's Cholesky factor — O(n²) instead of the O(n³)
-    /// refactorization of [`MfGp::fit_frozen`].
-    ///
-    /// On top of the per-stage approximations of [`Gp::append_observation`]
-    /// (frozen hyperparameters *and* frozen output standardizer), a
-    /// low-fidelity append leaves the high GP's augmented training
-    /// coordinates at their previous values — they are not recomputed
-    /// against the updated low posterior. A high-fidelity append augments
-    /// the new input with the *current* low posterior mean, exactly as a
-    /// frozen rebuild would. Opt-in for BO loops that refit periodically.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GpError`] from [`Gp::append_observation`]; the model is
-    /// untouched on error and the caller should fall back to a full
-    /// (frozen) refit.
-    pub fn append_observation(
-        &mut self,
-        fidelity: Fidelity,
-        x: Vec<f64>,
-        y_raw: f64,
-    ) -> Result<(), GpError> {
-        match fidelity {
-            Fidelity::Low => self.low.append_observation(x, y_raw),
-            Fidelity::High => {
-                let dim = self.low.kernel().input_dim();
-                if x.len() != dim {
-                    return Err(GpError::InvalidTrainingSet {
-                        reason: format!(
-                            "appended input has dimension {} but model expects {dim}",
-                            x.len()
-                        ),
-                    });
-                }
-                let (m, _) = self.low.predict_standardized(&x);
-                let mut z = x;
-                z.push(m);
-                self.high.append_observation(z, y_raw)
-            }
-        }
-    }
-
     fn destandardize(&self, mean_std: f64, var_std: f64) -> Prediction {
         let st = self.high.standardizer();
         Prediction {
@@ -492,28 +448,17 @@ impl MfGp {
         thetas: &MfGpThetas,
         mc_samples: usize,
     ) -> Result<Self, GpError> {
-        Self::fit_frozen_infer(
-            xl,
-            yl,
-            xh,
-            yh,
-            thetas,
-            mc_samples,
-            InferenceMode::Exact,
-            Parallelism::Serial,
-        )
+        Self::fit_frozen_infer(xl, yl, xh, yh, thetas, mc_samples, InferenceMode::Exact)
     }
 
     /// [`MfGp::fit_frozen`] with an explicit [`InferenceMode`] for both
-    /// stages — the scalable frozen-refit path for long runs. `parallelism`
-    /// drives the iterative mode's matrix-free CG matvecs (every mode is
-    /// bit-identical); with [`InferenceMode::Exact`] this is byte-identical
-    /// to [`MfGp::fit_frozen`].
+    /// stages — the scalable frozen-refit path for long runs. With
+    /// [`InferenceMode::Exact`] this is byte-identical to
+    /// [`MfGp::fit_frozen`].
     ///
     /// # Errors
     ///
     /// As for [`MfGp::fit_frozen`].
-    #[allow(clippy::too_many_arguments)]
     pub fn fit_frozen_infer(
         xl: Vec<Vec<f64>>,
         yl: Vec<f64>,
@@ -522,19 +467,8 @@ impl MfGp {
         thetas: &MfGpThetas,
         mc_samples: usize,
         inference: InferenceMode,
-        parallelism: Parallelism,
     ) -> Result<Self, GpError> {
-        Self::fit_frozen_infer_shared(
-            xl,
-            yl,
-            xh,
-            yh,
-            thetas,
-            mc_samples,
-            inference,
-            parallelism,
-            None,
-        )
+        Self::fit_frozen_infer_shared(xl, yl, xh, yh, thetas, mc_samples, inference, None)
     }
 
     /// [`MfGp::fit_frozen_infer`] with an optional pre-built low-stage
@@ -553,7 +487,6 @@ impl MfGp {
         thetas: &MfGpThetas,
         mc_samples: usize,
         inference: InferenceMode,
-        parallelism: Parallelism,
         low_shared: Option<&DiffBatch<'_>>,
     ) -> Result<Self, GpError> {
         if xh.is_empty() {
@@ -571,21 +504,12 @@ impl MfGp {
             ln,
             true,
             inference,
-            parallelism,
             low_shared,
         )?;
         let aug = augment_inputs(&low, &xh);
         let (hp, hn) = split_theta(&thetas.high);
-        let high = Gp::with_params_inference(
-            NargpKernel::new(dim),
-            aug,
-            yh,
-            hp,
-            hn,
-            true,
-            inference,
-            parallelism,
-        )?;
+        let high =
+            Gp::with_params_inference(NargpKernel::new(dim), aug, yh, hp, hn, true, inference)?;
         Ok(MfGp {
             low,
             high,
@@ -872,76 +796,5 @@ mod tests {
             assert_eq!(a.0.to_bits(), b.0.to_bits());
             assert_eq!(a.1.to_bits(), b.1.to_bits());
         }
-    }
-
-    #[test]
-    fn high_append_tracks_frozen_rebuild() {
-        let model = pedagogical_model(25, 9, 13);
-        let thetas = model.thetas();
-        let xnew = vec![0.481];
-        let ynew = fh(0.481);
-
-        let mut appended = model.clone();
-        appended
-            .append_observation(Fidelity::High, xnew.clone(), ynew)
-            .unwrap();
-        assert_eq!(appended.high().xs().len(), 10);
-
-        let mut xh: Vec<Vec<f64>> = model.high().xs().iter().map(|z| z[..1].to_vec()).collect();
-        let mut yh = model.high().ys_raw().to_vec();
-        xh.push(xnew);
-        yh.push(ynew);
-        let rebuilt = MfGp::fit_frozen(
-            model.low().xs().to_vec(),
-            model.low().ys_raw().to_vec(),
-            xh,
-            yh,
-            &thetas,
-            model.mc_samples(),
-        )
-        .unwrap();
-
-        // Same data, same hyperparameters; the only divergence is the high
-        // GP's frozen output standardizer (the rebuild re-standardizes).
-        for &x in &[0.12, 0.33, 0.481, 0.72, 0.95] {
-            let a = appended.predict(&[x]);
-            let b = rebuilt.predict(&[x]);
-            assert!(
-                (a.mean - b.mean).abs() < 0.05,
-                "at {x}: appended {} vs rebuilt {}",
-                a.mean,
-                b.mean
-            );
-            assert!((a.var - b.var).abs() < 0.05);
-        }
-    }
-
-    #[test]
-    fn low_append_extends_low_stage_only() {
-        let model = pedagogical_model(25, 9, 15);
-        let mut appended = model.clone();
-        appended
-            .append_observation(Fidelity::Low, vec![0.205], fl(0.205))
-            .unwrap();
-        assert_eq!(appended.low().xs().len(), 26);
-        // The high GP's training set (and its stale augmented coordinates)
-        // are untouched by a low-fidelity append.
-        assert_eq!(appended.high().xs(), model.high().xs());
-        let p = appended.predict(&[0.4]);
-        assert!(p.mean.is_finite() && p.var >= 0.0);
-    }
-
-    #[test]
-    fn append_invalid_input_fails_and_preserves_model() {
-        let model = pedagogical_model(20, 8, 16);
-        let before = model.predict(&[0.37]);
-        let mut m = model.clone();
-        assert!(m
-            .append_observation(Fidelity::High, vec![0.1, 0.2], 0.123)
-            .is_err());
-        assert!(m
-            .append_observation(Fidelity::Low, vec![0.1], f64::NAN)
-            .is_err());
-        assert_eq!(before, m.predict(&[0.37]));
     }
 }

@@ -10,7 +10,6 @@
 use crate::acquisition;
 use crate::history::FidelityData;
 use crate::nargp::{MfGp, MfGpConfig, MfGpPlan, MfGpThetas};
-use crate::problem::{Evaluation, Fidelity};
 use mfbo_gp::kernel::SquaredExponential;
 use mfbo_gp::{DiffBatch, FitCache, Gp, GpConfig, GpError, InferenceMode, Prediction};
 use mfbo_pool::{par_map_indexed, Parallelism};
@@ -342,9 +341,7 @@ impl MfSurrogates {
             }
         };
         // Frozen refits consume no randomness at all, so the per-model
-        // factorizations go straight onto the pool. The iterative mode's CG
-        // matvecs therefore run serially inside each pool slot — the models
-        // themselves are the unit of parallelism here.
+        // factorizations go straight onto the pool.
         let n_cons = low.constraints.len().min(high.constraints.len());
         let fitted = par_map_indexed(parallelism, n_cons + 1, |i| {
             let (yl, yh, t) = if i == 0 {
@@ -364,7 +361,6 @@ impl MfSurrogates {
                 t,
                 mc_samples,
                 inference,
-                Parallelism::Serial,
                 Some(batch),
             )
             .map(|m| m.with_parallelism(parallelism))
@@ -376,30 +372,6 @@ impl MfSurrogates {
             objective,
             constraints,
         })
-    }
-
-    /// Appends one evaluation to every model in the bundle by rank-one
-    /// Cholesky extension (see [`MfGp::append_observation`]) — the O(n²)
-    /// alternative to a from-scratch [`MfSurrogates::fit_frozen`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`GpError`]. The bundle may then be *partially*
-    /// extended (earlier models appended, later ones not) — the caller must
-    /// discard it and rebuild from data, which the BO loop's frozen-refit
-    /// fallback does anyway.
-    pub fn append_observation(
-        &mut self,
-        fidelity: Fidelity,
-        x: &[f64],
-        eval: &Evaluation,
-    ) -> Result<(), GpError> {
-        self.objective
-            .append_observation(fidelity, x.to_vec(), eval.objective)?;
-        for (model, &y) in self.constraints.iter_mut().zip(&eval.constraints) {
-            model.append_observation(fidelity, x.to_vec(), y)?;
-        }
-        Ok(())
     }
 
     /// The trained hyperparameters of every model in the bundle.
@@ -414,7 +386,7 @@ impl MfSurrogates {
     /// [`mfbo_gp::Gp::best_start`]) won the NLML search in *both* stages of
     /// *every* model in the bundle. Only meaningful after a warm fit
     /// ([`MfSurrogates::fit_warm`]); the signal behind the
-    /// `theta_warm_wins` counter and `MfBoConfig::adaptive_restarts`.
+    /// `theta_warm_wins` counter.
     pub fn warm_seed_won(&self) -> bool {
         std::iter::once(&self.objective)
             .chain(self.constraints.iter())
@@ -772,7 +744,6 @@ impl SfSurrogates {
                 ln,
                 true,
                 inference,
-                Parallelism::Serial,
                 Some(batch),
             )
         });

@@ -16,12 +16,6 @@ pub enum GpError {
     KernelNotPositiveDefinite,
     /// Every training restart produced a non-finite marginal likelihood.
     TrainingFailed,
-    /// The requested operation is not available under the model's inference
-    /// mode (e.g. rank-one appends on an iteratively-inferred model).
-    UnsupportedOperation {
-        /// Description of the problem.
-        reason: String,
-    },
 }
 
 impl fmt::Display for GpError {
@@ -38,9 +32,6 @@ impl fmt::Display for GpError {
                     f,
                     "all hyperparameter restarts failed to produce a finite likelihood"
                 )
-            }
-            GpError::UnsupportedOperation { reason } => {
-                write!(f, "unsupported operation: {reason}")
             }
         }
     }

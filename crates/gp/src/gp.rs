@@ -56,8 +56,8 @@ pub struct GpConfig {
     pub parallelism: Parallelism,
     /// Inference engine for training and the final model build (see
     /// [`InferenceMode`]). `Exact` — the default — runs the historical
-    /// O(n³) Cholesky path bit for bit; the approximate modes cap the
-    /// cubic cost once the training set outgrows their subset size.
+    /// O(n³) Cholesky path bit for bit; subset-of-data caps the cubic
+    /// cost once the training set outgrows its subset size.
     pub inference: InferenceMode,
 }
 
@@ -89,19 +89,6 @@ impl GpConfig {
     }
 }
 
-/// Companion state of a model built under [`InferenceMode::Iterative`]:
-/// the subset behind the variance factor and the subset model's own alpha.
-#[derive(Debug, Clone)]
-struct IterState {
-    /// Ascending training-set indices of the subset behind `Gp::chol`.
-    subset: Vec<usize>,
-    /// `K_sub⁻¹ y_sub` — the subset model's alpha, used by the closed-form
-    /// LOO diagnostics (which need a factor and alpha of matching size).
-    sub_alpha: Vec<f64>,
-    /// Conjugate-gradient iterations spent on the full-data mean solve.
-    cg_iters: usize,
-}
-
 /// A trained Gaussian-process regression model (paper §2.3).
 ///
 /// See the crate-level example for typical usage.
@@ -118,17 +105,11 @@ pub struct Gp<K: Kernel> {
     /// Standardized observations.
     ys: Vec<f64>,
     standardizer: Standardizer,
-    /// Full-data factor for exact/subset-of-data models; the *subset*
-    /// factor when `iter_state` is present.
     chol: Cholesky,
-    /// `K⁻¹ y` in standardized space (over the full training set in every
-    /// mode — under iterative inference it is the CG solution).
+    /// `K⁻¹ y` in standardized space.
     alpha: Vec<f64>,
-    /// Final negative log marginal likelihood (of the subset model under
-    /// iterative inference).
+    /// Final negative log marginal likelihood.
     nlml: f64,
-    /// Present iff the model was built by [`InferenceMode::Iterative`].
-    iter_state: Option<IterState>,
     /// Index into the planned starts of the restart that won the NLML
     /// search (0 = kernel default, 1 = warm start when one was supplied);
     /// `None` for frozen-hyperparameter builds, which run no search.
@@ -234,13 +215,11 @@ impl<K: Kernel> Gp<K> {
     /// distributed over [`GpConfig::parallelism`] worker threads; the best
     /// restart is selected in start order.
     ///
-    /// Dispatches on [`GpConfig::inference`]: `Exact` (and any approximate
-    /// mode whose subset cap the training set has not yet outgrown) runs the
-    /// historical Cholesky path bit for bit; `SubsetOfData` reduces the
+    /// Dispatches on [`GpConfig::inference`]: `Exact` (and `SubsetOfData`
+    /// while the training set has not outgrown its cap) runs the historical
+    /// Cholesky path bit for bit; past the cap `SubsetOfData` reduces the
     /// training set with a deterministic farthest-point selection over
-    /// committed history order and then runs the exact path on the subset;
-    /// `Iterative` trains hyperparameters on the subset and recovers the
-    /// full-data mean with a matrix-free preconditioned CG solve.
+    /// committed history order and then runs the exact path on the subset.
     ///
     /// # Errors
     ///
@@ -262,7 +241,7 @@ impl<K: Kernel> Gp<K> {
     /// the exact diffs a fresh build over `xs` would (bit-identical
     /// results); a batch whose shape does not match `xs` is ignored and a
     /// fresh build is used. Only the exact path consumes the batch — the
-    /// subset/iterative engines train on reduced point sets.
+    /// subset engine trains on a reduced point set.
     ///
     /// # Errors
     ///
@@ -282,9 +261,6 @@ impl<K: Kernel> Gp<K> {
                 let xs_sub: Vec<Vec<f64>> = keep.iter().map(|&i| xs[i].clone()).collect();
                 let ys_sub: Vec<f64> = keep.iter().map(|&i| ys[i]).collect();
                 Self::fit_planned_exact(kernel, xs_sub, ys_sub, config, starts, None)
-            }
-            InferenceMode::Iterative { subset, max_iters } if xs.len() > subset => {
-                Self::fit_planned_iterative(kernel, xs, ys, config, starts, subset, max_iters)
             }
             _ => Self::fit_planned_exact(kernel, xs, ys, config, starts, shared),
         }
@@ -404,189 +380,8 @@ impl<K: Kernel> Gp<K> {
             chol,
             alpha,
             nlml: best_nlml,
-            iter_state: None,
             best_start: Some(best_start),
         })
-    }
-
-    /// [`InferenceMode::Iterative`] training: hyperparameters are optimized
-    /// on a deterministic subset (cubic cost capped at `subset³`), then the
-    /// full-data mean solve `α = (K + σ_n²I)⁻¹ y` is recovered matrix-free
-    /// with preconditioned conjugate gradients. Predictive variances come
-    /// from the subset factor.
-    fn fit_planned_iterative(
-        kernel: K,
-        xs: Vec<Vec<f64>>,
-        ys: Vec<f64>,
-        config: &GpConfig,
-        starts: Vec<Vec<f64>>,
-        subset: usize,
-        max_iters: usize,
-    ) -> Result<Self, GpError> {
-        // The standardizer is fit on the FULL outputs — the CG mean solve
-        // uses every observation — and the subset hyperopt then runs on the
-        // pre-standardized values with standardization disabled, so both
-        // stages agree on the output space.
-        let standardizer = if config.standardize {
-            Standardizer::fit(&ys)
-        } else {
-            Standardizer::identity()
-        };
-        let ys_std = standardizer.transform_all(&ys);
-        let keep = mfbo_infer::select_subset(&xs, subset, 0);
-        let xs_sub: Vec<Vec<f64>> = keep.iter().map(|&i| xs[i].clone()).collect();
-        let ys_sub: Vec<f64> = keep.iter().map(|&i| ys_std[i]).collect();
-        let sub_cfg = GpConfig {
-            standardize: false,
-            inference: InferenceMode::Exact,
-            ..config.clone()
-        };
-        let sub = Self::fit_planned_exact(kernel, xs_sub, ys_sub, &sub_cfg, starts, None)?;
-        Self::finish_iterative(
-            sub,
-            xs,
-            ys,
-            ys_std,
-            standardizer,
-            keep,
-            max_iters,
-            config.parallelism,
-        )
-    }
-
-    /// Completes an iterative-mode build from a trained subset model: runs
-    /// the full-data CG mean solve and assembles the combined model. Falls
-    /// back to a full exact factorization (counted as
-    /// `infer_exact_fallbacks`) when CG produces an unusable vector.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_iterative(
-        sub: Self,
-        xs: Vec<Vec<f64>>,
-        ys_raw: Vec<f64>,
-        ys_std: Vec<f64>,
-        standardizer: Standardizer,
-        keep: Vec<usize>,
-        max_iters: usize,
-        parallelism: Parallelism,
-    ) -> Result<Self, GpError> {
-        let Gp {
-            kernel,
-            params,
-            log_noise,
-            chol,
-            alpha: sub_alpha,
-            nlml,
-            best_start,
-            ..
-        } = sub;
-        let sn2 = (2.0 * log_noise).exp();
-        // The CG system folds noise and the subset factor's jitter into the
-        // diagonal, mirroring what a full factorization at these
-        // hyperparameters would solve.
-        let shift = sn2 + chol.jitter();
-        let diag = DiffBatch::diagonal_with_backend(&xs, mfbo_simd::Backend::Scalar);
-        let mut precond = vec![0.0; xs.len()];
-        kernel.eval_from_diffs(&params, &diag, &mut precond);
-        for d in precond.iter_mut() {
-            *d += shift;
-        }
-        let outcome = mfbo_infer::cg_solve(
-            |v, out| Self::dense_matvec(&kernel, &params, &xs, shift, v, out, parallelism),
-            &precond,
-            &ys_std,
-            max_iters,
-            mfbo_infer::DEFAULT_CG_RTOL,
-        );
-        let unusable =
-            !outcome.x.iter().all(|a| a.is_finite()) || (outcome.iters == 0 && !outcome.converged);
-        if unusable {
-            // Exact-oracle fallback: one full factorization at the subset's
-            // hyperparameters. Expensive but always well-defined.
-            mfbo_telemetry::counter!("infer_exact_fallbacks", 1u64);
-            let ws = NlmlWorkspace::new(&xs);
-            let km = kernel_matrix_cached(&kernel, &params, log_noise, &ws);
-            drop(ws);
-            let chol_full = Cholesky::new_with_jitter(&km, 1e-10, 1e-4)?;
-            let alpha = chol_full.solve_vec(&ys_std);
-            return Ok(Gp {
-                kernel,
-                params,
-                log_noise,
-                xs,
-                ys_raw,
-                ys: ys_std,
-                standardizer,
-                chol: chol_full,
-                alpha,
-                nlml,
-                iter_state: None,
-                best_start,
-            });
-        }
-        mfbo_telemetry::debug_event!(
-            "gp_fit_iterative",
-            n = xs.len(),
-            subset = keep.len(),
-            cg_iters = outcome.iters,
-            cg_converged = outcome.converged,
-            rel_residual = outcome.rel_residual,
-        );
-        Ok(Gp {
-            kernel,
-            params,
-            log_noise,
-            xs,
-            ys_raw,
-            ys: ys_std,
-            standardizer,
-            chol,
-            alpha: outcome.x,
-            nlml,
-            iter_state: Some(IterState {
-                subset: keep,
-                sub_alpha,
-                cg_iters: outcome.iters,
-            }),
-            best_start,
-        })
-    }
-
-    /// `out = (K + shift·I) v`, assembled tile by tile through the kernel's
-    /// batch hook. Tiles have fixed 64-row boundaries and the per-tile
-    /// results are concatenated in index order, with every in-tile reduction
-    /// a sequential ascending loop — so all [`Parallelism`] modes produce
-    /// bit-identical vectors and the CG trajectory is reproducible across
-    /// resume.
-    fn dense_matvec(
-        kernel: &K,
-        params: &[f64],
-        xs: &[Vec<f64>],
-        shift: f64,
-        v: &[f64],
-        out: &mut [f64],
-        parallelism: Parallelism,
-    ) {
-        const TILE: usize = 64;
-        let n = xs.len();
-        let tiles: Vec<(usize, &[Vec<f64>])> = xs.chunks(TILE).enumerate().collect();
-        let rows = par_map(parallelism, &tiles, |&(t, tile)| {
-            let batch = DiffBatch::cross_with_backend(tile, xs, mfbo_simd::Backend::Scalar);
-            let mut kv = vec![0.0; tile.len() * n];
-            kernel.eval_from_diffs(params, &batch, &mut kv);
-            let mut o = vec![0.0; tile.len()];
-            for (r, slot) in o.iter_mut().enumerate() {
-                let row = &kv[r * n..(r + 1) * n];
-                *slot = mfbo_linalg::dot(row, v) + shift * v[t * TILE + r];
-            }
-            o
-        });
-        let mut k = 0;
-        for tile_out in rows {
-            for x in tile_out {
-                out[k] = x;
-                k += 1;
-            }
-        }
     }
 
     /// Builds a GP with *fixed* hyperparameters (no training). Useful for
@@ -669,7 +464,6 @@ impl<K: Kernel> Gp<K> {
             chol,
             alpha,
             nlml,
-            iter_state: None,
             best_start: None,
         })
     }
@@ -683,7 +477,6 @@ impl<K: Kernel> Gp<K> {
     /// # Errors
     ///
     /// As for [`Gp::with_params`].
-    #[allow(clippy::too_many_arguments)]
     pub fn with_params_inference(
         kernel: K,
         xs: Vec<Vec<f64>>,
@@ -692,7 +485,6 @@ impl<K: Kernel> Gp<K> {
         log_noise: f64,
         standardize: bool,
         inference: InferenceMode,
-        parallelism: Parallelism,
     ) -> Result<Self, GpError> {
         Self::with_params_inference_shared(
             kernel,
@@ -702,7 +494,6 @@ impl<K: Kernel> Gp<K> {
             log_noise,
             standardize,
             inference,
-            parallelism,
             None,
         )
     }
@@ -723,7 +514,6 @@ impl<K: Kernel> Gp<K> {
         log_noise: f64,
         standardize: bool,
         inference: InferenceMode,
-        parallelism: Parallelism,
         shared: Option<&DiffBatch<'_>>,
     ) -> Result<Self, GpError> {
         if xs.is_empty() || xs.len() != ys.len() {
@@ -737,28 +527,6 @@ impl<K: Kernel> Gp<K> {
                 let xs_sub: Vec<Vec<f64>> = keep.iter().map(|&i| xs[i].clone()).collect();
                 let ys_sub: Vec<f64> = keep.iter().map(|&i| ys[i]).collect();
                 Self::with_params(kernel, xs_sub, ys_sub, params, log_noise, standardize)
-            }
-            InferenceMode::Iterative { subset, max_iters } if xs.len() > subset => {
-                let standardizer = if standardize {
-                    Standardizer::fit(&ys)
-                } else {
-                    Standardizer::identity()
-                };
-                let ys_std = standardizer.transform_all(&ys);
-                let keep = mfbo_infer::select_subset(&xs, subset, 0);
-                let xs_sub: Vec<Vec<f64>> = keep.iter().map(|&i| xs[i].clone()).collect();
-                let ys_sub: Vec<f64> = keep.iter().map(|&i| ys_std[i]).collect();
-                let sub = Self::with_params(kernel, xs_sub, ys_sub, params, log_noise, false)?;
-                Self::finish_iterative(
-                    sub,
-                    xs,
-                    ys,
-                    ys_std,
-                    standardizer,
-                    keep,
-                    max_iters,
-                    parallelism,
-                )
             }
             _ => Self::with_params_shared(kernel, xs, ys, params, log_noise, standardize, shared),
         }
@@ -793,23 +561,8 @@ impl<K: Kernel> Gp<K> {
         }
         let mean = mfbo_linalg::dot(&kstar, &self.alpha);
         let kss = self.kernel.eval(&self.params, x, x);
-        let var = match &self.iter_state {
-            None => {
-                let v = self.chol.forward_solve(&kstar);
-                (kss - mfbo_linalg::dot(&v, &v)).max(0.0)
-            }
-            Some(st) => {
-                // Iterative inference: the mean above already used the
-                // full-data CG alpha; the variance comes from the subset
-                // model, whose cross-covariances are a gather of the full
-                // kstar row (subset variances upper-bound the exact ones —
-                // dropping conditioning data can only widen the posterior).
-                let ksub: Vec<f64> = st.subset.iter().map(|&i| kstar[i]).collect();
-                let v = self.chol.forward_solve(&ksub);
-                (kss - mfbo_linalg::dot(&v, &v)).max(0.0)
-            }
-        };
-        (mean, var)
+        let v = self.chol.forward_solve(&kstar);
+        (mean, (kss - mfbo_linalg::dot(&v, &v)).max(0.0))
     }
 
     /// Batched [`Gp::predict_standardized`]: one `(mean, var)` pair per
@@ -849,17 +602,6 @@ impl<K: Kernel> Gp<K> {
     ) -> Vec<(f64, f64)> {
         if points.is_empty() {
             return Vec::new();
-        }
-        if self.iter_state.is_some() {
-            // The tiled fast path streams the full-data factor; an
-            // iteratively-inferred model only owns the subset factor, so
-            // route through the pointwise path (solves are O(subset²)
-            // there anyway — the tiling would save little).
-            mfbo_telemetry::counter!("predict_batch_points", points.len() as u64);
-            return points
-                .iter()
-                .map(|x| self.predict_standardized(x))
-                .collect();
         }
         let n = self.xs.len();
         mfbo_telemetry::counter!("predict_batch_points", points.len() as u64);
@@ -956,78 +698,6 @@ impl<K: Kernel> Gp<K> {
             .collect()
     }
 
-    /// Appends one observation by extending the Cholesky factor in place —
-    /// O(n²) instead of the O(n³) refactorization of a full refit.
-    ///
-    /// This is an *approximate* frozen refit: hyperparameters stay fixed
-    /// (as in [`Gp::with_params`]) **and** the output standardizer is not
-    /// re-fit — the new observation is transformed with the existing one,
-    /// so the model drifts slightly from what a from-scratch frozen refit
-    /// (which re-standardizes) would produce. `α` and the stored NLML are
-    /// recomputed exactly for the extended factor. Opt-in for BO loops that
-    /// refit hyperparameters periodically anyway; off the bit-exact
-    /// reproducibility contract.
-    ///
-    /// # Errors
-    ///
-    /// - [`GpError::InvalidTrainingSet`] for a dimension mismatch or
-    ///   non-finite observation (the model is untouched);
-    /// - [`GpError::KernelNotPositiveDefinite`] when the new point makes
-    ///   the extended matrix numerically singular at the current jitter
-    ///   (e.g. a near-duplicate input) — the model is untouched and the
-    ///   caller should fall back to a full refit.
-    pub fn append_observation(&mut self, x: Vec<f64>, y_raw: f64) -> Result<(), GpError> {
-        if self.iter_state.is_some() {
-            return Err(GpError::UnsupportedOperation {
-                reason: "append_observation requires exact inference: an iteratively-inferred \
-                         model has no full-data Cholesky factor to extend"
-                    .into(),
-            });
-        }
-        if x.len() != self.kernel.input_dim() {
-            return Err(GpError::InvalidTrainingSet {
-                reason: format!(
-                    "appended input has dimension {} but kernel expects {}",
-                    x.len(),
-                    self.kernel.input_dim()
-                ),
-            });
-        }
-        if !y_raw.is_finite() {
-            return Err(GpError::InvalidTrainingSet {
-                reason: "non-finite observation".into(),
-            });
-        }
-        let n = self.xs.len();
-        let mut k_new = vec![0.0; n];
-        for (k, xi) in k_new.iter_mut().zip(&self.xs) {
-            // Argument order matches the kernel-matrix build's
-            // `eval(xs[i], xs[j])` for row i = n.
-            *k = self.kernel.eval(&self.params, &x, xi);
-        }
-        let sn2 = (2.0 * self.log_noise).exp();
-        // Fold noise and the factor's jitter into the diagonal exactly as
-        // the kernel-matrix build + factorization would, so the appended
-        // row matches a from-scratch factorization bit for bit.
-        let diag = (self.kernel.eval(&self.params, &x, &x) + sn2) + self.chol.jitter();
-        self.chol.append_row(&k_new, diag)?;
-        let y_std = self.standardizer.transform(y_raw);
-        self.xs.push(x);
-        self.ys_raw.push(y_raw);
-        self.ys.push(y_std);
-        // Two O(n²) triangular solves refresh α exactly; NLML follows in
-        // closed form from the updated factor, using the same `‖L⁻¹y‖²`
-        // quadratic form as the training-path NLML so the stored value
-        // matches a from-scratch frozen refit.
-        self.alpha = self.chol.solve_vec(&self.ys);
-        self.nlml = 0.5
-            * (self.chol.quad_form(&self.ys)
-                + self.chol.log_det()
-                + (n + 1) as f64 * crate::nlml::LOG_2PI);
-        mfbo_telemetry::counter!("chol_rank1_appends", 1u64);
-        Ok(())
-    }
-
     /// Posterior prediction including observation noise (paper eq. 4).
     pub fn predict_with_noise(&self, x: &[f64]) -> Prediction {
         let (m, v) = self.predict_standardized(x);
@@ -1093,8 +763,8 @@ impl<K: Kernel> Gp<K> {
 
     /// Index of the planned start that won the NLML search (0 = kernel
     /// default, 1 = warm start when one was supplied); `None` for
-    /// frozen-hyperparameter builds. The adaptive-restart policy uses this
-    /// to detect refits where the warm seed keeps winning.
+    /// frozen-hyperparameter builds. The BO loop counts warm-seed wins
+    /// (`theta_warm_wins`) from this.
     pub fn best_start(&self) -> Option<usize> {
         self.best_start
     }
@@ -1110,20 +780,13 @@ impl<K: Kernel> Gp<K> {
     /// (`residual/√variance`) flag observations the model cannot explain —
     /// a practical diagnostic for misconverged circuit simulations entering
     /// the training set.
-    /// Under [`InferenceMode::Iterative`] the closed form applies to the
-    /// *subset* model (the only one with a factorization), so the returned
-    /// vector has one pair per subset point, in subset order.
     pub fn loo_residuals(&self) -> Vec<(f64, f64)> {
         let kinv = self.chol.inverse();
-        let alpha = match &self.iter_state {
-            None => &self.alpha,
-            Some(st) => &st.sub_alpha,
-        };
-        (0..alpha.len())
+        (0..self.alpha.len())
             .map(|i| {
                 let kii = kinv[(i, i)].max(1e-300);
                 let var = 1.0 / kii;
-                let resid = alpha[i] / kii;
+                let resid = self.alpha[i] / kii;
                 (resid, var)
             })
             .collect()
@@ -1150,20 +813,6 @@ impl<K: Kernel> Gp<K> {
             }
         }
         (bi, self.ys_raw[bi])
-    }
-
-    /// Indices (ascending, into the training set) of the subset behind the
-    /// variance factor when the model was built by
-    /// [`InferenceMode::Iterative`]; `None` for exact and subset-of-data
-    /// models, which own their factor outright.
-    pub fn iterative_subset(&self) -> Option<&[usize]> {
-        self.iter_state.as_ref().map(|s| s.subset.as_slice())
-    }
-
-    /// Conjugate-gradient iterations spent on the mean solve, when the
-    /// model was built by [`InferenceMode::Iterative`].
-    pub fn cg_iterations(&self) -> Option<usize> {
-        self.iter_state.as_ref().map(|s| s.cg_iters)
     }
 
     /// Number of training points.
@@ -1518,91 +1167,6 @@ mod tests {
     }
 
     #[test]
-    fn append_observation_matches_frozen_rebuild() {
-        // Without standardization the appended model must coincide with a
-        // from-scratch frozen refit on the extended data: the appended
-        // Cholesky row solves the same recurrence the factorization does.
-        let (xs, ys) = sine_data(12);
-        let k = SquaredExponential::new(1);
-        let params = vec![0.1, -1.0];
-        let mut gp = Gp::with_params(
-            k.clone(),
-            xs[..11].to_vec(),
-            ys[..11].to_vec(),
-            params.clone(),
-            -2.0,
-            false,
-        )
-        .unwrap();
-        gp.append_observation(xs[11].clone(), ys[11]).unwrap();
-        let rebuilt = Gp::with_params(k, xs.clone(), ys, params, -2.0, false).unwrap();
-        assert_eq!(gp.len(), 12);
-        assert_eq!(gp.nlml().to_bits(), rebuilt.nlml().to_bits());
-        for q in [&[0.17][..], &[0.5], &[0.93]] {
-            let (am, av) = gp.predict_standardized(q);
-            let (rm, rv) = rebuilt.predict_standardized(q);
-            assert_eq!(am.to_bits(), rm.to_bits());
-            assert_eq!(av.to_bits(), rv.to_bits());
-        }
-    }
-
-    #[test]
-    fn append_observation_keeps_standardizer_frozen() {
-        let (xs, ys) = sine_data(10);
-        let mut gp = Gp::fit(
-            SquaredExponential::new(1),
-            xs[..9].to_vec(),
-            ys[..9].to_vec(),
-            &GpConfig::fast(),
-            &mut rng(),
-        )
-        .unwrap();
-        let before = *gp.standardizer();
-        gp.append_observation(xs[9].clone(), ys[9]).unwrap();
-        assert_eq!(gp.standardizer().mean(), before.mean());
-        assert_eq!(gp.standardizer().std(), before.std());
-        // Tolerance contract vs a true frozen refit (which re-standardizes):
-        // predictions agree closely but not bitwise.
-        let rebuilt = Gp::with_params(
-            gp.kernel().clone(),
-            xs,
-            ys,
-            gp.params().to_vec(),
-            gp.log_noise(),
-            true,
-        )
-        .unwrap();
-        for q in [&[0.25][..], &[0.75]] {
-            let a = gp.predict(q);
-            let r = rebuilt.predict(q);
-            assert!((a.mean - r.mean).abs() < 1e-6, "{} vs {}", a.mean, r.mean);
-            assert!((a.var - r.var).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn append_observation_rejects_bad_input() {
-        let (xs, ys) = sine_data(8);
-        let mut gp = Gp::fit(
-            SquaredExponential::new(1),
-            xs.clone(),
-            ys,
-            &GpConfig::fast(),
-            &mut rng(),
-        )
-        .unwrap();
-        assert!(matches!(
-            gp.append_observation(vec![0.1, 0.2], 1.0),
-            Err(GpError::InvalidTrainingSet { .. })
-        ));
-        assert!(matches!(
-            gp.append_observation(vec![0.1], f64::NAN),
-            Err(GpError::InvalidTrainingSet { .. })
-        ));
-        assert_eq!(gp.len(), 8);
-    }
-
-    #[test]
     fn subset_of_data_matches_exact_on_selected_points() {
         let (xs, ys) = sine_data(30);
         let k = SquaredExponential::new(1);
@@ -1616,11 +1180,9 @@ mod tests {
             -2.0,
             true,
             mode,
-            Parallelism::Serial,
         )
         .unwrap();
         assert_eq!(gp.len(), 10);
-        assert!(gp.iterative_subset().is_none());
         // Byte-identical to an exact model built on the hand-selected subset.
         let keep = mfbo_infer::select_subset(&xs, 10, 0);
         let xs_sub: Vec<Vec<f64>> = keep.iter().map(|&i| xs[i].clone()).collect();
@@ -1635,201 +1197,42 @@ mod tests {
     }
 
     #[test]
-    fn iterative_mean_matches_exact_and_variance_upper_bounds() {
-        let (xs, ys) = sine_data(40);
-        let k = SquaredExponential::new(1);
-        let params = vec![0.1, -1.0];
-        let mode = InferenceMode::Iterative {
-            subset: 24,
-            max_iters: 400,
-        };
-        let gp = Gp::with_params_inference(
-            k.clone(),
-            xs.clone(),
-            ys.clone(),
-            params.clone(),
-            -2.0,
-            true,
-            mode,
-            Parallelism::Serial,
-        )
-        .unwrap();
-        assert_eq!(gp.len(), 40);
-        assert_eq!(gp.iterative_subset().map(<[usize]>::len), Some(24));
-        assert!(gp.cg_iterations().unwrap() > 0);
-        let exact = Gp::with_params(k, xs, ys, params, -2.0, true).unwrap();
-        for q in [&[0.07][..], &[0.4], &[0.73], &[0.98]] {
-            let (am, av) = gp.predict_standardized(q);
-            let (em, ev) = exact.predict_standardized(q);
-            // CG solves the same full-data system as the exact path.
-            assert!((am - em).abs() < 1e-6, "mean {am} vs exact {em}");
-            // Subset variances can only widen the posterior (up to the
-            // subset factor's slightly different jitter).
-            assert!(av >= ev - 1e-9, "var {av} vs exact {ev}");
-        }
-    }
-
-    #[test]
-    fn iterative_below_cap_is_bitwise_exact_path() {
-        let (xs, ys) = sine_data(12);
-        let k = SquaredExponential::new(1);
-        let params = vec![0.1, -1.0];
-        let gp = Gp::with_params_inference(
-            k.clone(),
-            xs.clone(),
-            ys.clone(),
-            params.clone(),
-            -2.0,
-            true,
-            InferenceMode::iterative(),
-            Parallelism::Serial,
-        )
-        .unwrap();
-        assert!(gp.iterative_subset().is_none());
-        let exact = Gp::with_params(k, xs, ys, params, -2.0, true).unwrap();
-        assert_eq!(gp.nlml().to_bits(), exact.nlml().to_bits());
-        for q in [&[0.2][..], &[0.6]] {
-            let (am, av) = gp.predict_standardized(q);
-            let (em, ev) = exact.predict_standardized(q);
-            assert_eq!(am.to_bits(), em.to_bits());
-            assert_eq!(av.to_bits(), ev.to_bits());
-        }
-    }
-
-    #[test]
-    fn iterative_batch_predict_matches_pointwise_bitwise() {
-        let (xs, ys) = sine_data(40);
-        let gp = Gp::with_params_inference(
-            SquaredExponential::new(1),
-            xs,
-            ys,
-            vec![0.1, -1.0],
-            -2.0,
-            true,
-            InferenceMode::Iterative {
-                subset: 16,
-                max_iters: 200,
-            },
-            Parallelism::Serial,
-        )
-        .unwrap();
-        let queries: Vec<Vec<f64>> = (0..17).map(|i| vec![i as f64 / 16.0]).collect();
-        let batched = gp.predict_batch_standardized(&queries);
-        for (q, &(m, v)) in queries.iter().zip(&batched) {
-            let (pm, pv) = gp.predict_standardized(q);
-            assert_eq!(m.to_bits(), pm.to_bits());
-            assert_eq!(v.to_bits(), pv.to_bits());
-        }
-    }
-
-    #[test]
-    fn iterative_threads_match_serial_bitwise() {
-        let (xs, ys) = sine_data(40);
-        let build = |par: Parallelism| {
-            Gp::with_params_inference(
-                SquaredExponential::new(1),
-                xs.clone(),
-                ys.clone(),
-                vec![0.1, -1.0],
-                -2.0,
-                true,
-                InferenceMode::Iterative {
-                    subset: 16,
-                    max_iters: 200,
-                },
-                par,
-            )
-            .unwrap()
-        };
-        let serial = build(Parallelism::Serial);
-        let threaded = build(Parallelism::Threads(4));
-        for q in [&[0.11][..], &[0.5], &[0.91]] {
-            let (sm, sv) = serial.predict_standardized(q);
-            let (tm, tv) = threaded.predict_standardized(q);
-            assert_eq!(sm.to_bits(), tm.to_bits());
-            assert_eq!(sv.to_bits(), tv.to_bits());
-        }
-    }
-
-    #[test]
-    fn iterative_rejects_append_observation() {
-        let (xs, ys) = sine_data(40);
-        let mut gp = Gp::with_params_inference(
-            SquaredExponential::new(1),
-            xs,
-            ys,
-            vec![0.1, -1.0],
-            -2.0,
-            true,
-            InferenceMode::Iterative {
-                subset: 16,
-                max_iters: 50,
-            },
-            Parallelism::Serial,
-        )
-        .unwrap();
-        assert!(matches!(
-            gp.append_observation(vec![0.5], 1.0),
-            Err(GpError::UnsupportedOperation { .. })
-        ));
-        assert_eq!(gp.len(), 40);
-    }
-
-    #[test]
-    fn iterative_loo_covers_subset() {
-        let (xs, ys) = sine_data(40);
-        let gp = Gp::with_params_inference(
-            SquaredExponential::new(1),
-            xs,
-            ys,
-            vec![0.1, -1.0],
-            -2.0,
-            true,
-            InferenceMode::Iterative {
-                subset: 16,
-                max_iters: 200,
-            },
-            Parallelism::Serial,
-        )
-        .unwrap();
-        let loo = gp.loo_residuals();
-        assert_eq!(loo.len(), 16);
-        assert!(loo.iter().all(|(r, v)| r.is_finite() && *v > 0.0));
-        assert!(gp.loo_nlpd().is_finite());
-    }
-
-    #[test]
     fn fit_dispatches_inference_modes() {
         let (xs, ys) = sine_data(40);
-        let cfg = GpConfig {
-            inference: InferenceMode::Iterative {
-                subset: 20,
-                max_iters: 200,
-            },
+        let sod = GpConfig {
+            inference: InferenceMode::SubsetOfData { max_points: 20 },
             ..GpConfig::fast()
         };
         let gp = Gp::fit(
             SquaredExponential::new(1),
             xs.clone(),
             ys.clone(),
-            &cfg,
+            &sod,
             &mut rng(),
         )
         .unwrap();
-        assert_eq!(gp.len(), 40);
-        assert_eq!(gp.iterative_subset().map(<[usize]>::len), Some(20));
+        assert_eq!(gp.len(), 20);
         // Interpolation quality survives the approximation.
         for (x, y) in xs.iter().zip(&ys).step_by(7) {
             let p = gp.predict(x);
             assert!((p.mean - y).abs() < 0.1, "at {x:?}: {} vs {y}", p.mean);
         }
-        let sod = GpConfig {
-            inference: InferenceMode::SubsetOfData { max_points: 20 },
+        // Below the cap the exact path runs bit for bit.
+        let exact = Gp::fit(
+            SquaredExponential::new(1),
+            xs.clone(),
+            ys.clone(),
+            &GpConfig::fast(),
+            &mut rng(),
+        )
+        .unwrap();
+        let roomy = GpConfig {
+            inference: InferenceMode::SubsetOfData { max_points: 40 },
             ..GpConfig::fast()
         };
-        let gp = Gp::fit(SquaredExponential::new(1), xs, ys, &sod, &mut rng()).unwrap();
-        assert_eq!(gp.len(), 20);
-        assert!(gp.iterative_subset().is_none());
+        let gp = Gp::fit(SquaredExponential::new(1), xs, ys, &roomy, &mut rng()).unwrap();
+        assert_eq!(gp.len(), 40);
+        assert_eq!(gp.nlml().to_bits(), exact.nlml().to_bits());
     }
 
     #[test]

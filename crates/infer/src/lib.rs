@@ -1,19 +1,12 @@
-//! Scalable GP inference engines for the `analog-mfbo` workspace.
+//! Scalable GP inference for the `analog-mfbo` workspace.
 //!
 //! The paper's budgets are ~100 evaluations, but a long-lived evaluation
 //! service accumulates thousands of observations per run, and exact GP
 //! inference is cubic in the training-set size. This crate provides the
-//! two standard approximations surveyed in the MFBO literature
+//! subset-of-data approximation surveyed in the MFBO literature
 //! (Do & Zhang, arXiv:2311.13050) in a form that preserves the workspace's
 //! determinism contract:
 //!
-//! * [`cg_solve`] — a Jacobi-preconditioned conjugate-gradient solver for
-//!   `A x = b` that never materializes `A`: the caller supplies the matvec.
-//!   Every reduction is a sequential ascending-index loop, the iteration
-//!   count is a deterministic function of the data (capped at a fixed
-//!   maximum), and the matvec contract requires bit-identical results in
-//!   every [`Parallelism`](https://docs.rs) mode — so `Threads(n) ≡ Serial`
-//!   and resumed runs replay bit-for-bit.
 //! * [`select_subset`] — seeded farthest-point selection over the
 //!   *committed history order* of the training set. The output depends only
 //!   on `(points, max_points, seed)`, never on wall clock, threading, or
@@ -23,51 +16,32 @@
 //!   `GpConfig`/`MfGpConfig`, `mfbo-cli --gp-inference`, and the server
 //!   `start` request. The exact Cholesky path stays the differential
 //!   oracle: `Exact` must remain byte-identical to the pre-existing
-//!   behavior, and the approximate modes are tested against it.
+//!   behavior, and the subset mode is tested against it.
 //!
-//! Telemetry: [`cg_solve`] emits `infer_cg_solves` / `infer_cg_iters`
-//! counters and [`select_subset`] emits `infer_subset_selections` /
-//! `infer_subset_size`, so operators can watch solver effort and subset
-//! occupancy without instrumenting callers.
+//! Telemetry: [`select_subset`] emits `infer_subset_selections` /
+//! `infer_subset_size`, so operators can watch subset occupancy without
+//! instrumenting callers.
 
 #![deny(missing_docs)]
 
 use std::fmt;
 
-/// Default training-point cap for the subset-of-data regime and for the
-/// hyperparameter-training subset of the iterative regime.
+/// Default training-point cap for the subset-of-data regime.
 pub const DEFAULT_SUBSET: usize = 1024;
-
-/// Default cap on conjugate-gradient iterations.
-pub const DEFAULT_CG_ITERS: usize = 64;
-
-/// Default relative-residual target for [`cg_solve`].
-pub const DEFAULT_CG_RTOL: f64 = 1e-10;
 
 /// Which inference engine a GP uses for fitting and prediction.
 ///
 /// `Exact` is the pre-existing Cholesky path and the differential oracle
-/// for the other two; it must stay byte-identical when selected. The
-/// approximate modes trade posterior fidelity for asymptotic cost and are
-/// only worthwhile past ~1–2k observations (see BENCH_infer.json).
+/// for the subset mode; it must stay byte-identical when selected. The
+/// subset mode trades posterior fidelity for asymptotic cost and is only
+/// worthwhile past ~1–2k observations (see BENCH_infer.json).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InferenceMode {
     /// Full Cholesky factorization: O(n³) fit, O(n²) per predictive
-    /// variance. The default, and the oracle the approximate modes are
+    /// variance. The default, and the oracle the subset mode is
     /// differentially tested against.
     #[default]
     Exact,
-    /// Hyperparameters and predictive variance from a farthest-point
-    /// subset (exact on `subset` points); the posterior-mean weights are
-    /// solved on the **full** training set by matrix-free preconditioned
-    /// CG with at most `max_iters` iterations.
-    Iterative {
-        /// Training-point cap for the hyperparameter/variance subset.
-        subset: usize,
-        /// Fixed cap on CG iterations (the solve stops early only on a
-        /// deterministic residual test).
-        max_iters: usize,
-    },
     /// Train and predict on a farthest-point subset of at most
     /// `max_points` observations; everything downstream of the selection
     /// is the exact path on the reduced set.
@@ -78,14 +52,6 @@ pub enum InferenceMode {
 }
 
 impl InferenceMode {
-    /// The iterative regime with default knobs.
-    pub fn iterative() -> Self {
-        InferenceMode::Iterative {
-            subset: DEFAULT_SUBSET,
-            max_iters: DEFAULT_CG_ITERS,
-        }
-    }
-
     /// The subset-of-data regime with the default cap.
     pub fn subset_of_data() -> Self {
         InferenceMode::SubsetOfData {
@@ -93,8 +59,8 @@ impl InferenceMode {
         }
     }
 
-    /// Parses the CLI/server spelling: `exact`, `iterative`, or
-    /// `subset-of-data` (knobs take their defaults).
+    /// Parses the CLI/server spelling: `exact` or `subset-of-data` (the
+    /// cap takes its default).
     ///
     /// # Errors
     ///
@@ -102,10 +68,9 @@ impl InferenceMode {
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "exact" => Ok(InferenceMode::Exact),
-            "iterative" => Ok(InferenceMode::iterative()),
             "subset-of-data" => Ok(InferenceMode::subset_of_data()),
             other => Err(format!(
-                "unknown inference mode '{other}': expected 'exact', 'iterative', or 'subset-of-data'"
+                "unknown inference mode '{other}': expected exact|subset-of-data"
             )),
         }
     }
@@ -115,7 +80,6 @@ impl InferenceMode {
     pub fn as_str(&self) -> &'static str {
         match self {
             InferenceMode::Exact => "exact",
-            InferenceMode::Iterative { .. } => "iterative",
             InferenceMode::SubsetOfData { .. } => "subset-of-data",
         }
     }
@@ -129,112 +93,6 @@ impl InferenceMode {
 impl fmt::Display for InferenceMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-/// Result of a [`cg_solve`] call.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CgOutcome {
-    /// The approximate solution of `A x = b`.
-    pub x: Vec<f64>,
-    /// Iterations actually performed (≤ the configured cap).
-    pub iters: usize,
-    /// Final relative residual `‖b − A x‖ / ‖b‖` as tracked by the
-    /// recurrence (preconditioned norm ratio).
-    pub rel_residual: f64,
-    /// Whether the residual target was met within the iteration cap.
-    /// Callers treat `false` (or a non-finite solution) as the signal to
-    /// fall back to the exact path.
-    pub converged: bool,
-}
-
-/// Sequential ascending-index dot product — the only reduction order used
-/// in this crate, so results never depend on threading.
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut s = 0.0;
-    for i in 0..a.len() {
-        s += a[i] * b[i];
-    }
-    s
-}
-
-/// Jacobi-preconditioned conjugate gradients for SPD `A x = b`, matrix-free.
-///
-/// `matvec(v, out)` must write `A v` into `out`; it is called once per
-/// iteration and must be bit-deterministic (same input → same bits,
-/// regardless of threading — the GP layer guarantees this by tiling with
-/// fixed boundaries and concatenating in index order). `precond_diag`
-/// holds the diagonal of `A`; entries are clamped away from zero.
-///
-/// The solve runs until the preconditioned residual satisfies the
-/// relative tolerance `rtol` or `max_iters` iterations elapse — both
-/// tests are deterministic, so the iteration count is a pure function of
-/// the inputs. All inner reductions are sequential ascending loops.
-///
-/// # Panics
-///
-/// Panics if `precond_diag.len() != b.len()`.
-pub fn cg_solve<F>(
-    matvec: F,
-    precond_diag: &[f64],
-    b: &[f64],
-    max_iters: usize,
-    rtol: f64,
-) -> CgOutcome
-where
-    F: Fn(&[f64], &mut [f64]),
-{
-    let n = b.len();
-    assert_eq!(precond_diag.len(), n, "preconditioner length mismatch");
-    let inv_diag: Vec<f64> = precond_diag
-        .iter()
-        .map(|&d| 1.0 / d.max(f64::MIN_POSITIVE))
-        .collect();
-
-    let mut x = vec![0.0; n];
-    let mut r = b.to_vec();
-    let mut z: Vec<f64> = (0..n).map(|i| inv_diag[i] * r[i]).collect();
-    let mut p = z.clone();
-    let mut ap = vec![0.0; n];
-    let mut rz = dot(&r, &z);
-    let rz0 = rz.abs().max(f64::MIN_POSITIVE);
-    let target = rtol * rtol * rz0;
-
-    let mut iters = 0;
-    let mut converged = rz.abs() <= target;
-    while iters < max_iters && !converged {
-        matvec(&p, &mut ap);
-        let pap = dot(&p, &ap);
-        if pap <= 0.0 || !pap.is_finite() {
-            break;
-        }
-        let alpha = rz / pap;
-        for i in 0..n {
-            x[i] += alpha * p[i];
-        }
-        for i in 0..n {
-            r[i] -= alpha * ap[i];
-        }
-        for i in 0..n {
-            z[i] = inv_diag[i] * r[i];
-        }
-        let rz_next = dot(&r, &z);
-        let beta = rz_next / rz;
-        for i in 0..n {
-            p[i] = z[i] + beta * p[i];
-        }
-        rz = rz_next;
-        iters += 1;
-        converged = rz.abs() <= target;
-    }
-    mfbo_telemetry::counter!("infer_cg_solves", 1u64);
-    mfbo_telemetry::counter!("infer_cg_iters", iters as u64);
-    CgOutcome {
-        x,
-        iters,
-        rel_residual: (rz.abs() / rz0).sqrt(),
-        converged,
     }
 }
 
@@ -315,90 +173,6 @@ pub fn select_subset(points: &[Vec<f64>], max_points: usize, seed: u64) -> Vec<u
 mod tests {
     use super::*;
 
-    fn dense_matvec(a: &[Vec<f64>]) -> impl Fn(&[f64], &mut [f64]) + '_ {
-        move |v: &[f64], out: &mut [f64]| {
-            for (i, row) in a.iter().enumerate() {
-                out[i] = dot(row, v);
-            }
-        }
-    }
-
-    /// Deterministic SPD test matrix (same recipe as the linalg tests).
-    fn spd(n: usize) -> Vec<Vec<f64>> {
-        let b: Vec<Vec<f64>> = (0..n)
-            .map(|i| {
-                (0..n)
-                    .map(|j| ((i * 31 + j * 17) % 13) as f64 / 13.0 - 0.5)
-                    .collect()
-            })
-            .collect();
-        let mut a = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            for j in 0..n {
-                let mut s = if i == j { n as f64 } else { 0.0 };
-                for (bi, bj) in b[i].iter().zip(&b[j]) {
-                    s += bi * bj;
-                }
-                a[i][j] = s;
-            }
-        }
-        a
-    }
-
-    #[test]
-    fn cg_solves_spd_system() {
-        let n = 40;
-        let a = spd(n);
-        let b: Vec<f64> = (0..n).map(|i| ((i * 7) % 11) as f64 / 11.0 - 0.4).collect();
-        let diag: Vec<f64> = (0..n).map(|i| a[i][i]).collect();
-        let out = cg_solve(dense_matvec(&a), &diag, &b, 200, 1e-12);
-        assert!(out.converged, "rel_residual = {}", out.rel_residual);
-        assert!(out.iters <= 200);
-        // Check A x ≈ b directly.
-        let mut ax = vec![0.0; n];
-        dense_matvec(&a)(&out.x, &mut ax);
-        for (got, want) in ax.iter().zip(&b) {
-            assert!((got - want).abs() < 1e-8, "{got} vs {want}");
-        }
-    }
-
-    #[test]
-    fn cg_is_deterministic() {
-        let n = 24;
-        let a = spd(n);
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let diag: Vec<f64> = (0..n).map(|i| a[i][i]).collect();
-        let one = cg_solve(dense_matvec(&a), &diag, &b, 64, 1e-10);
-        let two = cg_solve(dense_matvec(&a), &diag, &b, 64, 1e-10);
-        assert_eq!(one.iters, two.iters);
-        for (x, y) in one.x.iter().zip(&two.x) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn cg_respects_iteration_cap() {
-        let n = 32;
-        let a = spd(n);
-        let b = vec![1.0; n];
-        let diag: Vec<f64> = (0..n).map(|i| a[i][i]).collect();
-        let out = cg_solve(dense_matvec(&a), &diag, &b, 3, 1e-16);
-        assert_eq!(out.iters, 3);
-        assert!(!out.converged);
-        assert!(out.x.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn cg_zero_rhs_returns_zero_without_iterating() {
-        let n = 8;
-        let a = spd(n);
-        let diag: Vec<f64> = (0..n).map(|i| a[i][i]).collect();
-        let out = cg_solve(dense_matvec(&a), &diag, &vec![0.0; n], 10, 1e-10);
-        assert_eq!(out.iters, 0);
-        assert!(out.converged);
-        assert!(out.x.iter().all(|&v| v == 0.0));
-    }
-
     fn grid(n: usize) -> Vec<Vec<f64>> {
         (0..n)
             .map(|i| vec![i as f64 / n as f64, ((i * 13) % n) as f64 / n as f64])
@@ -446,15 +220,17 @@ mod tests {
 
     #[test]
     fn mode_parse_round_trips() {
-        for s in ["exact", "iterative", "subset-of-data"] {
+        for s in ["exact", "subset-of-data"] {
             let m = InferenceMode::parse(s).unwrap();
             assert_eq!(m.as_str(), s);
             assert_eq!(m.to_string(), s);
         }
         assert_eq!(InferenceMode::default(), InferenceMode::Exact);
         assert!(InferenceMode::Exact.is_exact());
-        assert!(!InferenceMode::iterative().is_exact());
-        let e = InferenceMode::parse("bogus").unwrap_err();
-        assert!(e.contains("bogus") && e.contains("subset-of-data"));
+        assert!(!InferenceMode::subset_of_data().is_exact());
+        for bad in ["bogus", "iterative"] {
+            let e = InferenceMode::parse(bad).unwrap_err();
+            assert!(e.contains(bad) && e.contains("exact|subset-of-data"), "{e}");
+        }
     }
 }

@@ -680,111 +680,6 @@ impl Cholesky {
         crate::dot(scratch, scratch)
     }
 
-    /// Extends the factorization in place with one new trailing row/column
-    /// of the underlying matrix in O(n²) instead of refactorizing in O(n³).
-    ///
-    /// `k_new` is the off-diagonal block `A[n][0..n]` and `diag` the new
-    /// diagonal element `A[n][n]` — callers must fold any noise term *and*
-    /// [`Cholesky::jitter`] into `diag` themselves, so the extended factor
-    /// is bit-identical to factorizing the extended matrix from scratch at
-    /// the same jitter: the new row solves the same recurrence the
-    /// factorization would (`L w = k_new` by ascending forward
-    /// substitution, then `d² = diag - Σ wᵢ²` subtracted one term at a
-    /// time in ascending order).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::NotPositiveDefinite`] (pivot `n`) when the
-    /// Schur complement of the new point is not strictly positive — e.g.
-    /// the point duplicates an existing row. The factor is left untouched;
-    /// callers should fall back to a full refactorization.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k_new.len() != self.dim()`.
-    pub fn append_row(&mut self, k_new: &[f64], diag: f64) -> Result<(), LinalgError> {
-        let n = self.dim();
-        assert_eq!(k_new.len(), n, "append_row length mismatch");
-        let mut w = vec![0.0; n];
-        self.forward_solve_into(k_new, &mut w);
-        let mut d = diag;
-        for &wi in &w {
-            d -= wi * wi;
-        }
-        if d <= 0.0 || !d.is_finite() {
-            return Err(LinalgError::NotPositiveDefinite { pivot: n });
-        }
-        let dn = d.sqrt();
-        let mut l = Matrix::zeros(n + 1, n + 1);
-        for i in 0..n {
-            l.row_mut(i)[..n].copy_from_slice(self.l.row(i));
-        }
-        let last = l.row_mut(n);
-        last[..n].copy_from_slice(&w);
-        last[n] = dn;
-        self.cols = Self::pack_lower(&l);
-        self.l = l;
-        Ok(())
-    }
-
-    /// Removes row/column `idx` of the underlying matrix from the
-    /// factorization in place — the downdate paired with
-    /// [`Cholesky::append_row`] — in O((n − idx)²) instead of refactorizing
-    /// in O(n³). This is what makes sliding-window and quarantine-removal
-    /// refits cheap: evicting an observation costs a rank-one update of the
-    /// trailing block, not a rebuild.
-    ///
-    /// Removing the **last** row is a pure truncation and therefore inverts
-    /// [`Cholesky::append_row`] bit-for-bit:
-    /// `remove_row(append_row(C)) ≡ C`. Removing an interior row applies
-    /// the classic Givens-based rank-one update (LINPACK `dchud` schedule,
-    /// columns left to right, rows ascending within a column) to restore
-    /// the trailing factor; that path is deterministic but not bitwise
-    /// identical to a from-scratch factorization of the reduced matrix —
-    /// it agrees to rounding error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= self.dim()`.
-    pub fn remove_row(&mut self, idx: usize) {
-        let n = self.dim();
-        assert!(idx < n, "remove_row index {idx} out of range for dim {n}");
-        let mut l = Matrix::zeros(n - 1, n - 1);
-        // Rows above the removed one are untouched (their columns all
-        // precede `idx`), as are the leading `idx` columns of later rows.
-        for i in 0..idx {
-            l.row_mut(i)[..=i].copy_from_slice(&self.l.row(i)[..=i]);
-        }
-        for i in (idx + 1)..n {
-            l.row_mut(i - 1)[..idx].copy_from_slice(&self.l.row(i)[..idx]);
-        }
-        // Trailing block: with the removed row gone, the reduced matrix's
-        // trailing Gram block gains back the deleted column's outer product
-        // — S'S'ᵀ = SSᵀ + v vᵀ with S = L[idx+1.., idx+1..] and
-        // v = L[idx+1.., idx]. Restore triangularity with Givens rotations,
-        // one column at a time in ascending order.
-        let m = n - 1 - idx;
-        let mut v: Vec<f64> = (0..m).map(|i| self.l[(idx + 1 + i, idx)]).collect();
-        for i in 0..m {
-            l.row_mut(idx + i)[idx..idx + i + 1]
-                .copy_from_slice(&self.l.row(idx + 1 + i)[idx + 1..idx + 2 + i]);
-        }
-        for k in 0..m {
-            let dkk = l[(idx + k, idx + k)];
-            let r = (dkk * dkk + v[k] * v[k]).sqrt();
-            let c = r / dkk;
-            let s = v[k] / dkk;
-            l[(idx + k, idx + k)] = r;
-            for i in (k + 1)..m {
-                let lik = (l[(idx + i, idx + k)] + s * v[i]) / c;
-                v[i] = c * v[i] - s * lik;
-                l[(idx + i, idx + k)] = lik;
-            }
-        }
-        self.cols = Self::pack_lower(&l);
-        self.l = l;
-    }
-
     /// Returns `L z` — used to draw correlated Gaussian samples from
     /// i.i.d. standard normals `z`.
     ///
@@ -968,104 +863,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn append_row_matches_full_factorization_bitwise() {
-        let n = 60;
-        let a = spd_large(n + 1);
-        let head = Matrix::from_fn(n, n, |i, j| a[(i, j)]);
-        let mut chol = Cholesky::new(&head).unwrap();
-        let k_new: Vec<f64> = (0..n).map(|j| a[(n, j)]).collect();
-        chol.append_row(&k_new, a[(n, n)]).unwrap();
-        let full = Cholesky::new(&a).unwrap();
-        for i in 0..=n {
-            for j in 0..=n {
-                assert_eq!(
-                    chol.factor()[(i, j)].to_bits(),
-                    full.factor()[(i, j)].to_bits(),
-                    "appended factor mismatch at ({i}, {j})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn append_row_rejects_duplicate_point() {
-        let a = spd_large(4);
-        let mut chol = Cholesky::new(&a).unwrap();
-        // Appending an exact copy of the last row/column makes the extended
-        // matrix singular: the Schur complement is zero.
-        let k_new: Vec<f64> = (0..4).map(|j| a[(3, j)]).collect();
-        let before = chol.factor().clone();
-        assert!(matches!(
-            chol.append_row(&k_new, a[(3, 3)]),
-            Err(LinalgError::NotPositiveDefinite { pivot: 4 })
-        ));
-        assert!(chol.factor().max_abs_diff(&before) == 0.0);
-    }
-
-    #[test]
-    fn remove_last_row_inverts_append_row_bitwise() {
-        let n = 60;
-        let a = spd_large(n + 1);
-        let head = Matrix::from_fn(n, n, |i, j| a[(i, j)]);
-        let before = Cholesky::new(&head).unwrap();
-        let mut chol = before.clone();
-        let k_new: Vec<f64> = (0..n).map(|j| a[(n, j)]).collect();
-        chol.append_row(&k_new, a[(n, n)]).unwrap();
-        chol.remove_row(n);
-        assert_eq!(chol.dim(), n);
-        for i in 0..n {
-            for j in 0..n {
-                assert_eq!(
-                    chol.factor()[(i, j)].to_bits(),
-                    before.factor()[(i, j)].to_bits(),
-                    "downdated factor mismatch at ({i}, {j})"
-                );
-            }
-        }
-        // The packed column copy must stay in sync with the row-major factor.
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
-        let x = chol.solve_vec(&b);
-        let y = before.solve_vec(&b);
-        for (g, w) in x.iter().zip(&y) {
-            assert_eq!(g.to_bits(), w.to_bits());
-        }
-    }
-
-    #[test]
-    fn remove_interior_row_matches_reduced_factorization() {
-        for (n, idx) in [(5usize, 0usize), (12, 4), (60, 0), (60, 31), (60, 58)] {
-            let a = spd_large(n);
-            let mut chol = Cholesky::new(&a).unwrap();
-            chol.remove_row(idx);
-            assert_eq!(chol.dim(), n - 1);
-            // Reduced matrix with row/column `idx` deleted.
-            let keep: Vec<usize> = (0..n).filter(|&i| i != idx).collect();
-            let reduced = Matrix::from_fn(n - 1, n - 1, |i, j| a[(keep[i], keep[j])]);
-            let reference = Cholesky::new(&reduced).unwrap();
-            let diff = chol.factor().max_abs_diff(reference.factor());
-            assert!(
-                diff < 1e-10,
-                "downdate drifted {diff} from reduced factorization (n={n}, idx={idx})"
-            );
-        }
-    }
-
-    #[test]
-    fn remove_row_to_scalar_and_out_of_range_panics() {
-        let a = spd_large(2);
-        let mut chol = Cholesky::new(&a).unwrap();
-        chol.remove_row(0);
-        assert_eq!(chol.dim(), 1);
-        let d = chol.factor()[(0, 0)];
-        assert!(d.is_finite() && d > 0.0);
-        let r = std::panic::catch_unwind(move || {
-            let mut c = chol;
-            c.remove_row(5);
-        });
-        assert!(r.is_err(), "out-of-range remove_row must panic");
     }
 
     #[test]

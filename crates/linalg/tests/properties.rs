@@ -98,8 +98,8 @@ proptest! {
 }
 
 /// Bit-identity pins for the blocked/workspace Cholesky paths: the blocked
-/// factorization, the triangular-inverse fast path, the `_into` variants,
-/// and the rank-one append must reproduce their reference counterparts
+/// factorization, the triangular-inverse fast path and the `_into` variants
+/// must reproduce their reference counterparts
 /// **exactly** — these guard the reproducibility contract, so they compare
 /// `f64::to_bits`, not tolerances. Sizes straddle the panel width so the
 /// multi-panel code paths run.
@@ -117,11 +117,17 @@ mod bit_identity {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
+        /// At a size past the panel width, so the dispatched fold kernels
+        /// engage: the blocked factor matches the unblocked reference and
+        /// is the same under the scalar and the dispatched SIMD backend.
         #[test]
         fn blocked_factorization_bit_identical_to_unblocked(a in spd_matrix(60)) {
             let blocked = Cholesky::new(&a).unwrap();
             let reference = Cholesky::new_unblocked(&a).unwrap();
             assert_bits_eq(blocked.factor().as_slice(), reference.factor().as_slice())?;
+            let scalar = Cholesky::new_with_backend(&a, mfbo_simd::Backend::Scalar).unwrap();
+            let dispatched = Cholesky::new_with_backend(&a, mfbo_simd::detect()).unwrap();
+            assert_bits_eq(scalar.factor().as_slice(), dispatched.factor().as_slice())?;
         }
 
         /// Block-edge fuzzing for the blocked factorization: sizes pinned to
@@ -218,117 +224,6 @@ mod bit_identity {
                 chol.quad_form(&b).to_bits(),
                 chol.quad_form_with(&b, &mut scratch).to_bits()
             );
-        }
-
-        #[test]
-        fn append_row_bit_identical_to_refactorization(a in spd_matrix(20)) {
-            // Factor the leading 19×19 block, append row 19, and compare
-            // against factorizing the full matrix in one shot.
-            let n = a.rows();
-            let mut leading = Matrix::zeros(n - 1, n - 1);
-            for i in 0..n - 1 {
-                for j in 0..n - 1 {
-                    leading[(i, j)] = a[(i, j)];
-                }
-            }
-            let mut grown = Cholesky::new(&leading).unwrap();
-            let full = Cholesky::new(&a).unwrap();
-            // `new` applies no jitter to SPD input, so the appended diagonal
-            // is the raw entry (plus the factor's zero jitter).
-            prop_assert_eq!(grown.jitter(), full.jitter());
-            let k_new: Vec<f64> = (0..n - 1).map(|j| a[(n - 1, j)]).collect();
-            grown.append_row(&k_new, a[(n - 1, n - 1)] + grown.jitter()).unwrap();
-            assert_bits_eq(grown.factor().as_slice(), full.factor().as_slice())?;
-        }
-
-        #[test]
-        fn remove_row_inverts_append_row_bit_exactly(a in spd_matrix(14)) {
-            // Downdating away the row just appended must restore the
-            // original factor byte for byte: last-row removal touches no
-            // other entries, so append → remove is the identity.
-            let n = a.rows();
-            let mut leading = Matrix::zeros(n - 1, n - 1);
-            for i in 0..n - 1 {
-                for j in 0..n - 1 {
-                    leading[(i, j)] = a[(i, j)];
-                }
-            }
-            let original = Cholesky::new(&leading).unwrap();
-            let mut working = Cholesky::new(&leading).unwrap();
-            let k_new: Vec<f64> = (0..n - 1).map(|j| a[(n - 1, j)]).collect();
-            working
-                .append_row(&k_new, a[(n - 1, n - 1)] + working.jitter())
-                .unwrap();
-            working.remove_row(n - 1);
-            assert_bits_eq(working.factor().as_slice(), original.factor().as_slice())?;
-        }
-
-        #[test]
-        fn append_row_backend_bit_identity(a in spd_matrix(60)) {
-            // Differential across SIMD backends at a size past the blocked
-            // panel width, so the dispatched fold kernels actually engage
-            // (the small-n append proptests above never leave the scalar
-            // code path): growing a scalar-built factor and a
-            // dispatched-built factor by the same row must agree bit for
-            // bit, both with each other and with one-shot refactorization.
-            let n = a.rows();
-            let mut leading = Matrix::zeros(n - 1, n - 1);
-            for i in 0..n - 1 {
-                for j in 0..n - 1 {
-                    leading[(i, j)] = a[(i, j)];
-                }
-            }
-            let mut scalar =
-                Cholesky::new_with_backend(&leading, mfbo_simd::Backend::Scalar).unwrap();
-            let mut dispatched =
-                Cholesky::new_with_backend(&leading, mfbo_simd::detect()).unwrap();
-            prop_assert_eq!(scalar.jitter(), dispatched.jitter());
-            let k_new: Vec<f64> = (0..n - 1).map(|j| a[(n - 1, j)]).collect();
-            scalar.append_row(&k_new, a[(n - 1, n - 1)] + scalar.jitter()).unwrap();
-            dispatched
-                .append_row(&k_new, a[(n - 1, n - 1)] + dispatched.jitter())
-                .unwrap();
-            assert_bits_eq(scalar.factor().as_slice(), dispatched.factor().as_slice())?;
-            let full = Cholesky::new(&a).unwrap();
-            assert_bits_eq(dispatched.factor().as_slice(), full.factor().as_slice())?;
-        }
-
-        #[test]
-        fn remove_row_backend_bit_identity(a in spd_matrix(60), pick in 0usize..60) {
-            // The trailing-block downdate of an interior removal must also
-            // be backend-invariant at SIMD-engaging sizes.
-            let mut scalar =
-                Cholesky::new_with_backend(&a, mfbo_simd::Backend::Scalar).unwrap();
-            let mut dispatched =
-                Cholesky::new_with_backend(&a, mfbo_simd::detect()).unwrap();
-            scalar.remove_row(pick);
-            dispatched.remove_row(pick);
-            assert_bits_eq(scalar.factor().as_slice(), dispatched.factor().as_slice())?;
-        }
-
-        #[test]
-        fn remove_row_matches_refactorization_of_reduced_matrix(
-            a in spd_matrix(9),
-            pick in 0usize..9,
-        ) {
-            // Removing an interior row is a rank-one downdate of the
-            // trailing block; the result must agree with factorizing the
-            // reduced matrix from scratch to rounding accuracy.
-            let n = a.rows();
-            let mut downdated = Cholesky::new(&a).unwrap();
-            downdated.remove_row(pick);
-            let mut reduced = Matrix::zeros(n - 1, n - 1);
-            for i in 0..n - 1 {
-                let si = i + usize::from(i >= pick);
-                for j in 0..n - 1 {
-                    let sj = j + usize::from(j >= pick);
-                    reduced[(i, j)] = a[(si, sj)];
-                }
-            }
-            let fresh = Cholesky::new(&reduced).unwrap();
-            for (d, f) in downdated.factor().as_slice().iter().zip(fresh.factor().as_slice()) {
-                prop_assert!((d - f).abs() <= 1e-8 * (1.0 + f.abs()), "{d} vs {f}");
-            }
         }
     }
 }

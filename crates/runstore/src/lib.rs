@@ -139,7 +139,7 @@ pub struct RunMeta {
     /// regenerate a different pending schedule, so it is refused here.
     /// (Optional key, appended in format v1.)
     pub batch: Option<u64>,
-    /// GP inference engine tag ("iterative", "subset-of-data") the journal
+    /// GP inference engine tag (e.g. "subset-of-data") the journal
     /// was written with, when approximate. `None` for exact runs — the v1
     /// byte layout is unchanged. An approximate journal replayed under a
     /// different engine would refit different surrogates and diverge, so a

@@ -16,15 +16,13 @@
 //!
 //! `start` fields beyond `run` and `problem` (all optional):
 //! `seed`, `budget`, `init_low`, `init_high`, `batch` (ask/tell
-//! `max_pending`), `gp_inference` (`"exact"`/`"iterative"`/
-//! `"subset-of-data"` surrogate engine), `refit_every` (full
-//! hyperparameter refits every N iterations), `warm_start_thetas`,
-//! `adaptive_restarts`, `acq_warm_start` (warm-started refit/acquisition
-//! knobs; see `MfBoConfig`), `journal` (directory), `resume`,
-//! `retries`,
+//! `max_pending`), `gp_inference` (`"exact"`/`"subset-of-data"`
+//! surrogate engine), `refit_every` (full hyperparameter refits every N
+//! iterations), `journal` (directory), `resume`, `retries`,
 //! `on_non_finite` (`"abort"`/`"penalize"`), `max_evals`, `stall_ms`
 //! (worker deadline), and `fault` (`{"kind":"nan"|"panic"|"stall",
-//! "every":N,"ms":N}`) for resilience drills.
+//! "every":N,"ms":N}`) for resilience drills. Any other field is refused
+//! by name, and counts must be non-negative integers.
 //!
 //! Every failure is a `{"ok":false,"error":…}` reply on the same line; the
 //! connection stays usable. Malformed frames never take the server down.
@@ -627,7 +625,58 @@ fn start_run(req: &Json, ctx: &ServeCtx) -> Json {
     ok(vec![("run", Json::Str(name))])
 }
 
+/// Every field a `start` request may carry.
+const START_FIELDS: [&str; 17] = [
+    "op",
+    "run",
+    "problem",
+    "seed",
+    "budget",
+    "init_low",
+    "init_high",
+    "batch",
+    "gp_inference",
+    "refit_every",
+    "journal",
+    "resume",
+    "retries",
+    "on_non_finite",
+    "max_evals",
+    "stall_ms",
+    "fault",
+];
+
+/// Every field a `start` request's `fault` object may carry.
+const FAULT_FIELDS: [&str; 3] = ["kind", "every", "ms"];
+
+/// Refuses the first field of `obj` not in `known`, naming it, so a typo or
+/// a retired knob never silently runs with the default instead.
+fn refuse_unknown(obj: &Json, known: &[&str], what: &str) -> Result<(), String> {
+    if let Json::Obj(fields) = obj {
+        if let Some((k, _)) = fields.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+            return Err(format!("unknown {what} field '{k}'"));
+        }
+    }
+    Ok(())
+}
+
+fn f64_field(obj: &Json, key: &str, default: f64) -> Result<f64, String> {
+    match obj.get(key) {
+        None => Ok(default),
+        Some(v) => v.as_f64().ok_or(format!("'{key}' must be a number")),
+    }
+}
+
+fn usize_field(obj: &Json, key: &str, default: usize) -> Result<usize, String> {
+    let v = f64_field(obj, key, default as f64)?;
+    if v < 0.0 || v.fract() != 0.0 {
+        return Err(format!("'{key}' must be a non-negative integer"));
+    }
+    Ok(v as usize)
+}
+
 fn parse_spec(req: &Json) -> Result<RunSpec, String> {
+    refuse_unknown(req, &START_FIELDS, "start")?;
     let name = req
         .get("run")
         .and_then(Json::as_str)
@@ -645,19 +694,6 @@ fn parse_spec(req: &Json) -> Result<RunSpec, String> {
     // start reply, not through a failed run.
     problems::make_problem(&problem, None)?;
 
-    let f64_field = |key: &str, default: f64| -> Result<f64, String> {
-        match req.get(key) {
-            None => Ok(default),
-            Some(v) => v.as_f64().ok_or(format!("'{key}' must be a number")),
-        }
-    };
-    let usize_field = |key: &str, default: usize| -> Result<usize, String> {
-        let v = f64_field(key, default as f64)?;
-        if v < 0.0 || v.fract() != 0.0 {
-            return Err(format!("'{key}' must be a non-negative integer"));
-        }
-        Ok(v as usize)
-    };
     let bool_field = |key: &str| -> Result<bool, String> {
         match req.get(key) {
             None => Ok(false),
@@ -665,19 +701,16 @@ fn parse_spec(req: &Json) -> Result<RunSpec, String> {
         }
     };
 
-    let budget = f64_field("budget", 20.0)?;
+    let budget = f64_field(req, "budget", 20.0)?;
     if !(budget > 0.0 && budget.is_finite()) {
         return Err("'budget' must be positive and finite".into());
     }
     let mut config = MfBoConfig {
-        initial_low: usize_field("init_low", 10)?,
-        initial_high: usize_field("init_high", 5)?,
+        initial_low: usize_field(req, "init_low", 10)?,
+        initial_high: usize_field(req, "init_high", 5)?,
         budget,
-        max_pending: usize_field("batch", 1)?,
-        refit_every: usize_field("refit_every", 1)?,
-        warm_start_thetas: bool_field("warm_start_thetas")?,
-        adaptive_restarts: usize_field("adaptive_restarts", 0)?,
-        acq_warm_start: bool_field("acq_warm_start")?,
+        max_pending: usize_field(req, "batch", 1)?,
+        refit_every: usize_field(req, "refit_every", 1)?,
         ..MfBoConfig::default()
     };
     if let Some(v) = req.get("gp_inference") {
@@ -689,22 +722,21 @@ fn parse_spec(req: &Json) -> Result<RunSpec, String> {
     config.validate().map_err(|e| e.to_string())?;
 
     let mut policy = EvalPolicy {
-        max_retries: usize_field("retries", 0)? as u32,
+        max_retries: u32::try_from(usize_field(req, "retries", 0)?)
+            .map_err(|_| "'retries' is too large")?,
         ..EvalPolicy::default()
     };
-    match req.get("on_non_finite").and_then(Json::as_str) {
-        None => {}
-        Some(v) => {
-            policy.non_finite =
-                NonFinitePolicy::parse(v).ok_or("'on_non_finite' must be 'abort' or 'penalize'")?;
-        }
+    if let Some(v) = req.get("on_non_finite") {
+        policy.non_finite = v
+            .as_str()
+            .and_then(NonFinitePolicy::parse)
+            .ok_or("'on_non_finite' must be 'abort' or 'penalize'")?;
     }
-    if let Some(v) = req.get("max_evals") {
-        let v = v.as_f64().ok_or("'max_evals' must be a number")?;
-        policy.max_evaluations = Some(v as u64);
+    if req.get("max_evals").is_some() {
+        policy.max_evaluations = Some(usize_field(req, "max_evals", 0)? as u64);
     }
 
-    let stall = match usize_field("stall_ms", 0)? {
+    let stall = match usize_field(req, "stall_ms", 0)? {
         0 => None,
         ms => Some(Duration::from_millis(ms as u64)),
     };
@@ -717,7 +749,7 @@ fn parse_spec(req: &Json) -> Result<RunSpec, String> {
         name,
         problem,
         fault,
-        seed: usize_field("seed", 0)? as u64,
+        seed: usize_field(req, "seed", 0)? as u64,
         config,
         policy,
         journal: req
@@ -730,10 +762,13 @@ fn parse_spec(req: &Json) -> Result<RunSpec, String> {
 }
 
 fn parse_fault(f: &Json) -> Result<FaultSpec, String> {
-    let every = f
-        .get("every")
-        .and_then(Json::as_f64)
-        .ok_or("fault needs an 'every' period")? as usize;
+    refuse_unknown(f, &FAULT_FIELDS, "fault")?;
+    if f.get("every").is_none() {
+        return Err("fault needs an 'every' period".into());
+    }
+    let count =
+        |key: &str, default: usize| usize_field(f, key, default).map_err(|e| format!("fault {e}"));
+    let every = count("every", 0)?;
     if every == 0 {
         return Err("fault 'every' must be positive".into());
     }
@@ -741,7 +776,7 @@ fn parse_fault(f: &Json) -> Result<FaultSpec, String> {
         Some("nan") => FaultKind::Nan,
         Some("panic") => FaultKind::Panic,
         Some("stall") => FaultKind::Stall {
-            ms: f.get("ms").and_then(Json::as_f64).unwrap_or(1000.0) as u64,
+            ms: count("ms", 1000)? as u64,
         },
         _ => return Err("fault 'kind' must be 'nan', 'panic', or 'stall'".into()),
     };

@@ -322,12 +322,9 @@ fn batched_runs_complete_and_report_via_list() {
 #[test]
 fn refit_and_warm_start_fields_are_threaded_and_validated() {
     let (mut client, _addr) = boot(2);
-    // A run with the whole amortized-refit knob set completes.
+    // A run on the amortized-refit schedule completes.
     let mut req = start_req("amortized", "forrester", 11, 6.0);
     req.push(("refit_every", Json::Num(4.0)));
-    req.push(("warm_start_thetas", Json::Bool(true)));
-    req.push(("adaptive_restarts", Json::Num(2.0)));
-    req.push(("acq_warm_start", Json::Bool(true)));
     client.expect_ok(&obj(req)).unwrap();
     let reply = wait(&mut client, "amortized");
     assert_eq!(state(&reply), "done", "{reply}");
@@ -335,28 +332,98 @@ fn refit_and_warm_start_fields_are_threaded_and_validated() {
     // refit_every = 0 is an invalid config and fails in the start reply.
     let mut bad = start_req("bad-refit", "forrester", 11, 6.0);
     bad.push(("refit_every", Json::Num(0.0)));
-    let err = client.request(&obj(bad)).unwrap();
-    assert_eq!(err.get("ok").and_then(Json::as_bool), Some(false));
-    assert!(
-        err.get("error")
-            .and_then(Json::as_str)
-            .unwrap()
-            .contains("refit_every"),
-        "{err}"
-    );
+    assert!(start_error(&mut client, bad).contains("refit_every"));
 
     // Mis-typed knobs are rejected with a field-specific message.
-    let mut bad = start_req("bad-warm", "forrester", 11, 6.0);
-    bad.push(("warm_start_thetas", Json::Num(1.0)));
-    let err = client.request(&obj(bad)).unwrap();
-    assert_eq!(err.get("ok").and_then(Json::as_bool), Some(false));
-    assert!(
-        err.get("error")
-            .and_then(Json::as_str)
-            .unwrap()
-            .contains("must be a boolean"),
-        "{err}"
+    let mut bad = start_req("bad-resume", "forrester", 11, 6.0);
+    bad.push(("resume", Json::Num(1.0)));
+    assert!(start_error(&mut client, bad).contains("must be a boolean"));
+}
+
+/// Sends a `start` that must be refused and returns the refusal's reason.
+fn start_error(client: &mut Client, req: Vec<(&str, Json)>) -> String {
+    let req = obj(req);
+    let reply = client.request(&req).unwrap();
+    assert_eq!(
+        reply.get("ok").and_then(Json::as_bool),
+        Some(false),
+        "{req} should be refused: {reply}"
     );
+    reply
+        .get("error")
+        .and_then(Json::as_str)
+        .unwrap()
+        .to_string()
+}
+
+#[test]
+fn start_refuses_unknown_and_malformed_fields() {
+    let (mut client, _addr) = boot(2);
+    let with = |field: &'static str, value: Json| {
+        let mut req = start_req("strict", "forrester", 3, 4.0);
+        req.push((field, value));
+        req
+    };
+    // Unknown fields (typos, or knobs this server no longer has) are named
+    // in the refusal instead of silently running with the default.
+    for field in ["budgt", "refit_evry"] {
+        let e = start_error(&mut client, with(field, Json::Bool(true)));
+        assert!(e.contains(&format!("'{field}'")), "{e}");
+    }
+    let e = start_error(&mut client, with("on_non_finite", Json::Num(1.0)));
+    assert!(e.contains("on_non_finite"), "{e}");
+    for field in ["max_evals", "retries"] {
+        for v in [-3.0, 2.5] {
+            let e = start_error(&mut client, with(field, Json::Num(v)));
+            assert!(
+                e.contains(field) && e.contains("non-negative integer"),
+                "{e}"
+            );
+        }
+    }
+    let fault = |every: f64, ms: f64| {
+        Json::obj([
+            ("kind", Json::Str("stall".into())),
+            ("every", Json::Num(every)),
+            ("ms", Json::Num(ms)),
+        ])
+    };
+    for (f, key) in [
+        (fault(-3.0, 10.0), "every"),
+        (fault(2.5, 10.0), "every"),
+        (fault(3.0, -10.0), "ms"),
+        (fault(3.0, 0.5), "ms"),
+    ] {
+        let e = start_error(&mut client, with("fault", f));
+        assert!(e.contains(key) && e.contains("non-negative integer"), "{e}");
+    }
+    let e = start_error(
+        &mut client,
+        with(
+            "fault",
+            Json::obj([("every", Json::Num(3.0)), ("sometimes", Json::Bool(true))]),
+        ),
+    );
+    assert!(e.contains("'sometimes'"), "{e}");
+    let e = start_error(
+        &mut client,
+        with("gp_inference", Json::Str("iterative".into())),
+    );
+    assert!(e.contains("exact|subset-of-data"), "{e}");
+
+    // Every field a journaled polling client sends is still accepted.
+    let dir = std::env::temp_dir().join(format!("mfbo-strict-start-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut req = start_req("served", "forrester", 3, 4.0);
+    req.extend([
+        ("batch", Json::Num(1.0)),
+        ("refit_every", Json::Num(1.0)),
+        ("journal", Json::Str(dir.to_string_lossy().into_owned())),
+    ]);
+    client.expect_ok(&obj(req)).unwrap();
+    let reply = wait(&mut client, "served");
+    assert_eq!(state(&reply), "done", "{reply}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

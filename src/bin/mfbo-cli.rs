@@ -70,9 +70,6 @@ struct Options {
     simd: Option<mfbo_simd::SimdMode>,
     gp_inference: InferenceMode,
     refit_every: usize,
-    warm_start_thetas: bool,
-    adaptive_restarts: usize,
-    acq_warm_start: bool,
 }
 
 impl Default for Options {
@@ -104,9 +101,6 @@ impl Default for Options {
             simd: None,
             gp_inference: InferenceMode::Exact,
             refit_every: 1,
-            warm_start_thetas: false,
-            adaptive_restarts: 0,
-            acq_warm_start: false,
         }
     }
 }
@@ -120,9 +114,8 @@ const USAGE: &str = "usage: mfbo-cli [--problem NAME] [--algo mf|weibo|gaspad|de
                 [--journal DIR] [--resume] [--cache] [--warm-start]
                 [--on-non-finite abort|penalize] [--retries N]
                 [--max-evals N] [--simd scalar|auto]
-                [--gp-inference exact|iterative|subset-of-data]
-                [--refit-every N] [--warm-start-thetas]
-                [--adaptive-restarts N] [--acq-warm-start]
+                [--gp-inference exact|subset-of-data]
+                [--refit-every N]
        mfbo-cli report --journal DIR [--trace FILE] [--report FILE]
                 [--schema FILE]
 
@@ -146,20 +139,14 @@ runtime-detected instruction set, or the MFBO_SIMD environment variable
 when set). Results are bit-identical for every backend.
 
 --gp-inference picks the GP inference engine for algorithms mf and weibo
-(default: exact). 'iterative' and 'subset-of-data' cap the cubic surrogate
-cost once a run accumulates more observations than the subset size (1024) —
-see the README section on scaling to thousands of observations. Approximate
-runs are still deterministic and journal-replayable.
+(default: exact). 'subset-of-data' caps the cubic surrogate cost once a run
+accumulates more observations than the subset size (1024) — see the README
+section on scaling to thousands of observations. Subset runs are still
+deterministic and journal-replayable.
 
 --refit-every N re-optimizes surrogate hyperparameters every N iterations
 (default 1; algorithms mf and weibo), refreshing the models with frozen
-hyperparameters in between — the amortized-refit schedule. The remaining
-three knobs apply to algorithm mf only: --warm-start-thetas seeds
-frozen-refresh recovery fits with the previous optimum, --adaptive-restarts
-N halves the cold-restart count after the warm seed wins N consecutive full
-refits, and --acq-warm-start seeds the acquisition search with the previous
-iteration's optimum and the current incumbent. Each changes the optimization
-trajectory and carries its own golden; all are off by default.
+hyperparameters in between — the amortized-refit schedule.
 
 --metrics FILE aggregates telemetry into histograms/counters/gauges with
 deterministic fixed bucket edges and writes the snapshot as JSON;
@@ -263,13 +250,6 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, String
                 }
                 opts.refit_every = v;
             }
-            "--warm-start-thetas" => opts.warm_start_thetas = true,
-            "--adaptive-restarts" => {
-                opts.adaptive_restarts = value("--adaptive-restarts")?
-                    .parse()
-                    .map_err(|_| "adaptive-restarts must be a non-negative integer".to_string())?;
-            }
-            "--acq-warm-start" => opts.acq_warm_start = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
@@ -286,15 +266,6 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, String
     if opts.refit_every != 1 && !matches!(opts.algo.as_str(), "mf" | "weibo") {
         return Err(format!(
             "--refit-every is only supported for algorithms 'mf' and 'weibo', not '{}'",
-            opts.algo
-        ));
-    }
-    if (opts.warm_start_thetas || opts.adaptive_restarts > 0 || opts.acq_warm_start)
-        && opts.algo != "mf"
-    {
-        return Err(format!(
-            "--warm-start-thetas, --adaptive-restarts, and --acq-warm-start are only \
-             supported for algorithm 'mf', not '{}'",
             opts.algo
         ));
     }
@@ -360,9 +331,6 @@ fn run_algo(opts: &Options, problem: &dyn MultiFidelityProblem) -> Result<mfbo::
             parallelism: opts.threads,
             gp_inference: opts.gp_inference,
             refit_every: opts.refit_every,
-            warm_start_thetas: opts.warm_start_thetas,
-            adaptive_restarts: opts.adaptive_restarts,
-            acq_warm_start: opts.acq_warm_start,
             ..MfBoConfig::default()
         })
         .run_with(&problem, &mut rng, &mut make_run_options(opts)?)
@@ -721,37 +689,27 @@ mod tests {
             InferenceMode::Exact
         );
         assert_eq!(
-            parse_args(args("--gp-inference iterative"))
-                .unwrap()
-                .gp_inference,
-            InferenceMode::iterative()
-        );
-        assert_eq!(
             parse_args(args("--gp-inference subset-of-data"))
                 .unwrap()
                 .gp_inference,
             InferenceMode::subset_of_data()
         );
-        let e = parse_args(args("--gp-inference cholmod")).unwrap_err();
-        assert!(e.contains("unknown inference mode"), "{e}");
+        for bad in ["cholmod", "iterative"] {
+            let e = parse_args(args(&format!("--gp-inference {bad}"))).unwrap_err();
+            assert!(e.contains("unknown inference mode"), "{e}");
+            assert!(e.contains("exact|subset-of-data"), "{e}");
+        }
         assert!(parse_args(args("--gp-inference")).is_err());
     }
 
     #[test]
     fn parses_refit_and_warm_start_flags() {
-        let o = parse_args(args(
-            "--refit-every 4 --warm-start-thetas --adaptive-restarts 3 --acq-warm-start",
-        ))
-        .unwrap();
+        let o = parse_args(args("--refit-every 4 --journal runs/a --warm-start")).unwrap();
         assert_eq!(o.refit_every, 4);
-        assert!(o.warm_start_thetas);
-        assert_eq!(o.adaptive_restarts, 3);
-        assert!(o.acq_warm_start);
+        assert!(o.warm_start);
         let d = parse_args(args("")).unwrap();
         assert_eq!(d.refit_every, 1);
-        assert!(!d.warm_start_thetas);
-        assert_eq!(d.adaptive_restarts, 0);
-        assert!(!d.acq_warm_start);
+        assert!(!d.warm_start);
     }
 
     #[test]
@@ -760,15 +718,18 @@ mod tests {
         assert!(e.contains("positive integer"), "{e}");
         assert!(parse_args(args("--refit-every abc")).is_err());
         assert!(parse_args(args("--refit-every")).is_err());
-        assert!(parse_args(args("--adaptive-restarts -2")).is_err());
-        assert!(parse_args(args("--adaptive-restarts")).is_err());
-        // The mf-only knobs are rejected for algorithms without surrogates.
+        // The refit schedule is rejected for algorithms without surrogates.
         let e = parse_args(args("--algo de --refit-every 4")).unwrap_err();
         assert!(e.contains("'mf' and 'weibo'"), "{e}");
-        let e = parse_args(args("--algo weibo --acq-warm-start")).unwrap_err();
-        assert!(e.contains("algorithm 'mf'"), "{e}");
-        let e = parse_args(args("--algo gaspad --warm-start-thetas")).unwrap_err();
-        assert!(e.contains("algorithm 'mf'"), "{e}");
+        // The removed per-run warm-start knobs are unknown flags now.
+        for old in [
+            "--warm-start-thetas",
+            "--adaptive-restarts 3",
+            "--acq-warm-start",
+        ] {
+            let e = parse_args(args(old)).unwrap_err();
+            assert!(e.starts_with("unknown flag"), "{e}");
+        }
     }
 
     #[test]
@@ -776,7 +737,7 @@ mod tests {
         let p = make_problem("forrester").unwrap();
         let opts = Options {
             algo: "de".into(),
-            gp_inference: InferenceMode::iterative(),
+            gp_inference: InferenceMode::subset_of_data(),
             ..Options::default()
         };
         let e = run_algo(&opts, p.as_ref()).unwrap_err();

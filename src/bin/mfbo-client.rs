@@ -36,10 +36,10 @@ start options:
   --journal DIR [--resume]   write-ahead journal / resume after a crash
   --retries N --on-non-finite abort|penalize
   --stall-ms N               deadline before a hung evaluation is failed
-  --gp-inference exact|iterative|subset-of-data
+  --gp-inference exact|subset-of-data
                              surrogate inference engine (default exact;
-                             the approximate engines cap the cubic GP cost
-                             on long runs)
+                             subset-of-data caps the cubic GP cost on long
+                             runs)
 
 --addr defaults to 127.0.0.1:7877.";
 
@@ -227,11 +227,17 @@ mod tests {
 
     #[test]
     fn passes_gp_inference_through() {
-        let o = parse_args(args("start --run r --problem pa --gp-inference iterative")).unwrap();
+        let o = parse_args(args(
+            "start --run r --problem pa --gp-inference subset-of-data",
+        ))
+        .unwrap();
         assert_eq!(
             field(&o, "gp_inference"),
-            Some(&Json::Str("iterative".into()))
+            Some(&Json::Str("subset-of-data".into()))
         );
+        let e =
+            parse_args(args("start --run r --problem pa --gp-inference iterative")).unwrap_err();
+        assert!(e.contains("exact|subset-of-data"), "{e}");
     }
 
     #[test]

@@ -148,28 +148,6 @@ fn power_amplifier_mfbo_trajectory_matches_golden() {
 }
 
 #[test]
-fn forrester_rank1_append_trajectory_matches_golden() {
-    // The opt-in O(n²) rank-one append path (`rank1_appends`) replaces
-    // frozen refactorizations between full refits. Its trajectory is a
-    // deliberate approximation of the default path (frozen standardizers,
-    // stale low-GP augmentation), so it gets its own golden set rather than
-    // sharing `forrester_mfbo_seed7.csv`.
-    let problem = testfns::forrester();
-    let mut rng = StdRng::seed_from_u64(7);
-    let out = MfBayesOpt::new(MfBoConfig {
-        initial_low: 8,
-        initial_high: 4,
-        budget: 10.0,
-        refit_every: 4,
-        rank1_appends: true,
-        ..MfBoConfig::default()
-    })
-    .run(&problem, &mut rng)
-    .unwrap();
-    check_against_golden("forrester_mfbo_rank1_seed7.csv", &out);
-}
-
-#[test]
 fn power_amplifier_refit_every_trajectory_matches_golden() {
     // Amortized-refit schedule on a *constrained* problem: full
     // hyperparameter optimization every 4 iterations, frozen refreshes (via
@@ -187,69 +165,6 @@ fn power_amplifier_refit_every_trajectory_matches_golden() {
     .run(&problem, &mut rng)
     .unwrap();
     check_against_golden("pa_mfbo_refit4_seed3.csv", &out);
-}
-
-#[test]
-fn power_amplifier_warm_start_thetas_trajectory_matches_golden() {
-    // `warm_start_thetas` extends warm seeding to the frozen-refresh
-    // recovery fits. The seed draws no extra randomness, so this trajectory
-    // only diverges from `pa_mfbo_refit4_seed3.csv` when a recovery fit's
-    // warm start wins; it is pinned separately so such a divergence is a
-    // deliberate, versioned event.
-    let problem = PowerAmplifier::new();
-    let mut rng = StdRng::seed_from_u64(3);
-    let out = MfBayesOpt::new(MfBoConfig {
-        initial_low: 8,
-        initial_high: 4,
-        budget: 8.0,
-        refit_every: 4,
-        warm_start_thetas: true,
-        ..MfBoConfig::default()
-    })
-    .run(&problem, &mut rng)
-    .unwrap();
-    check_against_golden("pa_mfbo_warmstart_refit4_seed3.csv", &out);
-}
-
-#[test]
-fn forrester_adaptive_restarts_trajectory_matches_golden() {
-    // `adaptive_restarts`: after the warm seed wins 1 full refit, cold
-    // restarts are halved — fewer Latin-hypercube draws, so the RNG stream
-    // (and with it the trajectory) legitimately diverges from
-    // `forrester_mfbo_seed7.csv` once the first streak triggers (on this
-    // run the warm seed wins several refits).
-    let problem = testfns::forrester();
-    let mut rng = StdRng::seed_from_u64(7);
-    let out = MfBayesOpt::new(MfBoConfig {
-        initial_low: 8,
-        initial_high: 4,
-        budget: 10.0,
-        adaptive_restarts: 1,
-        ..MfBoConfig::default()
-    })
-    .run(&problem, &mut rng)
-    .unwrap();
-    check_against_golden("forrester_mfbo_adaptive1_seed7.csv", &out);
-}
-
-#[test]
-fn forrester_acq_warm_start_trajectory_matches_golden() {
-    // `acq_warm_start` seeds the acquisition multi-start with the previous
-    // iteration's optimum and the current incumbent. Seeds draw no
-    // randomness but add deterministic local searches, so the selected
-    // candidates (and the trajectory) can differ from the unseeded run.
-    let problem = testfns::forrester();
-    let mut rng = StdRng::seed_from_u64(7);
-    let out = MfBayesOpt::new(MfBoConfig {
-        initial_low: 8,
-        initial_high: 4,
-        budget: 10.0,
-        acq_warm_start: true,
-        ..MfBoConfig::default()
-    })
-    .run(&problem, &mut rng)
-    .unwrap();
-    check_against_golden("forrester_mfbo_acqwarm_seed7.csv", &out);
 }
 
 #[test]

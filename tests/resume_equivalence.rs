@@ -203,6 +203,36 @@ fn mfbo_resume_is_bit_identical_and_costs_reconcile() {
     check_history_against_golden("resume_forrester_seed7_history.csv", &resumed);
 }
 
+/// A journal written by a GP inference engine this build no longer has
+/// ("iterative") is refused with the readable meta-mismatch error, whatever
+/// engine the resume asks for, instead of replaying into a diverged run.
+#[test]
+fn journal_from_a_retired_inference_engine_is_refused() {
+    let problem = testfns::forrester();
+    let dir = store_dir("retired-engine");
+    interrupt_mfbo(&problem, 7, 10.0, 1, &dir);
+    let meta = dir.join("meta.json");
+    let text = std::fs::read_to_string(&meta).unwrap();
+    let body = text.trim_end().strip_suffix('}').unwrap();
+    std::fs::write(&meta, format!("{body},\"inference\":\"iterative\"}}\n")).unwrap();
+    for mode in [InferenceMode::Exact, InferenceMode::subset_of_data()] {
+        let mut opts = RunOptions::resuming(RunStore::open(&dir).unwrap());
+        let config = MfBoConfig {
+            gp_inference: mode,
+            ..mfbo_config(10.0, Parallelism::Serial)
+        };
+        let err = MfBayesOpt::new(config)
+            .run_with(&problem, &mut StdRng::seed_from_u64(7), &mut opts)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("GP inference engine") && err.contains("iterative"),
+            "{mode}: {err}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn constrained_mfbo_resume_is_bit_identical() {
     // Constrained problem: the per-constraint surrogates and the
