@@ -49,10 +49,10 @@ pub struct MfGpConfig {
     pub low: GpConfig,
     /// Training configuration of the high-fidelity (fusion) GP.
     pub high: GpConfig,
-    /// Distributes the stratified Monte-Carlo posterior samples of
-    /// [`MfGp::predict`] over a thread pool. The quantiles are fixed and the
-    /// moment-matching reduction runs in sample order, so every mode returns
-    /// bit-identical predictions.
+    /// Distributes the propagated posteriors of [`MfGp::predict_batch`]
+    /// over a thread pool in contiguous chunks of queries. The quantiles
+    /// are fixed and each query's moment-matching reduction runs in sample
+    /// order, so every mode returns bit-identical predictions.
     pub parallelism: Parallelism,
 }
 
@@ -241,8 +241,8 @@ impl MfGp {
         (self.low.best_start(), self.high.best_start())
     }
 
-    /// Sets the [`Parallelism`] mode used by [`MfGp::predict`]'s Monte-Carlo
-    /// propagation. Predictions are bit-identical in every mode.
+    /// Sets the [`Parallelism`] mode used by [`MfGp::predict_batch`]'s
+    /// Monte-Carlo propagation. Predictions are bit-identical in every mode.
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
         self
@@ -276,70 +276,68 @@ impl MfGp {
     /// space: one `(mean, var)` pair per query, bit-identical to calling
     /// the pointwise path per point.
     ///
-    /// The stratified Monte-Carlo rows of *all* queries (paper eq. 10) go
-    /// through [`Gp::predict_batch_standardized`] in one sweep — for `M`
-    /// queries and `S` samples the low GP is queried once with `M` points
-    /// and the high GP once with up to `M·S` rows, instead of `M·(S+1)`
-    /// pointwise posteriors. The moment-matching reduction stays in sample
-    /// order per query.
+    /// The low GP is queried once with all `M` points; then each query's
+    /// stratified Monte-Carlo samples (paper eq. 10) go through
+    /// [`Gp::predict_propagated_standardized`], which evaluates the
+    /// design-space kernel factors once per query rather than once per
+    /// sample. Queries are split into contiguous chunks across the pool;
+    /// the moment-matching reduction stays in sample order per query.
     pub fn predict_batch_standardized(&self, points: &[Vec<f64>]) -> Vec<(f64, f64)> {
         if points.is_empty() {
             return Vec::new();
         }
-        let s = self.mc_samples;
         let lows = self.low.predict_batch_standardized(points);
-
-        // Build the augmented high-GP rows for every query: one plug-in row
-        // when the low posterior is effectively deterministic, otherwise S
-        // stratified quantile rows fl_k = μ + σ Φ⁻¹((k+½)/S).
-        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(points.len());
-        let mut counts: Vec<usize> = Vec::with_capacity(points.len());
-        for (x, &(ml, vl)) in points.iter().zip(&lows) {
-            let sl = vl.max(0.0).sqrt();
-            let mut z = x.clone();
-            z.push(0.0);
-            let last = z.len() - 1;
-            if s == 1 || sl < 1e-12 {
-                z[last] = ml;
-                rows.push(z);
-                counts.push(1);
-            } else {
-                for k in 0..s {
-                    let q = (k as f64 + 0.5) / s as f64;
-                    let mut zk = z.clone();
-                    zk[last] = ml + sl * norm_inv_cdf(q);
-                    rows.push(zk);
-                }
-                counts.push(s);
-            }
+        // The stratified quantiles Φ⁻¹((k+½)/S) are the same for every query.
+        let s = self.mc_samples;
+        let quantiles: Vec<f64> = (0..s)
+            .map(|k| norm_inv_cdf((k as f64 + 0.5) / s as f64))
+            .collect();
+        let propagate =
+            |(x, &(ml, vl)): (&Vec<f64>, &(f64, f64))| self.propagate(x, ml, vl, &quantiles);
+        let workers = self.parallelism.workers();
+        if workers <= 1 || points.len() < 2 {
+            return points.iter().zip(&lows).map(propagate).collect();
         }
-        let highs = self.high_batch_pooled(&rows);
+        let chunk = points.len().div_ceil(workers);
+        par_map_indexed(self.parallelism, points.len().div_ceil(chunk), |c| {
+            let span = c * chunk..points.len().min((c + 1) * chunk);
+            points[span.clone()]
+                .iter()
+                .zip(&lows[span])
+                .map(propagate)
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect()
+    }
 
-        // Moment-match each query's sample block in order (law of total
-        // variance: E[σ²] + Var[μ]).
-        let mut out = Vec::with_capacity(points.len());
-        let mut offset = 0;
-        for &c in &counts {
-            let samples = &highs[offset..offset + c];
-            offset += c;
-            if c == 1 {
-                out.push(samples[0]);
-                continue;
-            }
-            let mut means = Vec::with_capacity(c);
-            let mut mean_sum = 0.0;
-            let mut var_sum = 0.0;
-            for &(m, v) in samples {
-                mean_sum += m;
-                var_sum += v;
-                means.push(m);
-            }
-            let mean = mean_sum / c as f64;
-            let var_of_means =
-                means.iter().map(|m| (m - mean) * (m - mean)).sum::<f64>() / c as f64;
-            out.push((mean, var_sum / c as f64 + var_of_means));
+    /// One query's propagated posterior from its low-fidelity posterior
+    /// `(ml, vl)`: a single plug-in sample when the low posterior is
+    /// effectively deterministic, otherwise the `S` stratified samples
+    /// `f_k = μ + σ·quantiles[k]`, moment-matched by the law of total
+    /// variance (`E[σ²] + Var[μ]`).
+    fn propagate(&self, x: &[f64], ml: f64, vl: f64, quantiles: &[f64]) -> (f64, f64) {
+        let sl = vl.max(0.0).sqrt();
+        if quantiles.len() == 1 || sl < 1e-12 {
+            return self.high.predict_propagated_standardized(x, &[ml])[0];
         }
-        out
+        let fs: Vec<f64> = quantiles.iter().map(|&q| ml + sl * q).collect();
+        let samples = self.high.predict_propagated_standardized(x, &fs);
+        let c = samples.len() as f64;
+        let mut mean_sum = 0.0;
+        let mut var_sum = 0.0;
+        for &(m, v) in &samples {
+            mean_sum += m;
+            var_sum += v;
+        }
+        let mean = mean_sum / c;
+        let var_of_means = samples
+            .iter()
+            .map(|&(m, _)| (m - mean) * (m - mean))
+            .sum::<f64>()
+            / c;
+        (mean, var_sum / c + var_of_means)
     }
 
     /// Batched [`MfGp::predict`]: propagated raw-unit posteriors for a set
@@ -349,25 +347,6 @@ impl MfGp {
             .into_iter()
             .map(|(m, v)| self.destandardize(m, v))
             .collect()
-    }
-
-    /// Runs one batched high-GP posterior sweep, split into contiguous
-    /// chunks across the pool. Each query row is independent in
-    /// [`Gp::predict_batch_standardized`], so chunking preserves bit
-    /// identity while keeping multi-worker modes busy.
-    fn high_batch_pooled(&self, rows: &[Vec<f64>]) -> Vec<(f64, f64)> {
-        let workers = self.parallelism.workers();
-        if workers <= 1 || rows.len() < 2 {
-            return self.high.predict_batch_standardized(rows);
-        }
-        let chunk = rows.len().div_ceil(workers);
-        let chunks: Vec<&[Vec<f64>]> = rows.chunks(chunk).collect();
-        par_map_indexed(self.parallelism, chunks.len(), |i| {
-            self.high.predict_batch_standardized(chunks[i])
-        })
-        .into_iter()
-        .flatten()
-        .collect()
     }
 
     fn destandardize(&self, mean_std: f64, var_std: f64) -> Prediction {

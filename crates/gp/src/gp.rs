@@ -1,6 +1,6 @@
 //! Gaussian-process regression model: training and posterior prediction.
 
-use crate::kernel::Kernel;
+use crate::kernel::{Kernel, NargpKernel, NargpScales};
 use crate::nlml::{kernel_matrix_cached, nlml_with_grad_cached, NlmlWorkspace};
 use crate::workspace::DiffBatch;
 use crate::GpError;
@@ -549,20 +549,17 @@ impl<K: Kernel> Gp<K> {
     /// fidelity-selection threshold `γ` (paper eq. 11) and the NARGP
     /// augmented inputs live in.
     ///
+    /// A one-query batch: the kernel row goes through the batch hook, so
+    /// the parameter `exp` transforms are taken once per call rather than
+    /// once per training pair. Unlike [`Gp::predict_batch_standardized`] it
+    /// does not count towards `predict_batch_points`.
+    ///
     /// # Panics
     ///
     /// Panics if `x.len() != kernel.input_dim()`.
     pub fn predict_standardized(&self, x: &[f64]) -> (f64, f64) {
         assert_eq!(x.len(), self.kernel.input_dim(), "query dimension mismatch");
-        let n = self.xs.len();
-        let mut kstar = vec![0.0; n];
-        for (ks, xi) in kstar.iter_mut().zip(&self.xs) {
-            *ks = self.kernel.eval(&self.params, x, xi);
-        }
-        let mean = mfbo_linalg::dot(&kstar, &self.alpha);
-        let kss = self.kernel.eval(&self.params, x, x);
-        let v = self.chol.forward_solve(&kstar);
-        (mean, (kss - mfbo_linalg::dot(&v, &v)).max(0.0))
+        self.posteriors(std::slice::from_ref(&x.to_vec()), mfbo_simd::active())[0]
     }
 
     /// Batched [`Gp::predict_standardized`]: one `(mean, var)` pair per
@@ -585,12 +582,12 @@ impl<K: Kernel> Gp<K> {
     /// the differential-testing and A/B-bench hook.
     ///
     /// Queries are processed in cache-sized tiles (the tile's
-    /// cross-covariance rows, difference workspace, and transpose stay
-    /// resident while the Cholesky factor streams through), and within each
-    /// tile groups of [`mfbo_simd::Backend::lanes`] queries share one
-    /// interleaved multi-RHS forward solve. Both the tiling and the
-    /// interleaving are bit-invisible: each query's mean and variance run
-    /// the exact pointwise operation sequence.
+    /// cross-covariance rows and difference workspace stay resident while
+    /// the Cholesky factor streams through), and within each tile groups of
+    /// [`mfbo_simd::Backend::lanes`] queries share one interleaved
+    /// multi-RHS forward solve. Both the tiling and the interleaving are
+    /// bit-invisible: each query's mean and variance run the exact
+    /// pointwise operation sequence.
     ///
     /// # Panics
     ///
@@ -603,27 +600,31 @@ impl<K: Kernel> Gp<K> {
         if points.is_empty() {
             return Vec::new();
         }
-        let n = self.xs.len();
         mfbo_telemetry::counter!("predict_batch_points", points.len() as u64);
         for x in points {
             assert_eq!(x.len(), self.kernel.input_dim(), "query dimension mismatch");
         }
+        self.posteriors(points, be)
+    }
+
+    /// The one posterior path behind every predict entry point: tiles of
+    /// queries through the kernel batch hook, then [`Gp::finish_posteriors`].
+    fn posteriors(&self, points: &[Vec<f64>], be: mfbo_simd::Backend) -> Vec<(f64, f64)> {
+        let n = self.xs.len();
         let dim = self.kernel.input_dim();
         let lanes = be.lanes();
         // Tile size: per query the hot working set is the n×dim difference
-        // rows plus their dim-major transpose (16·n·dim bytes) and the
-        // cross-covariance row (8·n bytes). Budget ~1 MiB so the tile stays
-        // cache-resident across the kernel sweep and the solves; round down
-        // to a whole number of SIMD lanes.
-        let per_query = 16 * n * dim + 8 * n;
+        // rows (8·n·dim bytes; the tile's batch is scalar-layout, so no
+        // dim-major transpose is built) and the cross-covariance row (8·n
+        // bytes). Budget ~1 MiB so the tile stays cache-resident across the
+        // kernel sweep and the solves; round down to a whole number of SIMD
+        // lanes.
+        let per_query = 8 * n * dim + 8 * n;
         let tile_len = (1 << 20) / per_query.max(1);
         let tile_len = (tile_len / lanes * lanes).clamp(lanes, points.len().max(lanes));
 
         let mut kv = vec![0.0; tile_len * n];
         let mut kss = vec![0.0; tile_len];
-        let mut v = vec![0.0; n];
-        let mut bi = vec![0.0; n * lanes];
-        let mut vi = vec![0.0; n * lanes];
         let mut out = Vec::with_capacity(points.len());
         for tile in points.chunks(tile_len) {
             let m = tile.len();
@@ -633,7 +634,7 @@ impl<K: Kernel> Gp<K> {
             // vector kernels want costs more to build than it saves (unlike
             // the NLML training batch, which is evaluated hundreds of times
             // per build). The SIMD win here is the interleaved multi-RHS
-            // solves below, which read `kv` directly — and scalar vs vector
+            // solves, which read `kv` directly — and scalar vs vector
             // kernel evaluation is bit-identical by construction, so the
             // mix is invisible in the output.
             let batch = DiffBatch::cross_with_backend(tile, &self.xs, mfbo_simd::Backend::Scalar);
@@ -644,42 +645,61 @@ impl<K: Kernel> Gp<K> {
             let diag = DiffBatch::diagonal_with_backend(tile, mfbo_simd::Backend::Scalar);
             let kss = &mut kss[..m];
             self.kernel.eval_from_diffs(&self.params, &diag, kss);
-            let mut q = 0;
-            if lanes > 1 {
-                // Lane-groups of queries share one interleaved forward
-                // solve; the variance reduction walks lane `c`'s strided
-                // entries in the same ascending order (and from the same
-                // 0.0 start) as `dot(&v, &v)` on the de-interleaved vector.
-                while q + lanes <= m {
-                    for i in 0..n {
-                        for (c, slot) in bi[i * lanes..(i + 1) * lanes].iter_mut().enumerate() {
-                            *slot = kv[(q + c) * n + i];
-                        }
-                    }
-                    self.chol.forward_solve_interleaved_into(be, &bi, &mut vi);
-                    for c in 0..lanes {
-                        let kstar = &kv[(q + c) * n..(q + c + 1) * n];
-                        let mean = mfbo_linalg::dot(kstar, &self.alpha);
-                        let mut s = 0.0;
-                        for k in 0..n {
-                            let x = vi[k * lanes + c];
-                            s += x * x;
-                        }
-                        let var = (kss[q + c] - s).max(0.0);
-                        out.push((mean, var));
-                    }
-                    q += lanes;
-                }
-            }
-            for q in q..m {
-                let kstar = &kv[q * n..(q + 1) * n];
-                let mean = mfbo_linalg::dot(kstar, &self.alpha);
-                self.chol.forward_solve_into(kstar, &mut v);
-                let var = (kss[q] - mfbo_linalg::dot(&v, &v)).max(0.0);
-                out.push((mean, var));
-            }
+            self.finish_posteriors(be, kv, kss, &mut out);
         }
         out
+    }
+
+    /// Turns the cross-covariance rows `kv` (query-major, `n` per query)
+    /// and prior variances `kss` of a block of queries into one `(mean,
+    /// var)` pair each, appended to `out` in query order.
+    ///
+    /// Lane-groups of queries share one interleaved forward solve; the
+    /// variance reduction walks lane `c`'s strided entries in the same
+    /// ascending order (and from the same 0.0 start) as `dot(&v, &v)` on
+    /// the de-interleaved vector, so every query runs the pointwise
+    /// operation sequence.
+    fn finish_posteriors(
+        &self,
+        be: mfbo_simd::Backend,
+        kv: &[f64],
+        kss: &[f64],
+        out: &mut Vec<(f64, f64)>,
+    ) {
+        let n = self.xs.len();
+        let m = kss.len();
+        let lanes = be.lanes();
+        let mut q = 0;
+        if lanes > 1 && m >= lanes {
+            let mut bi = vec![0.0; n * lanes];
+            let mut vi = vec![0.0; n * lanes];
+            while q + lanes <= m {
+                for i in 0..n {
+                    for (c, slot) in bi[i * lanes..(i + 1) * lanes].iter_mut().enumerate() {
+                        *slot = kv[(q + c) * n + i];
+                    }
+                }
+                self.chol.forward_solve_interleaved_into(be, &bi, &mut vi);
+                for c in 0..lanes {
+                    let kstar = &kv[(q + c) * n..(q + c + 1) * n];
+                    let mean = mfbo_linalg::dot(kstar, &self.alpha);
+                    let mut s = 0.0;
+                    for k in 0..n {
+                        let x = vi[k * lanes + c];
+                        s += x * x;
+                    }
+                    out.push((mean, (kss[q + c] - s).max(0.0)));
+                }
+                q += lanes;
+            }
+        }
+        let mut v = vec![0.0; n];
+        for q in q..m {
+            let kstar = &kv[q * n..(q + 1) * n];
+            let mean = mfbo_linalg::dot(kstar, &self.alpha);
+            self.chol.forward_solve_into(kstar, &mut v);
+            out.push((mean, (kss[q] - mfbo_linalg::dot(&v, &v)).max(0.0)));
+        }
     }
 
     /// Batched [`Gp::predict`]: raw-unit predictions for a set of query
@@ -823,6 +843,95 @@ impl<K: Kernel> Gp<K> {
     /// Whether the training set is empty (never true for a constructed GP).
     pub fn is_empty(&self) -> bool {
         self.xs.is_empty()
+    }
+}
+
+impl Gp<NargpKernel> {
+    /// Propagated posterior samples of paper eq. (10) at one design point:
+    /// the standardized `(mean, var)` of the fusion GP at every augmented
+    /// input `(x, f)` for `f` in `fs`, bit-identical to feeding those rows
+    /// to [`Gp::predict_batch_standardized`].
+    ///
+    /// Of eq. (9)'s `k1(f, f_i)·k2(x, x_i) + k3(x, x_i)`, only `k1` sees
+    /// the fidelity value, so the design-space factors `k2`, `k3` (and
+    /// their prior-variance terms) are evaluated once per training point
+    /// instead of once per sample: `2·n·d + S·n` scaled squares and
+    /// `2n + S·n` `exp` calls for `S = fs.len()` samples, where the
+    /// explicit rows cost `S·n·(2d+1)` and `3·S·n`. Every pair keeps the
+    /// float sequence of [`NargpKernel`]'s scalar batch hook. Counts one
+    /// `predict_batch_points` per sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` differs from the kernel's design dimension.
+    pub fn predict_propagated_standardized(&self, x: &[f64], fs: &[f64]) -> Vec<(f64, f64)> {
+        self.predict_propagated_standardized_with_backend(x, fs, mfbo_simd::active())
+    }
+
+    /// [`Gp::predict_propagated_standardized`] with an explicit SIMD
+    /// backend for the interleaved forward solves — the
+    /// differential-testing hook.
+    ///
+    /// # Panics
+    ///
+    /// As for [`Gp::predict_propagated_standardized`].
+    pub fn predict_propagated_standardized_with_backend(
+        &self,
+        x: &[f64],
+        fs: &[f64],
+        be: mfbo_simd::Backend,
+    ) -> Vec<(f64, f64)> {
+        let d = self.kernel.design_dim();
+        assert_eq!(x.len(), d, "design point dimension mismatch");
+        if fs.is_empty() {
+            return Vec::new();
+        }
+        mfbo_telemetry::counter!("predict_batch_points", fs.len() as u64);
+        let NargpScales {
+            sf2_1,
+            inv_l1,
+            sf2_2,
+            inv_l2,
+            sf2_3,
+            inv_l3,
+        } = self.kernel.scales(&self.params);
+        // Once per training point: `k2(x, x_i)` and `k3(x, x_i)`, each
+        // accumulated in dimension order from the signed difference.
+        let design = |xi: &[f64]| {
+            let (mut q2, mut q3) = (0.0, 0.0);
+            for ((&a, &b), (l2, l3)) in x.iter().zip(xi).zip(inv_l2.iter().zip(&inv_l3)) {
+                let di = a - b;
+                let z2 = di * l2;
+                q2 += z2 * z2;
+                let z3 = di * l3;
+                q3 += z3 * z3;
+            }
+            (sf2_2 * (-0.5 * q2).exp(), sf2_3 * (-0.5 * q3).exp())
+        };
+        let (k2, k3): (Vec<f64>, Vec<f64>) = self.xs.iter().map(|z| design(&z[..d])).unzip();
+        // The prior variance's design factors from the `x − x` differences
+        // a diagonal batch would hold.
+        let (k2_xx, k3_xx) = design(x);
+        let k1 = |df: f64| {
+            let zf = df * inv_l1;
+            sf2_1 * (-0.5 * (zf * zf)).exp()
+        };
+        // Once per sample: only the 1-dim `k1`.
+        let n = self.xs.len();
+        let mut kv = vec![0.0; fs.len() * n];
+        let mut kss = Vec::with_capacity(fs.len());
+        for (&f, row) in fs.iter().zip(kv.chunks_exact_mut(n)) {
+            for (((o, z), &k2i), &k3i) in row.iter_mut().zip(&self.xs).zip(&k2).zip(&k3) {
+                *o = k1(f - z[d]) * k2i + k3i;
+            }
+            // Deliberately `f − f`, as the diagonal batch stores it (NaN,
+            // not 0, for a non-finite sample).
+            #[allow(clippy::eq_op)]
+            kss.push(k1(f - f) * k2_xx + k3_xx);
+        }
+        let mut out = Vec::with_capacity(fs.len());
+        self.finish_posteriors(be, &kv, &kss, &mut out);
+        out
     }
 }
 
@@ -1136,34 +1245,6 @@ mod tests {
         assert!(noisy.var >= latent.var);
         assert_eq!(noisy.mean, latent.mean);
         assert!(latent.std_dev() >= 0.0);
-    }
-
-    #[test]
-    fn batched_predict_bit_identical_to_pointwise() {
-        let (xs, ys) = sine_data(20);
-        let gp = Gp::fit(
-            SquaredExponential::new(1),
-            xs,
-            ys,
-            &GpConfig::fast(),
-            &mut rng(),
-        )
-        .unwrap();
-        let queries: Vec<Vec<f64>> = (0..31).map(|i| vec![i as f64 / 30.0 * 1.4 - 0.2]).collect();
-        let batched = gp.predict_batch_standardized(&queries);
-        assert_eq!(batched.len(), queries.len());
-        for (q, &(m, v)) in queries.iter().zip(&batched) {
-            let (pm, pv) = gp.predict_standardized(q);
-            assert_eq!(m.to_bits(), pm.to_bits());
-            assert_eq!(v.to_bits(), pv.to_bits());
-        }
-        let raw = gp.predict_batch(&queries);
-        for (q, r) in queries.iter().zip(&raw) {
-            let p = gp.predict(q);
-            assert_eq!(r.mean.to_bits(), p.mean.to_bits());
-            assert_eq!(r.var.to_bits(), p.var.to_bits());
-        }
-        assert!(gp.predict_batch_standardized(&[]).is_empty());
     }
 
     #[test]

@@ -518,6 +518,33 @@ impl NargpKernel {
         debug_assert_eq!(p.len(), n1 + n2 + n3);
         (&p[..n1], &p[n1..n1 + n2], &p[n1 + n2..])
     }
+
+    /// The parameter transforms of all three SE components, hoisted out of
+    /// the pair loops of the batch hooks and the propagated posterior.
+    pub(crate) fn scales(&self, p: &[f64]) -> NargpScales {
+        let d = self.design_dim;
+        let (p1, p2, p3) = self.split(p);
+        NargpScales {
+            sf2_1: (2.0 * p1[0]).exp(),
+            inv_l1: (-p1[1]).exp(),
+            sf2_2: (2.0 * p2[0]).exp(),
+            inv_l2: p2[1..1 + d].iter().map(|&l| (-l).exp()).collect(),
+            sf2_3: (2.0 * p3[0]).exp(),
+            inv_l3: p3[1..1 + d].iter().map(|&l| (-l).exp()).collect(),
+        }
+    }
+}
+
+/// `σ_f²` and inverse lengthscales of the three SE components of
+/// [`NargpKernel`]: `k1` over the fidelity channel, `k2` and `k3` over the
+/// design space.
+pub(crate) struct NargpScales {
+    pub(crate) sf2_1: f64,
+    pub(crate) inv_l1: f64,
+    pub(crate) sf2_2: f64,
+    pub(crate) inv_l2: Vec<f64>,
+    pub(crate) sf2_3: f64,
+    pub(crate) inv_l3: Vec<f64>,
 }
 
 impl Kernel for NargpKernel {
@@ -570,14 +597,15 @@ impl Kernel for NargpKernel {
         debug_assert_eq!(out.len(), batch.len());
         debug_assert_eq!(batch.dim(), self.input_dim());
         let d = self.design_dim;
-        let (p1, p2, p3) = self.split(p);
         // All three components are SE: hoist every parameter transform.
-        let sf2_1 = (2.0 * p1[0]).exp();
-        let inv_l1 = (-p1[1]).exp();
-        let sf2_2 = (2.0 * p2[0]).exp();
-        let inv_l2: Vec<f64> = p2[1..1 + d].iter().map(|&l| (-l).exp()).collect();
-        let sf2_3 = (2.0 * p3[0]).exp();
-        let inv_l3: Vec<f64> = p3[1..1 + d].iter().map(|&l| (-l).exp()).collect();
+        let NargpScales {
+            sf2_1,
+            inv_l1,
+            sf2_2,
+            inv_l2,
+            sf2_3,
+            inv_l3,
+        } = self.scales(p);
         if let Some((be, rows)) = batch.simd_rows() {
             // Dim-major rows split cleanly into the design-space block
             // (dimensions 0..d) and the fidelity channel (dimension d), so
@@ -627,15 +655,16 @@ impl Kernel for NargpKernel {
         debug_assert_eq!(acc.len(), self.num_params());
         debug_assert_eq!(batch.dim(), self.input_dim());
         let d = self.design_dim;
-        let (p1, p2, p3) = self.split(p);
         let n1 = self.k1.num_params();
         let n2 = self.k2.num_params();
-        let sf2_1 = (2.0 * p1[0]).exp();
-        let inv_l1 = (-p1[1]).exp();
-        let sf2_2 = (2.0 * p2[0]).exp();
-        let inv_l2: Vec<f64> = p2[1..1 + d].iter().map(|&l| (-l).exp()).collect();
-        let sf2_3 = (2.0 * p3[0]).exp();
-        let inv_l3: Vec<f64> = p3[1..1 + d].iter().map(|&l| (-l).exp()).collect();
+        let NargpScales {
+            sf2_1,
+            inv_l1,
+            sf2_2,
+            inv_l2,
+            sf2_3,
+            inv_l3,
+        } = self.scales(p);
         let mut z2_2 = vec![0.0; d];
         let mut z2_3 = vec![0.0; d];
         if let Some((be, _)) = batch.simd_rows() {

@@ -170,6 +170,47 @@ mod bit_identity {
         Ok(())
     }
 
+    /// The reference posterior, pair by pair through `Kernel::eval`: the
+    /// Gram matrix assembled and factorized exactly as `Gp::with_params`
+    /// does (noise on the diagonal, same jitter ladder), then the textbook
+    /// mean `k*ᵀα` and variance `k(x, x) − ‖L⁻¹k*‖²`.
+    fn oracle_posterior<K: Kernel>(gp: &Gp<K>, x: &[f64]) -> (f64, f64) {
+        let (k, p, xs) = (gp.kernel(), gp.params(), gp.xs());
+        let n = xs.len();
+        let mut km = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let v = k.eval(p, &xs[i], &xs[j]);
+                km[(i, j)] = v;
+                km[(j, i)] = v;
+            }
+            km[(i, i)] += gp.noise_var_standardized();
+        }
+        let chol = Cholesky::new_with_jitter(&km, 1e-10, 1e-4).unwrap();
+        let alpha = chol.solve_vec(gp.ys_standardized());
+        let kstar: Vec<f64> = xs.iter().map(|xi| k.eval(p, x, xi)).collect();
+        let mean = mfbo_linalg::dot(&kstar, &alpha);
+        let v = chol.forward_solve(&kstar);
+        (mean, (k.eval(p, x, x) - mfbo_linalg::dot(&v, &v)).max(0.0))
+    }
+
+    fn check_predict_against_oracle<K: Kernel>(
+        gp: &Gp<K>,
+        queries: &[Vec<f64>],
+    ) -> Result<(), TestCaseError> {
+        let batch = gp.predict_batch_standardized(queries);
+        for (q, (bm, bv)) in queries.iter().zip(&batch) {
+            let (om, ov) = oracle_posterior(gp, q);
+            let (m, v) = gp.predict_standardized(q);
+            prop_assert_eq!(m.to_bits(), om.to_bits());
+            prop_assert_eq!(v.to_bits(), ov.to_bits());
+            prop_assert_eq!(bm.to_bits(), om.to_bits());
+            prop_assert_eq!(bv.to_bits(), ov.to_bits());
+        }
+        prop_assert!(gp.predict_batch_standardized(&[]).is_empty());
+        Ok(())
+    }
+
     fn check_nlml_cached<K: Kernel>(
         kernel: &K,
         theta: &[f64],
@@ -295,31 +336,98 @@ mod bit_identity {
             check_nlml_cached(&k, &theta, &xs, &ys)?;
         }
 
+        /// Pointwise and batched prediction against the per-pair reference
+        /// posterior, for all three kernels: every kernel value through
+        /// `Kernel::eval`, none through the batch hooks.
         #[test]
-        fn batched_predict_bit_identical_to_pointwise(
-            xs in points(10, 2),
-            queries in points(6, 2),
+        fn predict_matches_per_pair_eval_oracle(
+            xs in points(10, 3),
+            queries in points(6, 3),
             logl in -1.0f64..0.5,
         ) {
-            let ys: Vec<f64> = xs.iter().map(|x| (3.0 * x[0]).cos() + x[1]).collect();
-            let gp = Gp::with_params(
-                SquaredExponential::new(2),
-                xs,
-                ys,
-                vec![0.1, logl, logl],
+            let ys: Vec<f64> = xs.iter().map(|x| (3.0 * x[0]).cos() + x[1] * x[2]).collect();
+            let nargp = NargpKernel::new(2);
+            let mut nargp_params = nargp.default_params();
+            nargp_params[1] = logl;
+            let se = Gp::with_params(
+                SquaredExponential::new(3),
+                xs.clone(),
+                ys.clone(),
+                vec![0.1, logl, logl, -0.3],
                 -2.0,
                 true,
             )
             .unwrap();
-            let batch = gp.predict_batch_standardized(&queries);
-            let raw = gp.predict_batch(&queries);
-            for ((q, (bm, bv)), pr) in queries.iter().zip(&batch).zip(&raw) {
-                let (m, v) = gp.predict_standardized(q);
-                prop_assert_eq!(m.to_bits(), bm.to_bits());
-                prop_assert_eq!(v.to_bits(), bv.to_bits());
-                let p = gp.predict(q);
-                prop_assert_eq!(p.mean.to_bits(), pr.mean.to_bits());
-                prop_assert_eq!(p.var.to_bits(), pr.var.to_bits());
+            check_predict_against_oracle(&se, &queries)?;
+            let matern = Gp::with_params(
+                Matern52::new(3),
+                xs.clone(),
+                ys.clone(),
+                vec![0.1, logl, -0.3, logl],
+                -2.0,
+                true,
+            )
+            .unwrap();
+            check_predict_against_oracle(&matern, &queries)?;
+            let fused = Gp::with_params(nargp, xs, ys, nargp_params, -2.0, true).unwrap();
+            check_predict_against_oracle(&fused, &queries)?;
+        }
+
+        /// The propagated NARGP posterior (design-space factors hoisted out
+        /// of the sample loop) against explicit augmented rows `(x, f)` fed
+        /// through the generic batched predict, at the charge pump's 36
+        /// design dimensions and below, across sample counts that do and do
+        /// not fill whole SIMD lane groups, under forced-scalar and the
+        /// detected backend. Some samples coincide with training fidelity
+        /// values.
+        #[test]
+        fn propagated_posterior_bit_identical_to_augmented_rows(
+            flat in prop::collection::vec(0.0f64..1.0, 13 * 37),
+            dim_ix in 0usize..3,
+            s_ix in 0usize..4,
+            logl in -1.0f64..1.0,
+            spread in 0.0f64..2.0,
+        ) {
+            let d = [1usize, 5, 36][dim_ix];
+            let s = [1usize, 2, 12, 20][s_ix];
+            let mut rows = flat.chunks(37).map(|c| c[..d + 1].to_vec());
+            let x = rows.next().unwrap()[..d].to_vec();
+            let train: Vec<Vec<f64>> = rows.collect();
+            let ys: Vec<f64> = train.iter().map(|z| (4.0 * z[0]).sin() + z[d]).collect();
+            let kernel = NargpKernel::new(d);
+            // Every design lengthscale of k2 and k3 (all entries from index
+            // 3 on except k3's σ_f at 3 + d) grows like √d, so that k2 and
+            // k3 stay away from underflow at 36 dimensions.
+            let mut params = kernel.default_params();
+            let scale = logl + 0.5 * (d as f64).ln();
+            for (j, p) in params.iter_mut().enumerate().skip(3) {
+                if j != 2 + d + 1 {
+                    *p = scale;
+                }
+            }
+            let gp = Gp::with_params(kernel, train.clone(), ys, params, -2.0, true).unwrap();
+            let fs: Vec<f64> = (0..s)
+                .map(|k| match k % 3 {
+                    0 => train[k % train.len()][d],
+                    _ => spread * ((k as f64 * 0.71).sin() - 0.2),
+                })
+                .collect();
+            let augmented: Vec<Vec<f64>> = fs
+                .iter()
+                .map(|&f| {
+                    let mut z = x.clone();
+                    z.push(f);
+                    z
+                })
+                .collect();
+            for be in [mfbo_simd::detect(), mfbo_simd::Backend::Scalar] {
+                let fast = gp.predict_propagated_standardized_with_backend(&x, &fs, be);
+                let reference = gp.predict_batch_standardized_with_backend(&augmented, be);
+                prop_assert_eq!(fast.len(), s);
+                for ((fm, fv), (rm, rv)) in fast.iter().zip(&reference) {
+                    prop_assert_eq!(fm.to_bits(), rm.to_bits());
+                    prop_assert_eq!(fv.to_bits(), rv.to_bits());
+                }
             }
         }
 

@@ -66,8 +66,8 @@ fn evaluations(out: &Outcome) -> Vec<(f64, f64)> {
 
 fn render(column: &str, traj: &[(f64, f64)]) -> String {
     let mut s = format!("step,cost,{column}\n");
-    for (i, (cost, best)) in traj.iter().enumerate() {
-        s.push_str(&format!("{i},{cost:.12e},{best:.12e}\n"));
+    for (i, (cost, value)) in traj.iter().enumerate() {
+        s.push_str(&format!("{i},{cost:.12e},{value:.12e}\n"));
     }
     s
 }
