@@ -221,3 +221,30 @@ fn charge_pump_mfbo_trajectory_matches_golden() {
         &evaluations(&out),
     );
 }
+
+#[test]
+fn charge_pump_weibo_trajectory_matches_golden() {
+    // The constrained single-fidelity path at full charge-pump
+    // dimensionality: no initial point is feasible, so every iteration runs
+    // the eq. (13) feasibility drive over the six-model bundle, with
+    // alternating full refits and frozen refreshes (`refit_every: 2`) of
+    // winsorized targets. Like the MFBO charge-pump golden it pins every
+    // evaluation's objective, since the best-so-far column stays `NaN`.
+    let problem = ChargePump::new();
+    let mut rng = StdRng::seed_from_u64(11);
+    let out = Weibo::new(WeiboConfig {
+        initial_points: 5,
+        budget: 9,
+        msp_starts: 4,
+        refit_every: 2,
+        winsorize_sigma: Some(2.5),
+        ..WeiboConfig::default()
+    })
+    .run(&problem, &mut rng)
+    .unwrap();
+    check_golden_rows(
+        "charge_pump_weibo_seed11.csv",
+        "objective",
+        &evaluations(&out),
+    );
+}
