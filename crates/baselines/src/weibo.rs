@@ -2,10 +2,11 @@
 //!
 //! WEIBO is single-fidelity constrained Bayesian optimization with the
 //! weighted-EI acquisition — precisely the machinery the DAC'19 paper
-//! extends with the fusion model. It therefore shares its implementation
-//! with [`mfbo::SfBayesOpt`]; this wrapper pins the paper's parameterization
-//! (40 % of MSP starts around the incumbent) and exposes the experiment
-//! knobs the tables vary (initial design size, simulation budget).
+//! extends with the fusion model. It therefore runs as [`mfbo::SfBayesOpt`],
+//! the one-fidelity case of the multi-fidelity ask/tell core; this wrapper
+//! pins the paper's parameterization (40 % of MSP starts around the
+//! incumbent) and exposes the experiment knobs the tables vary (initial
+//! design size, simulation budget).
 
 use mfbo::problem::MultiFidelityProblem;
 use mfbo::{MfboError, Outcome, SfBayesOpt, SfBoConfig};

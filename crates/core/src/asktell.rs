@@ -7,8 +7,17 @@
 //! - [`AskTellMfbo::tell`] folds a result back in, in *any* order;
 //! - [`AskTellMfbo::finish`] closes the run and returns the [`Outcome`].
 //!
-//! The sequential drivers (`MfBayesOpt::run_with`) are thin clients of this
-//! core, so every existing golden trajectory pins its behavior.
+//! The sequential drivers (`MfBayesOpt::run_with`, and through it
+//! `SfBayesOpt` and WEIBO) are thin clients of this core, so every existing
+//! golden trajectory pins its behavior.
+//!
+//! # Single-fidelity runs
+//!
+//! A run with no low-fidelity design (`initial_low == 0`) is single-fidelity
+//! constrained BO, the WEIBO loop the paper extends: the core fits one SE-ARD
+//! GP per output instead of the fusion models, skips the low-fidelity MSP
+//! search and the fidelity selector, and issues every candidate at
+//! [`Fidelity::High`](crate::problem::Fidelity::High). It journals and traces under the `"sfbo"` algo tag.
 //!
 //! # Determinism
 //!
@@ -52,9 +61,9 @@ use crate::history::{EvaluationRecord, FidelityData, Outcome};
 use crate::mfbo::MfBoConfig;
 use crate::nargp::MfGpConfig;
 use crate::problem::{Evaluation, Fidelity, MultiFidelityProblem};
-use crate::surrogate::{MfBundleThetas, MfSurrogates};
+use crate::surrogate::{MfBundleThetas, MfSurrogates, SfBundleThetas, SfSurrogates};
 use crate::MfboError;
-use mfbo_gp::FitCache;
+use mfbo_gp::{FitCache, GpError};
 use mfbo_opt::msp::MultiStart;
 use mfbo_opt::neldermead::NelderMead;
 use mfbo_opt::{sampling, Bounds};
@@ -159,6 +168,137 @@ enum Gen {
     Exhausted,
 }
 
+/// One iteration's surrogate bundle: fusion models when the run has
+/// low-fidelity data, one SE-ARD GP per output when it has none. A single
+/// short-lived value per iteration, so the variants' size gap is harmless.
+#[allow(clippy::large_enum_variant)]
+enum Surrogates {
+    Mf(MfSurrogates),
+    Sf(SfSurrogates),
+}
+
+/// Trained hyperparameters carried across iterations for warm and frozen
+/// refits.
+enum Thetas {
+    Mf(MfBundleThetas),
+    Sf(SfBundleThetas),
+}
+
+impl Surrogates {
+    /// Full hyperparameter optimization, warm-started from `warm` when
+    /// given.
+    fn fit<R: Rng>(
+        low: &FidelityData,
+        high: &FidelityData,
+        cfg: &MfGpConfig,
+        warm: Option<&Thetas>,
+        rng: &mut R,
+        cache: &mut FitCache,
+    ) -> Result<Self, GpError> {
+        Ok(match warm {
+            None if low.is_empty() => {
+                Surrogates::Sf(SfSurrogates::fit_with_cache(high, &cfg.high, rng, cache)?)
+            }
+            None => Surrogates::Mf(MfSurrogates::fit_with_cache(low, high, cfg, rng, cache)?),
+            Some(Thetas::Sf(t)) => Surrogates::Sf(SfSurrogates::fit_warm_with_cache(
+                high, &cfg.high, t, rng, cache,
+            )?),
+            Some(Thetas::Mf(t)) => Surrogates::Mf(MfSurrogates::fit_warm_with_cache(
+                low, high, cfg, t, rng, cache,
+            )?),
+        })
+    }
+
+    /// Refresh on the current data with frozen hyperparameters.
+    fn fit_frozen(
+        low: &FidelityData,
+        high: &FidelityData,
+        cfg: &MfGpConfig,
+        thetas: &Thetas,
+        cache: &mut FitCache,
+    ) -> Result<Self, GpError> {
+        let inference = cfg.high.inference;
+        Ok(match thetas {
+            Thetas::Sf(t) => Surrogates::Sf(SfSurrogates::fit_frozen_infer_with_cache(
+                high,
+                t,
+                cfg.parallelism,
+                inference,
+                cache,
+            )?),
+            Thetas::Mf(t) => Surrogates::Mf(MfSurrogates::fit_frozen_infer_with_cache(
+                low,
+                high,
+                t,
+                cfg.mc_samples,
+                cfg.parallelism,
+                inference,
+                cache,
+            )?),
+        })
+    }
+
+    fn thetas(&self) -> Thetas {
+        match self {
+            Surrogates::Mf(s) => Thetas::Mf(s.thetas()),
+            Surrogates::Sf(s) => Thetas::Sf(s.thetas()),
+        }
+    }
+
+    /// Eq. (13)'s feasibility drive plus a tiny objective-mean tie-break
+    /// that steers the search toward good designs once the drive term
+    /// flattens at zero.
+    fn drive(&self, x: &[f64]) -> f64 {
+        let (d, obj) = match self {
+            Surrogates::Mf(s) => (s.feasibility_drive(x), s.objective().predict(x).mean),
+            Surrogates::Sf(s) => (s.feasibility_drive(x), s.objective().predict(x).mean),
+        };
+        d + 1e-4 * obj
+    }
+
+    /// Weighted EI of the high-fidelity posteriors against `tau_h`.
+    fn wei_high(&self, x: &[f64], tau_h: f64) -> f64 {
+        match self {
+            Surrogates::Mf(s) => s.wei_high(x, tau_h),
+            Surrogates::Sf(s) => s.wei(x, tau_h),
+        }
+    }
+}
+
+impl Thetas {
+    /// The `hyperparams` trajectory event, emitted on the main thread in
+    /// iteration order (worker-thread `gp_fit` events interleave
+    /// nondeterministically; this one is safe to diff run-to-run).
+    fn trace(&self, iteration: usize) {
+        use crate::surrogate::fmt_thetas;
+        match self {
+            Thetas::Mf(t) => mfbo_telemetry::debug_event!(
+                "hyperparams",
+                iteration = iteration,
+                objective_low = fmt_thetas(&t.objective.low),
+                objective_high = fmt_thetas(&t.objective.high),
+                constraints = t
+                    .constraints
+                    .iter()
+                    .map(|c| format!("{}|{}", fmt_thetas(&c.low), fmt_thetas(&c.high)))
+                    .collect::<Vec<_>>()
+                    .join(";"),
+            ),
+            Thetas::Sf(t) => mfbo_telemetry::debug_event!(
+                "hyperparams",
+                iteration = iteration,
+                objective = fmt_thetas(&t.objective),
+                constraints = t
+                    .constraints
+                    .iter()
+                    .map(|c| fmt_thetas(c))
+                    .collect::<Vec<_>>()
+                    .join(";"),
+            ),
+        }
+    }
+}
+
 /// The ask/tell core of the multi-fidelity optimizer. See the
 /// [module docs](self) for the state-machine contract.
 ///
@@ -166,6 +306,9 @@ enum Gen {
 /// [`AskTellMfbo::tell`]; close with [`AskTellMfbo::finish`].
 pub struct AskTellMfbo<P, R> {
     cfg: MfBoConfig,
+    /// Journal/trace tag: `"sfbo"` without a low-fidelity design, else
+    /// `"mfbo"`.
+    algo: &'static str,
     problem: P,
     rng: R,
     session: EvalSession,
@@ -183,11 +326,12 @@ pub struct AskTellMfbo<P, R> {
     selector: FidelitySelector,
     model_cfg: MfGpConfig,
     low_streak: usize,
-    thetas: Option<MfBundleThetas>,
+    thetas: Option<Thetas>,
     iterations_since_refit: usize,
-    /// Persistent pairwise-difference cache for the low-fidelity training
-    /// set: refits append only the new points' diffs instead of rebuilding
-    /// the full O(n²·d) lower triangle (see `mfbo_gp::FitCache`).
+    /// Persistent pairwise-difference cache for the first-stage training
+    /// set (low fidelity, or high without a low-fidelity design): refits
+    /// append only the new points' diffs instead of rebuilding the full
+    /// O(n²·d) lower triangle (see `mfbo_gp::FitCache`).
     fit_cache: FitCache,
     next_iteration: usize,
     next_id: u64,
@@ -214,7 +358,8 @@ where
     ///
     /// # Errors
     ///
-    /// [`MfboError::InvalidConfig`] for inconsistent settings, plus every
+    /// [`MfboError::InvalidConfig`] for inconsistent settings or a warm
+    /// start requested without a low-fidelity design, plus every
     /// store/resume error [`crate::MfBayesOpt::run_with`] documents (resume
     /// replay happens here and inside `tell`, not in a separate phase).
     pub fn new(
@@ -224,10 +369,22 @@ where
         opts: &mut RunOptions,
     ) -> Result<Self, MfboError> {
         cfg.validate()?;
+        let algo = if cfg.initial_low == 0 {
+            if opts.warm_start {
+                return Err(MfboError::InvalidConfig {
+                    reason: "warm_start seeds the low-fidelity surrogate, and a run without a \
+                             low-fidelity design (initial_low = 0) has none"
+                        .into(),
+                });
+            }
+            "sfbo"
+        } else {
+            "mfbo"
+        };
         let q = cfg.max_pending;
         let session = EvalSession::new_batched(
             opts,
-            "mfbo",
+            algo,
             &problem,
             rng.state_snapshot(),
             (q > 1).then_some(q as u64),
@@ -238,7 +395,7 @@ where
         let run_start = Instant::now();
         event!(
             "run_start",
-            algo = "mfbo",
+            algo = algo,
             dim = bounds.dim(),
             num_constraints = nc,
             budget = cfg.budget,
@@ -299,6 +456,7 @@ where
             done: false,
             fatal: None,
             cfg,
+            algo,
             problem,
             rng,
             session,
@@ -498,7 +656,7 @@ where
         self.telemetry.wall_us = self.run_start.elapsed().as_micros() as u64;
         event!(
             "run_end",
-            algo = "mfbo",
+            algo = self.algo,
             iterations = self.history.last().map(|r| r.iteration).unwrap_or(0),
             cost = self.cost,
             high_picks = self.telemetry.high_count(),
@@ -651,7 +809,7 @@ where
             high_u = high_u.winsorized(k);
         }
 
-        // Line 3: build the multi-fidelity model. Full hyperparameter
+        // Line 3: build the surrogate models. Full hyperparameter
         // optimization every `refit_every` iterations, frozen refresh in
         // between; a frozen-refresh failure falls back to a full refit.
         let fit_span = span!(
@@ -662,81 +820,51 @@ where
         );
         let surrogates = match &self.thetas {
             Some(t) if self.iterations_since_refit < self.cfg.refit_every => {
-                match MfSurrogates::fit_frozen_infer_with_cache(
+                match Surrogates::fit_frozen(
                     &low_u,
                     &high_u,
+                    &self.model_cfg,
                     t,
-                    self.model_cfg.mc_samples,
-                    self.cfg.parallelism,
-                    self.cfg.gp_inference,
                     &mut self.fit_cache,
                 ) {
                     Ok(s) => s,
                     // Frozen-refresh recovery: a full re-optimization from
                     // scratch.
-                    Err(_) => MfSurrogates::fit_with_cache(
+                    Err(_) => Surrogates::fit(
                         &low_u,
                         &high_u,
                         &self.model_cfg,
+                        None,
                         &mut self.rng,
                         &mut self.fit_cache,
                     )?,
                 }
             }
-            Some(t) => {
-                self.iterations_since_refit = 0;
-                let s = MfSurrogates::fit_warm_with_cache(
+            warm => {
+                let s = Surrogates::fit(
                     &low_u,
                     &high_u,
                     &self.model_cfg,
-                    t,
+                    warm.as_ref(),
                     &mut self.rng,
                     &mut self.fit_cache,
                 )?;
-                if s.warm_seed_won() {
-                    mfbo_telemetry::counter!("theta_warm_wins", 1);
+                if let (Some(_), Surrogates::Mf(mf)) = (warm, &s) {
+                    if mf.warm_seed_won() {
+                        mfbo_telemetry::counter!("theta_warm_wins", 1);
+                    }
                 }
-                s
-            }
-            None => {
                 self.iterations_since_refit = 0;
-                MfSurrogates::fit_with_cache(
-                    &low_u,
-                    &high_u,
-                    &self.model_cfg,
-                    &mut self.rng,
-                    &mut self.fit_cache,
-                )?
+                s
             }
         };
         self.iterations_since_refit += 1;
-        self.thetas = Some(surrogates.thetas());
+        let thetas = surrogates.thetas();
+        thetas.trace(iteration);
+        self.thetas = Some(thetas);
         self.telemetry
             .record_stage("surrogate_fit", fit_span.elapsed());
         drop(fit_span);
-        // Hyperparameter trajectory, emitted on the main thread in
-        // iteration order (worker-thread `gp_fit` events interleave
-        // nondeterministically; this one is safe to diff run-to-run).
-        if let Some(t) = &self.thetas {
-            mfbo_telemetry::debug_event!(
-                "hyperparams",
-                iteration = iteration,
-                objective_low = crate::surrogate::fmt_thetas(&t.objective.low),
-                objective_high = crate::surrogate::fmt_thetas(&t.objective.high),
-                constraints = t
-                    .constraints
-                    .iter()
-                    .map(|c| {
-                        format!(
-                            "{}|{}",
-                            crate::surrogate::fmt_thetas(&c.low),
-                            crate::surrogate::fmt_thetas(&c.high)
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(";"),
-            );
-        }
 
         // Incumbents (values and locations) at each fidelity, fantasies
         // included — the liar keeps speculative candidates from looking
@@ -758,13 +886,7 @@ where
         let drove_feasibility = self.nc > 0 && !has_feasible_high;
         let (xt_unit, acq_value, landscape) = if drove_feasibility {
             // §4.2: no feasible point known — minimize Σ max(0, μ_h,i).
-            // A tiny objective-mean tie-break steers the search toward
-            // good designs once the drive term flattens at zero.
-            let drive = |x: &[f64]| {
-                let d = surrogates.feasibility_drive(x);
-                let obj = surrogates.objective().predict(x).mean;
-                d + 1e-4 * obj
-            };
+            let drive = |x: &[f64]| surrogates.drive(x);
             let mut ms = MultiStart::new(self.cfg.msp_starts)
                 .with_local_search(local.clone())
                 .with_parallelism(self.cfg.parallelism);
@@ -774,28 +896,30 @@ where
             let (r, stats) = ms.minimize_with_stats(&drive, &self.unit, &mut self.rng);
             (r.x, r.value, stats)
         } else {
-            // Line 5: optimize the low-fidelity wEI → x*_l.
-            let tau_l = best_low.map(|(_, v)| v).unwrap_or(0.0);
-            let tau_h = best_high.map(|(_, v)| v).unwrap_or(0.0);
-            let mut ms_low = MultiStart::new(self.cfg.msp_starts)
+            let tau_h = tau_h_val.unwrap_or(0.0);
+            let mut ms_high = MultiStart::new(self.cfg.msp_starts)
                 .with_local_search(local.clone())
                 .with_parallelism(self.cfg.parallelism);
-            if let Some((k, _)) = best_low {
-                ms_low = ms_low.with_anchor(
-                    low_u.xs[k].clone(),
-                    self.cfg.frac_around_tau_l + self.cfg.frac_around_tau_h,
-                    self.cfg.anchor_spread,
-                );
+            if let Surrogates::Mf(mf) = &surrogates {
+                // Line 5: optimize the low-fidelity wEI → x*_l.
+                let tau_l = tau_l_val.unwrap_or(0.0);
+                let mut ms_low = MultiStart::new(self.cfg.msp_starts)
+                    .with_local_search(local)
+                    .with_parallelism(self.cfg.parallelism);
+                if let Some((k, _)) = best_low {
+                    ms_low = ms_low.with_anchor(
+                        low_u.xs[k].clone(),
+                        self.cfg.frac_around_tau_l + self.cfg.frac_around_tau_h,
+                        self.cfg.anchor_spread,
+                    );
+                }
+                let wei_l = |x: &[f64]| mf.wei_low(x, tau_l);
+                let xl_star = ms_low.maximize(&wei_l, &self.unit, &mut self.rng).x;
+                // Line 6 starts from x*_l.
+                ms_high = ms_high.with_anchor(xl_star, 0.15, self.cfg.anchor_spread);
             }
-            let wei_l = |x: &[f64]| surrogates.wei_low(x, tau_l);
-            let xl_star = ms_low.maximize(&wei_l, &self.unit, &mut self.rng).x;
-
-            // Line 6: optimize the high-fidelity wEI seeded with x*_l
-            // and the biased anchors of §4.1.
-            let mut ms_high = MultiStart::new(self.cfg.msp_starts)
-                .with_local_search(local)
-                .with_parallelism(self.cfg.parallelism)
-                .with_anchor(xl_star, 0.15, self.cfg.anchor_spread);
+            // Line 6: optimize the high-fidelity wEI with the biased
+            // anchors of §4.1.
             if let Some((k, _)) = best_high {
                 ms_high = ms_high.with_anchor(
                     high_u.xs[k].clone(),
@@ -835,33 +959,54 @@ where
             best_start = landscape.best_start,
         );
 
-        // Line 7: fidelity selection (§3.4), with the verification
-        // safeguard (see MfBoConfig::max_low_streak).
-        let max_low_var = surrogates.max_low_variance(&xt_unit);
-        let threshold = self.selector.threshold(self.nc);
-        let mut fidelity = self.selector.select(max_low_var, self.nc);
-        let mut forced = false;
-        if fidelity == Fidelity::Low && self.low_streak >= self.cfg.max_low_streak {
-            fidelity = Fidelity::High;
-            forced = true;
-        }
-        match fidelity {
-            Fidelity::Low => self.low_streak += 1,
-            Fidelity::High => self.low_streak = 0,
-        }
-        event!(
-            "fidelity_decision",
-            iteration = iteration,
-            max_low_variance = max_low_var,
-            threshold = threshold,
-            chose_high = fidelity == Fidelity::High,
-            forced = forced,
-            feasibility_drive = drove_feasibility,
-            acq_value = acq_value,
-            tau_l = tau_l_val.unwrap_or(f64::NAN),
-            tau_h = tau_h_val.unwrap_or(f64::NAN),
-            cost = self.cost,
-        );
+        let (fidelity, decision) = match &surrogates {
+            Surrogates::Sf(_) => {
+                event!(
+                    "sfbo_iteration",
+                    iteration = iteration,
+                    feasibility_drive = drove_feasibility,
+                    acq_value = acq_value,
+                    tau = tau_h_val.unwrap_or(f64::NAN),
+                    cost = self.cost,
+                );
+                (Fidelity::High, None)
+            }
+            Surrogates::Mf(mf) => {
+                // Line 7: fidelity selection (§3.4), with the verification
+                // safeguard (see MfBoConfig::max_low_streak).
+                let max_low_var = mf.max_low_variance(&xt_unit);
+                let threshold = self.selector.threshold(self.nc);
+                let mut fidelity = self.selector.select(max_low_var, self.nc);
+                let mut forced = false;
+                if fidelity == Fidelity::Low && self.low_streak >= self.cfg.max_low_streak {
+                    fidelity = Fidelity::High;
+                    forced = true;
+                }
+                match fidelity {
+                    Fidelity::Low => self.low_streak += 1,
+                    Fidelity::High => self.low_streak = 0,
+                }
+                event!(
+                    "fidelity_decision",
+                    iteration = iteration,
+                    max_low_variance = max_low_var,
+                    threshold = threshold,
+                    chose_high = fidelity == Fidelity::High,
+                    forced = forced,
+                    feasibility_drive = drove_feasibility,
+                    acq_value = acq_value,
+                    tau_l = tau_l_val.unwrap_or(f64::NAN),
+                    tau_h = tau_h_val.unwrap_or(f64::NAN),
+                    cost = self.cost,
+                );
+                let decision = PendingDecision {
+                    max_low_variance: max_low_var,
+                    threshold,
+                    forced,
+                };
+                (fidelity, Some(decision))
+            }
+        };
 
         // Line 8 is now split: the simulation happens outside, between
         // ask() and tell(); here the candidate enters the in-flight set.
@@ -878,11 +1023,7 @@ where
             x_unit: xt_unit,
             fidelity,
             snap,
-            decision: Some(PendingDecision {
-                max_low_variance: max_low_var,
-                threshold,
-                forced,
-            }),
+            decision,
             lie,
             issued: false,
             result: None,

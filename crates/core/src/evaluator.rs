@@ -32,7 +32,7 @@ use crate::MfboError;
 use mfbo_runstore::{cache_key, CacheEntry, Fid, JournalEntry, RunMeta, RunStore, FORMAT_VERSION};
 use mfbo_telemetry::counter;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -201,8 +201,8 @@ pub enum SimOutcome {
 
 /// One robust simulator call: catches panics and retries per `policy`
 /// (exponential back-off, capped at 30 s), without applying the non-finite
-/// policy — that decision belongs to whoever owns the run (the ask/tell
-/// core, or [`EvalSession`] for the sequential loops). This is the exact
+/// policy — that decision belongs to the ask/tell core, which applies it
+/// when the failure is told. This is the exact
 /// evaluation kernel the evaluation service runs on its workers, so a
 /// served run retries identically to an in-process one.
 pub fn robust_evaluate<P: MultiFidelityProblem + ?Sized>(
@@ -245,10 +245,10 @@ pub fn robust_evaluate<P: MultiFidelityProblem + ?Sized>(
 /// module docs for the full pipeline.
 ///
 /// The session *owns* the run store for the duration of the run (it is
-/// taken out of [`RunOptions`] at construction): every driver — the
-/// sequential loops, the ask/tell core, and the service's shard scheduler —
-/// can hold its session in long-lived state without borrowing the options
-/// struct. The store (and its buffered journal tail, under group commit)
+/// taken out of [`RunOptions`] at construction), so the ask/tell core —
+/// whether driven by the sequential loops or the service's shard
+/// scheduler — holds its session in long-lived state without borrowing the
+/// options struct. The store (and its buffered journal tail, under group commit)
 /// is flushed and released when the session is dropped.
 pub(crate) struct EvalSession {
     policy: EvalPolicy,
@@ -257,7 +257,6 @@ pub(crate) struct EvalSession {
     warm_start: bool,
     resuming: bool,
     problem_name: String,
-    num_constraints: usize,
     replay: VecDeque<JournalEntry>,
     stats: EvalStats,
 }
@@ -309,142 +308,9 @@ impl EvalSession {
             warm_start: opts.warm_start,
             resuming: opts.resume,
             problem_name: problem.name().to_string(),
-            num_constraints: problem.num_constraints(),
             replay,
             stats: EvalStats::default(),
         })
-    }
-
-    /// Produces the evaluation for `x` at `fidelity`, billing `cost`.
-    /// Sources, in order: journal replay (resume), cross-run cache, the
-    /// simulator (with retries and the non-finite policy). Journals the
-    /// result before returning it.
-    pub(crate) fn evaluate<P: MultiFidelityProblem + ?Sized>(
-        &mut self,
-        problem: &P,
-        x: &[f64],
-        fidelity: Fidelity,
-        iteration: usize,
-        cost: &mut f64,
-        rng_snapshot: Option<[u64; 4]>,
-    ) -> Result<Evaluation, MfboError> {
-        // 1. Replay from the journal.
-        if let Some(front) = self.replay.front() {
-            if front.warm {
-                return Err(MfboError::ResumeMismatch {
-                    reason: format!(
-                        "iteration {iteration}: journal holds a warm-start entry where a \
-                         regular evaluation was expected"
-                    ),
-                });
-            }
-            if front.pending {
-                return Err(MfboError::ResumeMismatch {
-                    reason: format!(
-                        "iteration {iteration}: journal holds a pending ask/tell candidate \
-                         where a consumed evaluation was expected (batched journals replay \
-                         through the ask/tell core)"
-                    ),
-                });
-            }
-            let entry = self.replay.pop_front().expect("front exists");
-            self.check_replay(&entry, x, fidelity, iteration, rng_snapshot)?;
-            *cost += problem.cost(fidelity);
-            if cost.to_bits() != entry.cost_after.to_bits() {
-                return Err(MfboError::ResumeMismatch {
-                    reason: format!(
-                        "iteration {iteration}: accumulated cost {cost} differs from the \
-                         journaled {}",
-                        entry.cost_after
-                    ),
-                });
-            }
-            self.stats.replayed += 1;
-            self.stats.replayed_cost += problem.cost(fidelity);
-            counter!("runstore_replayed", 1u64);
-            return Ok(Evaluation {
-                objective: entry.objective,
-                constraints: entry.constraints,
-            });
-        }
-
-        // 2. Cross-run cache.
-        let key = cache_key(&self.problem_name, to_fid(fidelity), x);
-        if self.use_cache {
-            if let Some(hit) = self.store.as_ref().and_then(|s| s.cache_get(&key)) {
-                let eval = Evaluation {
-                    objective: hit.objective,
-                    constraints: hit.constraints.clone(),
-                };
-                // Billed as if simulated: the cache accelerates wall-clock
-                // without perturbing the optimizer's budget or trajectory.
-                *cost += problem.cost(fidelity);
-                self.stats.cache_hits += 1;
-                self.stats.cached_cost += problem.cost(fidelity);
-                counter!("eval_cache_hit", 1u64);
-                self.journal(JournalEntry {
-                    iteration: iteration as u64,
-                    fid: to_fid(fidelity),
-                    x: x.to_vec(),
-                    objective: eval.objective,
-                    constraints: eval.constraints.clone(),
-                    cost_after: *cost,
-                    rng: rng_snapshot,
-                    attempts: 0,
-                    cached: true,
-                    quarantined: false,
-                    warm: false,
-                    pending: false,
-                    cand: None,
-                })?;
-                return Ok(eval);
-            }
-        }
-
-        // 3. Fresh simulation, within the per-run budget.
-        if let Some(limit) = self.policy.max_evaluations {
-            if self.stats.fresh >= limit {
-                return Err(MfboError::EvalBudgetExhausted { limit });
-            }
-        }
-        let (eval, attempts, quarantined) = self.simulate(problem, x, fidelity)?;
-        self.stats.fresh += 1;
-        self.stats.fresh_cost += problem.cost(fidelity);
-        *cost += problem.cost(fidelity);
-        if quarantined {
-            self.stats.quarantined += 1;
-            counter!("eval_quarantined", 1u64);
-            if let Some(store) = self.store.as_mut() {
-                store.quarantine(key)?;
-            }
-        } else if self.use_cache {
-            if let Some(store) = self.store.as_mut() {
-                store.cache_put(
-                    key,
-                    CacheEntry {
-                        x: x.to_vec(),
-                        objective: eval.objective,
-                        constraints: eval.constraints.clone(),
-                    },
-                )?;
-            }
-        }
-        self.journal(JournalEntry {
-            iteration: iteration as u64,
-            fid: to_fid(fidelity),
-            x: x.to_vec(),
-            objective: eval.objective,
-            constraints: eval.constraints.clone(),
-            cost_after: *cost,
-            rng: rng_snapshot,
-            attempts,
-            cached: false,
-            quarantined,
-            warm: false,
-            pending: false,
-            cand: None,
-        })?;
-        Ok(eval)
     }
 
     /// Low-fidelity observations from previous runs to seed the surrogate
@@ -526,13 +392,12 @@ impl EvalSession {
         self.stats
     }
 
-    // --- Granular hooks for the ask/tell core ------------------------------
+    // --- Hooks for the ask/tell core ----------------------------------------
     //
-    // `AskTellMfbo` decomposes `evaluate` into "resolve at candidate
+    // `AskTellMfbo` splits every evaluation into "resolve at candidate
     // generation" (replay / cache lookup / budget check) and "commit in
     // generation order" (billing, stats, journaling), because between the
-    // two the candidate may sit in flight on a remote worker. The sequential
-    // loops keep using `evaluate`, which performs both halves back to back.
+    // two the candidate may sit in flight on a remote worker.
 
     /// The run's fault-tolerance policy (the ask/tell core applies
     /// [`NonFinitePolicy`] itself when a told result is a failure).
@@ -611,7 +476,7 @@ impl EvalSession {
 
     /// Commits a replayed evaluation in generation order: bills the cost,
     /// cross-checks the journaled accumulated cost bit for bit, and updates
-    /// the replay accounting. The counterpart of `evaluate` step 1.
+    /// the replay accounting.
     pub(crate) fn commit_replayed<P: MultiFidelityProblem + ?Sized>(
         &mut self,
         problem: &P,
@@ -639,8 +504,7 @@ impl EvalSession {
         })
     }
 
-    /// Non-mutating cross-run cache lookup (the counterpart of `evaluate`
-    /// step 2's probe). Quarantined keys never hit.
+    /// Non-mutating cross-run cache lookup. Quarantined keys never hit.
     pub(crate) fn cache_lookup(&self, x: &[f64], fidelity: Fidelity) -> Option<Evaluation> {
         if !self.use_cache {
             return None;
@@ -705,8 +569,7 @@ impl EvalSession {
 
     /// Commits a fresh (told) evaluation in generation order: bills the
     /// cost, updates stats, feeds the cache or the quarantine set, and
-    /// journals the record. The counterpart of `evaluate` step 3 after the
-    /// simulator ran.
+    /// journals the record.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn commit_fresh<P: MultiFidelityProblem + ?Sized>(
         &mut self,
@@ -852,40 +715,6 @@ impl EvalSession {
         }
         Ok(())
     }
-
-    /// One robust simulator call: [`robust_evaluate`] plus the non-finite
-    /// policy applied when attempts are exhausted. Returns
-    /// `(evaluation, attempts, quarantined)`.
-    fn simulate<P: MultiFidelityProblem + ?Sized>(
-        &mut self,
-        problem: &P,
-        x: &[f64],
-        fidelity: Fidelity,
-    ) -> Result<(Evaluation, u32, bool), MfboError> {
-        match robust_evaluate(problem, x, fidelity, &self.policy) {
-            SimOutcome::Ok {
-                evaluation,
-                attempts,
-            } => {
-                self.stats.retries += (attempts - 1) as u64;
-                Ok((evaluation, attempts, false))
-            }
-            SimOutcome::Exhausted { attempts, panic } => {
-                self.stats.retries += (attempts - 1) as u64;
-                match self.policy.non_finite {
-                    NonFinitePolicy::Abort => match panic {
-                        Some(payload) => resume_unwind(payload),
-                        None => Err(MfboError::NonFiniteEvaluation { x: x.to_vec() }),
-                    },
-                    NonFinitePolicy::PenalizeAndQuarantine { penalty } => Ok((
-                        Evaluation::penalized(penalty, self.num_constraints),
-                        attempts,
-                        true,
-                    )),
-                }
-            }
-        }
-    }
 }
 
 /// What kind of failure [`FaultInjector`] injects.
@@ -990,16 +819,49 @@ mod tests {
             .build()
     }
 
+    fn session(p: &dyn MultiFidelityProblem, opts: &mut RunOptions) -> EvalSession {
+        EvalSession::new_batched(opts, "test", p, None, None, None).unwrap()
+    }
+
+    /// Simulates `x` through [`robust_evaluate`] and commits the result the
+    /// way the ask/tell core does for a told evaluation.
+    fn simulate_and_commit<P: MultiFidelityProblem>(
+        session: &mut EvalSession,
+        p: &P,
+        x: &[f64],
+        cost: &mut f64,
+    ) -> Evaluation {
+        let SimOutcome::Ok {
+            evaluation,
+            attempts,
+        } = robust_evaluate(p, x, Fidelity::High, session.policy())
+        else {
+            panic!("simulation exhausted its retries");
+        };
+        session
+            .commit_fresh(
+                p,
+                x,
+                Fidelity::High,
+                1,
+                cost,
+                None,
+                None,
+                &evaluation,
+                attempts,
+                false,
+            )
+            .unwrap();
+        evaluation
+    }
+
     #[test]
     fn plain_session_calls_through() {
         let p = quad();
         let mut opts = RunOptions::default();
-        let mut session =
-            EvalSession::new_batched(&mut opts, "test", &p, None, None, None).unwrap();
+        let mut session = session(&p, &mut opts);
         let mut cost = 0.0;
-        let eval = session
-            .evaluate(&p, &[0.25], Fidelity::High, 1, &mut cost, None)
-            .unwrap();
+        let eval = simulate_and_commit(&mut session, &p, &[0.25], &mut cost);
         assert!((eval.objective - 0.0625).abs() < 1e-15);
         assert_eq!(cost, 1.0);
         let stats = session.finish();
@@ -1031,38 +893,34 @@ mod tests {
             },
             ..RunOptions::default()
         };
-        let mut session =
-            EvalSession::new_batched(&mut opts, "test", &p, None, None, None).unwrap();
+        let mut session = session(&p, &mut opts);
         let mut cost = 0.0;
         for k in 0..2 {
-            session
-                .evaluate(&p, &[0.1 * k as f64], Fidelity::Low, 0, &mut cost, None)
-                .unwrap();
+            session.fresh_allowed(0).unwrap();
+            simulate_and_commit(&mut session, &p, &[0.1 * k as f64], &mut cost);
         }
-        let e = session.evaluate(&p, &[0.9], Fidelity::Low, 0, &mut cost, None);
         assert!(matches!(
-            e,
+            session.fresh_allowed(0),
             Err(MfboError::EvalBudgetExhausted { limit: 2 })
         ));
     }
 
     #[test]
-    fn abort_policy_reports_non_finite_after_retries() {
+    fn non_finite_results_exhaust_the_retries() {
         let p = FaultInjector::new(quad(), FaultKind::Nan, 1); // always NaN
-        let mut opts = RunOptions {
-            policy: EvalPolicy {
-                max_retries: 2,
-                ..EvalPolicy::default()
-            },
-            ..RunOptions::default()
+        let policy = EvalPolicy {
+            max_retries: 2,
+            ..EvalPolicy::default()
         };
-        let mut session =
-            EvalSession::new_batched(&mut opts, "test", &p, None, None, None).unwrap();
-        let mut cost = 0.0;
-        let e = session.evaluate(&p, &[0.5], Fidelity::High, 1, &mut cost, None);
-        assert!(matches!(e, Err(MfboError::NonFiniteEvaluation { .. })));
+        let out = robust_evaluate(&p, &[0.5], Fidelity::High, &policy);
+        assert!(matches!(
+            out,
+            SimOutcome::Exhausted {
+                attempts: 3,
+                panic: None
+            }
+        ));
         assert_eq!(p.calls(), 3); // 1 + 2 retries
-        assert_eq!(session.finish().retries, 2);
     }
 
     #[test]
@@ -1075,16 +933,11 @@ mod tests {
             },
             ..RunOptions::default()
         };
-        let mut session =
-            EvalSession::new_batched(&mut opts, "test", &p, None, None, None).unwrap();
+        let mut session = session(&p, &mut opts);
         let mut cost = 0.0;
         // Call 1 succeeds, call 2 panics and is retried as call 3.
-        session
-            .evaluate(&p, &[0.1], Fidelity::High, 1, &mut cost, None)
-            .unwrap();
-        session
-            .evaluate(&p, &[0.2], Fidelity::High, 2, &mut cost, None)
-            .unwrap();
+        simulate_and_commit(&mut session, &p, &[0.1], &mut cost);
+        simulate_and_commit(&mut session, &p, &[0.2], &mut cost);
         let stats = session.finish();
         assert_eq!(stats.fresh, 2);
         assert_eq!(stats.retries, 1);
@@ -1092,39 +945,48 @@ mod tests {
     }
 
     #[test]
-    fn penalize_policy_substitutes_and_quarantines() {
+    fn quarantined_commits_are_penalized_and_counted() {
         let constrained = FunctionProblem::builder("c", Bounds::unit(1))
             .high(|_: &[f64]| f64::NAN)
             .high_constraints(2, |_: &[f64]| vec![-1.0, -1.0])
             .build();
-        let mut opts = RunOptions {
-            policy: EvalPolicy {
-                non_finite: NonFinitePolicy::PenalizeAndQuarantine { penalty: 1e6 },
-                ..EvalPolicy::default()
-            },
-            ..RunOptions::default()
-        };
-        let mut session =
-            EvalSession::new_batched(&mut opts, "test", &constrained, None, None, None).unwrap();
-        let mut cost = 0.0;
-        let eval = session
-            .evaluate(&constrained, &[0.5], Fidelity::High, 1, &mut cost, None)
-            .unwrap();
+        let mut opts = RunOptions::default();
+        let mut session = session(&constrained, &mut opts);
+        let eval = Evaluation::penalized(1e6, constrained.num_constraints());
         assert_eq!(eval.objective, 1e6);
         assert_eq!(eval.constraints, vec![1.0, 1.0]); // violated
         assert!(!eval.is_feasible());
+        let mut cost = 0.0;
+        session
+            .commit_fresh(
+                &constrained,
+                &[0.5],
+                Fidelity::High,
+                1,
+                &mut cost,
+                None,
+                None,
+                &eval,
+                1,
+                true,
+            )
+            .unwrap();
         assert_eq!(session.finish().quarantined, 1);
     }
 
     #[test]
-    #[should_panic(expected = "injected simulator fault")]
-    fn abort_policy_reraises_panics() {
+    fn exhausted_panics_hand_back_their_payload() {
         let p = FaultInjector::new(quad(), FaultKind::Panic, 1);
-        let mut opts = RunOptions::default();
-        let mut session =
-            EvalSession::new_batched(&mut opts, "test", &p, None, None, None).unwrap();
-        let mut cost = 0.0;
-        let _ = session.evaluate(&p, &[0.5], Fidelity::High, 1, &mut cost, None);
+        let out = robust_evaluate(&p, &[0.5], Fidelity::High, &EvalPolicy::default());
+        let SimOutcome::Exhausted {
+            attempts: 1,
+            panic: Some(payload),
+        } = out
+        else {
+            panic!("expected an exhausted panic, got {out:?}");
+        };
+        let msg = payload.downcast_ref::<String>().unwrap();
+        assert!(msg.contains("injected simulator fault"), "{msg}");
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //!   asynchronous and batched (constant-liar) evaluation; `MfBayesOpt` is a
 //!   thin sequential client of it.
 //! * [`SfBayesOpt`] — the single-fidelity constrained BO loop this paper
-//!   (and its WEIBO baseline) builds upon.
+//!   (and its WEIBO baseline) builds upon: the one-fidelity case of the
+//!   same core (`initial_low == 0`).
 //!
 //! # Quickstart
 //!

@@ -33,7 +33,9 @@ use std::time::Instant;
 /// around the high-fidelity incumbent.
 #[derive(Debug, Clone)]
 pub struct MfBoConfig {
-    /// Size of the initial low-fidelity Latin-hypercube design.
+    /// Size of the initial low-fidelity Latin-hypercube design. `0` means
+    /// single-fidelity BO: no fusion model and no fidelity selection, every
+    /// sample at high fidelity (the loop [`crate::SfBayesOpt`] runs).
     pub initial_low: usize,
     /// Size of the initial high-fidelity Latin-hypercube design.
     pub initial_high: usize,
@@ -136,9 +138,11 @@ impl MfBoConfig {
     ///
     /// [`MfboError::InvalidConfig`] when the settings are inconsistent.
     pub fn validate(&self) -> Result<(), MfboError> {
-        if self.initial_low == 0 || self.initial_high == 0 {
+        if self.initial_high == 0 {
             return Err(MfboError::InvalidConfig {
-                reason: "initial designs must be non-empty".into(),
+                reason: "initial designs need at least one high-fidelity point \
+                         (initial_high must be positive)"
+                    .into(),
             });
         }
         if !(self.budget > 0.0 && self.budget.is_finite()) {
@@ -391,7 +395,7 @@ mod tests {
         let p = forrester();
         let mut rng = StdRng::seed_from_u64(0);
         let e = MfBayesOpt::new(MfBoConfig {
-            initial_low: 0,
+            initial_high: 0,
             ..MfBoConfig::default()
         })
         .run(&p, &mut rng);
@@ -422,6 +426,20 @@ mod tests {
             other => panic!("expected InvalidConfig, got {other:?}"),
         };
         let r = reason(MfBoConfig {
+            initial_high: 0,
+            ..MfBoConfig::default()
+        });
+        assert!(r.contains("initial designs"), "{r}");
+        // No low-fidelity design is single-fidelity BO; no high-fidelity
+        // design is still refused.
+        assert!(MfBoConfig {
+            initial_low: 0,
+            ..MfBoConfig::default()
+        }
+        .validate()
+        .is_ok());
+        let r = reason(MfBoConfig {
+            initial_low: 0,
             initial_high: 0,
             ..MfBoConfig::default()
         });

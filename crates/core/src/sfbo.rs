@@ -6,18 +6,20 @@
 //! first-feasible-point search of eq. (13) when nothing feasible is known.
 //! Configured with the paper's settings it *is* the WEIBO baseline
 //! (Lyu et al., TCAS-I 2018); `mfbo-baselines` re-exports it as such.
+//!
+//! It is the one-fidelity case of the multi-fidelity loop: [`SfBayesOpt`]
+//! converts its configuration into an [`MfBoConfig`] with no low-fidelity
+//! design and runs it on the ask/tell core ([`crate::AskTellMfbo`]).
 
-use crate::evaluator::{EvalSession, RunOptions};
-use crate::history::{EvaluationRecord, FidelityData, Outcome};
-use crate::problem::{Fidelity, MultiFidelityProblem};
-use crate::surrogate::{SfBundleThetas, SfSurrogates};
+use crate::evaluator::RunOptions;
+use crate::history::Outcome;
+use crate::mfbo::{MfBayesOpt, MfBoConfig};
+use crate::nargp::MfGpConfig;
+use crate::problem::MultiFidelityProblem;
 use crate::MfboError;
-use mfbo_gp::{FitCache, GpConfig};
-use mfbo_opt::{msp::MultiStart, neldermead::NelderMead, sampling};
+use mfbo_gp::GpConfig;
 use mfbo_pool::Parallelism;
-use mfbo_telemetry::{event, span, RunTelemetry};
 use rand::Rng;
-use std::time::Instant;
 
 /// Configuration of [`SfBayesOpt`].
 #[derive(Debug, Clone)]
@@ -64,8 +66,8 @@ impl Default for SfBoConfig {
 
 /// Single-fidelity constrained Bayesian optimizer (the WEIBO substrate).
 ///
-/// All evaluations run at [`Fidelity::High`]; the low-fidelity model of the
-/// problem is simply never called.
+/// All evaluations run at [`Fidelity::High`](crate::problem::Fidelity::High);
+/// the low-fidelity model of the problem is simply never called.
 ///
 /// # Examples
 ///
@@ -112,12 +114,13 @@ impl SfBayesOpt {
 
     /// Runs the optimization with durability and fault-tolerance options —
     /// same semantics as [`crate::MfBayesOpt::run_with`], minus
-    /// warm-starting (the single-fidelity loop has no low-fidelity
-    /// surrogate to seed).
+    /// warm-starting, which seeds a low-fidelity surrogate this loop does
+    /// not have.
     ///
     /// # Errors
     ///
-    /// Same contract as [`crate::MfBayesOpt::run_with`].
+    /// Same contract as [`crate::MfBayesOpt::run_with`], plus
+    /// [`MfboError::InvalidConfig`] when `opts.warm_start` is set.
     pub fn run_with<P, R>(
         &self,
         problem: &P,
@@ -129,205 +132,33 @@ impl SfBayesOpt {
         R: Rng + ?Sized,
     {
         let cfg = &self.config;
-        if cfg.initial_points == 0 {
-            return Err(MfboError::InvalidConfig {
-                reason: "initial design must be non-empty".into(),
-            });
-        }
+        // `MfBoConfig::validate` refuses an empty design.
         if cfg.budget <= cfg.initial_points {
             return Err(MfboError::InvalidConfig {
                 reason: "budget must exceed the initial design size".into(),
             });
         }
-        let mut session = EvalSession::new_batched(
-            opts,
-            "sfbo",
-            problem,
-            rng.state_snapshot(),
-            None,
-            (!cfg.model.inference.is_exact()).then(|| cfg.model.inference.as_str().to_string()),
-        )?;
-        let bounds = problem.bounds();
-        let nc = problem.num_constraints();
-        let mut data = FidelityData::new(nc);
-        let mut history = Vec::new();
-        let mut cost = 0.0;
-        let run_start = Instant::now();
-        let mut telemetry = RunTelemetry::default();
-        event!(
-            "run_start",
-            algo = "sfbo",
-            dim = bounds.dim(),
-            num_constraints = nc,
-            budget = cfg.budget,
-            initial_points = cfg.initial_points,
-        );
-
-        let init_span = span!("initial_design", n_high = cfg.initial_points);
-        for x in sampling::latin_hypercube(&bounds, cfg.initial_points, rng) {
-            let sim_start = Instant::now();
-            let snap = rng.state_snapshot();
-            let eval = session.evaluate(problem, &x, Fidelity::High, 0, &mut cost, snap)?;
-            telemetry.record_stage("simulate_high", sim_start.elapsed());
-            data.push(x.clone(), &eval);
-            history.push(EvaluationRecord {
-                iteration: 0,
-                x,
-                fidelity: Fidelity::High,
-                evaluation: eval,
-                cost_so_far: cost,
-            });
-        }
-        drop(init_span);
-
-        let mut thetas: Option<SfBundleThetas> = None;
-        // One knob drives every hot path: model training, frozen refreshes,
-        // and the MSP restarts below.
-        let model_cfg = GpConfig {
+        let mf = MfBoConfig {
+            initial_low: 0,
+            initial_high: cfg.initial_points,
+            // `cost(High) = 1.0`, so the budget counts simulations.
+            budget: cfg.budget as f64,
+            // The budget alone stops the loop.
+            max_iterations: usize::MAX,
+            msp_starts: cfg.msp_starts,
+            frac_around_tau_h: cfg.frac_around_tau,
+            anchor_spread: cfg.anchor_spread,
+            model: MfGpConfig {
+                high: cfg.model.clone(),
+                ..MfGpConfig::fast()
+            },
+            refit_every: cfg.refit_every,
+            winsorize_sigma: cfg.winsorize_sigma,
             parallelism: cfg.parallelism,
-            ..cfg.model.clone()
+            gp_inference: cfg.model.inference,
+            ..MfBoConfig::default()
         };
-        let mut since_refit = 0usize;
-        // Persistent pairwise-difference cache: refits append only the new
-        // point's diffs instead of rebuilding the full lower triangle, and
-        // one batch serves every model in the bundle (see mfbo_gp::FitCache).
-        let mut fit_cache = FitCache::default();
-        // Surrogates and acquisition optimization operate in the unit cube;
-        // the problem is evaluated (and history recorded) in raw units.
-        let unit = mfbo_opt::Bounds::unit(bounds.dim());
-
-        for iteration in 1.. {
-            if data.len() >= cfg.budget {
-                break;
-            }
-            let mut data_u = data.to_unit(&bounds);
-            if let Some(k) = cfg.winsorize_sigma {
-                data_u = data_u.winsorized(k);
-            }
-            let fit_span = span!("surrogate_fit", iteration = iteration, n = data.len());
-            let surrogates = match &thetas {
-                Some(t) if since_refit < cfg.refit_every => {
-                    match SfSurrogates::fit_frozen_infer_with_cache(
-                        &data_u,
-                        t,
-                        cfg.parallelism,
-                        model_cfg.inference,
-                        &mut fit_cache,
-                    ) {
-                        Ok(s) => s,
-                        Err(_) => {
-                            SfSurrogates::fit_with_cache(&data_u, &model_cfg, rng, &mut fit_cache)?
-                        }
-                    }
-                }
-                Some(t) => {
-                    since_refit = 0;
-                    SfSurrogates::fit_warm_with_cache(&data_u, &model_cfg, t, rng, &mut fit_cache)?
-                }
-                None => {
-                    since_refit = 0;
-                    SfSurrogates::fit_with_cache(&data_u, &model_cfg, rng, &mut fit_cache)?
-                }
-            };
-            since_refit += 1;
-            thetas = Some(surrogates.thetas());
-            telemetry.record_stage("surrogate_fit", fit_span.elapsed());
-            drop(fit_span);
-            // Main-thread hyperparameter trajectory (see mfbo.rs for why the
-            // worker-thread gp_fit events are not a substitute).
-            if let Some(t) = &thetas {
-                mfbo_telemetry::debug_event!(
-                    "hyperparams",
-                    iteration = iteration,
-                    objective = crate::surrogate::fmt_thetas(&t.objective),
-                    constraints = t
-                        .constraints
-                        .iter()
-                        .map(|c| crate::surrogate::fmt_thetas(c))
-                        .collect::<Vec<_>>()
-                        .join(";"),
-                );
-            }
-
-            let local = NelderMead::new().with_max_iters(90);
-            let best = data.best_feasible();
-            let acq_span = span!("acq_opt", iteration = iteration);
-            let drove_feasibility = nc > 0 && best.is_none();
-            let (xt_unit, acq_value, landscape) = if drove_feasibility {
-                // Eq. (13): force the search toward feasibility.
-                let drive = |x: &[f64]| {
-                    surrogates.feasibility_drive(x) + 1e-4 * surrogates.objective().predict(x).mean
-                };
-                let (r, stats) = MultiStart::new(cfg.msp_starts)
-                    .with_local_search(local)
-                    .with_parallelism(cfg.parallelism)
-                    .minimize_with_stats(&drive, &unit, rng);
-                (r.x, r.value, stats)
-            } else {
-                let (k, tau) = best.or_else(|| data.best_any()).expect("data non-empty");
-                let wei = |x: &[f64]| surrogates.wei(x, tau);
-                let (r, stats) = MultiStart::new(cfg.msp_starts)
-                    .with_local_search(local)
-                    .with_parallelism(cfg.parallelism)
-                    .with_anchor(data_u.xs[k].clone(), cfg.frac_around_tau, cfg.anchor_spread)
-                    .maximize_with_stats(&wei, &unit, rng);
-                (r.x, r.value, stats)
-            };
-            telemetry.record_stage("acq_opt", acq_span.elapsed());
-            drop(acq_span);
-            mfbo_telemetry::debug_event!(
-                "acq_landscape",
-                iteration = iteration,
-                feasibility_drive = drove_feasibility,
-                best_value = landscape.best_value,
-                worst_value = landscape.worst_value,
-                spread = landscape.spread,
-                frac_zero = landscape.frac_zero,
-                starts = landscape.starts,
-                best_start = landscape.best_start,
-            );
-            event!(
-                "sfbo_iteration",
-                iteration = iteration,
-                feasibility_drive = drove_feasibility,
-                acq_value = acq_value,
-                tau = data
-                    .best_feasible()
-                    .or_else(|| data.best_any())
-                    .map(|(_, v)| v)
-                    .unwrap_or(f64::NAN),
-                cost = cost,
-            );
-
-            let xt = bounds.from_unit(&xt_unit);
-            let sim_span = span!("simulate", iteration = iteration, high = true);
-            let snap = rng.state_snapshot();
-            let eval =
-                session.evaluate(problem, &xt, Fidelity::High, iteration, &mut cost, snap)?;
-            telemetry.record_stage("simulate_high", sim_span.elapsed());
-            drop(sim_span);
-            data.push(xt.clone(), &eval);
-            history.push(EvaluationRecord {
-                iteration,
-                x: xt,
-                fidelity: Fidelity::High,
-                evaluation: eval,
-                cost_so_far: cost,
-            });
-        }
-
-        telemetry.wall_us = run_start.elapsed().as_micros() as u64;
-        event!(
-            "run_end",
-            algo = "sfbo",
-            iterations = history.last().map(|r| r.iteration).unwrap_or(0),
-            cost = cost,
-        );
-        // No low-fidelity data in the single-fidelity loop.
-        let mut outcome = Outcome::from_data(data, FidelityData::new(nc), history);
-        outcome.telemetry = telemetry;
-        outcome.eval_stats = session.finish();
-        Ok(outcome)
+        MfBayesOpt::new(mf).run_with(problem, rng, opts)
     }
 }
 
@@ -422,6 +253,27 @@ mod tests {
         })
         .run(&forrester(), &mut rng);
         assert!(matches!(e, Err(MfboError::InvalidConfig { .. })));
+    }
+
+    #[test]
+    fn warm_start_is_refused_without_a_low_fidelity_design() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut opts = RunOptions {
+            warm_start: true,
+            ..RunOptions::default()
+        };
+        let e = SfBayesOpt::new(SfBoConfig {
+            initial_points: 5,
+            budget: 8,
+            ..SfBoConfig::default()
+        })
+        .run_with(&forrester(), &mut rng, &mut opts);
+        match e {
+            Err(MfboError::InvalidConfig { reason }) => {
+                assert!(reason.contains("low-fidelity surrogate"), "{reason}")
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
     }
 
     #[test]

@@ -37,9 +37,7 @@
 //! small fixed reader pool over reusable per-connection scratch buffers
 //! ([`FrameBuf`]); a `wait` request parks the connection on the run handle
 //! instead of pinning a thread, and the thread that finishes the run
-//! writes the reply. The legacy one-actor-thread-per-run scheduler
-//! remains available via [`Scheduler::ActorPerRun`] as the benchmark
-//! baseline.
+//! writes the reply.
 //!
 //! Durability matches the in-process loops: a run started with `journal`
 //! write-ahead-logs every candidate and evaluation, so a server killed
@@ -83,15 +81,14 @@ const BUSY_READ_TIMEOUT: Duration = Duration::from_millis(1);
 /// Socket read timeout when this reader has the queue to itself.
 const IDLE_READ_TIMEOUT: Duration = Duration::from_millis(20);
 
-/// Which engine drives run state machines.
+/// Which engine drives run state machines. The sharded scheduler is the
+/// only one; the enum and [`ServerConfig::scheduler`] stay because the
+/// end-to-end benchmark (`bench_e2e/workloads.rs`) names them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheduler {
     /// Fixed pool of shard event-loop threads, each multiplexing the runs
-    /// hashed to it (the default).
+    /// hashed to it.
     Sharded,
-    /// One actor thread per run — the pre-sharding scheduler, kept as the
-    /// A/B baseline for throughput benchmarks.
-    ActorPerRun,
 }
 
 /// Server tunables.
@@ -102,8 +99,7 @@ pub struct ServerConfig {
     /// Bounded depth of the worker job queue — the backpressure knob: once
     /// full, schedulers block instead of buffering unbounded work.
     pub queue_depth: usize,
-    /// Shard threads driving run state machines (ignored by
-    /// [`Scheduler::ActorPerRun`]). Must be nonzero.
+    /// Shard threads driving run state machines. Must be nonzero.
     pub shards: usize,
     /// Group-commit linger window for journaled runs: appends across all
     /// runs within a window share one vectored write + flush. Zero (the
@@ -131,19 +127,10 @@ impl Default for ServerConfig {
 
 type Registry = Mutex<BTreeMap<String, Arc<RunHandle>>>;
 
-/// Run-scheduling backend picked at bind time.
-enum Sched {
-    Sharded(ShardPool),
-    Actors {
-        committer: Option<Arc<GroupCommitter>>,
-    },
-}
-
 /// State shared by the accept loop, the reader pool, and parked waiters.
 struct ServeCtx {
     registry: Registry,
-    pool: Arc<WorkerPool>,
-    sched: Sched,
+    shards: ShardPool,
     conns: ConnQueue,
     shutdown: AtomicBool,
     /// Our own address, used to poke the accept loop awake on shutdown.
@@ -165,18 +152,10 @@ impl Server {
         let pool = Arc::new(WorkerPool::new(config.workers, config.queue_depth));
         let committer = (!config.journal_linger.is_zero())
             .then(|| Arc::new(GroupCommitter::new(config.journal_linger)));
-        let sched = match config.scheduler {
-            Scheduler::Sharded => Sched::Sharded(ShardPool::new(
-                config.shards.max(1),
-                Arc::clone(&pool),
-                committer,
-            )),
-            Scheduler::ActorPerRun => Sched::Actors { committer },
-        };
+        let shards = ShardPool::new(config.shards.max(1), pool, committer);
         let ctx = Arc::new(ServeCtx {
             registry: Mutex::new(BTreeMap::new()),
-            pool,
-            sched,
+            shards,
             conns: ConnQueue::new(),
             shutdown: AtomicBool::new(false),
             addr: local,
@@ -198,7 +177,7 @@ impl Server {
 
     /// Accepts connections until a client sends `shutdown`, handing each
     /// socket to the shared reader pool. In-flight runs keep their shard
-    /// (or actor) threads, which the process owns until exit.
+    /// threads, which the process owns until exit.
     pub fn run(self) -> std::io::Result<()> {
         for stream in self.listener.incoming() {
             if self.ctx.shutdown.load(Ordering::SeqCst) {
@@ -615,12 +594,7 @@ fn start_run(req: &Json, ctx: &ServeCtx) -> Json {
         return err(format!("run '{}' already exists", spec.name));
     }
     let name = spec.name.clone();
-    let handle = match &ctx.sched {
-        Sched::Sharded(shards) => shards.submit(spec),
-        Sched::Actors { committer } => {
-            run::spawn_run(spec, Arc::clone(&ctx.pool), committer.clone())
-        }
-    };
+    let handle = ctx.shards.submit(spec);
     runs.insert(name.clone(), handle);
     ok(vec![("run", Json::Str(name))])
 }

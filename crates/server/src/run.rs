@@ -1,45 +1,13 @@
-//! One served optimization run as a per-run actor thread driving an
-//! [`AskTellMfbo`] core, dispatching candidate evaluations onto the shared
-//! [`WorkerPool`] and folding results back in whatever order workers
-//! deliver them.
-//!
-//! This is the *legacy* scheduler (one OS thread per run) — the default is
-//! the sharded event-loop scheduler in [`crate::shard`], which drives the
-//! same state machines on a fixed thread pool. The actor path is kept as
-//! the A/B baseline for the throughput benchmarks and selectable via
-//! [`crate::Scheduler::ActorPerRun`].
-//!
-//! The actor is the only thread touching the optimizer and the journal, so
-//! a served run keeps the exact determinism and durability contracts of an
-//! in-process one: the run's trajectory depends on its spec (problem, seed,
-//! config) alone, never on worker scheduling — and a run with `batch = 1`
-//! is bit-identical to `MfBayesOpt::run_with` with the same spec.
-//!
-//! ## Stalled workers
-//!
-//! With a `stall` deadline configured, a candidate whose evaluation has not
-//! returned within the deadline is *told as failed* (the run's
-//! [`mfbo::NonFinitePolicy`] decides between aborting and
-//! penalize-and-quarantine) and its id is blacklisted; the worker is not
-//! interrupted — when the hung simulator finally returns, the stale result
-//! is discarded. Sibling runs sharing the pool only ever lose throughput,
-//! never correctness.
+//! What the server knows about one served run: the [`RunSpec`] parsed
+//! from its `start` request, and the [`RunHandle`] through which the
+//! registry and client connections observe its [`Status`] while the shard
+//! scheduler (`shard.rs`) drives it.
 
-use crate::problems::{make_problem, FaultSpec};
-use mfbo::{
-    robust_evaluate, AskTellMfbo, EvalPolicy, MfBoConfig, Outcome, RunOptions, RunStore,
-    SimOutcome, Told,
-};
-use mfbo_pool::WorkerPool;
-use mfbo_runstore::GroupCommitter;
-use mfbo_telemetry::counter;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::{HashMap, HashSet};
+use crate::problems::FaultSpec;
+use mfbo::{EvalPolicy, MfBoConfig, Outcome};
 use std::path::PathBuf;
-use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Everything needed to start a run, parsed from a `start` request.
 #[derive(Debug, Clone)]
@@ -68,7 +36,7 @@ pub struct RunSpec {
 /// Lifecycle of a served run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// The actor is driving the optimizer.
+    /// The scheduler is driving the optimizer.
     Running,
     /// Finished successfully; the outcome summary is available.
     Done,
@@ -76,7 +44,7 @@ pub enum Phase {
     Failed,
 }
 
-/// Point-in-time view of a run, readable while the actor works.
+/// Point-in-time view of a run, readable while its shard drives it.
 #[derive(Debug, Clone)]
 pub struct Status {
     /// Where the run is in its lifecycle.
@@ -180,178 +148,4 @@ impl RunHandle {
             }
         }
     }
-}
-
-/// Starts the actor thread for `spec`; returns the observation handle.
-pub fn spawn_run(
-    spec: RunSpec,
-    pool: Arc<WorkerPool>,
-    committer: Option<Arc<GroupCommitter>>,
-) -> Arc<RunHandle> {
-    let handle = Arc::new(RunHandle::new());
-    let h = Arc::clone(&handle);
-    counter!("server_runs_started", 1u64);
-    std::thread::Builder::new()
-        .name(format!("mfbo-run-{}", spec.name))
-        .spawn(move || match drive(&spec, &pool, &h, committer.as_ref()) {
-            Ok(outcome) => {
-                counter!("server_runs_done", 1u64);
-                h.update(|st| {
-                    st.phase = Phase::Done;
-                    st.cost = outcome.total_cost;
-                    st.pending = 0;
-                    st.outcome = Some(Arc::new(outcome));
-                });
-            }
-            Err(reason) => {
-                counter!("server_runs_failed", 1u64);
-                h.update(|st| {
-                    st.phase = Phase::Failed;
-                    st.pending = 0;
-                    st.error = Some(reason);
-                });
-            }
-        })
-        .expect("failed to spawn run actor");
-    handle
-}
-
-/// The actor body: ask → dispatch to workers → tell, until the budget is
-/// spent. Returns the outcome or a human-readable failure reason.
-fn drive(
-    spec: &RunSpec,
-    pool: &WorkerPool,
-    handle: &RunHandle,
-    committer: Option<&Arc<GroupCommitter>>,
-) -> Result<Outcome, String> {
-    let problem = make_problem(&spec.problem, spec.fault)?;
-    let mut opts = RunOptions {
-        policy: spec.policy.clone(),
-        resume: spec.resume,
-        ..RunOptions::default()
-    };
-    if let Some(dir) = &spec.journal {
-        let store = match committer {
-            Some(gc) => RunStore::open_grouped(dir, Arc::clone(gc)),
-            None => RunStore::open(dir),
-        };
-        opts.store = Some(store.map_err(|e| e.to_string())?);
-    }
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    let mut driver = AskTellMfbo::new(spec.config.clone(), &*problem, &mut rng, &mut opts)
-        .map_err(|e| e.to_string())?;
-    let batch = spec.config.max_pending;
-
-    let (res_tx, res_rx) = channel::<(u64, SimOutcome, Duration)>();
-    // Issue time per in-flight candidate (for the stall deadline), and the
-    // ids already told as failed whose late results must be dropped.
-    let mut in_flight: HashMap<u64, Instant> = HashMap::new();
-    let mut abandoned: HashSet<u64> = HashSet::new();
-
-    while !driver.is_finished() {
-        let cands = driver.ask(batch).map_err(|e| e.to_string())?;
-        if !cands.is_empty() {
-            // Durability barrier: the write-ahead entries for these
-            // candidates must be on disk before their evaluations leave
-            // this thread. A no-op for direct (flush-per-append) stores.
-            driver.sync_journal().map_err(|e| e.to_string())?;
-        }
-        for c in cands {
-            in_flight.insert(c.id, Instant::now());
-            let problem = Arc::clone(&problem);
-            let policy = driver.policy().clone();
-            let tx = res_tx.clone();
-            pool.submit(move || {
-                let t0 = Instant::now();
-                let out = robust_evaluate(&*problem, &c.x, c.fidelity, &policy);
-                // The receiver may be gone (stalled-out candidate on a
-                // finished run) — stale results are simply dropped.
-                let _ = tx.send((c.id, out, t0.elapsed()));
-            });
-        }
-        handle.update(|st| {
-            st.cost = driver.cost();
-            st.pending = driver.pending_count();
-            (st.obs_low, st.obs_high) = driver.observation_counts();
-        });
-        if in_flight.is_empty() {
-            // Everything outstanding resolved inside the core (replay or
-            // cache); loop back to ask for more work.
-            continue;
-        }
-
-        let timeout = next_deadline(&in_flight, spec.stall);
-        let told = match timeout {
-            None => Some(
-                res_rx
-                    .recv()
-                    .map_err(|_| "worker pool hung up".to_string())?,
-            ),
-            Some(t) => match res_rx.recv_timeout(t) {
-                Ok(msg) => Some(msg),
-                Err(RecvTimeoutError::Timeout) => None,
-                Err(RecvTimeoutError::Disconnected) => return Err("worker pool hung up".into()),
-            },
-        };
-        match told {
-            Some((id, out, elapsed)) => {
-                if abandoned.remove(&id) {
-                    continue; // stalled-out candidate finally returned
-                }
-                in_flight.remove(&id);
-                let msg = match out {
-                    SimOutcome::Ok {
-                        evaluation,
-                        attempts,
-                    } => Told::Evaluated {
-                        evaluation,
-                        attempts,
-                    },
-                    SimOutcome::Exhausted { attempts, .. } => Told::Failed { attempts },
-                };
-                driver
-                    .tell_timed(id, msg, elapsed)
-                    .map_err(|e| e.to_string())?;
-                handle.update(|st| {
-                    st.cost = driver.cost();
-                    st.pending = driver.pending_count();
-                    (st.obs_low, st.obs_high) = driver.observation_counts();
-                    st.evals += 1;
-                });
-            }
-            None => {
-                // Deadline tick: fail every candidate past its deadline.
-                let stall = spec.stall.expect("timeout implies a deadline");
-                let expired: Vec<u64> = in_flight
-                    .iter()
-                    .filter(|(_, t)| t.elapsed() >= stall)
-                    .map(|(&id, _)| id)
-                    .collect();
-                for id in expired {
-                    counter!("server_evals_stalled", 1u64);
-                    in_flight.remove(&id);
-                    abandoned.insert(id);
-                    driver
-                        .tell(id, Told::Failed { attempts: 1 })
-                        .map_err(|e| e.to_string())?;
-                    handle.update(|st| {
-                        st.stalled += 1;
-                        st.cost = driver.cost();
-                        st.pending = driver.pending_count();
-                        (st.obs_low, st.obs_high) = driver.observation_counts();
-                    });
-                }
-            }
-        }
-    }
-    driver.finish().map_err(|e| e.to_string())
-}
-
-/// Time until the earliest in-flight deadline (zero if already past).
-fn next_deadline(in_flight: &HashMap<u64, Instant>, stall: Option<Duration>) -> Option<Duration> {
-    let stall = stall?;
-    in_flight
-        .values()
-        .map(|t| stall.saturating_sub(t.elapsed()))
-        .min()
 }

@@ -2,8 +2,7 @@
 //! [`AskTellMfbo`] state machines of the runs hashed to it as an event
 //! loop (ask → dispatch → tell on worker completion).
 //!
-//! Where the legacy scheduler ([`crate::run`]) spends one OS thread per
-//! run, a shard thread multiplexes every run assigned to it: serving 5 000
+//! A shard thread multiplexes every run assigned to it: serving 5 000
 //! concurrent runs takes `shards + workers` threads, not 5 000. Because a
 //! run's optimizer and journal are still touched by exactly one thread —
 //! its owning shard — the determinism and durability contracts are
@@ -19,6 +18,16 @@
 //! shard's runs costs one linger window, not k `fsync`-equivalents, while
 //! still never dispatching an evaluation whose write-ahead entry is not
 //! yet on disk.
+//!
+//! ## Stalled workers
+//!
+//! With a `stall` deadline configured, a candidate whose evaluation has not
+//! returned within the deadline is *told as failed* (the run's
+//! [`mfbo::NonFinitePolicy`] decides between aborting and
+//! penalize-and-quarantine) and its id is blacklisted; the worker is not
+//! interrupted — when the hung simulator finally returns, the stale result
+//! is discarded. Sibling runs sharing the pool only ever lose throughput,
+//! never correctness.
 
 use crate::problems::make_problem;
 use crate::run::{Phase, RunHandle, RunSpec};
@@ -296,9 +305,9 @@ impl Shard {
     }
 
     /// Asks a run for work until it either hands out candidates, waits on
-    /// in-flight evaluations, or finishes. Mirrors the actor loop: an
-    /// empty ask with nothing in flight means the core made progress
-    /// internally (journal replay, cache hits) — ask again.
+    /// in-flight evaluations, or finishes. An empty ask with nothing in
+    /// flight means the core made progress internally (journal replay,
+    /// cache hits) — ask again.
     fn pump(&mut self, name: &str, dispatch: &mut Vec<(String, Candidate)>) {
         loop {
             let Some(run) = self.runs.get_mut(name) else {

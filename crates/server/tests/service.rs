@@ -4,7 +4,7 @@
 //! that one sick run never poisons its siblings.
 
 use mfbo::problem::MultiFidelityProblem;
-use mfbo::{MfBayesOpt, MfBoConfig, Outcome, RunOptions};
+use mfbo::{MfBayesOpt, MfBoConfig, Outcome, RunOptions, RunStore, SfBayesOpt, SfBoConfig};
 use mfbo_circuits::testfns;
 use mfbo_server::{Client, Server, ServerConfig};
 use mfbo_telemetry::json::Json;
@@ -116,6 +116,60 @@ fn concurrent_runs_match_their_in_process_references() {
             "{name}: n_high"
         );
     }
+}
+
+#[test]
+fn single_fidelity_run_matches_in_process_sfbo() {
+    // `init_low: 0` serves single-fidelity BO: the served run must write the
+    // same journal, byte for byte, as an in-process `SfBayesOpt` run with
+    // the same seed, design and budget, so its history is bit-identical.
+    let (mut client, _addr) = boot(2);
+    let root = std::env::temp_dir().join(format!("mfbo-served-sfbo-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let (served_dir, local_dir) = (root.join("served"), root.join("local"));
+    let mut req = start_req("sf", "forrester", 9, 9.0);
+    req.retain(|(k, _)| *k != "init_low");
+    req.extend([
+        ("init_low", Json::Num(0.0)),
+        (
+            "journal",
+            Json::Str(served_dir.to_string_lossy().into_owned()),
+        ),
+    ]);
+    client.expect_ok(&obj(req)).unwrap();
+    let reply = wait(&mut client, "sf");
+    assert_eq!(state(&reply), "done", "{reply}");
+
+    let mut rng = StdRng::seed_from_u64(9);
+    let mut opts = RunOptions::journaled(RunStore::open(&local_dir).unwrap());
+    let want = SfBayesOpt::new(SfBoConfig {
+        initial_points: 4,
+        budget: 9,
+        ..SfBoConfig::default()
+    })
+    .run_with(&testfns::forrester(), &mut rng, &mut opts)
+    .unwrap();
+    drop(opts);
+    for file in ["meta.json", "journal.jsonl"] {
+        assert_eq!(
+            std::fs::read(served_dir.join(file)).unwrap(),
+            std::fs::read(local_dir.join(file)).unwrap(),
+            "served {file} differs from the in-process SfBayesOpt run"
+        );
+    }
+    assert_eq!(
+        num(&reply, "best_objective").to_bits(),
+        want.best_objective.to_bits()
+    );
+    assert_eq!(num(&reply, "n_low"), 0.0);
+    assert_eq!(num(&reply, "n_high") as usize, want.n_high);
+
+    // A run still needs a high-fidelity design.
+    let mut bad = start_req("no-high", "forrester", 9, 9.0);
+    bad.retain(|(k, _)| *k != "init_low" && *k != "init_high");
+    bad.extend([("init_low", Json::Num(0.0)), ("init_high", Json::Num(0.0))]);
+    assert!(start_error(&mut client, bad).contains("initial designs"));
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]

@@ -129,7 +129,8 @@ set). Results are bit-identical for every thread count.
 mf and weibo). --resume replays that journal after an interruption and
 continues the run, reproducing the uninterrupted trajectory bit for bit.
 --cache serves repeated evaluations from a cross-run cache in DIR;
---warm-start additionally seeds the low-fidelity surrogate from it.
+--warm-start additionally seeds the low-fidelity surrogate from it (mf
+with --init-low > 0; weibo has no low-fidelity surrogate).
 --on-non-finite penalize substitutes a penalty for failing simulations
 (after --retries N attempts) instead of aborting; --max-evals caps fresh
 simulator calls.
@@ -262,6 +263,13 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, String
             "--journal is only supported for algorithms 'mf' and 'weibo', not '{}'",
             opts.algo
         ));
+    }
+    if opts.warm_start && (opts.algo != "mf" || opts.initial_low == 0) {
+        return Err(
+            "--warm-start seeds the low-fidelity surrogate, so it needs --algo mf with \
+             --init-low > 0"
+                .into(),
+        );
     }
     if opts.refit_every != 1 && !matches!(opts.algo.as_str(), "mf" | "weibo") {
         return Err(format!(
@@ -745,6 +753,18 @@ mod tests {
             e.contains("only supported for algorithms 'mf' and 'weibo'"),
             "{e}"
         );
+    }
+
+    #[test]
+    fn warm_start_requires_a_low_fidelity_design() {
+        for flags in [
+            "--algo weibo --journal runs/a --warm-start",
+            "--algo mf --init-low 0 --journal runs/a --warm-start",
+        ] {
+            let e = parse_args(args(flags)).unwrap_err();
+            assert!(e.contains("low-fidelity surrogate"), "{flags}: {e}");
+        }
+        assert!(parse_args(args("--algo mf --journal runs/a --warm-start")).is_ok());
     }
 
     #[test]

@@ -397,6 +397,46 @@ fn sfbo_and_weibo_resume_bit_identically() {
 }
 
 #[test]
+fn journal_from_the_standalone_sfbo_loop_resumes() {
+    // `tests/golden/sfbo_journal_pa_seed3/` was written by the standalone
+    // single-fidelity loop that predates running SFBO on the ask/tell core:
+    // `mfbo-cli --algo weibo --problem pa --seed 3 --budget 9 --init-high 5`
+    // interrupted by `--max-evals 7`. Resuming it must replay those seven
+    // evaluations and land on the uninterrupted trajectory.
+    let problem = PowerAmplifier::new();
+    let config = || WeiboConfig {
+        initial_points: 5,
+        budget: 9,
+        ..WeiboConfig::default()
+    };
+    let baseline = {
+        let mut rng = StdRng::seed_from_u64(3);
+        Weibo::new(config()).run(&problem, &mut rng).unwrap()
+    };
+    let fixture =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/sfbo_journal_pa_seed3");
+    let dir = store_dir("legacy-sfbo");
+    std::fs::create_dir_all(&dir).unwrap();
+    for file in ["meta.json", "journal.jsonl"] {
+        std::fs::copy(fixture.join(file), dir.join(file)).unwrap();
+    }
+    let resumed = {
+        let mut rng = StdRng::seed_from_u64(3);
+        Weibo::new(config())
+            .run_with(
+                &problem,
+                &mut rng,
+                &mut RunOptions::resuming(RunStore::open(&dir).unwrap()),
+            )
+            .unwrap()
+    };
+    assert_outcomes_identical(&baseline, &resumed, "legacy sfbo journal");
+    assert_eq!(resumed.eval_stats.replayed, 7);
+    assert_costs_reconcile(&resumed, "legacy sfbo journal");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn eval_cache_warm_rerun_hits_without_changing_the_trajectory() {
     let problem = testfns::forrester();
     let dir = store_dir("cache");
