@@ -29,8 +29,8 @@
 //! ```
 
 use crate::pvt::PvtCorner;
-use crate::spice::dc::solve_dc;
-use crate::spice::{Circuit, MosModel, MosPolarity, SpiceError, Waveform};
+use crate::spice::dc::solve_dc_in;
+use crate::spice::{Circuit, MosModel, MosPolarity, NewtonWorkspace, SpiceError, Waveform};
 use mfbo::problem::{Evaluation, Fidelity, MultiFidelityProblem};
 use mfbo_opt::Bounds;
 
@@ -278,6 +278,46 @@ impl ChargePump {
         (c, vout_src)
     }
 
+    /// Sweeps the output voltage at one corner in both switch phases,
+    /// calling `point(v_out, I_M1, I_M2)` once per sweep point.
+    ///
+    /// Both phase netlists are built once; each point only resets the Vout
+    /// source's DC value and cold-starts the DC solve on `ws`. Every
+    /// corner's netlist has the same topology, so the first call creates
+    /// the workspace and later corners reuse it. Per sweep point nothing is
+    /// allocated.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SpiceError`] if a DC solve fails.
+    fn sweep(
+        &self,
+        x: &[f64],
+        corner: &PvtCorner,
+        ws: &mut Option<NewtonWorkspace>,
+        mut point: impl FnMut(f64, f64, f64),
+    ) -> Result<(), SpiceError> {
+        let vdd = self.vdd_nominal * corner.supply_factor;
+        let (mut up, src) = self.build_netlist(x, corner, true, 0.0);
+        let (mut dn, _) = self.build_netlist(x, corner, false, 0.0);
+        let ws = ws.get_or_insert_with(|| NewtonWorkspace::new(&up));
+        for &f in &self.sweep_fractions {
+            let vout = vdd * f;
+            // Sourcing phase: current flows out of the UP branch *into* the
+            // Vout source, i.e. positive branch current (p → n internally).
+            up.set_source_waveform(src, Waveform::Dc(vout));
+            solve_dc_in(&up, ws)?;
+            let i_up = ws.branch_current(src).expect("vout branch");
+            // Sinking phase: current flows out of the source into the DN
+            // branch — negative branch current.
+            dn.set_source_waveform(src, Waveform::Dc(vout));
+            solve_dc_in(&dn, ws)?;
+            let i_dn = -ws.branch_current(src).expect("vout branch");
+            point(vout, i_up, i_dn);
+        }
+        Ok(())
+    }
+
     /// Measures `(I_M1, I_M2)` statistics for one corner by sweeping the
     /// output voltage in both phases.
     ///
@@ -288,23 +328,14 @@ impl ChargePump {
         &self,
         x: &[f64],
         corner: &PvtCorner,
+        ws: &mut Option<NewtonWorkspace>,
     ) -> Result<(CurrentStats, CurrentStats), SpiceError> {
-        let vdd = self.vdd_nominal * corner.supply_factor;
         let mut i_up = Vec::with_capacity(self.sweep_fractions.len());
         let mut i_dn = Vec::with_capacity(self.sweep_fractions.len());
-        for &f in &self.sweep_fractions {
-            let vout = vdd * f;
-            // Sourcing phase: current flows out of the UP branch *into* the
-            // Vout source, i.e. positive branch current (p → n internally).
-            let (c, src) = self.build_netlist(x, corner, true, vout);
-            let sol = solve_dc(&c)?;
-            i_up.push(sol.branch_current(src).expect("vout branch"));
-            // Sinking phase: current flows out of the source into the DN
-            // branch — negative branch current.
-            let (c, src) = self.build_netlist(x, corner, false, vout);
-            let sol = solve_dc(&c)?;
-            i_dn.push(-sol.branch_current(src).expect("vout branch"));
-        }
+        self.sweep(x, corner, ws, |_, up, dn| {
+            i_up.push(up);
+            i_dn.push(dn);
+        })?;
         Ok((
             CurrentStats::from_samples(&i_up),
             CurrentStats::from_samples(&i_dn),
@@ -323,20 +354,17 @@ impl ChargePump {
         x: &[f64],
         corner: &PvtCorner,
     ) -> Result<Vec<(f64, f64, f64)>, SpiceError> {
-        let vdd = self.vdd_nominal * corner.supply_factor;
         let mut out = Vec::with_capacity(self.sweep_fractions.len());
-        for &f in &self.sweep_fractions {
-            let vout = vdd * f;
-            let (c, src) = self.build_netlist(x, corner, true, vout);
-            let i_up = solve_dc(&c)?.branch_current(src).expect("vout branch");
-            let (c, src) = self.build_netlist(x, corner, false, vout);
-            let i_dn = -solve_dc(&c)?.branch_current(src).expect("vout branch");
-            out.push((vout, i_up, i_dn));
-        }
+        self.sweep(x, corner, &mut None, |vout, up, dn| {
+            out.push((vout, up, dn))
+        })?;
         Ok(out)
     }
 
     /// Evaluates the full metric set over the given corners.
+    ///
+    /// All corners share one Newton workspace; its work counters are
+    /// emitted once, when the measurement ends.
     ///
     /// # Errors
     ///
@@ -352,10 +380,16 @@ impl ChargePump {
             corners = corners.len(),
             sweep_points = self.sweep_fractions.len()
         );
+        let mut ws = None;
         let mut per_corner = Vec::with_capacity(corners.len());
-        for corner in corners {
-            per_corner.push(self.corner_stats(x, corner)?);
+        let swept: Result<(), SpiceError> = corners.iter().try_for_each(|corner| {
+            per_corner.push(self.corner_stats(x, corner, &mut ws)?);
+            Ok(())
+        });
+        if let Some(ws) = &ws {
+            ws.stats.emit();
         }
+        swept?;
         Ok(ChargePumpMetrics::from_corner_stats(&per_corner))
     }
 
@@ -544,12 +578,69 @@ mod tests {
     }
 
     #[test]
+    fn bit_identity_measure_matches_per_corner_sweeps() {
+        // `measure` shares one workspace across all corners;
+        // `sweep_currents` starts a fresh one per corner, and
+        // tests/properties.rs pins it to a per-point rebuild oracle.
+        let cp = ChargePump::new();
+        let mut x = ChargePump::reference_design();
+        x[1] = 0.12; // short M1: strong λ, so every sweep point differs
+        let corners = PvtCorner::grid_27();
+        let per_corner: Vec<_> = corners
+            .iter()
+            .map(|corner| {
+                let sweep = cp.sweep_currents(&x, corner).unwrap();
+                let up: Vec<f64> = sweep.iter().map(|p| p.1).collect();
+                let dn: Vec<f64> = sweep.iter().map(|p| p.2).collect();
+                (
+                    CurrentStats::from_samples(&up),
+                    CurrentStats::from_samples(&dn),
+                )
+            })
+            .collect();
+        let oracle = ChargePumpMetrics::from_corner_stats(&per_corner);
+        let fast = cp.measure(&x, &corners).unwrap();
+        for (a, b) in [
+            (fast.max_diff1, oracle.max_diff1),
+            (fast.max_diff2, oracle.max_diff2),
+            (fast.max_diff3, oracle.max_diff3),
+            (fast.max_diff4, oracle.max_diff4),
+            (fast.deviation, oracle.deviation),
+            (fast.fom, oracle.fom),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn measure_emits_work_counters_once() {
+        use mfbo_telemetry::{sinks::CollectSink, Level, Value};
+        let sink = std::sync::Arc::new(CollectSink::with_level(Level::Debug));
+        let _g = mfbo_telemetry::scoped_sink(sink.clone());
+        let cp = ChargePump::new();
+        cp.measure(&ChargePump::reference_design(), &PvtCorner::grid_27())
+            .unwrap();
+        let iters = sink.named("spice_newton_iters");
+        let fallbacks = sink.named("spice_dc_fallbacks");
+        assert_eq!(iters.len(), 1, "one emission per measure");
+        assert_eq!(fallbacks.len(), 1, "one emission per measure");
+        // 27 corners × 5 points × 2 phases, each at least one iteration.
+        match iters[0].field("value") {
+            Some(&Value::U64(n)) => assert!(n >= 270, "{n} Newton iterations"),
+            other => panic!("counter value missing or mistyped: {other:?}"),
+        }
+        assert!(matches!(fallbacks[0].field("value"), Some(&Value::U64(_))));
+    }
+
+    #[test]
     fn currents_flow_in_the_right_directions() {
         // Directly check the sourcing and sinking phase currents are
         // positive in our sign convention.
         let cp = ChargePump::new();
         let x = ChargePump::reference_design();
-        let (m1, m2) = cp.corner_stats(&x, &PvtCorner::typical()).unwrap();
+        let (m1, m2) = cp
+            .corner_stats(&x, &PvtCorner::typical(), &mut None)
+            .unwrap();
         assert!(m1.avg > 5e-6, "I_M1 = {} A", m1.avg);
         assert!(m2.avg > 5e-6, "I_M2 = {} A", m2.avg);
         assert!(m1.max >= m1.avg && m1.avg >= m1.min);

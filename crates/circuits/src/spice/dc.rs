@@ -6,7 +6,7 @@
 //! These are the same convergence aids every production SPICE uses.
 
 use super::netlist::Circuit;
-use super::stamp::{solve_newton, MnaLayout, Mode};
+use super::stamp::{solve_newton, MnaLayout, Mode, NewtonWorkspace};
 use super::SpiceError;
 
 /// Result of a DC operating-point solve.
@@ -53,76 +53,53 @@ const TOL: f64 = 1e-9;
 /// Returns [`SpiceError::NoConvergence`] if every strategy fails and
 /// [`SpiceError::SingularMatrix`] for structurally singular netlists.
 pub fn solve_dc(circuit: &Circuit) -> Result<DcSolution, SpiceError> {
-    let layout = MnaLayout::new(circuit);
-    let x0 = vec![0.0; layout.dim];
+    let mut ws = NewtonWorkspace::new(circuit);
+    solve_dc_in(circuit, &mut ws)?;
+    Ok(DcSolution {
+        layout: ws.layout,
+        x: ws.x,
+    })
+}
+
+/// [`solve_dc`] on a reused workspace: every strategy cold-starts from
+/// zero in `ws`, and the operating point is left in `ws.x`.
+///
+/// `ws` must have been built for a circuit with `circuit`'s element
+/// structure.
+pub(crate) fn solve_dc_in(circuit: &Circuit, ws: &mut NewtonWorkspace) -> Result<(), SpiceError> {
+    debug_assert_eq!(ws.layout.branch_of.len(), circuit.elements().len());
+    let dc = |source_scale, gmin| Mode::Dc { source_scale, gmin };
 
     // 1. Plain Newton from a zero start.
-    let direct = solve_newton(
-        circuit,
-        &layout,
-        &x0,
-        &Mode::Dc {
-            source_scale: 1.0,
-            gmin: GMIN,
-        },
-        MAX_ITER,
-        TOL,
-        "dc",
-        0,
-    );
-    if let Ok(x) = direct {
-        return Ok(DcSolution { layout, x });
+    ws.x.fill(0.0);
+    if solve_newton(circuit, ws, &dc(1.0, GMIN), MAX_ITER, TOL, "dc", 0).is_ok() {
+        return Ok(());
     }
 
     // 2. G-min stepping: relax a strong conductance to ground.
-    let mut x = x0.clone();
+    ws.stats.dc_fallbacks += 1;
+    ws.x.fill(0.0);
     let mut ok = true;
     let mut gmin = 1e-2;
     while gmin >= GMIN {
-        match solve_newton(
-            circuit,
-            &layout,
-            &x,
-            &Mode::Dc {
-                source_scale: 1.0,
-                gmin,
-            },
-            MAX_ITER,
-            TOL,
-            "dc",
-            0,
-        ) {
-            Ok(sol) => x = sol,
-            Err(_) => {
-                ok = false;
-                break;
-            }
+        if solve_newton(circuit, ws, &dc(1.0, gmin), MAX_ITER, TOL, "dc", 0).is_err() {
+            ok = false;
+            break;
         }
         gmin /= 10.0;
     }
     if ok {
-        return Ok(DcSolution { layout, x });
+        return Ok(());
     }
 
     // 3. Source stepping: ramp sources from 0 to 100 %.
-    let mut x = x0;
+    ws.stats.dc_fallbacks += 1;
+    ws.x.fill(0.0);
     for k in 1..=20 {
         let scale = k as f64 / 20.0;
-        x = solve_newton(
-            circuit,
-            &layout,
-            &x,
-            &Mode::Dc {
-                source_scale: scale,
-                gmin: GMIN,
-            },
-            MAX_ITER,
-            TOL,
-            "dc",
-            0,
-        )?;
+        solve_newton(circuit, ws, &dc(scale, GMIN), MAX_ITER, TOL, "dc", 0)?;
     }
-    Ok(DcSolution { layout, x })
+    Ok(())
 }
 
 #[cfg(test)]
@@ -269,6 +246,34 @@ mod tests {
             "v = {}",
             sol.voltage(out)
         );
+    }
+
+    #[test]
+    fn workspace_recovers_after_a_failed_solve() {
+        // Same element kinds and order (V, V, R), hence one layout. With
+        // both sources on node a the MNA matrix is singular.
+        let build = |second_on_a: bool| {
+            let mut c = Circuit::new();
+            let a = c.node("a");
+            let b = c.node("b");
+            c.vsource(a, Circuit::GND, Waveform::Dc(1.0));
+            c.vsource(
+                if second_on_a { a } else { b },
+                Circuit::GND,
+                Waveform::Dc(2.0),
+            );
+            c.resistor(a, b, 1e3);
+            c
+        };
+        let (bad, good) = (build(true), build(false));
+        let mut ws = NewtonWorkspace::new(&bad);
+        assert_eq!(solve_dc_in(&bad, &mut ws), Err(SpiceError::SingularMatrix));
+        // Both fallback rungs were tried before giving up.
+        assert_eq!(ws.stats.dc_fallbacks, 2);
+        solve_dc_in(&good, &mut ws).unwrap();
+        let fresh = solve_dc(&good).unwrap();
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&ws.x), bits(fresh.raw()));
     }
 
     #[test]

@@ -20,6 +20,18 @@
 //! `mfbo-linalg` — our circuits have tens of nodes, where dense is both
 //! simpler and faster than sparse machinery.
 //!
+//! Every Newton solve runs on a reused workspace: the MNA matrix and
+//! right-hand side, the `Lu` (refactored in place every iteration) and the
+//! iterate buffers are allocated once per analysis, and each iteration
+//! zeroes and restamps them in element order, so the arithmetic is that of
+//! a fresh allocation and no iteration allocates. A DC sweep goes further:
+//! it builds its netlist once, changes only the swept source's value with
+//! [`Circuit::set_source_waveform`] and cold-starts each point on the same
+//! workspace (the charge-pump testbench does this for every corner and
+//! switch phase). Newton iterations and DC fallback-ladder entries are
+//! counted on the workspace and emitted once per analysis as the
+//! `spice_newton_iters` and `spice_dc_fallbacks` telemetry counters.
+//!
 //! # Example: RC low-pass step response
 //!
 //! ```
@@ -46,6 +58,7 @@ pub mod transient;
 pub mod waveform;
 
 mod stamp;
+pub(crate) use stamp::NewtonWorkspace;
 
 use std::error::Error;
 use std::fmt;

@@ -334,6 +334,19 @@ impl Circuit {
         self.push(Element::ISource { p, n, wave })
     }
 
+    /// Replaces the waveform of the voltage or current source at `element`,
+    /// e.g. to step a DC sweep's source without rebuilding the netlist.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `element` is not an independent source.
+    pub fn set_source_waveform(&mut self, element: usize, wave: Waveform) {
+        match &mut self.elements[element] {
+            Element::VSource { wave: w, .. } | Element::ISource { wave: w, .. } => *w = wave,
+            _ => panic!("element {element} is not an independent source"),
+        }
+    }
+
     /// Adds a diode; returns its element index.
     pub fn diode(&mut self, a: NodeId, k: NodeId, is: f64, n: f64) -> usize {
         assert!(is > 0.0 && n > 0.0, "diode parameters must be positive");
@@ -437,6 +450,32 @@ mod tests {
         assert_eq!(i0, 0);
         assert_eq!(i1, 1);
         assert_eq!(c.elements().len(), 2);
+    }
+
+    #[test]
+    fn set_source_waveform_replaces_only_the_source() {
+        let mut c = Circuit::new();
+        let n = c.node("n");
+        let r = c.resistor(n, Circuit::GND, 10.0);
+        let v = c.vsource(n, Circuit::GND, Waveform::Dc(1.0));
+        c.set_source_waveform(v, Waveform::Dc(2.5));
+        assert!(matches!(
+            c.elements()[v],
+            Element::VSource {
+                wave: Waveform::Dc(w),
+                ..
+            } if w == 2.5
+        ));
+        assert!(matches!(c.elements()[r], Element::Resistor { r, .. } if r == 10.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "is not an independent source")]
+    fn set_source_waveform_rejects_other_elements() {
+        let mut c = Circuit::new();
+        let n = c.node("n");
+        let r = c.resistor(n, Circuit::GND, 10.0);
+        c.set_source_waveform(r, Waveform::Dc(1.0));
     }
 
     #[test]

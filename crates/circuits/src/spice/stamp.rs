@@ -177,15 +177,82 @@ pub(crate) fn mosfet_current(
     (sign * id, gm, gds)
 }
 
-/// Assembles the linearized MNA system `A x = b` around the guess `x0`.
-pub(crate) fn assemble(
+/// Simulator work done on one [`NewtonWorkspace`], accumulated locally and
+/// emitted once per analysis rather than per iteration.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SolveStats {
+    /// Damped-Newton iterations (one assembly + LU solve each).
+    pub newton_iters: u64,
+    /// Entries into a DC fallback-ladder rung (g-min or source stepping).
+    pub dc_fallbacks: u64,
+}
+
+impl SolveStats {
+    /// Emits the totals as the `spice_newton_iters` and
+    /// `spice_dc_fallbacks` telemetry counters.
+    pub fn emit(&self) {
+        mfbo_telemetry::counter!("spice_newton_iters", self.newton_iters);
+        mfbo_telemetry::counter!("spice_dc_fallbacks", self.dc_fallbacks);
+    }
+}
+
+/// Reusable buffers of the damped Newton solver for one circuit topology.
+///
+/// Every Newton iteration assembles into `a`/`b`, refactors `lu` in place
+/// and solves into `x_new`, so after construction a solve allocates
+/// nothing. Any circuit with the same element structure (the layout only
+/// depends on element kinds and order) can be solved on the same
+/// workspace; source values may differ between solves.
+#[derive(Debug)]
+pub(crate) struct NewtonWorkspace {
+    /// Unknown-vector layout of the circuit.
+    pub layout: MnaLayout,
+    a: Matrix,
+    b: Vec<f64>,
+    lu: Lu,
+    /// The current iterate: the initial guess going in, the solution after
+    /// a successful solve.
+    pub x: Vec<f64>,
+    x_new: Vec<f64>,
+    /// Work counters since construction.
+    pub stats: SolveStats,
+}
+
+impl NewtonWorkspace {
+    /// Allocates the buffers for `circuit`'s layout.
+    pub fn new(circuit: &Circuit) -> Self {
+        let layout = MnaLayout::new(circuit);
+        let dim = layout.dim;
+        NewtonWorkspace {
+            layout,
+            a: Matrix::zeros(dim, dim),
+            b: vec![0.0; dim],
+            lu: Lu::default(),
+            x: vec![0.0; dim],
+            x_new: vec![0.0; dim],
+            stats: SolveStats::default(),
+        }
+    }
+
+    /// Branch current of `element` in the current iterate (`None` for
+    /// elements without a branch current).
+    pub fn branch_current(&self, element: usize) -> Option<f64> {
+        self.layout.i_index(element).map(|i| self.x[i])
+    }
+}
+
+/// Assembles the linearized MNA system `A x = b` around the guess `x0` into
+/// `a` and `b`, which are zeroed first.
+pub(crate) fn assemble_into(
     circuit: &Circuit,
     layout: &MnaLayout,
     x0: &[f64],
     mode: &Mode<'_>,
-) -> (Matrix, Vec<f64>) {
-    let mut a = Matrix::zeros(layout.dim, layout.dim);
-    let mut b = vec![0.0; layout.dim];
+    a: &mut Matrix,
+    b: &mut [f64],
+) {
+    a.as_mut_slice().fill(0.0);
+    b.fill(0.0);
 
     let gmin = match mode {
         Mode::Dc { gmin, .. } => *gmin,
@@ -208,7 +275,7 @@ pub(crate) fn assemble(
             a[(j, i)] -= g;
         }
     };
-    let stamp_i = |b: &mut Vec<f64>, from: usize, to: usize, i_val: f64| {
+    let stamp_i = |b: &mut [f64], from: usize, to: usize, i_val: f64| {
         // Current i_val flows from `from` to `to` through the element.
         if let Some(k) = layout.v_index(from) {
             b[k] -= i_val;
@@ -221,7 +288,7 @@ pub(crate) fn assemble(
     for (ei, e) in circuit.elements().iter().enumerate() {
         match *e {
             Element::Resistor { a: na, b: nb, r } => {
-                stamp_g(&mut a, na, nb, 1.0 / r);
+                stamp_g(a, na, nb, 1.0 / r);
             }
             Element::Capacitor { a: na, b: nb, c } => {
                 if let Mode::Transient {
@@ -238,9 +305,9 @@ pub(crate) fn assemble(
                         let g = 2.0 * c / dt;
                         (g, -g * st.v - st.i)
                     };
-                    stamp_g(&mut a, na, nb, geq);
+                    stamp_g(a, na, nb, geq);
                     // i_cap = geq·v + ieq flows a → b.
-                    stamp_i(&mut b, na, nb, ieq);
+                    stamp_i(b, na, nb, ieq);
                 }
                 // DC: capacitor is open — no stamp.
             }
@@ -305,7 +372,7 @@ pub(crate) fn assemble(
                     Mode::Dc { source_scale, .. } => wave.dc_value() * source_scale,
                     Mode::Transient { time, .. } => wave.value(*time),
                 };
-                stamp_i(&mut b, p, n, i_val);
+                stamp_i(b, p, n, i_val);
             }
             Element::Diode {
                 a: na,
@@ -320,8 +387,8 @@ pub(crate) fn assemble(
                 let id = is * (ex - 1.0);
                 let gd = (is / nvt * ex).max(1e-12);
                 let ieq = id - gd * vd;
-                stamp_g(&mut a, na, nk, gd);
-                stamp_i(&mut b, na, nk, ieq);
+                stamp_g(a, na, nk, gd);
+                stamp_i(b, na, nk, ieq);
             }
             Element::Vccs {
                 a: na,
@@ -394,36 +461,43 @@ pub(crate) fn assemble(
                     a[(si, si)] += gm;
                 }
                 // gds stamps (conductance d–s).
-                stamp_g(&mut a, d, s, gds);
+                stamp_g(a, d, s, gds);
                 // Companion current d → s.
-                stamp_i(&mut b, d, s, ieq);
+                stamp_i(b, d, s, ieq);
             }
         }
     }
-    (a, b)
 }
 
-/// Damped Newton iteration on the nonlinear MNA system.
+/// Damped Newton iteration on the nonlinear MNA system, run on `ws`.
 ///
-/// Returns the converged solution vector.
-#[allow(clippy::too_many_arguments)]
+/// Starts from `ws.x` and leaves the converged solution there. On `Err`
+/// `ws.x` holds the last iterate and must be reset before the next solve.
 pub(crate) fn solve_newton(
     circuit: &Circuit,
-    layout: &MnaLayout,
-    x_init: &[f64],
+    ws: &mut NewtonWorkspace,
     mode: &Mode<'_>,
     max_iter: usize,
     tol: f64,
     analysis: &'static str,
     step: usize,
-) -> Result<Vec<f64>, SpiceError> {
-    let mut x = x_init.to_vec();
+) -> Result<(), SpiceError> {
     // Maximum per-iteration node-voltage change (Newton damping).
     const DV_MAX: f64 = 0.5;
+    let NewtonWorkspace {
+        layout,
+        a,
+        b,
+        lu,
+        x,
+        x_new,
+        stats,
+    } = ws;
     for _ in 0..max_iter {
-        let (a, b) = assemble(circuit, layout, &x, mode);
-        let lu = Lu::new(&a).map_err(|_| SpiceError::SingularMatrix)?;
-        let x_new = lu.solve(&b);
+        stats.newton_iters += 1;
+        assemble_into(circuit, layout, x, mode, a, b);
+        lu.refactor(a).map_err(|_| SpiceError::SingularMatrix)?;
+        lu.solve_into(b, x_new);
         // Damped update on the voltage part; currents move freely.
         let mut max_dv: f64 = 0.0;
         for i in 0..layout.dim {
@@ -440,7 +514,7 @@ pub(crate) fn solve_newton(
             return Err(SpiceError::NoConvergence { analysis, step });
         }
         if max_dv < tol {
-            return Ok(x);
+            return Ok(());
         }
     }
     Err(SpiceError::NoConvergence { analysis, step })

@@ -1,14 +1,13 @@
 //! Transient analysis with trapezoidal or backward-Euler integration.
 //!
 //! Each timestep is a full damped-Newton solve of the companion-model
-//! system. The initial condition is the DC operating point with all
-//! time-varying sources at their `t = 0` value (computed by a dedicated
-//! Newton solve rather than the `dc_value`, so sine sources starting at a
-//! non-zero phase are handled correctly).
+//! system. The initial condition is the DC operating point, with every
+//! source at its `dc_value`. One Newton workspace serves the operating
+//! point and every timestep, so no Newton iteration allocates.
 
-use super::dc::solve_dc;
+use super::dc::solve_dc_in;
 use super::netlist::{Circuit, Element};
-use super::stamp::{solve_newton, CapState, MnaLayout, Mode};
+use super::stamp::{solve_newton, CapState, MnaLayout, Mode, NewtonWorkspace};
 use super::SpiceError;
 
 /// Integration scheme.
@@ -58,32 +57,45 @@ impl Transient {
     /// Returns [`SpiceError::NoConvergence`] if a timestep's Newton solve
     /// fails.
     pub fn run(&self, circuit: &Circuit) -> Result<TransientResult, SpiceError> {
-        let layout = MnaLayout::new(circuit);
+        let mut ws = NewtonWorkspace::new(circuit);
+        let result = self.run_in(circuit, &mut ws);
+        ws.stats.emit();
+        result
+    }
+
+    /// [`Transient::run`] on one workspace shared by the initial operating
+    /// point and every timestep.
+    fn run_in(
+        &self,
+        circuit: &Circuit,
+        ws: &mut NewtonWorkspace,
+    ) -> Result<TransientResult, SpiceError> {
         let be = self.integrator == Integrator::BackwardEuler;
 
-        // Initial condition: operating point at t = 0. Start from the plain
-        // DC solution (sources at dc_value), then polish with sources at
-        // their exact t = 0 values via one transient-free Newton solve.
-        let dc = solve_dc(circuit)?;
-        let mut x = dc.raw().to_vec();
+        // Initial condition: the DC operating point (sources at their
+        // dc_value), cold-started in the workspace.
+        solve_dc_in(circuit, ws)?;
 
         // Initialize capacitor states from the initial solution.
-        let mut cap_state = vec![CapState::default(); layout.n_caps];
-        init_cap_states(circuit, &layout, &x, &mut cap_state);
+        let mut cap_state = vec![CapState::default(); ws.layout.n_caps];
+        init_cap_states(circuit, &ws.layout, &ws.x, &mut cap_state);
 
         let steps = ((self.t_stop / self.dt).round() as usize).max(1);
         let mut result = TransientResult {
-            layout: layout.clone(),
+            layout: ws.layout.clone(),
             dt: self.dt,
             times: Vec::with_capacity(steps + 1),
             states: Vec::with_capacity(steps + 1),
         };
         result.times.push(0.0);
-        result.states.push(x.clone());
+        result.states.push(ws.x.clone());
 
+        // The previous timestep's solution; the Newton solve starts from it
+        // in `ws.x`.
+        let mut prev = ws.x.clone();
         for k in 1..=steps {
             let t = k as f64 * self.dt;
-            let prev = x.clone();
+            prev.copy_from_slice(&ws.x);
             let mode = Mode::Transient {
                 time: t,
                 dt: self.dt,
@@ -92,10 +104,10 @@ impl Transient {
                 cap_state: &cap_state,
                 gmin: self.gmin,
             };
-            x = solve_newton(circuit, &layout, &prev, &mode, 100, 1e-9, "transient", k)?;
-            update_cap_states(circuit, &layout, &x, self.dt, be, &mut cap_state);
+            solve_newton(circuit, ws, &mode, 100, 1e-9, "transient", k)?;
+            update_cap_states(circuit, &ws.layout, &ws.x, self.dt, be, &mut cap_state);
             result.times.push(t);
-            result.states.push(x.clone());
+            result.states.push(ws.x.clone());
         }
         Ok(result)
     }
@@ -234,6 +246,28 @@ mod tests {
         let r0 = Transient::new(1e-4, 1e-3).run(&c).unwrap();
         let v0 = r0.voltage(vout);
         assert!(v0.iter().all(|&x| (x - 1.0).abs() < 1e-6));
+    }
+
+    #[test]
+    fn run_emits_work_counters_once() {
+        use mfbo_telemetry::{sinks::CollectSink, Level, Value};
+        let sink = std::sync::Arc::new(CollectSink::with_level(Level::Debug));
+        let _g = mfbo_telemetry::scoped_sink(sink.clone());
+        let mut c = Circuit::new();
+        let vin = c.node("in");
+        let vout = c.node("out");
+        c.vsource(vin, Circuit::GND, Waveform::Dc(1.0));
+        c.resistor(vin, vout, 1e3);
+        c.capacitor(vout, Circuit::GND, 1e-6);
+        let r = Transient::new(1e-4, 1e-3).run(&c).unwrap();
+        let iters = sink.named("spice_newton_iters");
+        assert_eq!(iters.len(), 1, "one emission per run");
+        assert_eq!(sink.named("spice_dc_fallbacks").len(), 1);
+        // The operating point plus at least one iteration per timestep.
+        match iters[0].field("value") {
+            Some(&Value::U64(n)) => assert!(n as usize >= r.len(), "{n} iterations"),
+            other => panic!("counter value missing or mistyped: {other:?}"),
+        }
     }
 
     #[test]

@@ -194,3 +194,140 @@ mod waveform_props {
         }
     }
 }
+
+/// Seeded designs over a testbench's full design box: uniform, with about
+/// a quarter of the coordinates snapped to a box edge, where the extreme
+/// sizings that stress the solver live.
+fn design_in_box(bounds: &mfbo_opt::Bounds, seed: u64) -> Vec<f64> {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut x = bounds.sample_uniform(&mut rng);
+    for (v, (lo, hi)) in x.iter_mut().zip(bounds.lower().iter().zip(bounds.upper())) {
+        match rng.gen_range(0..8) {
+            0 => *v = *lo,
+            1 => *v = *hi,
+            _ => {}
+        }
+    }
+    x
+}
+
+/// The charge-pump sweep builds each corner's phase netlists once and
+/// solves every point on one reused Newton workspace. Its currents must
+/// equal, bit for bit, an oracle that rebuilds the netlist and cold-starts
+/// the public `solve_dc` at every point — and it must fail exactly when
+/// the oracle fails.
+mod bit_identity {
+    use super::design_in_box;
+    use mfbo::problem::MultiFidelityProblem;
+    use mfbo_circuits::charge_pump::ChargePump;
+    use mfbo_circuits::pvt::PvtCorner;
+    use mfbo_circuits::spice::dc::solve_dc;
+    use mfbo_circuits::spice::SpiceError;
+    use proptest::prelude::*;
+
+    /// `ChargePump::new()`'s output-voltage sweep, as fractions of the
+    /// corner's supply.
+    const SWEEP_FRACTIONS: [f64; 5] = [0.25, 0.375, 0.5, 0.625, 0.75];
+
+    /// Per-point rebuild: `(v_out, I_M1, I_M2)` like `sweep_currents`.
+    fn oracle(
+        cp: &ChargePump,
+        x: &[f64],
+        corner: &PvtCorner,
+    ) -> Result<Vec<(f64, f64, f64)>, SpiceError> {
+        let vdd = cp.vdd_nominal() * corner.supply_factor;
+        let mut out = Vec::new();
+        for f in SWEEP_FRACTIONS {
+            let vout = vdd * f;
+            let (c, src) = cp.build_netlist(x, corner, true, vout);
+            let i_up = solve_dc(&c)?.branch_current(src).expect("vout branch");
+            let (c, src) = cp.build_netlist(x, corner, false, vout);
+            let i_dn = -solve_dc(&c)?.branch_current(src).expect("vout branch");
+            out.push((vout, i_up, i_dn));
+        }
+        Ok(out)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn bit_identity_reused_sweep_matches_per_point_rebuild(seed in 0u64..u64::MAX) {
+            let cp = ChargePump::new();
+            let x = design_in_box(&cp.bounds(), seed);
+            let grid = PvtCorner::grid_27();
+            for idx in [0, 5, 13, 21, 26] {
+                let corner = &grid[idx];
+                match (cp.sweep_currents(&x, corner), oracle(&cp, &x, corner)) {
+                    (Ok(fast), Ok(slow)) => {
+                        prop_assert_eq!(fast.len(), slow.len());
+                        for (a, b) in fast.iter().zip(&slow) {
+                            prop_assert_eq!(a.0.to_bits(), b.0.to_bits());
+                            prop_assert_eq!(a.1.to_bits(), b.1.to_bits());
+                            prop_assert_eq!(a.2.to_bits(), b.2.to_bits());
+                        }
+                    }
+                    (Err(fast), Err(slow)) => prop_assert_eq!(fast, slow),
+                    (fast, slow) => prop_assert!(
+                        false,
+                        "corner {}: sweep {:?} but oracle {:?}",
+                        idx,
+                        fast.map(|_| ()),
+                        slow.map(|_| ())
+                    ),
+                }
+            }
+        }
+    }
+}
+
+/// Simulator failures anywhere in the design box (singular MNA matrices,
+/// Newton non-convergence) are typed outcomes: `evaluate` maps them to a
+/// finite penalty, so it never panics and always returns a finite
+/// objective and the problem's number of finite constraints.
+mod typed_outcomes {
+    use super::design_in_box;
+    use mfbo::problem::{Fidelity, MultiFidelityProblem};
+    use mfbo_circuits::charge_pump::ChargePump;
+    use mfbo_circuits::pa::PowerAmplifier;
+    use proptest::prelude::*;
+    use proptest::TestCaseError;
+
+    fn check_finite<P: MultiFidelityProblem>(p: &P, seed: u64) -> Result<(), TestCaseError> {
+        let x = design_in_box(&p.bounds(), seed);
+        for fidelity in [Fidelity::Low, Fidelity::High] {
+            let e = p.evaluate(&x, fidelity);
+            prop_assert!(
+                e.objective.is_finite(),
+                "{:?} objective at {:?}",
+                fidelity,
+                x
+            );
+            prop_assert_eq!(e.constraints.len(), p.num_constraints());
+            prop_assert!(
+                e.constraints.iter().all(|c| c.is_finite()),
+                "{:?} constraints {:?} at {:?}",
+                fidelity,
+                e.constraints,
+                x
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn charge_pump_outcomes_are_finite_across_the_box(seed in 0u64..u64::MAX) {
+            check_finite(&ChargePump::new(), seed)?;
+        }
+
+        #[test]
+        fn power_amplifier_outcomes_are_finite_across_the_box(seed in 0u64..u64::MAX) {
+            check_finite(&PowerAmplifier::new(), seed)?;
+        }
+    }
+}

@@ -37,6 +37,18 @@ pub struct Lu {
     perm_sign: f64,
 }
 
+impl Default for Lu {
+    /// An empty factorization (`dim() == 0`), to be filled by
+    /// [`Lu::refactor`].
+    fn default() -> Self {
+        Lu {
+            lu: Matrix::zeros(0, 0),
+            perm: Vec::new(),
+            perm_sign: 1.0,
+        }
+    }
+}
+
 impl Lu {
     /// Factorizes `a`.
     ///
@@ -45,61 +57,61 @@ impl Lu {
     /// Returns [`LinalgError::Singular`] if no usable pivot exists in some
     /// column and [`LinalgError::ShapeMismatch`] if `a` is not square.
     pub fn new(a: &Matrix) -> Result<Self, LinalgError> {
-        if !a.is_square() {
-            return Err(LinalgError::ShapeMismatch { context: "lu" });
-        }
-        let n = a.rows();
-        let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
+        let mut lu = Lu::default();
+        lu.refactor(a)?;
+        Ok(lu)
+    }
 
-        for k in 0..n {
-            // Find pivot row: largest |value| in column k at or below row k.
-            let mut p = k;
-            let mut pmax = lu[(k, k)].abs();
-            for i in (k + 1)..n {
-                let v = lu[(i, k)].abs();
-                if v > pmax {
-                    pmax = v;
-                    p = i;
-                }
+    /// Factorizes `a` into this factorization's own storage, reusing its
+    /// buffers when they are large enough (the allocation-free path of
+    /// an iterative solver that refactors every step).
+    ///
+    /// On `Err` the factorization is left empty (`dim() == 0`), so a stale
+    /// factor of an earlier matrix can never be used to solve.
+    ///
+    /// # Errors
+    ///
+    /// As [`Lu::new`].
+    pub fn refactor(&mut self, a: &Matrix) -> Result<(), LinalgError> {
+        let factored = if a.is_square() {
+            let n = a.rows();
+            self.lu.clone_from(a);
+            self.perm.clear();
+            self.perm.extend(0..n);
+            factor_in_place(self.lu.as_mut_slice(), n, &mut self.perm)
+        } else {
+            Err(LinalgError::ShapeMismatch { context: "lu" })
+        };
+        match factored {
+            Ok(sign) => {
+                self.perm_sign = sign;
+                Ok(())
             }
-            if pmax == 0.0 || !pmax.is_finite() {
-                return Err(LinalgError::Singular { pivot: k });
-            }
-            if p != k {
-                // Swap whole rows (both the L and U parts travel together in
-                // the Doolittle scheme).
-                for j in 0..n {
-                    let tmp = lu[(k, j)];
-                    lu[(k, j)] = lu[(p, j)];
-                    lu[(p, j)] = tmp;
-                }
-                perm.swap(k, p);
-                perm_sign = -perm_sign;
-            }
-            let pivot = lu[(k, k)];
-            for i in (k + 1)..n {
-                let m = lu[(i, k)] / pivot;
-                lu[(i, k)] = m;
-                if m != 0.0 {
-                    for j in (k + 1)..n {
-                        let v = lu[(k, j)];
-                        lu[(i, j)] -= m * v;
-                    }
-                }
+            Err(e) => {
+                // Empty, but the buffers keep their capacity.
+                self.lu.clone_from(&Matrix::zeros(0, 0));
+                self.perm.clear();
+                self.perm_sign = 1.0;
+                Err(e)
             }
         }
-        Ok(Lu {
-            lu,
-            perm,
-            perm_sign,
-        })
     }
 
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
         self.lu.rows()
+    }
+
+    /// Combined factor storage: the strictly-lower part holds `L` (unit
+    /// diagonal implied), the upper part `U`.
+    pub fn factor(&self) -> &Matrix {
+        &self.lu
+    }
+
+    /// Row permutation: row `i` of the factored matrix is row
+    /// `permutation()[i]` of the input.
+    pub fn permutation(&self) -> &[usize] {
+        &self.perm
     }
 
     /// Solves `A x = b`.
@@ -108,27 +120,40 @@ impl Lu {
     ///
     /// Panics if `b.len() != self.dim()`.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+        let mut x = vec![0.0; self.dim()];
+        self.solve_into(b, &mut x);
+        x
+    }
+
+    /// Solves `A x = b` into the caller's buffer `x` (forward substitution
+    /// writes `y = L⁻¹ P b` into `x`, back substitution overwrites it with
+    /// the solution).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` or `x.len()` differs from `self.dim()`.
+    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) {
         let n = self.dim();
         assert_eq!(b.len(), n, "lu solve length mismatch");
+        assert_eq!(x.len(), n, "lu solve output length mismatch");
         // Apply permutation, then forward solve with unit-lower L.
-        let mut y = vec![0.0; n];
         for i in 0..n {
+            let row = self.lu.row(i);
             let mut s = b[self.perm[i]];
-            for (k, yk) in y.iter().enumerate().take(i) {
-                s -= self.lu[(i, k)] * yk;
+            for (l, y) in row[..i].iter().zip(&x[..i]) {
+                s -= l * y;
             }
-            y[i] = s;
+            x[i] = s;
         }
         // Back solve with U.
-        let mut x = vec![0.0; n];
         for i in (0..n).rev() {
-            let mut s = y[i];
-            for (k, xk) in x.iter().enumerate().skip(i + 1) {
-                s -= self.lu[(i, k)] * xk;
+            let row = self.lu.row(i);
+            let mut s = x[i];
+            for (u, xk) in row[i + 1..].iter().zip(&x[i + 1..]) {
+                s -= u * xk;
             }
-            x[i] = s / self.lu[(i, i)];
+            x[i] = s / row[i];
         }
-        x
     }
 
     /// Determinant of the original matrix.
@@ -155,6 +180,50 @@ impl Lu {
         }
         out
     }
+}
+
+/// Doolittle LU with partial pivoting on row-major `n x n` storage, in
+/// place: on success `lu` holds `L` (strictly lower, unit diagonal implied)
+/// and `U`, `perm` (which must enter as the identity) holds the row
+/// permutation, and the permutation's sign is returned.
+fn factor_in_place(lu: &mut [f64], n: usize, perm: &mut [usize]) -> Result<f64, LinalgError> {
+    let mut perm_sign = 1.0;
+    for k in 0..n {
+        // Find pivot row: largest |value| in column k at or below row k.
+        let mut p = k;
+        let mut pmax = lu[k * n + k].abs();
+        for i in (k + 1)..n {
+            let v = lu[i * n + k].abs();
+            if v > pmax {
+                pmax = v;
+                p = i;
+            }
+        }
+        if pmax == 0.0 || !pmax.is_finite() {
+            return Err(LinalgError::Singular { pivot: k });
+        }
+        if p != k {
+            // Swap whole rows (both the L and U parts travel together in
+            // the Doolittle scheme).
+            let (top, bottom) = lu.split_at_mut(p * n);
+            top[k * n..(k + 1) * n].swap_with_slice(&mut bottom[..n]);
+            perm.swap(k, p);
+            perm_sign = -perm_sign;
+        }
+        let (top, bottom) = lu.split_at_mut((k + 1) * n);
+        let row_k = &top[k * n..];
+        let pivot = row_k[k];
+        for row_i in bottom.chunks_exact_mut(n) {
+            let m = row_i[k] / pivot;
+            row_i[k] = m;
+            if m != 0.0 {
+                for (v, &u) in row_i[k + 1..].iter_mut().zip(&row_k[k + 1..]) {
+                    *v -= m * u;
+                }
+            }
+        }
+    }
+    Ok(perm_sign)
 }
 
 #[cfg(test)]

@@ -22,11 +22,29 @@ use std::ops::{Index, IndexMut};
 /// assert_eq!(m[(1, 2)], 5.0);
 /// assert_eq!(m.transpose()[(2, 1)], 5.0);
 /// ```
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`, reusing `self`'s buffer when it is
+    /// large enough.
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl Matrix {

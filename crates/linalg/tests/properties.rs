@@ -108,6 +108,7 @@ mod bit_identity {
     use proptest::TestCaseError;
 
     fn assert_bits_eq(a: &[f64], b: &[f64]) -> Result<(), TestCaseError> {
+        prop_assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }
@@ -225,5 +226,124 @@ mod bit_identity {
                 chol.quad_form_with(&b, &mut scratch).to_bits()
             );
         }
+
+        /// One `Lu` refactored over a sequence of matrices of varying size
+        /// must reproduce a fresh `Lu::new` of each, and the indexed
+        /// textbook kernel below, bit for bit: factors, permutation,
+        /// determinant and solution. One step of the sequence has a zero
+        /// column; its `Err` must empty the factorization, and the next
+        /// refactor must not see anything of it.
+        #[test]
+        fn bit_identity_lu_refactor_matches_fresh(
+            sizes in prop::collection::vec(1usize..12, 6),
+            singular_at in 0usize..6,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+            };
+            let mut reused = Lu::default();
+            for (step, &n) in sizes.iter().enumerate() {
+                let mut a = Matrix::from_fn(n, n, |_, _| next());
+                let b: Vec<f64> = (0..n).map(|_| next()).collect();
+                if step == singular_at {
+                    let col = seed as usize % n;
+                    for i in 0..n {
+                        a[(i, col)] = 0.0;
+                    }
+                    prop_assert!(reused.refactor(&a).is_err());
+                    prop_assert!(Lu::new(&a).is_err());
+                    prop_assert_eq!(reused.dim(), 0);
+                    prop_assert_eq!(reused.factor().rows(), 0);
+                    prop_assert!(reused.permutation().is_empty());
+                    continue;
+                }
+                reused.refactor(&a).unwrap();
+                let fresh = Lu::new(&a).unwrap();
+                let (ref_lu, ref_perm, ref_sign) = reference_lu(&a);
+                assert_bits_eq(reused.factor().as_slice(), fresh.factor().as_slice())?;
+                assert_bits_eq(reused.factor().as_slice(), ref_lu.as_slice())?;
+                prop_assert_eq!(reused.permutation(), fresh.permutation());
+                prop_assert_eq!(reused.permutation(), &ref_perm[..]);
+                prop_assert_eq!(reused.det().to_bits(), fresh.det().to_bits());
+                let mut ref_det = ref_sign;
+                for i in 0..n {
+                    ref_det *= ref_lu[(i, i)];
+                }
+                prop_assert_eq!(reused.det().to_bits(), ref_det.to_bits());
+                let mut x = vec![f64::NAN; n];
+                reused.solve_into(&b, &mut x);
+                assert_bits_eq(&x, &fresh.solve(&b))?;
+                assert_bits_eq(&x, &reference_solve(&ref_lu, &ref_perm, &b))?;
+            }
+        }
+    }
+
+    /// Textbook Doolittle LU with partial pivoting and `(i, j)` indexing:
+    /// the differential oracle for the row-slice kernel behind `Lu`. Same
+    /// pivot search, row swaps, `m != 0` skip and summation order.
+    fn reference_lu(a: &Matrix) -> (Matrix, Vec<usize>, f64) {
+        let n = a.rows();
+        let mut lu = a.clone();
+        let mut perm: Vec<usize> = (0..n).collect();
+        let mut sign = 1.0;
+        for k in 0..n {
+            let mut p = k;
+            let mut pmax = lu[(k, k)].abs();
+            for i in (k + 1)..n {
+                if lu[(i, k)].abs() > pmax {
+                    pmax = lu[(i, k)].abs();
+                    p = i;
+                }
+            }
+            assert!(pmax != 0.0 && pmax.is_finite(), "oracle input is singular");
+            if p != k {
+                for j in 0..n {
+                    let tmp = lu[(k, j)];
+                    lu[(k, j)] = lu[(p, j)];
+                    lu[(p, j)] = tmp;
+                }
+                perm.swap(k, p);
+                sign = -sign;
+            }
+            let pivot = lu[(k, k)];
+            for i in (k + 1)..n {
+                let m = lu[(i, k)] / pivot;
+                lu[(i, k)] = m;
+                if m != 0.0 {
+                    for j in (k + 1)..n {
+                        let v = lu[(k, j)];
+                        lu[(i, j)] -= m * v;
+                    }
+                }
+            }
+        }
+        (lu, perm, sign)
+    }
+
+    /// Forward then back substitution on [`reference_lu`]'s output.
+    fn reference_solve(lu: &Matrix, perm: &[usize], b: &[f64]) -> Vec<f64> {
+        let n = b.len();
+        let mut y = vec![0.0; n];
+        for i in 0..n {
+            let mut s = b[perm[i]];
+            for k in 0..i {
+                s -= lu[(i, k)] * y[k];
+            }
+            y[i] = s;
+        }
+        let mut x = vec![0.0; n];
+        for i in (0..n).rev() {
+            let mut s = y[i];
+            for k in (i + 1)..n {
+                s -= lu[(i, k)] * x[k];
+            }
+            x[i] = s / lu[(i, i)];
+        }
+        x
     }
 }
