@@ -33,11 +33,6 @@ impl DcSolution {
     pub fn branch_current(&self, element: usize) -> Option<f64> {
         self.layout.i_index(element).map(|i| self.x[i])
     }
-
-    /// The raw solution vector (node voltages then branch currents).
-    pub fn raw(&self) -> &[f64] {
-        &self.x
-    }
 }
 
 /// Default g-min for the final solution.
@@ -273,7 +268,7 @@ mod tests {
         solve_dc_in(&good, &mut ws).unwrap();
         let fresh = solve_dc(&good).unwrap();
         let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&ws.x), bits(fresh.raw()));
+        assert_eq!(bits(&ws.x), bits(&fresh.x));
     }
 
     #[test]

@@ -9,12 +9,8 @@
 //!   convergence aids.
 //! * **Transient analysis** ([`transient::Transient`]): trapezoidal (default)
 //!   or backward-Euler integration with a full Newton solve per timestep.
-//! * **AC small-signal analysis** ([`ac::Ac`]): complex MNA around the DC
-//!   operating point, SPICE's `.AC` sweep.
 //! * **Waveform post-processing** ([`waveform`]): single-bin DFT at the
 //!   drive frequency and its harmonics, THD, RMS and average measures.
-//! * **SPICE-deck export** ([`export::to_spice_deck`]): serialize any
-//!   netlist for cross-checking in ngspice/HSPICE.
 //!
 //! The MNA matrices are dense and solved with the pivoted LU from
 //! `mfbo-linalg` — our circuits have tens of nodes, where dense is both
@@ -51,9 +47,7 @@
 mod netlist;
 pub use netlist::{Circuit, Element, MosModel, MosPolarity, NodeId, Waveform};
 
-pub mod ac;
 pub mod dc;
-pub mod export;
 pub mod transient;
 pub mod waveform;
 

@@ -117,16 +117,6 @@ impl MosModel {
             lambda: 0.08,
         }
     }
-
-    /// A generic PMOS (vth 0.45 V, kp 80 µA/V², λ 0.10).
-    pub fn pmos_default() -> Self {
-        MosModel {
-            polarity: MosPolarity::Pmos,
-            vth: 0.45,
-            kp: 80e-6,
-            lambda: 0.10,
-        }
-    }
 }
 
 /// One circuit element.
@@ -491,7 +481,5 @@ mod tests {
         let n = MosModel::nmos_default();
         assert_eq!(n.polarity, MosPolarity::Nmos);
         assert!(n.vth > 0.0 && n.kp > 0.0 && n.lambda >= 0.0);
-        let p = MosModel::pmos_default();
-        assert_eq!(p.polarity, MosPolarity::Pmos);
     }
 }

@@ -21,7 +21,7 @@ pub fn rms(samples: &[f64]) -> f64 {
     (samples.iter().map(|v| v * v).sum::<f64>() / samples.len() as f64).sqrt()
 }
 
-/// Complex amplitude (magnitude) of the component at `harmonic × f0` in a
+/// Peak amplitude of the component at `harmonic × f0` in a
 /// waveform sampled at uniform `dt`, analyzed over an integer number of
 /// fundamental periods.
 ///

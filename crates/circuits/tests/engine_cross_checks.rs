@@ -3,52 +3,47 @@
 //! correctness tests an in-house simulator can have short of comparing
 //! against a reference SPICE.
 
-use mfbo_circuits::spice::ac::Ac;
 use mfbo_circuits::spice::dc::solve_dc;
 use mfbo_circuits::spice::transient::{Integrator, Transient};
 use mfbo_circuits::spice::{waveform, Circuit, MosModel, Waveform};
 
-/// AC magnitude at f must equal the settled transient amplitude under a
-/// sine drive, for a linear circuit.
+/// The settled transient amplitude under a sine drive must equal the
+/// analytic RC low-pass magnitude `1/√(1+(2πfRC)²)`.
 #[test]
-fn ac_and_transient_agree_on_linear_filter() {
+fn transient_matches_analytic_rc_magnitude() {
     let r = 1e3;
     let cap = 1e-9;
     let f = 100e3; // below the 159 kHz pole → partial attenuation
 
-    let build = |wave: Waveform| {
-        let mut c = Circuit::new();
-        let vin = c.node("in");
-        let vout = c.node("out");
-        let src = c.vsource(vin, Circuit::GND, wave);
-        c.resistor(vin, vout, r);
-        c.capacitor(vout, Circuit::GND, cap);
-        (c, vout, src)
-    };
-
-    // AC path.
-    let (c_ac, vout, src) = build(Waveform::Dc(0.0));
-    let ac = Ac::new(vec![f]).run(&c_ac, src).unwrap();
-    let mag_ac = ac.voltage(vout)[0].abs();
-
-    // Transient path: drive with a 1 V sine, measure the settled amplitude
-    // via the fundamental DFT bin.
-    let (c_tr, vout, _) = build(Waveform::Sine {
-        dc: 0.0,
-        ampl: 1.0,
-        freq: f,
-        phase: 0.0,
-    });
+    // Drive with a 1 V sine, measure the settled amplitude via the
+    // fundamental DFT bin.
+    let mut c = Circuit::new();
+    let vin = c.node("in");
+    let vout = c.node("out");
+    c.vsource(
+        vin,
+        Circuit::GND,
+        Waveform::Sine {
+            dc: 0.0,
+            ampl: 1.0,
+            freq: f,
+            phase: 0.0,
+        },
+    );
+    c.resistor(vin, vout, r);
+    c.capacitor(vout, Circuit::GND, cap);
     let period = 1.0 / f;
     let dt = period / 256.0;
-    let res = Transient::new(dt, 30.0 * period).run(&c_tr).unwrap();
+    let res = Transient::new(dt, 30.0 * period).run(&c).unwrap();
     let v = res.voltage(vout);
     let win = waveform::settled_window(&v, dt, f, 10);
     let mag_tr = waveform::harmonic_amplitude(win, dt, f, 1);
 
+    let wrc = 2.0 * std::f64::consts::PI * f * r * cap;
+    let mag_exact = 1.0 / (1.0 + wrc * wrc).sqrt();
     assert!(
-        (mag_ac - mag_tr).abs() / mag_ac < 0.01,
-        "AC {mag_ac} vs transient {mag_tr}"
+        (mag_exact - mag_tr).abs() / mag_exact < 0.01,
+        "analytic {mag_exact} vs transient {mag_tr}"
     );
 }
 

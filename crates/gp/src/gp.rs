@@ -257,7 +257,7 @@ impl<K: Kernel> Gp<K> {
         Self::validate(&kernel, &xs, &ys)?;
         match config.inference {
             InferenceMode::SubsetOfData { max_points } if xs.len() > max_points => {
-                let keep = mfbo_infer::select_subset(&xs, max_points, 0);
+                let keep = mfbo_infer::select_subset(&xs, max_points);
                 let xs_sub: Vec<Vec<f64>> = keep.iter().map(|&i| xs[i].clone()).collect();
                 let ys_sub: Vec<f64> = keep.iter().map(|&i| ys[i]).collect();
                 Self::fit_planned_exact(kernel, xs_sub, ys_sub, config, starts, None)
@@ -523,7 +523,7 @@ impl<K: Kernel> Gp<K> {
         }
         match inference {
             InferenceMode::SubsetOfData { max_points } if xs.len() > max_points => {
-                let keep = mfbo_infer::select_subset(&xs, max_points, 0);
+                let keep = mfbo_infer::select_subset(&xs, max_points);
                 let xs_sub: Vec<Vec<f64>> = keep.iter().map(|&i| xs[i].clone()).collect();
                 let ys_sub: Vec<f64> = keep.iter().map(|&i| ys[i]).collect();
                 Self::with_params(kernel, xs_sub, ys_sub, params, log_noise, standardize)
@@ -938,7 +938,7 @@ impl Gp<NargpKernel> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{Matern52, SquaredExponential};
+    use crate::kernel::SquaredExponential;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1139,21 +1139,6 @@ mod tests {
     }
 
     #[test]
-    fn matern_kernel_also_trains() {
-        let (xs, ys) = sine_data(12);
-        let gp = Gp::fit(
-            Matern52::new(1),
-            xs.clone(),
-            ys.clone(),
-            &GpConfig::fast(),
-            &mut rng(),
-        )
-        .unwrap();
-        let p = gp.predict(&xs[6]);
-        assert!((p.mean - ys[6]).abs() < 0.1);
-    }
-
-    #[test]
     fn best_observation_finds_minimum() {
         let xs: Vec<Vec<f64>> = (0..5).map(|i| vec![i as f64]).collect();
         let ys = vec![3.0, 1.0, 4.0, 0.5, 2.0];
@@ -1265,7 +1250,7 @@ mod tests {
         .unwrap();
         assert_eq!(gp.len(), 10);
         // Byte-identical to an exact model built on the hand-selected subset.
-        let keep = mfbo_infer::select_subset(&xs, 10, 0);
+        let keep = mfbo_infer::select_subset(&xs, 10);
         let xs_sub: Vec<Vec<f64>> = keep.iter().map(|&i| xs[i].clone()).collect();
         let ys_sub: Vec<f64> = keep.iter().map(|&i| ys[i]).collect();
         let oracle = Gp::with_params(k, xs_sub, ys_sub, params, -2.0, true).unwrap();

@@ -37,46 +37,28 @@ pub trait Kernel: Debug + Clone + Send + Sync {
     /// workspace, writing one value per pair into `out` (pair order).
     ///
     /// The contract is **bit-identity** with calling [`Kernel::eval`] on
-    /// each pair: overrides may only reorganize parameter-dependent work
-    /// (hoisting `exp(log θ)` transforms out of the pair loop), never the
-    /// per-pair floating-point sequence. The default does exactly the
-    /// per-pair calls, so kernels that cannot be evaluated from differences
-    /// alone (non-stationary or third-party kernels) remain correct.
+    /// each pair: implementations may only reorganize parameter-dependent
+    /// work (hoisting `exp(log θ)` transforms out of the pair loop), never
+    /// the per-pair floating-point sequence.
     ///
     /// # Panics
     ///
     /// Implementations may panic if `out.len() != batch.len()` or the batch
     /// dimension does not match [`Kernel::input_dim`].
-    fn eval_from_diffs(&self, p: &[f64], batch: &DiffBatch<'_>, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), batch.len());
-        for (q, o) in out.iter_mut().enumerate() {
-            let (a, b) = batch.pair_points(q);
-            *o = self.eval(p, a, b);
-        }
-    }
+    fn eval_from_diffs(&self, p: &[f64], batch: &DiffBatch<'_>, out: &mut [f64]);
 
     /// Accumulates the weighted parameter gradient over every pair of a
     /// difference workspace: `acc[j] += weights[q] · ∂k_q/∂p_j`, pairs in
     /// order, parameters innermost — the exact accumulation the NLML
-    /// gradient performs pair by pair, so overrides are bit-identical to
-    /// the default as long as they keep that order.
+    /// gradient performs pair by pair with [`Kernel::eval_grad`], so
+    /// implementations are bit-identical to it as long as they keep that
+    /// order.
     ///
     /// # Panics
     ///
     /// Implementations may panic if `weights.len() != batch.len()` or
     /// `acc.len() != self.num_params()`.
-    fn grad_from_diffs(&self, p: &[f64], batch: &DiffBatch<'_>, weights: &[f64], acc: &mut [f64]) {
-        debug_assert_eq!(weights.len(), batch.len());
-        debug_assert_eq!(acc.len(), self.num_params());
-        let mut kg = vec![0.0; self.num_params()];
-        for (q, &w) in weights.iter().enumerate() {
-            let (a, b) = batch.pair_points(q);
-            self.eval_grad(p, a, b, &mut kg);
-            for (g, &dk) in acc.iter_mut().zip(kg.iter()) {
-                *g += w * dk;
-            }
-        }
-    }
+    fn grad_from_diffs(&self, p: &[f64], batch: &DiffBatch<'_>, weights: &[f64], acc: &mut [f64]);
 
     /// [`Kernel::grad_from_diffs`] with the kernel values of the same batch
     /// (as produced by [`Kernel::eval_from_diffs`] under the same `p`)
@@ -309,161 +291,6 @@ impl Kernel for SquaredExponential {
 
     fn param_bounds(&self) -> (Vec<f64>, Vec<f64>) {
         // σ_f ∈ [e^-3, e^3]; ℓ ∈ [e^-5, e^3] ≈ [0.0067, 20] of the unit box.
-        let mut lo = vec![-3.0];
-        let mut hi = vec![3.0];
-        lo.extend(std::iter::repeat_n(-5.0, self.dim));
-        hi.extend(std::iter::repeat_n(3.0, self.dim));
-        (lo, hi)
-    }
-}
-
-/// Matérn-5/2 kernel with ARD lengthscales:
-/// `k = σ_f² (1 + √5 r + 5r²/3) exp(-√5 r)` with
-/// `r = sqrt(Σ (a_i-b_i)²/ℓ_i²)`.
-///
-/// Not used by the paper (which fixes the SE kernel), but provided for the
-/// ablation benches: circuit responses with sharp turn-on behaviour are
-/// often better modelled by the rougher Matérn family.
-///
-/// Parameter layout: `[log σ_f, log ℓ_1, …, log ℓ_d]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Matern52 {
-    dim: usize,
-}
-
-impl Matern52 {
-    /// Creates a Matérn-5/2 kernel over `dim` input dimensions.
-    pub fn new(dim: usize) -> Self {
-        assert!(dim > 0, "kernel dimension must be positive");
-        Matern52 { dim }
-    }
-}
-
-impl Kernel for Matern52 {
-    fn input_dim(&self) -> usize {
-        self.dim
-    }
-
-    fn num_params(&self) -> usize {
-        1 + self.dim
-    }
-
-    fn eval(&self, p: &[f64], a: &[f64], b: &[f64]) -> f64 {
-        let sf2 = (2.0 * p[0]).exp();
-        let mut q = 0.0;
-        for i in 0..self.dim {
-            let inv_l = (-p[1 + i]).exp();
-            let z = (a[i] - b[i]) * inv_l;
-            q += z * z;
-        }
-        let r = q.sqrt();
-        let s5r = 5.0f64.sqrt() * r;
-        sf2 * (1.0 + s5r + 5.0 * q / 3.0) * (-s5r).exp()
-    }
-
-    fn eval_grad(&self, p: &[f64], a: &[f64], b: &[f64], grad: &mut [f64]) -> f64 {
-        let sf2 = (2.0 * p[0]).exp();
-        let mut q = 0.0;
-        let mut z2 = vec![0.0; self.dim];
-        for i in 0..self.dim {
-            let inv_l = (-p[1 + i]).exp();
-            let z = (a[i] - b[i]) * inv_l;
-            z2[i] = z * z;
-            q += z2[i];
-        }
-        let r = q.sqrt();
-        let sqrt5 = 5.0f64.sqrt();
-        let s5r = sqrt5 * r;
-        let e = (-s5r).exp();
-        let k = sf2 * (1.0 + s5r + 5.0 * q / 3.0) * e;
-        grad[0] = 2.0 * k;
-        // dk/dr = -(5r/3)(1 + √5 r) σ_f² e^{-√5 r};
-        // ∂r/∂log ℓ_i = -z_i²/r  (for r > 0).
-        if r > 1e-300 {
-            let dk_dr = -(5.0 * r / 3.0) * (1.0 + s5r) * sf2 * e;
-            for i in 0..self.dim {
-                grad[1 + i] = dk_dr * (-z2[i] / r);
-            }
-        } else {
-            for g in grad[1..].iter_mut() {
-                *g = 0.0;
-            }
-        }
-        k
-    }
-
-    fn eval_from_diffs(&self, p: &[f64], batch: &DiffBatch<'_>, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), batch.len());
-        debug_assert_eq!(batch.dim(), self.dim);
-        let sf2 = (2.0 * p[0]).exp();
-        let inv_l: Vec<f64> = p[1..1 + self.dim].iter().map(|&l| (-l).exp()).collect();
-        if let Some((be, rows)) = batch.simd_rows() {
-            // `sq_norm` reproduces each pair's `q` bit for bit; the √·/exp
-            // finish is per entry in both paths.
-            mfbo_simd::sq_norm(be, rows, batch.len(), &inv_l, out);
-            for o in out.iter_mut() {
-                let q = *o;
-                let r = q.sqrt();
-                let s5r = 5.0f64.sqrt() * r;
-                *o = sf2 * (1.0 + s5r + 5.0 * q / 3.0) * (-s5r).exp();
-            }
-            return;
-        }
-        for (d, o) in batch.diffs().chunks_exact(self.dim).zip(out.iter_mut()) {
-            let mut q = 0.0;
-            for (di, li) in d.iter().zip(&inv_l) {
-                let z = di * li;
-                q += z * z;
-            }
-            let r = q.sqrt();
-            let s5r = 5.0f64.sqrt() * r;
-            *o = sf2 * (1.0 + s5r + 5.0 * q / 3.0) * (-s5r).exp();
-        }
-    }
-
-    fn grad_from_diffs(&self, p: &[f64], batch: &DiffBatch<'_>, weights: &[f64], acc: &mut [f64]) {
-        debug_assert_eq!(weights.len(), batch.len());
-        debug_assert_eq!(acc.len(), self.num_params());
-        debug_assert_eq!(batch.dim(), self.dim);
-        let sf2 = (2.0 * p[0]).exp();
-        let inv_l: Vec<f64> = p[1..1 + self.dim].iter().map(|&l| (-l).exp()).collect();
-        let sqrt5 = 5.0f64.sqrt();
-        let mut z2 = vec![0.0; self.dim];
-        for (d, &w) in batch.diffs().chunks_exact(self.dim).zip(weights.iter()) {
-            let mut q = 0.0;
-            for i in 0..self.dim {
-                let z = d[i] * inv_l[i];
-                z2[i] = z * z;
-                q += z2[i];
-            }
-            let r = q.sqrt();
-            let s5r = sqrt5 * r;
-            let e = (-s5r).exp();
-            let k = sf2 * (1.0 + s5r + 5.0 * q / 3.0) * e;
-            acc[0] += w * (2.0 * k);
-            if r > 1e-300 {
-                let dk_dr = -(5.0 * r / 3.0) * (1.0 + s5r) * sf2 * e;
-                for i in 0..self.dim {
-                    acc[1 + i] += w * (dk_dr * (-z2[i] / r));
-                }
-            } else {
-                // Not a no-op: the scalar path accumulates `w · 0.0`, whose
-                // sign can flip an accumulated `-0.0` to `+0.0`. Replicate
-                // it so the batch gradient stays bit-identical.
-                for i in 0..self.dim {
-                    acc[1 + i] += w * 0.0;
-                }
-            }
-        }
-    }
-
-    fn default_params(&self) -> Vec<f64> {
-        let mut p = vec![0.0];
-        p.extend(std::iter::repeat_n((0.3f64).ln(), self.dim));
-        p
-    }
-
-    fn param_bounds(&self) -> (Vec<f64>, Vec<f64>) {
         let mut lo = vec![-3.0];
         let mut hi = vec![3.0];
         lo.extend(std::iter::repeat_n(-5.0, self.dim));
@@ -817,37 +644,6 @@ mod tests {
     }
 
     #[test]
-    fn matern_value_and_decay() {
-        let k = Matern52::new(1);
-        let p = vec![0.0, 0.0];
-        let k0 = k.eval(&p, &[0.0], &[0.0]);
-        assert!((k0 - 1.0).abs() < 1e-12);
-        let k1 = k.eval(&p, &[0.0], &[1.0]);
-        let k2 = k.eval(&p, &[0.0], &[2.0]);
-        assert!(k0 > k1 && k1 > k2);
-    }
-
-    #[test]
-    fn matern_gradient_matches_finite_differences() {
-        let k = Matern52::new(3);
-        check_grad(
-            &k,
-            &[0.2, -0.3, 0.4, 0.0],
-            &[0.1, 0.5, 0.9],
-            &[0.3, 0.2, 0.8],
-        );
-    }
-
-    #[test]
-    fn matern_gradient_at_coincident_points_is_finite() {
-        let k = Matern52::new(2);
-        let mut g = vec![0.0; 3];
-        let v = k.eval_grad(&[0.0, 0.0, 0.0], &[0.5, 0.5], &[0.5, 0.5], &mut g);
-        assert!((v - 1.0).abs() < 1e-12);
-        assert!(g.iter().all(|x| x.is_finite()));
-    }
-
-    #[test]
     fn nargp_layout_and_value() {
         let k = NargpKernel::new(2);
         assert_eq!(k.input_dim(), 3);
@@ -883,14 +679,20 @@ mod tests {
     }
 
     /// Batch hooks must reproduce the scalar paths bit for bit: values via
-    /// the default per-pair fallback, gradients via the default weighted
+    /// per-pair `eval`, gradients via the weighted per-pair `eval_grad`
     /// accumulation.
     fn check_batch_bit_identity<K: Kernel>(k: &K, p: &[f64], xs: &[Vec<f64>]) {
         let batch = crate::workspace::DiffBatch::lower_triangle(xs);
+        // The batch's `(0,0), (1,0), (1,1), (2,0), …` pair order.
+        let pairs: Vec<(&[f64], &[f64])> = xs
+            .iter()
+            .enumerate()
+            .flat_map(|(i, a)| xs[..=i].iter().map(move |b| (&a[..], &b[..])))
+            .collect();
+        assert_eq!(pairs.len(), batch.len());
         let mut fast = vec![0.0; batch.len()];
         k.eval_from_diffs(p, &batch, &mut fast);
-        for (q, &v) in fast.iter().enumerate() {
-            let (a, b) = batch.pair_points(q);
+        for (q, (&v, &(a, b))) in fast.iter().zip(&pairs).enumerate() {
             assert_eq!(v.to_bits(), k.eval(p, a, b).to_bits(), "pair {q}");
         }
         let weights: Vec<f64> = (0..batch.len())
@@ -900,8 +702,7 @@ mod tests {
         k.grad_from_diffs(p, &batch, &weights, &mut acc_fast);
         let mut acc_ref = vec![0.0; k.num_params()];
         let mut kg = vec![0.0; k.num_params()];
-        for (q, &w) in weights.iter().enumerate() {
-            let (a, b) = batch.pair_points(q);
+        for (&w, &(a, b)) in weights.iter().zip(&pairs) {
             k.eval_grad(p, a, b, &mut kg);
             for (g, &dk) in acc_ref.iter_mut().zip(kg.iter()) {
                 *g += w * dk;
@@ -936,7 +737,6 @@ mod tests {
             })
             .collect();
         check_batch_bit_identity(&SquaredExponential::new(3), &[0.3, -0.5, 0.2, 0.9], &xs);
-        check_batch_bit_identity(&Matern52::new(3), &[0.2, -0.3, 0.4, 0.0], &xs);
         check_batch_bit_identity(
             &NargpKernel::new(2),
             &[0.1, -0.2, 0.3, 0.0, -0.4, -1.0, 0.5, -0.3],

@@ -38,7 +38,6 @@
 
 #![deny(missing_docs)]
 
-pub mod combinators;
 mod error;
 mod gp;
 pub mod kernel;

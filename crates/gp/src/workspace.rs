@@ -13,8 +13,7 @@
 //! `√((a-b)²)·w` differ in floating point), which is what lets the batch
 //! paths reproduce the scalar paths bit for bit.
 
-/// Pairwise signed-difference tensor over two point sets, plus the pair
-/// index map.
+/// Pairwise signed-difference tensor over two point sets.
 ///
 /// Two layouts exist:
 /// - [`DiffBatch::lower_triangle`] — all pairs `(i, j)` with `j ≤ i` of one
@@ -24,15 +23,9 @@
 ///   `n`-point training set, query-major. Used by batched prediction.
 #[derive(Debug)]
 pub struct DiffBatch<'a> {
-    left: &'a [Vec<f64>],
-    right: &'a [Vec<f64>],
     dim: usize,
     /// Number of pairs.
     count: usize,
-    /// Pair layout: `(i, j)` indices are computed from `q` on demand, so no
-    /// per-pair index storage is built (the batch kernel hooks never look at
-    /// indices, only the fallback path does).
-    index: PairIndex,
     /// Backing storage — owned by this batch (the fresh-build constructors)
     /// or borrowed from a [`FitCache`] that persists across fits.
     storage: Storage<'a>,
@@ -93,17 +86,6 @@ fn transpose_rows(diffs: &[f64], rows: &mut [f64], count: usize, dim: usize) {
     }
 }
 
-/// How pair `q` maps to `(left[i], right[j])` for each constructor layout.
-#[derive(Debug)]
-enum PairIndex {
-    /// `(0,0), (1,0), (1,1), (2,0), …` — row `i` starts at `i(i+1)/2`.
-    LowerTriangle,
-    /// Query-major: `i = q / right.len()`, `j = q % right.len()`.
-    Cross,
-    /// `(q, q)`.
-    Diagonal,
-}
-
 impl<'a> DiffBatch<'a> {
     /// Workspace over the lower triangle (`j ≤ i`) of one point set, in the
     /// `(0,0), (1,0), (1,1), (2,0), …` order of the kernel-matrix builder.
@@ -146,11 +128,8 @@ impl<'a> DiffBatch<'a> {
             fill_simd_rows(&mut buf, count, dim);
         }
         DiffBatch {
-            left: xs,
-            right: xs,
             dim,
             count,
-            index: PairIndex::LowerTriangle,
             storage: Storage::Owned(buf),
             simd_backend: want.then_some(be),
         }
@@ -199,11 +178,8 @@ impl<'a> DiffBatch<'a> {
             fill_simd_rows(&mut buf, count, dim);
         }
         DiffBatch {
-            left: queries,
-            right: xs,
             dim,
             count,
-            index: PairIndex::Cross,
             storage: Storage::Owned(buf),
             simd_backend: want.then_some(be),
         }
@@ -249,11 +225,8 @@ impl<'a> DiffBatch<'a> {
             fill_simd_rows(&mut buf, count, dim);
         }
         DiffBatch {
-            left: xs,
-            right: xs,
             dim,
             count,
-            index: PairIndex::Diagonal,
             storage: Storage::Owned(buf),
             simd_backend: want.then_some(be),
         }
@@ -296,33 +269,6 @@ impl<'a> DiffBatch<'a> {
             };
             (be, rows)
         })
-    }
-
-    /// The original `(a, b)` points of pair `q`, for kernels that cannot be
-    /// evaluated from differences alone (the default trait fallback).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q >= self.len()`.
-    pub fn pair_points(&self, q: usize) -> (&[f64], &[f64]) {
-        assert!(q < self.count, "pair index out of range");
-        let (i, j) = match self.index {
-            PairIndex::LowerTriangle => {
-                // Row i covers pairs [i(i+1)/2, (i+1)(i+2)/2); invert the
-                // triangular numbering via a float sqrt, then fix rounding.
-                let mut i = (((8 * q + 1) as f64).sqrt() as usize).saturating_sub(1) / 2;
-                while (i + 1) * (i + 2) / 2 <= q {
-                    i += 1;
-                }
-                while i * (i + 1) / 2 > q {
-                    i -= 1;
-                }
-                (i, q - i * (i + 1) / 2)
-            }
-            PairIndex::Cross => (q / self.right.len(), q % self.right.len()),
-            PairIndex::Diagonal => (q, q),
-        };
-        (&self.left[i], &self.right[j])
     }
 }
 
@@ -469,11 +415,8 @@ impl FitCache {
             self.rows_points = Some(n);
         }
         DiffBatch {
-            left: &self.xs,
-            right: &self.xs,
             dim: self.dim,
             count,
-            index: PairIndex::LowerTriangle,
             storage: Storage::Borrowed {
                 diffs: &self.diffs,
                 rows: if want {
@@ -498,7 +441,6 @@ mod tests {
         assert_eq!(b.len(), 6);
         assert_eq!(b.dim(), 2);
         // Pair order (0,0), (1,0), (1,1), (2,0), (2,1), (2,2).
-        assert_eq!(b.pair_points(1), (&xs[1][..], &xs[0][..]));
         let d = &b.diffs()[2..4]; // pair (1,0)
         assert_eq!(d, &[3.0, 6.0]);
         // Diagonal pairs have zero differences.
@@ -511,25 +453,8 @@ mod tests {
         let xs = vec![vec![0.0], vec![2.0], vec![3.0]];
         let b = DiffBatch::cross(&queries, &xs);
         assert_eq!(b.len(), 6);
-        // Query-major: pair 4 is (queries[1], xs[1]).
-        assert_eq!(b.pair_points(4), (&queries[1][..], &xs[1][..]));
+        // Query-major: pair 4 is (queries[1], xs[1]) → 5 − 2.
         assert_eq!(b.diffs(), &[1.0, -1.0, -2.0, 5.0, 3.0, 2.0]);
-    }
-
-    #[test]
-    fn lower_triangle_pair_index_inversion_is_exact() {
-        // The lazy (i, j) recovery must match the construction order for
-        // every pair, including around the float-sqrt rounding boundaries.
-        let xs: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64]).collect();
-        let b = DiffBatch::lower_triangle(&xs);
-        let mut q = 0;
-        for i in 0..xs.len() {
-            for j in 0..=i {
-                assert_eq!(b.pair_points(q), (&xs[i][..], &xs[j][..]));
-                q += 1;
-            }
-        }
-        assert_eq!(q, b.len());
     }
 
     #[test]
@@ -538,7 +463,6 @@ mod tests {
         let b = DiffBatch::diagonal(&xs);
         assert_eq!(b.len(), 3);
         assert_eq!(b.dim(), 2);
-        assert_eq!(b.pair_points(1), (&xs[1][..], &xs[1][..]));
         assert!(b.diffs().iter().all(|&d| d == 0.0));
     }
 

@@ -1,6 +1,6 @@
 //! Property-based tests of the kernel and GP layers.
 
-use mfbo_gp::kernel::{Kernel, Matern52, NargpKernel, SquaredExponential};
+use mfbo_gp::kernel::{Kernel, NargpKernel, SquaredExponential};
 use mfbo_gp::{
     nlml, nlml_cached, nlml_with_grad, nlml_with_grad_cached, DiffBatch, Gp, GpConfig,
     NlmlWorkspace,
@@ -31,15 +31,6 @@ proptest! {
         let g = gram(&k, &p, &xs);
         prop_assert!(g.is_symmetric(1e-12));
         // PSD: Cholesky with a whisker of jitter must succeed.
-        prop_assert!(Cholesky::new_with_jitter(&g, 1e-10, 1e-3).is_ok());
-    }
-
-    #[test]
-    fn matern_gram_is_psd(xs in points(7, 3), logsf in -1.0f64..1.0) {
-        let k = Matern52::new(3);
-        let p = vec![logsf, -0.5, 0.0, -1.0];
-        let g = gram(&k, &p, &xs);
-        prop_assert!(g.is_symmetric(1e-12));
         prop_assert!(Cholesky::new_with_jitter(&g, 1e-10, 1e-3).is_ok());
     }
 
@@ -317,16 +308,6 @@ mod bit_identity {
         }
 
         #[test]
-        fn cached_nlml_bit_identical_matern(
-            xs in points(8, 2),
-            logsf in -0.5f64..0.5,
-        ) {
-            let ys: Vec<f64> = xs.iter().map(|x| x[0] * x[0] - 0.3 * x[1]).collect();
-            let k = Matern52::new(2);
-            check_nlml_cached(&k, &[logsf, -0.4, 0.2, -2.5], &xs, &ys)?;
-        }
-
-        #[test]
         fn cached_nlml_bit_identical_nargp(xs in points(8, 3)) {
             // Augmented input: 2 design dims + 1 fidelity feature.
             let ys: Vec<f64> = xs.iter().map(|x| x[0] + x[1] * x[2]).collect();
@@ -337,7 +318,7 @@ mod bit_identity {
         }
 
         /// Pointwise and batched prediction against the per-pair reference
-        /// posterior, for all three kernels: every kernel value through
+        /// posterior, for both kernels: every kernel value through
         /// `Kernel::eval`, none through the batch hooks.
         #[test]
         fn predict_matches_per_pair_eval_oracle(
@@ -359,16 +340,6 @@ mod bit_identity {
             )
             .unwrap();
             check_predict_against_oracle(&se, &queries)?;
-            let matern = Gp::with_params(
-                Matern52::new(3),
-                xs.clone(),
-                ys.clone(),
-                vec![0.1, logl, -0.3, logl],
-                -2.0,
-                true,
-            )
-            .unwrap();
-            check_predict_against_oracle(&matern, &queries)?;
             let fused = Gp::with_params(nargp, xs, ys, nargp_params, -2.0, true).unwrap();
             check_predict_against_oracle(&fused, &queries)?;
         }
@@ -463,11 +434,10 @@ mod bit_identity {
         }
 
         /// Kernel batch hooks under every constructible backend reproduce
-        /// the scalar workspace bit for bit, for all three kernels.
+        /// the scalar workspace bit for bit, for both kernels.
         #[test]
         fn kernel_batch_hooks_backend_bit_invisible(xs in points(9, 3)) {
             check_kernel_backend_invisible(&SquaredExponential::new(3), &[0.2, -0.5, 0.1, -1.0], &xs)?;
-            check_kernel_backend_invisible(&Matern52::new(3), &[0.2, -0.5, 0.1, -1.0], &xs)?;
             let nargp = NargpKernel::new(2);
             let theta = nargp.default_params();
             check_kernel_backend_invisible(&nargp, &theta, &xs)?;

@@ -7,9 +7,9 @@
 //! (Do & Zhang, arXiv:2311.13050) in a form that preserves the workspace's
 //! determinism contract:
 //!
-//! * [`select_subset`] — seeded farthest-point selection over the
+//! * [`select_subset`] — farthest-point selection over the
 //!   *committed history order* of the training set. The output depends only
-//!   on `(points, max_points, seed)`, never on wall clock, threading, or
+//!   on `(points, max_points)`, never on wall clock, threading, or
 //!   map iteration order, so approximate runs journal and replay
 //!   bit-identically.
 //! * [`InferenceMode`] — the user-facing knob threaded through
@@ -106,31 +106,27 @@ fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     s
 }
 
-/// Deterministic seeded farthest-point selection over committed history
-/// order.
+/// Deterministic farthest-point selection over committed history order.
 ///
 /// Returns the indices of at most `max_points` points, **sorted
 /// ascending** so downstream kernel matrices are assembled in the same
-/// order the observations were committed — that (plus the seed) is what
-/// makes approximate runs journal-stable: the selection is a pure function
-/// of `(points, max_points, seed)`.
+/// order the observations were committed — that is what makes approximate
+/// runs journal-stable: the selection is a pure function of
+/// `(points, max_points)`.
 ///
-/// The walk starts at index `seed % n` and greedily adds the point with
-/// the largest squared distance to the selected set, breaking ties toward
-/// the lowest (earliest-committed) index.
-pub fn select_subset(points: &[Vec<f64>], max_points: usize, seed: u64) -> Vec<usize> {
+/// The walk starts at the first committed point and greedily adds the
+/// point with the largest squared distance to the selected set, breaking
+/// ties toward the lowest (earliest-committed) index.
+pub fn select_subset(points: &[Vec<f64>], max_points: usize) -> Vec<usize> {
     let n = points.len();
     if n <= max_points {
         return (0..n).collect();
     }
     let m = max_points.max(1);
-    let start = (seed % n as u64) as usize;
     let mut selected = Vec::with_capacity(m);
-    selected.push(start);
+    selected.push(0);
     // min squared distance from each point to the selected set
-    let mut mind: Vec<f64> = (0..n)
-        .map(|i| sq_dist(&points[i], &points[start]))
-        .collect();
+    let mut mind: Vec<f64> = (0..n).map(|i| sq_dist(&points[i], &points[0])).collect();
     while selected.len() < m {
         let mut best = usize::MAX;
         let mut best_d = f64::NEG_INFINITY;
@@ -182,29 +178,27 @@ mod tests {
     #[test]
     fn subset_is_identity_when_small_enough() {
         let pts = grid(10);
-        assert_eq!(select_subset(&pts, 10, 7), (0..10).collect::<Vec<_>>());
-        assert_eq!(select_subset(&pts, 64, 7), (0..10).collect::<Vec<_>>());
+        assert_eq!(select_subset(&pts, 10), (0..10).collect::<Vec<_>>());
+        assert_eq!(select_subset(&pts, 64), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
-    fn subset_is_sorted_deterministic_and_seed_dependent() {
+    fn subset_is_sorted_and_deterministic() {
         let pts = grid(50);
-        let a = select_subset(&pts, 12, 3);
-        let b = select_subset(&pts, 12, 3);
+        let a = select_subset(&pts, 12);
+        let b = select_subset(&pts, 12);
         assert_eq!(a, b);
         assert_eq!(a.len(), 12);
         assert!(a.windows(2).all(|w| w[0] < w[1]), "sorted ascending");
         assert!(a.iter().all(|&i| i < 50));
-        // The seed moves the starting point, which (generically) changes
-        // the selection.
-        let c = select_subset(&pts, 12, 4);
-        assert!(a.contains(&3) || c.contains(&4));
+        // The walk starts at the first committed point.
+        assert_eq!(a[0], 0);
     }
 
     #[test]
     fn subset_handles_duplicate_points() {
         let pts: Vec<Vec<f64>> = (0..20).map(|_| vec![0.5, 0.5]).collect();
-        let s = select_subset(&pts, 6, 1);
+        let s = select_subset(&pts, 6);
         assert_eq!(s.len(), 6);
         assert!(s.windows(2).all(|w| w[0] < w[1]));
     }
@@ -213,7 +207,7 @@ mod tests {
     fn subset_spreads_over_the_input_range() {
         // 1-D line: farthest-point with cap 3 must pick both extremes.
         let pts: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64]).collect();
-        let s = select_subset(&pts, 3, 0);
+        let s = select_subset(&pts, 3);
         assert!(s.contains(&0));
         assert!(s.contains(&99));
     }

@@ -28,7 +28,6 @@
 #![deny(missing_docs)]
 
 mod cholesky;
-mod complex;
 mod error;
 mod lu;
 mod matrix;
@@ -36,7 +35,6 @@ mod stats;
 mod vector;
 
 pub use cholesky::Cholesky;
-pub use complex::{solve_complex, Complex};
 pub use error::LinalgError;
 pub use lu::Lu;
 pub use matrix::Matrix;

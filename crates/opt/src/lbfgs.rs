@@ -34,21 +34,22 @@ use std::collections::VecDeque;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Lbfgs {
-    memory: usize,
     max_iters: usize,
     grad_tol: f64,
-    f_tol: f64,
-    max_line_search: usize,
 }
+
+/// History length of the two-loop recursion.
+const MEMORY: usize = 8;
+/// Relative objective-decrease tolerance.
+const F_TOL: f64 = 1e-12;
+/// Backtracking steps per line search.
+const MAX_LINE_SEARCH: usize = 30;
 
 impl Default for Lbfgs {
     fn default() -> Self {
         Lbfgs {
-            memory: 8,
             max_iters: 200,
             grad_tol: 1e-6,
-            f_tol: 1e-12,
-            max_line_search: 30,
         }
     }
 }
@@ -60,12 +61,6 @@ impl Lbfgs {
         Self::default()
     }
 
-    /// Sets the history length of the two-loop recursion.
-    pub fn with_memory(mut self, m: usize) -> Self {
-        self.memory = m.max(1);
-        self
-    }
-
     /// Sets the iteration cap.
     pub fn with_max_iters(mut self, n: usize) -> Self {
         self.max_iters = n;
@@ -75,12 +70,6 @@ impl Lbfgs {
     /// Sets the projected-gradient infinity-norm tolerance.
     pub fn with_grad_tol(mut self, tol: f64) -> Self {
         self.grad_tol = tol;
-        self
-    }
-
-    /// Sets the relative objective-decrease tolerance.
-    pub fn with_f_tol(mut self, tol: f64) -> Self {
-        self.f_tol = tol;
         self
     }
 
@@ -107,9 +96,9 @@ impl Lbfgs {
             f = f64::INFINITY;
         }
 
-        let mut s_hist: VecDeque<Vec<f64>> = VecDeque::with_capacity(self.memory);
-        let mut y_hist: VecDeque<Vec<f64>> = VecDeque::with_capacity(self.memory);
-        let mut rho_hist: VecDeque<f64> = VecDeque::with_capacity(self.memory);
+        let mut s_hist: VecDeque<Vec<f64>> = VecDeque::with_capacity(MEMORY);
+        let mut y_hist: VecDeque<Vec<f64>> = VecDeque::with_capacity(MEMORY);
+        let mut rho_hist: VecDeque<f64> = VecDeque::with_capacity(MEMORY);
         let mut converged = false;
         let mut iters = 0usize;
 
@@ -163,7 +152,7 @@ impl Lbfgs {
                 let g_dot_d = mfbo_linalg::dot(&pg, d);
                 let mut step = 1.0;
                 let mut x_new = x.clone();
-                for _ in 0..self.max_line_search {
+                for _ in 0..MAX_LINE_SEARCH {
                     for i in 0..n {
                         x_new[i] = x[i] + step * d[i];
                     }
@@ -218,7 +207,7 @@ impl Lbfgs {
             let sy = mfbo_linalg::dot(&s, &yv);
             // Only keep pairs with positive curvature (standard safeguard).
             if sy > 1e-12 * mfbo_linalg::norm2(&s) * mfbo_linalg::norm2(&yv) {
-                if s_hist.len() == self.memory {
+                if s_hist.len() == MEMORY {
                     s_hist.pop_front();
                     y_hist.pop_front();
                     rho_hist.pop_front();
@@ -233,7 +222,7 @@ impl Lbfgs {
             f = f_new;
             g = g_new;
 
-            if (f_prev - f).abs() <= self.f_tol * f_prev.abs().max(1.0) {
+            if (f_prev - f).abs() <= F_TOL * f_prev.abs().max(1.0) {
                 converged = true;
                 break;
             }

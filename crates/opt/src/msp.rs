@@ -48,9 +48,7 @@ struct Anchor {
 pub struct MultiStart {
     starts: usize,
     anchors: Vec<Anchor>,
-    seeds: Vec<Vec<f64>>,
     local: NelderMead,
-    use_lhs: bool,
     parallelism: Parallelism,
     taboo: Vec<Vec<f64>>,
     taboo_radius: f64,
@@ -63,9 +61,7 @@ impl MultiStart {
         MultiStart {
             starts: starts.max(1),
             anchors: Vec::new(),
-            seeds: Vec::new(),
             local: NelderMead::new().with_max_iters(120),
-            use_lhs: true,
             parallelism: Parallelism::Serial,
             taboo: Vec::new(),
             taboo_radius: 0.0,
@@ -111,28 +107,9 @@ impl MultiStart {
         self
     }
 
-    /// Adds deterministic starting points *on top of* the `starts` random
-    /// ones: each seed (clamped into the bounds) launches its own local
-    /// search, placed before the anchored and space-filling starts. Seeds
-    /// consume no randomness, so the random start cloud is identical with or
-    /// without them; with an empty seed list this is bit-identical to the
-    /// unseeded search. The BO loops use this to warm-start the acquisition
-    /// search with the previous iteration's optimum.
-    pub fn with_seeds(mut self, seeds: Vec<Vec<f64>>) -> Self {
-        self.seeds.extend(seeds);
-        self
-    }
-
     /// Replaces the local-search configuration.
     pub fn with_local_search(mut self, nm: NelderMead) -> Self {
         self.local = nm;
-        self
-    }
-
-    /// Uses i.i.d. uniform starts instead of a Latin-hypercube design for
-    /// the unbiased fraction.
-    pub fn with_uniform_starts(mut self) -> Self {
-        self.use_lhs = false;
         self
     }
 
@@ -147,23 +124,13 @@ impl MultiStart {
         })
     }
 
-    /// Generates the starting points (biased anchors first, then the
-    /// space-filling remainder).
+    /// Generates the starting points (biased anchors first, then a
+    /// Latin-hypercube remainder).
     fn starting_points<R: Rng + ?Sized>(&self, bounds: &Bounds, rng: &mut R) -> Vec<Vec<f64>> {
-        let mut pts: Vec<Vec<f64>> = Vec::with_capacity(self.seeds.len() + self.starts);
-        // Deterministic seeds first; they draw nothing from the RNG, so the
-        // random cloud below is unchanged by their presence. The anchor cap
-        // accounting runs on the random budget only.
-        pts.extend(
-            self.seeds
-                .iter()
-                .filter(|s| s.len() == bounds.dim())
-                .map(|s| bounds.clamp(s)),
-        );
-        let seeded = pts.len();
+        let mut pts: Vec<Vec<f64>> = Vec::with_capacity(self.starts);
         for anchor in &self.anchors {
             let n = ((self.starts as f64 * anchor.fraction).round() as usize)
-                .min(self.starts.saturating_sub(pts.len() - seeded + 1));
+                .min(self.starts.saturating_sub(pts.len() + 1));
             pts.extend(sampling::around(
                 bounds,
                 &anchor.center,
@@ -172,13 +139,9 @@ impl MultiStart {
                 rng,
             ));
         }
-        let remaining = self.starts - (pts.len() - seeded);
+        let remaining = self.starts - pts.len();
         if remaining > 0 {
-            if self.use_lhs {
-                pts.extend(sampling::latin_hypercube(bounds, remaining, rng));
-            } else {
-                pts.extend(sampling::uniform(bounds, remaining, rng));
-            }
+            pts.extend(sampling::latin_hypercube(bounds, remaining, rng));
         }
         pts
     }
@@ -352,6 +315,8 @@ mod tests {
         let b = Bounds::symmetric(2, 3.0);
         let r = MultiStart::new(40).minimize(&rastrigin, &b, &mut rng);
         assert!(r.value < 1.0, "value = {}", r.value);
+        // Evaluation accounting aggregates across all starts.
+        assert!(r.evaluations > 40);
     }
 
     #[test]
@@ -394,20 +359,6 @@ mod tests {
         let r = MultiStart::new(10).maximize(&f, &b, &mut rng);
         assert!((r.value - 3.0).abs() < 1e-6);
         assert!((r.x[0] - 1.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn uniform_start_mode_works() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let b = Bounds::symmetric(2, 2.0);
-        let f = |x: &[f64]| (x[0] - 1.0).powi(2) + (x[1] + 0.5).powi(2);
-        let r = MultiStart::new(12)
-            .with_uniform_starts()
-            .minimize(&f, &b, &mut rng);
-        assert!(r.value < 1e-6, "value = {}", r.value);
-        assert!(b.contains(&r.x));
-        // Evaluation accounting aggregates across all starts.
-        assert!(r.evaluations > 12);
     }
 
     #[test]
@@ -509,71 +460,6 @@ mod tests {
         assert_eq!(plain.x, with_empty.x);
         assert_eq!(plain.value.to_bits(), with_empty.value.to_bits());
         assert_eq!(plain.evaluations, with_empty.evaluations);
-    }
-
-    #[test]
-    fn empty_seeds_is_bitwise_neutral() {
-        let b = Bounds::symmetric(2, 3.0);
-        let run = |seeded: bool| {
-            let mut rng = StdRng::seed_from_u64(42);
-            let mut ms = MultiStart::new(12).with_anchor(vec![0.5, 0.5], 0.3, 0.05);
-            if seeded {
-                ms = ms.with_seeds(Vec::new());
-            }
-            ms.minimize(&rastrigin, &b, &mut rng)
-        };
-        let plain = run(false);
-        let with_empty = run(true);
-        assert_eq!(plain.x, with_empty.x);
-        assert_eq!(plain.value.to_bits(), with_empty.value.to_bits());
-        assert_eq!(plain.evaluations, with_empty.evaluations);
-    }
-
-    #[test]
-    fn seeds_do_not_perturb_the_random_cloud() {
-        // The random starts must be bitwise identical with and without
-        // seeds — seeds prepend, they never consume randomness.
-        let b = Bounds::unit(2);
-        let mut rng_a = StdRng::seed_from_u64(11);
-        let mut rng_b = StdRng::seed_from_u64(11);
-        let plain = MultiStart::new(8)
-            .with_anchor(vec![0.3, 0.3], 0.25, 0.05)
-            .starting_points(&b, &mut rng_a);
-        let seeded = MultiStart::new(8)
-            .with_anchor(vec![0.3, 0.3], 0.25, 0.05)
-            .with_seeds(vec![vec![0.9, 0.1], vec![2.0, -1.0]])
-            .starting_points(&b, &mut rng_b);
-        assert_eq!(seeded.len(), plain.len() + 2);
-        // Out-of-bounds seeds are clamped into the box.
-        assert_eq!(seeded[1], vec![1.0, 0.0]);
-        for (s, p) in seeded[2..].iter().zip(&plain) {
-            assert_eq!(s, p);
-        }
-        // Mis-dimensioned seeds are dropped rather than crashing the search.
-        let bad = MultiStart::new(4)
-            .with_seeds(vec![vec![0.5]])
-            .starting_points(&b, &mut StdRng::seed_from_u64(1));
-        assert_eq!(bad.len(), 4);
-    }
-
-    #[test]
-    fn seed_finds_sharp_basin_random_starts_miss() {
-        // Same needle as `anchor_helps_sharp_local_basin`, but located by an
-        // exact deterministic seed instead of an anchor cloud.
-        let needle = |x: &[f64]| {
-            let d = (x[0] - 0.42).abs();
-            if d < 1e-3 {
-                -10.0 + d
-            } else {
-                (x[0] - 0.42).powi(2)
-            }
-        };
-        let mut rng = StdRng::seed_from_u64(7);
-        let b = Bounds::unit(1);
-        let r = MultiStart::new(4)
-            .with_seeds(vec![vec![0.42]])
-            .minimize(&needle, &b, &mut rng);
-        assert!(r.value < -9.0, "value = {}", r.value);
     }
 
     #[test]

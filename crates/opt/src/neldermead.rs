@@ -24,19 +24,18 @@ use crate::{Bounds, OptResult};
 #[derive(Debug, Clone)]
 pub struct NelderMead {
     max_iters: usize,
-    f_tol: f64,
-    x_tol: f64,
-    initial_step: f64,
 }
+
+/// Simplex value-spread tolerance.
+const F_TOL: f64 = 1e-10;
+/// Simplex diameter tolerance.
+const X_TOL: f64 = 1e-9;
+/// Initial simplex edge length as a fraction of each bound width.
+const INITIAL_STEP: f64 = 0.05;
 
 impl Default for NelderMead {
     fn default() -> Self {
-        NelderMead {
-            max_iters: 400,
-            f_tol: 1e-10,
-            x_tol: 1e-9,
-            initial_step: 0.05,
-        }
+        NelderMead { max_iters: 400 }
     }
 }
 
@@ -49,19 +48,6 @@ impl NelderMead {
     /// Sets the iteration cap.
     pub fn with_max_iters(mut self, n: usize) -> Self {
         self.max_iters = n;
-        self
-    }
-
-    /// Sets the simplex value-spread tolerance.
-    pub fn with_f_tol(mut self, tol: f64) -> Self {
-        self.f_tol = tol;
-        self
-    }
-
-    /// Sets the initial simplex edge length as a fraction of each bound
-    /// width.
-    pub fn with_initial_step(mut self, frac: f64) -> Self {
-        self.initial_step = frac;
         self
     }
 
@@ -94,7 +80,7 @@ impl NelderMead {
         simplex.push(bounds.clamp(x0));
         for i in 0..n {
             let mut v = simplex[0].clone();
-            let step = (self.initial_step * widths[i]).max(1e-8);
+            let step = (INITIAL_STEP * widths[i]).max(1e-8);
             if v[i] + step <= bounds.upper()[i] {
                 v[i] += step;
             } else {
@@ -129,7 +115,7 @@ impl NelderMead {
                         .fold(0.0, f64::max)
                 })
                 .fold(0.0, f64::max);
-            if spread.abs() < self.f_tol && diam < self.x_tol {
+            if spread.abs() < F_TOL && diam < X_TOL {
                 converged = true;
                 break;
             }

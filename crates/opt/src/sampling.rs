@@ -10,11 +10,6 @@ use crate::Bounds;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-/// Draws `n` i.i.d. uniform points inside `bounds`.
-pub fn uniform<R: Rng + ?Sized>(bounds: &Bounds, n: usize, rng: &mut R) -> Vec<Vec<f64>> {
-    (0..n).map(|_| bounds.sample_uniform(rng)).collect()
-}
-
 /// Latin-hypercube design with `n` points inside `bounds`.
 ///
 /// Each axis is divided into `n` equal strata; each stratum is hit exactly
@@ -167,15 +162,6 @@ mod tests {
     fn lhs_zero_points() {
         let mut rng = StdRng::seed_from_u64(2);
         assert!(latin_hypercube(&Bounds::unit(2), 0, &mut rng).is_empty());
-    }
-
-    #[test]
-    fn uniform_respects_bounds() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let b = Bounds::symmetric(4, 2.5);
-        for p in uniform(&b, 50, &mut rng) {
-            assert!(b.contains(&p));
-        }
     }
 
     #[test]
