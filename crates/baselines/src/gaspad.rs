@@ -10,7 +10,7 @@
 
 use mfbo::problem::{Fidelity, MultiFidelityProblem};
 use mfbo::{EvaluationRecord, FidelityData, MfboError, Outcome, SfSurrogates};
-use mfbo_gp::GpConfig;
+use mfbo_gp::{FitCache, GpConfig};
 use mfbo_opt::{sampling, Bounds};
 use rand::Rng;
 
@@ -130,6 +130,7 @@ impl Gaspad {
 
         let mut thetas = None;
         let mut since_refit = 0usize;
+        let mut fit_cache = FitCache::new();
 
         for iteration in 1.. {
             if data.len() >= cfg.budget {
@@ -138,18 +139,22 @@ impl Gaspad {
             let data_u = data.to_unit(&bounds);
             let surrogates = match &thetas {
                 Some(t) if since_refit < cfg.refit_every => {
-                    match SfSurrogates::fit_frozen(&data_u, t, mfbo_pool::Parallelism::Serial) {
+                    match SfSurrogates::fit_frozen(&data_u, &cfg.model, t, Some(&mut fit_cache)) {
                         Ok(s) => s,
-                        Err(_) => SfSurrogates::fit(&data_u, &cfg.model, rng)?,
+                        Err(_) => {
+                            SfSurrogates::fit(&data_u, &cfg.model, None, rng, Some(&mut fit_cache))?
+                        }
                     }
                 }
-                Some(t) => {
+                warm => {
                     since_refit = 0;
-                    SfSurrogates::fit_warm(&data_u, &cfg.model, t, rng)?
-                }
-                None => {
-                    since_refit = 0;
-                    SfSurrogates::fit(&data_u, &cfg.model, rng)?
+                    SfSurrogates::fit(
+                        &data_u,
+                        &cfg.model,
+                        warm.as_ref(),
+                        rng,
+                        Some(&mut fit_cache),
+                    )?
                 }
             };
             since_refit += 1;

@@ -2,12 +2,12 @@
 //! prints the counters as JSON.
 //!
 //! One constrained-bundle surrogate refresh (objective + m constraint GPs
-//! over the same X) runs along the amortized refit path:
-//! `SfSurrogates::fit_frozen_infer_with_cache`, where one persistent
-//! [`FitCache`] grows by an O(n·d) append per iteration and its batch
-//! serves all 1+m models, and along the uncached default
-//! `SfSurrogates::fit_frozen_infer`. The telemetry counters of both are
-//! asserted (see [`counter_evidence`]); a violation panics.
+//! over the same X) runs through `SfSurrogates::fit_frozen` twice: along
+//! the amortized refit path, where one persistent [`FitCache`] grows by an
+//! O(n·d) append per iteration and its batch serves all 1+m models, and
+//! with `cache: None`, which builds the shared batch from scratch. The
+//! telemetry counters of both are asserted (see [`counter_evidence`]); a
+//! violation panics.
 //!
 //! The legacy-vs-cached timing rows in `BENCH_fitcache.json` are the
 //! historical evidence for the fit cache. The pre-fit-cache replica that
@@ -17,8 +17,7 @@
 //! (`MFBO_BENCH_SCALE=quick` uses a smaller training set for smoke runs.)
 
 use mfbo::{FidelityData, SfBundleThetas, SfSurrogates};
-use mfbo_gp::{FitCache, InferenceMode};
-use mfbo_pool::Parallelism;
+use mfbo_gp::{FitCache, GpConfig};
 use mfbo_telemetry::metrics::MetricsRegistry;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -64,28 +63,22 @@ fn bundle_thetas(m: usize) -> SfBundleThetas {
 }
 
 /// One shipped bundle refresh: rewind the persistent cache by the last
-/// point, then let `fit_frozen_infer_with_cache` re-append it — so every
+/// point, then let `fit_frozen` re-append it — so every
 /// call pays the real per-iteration O(n·d) append plus the shared-batch
 /// bundle rebuild, exactly as the BO loop does.
 fn cached_bundle_refresh(data: &FidelityData, thetas: &SfBundleThetas, cache: &mut FitCache) {
     cache.sync(&data.xs[..data.xs.len() - 1]);
     black_box(
-        SfSurrogates::fit_frozen_infer_with_cache(
-            data,
-            thetas,
-            Parallelism::Serial,
-            InferenceMode::Exact,
-            cache,
-        )
-        .expect("bundle refresh"),
+        SfSurrogates::fit_frozen(data, &GpConfig::default(), thetas, Some(cache))
+            .expect("bundle refresh"),
     );
 }
 
 /// Counter evidence: over `iters` refreshes of an (1+m)-model bundle at
 /// fixed n, the cached path must do ZERO from-scratch difference builds
 /// (appends only) while serving every model from the shared batch, and the
-/// uncached default path must do exactly ONE build per refresh for the
-/// whole bundle. `kernel_matrix_builds` (theta-dependent assemblies) must
+/// `cache: None` path must do exactly ONE build per refresh for the whole
+/// bundle. `kernel_matrix_builds` (theta-dependent assemblies) must
 /// be 1+m per refresh in both — one per model, proving the models share
 /// the single distance build instead of each paying for their own.
 fn counter_evidence(n: usize, m: usize, iters: u64) -> Vec<(String, u64)> {
@@ -108,13 +101,8 @@ fn counter_evidence(n: usize, m: usize, iters: u64) -> Vec<(String, u64)> {
         let _g = mfbo_telemetry::scoped_sink(reg.clone());
         for _ in 0..iters {
             black_box(
-                SfSurrogates::fit_frozen_infer(
-                    &data,
-                    &thetas,
-                    Parallelism::Serial,
-                    InferenceMode::Exact,
-                )
-                .expect("bundle refresh"),
+                SfSurrogates::fit_frozen(&data, &GpConfig::default(), &thetas, None)
+                    .expect("bundle refresh"),
             );
         }
     }

@@ -10,12 +10,12 @@
 //! round-robin so container load drift affects all medians equally, median
 //! statistic, one fit+predict per sample (a 4096-point exact factorization
 //! is its own multi-second sample; calibrated inner loops would be noise).
-//! Hyperparameters are frozen (`with_params_inference`) so the rows compare
+//! Hyperparameters are frozen (`Gp::with_params`) so the rows compare
 //! pure inference cost, not the L-BFGS restart schedule.
 
 use mfbo_bench::median;
 use mfbo_gp::kernel::SquaredExponential;
-use mfbo_gp::{Gp, InferenceMode};
+use mfbo_gp::{Gp, GpConfig, InferenceMode};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -53,15 +53,19 @@ fn queries() -> Vec<Vec<f64>> {
 fn fit_predict_ns(xs: &[Vec<f64>], ys: &[f64], qs: &[Vec<f64>], mode: InferenceMode) -> f64 {
     let mut params = vec![0.0];
     params.extend(std::iter::repeat_n(-0.5, DIM));
+    let config = GpConfig {
+        inference: mode,
+        ..GpConfig::default()
+    };
     let t = Instant::now();
-    let gp = Gp::with_params_inference(
+    let gp = Gp::with_params(
         SquaredExponential::new(DIM),
         xs.to_vec(),
         ys.to_vec(),
         params,
         -3.0,
-        true,
-        mode,
+        &config,
+        None,
     )
     .unwrap();
     black_box(gp.predict_batch(qs));
@@ -137,7 +141,7 @@ fn main() {
     println!("    \"build\": \"cargo --release, default codegen settings\",");
     println!("    \"dim\": {DIM},");
     println!("    \"queries_per_predict_call\": {QUERIES},");
-    println!("    \"hyperparameters\": \"frozen via with_params_inference (log-amplitude 0, log-lengthscales -0.5, log-noise -3); no L-BFGS so rows compare pure inference cost\",");
+    println!("    \"hyperparameters\": \"frozen via with_params (log-amplitude 0, log-lengthscales -0.5, log-noise -3); no L-BFGS so rows compare pure inference cost\",");
     println!("    \"date\": \"2026-08-08\",");
     println!("    \"caveats\": [");
     println!("      \"Measured in a shared 1-CPU container; absolute times carry +/-40% run-to-run drift. The interleaved harness makes the *ratios* stable to a few percent, but absolute nanoseconds should not be compared across machines or runs.\",");

@@ -197,14 +197,23 @@ impl Surrogates {
     ) -> Result<Self, GpError> {
         Ok(match warm {
             None if low.is_empty() => {
-                Surrogates::Sf(SfSurrogates::fit_with_cache(high, &cfg.high, rng, cache)?)
+                Surrogates::Sf(SfSurrogates::fit(high, &cfg.high, None, rng, Some(cache))?)
             }
-            None => Surrogates::Mf(MfSurrogates::fit_with_cache(low, high, cfg, rng, cache)?),
-            Some(Thetas::Sf(t)) => Surrogates::Sf(SfSurrogates::fit_warm_with_cache(
-                high, &cfg.high, t, rng, cache,
+            None => Surrogates::Mf(MfSurrogates::fit(low, high, cfg, None, rng, Some(cache))?),
+            Some(Thetas::Sf(t)) => Surrogates::Sf(SfSurrogates::fit(
+                high,
+                &cfg.high,
+                Some(t),
+                rng,
+                Some(cache),
             )?),
-            Some(Thetas::Mf(t)) => Surrogates::Mf(MfSurrogates::fit_warm_with_cache(
-                low, high, cfg, t, rng, cache,
+            Some(Thetas::Mf(t)) => Surrogates::Mf(MfSurrogates::fit(
+                low,
+                high,
+                cfg,
+                Some(t),
+                rng,
+                Some(cache),
             )?),
         })
     }
@@ -217,24 +226,13 @@ impl Surrogates {
         thetas: &Thetas,
         cache: &mut FitCache,
     ) -> Result<Self, GpError> {
-        let inference = cfg.high.inference;
         Ok(match thetas {
-            Thetas::Sf(t) => Surrogates::Sf(SfSurrogates::fit_frozen_infer_with_cache(
-                high,
-                t,
-                cfg.parallelism,
-                inference,
-                cache,
-            )?),
-            Thetas::Mf(t) => Surrogates::Mf(MfSurrogates::fit_frozen_infer_with_cache(
-                low,
-                high,
-                t,
-                cfg.mc_samples,
-                cfg.parallelism,
-                inference,
-                cache,
-            )?),
+            Thetas::Sf(t) => {
+                Surrogates::Sf(SfSurrogates::fit_frozen(high, &cfg.high, t, Some(cache))?)
+            }
+            Thetas::Mf(t) => {
+                Surrogates::Mf(MfSurrogates::fit_frozen(low, high, cfg, t, Some(cache))?)
+            }
         })
     }
 

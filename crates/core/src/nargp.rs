@@ -152,53 +152,55 @@ impl MfGp {
                 reason: "no high-fidelity training points".into(),
             });
         }
-        let plan = MfGp::plan(xh[0].len(), config, rng);
-        MfGp::fit_planned(xl, yl, xh, yh, config, plan)
+        let plan = MfGp::plan(xh[0].len(), config, None, rng);
+        MfGp::fit_planned(xl, yl, xh, yh, config, plan, None)
     }
 
-    /// Draws the NLML starting points both fusion stages would use,
-    /// consuming the RNG in exactly the order [`MfGp::fit`] does: low-GP
-    /// starts first, then high-GP starts.
+    /// Draws the NLML starting points of both fusion stages, low-GP starts
+    /// first, then high-GP starts — the order [`MfGp::fit`] consumes the RNG
+    /// in. `warm` (the previous optimum of each stage, see [`MfGp::thetas`])
+    /// adds one extra start per stage without consuming randomness.
     ///
     /// Pre-drawing the plans for a whole bundle of models lets the (pure)
     /// fits run in parallel with bit-identical results in every
     /// [`Parallelism`] mode — see [`MfGp::fit_planned`].
-    pub fn plan<R: Rng + ?Sized>(dim: usize, config: &MfGpConfig, rng: &mut R) -> MfGpPlan {
+    pub fn plan<R: Rng + ?Sized>(
+        dim: usize,
+        config: &MfGpConfig,
+        warm: Option<&MfGpThetas>,
+        rng: &mut R,
+    ) -> MfGpPlan {
         MfGpPlan {
-            low: Gp::plan_starts(&SquaredExponential::new(dim), &config.low, rng),
-            high: Gp::plan_starts(&NargpKernel::new(dim), &config.high, rng),
+            low: Gp::plan_starts(
+                &SquaredExponential::new(dim),
+                &config.low,
+                warm.map(|w| w.low.as_slice()),
+                rng,
+            ),
+            high: Gp::plan_starts(
+                &NargpKernel::new(dim),
+                &config.high,
+                warm.map(|w| w.high.as_slice()),
+                rng,
+            ),
         }
     }
 
     /// Trains the fusion model from pre-drawn starting points (see
     /// [`MfGp::plan`]). Consumes no randomness.
     ///
+    /// `low_shared` is an optional pre-built lower-triangle difference batch
+    /// over `xl` — the bundle fitters' sharing hook (see
+    /// [`Gp::fit_planned`]). Sharing applies to the **low stage only**:
+    /// every model of a constrained bundle trains its low GP on the same
+    /// `X_l`, whereas each model's high stage sees different augmented
+    /// inputs (the last coordinate is that model's own low posterior mean).
+    /// The result is bit-identical with or without it.
+    ///
     /// # Errors
     ///
     /// Same contract as [`MfGp::fit`].
     pub fn fit_planned(
-        xl: Vec<Vec<f64>>,
-        yl: Vec<f64>,
-        xh: Vec<Vec<f64>>,
-        yh: Vec<f64>,
-        config: &MfGpConfig,
-        plan: MfGpPlan,
-    ) -> Result<Self, GpError> {
-        Self::fit_planned_shared(xl, yl, xh, yh, config, plan, None)
-    }
-
-    /// [`MfGp::fit_planned`] with an optional pre-built lower-triangle
-    /// difference batch over `xl` — the bundle fitters' sharing hook.
-    /// Sharing applies to the **low stage only**: every model of a
-    /// constrained bundle trains its low GP on the same `X_l`, whereas each
-    /// model's high stage sees different augmented inputs (the last
-    /// coordinate is that model's own low posterior mean). Bit-identical to
-    /// [`MfGp::fit_planned`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`MfGp::fit`].
-    pub fn fit_planned_shared(
         xl: Vec<Vec<f64>>,
         yl: Vec<f64>,
         xh: Vec<Vec<f64>>,
@@ -213,7 +215,7 @@ impl MfGp {
             });
         }
         let dim = xh[0].len();
-        let low = Gp::fit_planned_shared(
+        let low = Gp::fit_planned(
             SquaredExponential::new(dim),
             xl,
             yl,
@@ -225,7 +227,14 @@ impl MfGp {
         // Augment the high-fidelity inputs with the low GP's standardized
         // posterior mean (one batched posterior call).
         let aug = augment_inputs(&low, &xh);
-        let high = Gp::fit_planned(NargpKernel::new(dim), aug, yh, &config.high, plan.high)?;
+        let high = Gp::fit_planned(
+            NargpKernel::new(dim),
+            aug,
+            yh,
+            &config.high,
+            plan.high,
+            None,
+        )?;
 
         Ok(MfGp {
             low,
@@ -381,8 +390,9 @@ impl MfGp {
         )
     }
 
-    /// The trained hyperparameters of both stages — feed back into
-    /// [`MfGp::fit_warm`] or [`MfGp::fit_frozen`] on later refits.
+    /// The trained hyperparameters of both stages — feed back as the `warm`
+    /// start of [`MfGp::plan`] or the frozen θ of [`MfGp::fit_frozen`] on
+    /// later refits.
     pub fn thetas(&self) -> MfGpThetas {
         MfGpThetas {
             low: self.low.theta(),
@@ -390,30 +400,15 @@ impl MfGp {
         }
     }
 
-    /// Like [`MfGp::fit`], but seeds each stage's hyperparameter search with
-    /// the supplied previous optimum (an extra restart).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GpError`] from either stage.
-    pub fn fit_warm<R: Rng + ?Sized>(
-        xl: Vec<Vec<f64>>,
-        yl: Vec<f64>,
-        xh: Vec<Vec<f64>>,
-        yh: Vec<f64>,
-        config: &MfGpConfig,
-        warm: &MfGpThetas,
-        rng: &mut R,
-    ) -> Result<Self, GpError> {
-        let mut cfg = config.clone();
-        cfg.low.warm_start = Some(warm.low.clone());
-        cfg.high.warm_start = Some(warm.high.clone());
-        MfGp::fit(xl, yl, xh, yh, &cfg, rng)
-    }
-
     /// Rebuilds the model on new data with **frozen** hyperparameters — no
     /// NLML optimization at all, just fresh Cholesky factorizations. The BO
     /// loops use this between full refits to keep per-iteration cost low.
+    ///
+    /// Every setting comes from `config`, as for a full fit: each stage's
+    /// [`GpConfig::inference`] and [`GpConfig::standardize`], and the
+    /// model's `mc_samples` and `parallelism`. `low_shared` is the optional
+    /// low-stage difference batch over `xl` (see [`MfGp::fit_planned`] for
+    /// the sharing contract).
     ///
     /// # Errors
     ///
@@ -424,48 +419,8 @@ impl MfGp {
         yl: Vec<f64>,
         xh: Vec<Vec<f64>>,
         yh: Vec<f64>,
+        config: &MfGpConfig,
         thetas: &MfGpThetas,
-        mc_samples: usize,
-    ) -> Result<Self, GpError> {
-        Self::fit_frozen_infer(xl, yl, xh, yh, thetas, mc_samples, InferenceMode::Exact)
-    }
-
-    /// [`MfGp::fit_frozen`] with an explicit [`InferenceMode`] for both
-    /// stages — the scalable frozen-refit path for long runs. With
-    /// [`InferenceMode::Exact`] this is byte-identical to
-    /// [`MfGp::fit_frozen`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`MfGp::fit_frozen`].
-    pub fn fit_frozen_infer(
-        xl: Vec<Vec<f64>>,
-        yl: Vec<f64>,
-        xh: Vec<Vec<f64>>,
-        yh: Vec<f64>,
-        thetas: &MfGpThetas,
-        mc_samples: usize,
-        inference: InferenceMode,
-    ) -> Result<Self, GpError> {
-        Self::fit_frozen_infer_shared(xl, yl, xh, yh, thetas, mc_samples, inference, None)
-    }
-
-    /// [`MfGp::fit_frozen_infer`] with an optional pre-built low-stage
-    /// difference batch over `xl` (see [`MfGp::fit_planned_shared`] for the
-    /// sharing contract). Bit-identical to [`MfGp::fit_frozen_infer`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`MfGp::fit_frozen`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn fit_frozen_infer_shared(
-        xl: Vec<Vec<f64>>,
-        yl: Vec<f64>,
-        xh: Vec<Vec<f64>>,
-        yh: Vec<f64>,
-        thetas: &MfGpThetas,
-        mc_samples: usize,
-        inference: InferenceMode,
         low_shared: Option<&DiffBatch<'_>>,
     ) -> Result<Self, GpError> {
         if xh.is_empty() {
@@ -475,31 +430,29 @@ impl MfGp {
         }
         let dim = xh[0].len();
         let (lp, ln) = split_theta(&thetas.low);
-        let low = Gp::with_params_inference_shared(
+        let low = Gp::with_params(
             SquaredExponential::new(dim),
             xl,
             yl,
             lp,
             ln,
-            true,
-            inference,
+            &config.low,
             low_shared,
         )?;
         let aug = augment_inputs(&low, &xh);
         let (hp, hn) = split_theta(&thetas.high);
-        let high =
-            Gp::with_params_inference(NargpKernel::new(dim), aug, yh, hp, hn, true, inference)?;
+        let high = Gp::with_params(NargpKernel::new(dim), aug, yh, hp, hn, &config.high, None)?;
         Ok(MfGp {
             low,
             high,
-            mc_samples: mc_samples.max(1),
-            parallelism: Parallelism::Serial,
+            mc_samples: config.mc_samples.max(1),
+            parallelism: config.parallelism,
         })
     }
 }
 
 /// Splits a packed `[kernel params…, log σ_n]` vector.
-fn split_theta(theta: &[f64]) -> (Vec<f64>, f64) {
+pub(crate) fn split_theta(theta: &[f64]) -> (Vec<f64>, f64) {
     let (kp, ln) = theta.split_at(theta.len() - 1);
     (kp.to_vec(), ln[0])
 }
@@ -696,8 +649,9 @@ mod tests {
             model.low().ys_raw().to_vec(),
             model.high().xs().iter().map(|z| z[..1].to_vec()).collect(),
             model.high().ys_raw().to_vec(),
+            &MfGpConfig::default(),
             &thetas,
-            model.mc_samples(),
+            None,
         )
         .unwrap();
         // Identical data + identical hyperparameters → identical posterior.
@@ -727,7 +681,8 @@ mod tests {
             },
             ..MfGpConfig::fast()
         };
-        let warm = MfGp::fit_warm(xl, yl, xh, yh, &cfg, &thetas, &mut rng).unwrap();
+        let plan = MfGp::plan(1, &cfg, Some(&thetas), &mut rng);
+        let warm = MfGp::fit_planned(xl, yl, xh, yh, &cfg, plan, None).unwrap();
         assert!(warm.high().nlml() <= model.high().nlml() + 1e-6);
     }
 

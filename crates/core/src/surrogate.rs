@@ -9,10 +9,10 @@
 
 use crate::acquisition;
 use crate::history::FidelityData;
-use crate::nargp::{MfGp, MfGpConfig, MfGpPlan, MfGpThetas};
+use crate::nargp::{split_theta, MfGp, MfGpConfig, MfGpPlan, MfGpThetas};
 use mfbo_gp::kernel::SquaredExponential;
-use mfbo_gp::{DiffBatch, FitCache, Gp, GpConfig, GpError, InferenceMode, Prediction};
-use mfbo_pool::{par_map_indexed, Parallelism};
+use mfbo_gp::{DiffBatch, FitCache, Gp, GpConfig, GpError, Prediction};
+use mfbo_pool::par_map_indexed;
 use rand::Rng;
 
 /// Trained hyperparameters of a full multi-fidelity bundle, for warm or
@@ -48,6 +48,48 @@ pub(crate) fn fmt_thetas(theta: &[f64]) -> String {
     out
 }
 
+/// Output `i` of a bundle: the objective at 0, constraint `i - 1` after it.
+fn output<'a, T>(objective: &'a T, constraints: &'a [T], i: usize) -> &'a T {
+    if i == 0 {
+        objective
+    } else {
+        &constraints[i - 1]
+    }
+}
+
+/// The lower-triangle difference batch over `xs` that every model of a
+/// bundle shares. A persistent `cache` is synced to `xs` (computing only the
+/// pair diffs of newly appended points) and serves the batch; `None` builds
+/// it from scratch — the oracle the cached path must match bit for bit.
+fn bundle_batch<'a>(xs: &'a [Vec<f64>], cache: Option<&'a mut FitCache>) -> DiffBatch<'a> {
+    match cache {
+        Some(cache) => {
+            cache.sync(xs);
+            cache.batch()
+        }
+        None => DiffBatch::lower_triangle(xs),
+    }
+}
+
+/// The input dimension of a bundle's training points; `empty` is the error
+/// reason when there are none.
+fn input_dim(xs: &[Vec<f64>], empty: &str) -> Result<usize, GpError> {
+    xs.first()
+        .map(Vec::len)
+        .ok_or_else(|| GpError::InvalidTrainingSet {
+            reason: empty.into(),
+        })
+}
+
+/// Splits per-model results (objective first) into the bundle's models,
+/// returning the first error in output order, as sequential fits would.
+fn split_models<M>(fitted: Vec<Result<M, GpError>>) -> Result<(M, Vec<M>), GpError> {
+    let mut models = fitted.into_iter();
+    let objective = models.next().expect("a bundle contains the objective")?;
+    let constraints = models.collect::<Result<Vec<_>, _>>()?;
+    Ok((objective, constraints))
+}
+
 /// Multi-fidelity surrogate bundle: a fusion model for the objective and one
 /// for each constraint.
 #[derive(Debug, Clone)]
@@ -57,317 +99,87 @@ pub struct MfSurrogates {
 }
 
 impl MfSurrogates {
-    /// Fits fusion models for every output from the two fidelity data sets.
+    /// Fits fusion models for every output from the two fidelity data sets,
+    /// each by a full hyperparameter search — seeded with that model's
+    /// previous optimum as one extra start when `warm` is given.
+    ///
+    /// Every model's starting points are drawn from `rng` serially, in
+    /// output order (objective first, then each constraint), before `cache`
+    /// is touched; the fits themselves are pure and run on
+    /// `config.parallelism`, so the bundle is bit-identical in every mode.
+    /// All 1+m models train their low stage on the same `X_l`, so one
+    /// difference batch serves them all: served by the persistent `cache`
+    /// when given, built from scratch when `None` (bit-identical either
+    /// way; see [`FitCache`]).
     ///
     /// # Errors
     ///
-    /// Propagates the first [`GpError`] encountered.
+    /// Propagates the first [`GpError`] in output order.
     pub fn fit<R: Rng + ?Sized>(
         low: &FidelityData,
         high: &FidelityData,
         config: &MfGpConfig,
+        warm: Option<&MfBundleThetas>,
         rng: &mut R,
+        cache: Option<&mut FitCache>,
     ) -> Result<Self, GpError> {
-        let dim = match high.xs.first() {
-            Some(x) => x.len(),
-            None => {
-                return Err(GpError::InvalidTrainingSet {
-                    reason: "no high-fidelity training points".into(),
-                })
-            }
-        };
+        let dim = input_dim(&high.xs, "no high-fidelity training points")?;
         let n_cons = low.constraints.len().min(high.constraints.len());
-        // Draw every model's starting points serially, in exactly the order
-        // the sequential fits would: objective first, then each constraint.
-        // The fits themselves are then pure and run on the pool — the bundle
-        // is bit-identical in every parallelism mode.
-        let plans: Vec<MfGpPlan> = (0..=n_cons).map(|_| MfGp::plan(dim, config, rng)).collect();
-        Self::fit_all_planned(low, high, config, plans, None)
-    }
-
-    /// [`MfSurrogates::fit`] backed by a persistent cross-iteration
-    /// [`FitCache`]: the cache is synced to `low.xs` (computing only the
-    /// pair diffs of newly appended points) and its batch replaces the
-    /// per-fit low-stage difference build. Bit-identical to
-    /// [`MfSurrogates::fit`] and consumes the RNG in the same order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`GpError`] encountered.
-    pub fn fit_with_cache<R: Rng + ?Sized>(
-        low: &FidelityData,
-        high: &FidelityData,
-        config: &MfGpConfig,
-        rng: &mut R,
-        cache: &mut FitCache,
-    ) -> Result<Self, GpError> {
-        let dim = match high.xs.first() {
-            Some(x) => x.len(),
-            None => {
-                return Err(GpError::InvalidTrainingSet {
-                    reason: "no high-fidelity training points".into(),
-                })
-            }
-        };
-        let n_cons = low.constraints.len().min(high.constraints.len());
-        let plans: Vec<MfGpPlan> = (0..=n_cons).map(|_| MfGp::plan(dim, config, rng)).collect();
-        cache.sync(&low.xs);
-        let batch = cache.batch();
-        Self::fit_all_planned(low, high, config, plans, Some(&batch))
-    }
-
-    /// Runs the (pure) per-model fits from pre-drawn plans, distributed over
-    /// `config.parallelism`. `plans[0]` trains the objective, `plans[i + 1]`
-    /// constraint `i`. Models are reduced in output order, so the first
-    /// error in that order is returned, as in the sequential code.
-    ///
-    /// Every model of the bundle trains its low stage on the same `X_l`, so
-    /// one lower-triangle difference batch serves all 1+m low-stage NLML
-    /// workspaces — built here once (or passed in from a persistent
-    /// [`FitCache`]) instead of once per model. The shared batch holds the
-    /// exact diff values each per-model build would compute, so the bundle
-    /// is bit-identical to unshared fitting.
-    fn fit_all_planned(
-        low: &FidelityData,
-        high: &FidelityData,
-        config: &MfGpConfig,
-        plans: Vec<MfGpPlan>,
-        low_shared: Option<&DiffBatch<'_>>,
-    ) -> Result<Self, GpError> {
-        let local;
-        let batch: &DiffBatch<'_> = match low_shared {
-            Some(b) => b,
-            None => {
-                local = DiffBatch::lower_triangle(&low.xs);
-                &local
-            }
-        };
+        let plans: Vec<MfGpPlan> = (0..=n_cons)
+            .map(|i| {
+                let w = warm.map(|w| output(&w.objective, &w.constraints, i));
+                MfGp::plan(dim, config, w, rng)
+            })
+            .collect();
+        let batch = bundle_batch(&low.xs, cache);
         let fitted = par_map_indexed(config.parallelism, plans.len(), |i| {
-            let (yl, yh) = if i == 0 {
-                (&low.objective, &high.objective)
-            } else {
-                (&low.constraints[i - 1], &high.constraints[i - 1])
-            };
-            MfGp::fit_planned_shared(
+            MfGp::fit_planned(
                 low.xs.clone(),
-                yl.clone(),
+                output(&low.objective, &low.constraints, i).clone(),
                 high.xs.clone(),
-                yh.clone(),
+                output(&high.objective, &high.constraints, i).clone(),
                 config,
                 plans[i].clone(),
-                Some(batch),
+                Some(&batch),
             )
         });
-        let mut models = fitted.into_iter();
-        let objective = models.next().expect("plans contains the objective")?;
-        let constraints = models.collect::<Result<Vec<_>, _>>()?;
+        let (objective, constraints) = split_models(fitted)?;
         Ok(MfSurrogates {
             objective,
             constraints,
         })
     }
 
-    /// Like [`MfSurrogates::fit`], seeding each model's hyperparameter
-    /// search with the previous optimum.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`GpError`] encountered.
-    pub fn fit_warm<R: Rng + ?Sized>(
-        low: &FidelityData,
-        high: &FidelityData,
-        config: &MfGpConfig,
-        warm: &MfBundleThetas,
-        rng: &mut R,
-    ) -> Result<Self, GpError> {
-        let dim = match high.xs.first() {
-            Some(x) => x.len(),
-            None => {
-                return Err(GpError::InvalidTrainingSet {
-                    reason: "no high-fidelity training points".into(),
-                })
-            }
-        };
-        let n_cons = low.constraints.len().min(high.constraints.len());
-        // Warm starts only influence the planned starting points, so the
-        // per-model warm configs are needed at plan time only.
-        let plans: Vec<MfGpPlan> = (0..=n_cons)
-            .map(|i| {
-                let w = if i == 0 {
-                    &warm.objective
-                } else {
-                    &warm.constraints[i - 1]
-                };
-                let mut cfg = config.clone();
-                cfg.low.warm_start = Some(w.low.clone());
-                cfg.high.warm_start = Some(w.high.clone());
-                MfGp::plan(dim, &cfg, rng)
-            })
-            .collect();
-        Self::fit_all_planned(low, high, config, plans, None)
-    }
-
-    /// [`MfSurrogates::fit_warm`] backed by a persistent [`FitCache`] (see
-    /// [`MfSurrogates::fit_with_cache`]). Bit-identical to
-    /// [`MfSurrogates::fit_warm`] and consumes the RNG in the same order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`GpError`] encountered.
-    pub fn fit_warm_with_cache<R: Rng + ?Sized>(
-        low: &FidelityData,
-        high: &FidelityData,
-        config: &MfGpConfig,
-        warm: &MfBundleThetas,
-        rng: &mut R,
-        cache: &mut FitCache,
-    ) -> Result<Self, GpError> {
-        let dim = match high.xs.first() {
-            Some(x) => x.len(),
-            None => {
-                return Err(GpError::InvalidTrainingSet {
-                    reason: "no high-fidelity training points".into(),
-                })
-            }
-        };
-        let n_cons = low.constraints.len().min(high.constraints.len());
-        let plans: Vec<MfGpPlan> = (0..=n_cons)
-            .map(|i| {
-                let w = if i == 0 {
-                    &warm.objective
-                } else {
-                    &warm.constraints[i - 1]
-                };
-                let mut cfg = config.clone();
-                cfg.low.warm_start = Some(w.low.clone());
-                cfg.high.warm_start = Some(w.high.clone());
-                MfGp::plan(dim, &cfg, rng)
-            })
-            .collect();
-        cache.sync(&low.xs);
-        let batch = cache.batch();
-        Self::fit_all_planned(low, high, config, plans, Some(&batch))
-    }
-
     /// Rebuilds every model on new data with frozen hyperparameters (no
-    /// training) — the cheap path between full refits.
+    /// training) — the cheap path between full refits. Each model reads its
+    /// settings from `config` (see [`MfGp::fit_frozen`]); the refreshes
+    /// consume no randomness and run on `config.parallelism`. The shared
+    /// low-stage batch comes from `cache` as in [`MfSurrogates::fit`].
     ///
     /// # Errors
     ///
-    /// Propagates the first [`GpError`] encountered.
+    /// Propagates the first [`GpError`] in output order.
     pub fn fit_frozen(
         low: &FidelityData,
         high: &FidelityData,
+        config: &MfGpConfig,
         thetas: &MfBundleThetas,
-        mc_samples: usize,
-        parallelism: Parallelism,
+        cache: Option<&mut FitCache>,
     ) -> Result<Self, GpError> {
-        Self::fit_frozen_infer(
-            low,
-            high,
-            thetas,
-            mc_samples,
-            parallelism,
-            InferenceMode::Exact,
-        )
-    }
-
-    /// [`MfSurrogates::fit_frozen`] with an explicit [`InferenceMode`] for
-    /// every model; `Exact` is byte-identical to [`MfSurrogates::fit_frozen`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`GpError`] encountered.
-    pub fn fit_frozen_infer(
-        low: &FidelityData,
-        high: &FidelityData,
-        thetas: &MfBundleThetas,
-        mc_samples: usize,
-        parallelism: Parallelism,
-        inference: InferenceMode,
-    ) -> Result<Self, GpError> {
-        Self::fit_frozen_infer_planned(low, high, thetas, mc_samples, parallelism, inference, None)
-    }
-
-    /// [`MfSurrogates::fit_frozen_infer`] backed by a persistent
-    /// [`FitCache`] (see [`MfSurrogates::fit_with_cache`]). Bit-identical
-    /// to [`MfSurrogates::fit_frozen_infer`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`GpError`] encountered.
-    #[allow(clippy::too_many_arguments)]
-    pub fn fit_frozen_infer_with_cache(
-        low: &FidelityData,
-        high: &FidelityData,
-        thetas: &MfBundleThetas,
-        mc_samples: usize,
-        parallelism: Parallelism,
-        inference: InferenceMode,
-        cache: &mut FitCache,
-    ) -> Result<Self, GpError> {
-        cache.sync(&low.xs);
-        let batch = cache.batch();
-        Self::fit_frozen_infer_planned(
-            low,
-            high,
-            thetas,
-            mc_samples,
-            parallelism,
-            inference,
-            Some(&batch),
-        )
-    }
-
-    /// The frozen-refresh worker behind [`MfSurrogates::fit_frozen_infer`]:
-    /// one shared low-stage difference batch (built here or served by a
-    /// persistent cache) serves all 1+m models.
-    #[allow(clippy::too_many_arguments)]
-    fn fit_frozen_infer_planned(
-        low: &FidelityData,
-        high: &FidelityData,
-        thetas: &MfBundleThetas,
-        mc_samples: usize,
-        parallelism: Parallelism,
-        inference: InferenceMode,
-        low_shared: Option<&DiffBatch<'_>>,
-    ) -> Result<Self, GpError> {
-        let local;
-        let batch: &DiffBatch<'_> = match low_shared {
-            Some(b) => b,
-            None => {
-                local = DiffBatch::lower_triangle(&low.xs);
-                &local
-            }
-        };
-        // Frozen refits consume no randomness at all, so the per-model
-        // factorizations go straight onto the pool.
         let n_cons = low.constraints.len().min(high.constraints.len());
-        let fitted = par_map_indexed(parallelism, n_cons + 1, |i| {
-            let (yl, yh, t) = if i == 0 {
-                (&low.objective, &high.objective, &thetas.objective)
-            } else {
-                (
-                    &low.constraints[i - 1],
-                    &high.constraints[i - 1],
-                    &thetas.constraints[i - 1],
-                )
-            };
-            MfGp::fit_frozen_infer_shared(
+        let batch = bundle_batch(&low.xs, cache);
+        let fitted = par_map_indexed(config.parallelism, n_cons + 1, |i| {
+            MfGp::fit_frozen(
                 low.xs.clone(),
-                yl.clone(),
+                output(&low.objective, &low.constraints, i).clone(),
                 high.xs.clone(),
-                yh.clone(),
-                t,
-                mc_samples,
-                inference,
-                Some(batch),
+                output(&high.objective, &high.constraints, i).clone(),
+                config,
+                output(&thetas.objective, &thetas.constraints, i),
+                Some(&batch),
             )
-            .map(|m| m.with_parallelism(parallelism))
         });
-        let mut models = fitted.into_iter();
-        let objective = models.next().expect("bundle contains the objective")?;
-        let constraints = models.collect::<Result<Vec<_>, _>>()?;
+        let (objective, constraints) = split_models(fitted)?;
         Ok(MfSurrogates {
             objective,
             constraints,
@@ -384,8 +196,8 @@ impl MfSurrogates {
 
     /// `true` when the warm-start seed (plan index 1; see
     /// [`mfbo_gp::Gp::best_start`]) won the NLML search in *both* stages of
-    /// *every* model in the bundle. Only meaningful after a warm fit
-    /// ([`MfSurrogates::fit_warm`]); the signal behind the
+    /// *every* model in the bundle. Only meaningful after a
+    /// [`MfSurrogates::fit`] given `warm` thetas; the signal behind the
     /// `theta_warm_wins` counter.
     pub fn warm_seed_won(&self) -> bool {
         std::iter::once(&self.objective)
@@ -468,288 +280,77 @@ pub struct SfSurrogates {
 }
 
 impl SfSurrogates {
-    /// Fits one SE-ARD GP per output.
+    /// Fits one SE-ARD GP per output by a full hyperparameter search —
+    /// seeded with that model's previous optimum when `warm` is given.
+    /// Planning, parallelism and the shared difference batch (from `cache`,
+    /// or built fresh when `None`) work as in [`MfSurrogates::fit`].
     ///
     /// # Errors
     ///
-    /// Propagates the first [`GpError`] encountered.
+    /// Propagates the first [`GpError`] in output order.
     pub fn fit<R: Rng + ?Sized>(
         data: &FidelityData,
         config: &GpConfig,
+        warm: Option<&SfBundleThetas>,
         rng: &mut R,
+        cache: Option<&mut FitCache>,
     ) -> Result<Self, GpError> {
-        let dim = data
-            .xs
-            .first()
-            .map(Vec::len)
-            .ok_or_else(|| GpError::InvalidTrainingSet {
-                reason: "no training points".into(),
-            })?;
+        let dim = input_dim(&data.xs, "no training points")?;
         let kernel = SquaredExponential::new(dim);
-        // Serial planning (objective first, then each constraint, matching
-        // the sequential draw order), parallel pure fits.
         let plans: Vec<Vec<Vec<f64>>> = (0..=data.constraints.len())
-            .map(|_| Gp::plan_starts(&kernel, config, rng))
+            .map(|i| {
+                let w = warm.map(|w| output(&w.objective, &w.constraints, i).as_slice());
+                Gp::plan_starts(&kernel, config, w, rng)
+            })
             .collect();
-        Self::fit_all_planned(data, config, plans, None)
-    }
-
-    /// [`SfSurrogates::fit`] backed by a persistent [`FitCache`]: the
-    /// pairwise-difference batch is synced incrementally against `data.xs`
-    /// and shared across every model in the bundle. Bit-identical to
-    /// [`SfSurrogates::fit`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`GpError`] encountered.
-    pub fn fit_with_cache<R: Rng + ?Sized>(
-        data: &FidelityData,
-        config: &GpConfig,
-        rng: &mut R,
-        cache: &mut FitCache,
-    ) -> Result<Self, GpError> {
-        let dim = data
-            .xs
-            .first()
-            .map(Vec::len)
-            .ok_or_else(|| GpError::InvalidTrainingSet {
-                reason: "no training points".into(),
-            })?;
-        let kernel = SquaredExponential::new(dim);
-        // Plans are drawn before the cache sync so the RNG consumption order
-        // matches `fit` exactly.
-        let plans: Vec<Vec<Vec<f64>>> = (0..=data.constraints.len())
-            .map(|_| Gp::plan_starts(&kernel, config, rng))
-            .collect();
-        cache.sync(&data.xs);
-        let batch = cache.batch();
-        Self::fit_all_planned(data, config, plans, Some(&batch))
-    }
-
-    /// Runs the (pure) per-model fits from pre-drawn starting points,
-    /// distributed over `config.parallelism`. `plans[0]` trains the
-    /// objective, `plans[i + 1]` constraint `i`. One pairwise-difference
-    /// batch over `data.xs` (supplied via `shared`, or built here) serves
-    /// every model.
-    fn fit_all_planned(
-        data: &FidelityData,
-        config: &GpConfig,
-        plans: Vec<Vec<Vec<f64>>>,
-        shared: Option<&DiffBatch<'_>>,
-    ) -> Result<Self, GpError> {
-        let dim = data
-            .xs
-            .first()
-            .map(Vec::len)
-            .ok_or_else(|| GpError::InvalidTrainingSet {
-                reason: "no training points".into(),
-            })?;
-        let local;
-        let batch: &DiffBatch<'_> = match shared {
-            Some(b) => b,
-            None => {
-                local = DiffBatch::lower_triangle(&data.xs);
-                &local
-            }
-        };
+        let batch = bundle_batch(&data.xs, cache);
         let fitted = par_map_indexed(config.parallelism, plans.len(), |i| {
-            let ys = if i == 0 {
-                &data.objective
-            } else {
-                &data.constraints[i - 1]
-            };
-            Gp::fit_planned_shared(
+            Gp::fit_planned(
                 SquaredExponential::new(dim),
                 data.xs.clone(),
-                ys.clone(),
+                output(&data.objective, &data.constraints, i).clone(),
                 config,
                 plans[i].clone(),
-                Some(batch),
+                Some(&batch),
             )
         });
-        let mut models = fitted.into_iter();
-        let objective = models.next().expect("plans contains the objective")?;
-        let constraints = models.collect::<Result<Vec<_>, _>>()?;
+        let (objective, constraints) = split_models(fitted)?;
         Ok(SfSurrogates {
             objective,
             constraints,
         })
     }
 
-    /// Like [`SfSurrogates::fit`], seeding each model's search with the
-    /// previous optimum.
+    /// Rebuilds every model on new data with frozen hyperparameters, reading
+    /// [`GpConfig::standardize`], [`GpConfig::inference`] and
+    /// [`GpConfig::parallelism`] from `config` as a full fit does. The
+    /// shared batch comes from `cache` as in [`SfSurrogates::fit`].
     ///
     /// # Errors
     ///
-    /// Propagates the first [`GpError`] encountered.
-    pub fn fit_warm<R: Rng + ?Sized>(
-        data: &FidelityData,
-        config: &GpConfig,
-        warm: &SfBundleThetas,
-        rng: &mut R,
-    ) -> Result<Self, GpError> {
-        let dim = data
-            .xs
-            .first()
-            .map(Vec::len)
-            .ok_or_else(|| GpError::InvalidTrainingSet {
-                reason: "no training points".into(),
-            })?;
-        let kernel = SquaredExponential::new(dim);
-        // Warm starts only influence the planned starting points, so the
-        // per-model warm configs are needed at plan time only.
-        let plans: Vec<Vec<Vec<f64>>> = (0..=data.constraints.len())
-            .map(|i| {
-                let w = if i == 0 {
-                    &warm.objective
-                } else {
-                    &warm.constraints[i - 1]
-                };
-                let mut cfg = config.clone();
-                cfg.warm_start = Some(w.clone());
-                Gp::plan_starts(&kernel, &cfg, rng)
-            })
-            .collect();
-        Self::fit_all_planned(data, config, plans, None)
-    }
-
-    /// [`SfSurrogates::fit_warm`] backed by a persistent [`FitCache`]
-    /// (see [`SfSurrogates::fit_with_cache`]). Bit-identical to
-    /// [`SfSurrogates::fit_warm`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`GpError`] encountered.
-    pub fn fit_warm_with_cache<R: Rng + ?Sized>(
-        data: &FidelityData,
-        config: &GpConfig,
-        warm: &SfBundleThetas,
-        rng: &mut R,
-        cache: &mut FitCache,
-    ) -> Result<Self, GpError> {
-        let dim = data
-            .xs
-            .first()
-            .map(Vec::len)
-            .ok_or_else(|| GpError::InvalidTrainingSet {
-                reason: "no training points".into(),
-            })?;
-        let kernel = SquaredExponential::new(dim);
-        let plans: Vec<Vec<Vec<f64>>> = (0..=data.constraints.len())
-            .map(|i| {
-                let w = if i == 0 {
-                    &warm.objective
-                } else {
-                    &warm.constraints[i - 1]
-                };
-                let mut cfg = config.clone();
-                cfg.warm_start = Some(w.clone());
-                Gp::plan_starts(&kernel, &cfg, rng)
-            })
-            .collect();
-        cache.sync(&data.xs);
-        let batch = cache.batch();
-        Self::fit_all_planned(data, config, plans, Some(&batch))
-    }
-
-    /// Rebuilds every model on new data with frozen hyperparameters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`GpError`] encountered.
+    /// Propagates the first [`GpError`] in output order.
     pub fn fit_frozen(
         data: &FidelityData,
+        config: &GpConfig,
         thetas: &SfBundleThetas,
-        parallelism: Parallelism,
+        cache: Option<&mut FitCache>,
     ) -> Result<Self, GpError> {
-        Self::fit_frozen_infer(data, thetas, parallelism, InferenceMode::Exact)
-    }
-
-    /// [`SfSurrogates::fit_frozen`] with an explicit [`InferenceMode`];
-    /// `Exact` is byte-identical to [`SfSurrogates::fit_frozen`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`GpError`] encountered.
-    pub fn fit_frozen_infer(
-        data: &FidelityData,
-        thetas: &SfBundleThetas,
-        parallelism: Parallelism,
-        inference: InferenceMode,
-    ) -> Result<Self, GpError> {
-        Self::fit_frozen_infer_planned(data, thetas, parallelism, inference, None)
-    }
-
-    /// [`SfSurrogates::fit_frozen_infer`] backed by a persistent
-    /// [`FitCache`] (see [`SfSurrogates::fit_with_cache`]). Bit-identical
-    /// to [`SfSurrogates::fit_frozen_infer`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`GpError`] encountered.
-    pub fn fit_frozen_infer_with_cache(
-        data: &FidelityData,
-        thetas: &SfBundleThetas,
-        parallelism: Parallelism,
-        inference: InferenceMode,
-        cache: &mut FitCache,
-    ) -> Result<Self, GpError> {
-        cache.sync(&data.xs);
-        let batch = cache.batch();
-        Self::fit_frozen_infer_planned(data, thetas, parallelism, inference, Some(&batch))
-    }
-
-    /// The frozen-refresh worker: one shared pairwise-difference batch
-    /// serves every model in the bundle.
-    fn fit_frozen_infer_planned(
-        data: &FidelityData,
-        thetas: &SfBundleThetas,
-        parallelism: Parallelism,
-        inference: InferenceMode,
-        shared: Option<&DiffBatch<'_>>,
-    ) -> Result<Self, GpError> {
-        let dim = data
-            .xs
-            .first()
-            .map(Vec::len)
-            .ok_or_else(|| GpError::InvalidTrainingSet {
-                reason: "no training points".into(),
-            })?;
-        let local;
-        let batch: &DiffBatch<'_> = match shared {
-            Some(b) => b,
-            None => {
-                local = DiffBatch::lower_triangle(&data.xs);
-                &local
-            }
-        };
-        let split = |t: &[f64]| {
-            let (kp, ln) = t.split_at(t.len() - 1);
-            (kp.to_vec(), ln[0])
-        };
-        // Frozen refits consume no randomness at all, so the per-model
-        // factorizations go straight onto the pool.
-        let fitted = par_map_indexed(parallelism, data.constraints.len() + 1, |i| {
-            let (ys, t) = if i == 0 {
-                (&data.objective, &thetas.objective)
-            } else {
-                (&data.constraints[i - 1], &thetas.constraints[i - 1])
-            };
-            let (kp, ln) = split(t);
-            Gp::with_params_inference_shared(
+        let dim = input_dim(&data.xs, "no training points")?;
+        let batch = bundle_batch(&data.xs, cache);
+        let fitted = par_map_indexed(config.parallelism, data.constraints.len() + 1, |i| {
+            let theta = output(&thetas.objective, &thetas.constraints, i);
+            let (kp, ln) = split_theta(theta.as_slice());
+            Gp::with_params(
                 SquaredExponential::new(dim),
                 data.xs.clone(),
-                ys.clone(),
+                output(&data.objective, &data.constraints, i).clone(),
                 kp,
                 ln,
-                true,
-                inference,
-                Some(batch),
+                config,
+                Some(&batch),
             )
         });
-        let mut models = fitted.into_iter();
-        let objective = models.next().expect("bundle contains the objective")?;
-        let constraints = models.collect::<Result<Vec<_>, _>>()?;
+        let (objective, constraints) = split_models(fitted)?;
         Ok(SfSurrogates {
             objective,
             constraints,
@@ -848,7 +449,7 @@ mod tests {
     fn sf_bundle_fits_and_predicts() {
         let data = make_data(12, 0.0);
         let mut rng = StdRng::seed_from_u64(0);
-        let s = SfSurrogates::fit(&data, &GpConfig::fast(), &mut rng).unwrap();
+        let s = SfSurrogates::fit(&data, &GpConfig::fast(), None, &mut rng, None).unwrap();
         let (obj, cons) = s.predict(&[0.5]);
         assert!((obj.mean - 0.25).abs() < 0.1);
         assert_eq!(cons.len(), 1);
@@ -862,7 +463,7 @@ mod tests {
     fn sf_wei_prefers_feasible_improvement() {
         let data = make_data(12, 0.0);
         let mut rng = StdRng::seed_from_u64(1);
-        let s = SfSurrogates::fit(&data, &GpConfig::fast(), &mut rng).unwrap();
+        let s = SfSurrogates::fit(&data, &GpConfig::fast(), None, &mut rng, None).unwrap();
         let tau = 0.5;
         // x = 0.4: feasible with objective 0.16 < τ → good wEI.
         // x = 0.1: better objective but infeasible → tiny wEI.
@@ -875,7 +476,7 @@ mod tests {
     fn sf_feasibility_drive_zero_inside_feasible_region() {
         let data = make_data(12, 0.0);
         let mut rng = StdRng::seed_from_u64(2);
-        let s = SfSurrogates::fit(&data, &GpConfig::fast(), &mut rng).unwrap();
+        let s = SfSurrogates::fit(&data, &GpConfig::fast(), None, &mut rng, None).unwrap();
         assert_eq!(s.feasibility_drive(&[0.9]), 0.0);
         assert!(s.feasibility_drive(&[0.0]) > 0.1);
     }
@@ -884,7 +485,7 @@ mod tests {
     fn sf_lcb_below_mean() {
         let data = make_data(10, 0.0);
         let mut rng = StdRng::seed_from_u64(3);
-        let s = SfSurrogates::fit(&data, &GpConfig::fast(), &mut rng).unwrap();
+        let s = SfSurrogates::fit(&data, &GpConfig::fast(), None, &mut rng, None).unwrap();
         let p = s.objective().predict(&[0.5]);
         assert!(s.lcb(&[0.5], 2.0) <= p.mean);
     }
@@ -894,7 +495,7 @@ mod tests {
         let low = make_data(20, 0.3);
         let high = make_data(8, 0.0);
         let mut rng = StdRng::seed_from_u64(4);
-        let s = MfSurrogates::fit(&low, &high, &MfGpConfig::fast(), &mut rng).unwrap();
+        let s = MfSurrogates::fit(&low, &high, &MfGpConfig::fast(), None, &mut rng, None).unwrap();
         assert_eq!(s.constraints().len(), 1);
         let (obj, cons) = s.predict_high(&[0.6]);
         assert!((obj.mean - 0.36).abs() < 0.15, "mean = {}", obj.mean);
@@ -907,8 +508,17 @@ mod tests {
         let low_dense = make_data(40, 0.3);
         let high = make_data(6, 0.0);
         let mut rng = StdRng::seed_from_u64(5);
-        let sparse = MfSurrogates::fit(&low_sparse, &high, &MfGpConfig::fast(), &mut rng).unwrap();
-        let dense = MfSurrogates::fit(&low_dense, &high, &MfGpConfig::fast(), &mut rng).unwrap();
+        let sparse = MfSurrogates::fit(
+            &low_sparse,
+            &high,
+            &MfGpConfig::fast(),
+            None,
+            &mut rng,
+            None,
+        )
+        .unwrap();
+        let dense = MfSurrogates::fit(&low_dense, &high, &MfGpConfig::fast(), None, &mut rng, None)
+            .unwrap();
         // Between training points, the dense model is far more certain.
         let x = [0.513];
         assert!(dense.max_low_variance(&x) <= sparse.max_low_variance(&x) + 1e-6);
@@ -919,97 +529,111 @@ mod tests {
         let low = make_data(15, 0.3);
         let high = make_data(6, 0.0);
         let mut rng = StdRng::seed_from_u64(6);
-        let s = MfSurrogates::fit(&low, &high, &MfGpConfig::fast(), &mut rng).unwrap();
+        let s = MfSurrogates::fit(&low, &high, &MfGpConfig::fast(), None, &mut rng, None).unwrap();
         for &x in &[0.1, 0.5, 0.77] {
             assert!(s.wei_low(&[x], 0.4) >= 0.0);
             assert!(s.wei_high(&[x], 0.4) >= 0.0);
         }
     }
 
-    fn assert_theta_bits_eq(a: &MfGpThetas, b: &MfGpThetas) {
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a.low), bits(&b.low));
-        assert_eq!(bits(&a.high), bits(&b.high));
-    }
-
-    /// Simulates the BO loop's growing training set: at every step the
-    /// cache-backed fit must agree bit for bit with the fresh fit — thetas
-    /// and posterior alike — even across truncation (shrinking data mimics
-    /// a constant-liar fantasy point vanishing between iterations).
-    #[test]
-    fn mf_fit_with_cache_bit_identity_across_iterations() {
-        let high = make_data(6, 0.0);
-        let mut cache = FitCache::default();
-        for n in [10usize, 11, 14, 12] {
-            let low = make_data(n, 0.3);
-            let mut rng_a = StdRng::seed_from_u64(9);
-            let mut rng_b = StdRng::seed_from_u64(9);
-            let fresh = MfSurrogates::fit(&low, &high, &MfGpConfig::fast(), &mut rng_a).unwrap();
-            let cached = MfSurrogates::fit_with_cache(
-                &low,
-                &high,
-                &MfGpConfig::fast(),
-                &mut rng_b,
-                &mut cache,
-            )
-            .unwrap();
-            assert_theta_bits_eq(&fresh.thetas().objective, &cached.thetas().objective);
-            for (f, c) in fresh
-                .thetas()
-                .constraints
-                .iter()
-                .zip(&cached.thetas().constraints)
-            {
-                assert_theta_bits_eq(f, c);
-            }
-            for &x in &[0.07, 0.52, 0.93] {
-                let (pf, cf) = fresh.predict_high(&[x]);
-                let (pc, cc) = cached.predict_high(&[x]);
-                assert_eq!(pf.mean.to_bits(), pc.mean.to_bits());
-                assert_eq!(pf.var.to_bits(), pc.var.to_bits());
-                for (a, b) in cf.iter().zip(&cc) {
-                    assert_eq!(a.mean.to_bits(), b.mean.to_bits());
-                    assert_eq!(a.var.to_bits(), b.var.to_bits());
-                }
+    /// θ bits, then posterior mean and variance bits at fixed queries, of
+    /// every model in a bundle.
+    fn sf_bits(s: &SfSurrogates) -> Vec<u64> {
+        let t = s.thetas();
+        let mut bits: Vec<u64> = std::iter::once(&t.objective)
+            .chain(&t.constraints)
+            .flatten()
+            .map(|v| v.to_bits())
+            .collect();
+        for &x in &[0.07, 0.52, 0.93] {
+            let (obj, cons) = s.predict(&[x]);
+            for p in std::iter::once(&obj).chain(&cons) {
+                bits.extend([p.mean.to_bits(), p.var.to_bits()]);
             }
         }
+        bits
     }
 
-    /// Frozen refreshes through the cache match the fresh frozen build bit
-    /// for bit.
-    #[test]
-    fn mf_frozen_with_cache_bit_identity() {
-        let low = make_data(18, 0.3);
-        let high = make_data(7, 0.0);
-        let mut rng = StdRng::seed_from_u64(12);
-        let s = MfSurrogates::fit(&low, &high, &MfGpConfig::fast(), &mut rng).unwrap();
+    /// [`sf_bits`] for a fusion bundle: both stages' θ, then the propagated
+    /// high-fidelity and the low-fidelity posteriors.
+    fn mf_bits(s: &MfSurrogates) -> Vec<u64> {
         let t = s.thetas();
-        let cfg = MfGpConfig::fast();
-        let fresh = MfSurrogates::fit_frozen_infer(
-            &low,
-            &high,
-            &t,
-            cfg.mc_samples,
-            Parallelism::Serial,
-            InferenceMode::Exact,
-        )
-        .unwrap();
-        let mut cache = FitCache::default();
-        let cached = MfSurrogates::fit_frozen_infer_with_cache(
-            &low,
-            &high,
-            &t,
-            cfg.mc_samples,
-            Parallelism::Serial,
-            InferenceMode::Exact,
-            &mut cache,
-        )
-        .unwrap();
-        for &x in &[0.11, 0.66] {
-            let (pf, _) = fresh.predict_high(&[x]);
-            let (pc, _) = cached.predict_high(&[x]);
-            assert_eq!(pf.mean.to_bits(), pc.mean.to_bits());
-            assert_eq!(pf.var.to_bits(), pc.var.to_bits());
+        let mut bits: Vec<u64> = std::iter::once(&t.objective)
+            .chain(&t.constraints)
+            .flat_map(|m| m.low.iter().chain(&m.high))
+            .map(|v| v.to_bits())
+            .collect();
+        for &x in &[0.07, 0.52, 0.93] {
+            let (obj, cons) = s.predict_high(&[x]);
+            let lows = std::iter::once(s.objective())
+                .chain(s.constraints())
+                .map(|m| m.predict_low(&[x]));
+            for p in std::iter::once(obj).chain(cons).chain(lows) {
+                bits.extend([p.mean.to_bits(), p.var.to_bits()]);
+            }
+        }
+        bits
+    }
+
+    /// The from-scratch oracle of the fit cache at bundle level: for both
+    /// bundle kinds and all three fit kinds, a cache persisting across a
+    /// training set that grows and shrinks (a constant-liar fantasy point
+    /// vanishing between iterations) yields the θ and posterior bits of
+    /// `cache: None`.
+    #[test]
+    fn bit_identity_bundle_cache_matches_fresh() {
+        #[derive(Debug, Clone, Copy)]
+        enum Kind {
+            Cold,
+            Warm,
+            Frozen,
+        }
+        let high = make_data(6, 0.0);
+        let (sf_cfg, mf_cfg) = (GpConfig::fast(), MfGpConfig::fast());
+        let seed = make_data(9, 0.3);
+        let mut rng = StdRng::seed_from_u64(12);
+        let sf_t = SfSurrogates::fit(&seed, &sf_cfg, None, &mut rng, None)
+            .unwrap()
+            .thetas();
+        let mf_t = MfSurrogates::fit(&seed, &high, &mf_cfg, None, &mut rng, None)
+            .unwrap()
+            .thetas();
+        for kind in [Kind::Cold, Kind::Warm, Kind::Frozen] {
+            let mut sf_cache = FitCache::default();
+            let mut mf_cache = FitCache::default();
+            for n in [10usize, 11, 14, 12] {
+                let low = make_data(n, 0.3);
+                let sf = |cache: Option<&mut FitCache>| {
+                    let mut rng = StdRng::seed_from_u64(9);
+                    let s = match kind {
+                        Kind::Cold => SfSurrogates::fit(&low, &sf_cfg, None, &mut rng, cache),
+                        Kind::Warm => {
+                            SfSurrogates::fit(&low, &sf_cfg, Some(&sf_t), &mut rng, cache)
+                        }
+                        Kind::Frozen => SfSurrogates::fit_frozen(&low, &sf_cfg, &sf_t, cache),
+                    };
+                    sf_bits(&s.unwrap())
+                };
+                let mf = |cache: Option<&mut FitCache>| {
+                    let mut rng = StdRng::seed_from_u64(9);
+                    let s = match kind {
+                        Kind::Cold => {
+                            MfSurrogates::fit(&low, &high, &mf_cfg, None, &mut rng, cache)
+                        }
+                        Kind::Warm => {
+                            MfSurrogates::fit(&low, &high, &mf_cfg, Some(&mf_t), &mut rng, cache)
+                        }
+                        Kind::Frozen => {
+                            MfSurrogates::fit_frozen(&low, &high, &mf_cfg, &mf_t, cache)
+                        }
+                    };
+                    mf_bits(&s.unwrap())
+                };
+                assert_eq!(sf(None), sf(Some(&mut sf_cache)), "Sf {kind:?}, n = {n}");
+                assert_eq!(mf(None), mf(Some(&mut mf_cache)), "Mf {kind:?}, n = {n}");
+                assert_eq!(sf_cache.len(), n);
+                assert_eq!(mf_cache.len(), n);
+            }
         }
     }
 
@@ -1044,14 +668,14 @@ mod tests {
         // differs per model and cannot be shared).
         let (builds_shared, hits, kmb_shared) = count(&|| {
             let mut rng = StdRng::seed_from_u64(21);
-            MfSurrogates::fit(&low, &high, &MfGpConfig::fast(), &mut rng).unwrap();
+            MfSurrogates::fit(&low, &high, &MfGpConfig::fast(), None, &mut rng, None).unwrap();
         });
         // Unshared baseline: every model builds its own low batch.
         let (builds_owned, _, kmb_owned) = count(&|| {
             let mut rng = StdRng::seed_from_u64(21);
             let cfg = MfGpConfig::fast();
-            let plan_o = MfGp::plan(1, &cfg, &mut rng);
-            let plan_c = MfGp::plan(1, &cfg, &mut rng);
+            let plan_o = MfGp::plan(1, &cfg, None, &mut rng);
+            let plan_c = MfGp::plan(1, &cfg, None, &mut rng);
             MfGp::fit_planned(
                 low.xs.clone(),
                 low.objective.clone(),
@@ -1059,6 +683,7 @@ mod tests {
                 high.objective.clone(),
                 &cfg,
                 plan_o,
+                None,
             )
             .unwrap();
             MfGp::fit_planned(
@@ -1068,6 +693,7 @@ mod tests {
                 high.constraints[0].clone(),
                 &cfg,
                 plan_c,
+                None,
             )
             .unwrap();
         });

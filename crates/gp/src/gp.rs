@@ -31,7 +31,7 @@ impl Prediction {
 #[derive(Debug, Clone)]
 pub struct GpConfig {
     /// Number of random hyperparameter restarts (in addition to the kernel
-    /// defaults and any warm start).
+    /// defaults and any warm start passed to [`Gp::plan_starts`]).
     pub restarts: usize,
     /// L-BFGS iteration cap per restart.
     pub max_iters: usize,
@@ -45,10 +45,6 @@ pub struct GpConfig {
     /// Whether to z-score the outputs before training (recommended; all the
     /// default kernel bounds assume standardized outputs).
     pub standardize: bool,
-    /// Optional warm-start hyperparameters `[kernel params…, log σ_n]`,
-    /// tried as an additional restart — the BO loop passes the previous
-    /// iteration's optimum here.
-    pub warm_start: Option<Vec<f64>>,
     /// Distributes the (pure) per-restart L-BFGS runs over a thread pool.
     /// All randomness is drawn before the restarts launch and the best
     /// restart is selected in start order, so every mode returns
@@ -70,7 +66,6 @@ impl Default for GpConfig {
             log_noise_init: (1e-3f64).ln(),
             log_noise_bounds: ((1e-6f64).ln(), (0.3f64).ln()),
             standardize: true,
-            warm_start: None,
             parallelism: Parallelism::Serial,
             inference: InferenceMode::Exact,
         }
@@ -131,14 +126,15 @@ impl<K: Kernel> Gp<K> {
         rng: &mut R,
     ) -> Result<Self, GpError> {
         Self::validate(&kernel, &xs, &ys)?;
-        let starts = Self::plan_starts(&kernel, config, rng);
-        Self::fit_planned(kernel, xs, ys, config, starts)
+        let starts = Self::plan_starts(&kernel, config, None, rng);
+        Self::fit_planned(kernel, xs, ys, config, starts, None)
     }
 
-    /// Draws the NLML starting points `fit` would use, consuming the RNG in
-    /// exactly the same order: the clamped kernel default, the warm start
-    /// (when present and well-shaped), then `config.restarts` Latin-hypercube
-    /// draws.
+    /// Draws the NLML starting points: the clamped kernel default, the warm
+    /// start `[kernel params…, log σ_n]` (when given and well-shaped — the
+    /// BO loop passes the previous refit's optimum), then `config.restarts`
+    /// Latin-hypercube draws. The warm start consumes no randomness, so the
+    /// LHS draws are the same with or without it.
     ///
     /// Splitting planning (randomness) from [`Gp::fit_planned`] (pure
     /// optimization) lets bundle fitters front-load every random draw for a
@@ -147,6 +143,7 @@ impl<K: Kernel> Gp<K> {
     pub fn plan_starts<R: Rng + ?Sized>(
         kernel: &K,
         config: &GpConfig,
+        warm: Option<&[f64]>,
         rng: &mut R,
     ) -> Vec<Vec<f64>> {
         let theta_bounds = Self::theta_bounds(kernel, config);
@@ -154,7 +151,7 @@ impl<K: Kernel> Gp<K> {
         let mut default_start = kernel.default_params();
         default_start.push(config.log_noise_init);
         starts.push(theta_bounds.clamp(&default_start));
-        if let Some(ws) = &config.warm_start {
+        if let Some(ws) = warm {
             if ws.len() == kernel.num_params() + 1 {
                 starts.push(theta_bounds.clamp(ws));
             }
@@ -210,6 +207,34 @@ impl<K: Kernel> Gp<K> {
         Ok(())
     }
 
+    /// Applies [`GpConfig::inference`] to a training set: past its cap,
+    /// `SubsetOfData` keeps the deterministic farthest-point subset (over
+    /// committed history order), which a batch over the full set cannot
+    /// serve; otherwise the full set and `shared` pass through unchanged.
+    fn training_set<'b, 'c>(
+        xs: Vec<Vec<f64>>,
+        ys: Vec<f64>,
+        config: &GpConfig,
+        shared: Option<&'b DiffBatch<'c>>,
+    ) -> (Vec<Vec<f64>>, Vec<f64>, Option<&'b DiffBatch<'c>>) {
+        match config.inference {
+            InferenceMode::SubsetOfData { max_points } if xs.len() > max_points => {
+                let keep = mfbo_infer::select_subset(&xs, max_points);
+                let xs_sub = keep.iter().map(|&i| xs[i].clone()).collect();
+                let ys_sub = keep.iter().map(|&i| ys[i]).collect();
+                (xs_sub, ys_sub, None)
+            }
+            _ => (xs, ys, shared),
+        }
+    }
+
+    /// Whether `batch` is a usable lower-triangle difference tensor for
+    /// `xs` (right pair count and dimensionality).
+    fn shared_usable(batch: &DiffBatch<'_>, xs: &[Vec<f64>]) -> bool {
+        let n = xs.len();
+        batch.len() == n * (n + 1) / 2 && batch.dim() == xs.first().map_or(0, Vec::len)
+    }
+
     /// Trains a GP from pre-drawn starting points (see [`Gp::plan_starts`]).
     /// Consumes no randomness: the per-start L-BFGS runs are pure and may be
     /// distributed over [`GpConfig::parallelism`] worker threads; the best
@@ -221,6 +246,15 @@ impl<K: Kernel> Gp<K> {
     /// training set with a deterministic farthest-point selection over
     /// committed history order and then runs the exact path on the subset.
     ///
+    /// `shared` is an optional pre-built lower-triangle difference batch
+    /// over `xs` — the bundle fitters' sharing hook (the objective and
+    /// constraint GPs of one bundle train on the same `X`, so one batch
+    /// serves every model's NLML workspace). The batch must hold the exact
+    /// diffs a fresh build over `xs` would (bit-identical results); a batch
+    /// whose shape does not match `xs` is ignored and a fresh build is used.
+    /// Only the exact path consumes the batch — the subset engine trains on
+    /// a reduced point set.
+    ///
     /// # Errors
     ///
     /// Same contract as [`Gp::fit`].
@@ -230,62 +264,10 @@ impl<K: Kernel> Gp<K> {
         ys: Vec<f64>,
         config: &GpConfig,
         starts: Vec<Vec<f64>>,
-    ) -> Result<Self, GpError> {
-        Self::fit_planned_shared(kernel, xs, ys, config, starts, None)
-    }
-
-    /// [`Gp::fit_planned`] with an optional pre-built lower-triangle
-    /// difference batch over `xs` — the bundle fitters' sharing hook (the
-    /// objective and constraint GPs of one bundle train on the same `X`, so
-    /// one batch serves every model's NLML workspace). The batch must hold
-    /// the exact diffs a fresh build over `xs` would (bit-identical
-    /// results); a batch whose shape does not match `xs` is ignored and a
-    /// fresh build is used. Only the exact path consumes the batch — the
-    /// subset engine trains on a reduced point set.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Gp::fit`].
-    pub fn fit_planned_shared(
-        kernel: K,
-        xs: Vec<Vec<f64>>,
-        ys: Vec<f64>,
-        config: &GpConfig,
-        starts: Vec<Vec<f64>>,
         shared: Option<&DiffBatch<'_>>,
     ) -> Result<Self, GpError> {
         Self::validate(&kernel, &xs, &ys)?;
-        match config.inference {
-            InferenceMode::SubsetOfData { max_points } if xs.len() > max_points => {
-                let keep = mfbo_infer::select_subset(&xs, max_points);
-                let xs_sub: Vec<Vec<f64>> = keep.iter().map(|&i| xs[i].clone()).collect();
-                let ys_sub: Vec<f64> = keep.iter().map(|&i| ys[i]).collect();
-                Self::fit_planned_exact(kernel, xs_sub, ys_sub, config, starts, None)
-            }
-            _ => Self::fit_planned_exact(kernel, xs, ys, config, starts, shared),
-        }
-    }
-
-    /// Whether `batch` is a usable lower-triangle difference tensor for
-    /// `xs` (right pair count and dimensionality).
-    fn shared_usable(batch: &DiffBatch<'_>, xs: &[Vec<f64>]) -> bool {
-        let n = xs.len();
-        batch.len() == n * (n + 1) / 2 && batch.dim() == xs.first().map_or(0, Vec::len)
-    }
-
-    /// The historical exact training path: full-data hyperopt, one final
-    /// Cholesky factorization — every byte of the pre-inference-mode
-    /// behavior.
-    fn fit_planned_exact(
-        kernel: K,
-        xs: Vec<Vec<f64>>,
-        ys: Vec<f64>,
-        config: &GpConfig,
-        starts: Vec<Vec<f64>>,
-        shared: Option<&DiffBatch<'_>>,
-    ) -> Result<Self, GpError> {
-        Self::validate(&kernel, &xs, &ys)?;
-
+        let (xs, ys, shared) = Self::training_set(xs, ys, config, shared);
         let standardizer = if config.standardize {
             Standardizer::fit(&ys)
         } else {
@@ -384,9 +366,16 @@ impl<K: Kernel> Gp<K> {
         })
     }
 
-    /// Builds a GP with *fixed* hyperparameters (no training). Useful for
-    /// tests and for refitting with warm hyperparameters when new data
-    /// arrives mid-optimization.
+    /// Builds a GP with *fixed* hyperparameters (no training) — the
+    /// frozen-refresh path the BO loops run between full refits, and a
+    /// direct constructor for tests and benches.
+    ///
+    /// Reads [`GpConfig::standardize`] and [`GpConfig::inference`] from
+    /// `config`; the training-only fields are ignored. `SubsetOfData` past
+    /// its cap builds the exact model on the same farthest-point subset
+    /// [`Gp::fit_planned`] selects. `shared` is the optional lower-triangle
+    /// difference batch over `xs` (see [`Gp::fit_planned`]); only the exact
+    /// path consumes it, and the result is bit-identical with or without it.
     ///
     /// # Errors
     ///
@@ -399,26 +388,7 @@ impl<K: Kernel> Gp<K> {
         ys: Vec<f64>,
         params: Vec<f64>,
         log_noise: f64,
-        standardize: bool,
-    ) -> Result<Self, GpError> {
-        Self::with_params_shared(kernel, xs, ys, params, log_noise, standardize, None)
-    }
-
-    /// [`Gp::with_params`] with an optional pre-built lower-triangle
-    /// difference batch over `xs` (see [`Gp::fit_planned_shared`]) — the
-    /// frozen-refresh bundle path builds the batch once and rebuilds every
-    /// model of the bundle from it. Bit-identical to [`Gp::with_params`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Gp::with_params`].
-    pub fn with_params_shared(
-        kernel: K,
-        xs: Vec<Vec<f64>>,
-        ys: Vec<f64>,
-        params: Vec<f64>,
-        log_noise: f64,
-        standardize: bool,
+        config: &GpConfig,
         shared: Option<&DiffBatch<'_>>,
     ) -> Result<Self, GpError> {
         if xs.is_empty() || xs.len() != ys.len() {
@@ -431,7 +401,8 @@ impl<K: Kernel> Gp<K> {
                 reason: "wrong number of kernel parameters".into(),
             });
         }
-        let standardizer = if standardize {
+        let (xs, ys, shared) = Self::training_set(xs, ys, config, shared);
+        let standardizer = if config.standardize {
             Standardizer::fit(&ys)
         } else {
             Standardizer::identity()
@@ -466,70 +437,6 @@ impl<K: Kernel> Gp<K> {
             nlml,
             best_start: None,
         })
-    }
-
-    /// [`Gp::with_params`] with an explicit inference mode — the
-    /// frozen-hyperparameter entry point for approximate inference, used by
-    /// the BO loop's frozen refits and the scaling benches. With
-    /// [`InferenceMode::Exact`] (or a training set no larger than the
-    /// mode's subset cap) this is byte-identical to [`Gp::with_params`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Gp::with_params`].
-    pub fn with_params_inference(
-        kernel: K,
-        xs: Vec<Vec<f64>>,
-        ys: Vec<f64>,
-        params: Vec<f64>,
-        log_noise: f64,
-        standardize: bool,
-        inference: InferenceMode,
-    ) -> Result<Self, GpError> {
-        Self::with_params_inference_shared(
-            kernel,
-            xs,
-            ys,
-            params,
-            log_noise,
-            standardize,
-            inference,
-            None,
-        )
-    }
-
-    /// [`Gp::with_params_inference`] with an optional pre-built
-    /// lower-triangle difference batch over `xs` (see
-    /// [`Gp::fit_planned_shared`]); only the exact path consumes it.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Gp::with_params`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_params_inference_shared(
-        kernel: K,
-        xs: Vec<Vec<f64>>,
-        ys: Vec<f64>,
-        params: Vec<f64>,
-        log_noise: f64,
-        standardize: bool,
-        inference: InferenceMode,
-        shared: Option<&DiffBatch<'_>>,
-    ) -> Result<Self, GpError> {
-        if xs.is_empty() || xs.len() != ys.len() {
-            return Err(GpError::InvalidTrainingSet {
-                reason: "empty or mismatched training set".into(),
-            });
-        }
-        match inference {
-            InferenceMode::SubsetOfData { max_points } if xs.len() > max_points => {
-                let keep = mfbo_infer::select_subset(&xs, max_points);
-                let xs_sub: Vec<Vec<f64>> = keep.iter().map(|&i| xs[i].clone()).collect();
-                let ys_sub: Vec<f64> = keep.iter().map(|&i| ys[i]).collect();
-                Self::with_params(kernel, xs_sub, ys_sub, params, log_noise, standardize)
-            }
-            _ => Self::with_params_shared(kernel, xs, ys, params, log_noise, standardize, shared),
-        }
     }
 
     /// Posterior prediction (mean and latent variance) in raw output units.
@@ -769,7 +676,7 @@ impl<K: Kernel> Gp<K> {
     }
 
     /// The full hyperparameter vector `[kernel params…, log σ_n]` — feed
-    /// this back as [`GpConfig::warm_start`] on the next refit.
+    /// this back as the `warm` start of [`Gp::plan_starts`] on the next refit.
     pub fn theta(&self) -> Vec<f64> {
         let mut t = self.params.clone();
         t.push(self.log_noise);
@@ -1012,7 +919,16 @@ mod tests {
         let (xs, ys) = sine_data(8);
         let k = SquaredExponential::new(1);
         let params = k.default_params();
-        let gp = Gp::with_params(k, xs.clone(), ys.clone(), params, -3.0, true).unwrap();
+        let gp = Gp::with_params(
+            k,
+            xs.clone(),
+            ys.clone(),
+            params,
+            -3.0,
+            &GpConfig::default(),
+            None,
+        )
+        .unwrap();
         // Still interpolates decently with default hyperparameters.
         let p = gp.predict(&xs[3]);
         assert!((p.mean - ys[3]).abs() < 0.2);
@@ -1078,10 +994,12 @@ mod tests {
         .unwrap();
         let config = GpConfig {
             restarts: 0,
-            warm_start: Some(gp1.theta()),
             ..GpConfig::default()
         };
-        let gp2 = Gp::fit(SquaredExponential::new(1), xs, ys, &config, &mut rng()).unwrap();
+        let k = SquaredExponential::new(1);
+        let starts = Gp::plan_starts(&k, &config, Some(&gp1.theta()), &mut rng());
+        assert_eq!(starts.len(), 2, "default start plus the warm start");
+        let gp2 = Gp::fit_planned(k, xs, ys, &config, starts, None).unwrap();
         // Warm-started training should be at least as good as the default
         // start alone, and close to the original optimum.
         assert!(gp2.nlml() <= gp1.nlml() + 1e-3);
@@ -1161,13 +1079,18 @@ mod tests {
         let k = SquaredExponential::new(1);
         let params = vec![0.1, -1.0];
         let log_noise = -2.0;
+        let raw = GpConfig {
+            standardize: false,
+            ..GpConfig::default()
+        };
         let gp = Gp::with_params(
             k.clone(),
             xs.clone(),
             ys.clone(),
             params.clone(),
             log_noise,
-            false,
+            &raw,
+            None,
         )
         .unwrap();
         let loo = gp.loo_residuals();
@@ -1178,8 +1101,8 @@ mod tests {
             let mut ys2 = ys.clone();
             xs2.remove(i);
             ys2.remove(i);
-            let gp2 =
-                Gp::with_params(k.clone(), xs2, ys2, params.clone(), log_noise, false).unwrap();
+            let gp2 = Gp::with_params(k.clone(), xs2, ys2, params.clone(), log_noise, &raw, None)
+                .unwrap();
             let (mu, var) = gp2.predict_standardized(&xs[i]);
             let noise = gp2.noise_var_standardized();
             let (resid, loo_var) = loo[i];
@@ -1206,11 +1129,13 @@ mod tests {
             ys.clone(),
             vec![0.0, -1.2],
             -3.0,
-            true,
+            &GpConfig::default(),
+            None,
         )
         .unwrap();
         // Absurdly long lengthscale = underfit.
-        let bad = Gp::with_params(k, xs, ys, vec![0.0, 3.0], -3.0, true).unwrap();
+        let bad =
+            Gp::with_params(k, xs, ys, vec![0.0, 3.0], -3.0, &GpConfig::default(), None).unwrap();
         assert!(good.loo_nlpd() < bad.loo_nlpd());
     }
 
@@ -1237,15 +1162,18 @@ mod tests {
         let (xs, ys) = sine_data(30);
         let k = SquaredExponential::new(1);
         let params = vec![0.1, -1.0];
-        let mode = InferenceMode::SubsetOfData { max_points: 10 };
-        let gp = Gp::with_params_inference(
+        let sod = GpConfig {
+            inference: InferenceMode::SubsetOfData { max_points: 10 },
+            ..GpConfig::default()
+        };
+        let gp = Gp::with_params(
             k.clone(),
             xs.clone(),
             ys.clone(),
             params.clone(),
             -2.0,
-            true,
-            mode,
+            &sod,
+            None,
         )
         .unwrap();
         assert_eq!(gp.len(), 10);
@@ -1253,7 +1181,8 @@ mod tests {
         let keep = mfbo_infer::select_subset(&xs, 10);
         let xs_sub: Vec<Vec<f64>> = keep.iter().map(|&i| xs[i].clone()).collect();
         let ys_sub: Vec<f64> = keep.iter().map(|&i| ys[i]).collect();
-        let oracle = Gp::with_params(k, xs_sub, ys_sub, params, -2.0, true).unwrap();
+        let oracle =
+            Gp::with_params(k, xs_sub, ys_sub, params, -2.0, &GpConfig::default(), None).unwrap();
         for q in [&[0.13][..], &[0.5], &[0.88]] {
             let (am, av) = gp.predict_standardized(q);
             let (om, ov) = oracle.predict_standardized(q);

@@ -86,7 +86,8 @@ proptest! {
         // trivially true but can stress the jitter path.
         let ys: Vec<f64> = xs.iter().map(|x| x[0] * 2.0 - 0.5).collect();
         let k = SquaredExponential::new(1);
-        let gp = Gp::with_params(k, xs.clone(), ys, vec![0.0, -1.0], -4.0, true).unwrap();
+        let cfg = GpConfig::default();
+        let gp = Gp::with_params(k, xs.clone(), ys, vec![0.0, -1.0], -4.0, &cfg, None).unwrap();
         for x in &xs {
             let (_, var_at_obs) = gp.predict_standardized(x);
             // Far from all data the latent variance approaches the prior
@@ -106,8 +107,10 @@ proptest! {
         let ys_shifted: Vec<f64> = ys.iter().map(|y| y + shift).collect();
         let k = SquaredExponential::new(1);
         let params = vec![0.0, -1.0];
-        let a = Gp::with_params(k.clone(), xs.clone(), ys, params.clone(), -3.0, true).unwrap();
-        let b = Gp::with_params(k, xs, ys_shifted, params, -3.0, true).unwrap();
+        let cfg = GpConfig::default();
+        let a = Gp::with_params(k.clone(), xs.clone(), ys, params.clone(), -3.0, &cfg, None)
+            .unwrap();
+        let b = Gp::with_params(k, xs, ys_shifted, params, -3.0, &cfg, None).unwrap();
         for q in [0.05, 0.37, 0.81] {
             let pa = a.predict(&[q]);
             let pb = b.predict(&[q]);
@@ -336,11 +339,13 @@ mod bit_identity {
                 ys.clone(),
                 vec![0.1, logl, logl, -0.3],
                 -2.0,
-                true,
+                &GpConfig::default(),
+                None,
             )
             .unwrap();
             check_predict_against_oracle(&se, &queries)?;
-            let fused = Gp::with_params(nargp, xs, ys, nargp_params, -2.0, true).unwrap();
+            let cfg = GpConfig::default();
+            let fused = Gp::with_params(nargp, xs, ys, nargp_params, -2.0, &cfg, None).unwrap();
             check_predict_against_oracle(&fused, &queries)?;
         }
 
@@ -376,7 +381,8 @@ mod bit_identity {
                     *p = scale;
                 }
             }
-            let gp = Gp::with_params(kernel, train.clone(), ys, params, -2.0, true).unwrap();
+            let cfg = GpConfig::default();
+            let gp = Gp::with_params(kernel, train.clone(), ys, params, -2.0, &cfg, None).unwrap();
             let fs: Vec<f64> = (0..s)
                 .map(|k| match k % 3 {
                     0 => train[k % train.len()][d],
@@ -420,7 +426,8 @@ mod bit_identity {
                 ys,
                 vec![0.1, logl, logl],
                 -2.0,
-                true,
+                &GpConfig::default(),
+                None,
             )
             .unwrap();
             let queries = &queries[..m];

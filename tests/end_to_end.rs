@@ -258,3 +258,40 @@ fn seeded_runs_are_reproducible() {
     assert_eq!(a.n_high, b.n_high);
     assert_eq!(a.best_objective, b.best_objective);
 }
+
+/// GASPAD's frozen refits honour the model's inference engine as its full
+/// refits do: with subset-of-data capped below the training-set size, every
+/// model of every refit selects a subset.
+#[test]
+fn gaspad_frozen_refits_honour_the_inference_mode() {
+    use analog_mfbo::gp::GpConfig;
+    use std::sync::Arc;
+
+    let problem = FunctionProblem::builder("ctoy", Bounds::unit(2))
+        .high(|x: &[f64]| x[0] + x[1])
+        .high_constraints(1, |x: &[f64]| vec![1.0 - x[0] - x[1]])
+        .build();
+    let (initial, budget) = (10, 16);
+    let config = GaspadConfig {
+        initial_points: initial,
+        budget,
+        population: 10,
+        refit_every: 3,
+        model: GpConfig {
+            inference: InferenceMode::SubsetOfData { max_points: 8 },
+            ..GpConfig::fast()
+        },
+        ..GaspadConfig::default()
+    };
+    let reg = Arc::new(mfbo_telemetry::metrics::MetricsRegistry::new());
+    {
+        let _g = mfbo_telemetry::scoped_sink(reg.clone());
+        Gaspad::new(config)
+            .run(&problem, &mut StdRng::seed_from_u64(8))
+            .expect("gaspad run");
+    }
+    let selections = reg.snapshot().counters["infer_subset_selections"];
+    // Six refits (two full, four frozen) of two models: objective and one
+    // constraint.
+    assert_eq!(selections, (budget - initial) as u64 * 2);
+}
