@@ -88,8 +88,14 @@ pub fn upper_confidence_bound(mean: f64, std: f64, kappa: f64) -> f64 {
 /// `Σ_i max(0, μ_i(x))` over constraint posterior means. Minimizing this
 /// drives the search into the feasible region when no feasible point is
 /// known yet.
+///
+/// A NaN mean makes the drive NaN: `f64::max` alone would return the 0.0
+/// and score an unknown constraint as satisfied.
 pub fn feasibility_drive(constraint_means: &[f64]) -> f64 {
-    constraint_means.iter().map(|m| m.max(0.0)).sum()
+    constraint_means
+        .iter()
+        .map(|&m| if m.is_nan() { m } else { m.max(0.0) })
+        .sum()
 }
 
 #[cfg(test)]
@@ -192,5 +198,12 @@ mod tests {
     fn feasibility_drive_sums_positive_means() {
         assert_eq!(feasibility_drive(&[-1.0, -2.0]), 0.0);
         assert!((feasibility_drive(&[0.5, -1.0, 0.25]) - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn feasibility_drive_propagates_nan_means() {
+        assert!(feasibility_drive(&[f64::NAN, 1.0]).is_nan());
+        assert!(feasibility_drive(&[-1.0, f64::NAN]).is_nan());
+        assert_eq!(feasibility_drive(&[f64::INFINITY, -1.0]), f64::INFINITY);
     }
 }

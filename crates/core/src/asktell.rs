@@ -79,6 +79,12 @@ use std::time::{Duration, Instant};
 /// never exclude a genuinely different optimum.
 const TABOO_RADIUS: f64 = 1e-6;
 
+/// Queries per tile of the batched feasibility drive. Every model builds a
+/// query × training-point × dimension difference buffer per call; scoring a
+/// whole 37-point charge-pump simplex at once grew the peak RSS of a
+/// `cp-mfbo` benchmark run by 12% (EXPERIMENTS.md).
+const DRIVE_TILE: usize = 8;
+
 /// A candidate returned by [`AskTellMfbo::ask`], awaiting evaluation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
@@ -245,13 +251,19 @@ impl Surrogates {
 
     /// Eq. (13)'s feasibility drive plus a tiny objective-mean tie-break
     /// that steers the search toward good designs once the drive term
-    /// flattens at zero.
-    fn drive(&self, x: &[f64]) -> f64 {
-        let (d, obj) = match self {
-            Surrogates::Mf(s) => (s.feasibility_drive(x), s.objective().predict(x).mean),
-            Surrogates::Sf(s) => (s.feasibility_drive(x), s.objective().predict(x).mean),
-        };
-        d + 1e-4 * obj
+    /// flattens at zero, at each of `points` into `out` — the batched
+    /// objective of the drive's Nelder–Mead searches. Posterior means only,
+    /// scored in tiles of [`DRIVE_TILE`] queries.
+    fn drive(&self, points: &[Vec<f64>], out: &mut [f64]) {
+        for (tile, out) in points.chunks(DRIVE_TILE).zip(out.chunks_mut(DRIVE_TILE)) {
+            let (d, obj) = match self {
+                Surrogates::Mf(s) => (s.feasibility_drive(tile), s.objective().predict_means(tile)),
+                Surrogates::Sf(s) => (s.feasibility_drive(tile), s.objective().predict_means(tile)),
+            };
+            for ((o, d), obj) in out.iter_mut().zip(d).zip(obj) {
+                *o = d + 1e-4 * obj;
+            }
+        }
     }
 
     /// Weighted EI of the high-fidelity posteriors against `tau_h`.
@@ -884,14 +896,14 @@ where
         let drove_feasibility = self.nc > 0 && !has_feasible_high;
         let (xt_unit, acq_value, landscape) = if drove_feasibility {
             // §4.2: no feasible point known — minimize Σ max(0, μ_h,i).
-            let drive = |x: &[f64]| surrogates.drive(x);
+            let drive = |xs: &[Vec<f64>], out: &mut [f64]| surrogates.drive(xs, out);
             let mut ms = MultiStart::new(self.cfg.msp_starts)
                 .with_local_search(local.clone())
                 .with_parallelism(self.cfg.parallelism);
             if !taboo.is_empty() {
                 ms = ms.with_taboo(taboo.clone(), TABOO_RADIUS);
             }
-            let (r, stats) = ms.minimize_with_stats(&drive, &self.unit, &mut self.rng);
+            let (r, stats) = ms.minimize_batched_with_stats(&drive, &self.unit, &mut self.rng);
             (r.x, r.value, stats)
         } else {
             let tau_h = tau_h_val.unwrap_or(0.0);
@@ -1228,5 +1240,199 @@ where
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::acquisition::feasibility_drive;
+    use crate::nargp::MfGpThetas;
+    use mfbo_gp::kernel::{Kernel, NargpKernel};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    const D: usize = 36;
+    const CONSTRAINTS: usize = 5;
+
+    /// `n` random designs in the unit cube with an objective and five
+    /// constraints; `bias` shifts every output (the low fidelity).
+    fn data(n: usize, bias: f64, rng: &mut StdRng) -> FidelityData {
+        let mut d = FidelityData::new(CONSTRAINTS);
+        for _ in 0..n {
+            let x: Vec<f64> = (0..D).map(|_| rng.gen::<f64>()).collect();
+            let s: f64 = x.iter().map(|v| (3.0 * v).sin()).sum();
+            let eval = Evaluation {
+                objective: s + bias,
+                constraints: (0..CONSTRAINTS)
+                    .map(|k| x[k] - 0.5 + 0.1 * (s * (k + 1) as f64).sin() + bias)
+                    .collect(),
+            };
+            d.push(x, &eval);
+        }
+        d
+    }
+
+    /// SE-ARD θ with every lengthscale `e^log_l`, unit σ_f and noise
+    /// `e^log_noise`.
+    fn se_theta(log_l: f64, log_noise: f64) -> Vec<f64> {
+        let mut t = vec![log_l; D + 2];
+        t[0] = 0.0;
+        t[D + 1] = log_noise;
+        t
+    }
+
+    /// NARGP θ: default, with design lengthscales of 1.8 (0.3·√36, so the
+    /// design factors do not underflow at 36 dimensions).
+    fn nargp_theta() -> Vec<f64> {
+        let mut t = NargpKernel::new(D).default_params();
+        for (j, p) in t.iter_mut().enumerate().skip(3) {
+            if j != 2 + D + 1 {
+                *p = 1.8f64.ln();
+            }
+        }
+        t.push(-3.0);
+        t
+    }
+
+    /// The pointwise drive the batched one replaces: full posteriors,
+    /// reading only their means.
+    fn pointwise_drive(s: &Surrogates, x: &[f64]) -> f64 {
+        let (cons, obj): (Vec<f64>, f64) = match s {
+            Surrogates::Mf(s) => (
+                s.constraints().iter().map(|c| c.predict(x).mean).collect(),
+                s.objective().predict(x).mean,
+            ),
+            Surrogates::Sf(s) => (
+                s.constraints().iter().map(|c| c.predict(x).mean).collect(),
+                s.objective().predict(x).mean,
+            ),
+        };
+        feasibility_drive(&cons) + 1e-4 * obj
+    }
+
+    /// The `predict_batch_points` count of `f`.
+    fn points_counted(f: impl FnOnce()) -> u64 {
+        let reg = std::sync::Arc::new(mfbo_telemetry::metrics::MetricsRegistry::new());
+        {
+            let _g = mfbo_telemetry::scoped_sink(reg.clone());
+            f();
+        }
+        let snap = reg.snapshot();
+        snap.counters
+            .get("predict_batch_points")
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// The batched drive at `points` equals the pointwise drive bit for
+    /// bit and counts the same `predict_batch_points`; then a short
+    /// Nelder–Mead search whose every batch (the whole 37-point initial
+    /// simplex, each shrink) is checked the same way.
+    fn check_drive(s: &Surrogates, points: &[Vec<f64>]) {
+        let mut batched = vec![0.0; points.len()];
+        let batched_count = points_counted(|| s.drive(points, &mut batched));
+        let mut pointwise = Vec::new();
+        let pointwise_count =
+            points_counted(|| pointwise.extend(points.iter().map(|x| pointwise_drive(s, x))));
+        for (b, p) in batched.iter().zip(&pointwise) {
+            assert_eq!(b.to_bits(), p.to_bits(), "batched {b}, pointwise {p}");
+        }
+        assert_eq!(batched_count, pointwise_count);
+
+        let sizes = std::cell::RefCell::new(Vec::new());
+        let checked = |xs: &[Vec<f64>], out: &mut [f64]| {
+            sizes.borrow_mut().push(xs.len());
+            s.drive(xs, out);
+            for (x, o) in xs.iter().zip(out.iter()) {
+                assert_eq!(o.to_bits(), pointwise_drive(s, x).to_bits());
+            }
+        };
+        NelderMead::new().with_max_iters(6).minimize_batched(
+            &checked,
+            &points[0],
+            &Bounds::unit(D),
+        );
+        assert_eq!(sizes.borrow()[0], D + 1);
+    }
+
+    fn mf_surrogates(
+        low: &FidelityData,
+        high: &FidelityData,
+        mc_samples: usize,
+        low_theta: Vec<f64>,
+    ) -> Surrogates {
+        let models = MfGpThetas {
+            low: low_theta,
+            high: nargp_theta(),
+        };
+        let thetas = MfBundleThetas {
+            objective: models.clone(),
+            constraints: vec![models; CONSTRAINTS],
+        };
+        let cfg = MfGpConfig {
+            mc_samples,
+            ..MfGpConfig::fast()
+        };
+        Surrogates::Mf(MfSurrogates::fit_frozen(low, high, &cfg, &thetas, None).unwrap())
+    }
+
+    #[test]
+    fn bit_identity_batched_drive_mf() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let low = data(30, 0.2, &mut rng);
+        let high = data(10, 0.0, &mut rng);
+        let points = data(13, 0.0, &mut rng).xs;
+        let theta = se_theta(1.8f64.ln(), -3.0);
+        for mc_samples in [12, 1] {
+            check_drive(
+                &mf_surrogates(&low, &high, mc_samples, theta.clone()),
+                &points,
+            );
+        }
+    }
+
+    /// Short low-fidelity lengthscales make distinct designs uncorrelated,
+    /// so the low posterior variance is exactly 0 at its training points
+    /// (the σ_l < 1e-12 plug-in branch) and the prior's elsewhere.
+    #[test]
+    fn bit_identity_batched_drive_mf_plug_in_branch() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let low = data(20, 0.2, &mut rng);
+        let high = data(8, 0.0, &mut rng);
+        let s = mf_surrogates(&low, &high, 12, se_theta(-3.0, -30.0));
+        let mut points = data(6, 0.0, &mut rng).xs;
+        points.splice(1..1, low.xs[..9].iter().cloned());
+        let Surrogates::Mf(mf) = &s else {
+            unreachable!()
+        };
+        for x in &low.xs[..9] {
+            assert!(
+                mf.objective()
+                    .low()
+                    .predict_standardized(x)
+                    .1
+                    .max(0.0)
+                    .sqrt()
+                    < 1e-12
+            );
+        }
+        assert!(mf.objective().low().predict_standardized(&points[0]).1 > 0.5);
+        check_drive(&s, &points);
+    }
+
+    #[test]
+    fn bit_identity_batched_drive_sf() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let high = data(25, 0.0, &mut rng);
+        let points = data(13, 0.0, &mut rng).xs;
+        let theta = se_theta(1.8f64.ln(), -3.0);
+        let thetas = SfBundleThetas {
+            objective: theta.clone(),
+            constraints: vec![theta; CONSTRAINTS],
+        };
+        let cfg = MfGpConfig::fast();
+        let s = SfSurrogates::fit_frozen(&high, &cfg.high, &thetas, None).unwrap();
+        check_drive(&Surrogates::Sf(s), &points);
     }
 }

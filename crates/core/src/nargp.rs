@@ -124,8 +124,19 @@ impl MfGpConfig {
 pub struct MfGp {
     low: Gp<SquaredExponential>,
     high: Gp<NargpKernel>,
-    mc_samples: usize,
+    /// The stratified quantiles `Φ⁻¹((k+½)/S)`, `k = 0..S`: the same for
+    /// every query, so computed once per model.
+    quantiles: Vec<f64>,
     parallelism: Parallelism,
+}
+
+/// The `S` stratified quantiles `Φ⁻¹((k+½)/S)` of the Monte-Carlo
+/// propagation (at least one).
+fn stratified_quantiles(samples: usize) -> Vec<f64> {
+    let s = samples.max(1);
+    (0..s)
+        .map(|k| norm_inv_cdf((k as f64 + 0.5) / s as f64))
+        .collect()
 }
 
 impl MfGp {
@@ -239,7 +250,7 @@ impl MfGp {
         Ok(MfGp {
             low,
             high,
-            mc_samples: config.mc_samples.max(1),
+            quantiles: stratified_quantiles(config.mc_samples),
             parallelism: config.parallelism,
         })
     }
@@ -296,13 +307,7 @@ impl MfGp {
             return Vec::new();
         }
         let lows = self.low.predict_batch_standardized(points);
-        // The stratified quantiles Φ⁻¹((k+½)/S) are the same for every query.
-        let s = self.mc_samples;
-        let quantiles: Vec<f64> = (0..s)
-            .map(|k| norm_inv_cdf((k as f64 + 0.5) / s as f64))
-            .collect();
-        let propagate =
-            |(x, &(ml, vl)): (&Vec<f64>, &(f64, f64))| self.propagate(x, ml, vl, &quantiles);
+        let propagate = |(x, &(ml, vl)): (&Vec<f64>, &(f64, f64))| self.propagate(x, ml, vl);
         let workers = self.parallelism.workers();
         if workers <= 1 || points.len() < 2 {
             return points.iter().zip(&lows).map(propagate).collect();
@@ -321,17 +326,26 @@ impl MfGp {
         .collect()
     }
 
-    /// One query's propagated posterior from its low-fidelity posterior
-    /// `(ml, vl)`: a single plug-in sample when the low posterior is
-    /// effectively deterministic, otherwise the `S` stratified samples
-    /// `f_k = μ + σ·quantiles[k]`, moment-matched by the law of total
-    /// variance (`E[σ²] + Var[μ]`).
-    fn propagate(&self, x: &[f64], ml: f64, vl: f64, quantiles: &[f64]) -> (f64, f64) {
+    /// The fidelity samples of one query with low-fidelity posterior
+    /// `(ml, vl)`: `None` for the single plug-in sample `ml`, taken when
+    /// the low posterior is effectively deterministic or `S = 1`; otherwise
+    /// the `S` stratified samples `f_k = μ + σ·quantiles[k]`.
+    fn samples(&self, ml: f64, vl: f64) -> Option<Vec<f64>> {
         let sl = vl.max(0.0).sqrt();
-        if quantiles.len() == 1 || sl < 1e-12 {
-            return self.high.predict_propagated_standardized(x, &[ml])[0];
+        if self.quantiles.len() == 1 || sl < 1e-12 {
+            return None;
         }
-        let fs: Vec<f64> = quantiles.iter().map(|&q| ml + sl * q).collect();
+        Some(self.quantiles.iter().map(|&q| ml + sl * q).collect())
+    }
+
+    /// One query's propagated posterior from its low-fidelity posterior
+    /// `(ml, vl)`: the plug-in posterior, or the stratified samples (see
+    /// [`MfGp::samples`]) moment-matched by the law of total variance
+    /// (`E[σ²] + Var[μ]`).
+    fn propagate(&self, x: &[f64], ml: f64, vl: f64) -> (f64, f64) {
+        let Some(fs) = self.samples(ml, vl) else {
+            return self.high.predict_propagated_standardized(x, &[ml])[0];
+        };
         let samples = self.high.predict_propagated_standardized(x, &fs);
         let c = samples.len() as f64;
         let mut mean_sum = 0.0;
@@ -347,6 +361,40 @@ impl MfGp {
             .sum::<f64>()
             / c;
         (mean, var_sum / c + var_of_means)
+    }
+
+    /// Mean-only [`MfGp::predict_batch`]: the propagated raw-unit posterior
+    /// mean of each query, bit-identical to the `mean` of
+    /// [`MfGp::predict`]. The low stage still runs the full posterior (the
+    /// samples need `σ_l`); the high stage computes only the sample means,
+    /// summed in sample order and divided by `S` as [`MfGp::predict`]
+    /// does. `predict_batch_points` counts as for [`MfGp::predict`]. Runs
+    /// serially: its caller, the acquisition search, is already
+    /// distributed over starts.
+    pub fn predict_means(&self, points: &[Vec<f64>]) -> Vec<f64> {
+        if points.is_empty() {
+            return Vec::new();
+        }
+        let lows = self.low.predict_batch_standardized(points);
+        let st = self.high.standardizer();
+        points
+            .iter()
+            .zip(&lows)
+            .map(|(x, &(ml, vl))| {
+                let mean = match self.samples(ml, vl) {
+                    None => self.high.predict_propagated_means_standardized(x, &[ml])[0],
+                    Some(fs) => {
+                        let means = self.high.predict_propagated_means_standardized(x, &fs);
+                        let mut sum = 0.0;
+                        for &m in &means {
+                            sum += m;
+                        }
+                        sum / means.len() as f64
+                    }
+                };
+                st.inverse(mean)
+            })
+            .collect()
     }
 
     /// Batched [`MfGp::predict`]: propagated raw-unit posteriors for a set
@@ -378,7 +426,7 @@ impl MfGp {
 
     /// Number of Monte-Carlo propagation samples.
     pub fn mc_samples(&self) -> usize {
-        self.mc_samples
+        self.quantiles.len()
     }
 
     /// Best (minimum) raw observation at each fidelity:
@@ -445,7 +493,7 @@ impl MfGp {
         Ok(MfGp {
             low,
             high,
-            mc_samples: config.mc_samples.max(1),
+            quantiles: stratified_quantiles(config.mc_samples),
             parallelism: config.parallelism,
         })
     }

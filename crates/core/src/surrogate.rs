@@ -81,6 +81,25 @@ fn input_dim(xs: &[Vec<f64>], empty: &str) -> Result<usize, GpError> {
         })
 }
 
+/// Eq. (13) at each of `points` from the posterior means `means` gives
+/// for each constraint model, summed in constraint order.
+fn drive_at<M>(
+    constraints: &[M],
+    points: &[Vec<f64>],
+    means: impl Fn(&M, &[Vec<f64>]) -> Vec<f64>,
+) -> Vec<f64> {
+    let means: Vec<Vec<f64>> = constraints.iter().map(|c| means(c, points)).collect();
+    let mut at = vec![0.0; means.len()];
+    (0..points.len())
+        .map(|q| {
+            for (a, m) in at.iter_mut().zip(&means) {
+                *a = m[q];
+            }
+            acquisition::feasibility_drive(&at)
+        })
+        .collect()
+}
+
 /// Splits per-model results (objective first) into the bundle's models,
 /// returning the first error in output order, as sequential fits would.
 fn split_models<M>(fitted: Vec<Result<M, GpError>>) -> Result<(M, Vec<M>), GpError> {
@@ -255,11 +274,12 @@ impl MfSurrogates {
         v
     }
 
-    /// The first-feasible-point objective of eq. (13) using high-fidelity
-    /// constraint posterior means.
-    pub fn feasibility_drive(&self, x: &[f64]) -> f64 {
-        let means: Vec<f64> = self.constraints.iter().map(|c| c.predict(x).mean).collect();
-        acquisition::feasibility_drive(&means)
+    /// The first-feasible-point objective of eq. (13) at each of `points`,
+    /// from the high-fidelity constraint posterior means
+    /// ([`MfGp::predict_means`]; bit-identical to the `mean` of
+    /// [`MfGp::predict`]).
+    pub fn feasibility_drive(&self, points: &[Vec<f64>]) -> Vec<f64> {
+        drive_at(&self.constraints, points, MfGp::predict_means)
     }
 
     /// High-fidelity posterior of every output at `x`.
@@ -406,10 +426,10 @@ impl SfSurrogates {
             .product()
     }
 
-    /// The first-feasible-point objective of eq. (13).
-    pub fn feasibility_drive(&self, x: &[f64]) -> f64 {
-        let means: Vec<f64> = self.constraints.iter().map(|c| c.predict(x).mean).collect();
-        acquisition::feasibility_drive(&means)
+    /// The first-feasible-point objective of eq. (13) at each of `points`,
+    /// from the constraint posterior means ([`Gp::predict_means`]).
+    pub fn feasibility_drive(&self, points: &[Vec<f64>]) -> Vec<f64> {
+        drive_at(&self.constraints, points, Gp::predict_means)
     }
 
     /// Posterior of every output at `x`.
@@ -477,8 +497,9 @@ mod tests {
         let data = make_data(12, 0.0);
         let mut rng = StdRng::seed_from_u64(2);
         let s = SfSurrogates::fit(&data, &GpConfig::fast(), None, &mut rng, None).unwrap();
-        assert_eq!(s.feasibility_drive(&[0.9]), 0.0);
-        assert!(s.feasibility_drive(&[0.0]) > 0.1);
+        let d = s.feasibility_drive(&[vec![0.9], vec![0.0]]);
+        assert_eq!(d[0], 0.0);
+        assert!(d[1] > 0.1);
     }
 
     #[test]

@@ -514,12 +514,64 @@ impl<K: Kernel> Gp<K> {
         self.posteriors(points, be)
     }
 
+    /// Mean-only [`Gp::predict_batch_standardized`]: the standardized
+    /// posterior mean `k*ᵀα` of each query, bit-identical to the `.0` of
+    /// the full posterior. The kernel rows take the same tiles and batch
+    /// hook; no forward solve and no prior-variance batch run. Like
+    /// [`Gp::predict_standardized`] it does not count towards
+    /// `predict_batch_points`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any query dimension differs from `kernel.input_dim()`.
+    pub fn predict_means_standardized(&self, points: &[Vec<f64>]) -> Vec<f64> {
+        for x in points {
+            assert_eq!(x.len(), self.kernel.input_dim(), "query dimension mismatch");
+        }
+        let mut out = Vec::with_capacity(points.len());
+        self.kernel_rows(points, 1, false, |kv, _| {
+            let rows = kv.chunks_exact(self.xs.len());
+            out.extend(rows.map(|kstar| mfbo_linalg::dot(kstar, &self.alpha)));
+        });
+        out
+    }
+
+    /// Raw-unit [`Gp::predict_means_standardized`]: bit-identical to the
+    /// `mean` of [`Gp::predict`] at each query.
+    ///
+    /// # Panics
+    ///
+    /// As for [`Gp::predict_means_standardized`].
+    pub fn predict_means(&self, points: &[Vec<f64>]) -> Vec<f64> {
+        let mut means = self.predict_means_standardized(points);
+        for m in &mut means {
+            *m = self.standardizer.inverse(*m);
+        }
+        means
+    }
+
     /// The one posterior path behind every predict entry point: tiles of
     /// queries through the kernel batch hook, then [`Gp::finish_posteriors`].
     fn posteriors(&self, points: &[Vec<f64>], be: mfbo_simd::Backend) -> Vec<(f64, f64)> {
+        let mut out = Vec::with_capacity(points.len());
+        self.kernel_rows(points, be.lanes(), true, |kv, kss| {
+            self.finish_posteriors(be, kv, kss, &mut out)
+        });
+        out
+    }
+
+    /// Hands `finish` the cross-covariance rows `kv` (query-major, `n` per
+    /// query) of each tile of `points`, in query order, and — when `prior`
+    /// is set — the tile's prior variances `kss` (empty otherwise).
+    fn kernel_rows(
+        &self,
+        points: &[Vec<f64>],
+        lanes: usize,
+        prior: bool,
+        mut finish: impl FnMut(&[f64], &[f64]),
+    ) {
         let n = self.xs.len();
         let dim = self.kernel.input_dim();
-        let lanes = be.lanes();
         // Tile size: per query the hot working set is the n×dim difference
         // rows (8·n·dim bytes; the tile's batch is scalar-layout, so no
         // dim-major transpose is built) and the cross-covariance row (8·n
@@ -531,12 +583,11 @@ impl<K: Kernel> Gp<K> {
         let tile_len = (tile_len / lanes * lanes).clamp(lanes, points.len().max(lanes));
 
         let mut kv = vec![0.0; tile_len * n];
-        let mut kss = vec![0.0; tile_len];
-        let mut out = Vec::with_capacity(points.len());
+        let mut kss = vec![0.0; if prior { tile_len } else { 0 }];
         for tile in points.chunks(tile_len) {
             let m = tile.len();
             // The per-tile batches are deliberately built in the scalar
-            // layout whatever `be` says: a prediction tile evaluates its
+            // layout whatever the backend: a prediction tile evaluates its
             // kernel rows exactly once, so the dim-major transpose the
             // vector kernels want costs more to build than it saves (unlike
             // the NLML training batch, which is evaluated hundreds of times
@@ -547,14 +598,19 @@ impl<K: Kernel> Gp<K> {
             let batch = DiffBatch::cross_with_backend(tile, &self.xs, mfbo_simd::Backend::Scalar);
             let kv = &mut kv[..m * n];
             self.kernel.eval_from_diffs(&self.params, &batch, kv);
-            // Prior-variance terms k(x, x) through the batch hook too: one
-            // parameter hoist per tile instead of a scalar `eval` each.
-            let diag = DiffBatch::diagonal_with_backend(tile, mfbo_simd::Backend::Scalar);
-            let kss = &mut kss[..m];
-            self.kernel.eval_from_diffs(&self.params, &diag, kss);
-            self.finish_posteriors(be, kv, kss, &mut out);
+            let kss = if prior {
+                // Prior-variance terms k(x, x) through the batch hook too:
+                // one parameter hoist per tile instead of a scalar `eval`
+                // each.
+                let diag = DiffBatch::diagonal_with_backend(tile, mfbo_simd::Backend::Scalar);
+                let kss = &mut kss[..m];
+                self.kernel.eval_from_diffs(&self.params, &diag, kss);
+                &kss[..]
+            } else {
+                &[]
+            };
+            finish(kv, kss);
         }
-        out
     }
 
     /// Turns the cross-covariance rows `kv` (query-major, `n` per query)
@@ -788,57 +844,116 @@ impl Gp<NargpKernel> {
         fs: &[f64],
         be: mfbo_simd::Backend,
     ) -> Vec<(f64, f64)> {
-        let d = self.kernel.design_dim();
-        assert_eq!(x.len(), d, "design point dimension mismatch");
-        if fs.is_empty() {
+        let Some(rows) = self.propagated_rows(x, fs) else {
             return Vec::new();
-        }
-        mfbo_telemetry::counter!("predict_batch_points", fs.len() as u64);
-        let NargpScales {
-            sf2_1,
-            inv_l1,
-            sf2_2,
-            inv_l2,
-            sf2_3,
-            inv_l3,
-        } = self.kernel.scales(&self.params);
-        // Once per training point: `k2(x, x_i)` and `k3(x, x_i)`, each
-        // accumulated in dimension order from the signed difference.
-        let design = |xi: &[f64]| {
-            let (mut q2, mut q3) = (0.0, 0.0);
-            for ((&a, &b), (l2, l3)) in x.iter().zip(xi).zip(inv_l2.iter().zip(&inv_l3)) {
-                let di = a - b;
-                let z2 = di * l2;
-                q2 += z2 * z2;
-                let z3 = di * l3;
-                q3 += z3 * z3;
-            }
-            (sf2_2 * (-0.5 * q2).exp(), sf2_3 * (-0.5 * q3).exp())
         };
-        let (k2, k3): (Vec<f64>, Vec<f64>) = self.xs.iter().map(|z| design(&z[..d])).unzip();
-        // The prior variance's design factors from the `x − x` differences
-        // a diagonal batch would hold.
-        let (k2_xx, k3_xx) = design(x);
-        let k1 = |df: f64| {
-            let zf = df * inv_l1;
-            sf2_1 * (-0.5 * (zf * zf)).exp()
-        };
-        // Once per sample: only the 1-dim `k1`.
         let n = self.xs.len();
         let mut kv = vec![0.0; fs.len() * n];
         let mut kss = Vec::with_capacity(fs.len());
+        // The prior variance's design factors from the `x − x` differences
+        // a diagonal batch would hold.
+        let (k2_xx, k3_xx) = rows.design(x, x);
         for (&f, row) in fs.iter().zip(kv.chunks_exact_mut(n)) {
-            for (((o, z), &k2i), &k3i) in row.iter_mut().zip(&self.xs).zip(&k2).zip(&k3) {
-                *o = k1(f - z[d]) * k2i + k3i;
-            }
+            rows.fill(f, row);
             // Deliberately `f − f`, as the diagonal batch stores it (NaN,
             // not 0, for a non-finite sample).
             #[allow(clippy::eq_op)]
-            kss.push(k1(f - f) * k2_xx + k3_xx);
+            kss.push(rows.k1(f - f) * k2_xx + k3_xx);
         }
         let mut out = Vec::with_capacity(fs.len());
         self.finish_posteriors(be, &kv, &kss, &mut out);
         out
+    }
+
+    /// Mean-only [`Gp::predict_propagated_standardized`]: the standardized
+    /// posterior mean `k*ᵀα` at every augmented input `(x, f)`, bit-identical
+    /// to the `.0` of the full posterior. The kernel rows come from the
+    /// same hoisted design factors; no forward solve and no prior variance
+    /// run. Counts one `predict_batch_points` per sample, as the full path
+    /// does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` differs from the kernel's design dimension.
+    pub fn predict_propagated_means_standardized(&self, x: &[f64], fs: &[f64]) -> Vec<f64> {
+        let Some(rows) = self.propagated_rows(x, fs) else {
+            return Vec::new();
+        };
+        let mut row = vec![0.0; self.xs.len()];
+        fs.iter()
+            .map(|&f| {
+                rows.fill(f, &mut row);
+                mfbo_linalg::dot(&row, &self.alpha)
+            })
+            .collect()
+    }
+
+    /// The design-space half of the propagated kernel rows at `x`: eq.
+    /// (9)'s `k2(x, x_i)` and `k3(x, x_i)` once per training point. `None`
+    /// (and no count) when there are no samples; otherwise counts one
+    /// `predict_batch_points` per sample.
+    fn propagated_rows(&self, x: &[f64], fs: &[f64]) -> Option<PropagatedRows<'_>> {
+        let d = self.kernel.design_dim();
+        assert_eq!(x.len(), d, "design point dimension mismatch");
+        if fs.is_empty() {
+            return None;
+        }
+        mfbo_telemetry::counter!("predict_batch_points", fs.len() as u64);
+        let mut rows = PropagatedRows {
+            scales: self.kernel.scales(&self.params),
+            xs: &self.xs,
+            d,
+            k2: Vec::with_capacity(self.xs.len()),
+            k3: Vec::with_capacity(self.xs.len()),
+        };
+        for z in &self.xs {
+            let (k2, k3) = rows.design(x, &z[..d]);
+            rows.k2.push(k2);
+            rows.k3.push(k3);
+        }
+        Some(rows)
+    }
+}
+
+/// One design point's hoisted NARGP kernel factors (see
+/// [`Gp::predict_propagated_standardized`]): only the 1-dim `k1` is left to
+/// evaluate per sample.
+struct PropagatedRows<'a> {
+    scales: NargpScales,
+    xs: &'a [Vec<f64>],
+    d: usize,
+    k2: Vec<f64>,
+    k3: Vec<f64>,
+}
+
+impl PropagatedRows<'_> {
+    /// `(k2(a, b), k3(a, b))`, each accumulated in dimension order from the
+    /// signed difference.
+    fn design(&self, a: &[f64], b: &[f64]) -> (f64, f64) {
+        let sc = &self.scales;
+        let (mut q2, mut q3) = (0.0, 0.0);
+        for ((&a, &b), (l2, l3)) in a.iter().zip(b).zip(sc.inv_l2.iter().zip(&sc.inv_l3)) {
+            let di = a - b;
+            let z2 = di * l2;
+            q2 += z2 * z2;
+            let z3 = di * l3;
+            q3 += z3 * z3;
+        }
+        (sc.sf2_2 * (-0.5 * q2).exp(), sc.sf2_3 * (-0.5 * q3).exp())
+    }
+
+    /// The fidelity factor `k1` of a fidelity difference.
+    fn k1(&self, df: f64) -> f64 {
+        let zf = df * self.scales.inv_l1;
+        self.scales.sf2_1 * (-0.5 * (zf * zf)).exp()
+    }
+
+    /// The kernel row of the augmented input `(x, f)` against every
+    /// training point: `k1(f, f_i)·k2_i + k3_i`.
+    fn fill(&self, f: f64, row: &mut [f64]) {
+        for (((o, z), &k2i), &k3i) in row.iter_mut().zip(self.xs).zip(&self.k2).zip(&self.k3) {
+            *o = self.k1(f - z[self.d]) * k2i + k3i;
+        }
     }
 }
 

@@ -408,6 +408,77 @@ mod bit_identity {
             }
         }
 
+        /// The mean-only posteriors against the `.0` of the full ones, at
+        /// 1, 5 and the charge pump's 36 design dimensions: the generic
+        /// batch for both kernels (and its raw-unit form against
+        /// [`Gp::predict`]), and the propagated NARGP sample means.
+        #[test]
+        fn mean_only_posteriors_match_full(
+            flat in prop::collection::vec(0.0f64..1.0, 22 * 37),
+            dim_ix in 0usize..3,
+            m in 1usize..10,
+            s_ix in 0usize..3,
+            logl in -1.0f64..1.0,
+        ) {
+            let d = [1usize, 5, 36][dim_ix];
+            let s = [1usize, 12, 20][s_ix];
+            let rows: Vec<Vec<f64>> = flat.chunks(37).map(|c| c[..d + 1].to_vec()).collect();
+            let (train, queries) = rows.split_at(12);
+            let queries = &queries[..m];
+            let ys: Vec<f64> = train.iter().map(|z| (4.0 * z[0]).sin() + z[d]).collect();
+            let scale = logl + 0.5 * (d as f64).ln();
+            let cfg = GpConfig::default();
+
+            let design = |zs: &[Vec<f64>]| zs.iter().map(|z| z[..d].to_vec()).collect::<Vec<_>>();
+            let mut se_params = vec![scale; d + 1];
+            se_params[0] = 0.2;
+            let se = Gp::with_params(
+                SquaredExponential::new(d),
+                design(train),
+                ys.clone(),
+                se_params,
+                -2.0,
+                &cfg,
+                None,
+            )
+            .unwrap();
+            let se_queries = design(queries);
+            let means = se.predict_means_standardized(&se_queries);
+            let raw = se.predict_means(&se_queries);
+            let full = se.predict_batch_standardized(&se_queries);
+            prop_assert_eq!(means.len(), m);
+            for (((q, mean), raw), (fm, _)) in se_queries.iter().zip(&means).zip(&raw).zip(&full) {
+                prop_assert_eq!(mean.to_bits(), fm.to_bits());
+                prop_assert_eq!(mean.to_bits(), se.predict_standardized(q).0.to_bits());
+                prop_assert_eq!(raw.to_bits(), se.predict(q).mean.to_bits());
+            }
+            prop_assert!(se.predict_means_standardized(&[]).is_empty());
+
+            // NARGP: design lengthscales grow like √d as in the propagated
+            // posterior test above, so k2 and k3 stay away from underflow.
+            let kernel = NargpKernel::new(d);
+            let mut params = kernel.default_params();
+            for (j, p) in params.iter_mut().enumerate().skip(3) {
+                if j != 2 + d + 1 {
+                    *p = scale;
+                }
+            }
+            let gp = Gp::with_params(kernel, train.to_vec(), ys, params, -2.0, &cfg, None).unwrap();
+            let full = gp.predict_batch_standardized(queries);
+            for (mean, (fm, _)) in gp.predict_means_standardized(queries).iter().zip(&full) {
+                prop_assert_eq!(mean.to_bits(), fm.to_bits());
+            }
+            let x = &queries[0][..d];
+            let fs: Vec<f64> = (0..s).map(|k| (k as f64 * 0.71).sin() - 0.2).collect();
+            let means = gp.predict_propagated_means_standardized(x, &fs);
+            let full = gp.predict_propagated_standardized(x, &fs);
+            prop_assert_eq!(means.len(), s);
+            for (mean, (fm, _)) in means.iter().zip(&full) {
+                prop_assert_eq!(mean.to_bits(), fm.to_bits());
+            }
+            prop_assert!(gp.predict_propagated_means_standardized(x, &[]).is_empty());
+        }
+
         /// The SIMD backend choice must be bit-invisible end to end: forced
         /// scalar and the detected backend produce identical predictions.
         /// Query counts sweep the lane-group remainders (0..lanes-1 queries

@@ -11,7 +11,7 @@
 //! the high-fidelity incumbent `τ_h`, and the rest uniform. [`MultiStart`]
 //! exposes exactly this via [`MultiStart::with_anchor`].
 
-use crate::neldermead::NelderMead;
+use crate::neldermead::{pointwise, NelderMead};
 use crate::{sampling, Bounds, OptResult};
 use mfbo_pool::{par_map, Parallelism};
 use rand::Rng;
@@ -168,9 +168,25 @@ impl MultiStart {
         F: Fn(&[f64]) -> f64 + Sync + ?Sized,
         R: Rng + ?Sized,
     {
+        self.minimize_batched_with_stats(&pointwise(f), bounds, rng)
+    }
+
+    /// [`MultiStart::minimize_with_stats`] with a batched objective: each
+    /// local search scores its initial simplex and every shrink in one call
+    /// (see [`NelderMead::minimize_batched`] for the contract).
+    pub fn minimize_batched_with_stats<F, R>(
+        &self,
+        f: &F,
+        bounds: &Bounds,
+        rng: &mut R,
+    ) -> (OptResult, LandscapeStats)
+    where
+        F: Fn(&[Vec<f64>], &mut [f64]) + Sync + ?Sized,
+        R: Rng + ?Sized,
+    {
         let starts = self.starting_points(bounds, rng);
         let mut results = par_map(self.parallelism, &starts, |s| {
-            self.local.minimize(f, s, bounds)
+            self.local.minimize_batched(f, s, bounds)
         });
         // Selection: strictly-better wins, first occurrence kept — taboo'd
         // optima are skipped unless every start is taboo'd (the fallback
@@ -395,21 +411,37 @@ mod tests {
     #[test]
     fn parallel_modes_match_serial_bit_for_bit() {
         let b = Bounds::symmetric(2, 3.0);
-        let run = |par: Parallelism, seed: u64| {
+        // A batched objective scored independently of the pointwise path.
+        let batched = |xs: &[Vec<f64>], out: &mut [f64]| {
+            for (x, o) in xs.iter().zip(out) {
+                *o = rastrigin(x);
+            }
+        };
+        let run = |par: Parallelism, seed: u64, batch: bool| {
             let mut rng = StdRng::seed_from_u64(seed);
-            MultiStart::new(24)
+            let ms = MultiStart::new(24)
                 .with_anchor(vec![0.5, 0.5], 0.3, 0.05)
-                .with_parallelism(par)
-                .minimize(&rastrigin, &b, &mut rng)
+                .with_parallelism(par);
+            if batch {
+                ms.minimize_batched_with_stats(&batched, &b, &mut rng).0
+            } else {
+                ms.minimize(&rastrigin, &b, &mut rng)
+            }
         };
         for seed in [0u64, 9, 123] {
-            let serial = run(Parallelism::Serial, seed);
-            for par in [Parallelism::Threads(2), Parallelism::Threads(8)] {
-                let threaded = run(par, seed);
-                assert_eq!(serial.x, threaded.x);
-                assert_eq!(serial.value, threaded.value);
-                assert_eq!(serial.evaluations, threaded.evaluations);
-                assert_eq!(serial.iterations, threaded.iterations);
+            let serial = run(Parallelism::Serial, seed, false);
+            for par in [
+                Parallelism::Serial,
+                Parallelism::Threads(2),
+                Parallelism::Threads(8),
+            ] {
+                for batch in [false, true] {
+                    let other = run(par, seed, batch);
+                    assert_eq!(serial.x, other.x);
+                    assert_eq!(serial.value.to_bits(), other.value.to_bits());
+                    assert_eq!(serial.evaluations, other.evaluations);
+                    assert_eq!(serial.iterations, other.iterations);
+                }
             }
         }
     }

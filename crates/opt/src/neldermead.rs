@@ -1,9 +1,24 @@
 //! Nelder–Mead downhill simplex with box bounds.
 //!
 //! Used as the derivative-free local searcher inside the
-//! multiple-starting-point strategy: the acquisition surface of the
-//! multi-fidelity model is evaluated through Monte-Carlo integration and its
-//! numeric gradients are noisy, which Nelder–Mead tolerates gracefully.
+//! multiple-starting-point strategy. The acquisition surfaces are
+//! deterministic — the NARGP propagation uses fixed stratified quantiles,
+//! not random draws — but no posterior here has an input gradient, and the
+//! surfaces have flat zero regions (wEI far from the data) and kinks (the
+//! `max(0, ·)` terms of the eq. (13) drive), which a simplex search
+//! tolerates.
+//!
+//! # Batched objectives
+//!
+//! The core, [`NelderMead::minimize_batched`], takes a batched objective
+//! `f(xs, out)` that must write the objective value at `xs[i]` into
+//! `out[i]` for every `i` (`out.len() == xs.len()`). A point's value must
+//! not depend on which batch it arrives in, so the batching is invisible in
+//! the result. The search makes one call with the `n + 1` points of the
+//! initial simplex, one call with the `n` new vertices of each shrink, and
+//! one single-point call for each reflection, expansion and contraction.
+//! The pointwise [`NelderMead::minimize`] adapts a scalar objective by
+//! scoring each batch in point order.
 
 use crate::{Bounds, OptResult};
 
@@ -62,15 +77,31 @@ impl NelderMead {
     where
         F: Fn(&[f64]) -> f64 + ?Sized,
     {
+        self.minimize_batched(&pointwise(f), x0, bounds)
+    }
+
+    /// [`NelderMead::minimize`] with a batched objective (see the module
+    /// docs for the contract and the call shapes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x0.len() != bounds.dim()`.
+    pub fn minimize_batched<F>(&self, f: &F, x0: &[f64], bounds: &Bounds) -> OptResult
+    where
+        F: Fn(&[Vec<f64>], &mut [f64]) + ?Sized,
+    {
         assert_eq!(x0.len(), bounds.dim(), "x0 dimension mismatch");
         let n = x0.len();
-        let eval = |x: &[f64]| {
-            let v = f(x);
-            if v.is_finite() {
-                v
-            } else {
-                f64::INFINITY
+        let score = |xs: &[Vec<f64>], out: &mut [f64]| {
+            f(xs, out);
+            for v in out.iter_mut().filter(|v| !v.is_finite()) {
+                *v = f64::INFINITY;
             }
+        };
+        let eval = |x: &Vec<f64>| {
+            let mut v = [0.0];
+            score(std::slice::from_ref(x), &mut v);
+            v[0]
         };
 
         // Build the initial simplex: x0 plus a step along each axis,
@@ -89,7 +120,8 @@ impl NelderMead {
             bounds.clamp_in_place(&mut v);
             simplex.push(v);
         }
-        let mut values: Vec<f64> = simplex.iter().map(|v| eval(v)).collect();
+        let mut values = vec![0.0; n + 1];
+        score(&simplex, &mut values);
         let mut evals = n + 1;
 
         let mut iters = 0usize;
@@ -170,7 +202,8 @@ impl NelderMead {
                     simplex[n] = contract;
                     values[n] = fc;
                 } else {
-                    // Shrink toward the best vertex.
+                    // Shrink toward the best vertex, scoring the n new
+                    // vertices in one call.
                     for i in 1..=n {
                         let vi: Vec<f64> = simplex[i]
                             .iter()
@@ -178,9 +211,9 @@ impl NelderMead {
                             .map(|(v, b)| 0.5 * (v + b))
                             .collect();
                         simplex[i] = bounds.clamp(&vi);
-                        values[i] = eval(&simplex[i]);
-                        evals += 1;
                     }
+                    score(&simplex[1..], &mut values[1..]);
+                    evals += n;
                 }
             }
         }
@@ -197,6 +230,19 @@ impl NelderMead {
             evaluations: evals,
             iterations: iters,
             converged,
+        }
+    }
+}
+
+/// Adapts a pointwise objective to the batched contract, scoring each
+/// batch in point order.
+pub(crate) fn pointwise<F>(f: &F) -> impl Fn(&[Vec<f64>], &mut [f64]) + '_
+where
+    F: Fn(&[f64]) -> f64 + ?Sized,
+{
+    move |xs, out| {
+        for (x, o) in xs.iter().zip(out) {
+            *o = f(x);
         }
     }
 }
@@ -256,6 +302,40 @@ mod tests {
         let b = Bounds::unit(1);
         let r = NelderMead::new().minimize(&f, &[1.0], &b);
         assert!((r.x[0] - 0.2).abs() < 1e-5);
+    }
+
+    /// Records the size of every batch a search scores.
+    fn shapes_of(f: impl Fn(&[f64]) -> f64, x0: &[f64], b: &Bounds) -> (Vec<usize>, OptResult) {
+        let shapes = std::cell::RefCell::new(Vec::new());
+        let batched = |xs: &[Vec<f64>], out: &mut [f64]| {
+            shapes.borrow_mut().push(xs.len());
+            for (x, o) in xs.iter().zip(out) {
+                *o = f(x);
+            }
+        };
+        let r = NelderMead::new().minimize_batched(&batched, x0, b);
+        (shapes.into_inner(), r)
+    }
+
+    #[test]
+    fn batched_call_shapes() {
+        let b = Bounds::unit(3);
+        // A constant objective rejects every reflection and contraction,
+        // so each iteration is reflect, contract, then a 3-point shrink.
+        let (shapes, r) = shapes_of(|_| 1.0, &[0.5, 0.5, 0.5], &b);
+        assert!(r.converged);
+        assert_eq!(shapes[0], 4, "initial simplex in one call");
+        assert_eq!(shapes[1..].len(), 3 * r.iterations.saturating_sub(1));
+        for it in shapes[1..].chunks(3) {
+            assert_eq!(it, [1, 1, 3]);
+        }
+        assert_eq!(shapes.iter().sum::<usize>(), r.evaluations);
+        // A smooth objective mixes the shapes: the simplex first, then only
+        // single points and whole shrinks.
+        let (shapes, r) = shapes_of(|x| x.iter().map(|v| v * v).sum(), &[0.9, 0.2, 0.7], &b);
+        assert_eq!(shapes[0], 4);
+        assert!(shapes[1..].iter().all(|&m| m == 1 || m == 3), "{shapes:?}");
+        assert_eq!(shapes.iter().sum::<usize>(), r.evaluations);
     }
 
     #[test]
