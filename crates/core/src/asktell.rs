@@ -79,10 +79,14 @@ use std::time::{Duration, Instant};
 /// never exclude a genuinely different optimum.
 const TABOO_RADIUS: f64 = 1e-6;
 
-/// Queries per tile of the batched feasibility drive. Every model builds a
-/// query × training-point × dimension difference buffer per call; scoring a
-/// whole 37-point charge-pump simplex at once grew the peak RSS of a
-/// `cp-mfbo` benchmark run by 12% (EXPERIMENTS.md).
+/// Queries per tile of the batched feasibility drive. Each tile builds one
+/// query × training-point × dimension difference batch per training set,
+/// shared by every model of the bundle: one over the inputs for a
+/// single-fidelity bundle, one over the low inputs and one over the high
+/// design points for a multi-fidelity one. Scoring a whole 37-point
+/// charge-pump simplex at once grew the peak RSS of a `cp-mfbo` benchmark
+/// run by 12% (EXPERIMENTS.md). A pooled lockstep call holds at most
+/// [`mfbo_opt::msp::LOCKSTEP_GROUP`] points, one tile.
 const DRIVE_TILE: usize = 8;
 
 /// A candidate returned by [`AskTellMfbo::ask`], awaiting evaluation.
@@ -256,12 +260,9 @@ impl Surrogates {
     /// scored in tiles of [`DRIVE_TILE`] queries.
     fn drive(&self, points: &[Vec<f64>], out: &mut [f64]) {
         for (tile, out) in points.chunks(DRIVE_TILE).zip(out.chunks_mut(DRIVE_TILE)) {
-            let (d, obj) = match self {
-                Surrogates::Mf(s) => (s.feasibility_drive(tile), s.objective().predict_means(tile)),
-                Surrogates::Sf(s) => (s.feasibility_drive(tile), s.objective().predict_means(tile)),
-            };
-            for ((o, d), obj) in out.iter_mut().zip(d).zip(obj) {
-                *o = d + 1e-4 * obj;
+            match self {
+                Surrogates::Mf(s) => s.drive(tile, out),
+                Surrogates::Sf(s) => s.drive(tile, out),
             }
         }
     }
@@ -1255,44 +1256,60 @@ mod tests {
     const D: usize = 36;
     const CONSTRAINTS: usize = 5;
 
-    /// `n` random designs in the unit cube with an objective and five
-    /// constraints; `bias` shifts every output (the low fidelity).
-    fn data(n: usize, bias: f64, rng: &mut StdRng) -> FidelityData {
-        let mut d = FidelityData::new(CONSTRAINTS);
+    /// `n` random designs in the `d`-dim unit cube with an objective and
+    /// five constraints; `bias` shifts every output (the low fidelity).
+    fn data_in(d: usize, n: usize, bias: f64, rng: &mut StdRng) -> FidelityData {
+        let mut data = FidelityData::new(CONSTRAINTS);
         for _ in 0..n {
-            let x: Vec<f64> = (0..D).map(|_| rng.gen::<f64>()).collect();
+            let x: Vec<f64> = (0..d).map(|_| rng.gen::<f64>()).collect();
             let s: f64 = x.iter().map(|v| (3.0 * v).sin()).sum();
             let eval = Evaluation {
                 objective: s + bias,
                 constraints: (0..CONSTRAINTS)
-                    .map(|k| x[k] - 0.5 + 0.1 * (s * (k + 1) as f64).sin() + bias)
+                    .map(|k| x[k % d] - 0.5 + 0.1 * (s * (k + 1) as f64).sin() + bias)
                     .collect(),
             };
-            d.push(x, &eval);
+            data.push(x, &eval);
         }
-        d
+        data
     }
 
-    /// SE-ARD θ with every lengthscale `e^log_l`, unit σ_f and noise
-    /// `e^log_noise`.
-    fn se_theta(log_l: f64, log_noise: f64) -> Vec<f64> {
-        let mut t = vec![log_l; D + 2];
+    /// [`data_in`] at the charge pump's 36 dimensions.
+    fn data(n: usize, bias: f64, rng: &mut StdRng) -> FidelityData {
+        data_in(D, n, bias, rng)
+    }
+
+    /// SE-ARD θ over `d` dimensions with every lengthscale `e^log_l`, unit
+    /// σ_f and noise `e^log_noise`.
+    fn se_theta_in(d: usize, log_l: f64, log_noise: f64) -> Vec<f64> {
+        let mut t = vec![log_l; d + 2];
         t[0] = 0.0;
-        t[D + 1] = log_noise;
+        t[d + 1] = log_noise;
         t
     }
 
-    /// NARGP θ: default, with design lengthscales of 1.8 (0.3·√36, so the
-    /// design factors do not underflow at 36 dimensions).
-    fn nargp_theta() -> Vec<f64> {
-        let mut t = NargpKernel::new(D).default_params();
+    /// [`se_theta_in`] at 36 dimensions.
+    fn se_theta(log_l: f64, log_noise: f64) -> Vec<f64> {
+        se_theta_in(D, log_l, log_noise)
+    }
+
+    /// NARGP θ over `d` design dimensions: default, with every design
+    /// lengthscale `e^log_l`.
+    fn nargp_theta_in(d: usize, log_l: f64) -> Vec<f64> {
+        let mut t = NargpKernel::new(d).default_params();
         for (j, p) in t.iter_mut().enumerate().skip(3) {
-            if j != 2 + D + 1 {
-                *p = 1.8f64.ln();
+            if j != 2 + d + 1 {
+                *p = log_l;
             }
         }
         t.push(-3.0);
         t
+    }
+
+    /// [`nargp_theta_in`] at 36 dimensions with lengthscales of 1.8
+    /// (0.3·√36, so the design factors do not underflow).
+    fn nargp_theta() -> Vec<f64> {
+        nargp_theta_in(D, 1.8f64.ln())
     }
 
     /// The pointwise drive the batched one replaces: full posteriors,
@@ -1348,12 +1365,13 @@ mod tests {
                 assert_eq!(o.to_bits(), pointwise_drive(s, x).to_bits());
             }
         };
+        let d = points[0].len();
         NelderMead::new().with_max_iters(6).minimize_batched(
             &checked,
             &points[0],
-            &Bounds::unit(D),
+            &Bounds::unit(d),
         );
-        assert_eq!(sizes.borrow()[0], D + 1);
+        assert_eq!(sizes.borrow()[0], d + 1);
     }
 
     fn mf_surrogates(
@@ -1361,10 +1379,11 @@ mod tests {
         high: &FidelityData,
         mc_samples: usize,
         low_theta: Vec<f64>,
+        high_theta: Vec<f64>,
     ) -> Surrogates {
         let models = MfGpThetas {
             low: low_theta,
-            high: nargp_theta(),
+            high: high_theta,
         };
         let thetas = MfBundleThetas {
             objective: models.clone(),
@@ -1386,7 +1405,7 @@ mod tests {
         let theta = se_theta(1.8f64.ln(), -3.0);
         for mc_samples in [12, 1] {
             check_drive(
-                &mf_surrogates(&low, &high, mc_samples, theta.clone()),
+                &mf_surrogates(&low, &high, mc_samples, theta.clone(), nargp_theta()),
                 &points,
             );
         }
@@ -1400,7 +1419,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let low = data(20, 0.2, &mut rng);
         let high = data(8, 0.0, &mut rng);
-        let s = mf_surrogates(&low, &high, 12, se_theta(-3.0, -30.0));
+        let s = mf_surrogates(&low, &high, 12, se_theta(-3.0, -30.0), nargp_theta());
         let mut points = data(6, 0.0, &mut rng).xs;
         points.splice(1..1, low.xs[..9].iter().cloned());
         let Surrogates::Mf(mf) = &s else {
@@ -1421,18 +1440,43 @@ mod tests {
         check_drive(&s, &points);
     }
 
-    #[test]
-    fn bit_identity_batched_drive_sf() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let high = data(25, 0.0, &mut rng);
-        let points = data(13, 0.0, &mut rng).xs;
-        let theta = se_theta(1.8f64.ln(), -3.0);
+    fn sf_surrogates(high: &FidelityData, theta: Vec<f64>) -> Surrogates {
         let thetas = SfBundleThetas {
             objective: theta.clone(),
             constraints: vec![theta; CONSTRAINTS],
         };
         let cfg = MfGpConfig::fast();
-        let s = SfSurrogates::fit_frozen(&high, &cfg.high, &thetas, None).unwrap();
-        check_drive(&Surrogates::Sf(s), &points);
+        Surrogates::Sf(SfSurrogates::fit_frozen(high, &cfg.high, &thetas, None).unwrap())
+    }
+
+    #[test]
+    fn bit_identity_batched_drive_sf() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let high = data(25, 0.0, &mut rng);
+        let points = data(13, 0.0, &mut rng).xs;
+        let s = sf_surrogates(&high, se_theta(1.8f64.ln(), -3.0));
+        check_drive(&s, &points);
+    }
+
+    /// The shared-row drive at 1, 5 and 36 dimensions, down to a single
+    /// high-fidelity point and a single Monte-Carlo sample.
+    #[test]
+    fn bit_identity_batched_drive_across_dims() {
+        for d in [1usize, 5, 36] {
+            let mut rng = StdRng::seed_from_u64(6 + d as u64);
+            let log_l = (0.3 * (d as f64).sqrt()).ln();
+            let low = data_in(d, 30, 0.2, &mut rng);
+            let points = data_in(d, 11, 0.0, &mut rng).xs;
+            for (n_high, mc_samples) in [(10, 12), (1, 12), (10, 1), (1, 1)] {
+                let high = data_in(d, n_high, 0.0, &mut rng);
+                let (low_theta, high_theta) =
+                    (se_theta_in(d, log_l, -3.0), nargp_theta_in(d, log_l));
+                let s = mf_surrogates(&low, &high, mc_samples, low_theta, high_theta);
+                check_drive(&s, &points);
+            }
+            check_drive(&sf_surrogates(&low, se_theta_in(d, log_l, -3.0)), &points);
+            let one = data_in(d, 1, 0.0, &mut rng);
+            check_drive(&sf_surrogates(&one, se_theta_in(d, log_l, -3.0)), &points);
+        }
     }
 }

@@ -363,38 +363,53 @@ impl MfGp {
         (mean, var_sum / c + var_of_means)
     }
 
-    /// Mean-only [`MfGp::predict_batch`]: the propagated raw-unit posterior
-    /// mean of each query, bit-identical to the `mean` of
-    /// [`MfGp::predict`]. The low stage still runs the full posterior (the
-    /// samples need `σ_l`); the high stage computes only the sample means,
-    /// summed in sample order and divided by `S` as [`MfGp::predict`]
-    /// does. `predict_batch_points` counts as for [`MfGp::predict`]. Runs
-    /// serially: its caller, the acquisition search, is already
-    /// distributed over starts.
-    pub fn predict_means(&self, points: &[Vec<f64>]) -> Vec<f64> {
-        if points.is_empty() {
-            return Vec::new();
-        }
-        let lows = self.low.predict_batch_standardized(points);
+    /// The propagated raw-unit posterior means at the queries `tile`, into
+    /// `out`: bit-identical to the `mean` of [`MfGp::predict`]. The caller
+    /// builds the two difference batches, and may share them across every
+    /// fusion model trained on the same inputs: `low` is
+    /// [`DiffBatch::cross`] of `tile` against the low stage's inputs, and
+    /// `design` the same against the high stage's (whose design columns
+    /// alone it reads; see [`Gp::propagation`]). The low stage runs the full
+    /// posterior (the samples need `σ_l`); the high stage computes only the
+    /// sample means, summed in sample order and divided by `S` as
+    /// [`MfGp::predict`] does. `predict_batch_points` counts as for
+    /// [`MfGp::predict`]: `m` for the low stage, `S` per query for the
+    /// propagation. Runs serially: its caller, the acquisition search, is
+    /// already distributed over starts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != tile.len()` or a batch does not pair `tile`
+    /// with its stage's training inputs.
+    pub fn predict_means_from_cross(
+        &self,
+        tile: &[Vec<f64>],
+        low: &DiffBatch<'_>,
+        design: &DiffBatch<'_>,
+        out: &mut [f64],
+    ) {
+        assert_eq!(out.len(), tile.len(), "one mean per query");
+        let lows = self.low.predict_batch_from_cross(tile, low);
+        let mut propagation = self.high.propagation(design);
         let st = self.high.standardizer();
-        points
-            .iter()
-            .zip(&lows)
-            .map(|(x, &(ml, vl))| {
-                let mean = match self.samples(ml, vl) {
-                    None => self.high.predict_propagated_means_standardized(x, &[ml])[0],
-                    Some(fs) => {
-                        let means = self.high.predict_propagated_means_standardized(x, &fs);
-                        let mut sum = 0.0;
-                        for &m in &means {
-                            sum += m;
-                        }
-                        sum / means.len() as f64
+        let mut means = vec![0.0; self.quantiles.len()];
+        for (q, (o, &(ml, vl))) in out.iter_mut().zip(&lows).enumerate() {
+            let mean = match self.samples(ml, vl) {
+                None => {
+                    propagation.means(q, &[ml], &mut means[..1]);
+                    means[0]
+                }
+                Some(fs) => {
+                    propagation.means(q, &fs, &mut means);
+                    let mut sum = 0.0;
+                    for &m in &means {
+                        sum += m;
                     }
-                };
-                st.inverse(mean)
-            })
-            .collect()
+                    sum / means.len() as f64
+                }
+            };
+            *o = st.inverse(mean);
+        }
     }
 
     /// Batched [`MfGp::predict`]: propagated raw-unit posteriors for a set

@@ -81,23 +81,34 @@ fn input_dim(xs: &[Vec<f64>], empty: &str) -> Result<usize, GpError> {
         })
 }
 
-/// Eq. (13) at each of `points` from the posterior means `means` gives
-/// for each constraint model, summed in constraint order.
-fn drive_at<M>(
+/// Eq. (13)'s feasibility drive plus `1e-4` × the objective mean — the
+/// tie-break that steers the search toward good designs once the drive term
+/// flattens at zero — at each of `out.len()` queries, into `out`.
+/// `means(model, row)` writes one model's raw posterior means at the
+/// queries into `row`.
+fn drive_from_means<M>(
+    objective: &M,
     constraints: &[M],
-    points: &[Vec<f64>],
-    means: impl Fn(&M, &[Vec<f64>]) -> Vec<f64>,
-) -> Vec<f64> {
-    let means: Vec<Vec<f64>> = constraints.iter().map(|c| means(c, points)).collect();
-    let mut at = vec![0.0; means.len()];
-    (0..points.len())
-        .map(|q| {
-            for (a, m) in at.iter_mut().zip(&means) {
-                *a = m[q];
-            }
-            acquisition::feasibility_drive(&at)
-        })
-        .collect()
+    out: &mut [f64],
+    mut means: impl FnMut(&M, &mut [f64]),
+) {
+    let m = out.len();
+    if m == 0 {
+        return;
+    }
+    let mut rows = vec![0.0; (1 + constraints.len()) * m];
+    let models = std::iter::once(objective).chain(constraints);
+    for (model, row) in models.zip(rows.chunks_exact_mut(m)) {
+        means(model, row);
+    }
+    let (obj, cons) = rows.split_at(m);
+    let mut at = vec![0.0; constraints.len()];
+    for (q, o) in out.iter_mut().enumerate() {
+        for (a, row) in at.iter_mut().zip(cons.chunks_exact(m)) {
+            *a = row[q];
+        }
+        *o = acquisition::feasibility_drive(&at) + 1e-4 * obj[q];
+    }
 }
 
 /// Splits per-model results (objective first) into the bundle's models,
@@ -115,9 +126,31 @@ fn split_models<M>(fitted: Vec<Result<M, GpError>>) -> Result<(M, Vec<M>), GpErr
 pub struct MfSurrogates {
     objective: MfGp,
     constraints: Vec<MfGp>,
+    /// Whether every fusion stage trains on the objective's design points,
+    /// so one drive batch serves them all. Subset-of-data selects each
+    /// stage's subset over its augmented inputs, whose last column differs
+    /// per model, so past its cap the subsets can differ.
+    shared_design: bool,
 }
 
 impl MfSurrogates {
+    /// Assembles a bundle. Every low stage trains on the same inputs:
+    /// subset-of-data picks its subset from the inputs alone.
+    fn new(objective: MfGp, constraints: Vec<MfGp>) -> Self {
+        let (low, high) = (objective.low().xs(), objective.high().xs());
+        debug_assert!(constraints.iter().all(|c| c.low().xs() == low));
+        let d = objective.high().kernel().design_dim();
+        let shared_design = constraints.iter().all(|c| {
+            let xs = c.high().xs();
+            xs.len() == high.len() && xs.iter().zip(high).all(|(a, b)| a[..d] == b[..d])
+        });
+        MfSurrogates {
+            objective,
+            constraints,
+            shared_design,
+        }
+    }
+
     /// Fits fusion models for every output from the two fidelity data sets,
     /// each by a full hyperparameter search — seeded with that model's
     /// previous optimum as one extra start when `warm` is given.
@@ -163,10 +196,7 @@ impl MfSurrogates {
             )
         });
         let (objective, constraints) = split_models(fitted)?;
-        Ok(MfSurrogates {
-            objective,
-            constraints,
-        })
+        Ok(MfSurrogates::new(objective, constraints))
     }
 
     /// Rebuilds every model on new data with frozen hyperparameters (no
@@ -199,10 +229,7 @@ impl MfSurrogates {
             )
         });
         let (objective, constraints) = split_models(fitted)?;
-        Ok(MfSurrogates {
-            objective,
-            constraints,
-        })
+        Ok(MfSurrogates::new(objective, constraints))
     }
 
     /// The trained hyperparameters of every model in the bundle.
@@ -274,12 +301,28 @@ impl MfSurrogates {
         v
     }
 
-    /// The first-feasible-point objective of eq. (13) at each of `points`,
-    /// from the high-fidelity constraint posterior means
-    /// ([`MfGp::predict_means`]; bit-identical to the `mean` of
-    /// [`MfGp::predict`]).
-    pub fn feasibility_drive(&self, points: &[Vec<f64>]) -> Vec<f64> {
-        drive_at(&self.constraints, points, MfGp::predict_means)
+    /// The first-feasible-point objective of eq. (13), with the objective
+    /// tie-break (see [`SfSurrogates::drive`]), at each of `tile` into
+    /// `out`, from the high-fidelity posterior means (bit-identical to the
+    /// `mean` of [`MfGp::predict`]). One difference batch over the low
+    /// inputs serves every low stage and one over the high design points
+    /// every fusion stage ([`MfGp::predict_means_from_cross`]).
+    pub fn drive(&self, tile: &[Vec<f64>], out: &mut [f64]) {
+        let low = DiffBatch::cross(tile, self.objective.low().xs());
+        let shared = self
+            .shared_design
+            .then(|| DiffBatch::cross(tile, self.objective.high().xs()));
+        drive_from_means(&self.objective, &self.constraints, out, |mf, row| {
+            let own;
+            let design = match &shared {
+                Some(batch) => batch,
+                None => {
+                    own = DiffBatch::cross(tile, mf.high().xs());
+                    &own
+                }
+            };
+            mf.predict_means_from_cross(tile, &low, design, row);
+        });
     }
 
     /// High-fidelity posterior of every output at `x`.
@@ -300,6 +343,16 @@ pub struct SfSurrogates {
 }
 
 impl SfSurrogates {
+    /// Assembles a bundle. Every model trains on the same inputs:
+    /// subset-of-data picks its subset from the inputs alone.
+    fn new(objective: Gp<SquaredExponential>, constraints: Vec<Gp<SquaredExponential>>) -> Self {
+        debug_assert!(constraints.iter().all(|c| c.xs() == objective.xs()));
+        SfSurrogates {
+            objective,
+            constraints,
+        }
+    }
+
     /// Fits one SE-ARD GP per output by a full hyperparameter search —
     /// seeded with that model's previous optimum when `warm` is given.
     /// Planning, parallelism and the shared difference batch (from `cache`,
@@ -335,10 +388,7 @@ impl SfSurrogates {
             )
         });
         let (objective, constraints) = split_models(fitted)?;
-        Ok(SfSurrogates {
-            objective,
-            constraints,
-        })
+        Ok(SfSurrogates::new(objective, constraints))
     }
 
     /// Rebuilds every model on new data with frozen hyperparameters, reading
@@ -371,10 +421,7 @@ impl SfSurrogates {
             )
         });
         let (objective, constraints) = split_models(fitted)?;
-        Ok(SfSurrogates {
-            objective,
-            constraints,
-        })
+        Ok(SfSurrogates::new(objective, constraints))
     }
 
     /// The trained hyperparameters of every model in the bundle.
@@ -426,10 +473,20 @@ impl SfSurrogates {
             .product()
     }
 
-    /// The first-feasible-point objective of eq. (13) at each of `points`,
-    /// from the constraint posterior means ([`Gp::predict_means`]).
-    pub fn feasibility_drive(&self, points: &[Vec<f64>]) -> Vec<f64> {
-        drive_at(&self.constraints, points, Gp::predict_means)
+    /// The first-feasible-point objective of eq. (13) plus `1e-4` × the
+    /// objective mean — the tie-break that steers the search toward good
+    /// designs once the drive term flattens at zero — at each of `tile`
+    /// into `out`, from the posterior means (bit-identical to the `mean`
+    /// of [`Gp::predict`]). One difference batch serves every model
+    /// ([`Gp::predict_means_from_cross`]).
+    pub fn drive(&self, tile: &[Vec<f64>], out: &mut [f64]) {
+        let cross = DiffBatch::cross(tile, self.objective.xs());
+        drive_from_means(&self.objective, &self.constraints, out, |gp, row| {
+            gp.predict_means_from_cross(&cross, row);
+            for m in row {
+                *m = gp.standardizer().inverse(*m);
+            }
+        });
     }
 
     /// Posterior of every output at `x`.
@@ -493,12 +550,13 @@ mod tests {
     }
 
     #[test]
-    fn sf_feasibility_drive_zero_inside_feasible_region() {
+    fn sf_drive_is_the_tie_break_inside_feasible_region() {
         let data = make_data(12, 0.0);
         let mut rng = StdRng::seed_from_u64(2);
         let s = SfSurrogates::fit(&data, &GpConfig::fast(), None, &mut rng, None).unwrap();
-        let d = s.feasibility_drive(&[vec![0.9], vec![0.0]]);
-        assert_eq!(d[0], 0.0);
+        let mut d = [0.0; 2];
+        s.drive(&[vec![0.9], vec![0.0]], &mut d);
+        assert_eq!(d[0], 1e-4 * s.objective().predict(&[0.9]).mean);
         assert!(d[1] > 0.1);
     }
 
@@ -554,6 +612,36 @@ mod tests {
         for &x in &[0.1, 0.5, 0.77] {
             assert!(s.wei_low(&[x], 0.4) >= 0.0);
             assert!(s.wei_high(&[x], 0.4) >= 0.0);
+        }
+    }
+
+    /// Past the subset-of-data cap each fusion stage picks its subset over
+    /// its own augmented inputs, so the stages can train on different
+    /// design points; the drive then builds each stage its own batch and
+    /// still matches the full posteriors bit for bit.
+    #[test]
+    fn bit_identity_batched_drive_mf_diverging_subsets() {
+        use mfbo_gp::InferenceMode;
+        let low = make_data(14, 0.3);
+        let mut high = make_data(9, 0.0);
+        for (k, c) in high.constraints[0].iter_mut().enumerate() {
+            *c += 3.0 * ((k * 5) % 7) as f64;
+        }
+        let cfg = MfGpConfig::fast().with_inference(InferenceMode::SubsetOfData { max_points: 4 });
+        let mut rng = StdRng::seed_from_u64(13);
+        let s = MfSurrogates::fit(&low, &high, &cfg, None, &mut rng, None).unwrap();
+        assert!(
+            !s.shared_design,
+            "the fusion stages must train on different subsets"
+        );
+        let tile: Vec<Vec<f64>> = (0..7).map(|i| vec![i as f64 / 6.0]).collect();
+        let mut out = vec![0.0; tile.len()];
+        s.drive(&tile, &mut out);
+        for (x, o) in tile.iter().zip(&out) {
+            let (obj, cons) = s.predict_high(x);
+            let means: Vec<f64> = cons.iter().map(|c| c.mean).collect();
+            let expected = acquisition::feasibility_drive(&means) + 1e-4 * obj.mean;
+            assert_eq!(o.to_bits(), expected.to_bits());
         }
     }
 

@@ -514,64 +514,51 @@ impl<K: Kernel> Gp<K> {
         self.posteriors(points, be)
     }
 
-    /// Mean-only [`Gp::predict_batch_standardized`]: the standardized
-    /// posterior mean `k*ᵀα` of each query, bit-identical to the `.0` of
-    /// the full posterior. The kernel rows take the same tiles and batch
-    /// hook; no forward solve and no prior-variance batch run. Like
-    /// [`Gp::predict_standardized`] it does not count towards
-    /// `predict_batch_points`.
+    /// Standardized posterior means `k*ᵀα` at the queries of `cross`, into
+    /// `out` (one per query): bit-identical to the `.0` of
+    /// [`Gp::predict_batch_standardized`]. The caller builds `cross` as
+    /// [`DiffBatch::cross`] of the queries against [`Gp::xs`], in any
+    /// backend layout, and may share it across every model trained on the
+    /// same inputs. The kernel rows go through the batch hook; no forward
+    /// solve and no prior variance run. Like [`Gp::predict_standardized`] it
+    /// does not count towards `predict_batch_points`.
     ///
     /// # Panics
     ///
-    /// Panics if any query dimension differs from `kernel.input_dim()`.
-    pub fn predict_means_standardized(&self, points: &[Vec<f64>]) -> Vec<f64> {
-        for x in points {
-            assert_eq!(x.len(), self.kernel.input_dim(), "query dimension mismatch");
+    /// Panics if `cross` does not pair `out.len()` queries of the kernel's
+    /// input dimension with the training inputs.
+    pub fn predict_means_from_cross(&self, cross: &DiffBatch<'_>, out: &mut [f64]) {
+        let kv = self.cross_rows(cross, out.len());
+        for (o, kstar) in out.iter_mut().zip(kv.chunks_exact(self.xs.len())) {
+            *o = mfbo_linalg::dot(kstar, &self.alpha);
         }
-        let mut out = Vec::with_capacity(points.len());
-        self.kernel_rows(points, 1, false, |kv, _| {
-            let rows = kv.chunks_exact(self.xs.len());
-            out.extend(rows.map(|kstar| mfbo_linalg::dot(kstar, &self.alpha)));
-        });
-        out
     }
 
-    /// Raw-unit [`Gp::predict_means_standardized`]: bit-identical to the
-    /// `mean` of [`Gp::predict`] at each query.
+    /// Full standardized posteriors at the queries `tile` from `cross`, the
+    /// caller's [`DiffBatch::cross`] of `tile` against [`Gp::xs`] (see
+    /// [`Gp::predict_means_from_cross`]): bit-identical to
+    /// [`Gp::predict_batch_standardized`], and counted the same.
     ///
     /// # Panics
     ///
-    /// As for [`Gp::predict_means_standardized`].
-    pub fn predict_means(&self, points: &[Vec<f64>]) -> Vec<f64> {
-        let mut means = self.predict_means_standardized(points);
-        for m in &mut means {
-            *m = self.standardizer.inverse(*m);
-        }
-        means
+    /// Panics if `cross` does not pair `tile` with the training inputs.
+    pub fn predict_batch_from_cross(
+        &self,
+        tile: &[Vec<f64>],
+        cross: &DiffBatch<'_>,
+    ) -> Vec<(f64, f64)> {
+        mfbo_telemetry::counter!("predict_batch_points", tile.len() as u64);
+        let mut out = Vec::with_capacity(tile.len());
+        self.tile_posteriors(tile, cross, mfbo_simd::active(), &mut out);
+        out
     }
 
     /// The one posterior path behind every predict entry point: tiles of
-    /// queries through the kernel batch hook, then [`Gp::finish_posteriors`].
+    /// queries, each through [`Gp::tile_posteriors`].
     fn posteriors(&self, points: &[Vec<f64>], be: mfbo_simd::Backend) -> Vec<(f64, f64)> {
-        let mut out = Vec::with_capacity(points.len());
-        self.kernel_rows(points, be.lanes(), true, |kv, kss| {
-            self.finish_posteriors(be, kv, kss, &mut out)
-        });
-        out
-    }
-
-    /// Hands `finish` the cross-covariance rows `kv` (query-major, `n` per
-    /// query) of each tile of `points`, in query order, and — when `prior`
-    /// is set — the tile's prior variances `kss` (empty otherwise).
-    fn kernel_rows(
-        &self,
-        points: &[Vec<f64>],
-        lanes: usize,
-        prior: bool,
-        mut finish: impl FnMut(&[f64], &[f64]),
-    ) {
         let n = self.xs.len();
         let dim = self.kernel.input_dim();
+        let lanes = be.lanes();
         // Tile size: per query the hot working set is the n×dim difference
         // rows (8·n·dim bytes; the tile's batch is scalar-layout, so no
         // dim-major transpose is built) and the cross-covariance row (8·n
@@ -581,36 +568,58 @@ impl<K: Kernel> Gp<K> {
         let per_query = 8 * n * dim + 8 * n;
         let tile_len = (1 << 20) / per_query.max(1);
         let tile_len = (tile_len / lanes * lanes).clamp(lanes, points.len().max(lanes));
-
-        let mut kv = vec![0.0; tile_len * n];
-        let mut kss = vec![0.0; if prior { tile_len } else { 0 }];
+        let mut out = Vec::with_capacity(points.len());
         for tile in points.chunks(tile_len) {
-            let m = tile.len();
             // The per-tile batches are deliberately built in the scalar
-            // layout whatever the backend: a prediction tile evaluates its
-            // kernel rows exactly once, so the dim-major transpose the
-            // vector kernels want costs more to build than it saves (unlike
-            // the NLML training batch, which is evaluated hundreds of times
-            // per build). The SIMD win here is the interleaved multi-RHS
-            // solves, which read `kv` directly — and scalar vs vector
-            // kernel evaluation is bit-identical by construction, so the
-            // mix is invisible in the output.
-            let batch = DiffBatch::cross_with_backend(tile, &self.xs, mfbo_simd::Backend::Scalar);
-            let kv = &mut kv[..m * n];
-            self.kernel.eval_from_diffs(&self.params, &batch, kv);
-            let kss = if prior {
-                // Prior-variance terms k(x, x) through the batch hook too:
-                // one parameter hoist per tile instead of a scalar `eval`
-                // each.
-                let diag = DiffBatch::diagonal_with_backend(tile, mfbo_simd::Backend::Scalar);
-                let kss = &mut kss[..m];
-                self.kernel.eval_from_diffs(&self.params, &diag, kss);
-                &kss[..]
-            } else {
-                &[]
-            };
-            finish(kv, kss);
+            // layout whatever the backend: a batch evaluated for one model
+            // evaluates its kernel rows exactly once, so the dim-major
+            // transpose the vector kernels want costs more to build than it
+            // saves (unlike the NLML training batch, or a batch the caller
+            // shares across a bundle). The SIMD win here is the interleaved
+            // multi-RHS solves, which read `kv` directly — and scalar vs
+            // vector kernel evaluation is bit-identical by construction, so
+            // the mix is invisible in the output.
+            let cross = DiffBatch::cross_with_backend(tile, &self.xs, mfbo_simd::Backend::Scalar);
+            self.tile_posteriors(tile, &cross, be, &mut out);
         }
+        out
+    }
+
+    /// The cross-covariance rows (query-major, `n` per query) of the `m`
+    /// queries of `cross`.
+    fn cross_rows(&self, cross: &DiffBatch<'_>, m: usize) -> Vec<f64> {
+        let n = self.xs.len();
+        assert_eq!(
+            cross.len(),
+            m * n,
+            "cross batch does not pair the queries with the training set"
+        );
+        assert_eq!(
+            cross.dim(),
+            self.kernel.input_dim(),
+            "query dimension mismatch"
+        );
+        let mut kv = vec![0.0; m * n];
+        self.kernel.eval_from_diffs(&self.params, cross, &mut kv);
+        kv
+    }
+
+    /// Appends the `(mean, var)` of each query of `tile` to `out`, from
+    /// `cross` (the tile against the training inputs): kernel rows and
+    /// prior variances through the batch hook (one parameter hoist per
+    /// tile), then [`Gp::finish_posteriors`].
+    fn tile_posteriors(
+        &self,
+        tile: &[Vec<f64>],
+        cross: &DiffBatch<'_>,
+        be: mfbo_simd::Backend,
+        out: &mut Vec<(f64, f64)>,
+    ) {
+        let kv = self.cross_rows(cross, tile.len());
+        let diag = DiffBatch::diagonal_with_backend(tile, mfbo_simd::Backend::Scalar);
+        let mut kss = vec![0.0; tile.len()];
+        self.kernel.eval_from_diffs(&self.params, &diag, &mut kss);
+        self.finish_posteriors(be, &kv, &kss, out);
     }
 
     /// Turns the cross-covariance rows `kv` (query-major, `n` per query)
@@ -818,10 +827,7 @@ impl Gp<NargpKernel> {
     /// Of eq. (9)'s `k1(f, f_i)·k2(x, x_i) + k3(x, x_i)`, only `k1` sees
     /// the fidelity value, so the design-space factors `k2`, `k3` (and
     /// their prior-variance terms) are evaluated once per training point
-    /// instead of once per sample: `2·n·d + S·n` scaled squares and
-    /// `2n + S·n` `exp` calls for `S = fs.len()` samples, where the
-    /// explicit rows cost `S·n·(2d+1)` and `3·S·n`. Every pair keeps the
-    /// float sequence of [`NargpKernel`]'s scalar batch hook. Counts one
+    /// instead of once per sample (see [`Gp::propagation`]). Counts one
     /// `predict_batch_points` per sample.
     ///
     /// # Panics
@@ -844,115 +850,119 @@ impl Gp<NargpKernel> {
         fs: &[f64],
         be: mfbo_simd::Backend,
     ) -> Vec<(f64, f64)> {
-        let Some(rows) = self.propagated_rows(x, fs) else {
+        assert_eq!(
+            x.len(),
+            self.kernel.design_dim(),
+            "design point dimension mismatch"
+        );
+        if fs.is_empty() {
             return Vec::new();
-        };
+        }
+        mfbo_telemetry::counter!("predict_batch_points", fs.len() as u64);
+        let x = [x.to_vec()];
+        let scalar = mfbo_simd::Backend::Scalar;
+        let p = self.propagation(&DiffBatch::cross_with_backend(&x, &self.xs, scalar));
+        // The prior variance's design factors from the `x − x` differences
+        // a diagonal batch holds.
+        let (k2_xx, k3_xx) = p
+            .scales
+            .design(&DiffBatch::diagonal_with_backend(&x, scalar));
         let n = self.xs.len();
         let mut kv = vec![0.0; fs.len() * n];
         let mut kss = Vec::with_capacity(fs.len());
-        // The prior variance's design factors from the `x − x` differences
-        // a diagonal batch would hold.
-        let (k2_xx, k3_xx) = rows.design(x, x);
         for (&f, row) in fs.iter().zip(kv.chunks_exact_mut(n)) {
-            rows.fill(f, row);
+            p.fill(0, f, row);
             // Deliberately `f − f`, as the diagonal batch stores it (NaN,
             // not 0, for a non-finite sample).
             #[allow(clippy::eq_op)]
-            kss.push(rows.k1(f - f) * k2_xx + k3_xx);
+            kss.push(p.scales.k1(f - f) * k2_xx[0] + k3_xx[0]);
         }
         let mut out = Vec::with_capacity(fs.len());
         self.finish_posteriors(be, &kv, &kss, &mut out);
         out
     }
 
-    /// Mean-only [`Gp::predict_propagated_standardized`]: the standardized
-    /// posterior mean `k*ᵀα` at every augmented input `(x, f)`, bit-identical
-    /// to the `.0` of the full posterior. The kernel rows come from the
-    /// same hoisted design factors; no forward solve and no prior variance
-    /// run. Counts one `predict_batch_points` per sample, as the full path
-    /// does.
+    /// The design-space half of the propagated kernel rows (eq. 9's
+    /// `k2(x_q, x_i)` and `k3(x_q, x_i)`) for every design point `x_q` of
+    /// `design`, a [`DiffBatch::cross`] of the design points against
+    /// [`Gp::xs`] (only their leading design columns are read). The caller
+    /// may share one batch across every fusion model trained on the same
+    /// design points. The parameter transforms are taken once per call,
+    /// and a vector-backend batch runs each factor as one
+    /// [`mfbo_simd::sq_norm`] sweep; either layout gives the same bits.
     ///
     /// # Panics
     ///
-    /// Panics if `x.len()` differs from the kernel's design dimension.
-    pub fn predict_propagated_means_standardized(&self, x: &[f64], fs: &[f64]) -> Vec<f64> {
-        let Some(rows) = self.propagated_rows(x, fs) else {
-            return Vec::new();
-        };
-        let mut row = vec![0.0; self.xs.len()];
-        fs.iter()
-            .map(|&f| {
-                rows.fill(f, &mut row);
-                mfbo_linalg::dot(&row, &self.alpha)
-            })
-            .collect()
-    }
-
-    /// The design-space half of the propagated kernel rows at `x`: eq.
-    /// (9)'s `k2(x, x_i)` and `k3(x, x_i)` once per training point. `None`
-    /// (and no count) when there are no samples; otherwise counts one
-    /// `predict_batch_points` per sample.
-    fn propagated_rows(&self, x: &[f64], fs: &[f64]) -> Option<PropagatedRows<'_>> {
-        let d = self.kernel.design_dim();
-        assert_eq!(x.len(), d, "design point dimension mismatch");
-        if fs.is_empty() {
-            return None;
+    /// Panics if `design` is not over the kernel's design dimension or does
+    /// not pair whole design points with the training inputs.
+    pub fn propagation(&self, design: &DiffBatch<'_>) -> Propagation<'_> {
+        let n = self.xs.len();
+        assert_eq!(
+            design.dim(),
+            self.kernel.design_dim(),
+            "design dimension mismatch"
+        );
+        assert_eq!(
+            design.len() % n.max(1),
+            0,
+            "design batch does not pair whole queries"
+        );
+        let scales = self.kernel.scales(&self.params);
+        let (k2, k3) = scales.design(design);
+        Propagation {
+            gp: self,
+            scales,
+            k2,
+            k3,
+            row: vec![0.0; n],
         }
-        mfbo_telemetry::counter!("predict_batch_points", fs.len() as u64);
-        let mut rows = PropagatedRows {
-            scales: self.kernel.scales(&self.params),
-            xs: &self.xs,
-            d,
-            k2: Vec::with_capacity(self.xs.len()),
-            k3: Vec::with_capacity(self.xs.len()),
-        };
-        for z in &self.xs {
-            let (k2, k3) = rows.design(x, &z[..d]);
-            rows.k2.push(k2);
-            rows.k3.push(k3);
-        }
-        Some(rows)
     }
 }
 
-/// One design point's hoisted NARGP kernel factors (see
-/// [`Gp::predict_propagated_standardized`]): only the 1-dim `k1` is left to
-/// evaluate per sample.
-struct PropagatedRows<'a> {
+/// The hoisted NARGP kernel factors of a block of design points (see
+/// [`Gp::propagation`]): only the 1-dim `k1` is left to evaluate per
+/// sample.
+#[derive(Debug)]
+pub struct Propagation<'a> {
+    gp: &'a Gp<NargpKernel>,
     scales: NargpScales,
-    xs: &'a [Vec<f64>],
-    d: usize,
+    /// `k2(x_q, x_i)`, query-major, `n` per design point.
     k2: Vec<f64>,
+    /// `k3(x_q, x_i)`, laid out as `k2`.
     k3: Vec<f64>,
+    /// Scratch kernel row.
+    row: Vec<f64>,
 }
 
-impl PropagatedRows<'_> {
-    /// `(k2(a, b), k3(a, b))`, each accumulated in dimension order from the
-    /// signed difference.
-    fn design(&self, a: &[f64], b: &[f64]) -> (f64, f64) {
-        let sc = &self.scales;
-        let (mut q2, mut q3) = (0.0, 0.0);
-        for ((&a, &b), (l2, l3)) in a.iter().zip(b).zip(sc.inv_l2.iter().zip(&sc.inv_l3)) {
-            let di = a - b;
-            let z2 = di * l2;
-            q2 += z2 * z2;
-            let z3 = di * l3;
-            q3 += z3 * z3;
+impl Propagation<'_> {
+    /// The standardized posterior means at the augmented inputs
+    /// `(x_q, f)` of design point `q`, for `f` in `fs`, into `out` in
+    /// sample order: bit-identical to the `.0` of
+    /// [`Gp::predict_propagated_standardized`]. Counts one
+    /// `predict_batch_points` per sample, as the full path does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is out of range or `out.len() != fs.len()`.
+    pub fn means(&mut self, q: usize, fs: &[f64], out: &mut [f64]) {
+        assert_eq!(out.len(), fs.len(), "one mean per sample");
+        mfbo_telemetry::counter!("predict_batch_points", fs.len() as u64);
+        let mut row = std::mem::take(&mut self.row);
+        for (o, &f) in out.iter_mut().zip(fs) {
+            self.fill(q, f, &mut row);
+            *o = mfbo_linalg::dot(&row, &self.gp.alpha);
         }
-        (sc.sf2_2 * (-0.5 * q2).exp(), sc.sf2_3 * (-0.5 * q3).exp())
+        self.row = row;
     }
 
-    /// The fidelity factor `k1` of a fidelity difference.
-    fn k1(&self, df: f64) -> f64 {
-        let zf = df * self.scales.inv_l1;
-        self.scales.sf2_1 * (-0.5 * (zf * zf)).exp()
-    }
-
-    /// The kernel row of the augmented input `(x, f)` against every
+    /// The kernel row of the augmented input `(x_q, f)` against every
     /// training point: `k1(f, f_i)·k2_i + k3_i`.
-    fn fill(&self, f: f64, row: &mut [f64]) {
-        for (((o, z), &k2i), &k3i) in row.iter_mut().zip(self.xs).zip(&self.k2).zip(&self.k3) {
-            *o = self.k1(f - z[self.d]) * k2i + k3i;
+    fn fill(&self, q: usize, f: f64, row: &mut [f64]) {
+        let n = row.len();
+        let d = self.gp.kernel.design_dim();
+        let (k2, k3) = (&self.k2[q * n..(q + 1) * n], &self.k3[q * n..(q + 1) * n]);
+        for (((o, z), &k2i), &k3i) in row.iter_mut().zip(&self.gp.xs).zip(k2).zip(k3) {
+            *o = self.scales.k1(f - z[d]) * k2i + k3i;
         }
     }
 }

@@ -365,6 +365,7 @@ impl NargpKernel {
 /// `σ_f²` and inverse lengthscales of the three SE components of
 /// [`NargpKernel`]: `k1` over the fidelity channel, `k2` and `k3` over the
 /// design space.
+#[derive(Debug)]
 pub(crate) struct NargpScales {
     pub(crate) sf2_1: f64,
     pub(crate) inv_l1: f64,
@@ -372,6 +373,45 @@ pub(crate) struct NargpScales {
     pub(crate) inv_l2: Vec<f64>,
     pub(crate) sf2_3: f64,
     pub(crate) inv_l3: Vec<f64>,
+}
+
+impl NargpScales {
+    /// The fidelity factor `k1` of a fidelity difference.
+    pub(crate) fn k1(&self, df: f64) -> f64 {
+        let zf = df * self.inv_l1;
+        self.sf2_1 * (-0.5 * (zf * zf)).exp()
+    }
+
+    /// The design factors `(k2, k3)` of every pair of a design-space
+    /// batch, each squared norm accumulated in dimension order from the
+    /// signed difference: one [`mfbo_simd::sq_norm`] sweep per factor over
+    /// a vector-backend batch's rows, the same sequence per pair otherwise.
+    pub(crate) fn design(&self, batch: &DiffBatch<'_>) -> (Vec<f64>, Vec<f64>) {
+        let count = batch.len();
+        let mut k2 = vec![0.0; count];
+        let mut k3 = vec![0.0; count];
+        if let Some((be, rows)) = batch.simd_rows() {
+            mfbo_simd::sq_norm(be, rows, count, &self.inv_l2, &mut k2);
+            mfbo_simd::sq_norm(be, rows, count, &self.inv_l3, &mut k3);
+        } else {
+            let pairs = batch.diffs().chunks_exact(self.inv_l2.len());
+            for ((d, q2), q3) in pairs.zip(&mut k2).zip(&mut k3) {
+                for ((&di, l2), l3) in d.iter().zip(&self.inv_l2).zip(&self.inv_l3) {
+                    let z2 = di * l2;
+                    *q2 += z2 * z2;
+                    let z3 = di * l3;
+                    *q3 += z3 * z3;
+                }
+            }
+        }
+        for q2 in &mut k2 {
+            *q2 = self.sf2_2 * (-0.5 * *q2).exp();
+        }
+        for q3 in &mut k3 {
+            *q3 = self.sf2_3 * (-0.5 * *q3).exp();
+        }
+        (k2, k3)
+    }
 }
 
 impl Kernel for NargpKernel {

@@ -45,7 +45,7 @@ mod nlml;
 pub mod workspace;
 
 pub use error::GpError;
-pub use gp::{Gp, GpConfig, Prediction};
+pub use gp::{Gp, GpConfig, Prediction, Propagation};
 pub use mfbo_infer::InferenceMode;
 pub use nlml::{nlml, nlml_cached, nlml_with_grad, nlml_with_grad_cached, NlmlWorkspace};
 pub use workspace::{DiffBatch, FitCache};

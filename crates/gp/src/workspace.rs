@@ -20,7 +20,9 @@
 ///   set, in the row-major lower-triangle order the kernel-matrix builder
 ///   walks. Used by NLML training.
 /// - [`DiffBatch::cross`] — all pairs of an `M`-point query set against an
-///   `n`-point training set, query-major. Used by batched prediction.
+///   `n`-point training set, query-major. Used by batched prediction, and
+///   built by the caller when one batch serves several models trained on
+///   the same inputs.
 #[derive(Debug)]
 pub struct DiffBatch<'a> {
     dim: usize,
@@ -47,6 +49,9 @@ enum Storage<'a> {
     /// glibc bounce the second one through fresh `mmap` pages every time
     /// (measured ~7× the cost of the copies themselves).
     Owned(Vec<f64>),
+    /// Only the dim-major transpose: a cross batch built for a vector
+    /// backend, whose kernel evaluation reads nothing else.
+    RowsOnly(Vec<f64>),
     /// Views into a [`FitCache`]'s persistent buffers. `rows` is empty when
     /// no transpose is needed (scalar backend).
     Borrowed { diffs: &'a [f64], rows: &'a [f64] },
@@ -139,9 +144,18 @@ impl<'a> DiffBatch<'a> {
     /// `qi * xs.len() + xj` is `(queries[qi], xs[xj])`, matching the
     /// `k(x_query, x_train)` argument order of the pointwise predict path.
     ///
+    /// The differences run over the queries' dimension `d`: a training
+    /// point may be longer, and only its leading `d` coordinates are read
+    /// (the design columns of the NARGP augmented inputs).
+    ///
+    /// A batch is evaluated by the kernels' batch hook and nothing else, so
+    /// it stores only what that hook reads: the dim-major rows under a
+    /// vector backend, the pair-major tensor under the scalar one.
+    ///
     /// # Panics
     ///
-    /// Panics if the points have inconsistent dimensions.
+    /// Panics if the queries have inconsistent dimensions or a training
+    /// point is shorter than them.
     pub fn cross(queries: &'a [Vec<f64>], xs: &'a [Vec<f64>]) -> Self {
         Self::cross_with_backend(queries, xs, mfbo_simd::active())
     }
@@ -151,22 +165,40 @@ impl<'a> DiffBatch<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the points have inconsistent dimensions.
+    /// As for [`DiffBatch::cross`].
     pub fn cross_with_backend(
         queries: &'a [Vec<f64>],
         xs: &'a [Vec<f64>],
         be: mfbo_simd::Backend,
     ) -> Self {
         let dim = queries.first().or_else(|| xs.first()).map_or(0, Vec::len);
-        for b in xs {
-            assert_eq!(b.len(), dim, "inconsistent point dimension");
-        }
-        let count = queries.len() * xs.len();
-        let want = simd_wanted(be, count, dim);
-        let mut buf = vec![0.0; count * dim * if want { 2 } else { 1 }];
-        let mut idx = 0;
         for a in queries {
             assert_eq!(a.len(), dim, "inconsistent query dimension");
+        }
+        for b in xs {
+            assert!(b.len() >= dim, "training point shorter than the queries");
+        }
+        let n = xs.len();
+        let count = queries.len() * n;
+        if simd_wanted(be, count, dim) {
+            let mut rows = vec![0.0; count * dim];
+            for (t, row) in rows.chunks_exact_mut(count).enumerate() {
+                for (a, out) in queries.iter().zip(row.chunks_exact_mut(n)) {
+                    for (o, b) in out.iter_mut().zip(xs) {
+                        *o = a[t] - b[t];
+                    }
+                }
+            }
+            return DiffBatch {
+                dim,
+                count,
+                storage: Storage::RowsOnly(rows),
+                simd_backend: Some(be),
+            };
+        }
+        let mut buf = vec![0.0; count * dim];
+        let mut idx = 0;
+        for a in queries {
             for b in xs {
                 for ((o, &at), &bt) in buf[idx..idx + dim].iter_mut().zip(a).zip(b) {
                     *o = at - bt;
@@ -174,14 +206,11 @@ impl<'a> DiffBatch<'a> {
                 idx += dim;
             }
         }
-        if want {
-            fill_simd_rows(&mut buf, count, dim);
-        }
         DiffBatch {
             dim,
             count,
             storage: Storage::Owned(buf),
-            simd_backend: want.then_some(be),
+            simd_backend: None,
         }
     }
 
@@ -249,9 +278,15 @@ impl<'a> DiffBatch<'a> {
 
     /// The flat `len() × dim` difference tensor; pair `q` occupies
     /// `[q*dim, (q+1)*dim)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a cross batch built for a vector backend, which holds
+    /// only the dim-major rows ([`DiffBatch::simd_rows`]).
     pub fn diffs(&self) -> &[f64] {
         match &self.storage {
             Storage::Owned(buf) => &buf[..self.count * self.dim],
+            Storage::RowsOnly(_) => panic!("this cross batch holds only dim-major rows"),
             Storage::Borrowed { diffs, .. } => diffs,
         }
     }
@@ -265,6 +300,7 @@ impl<'a> DiffBatch<'a> {
         self.simd_backend.map(|be| {
             let rows = match &self.storage {
                 Storage::Owned(buf) => &buf[self.count * self.dim..],
+                Storage::RowsOnly(rows) => rows,
                 Storage::Borrowed { rows, .. } => *rows,
             };
             (be, rows)
@@ -451,10 +487,27 @@ mod tests {
     fn cross_layout_and_values() {
         let queries = vec![vec![1.0], vec![5.0]];
         let xs = vec![vec![0.0], vec![2.0], vec![3.0]];
-        let b = DiffBatch::cross(&queries, &xs);
+        let b = DiffBatch::cross_with_backend(&queries, &xs, mfbo_simd::Backend::Scalar);
         assert_eq!(b.len(), 6);
         // Query-major: pair 4 is (queries[1], xs[1]) → 5 − 2.
         assert_eq!(b.diffs(), &[1.0, -1.0, -2.0, 5.0, 3.0, 2.0]);
+    }
+
+    #[test]
+    fn cross_reads_the_leading_columns_of_longer_training_points() {
+        let queries = vec![vec![1.0, 2.0]];
+        let augmented = vec![vec![0.5, 0.25, 9.0], vec![3.0, 1.0, -4.0]];
+        let design: Vec<Vec<f64>> = augmented.iter().map(|z| z[..2].to_vec()).collect();
+        for be in [mfbo_simd::Backend::Scalar, mfbo_simd::Backend::Avx2] {
+            let a = DiffBatch::cross_with_backend(&queries, &augmented, be);
+            let b = DiffBatch::cross_with_backend(&queries, &design, be);
+            assert_eq!(a.dim(), 2);
+            match (a.simd_rows(), b.simd_rows()) {
+                (Some((_, ra)), Some((_, rb))) => assert_eq!(ra, rb),
+                (None, None) => assert_eq!(a.diffs(), b.diffs()),
+                _ => unreachable!("same backend, same layout"),
+            }
+        }
     }
 
     #[test]
@@ -473,18 +526,31 @@ mod tests {
             vec![4.0, 8.0, 16.0],
             vec![0.5, -1.0, 2.5],
         ];
-        for b in [
-            DiffBatch::lower_triangle_with_backend(&xs, mfbo_simd::Backend::Avx2),
-            DiffBatch::cross_with_backend(&xs[..2], &xs, mfbo_simd::Backend::Avx2),
-            DiffBatch::diagonal_with_backend(&xs, mfbo_simd::Backend::Avx2),
+        let scalar_cross = DiffBatch::cross_with_backend(&xs[..2], &xs, mfbo_simd::Backend::Scalar);
+        for (b, pair_major) in [
+            (
+                DiffBatch::lower_triangle_with_backend(&xs, mfbo_simd::Backend::Avx2),
+                None,
+            ),
+            // A vector-backend cross batch keeps only the rows: its
+            // transpose is checked against the scalar layout.
+            (
+                DiffBatch::cross_with_backend(&xs[..2], &xs, mfbo_simd::Backend::Avx2),
+                Some(&scalar_cross),
+            ),
+            (
+                DiffBatch::diagonal_with_backend(&xs, mfbo_simd::Backend::Avx2),
+                None,
+            ),
         ] {
             let (be, rows) = b.simd_rows().expect("vector backend builds rows");
             assert_eq!(be, mfbo_simd::Backend::Avx2);
+            let diffs = pair_major.unwrap_or(&b).diffs();
             for q in 0..b.len() {
                 for t in 0..b.dim() {
                     assert_eq!(
                         rows[t * b.len() + q].to_bits(),
-                        b.diffs()[q * b.dim() + t].to_bits()
+                        diffs[q * b.dim() + t].to_bits()
                     );
                 }
             }

@@ -408,10 +408,12 @@ mod bit_identity {
             }
         }
 
-        /// The mean-only posteriors against the `.0` of the full ones, at
-        /// 1, 5 and the charge pump's 36 design dimensions: the generic
-        /// batch for both kernels (and its raw-unit form against
-        /// [`Gp::predict`]), and the propagated NARGP sample means.
+        /// The cross-batch posteriors against the full ones, at 1, 5 and the
+        /// charge pump's 36 design dimensions, with the caller's batch in
+        /// the scalar and the active backend's layout: the means of both
+        /// kernels against the `.0` of the full posterior, the SE full
+        /// posterior against the batch path, and the propagated NARGP
+        /// sample means from a batch over the design columns.
         #[test]
         fn mean_only_posteriors_match_full(
             flat in prop::collection::vec(0.0f64..1.0, 22 * 37),
@@ -443,16 +445,7 @@ mod bit_identity {
             )
             .unwrap();
             let se_queries = design(queries);
-            let means = se.predict_means_standardized(&se_queries);
-            let raw = se.predict_means(&se_queries);
             let full = se.predict_batch_standardized(&se_queries);
-            prop_assert_eq!(means.len(), m);
-            for (((q, mean), raw), (fm, _)) in se_queries.iter().zip(&means).zip(&raw).zip(&full) {
-                prop_assert_eq!(mean.to_bits(), fm.to_bits());
-                prop_assert_eq!(mean.to_bits(), se.predict_standardized(q).0.to_bits());
-                prop_assert_eq!(raw.to_bits(), se.predict(q).mean.to_bits());
-            }
-            prop_assert!(se.predict_means_standardized(&[]).is_empty());
 
             // NARGP: design lengthscales grow like √d as in the propagated
             // posterior test above, so k2 and k3 stay away from underflow.
@@ -464,19 +457,41 @@ mod bit_identity {
                 }
             }
             let gp = Gp::with_params(kernel, train.to_vec(), ys, params, -2.0, &cfg, None).unwrap();
-            let full = gp.predict_batch_standardized(queries);
-            for (mean, (fm, _)) in gp.predict_means_standardized(queries).iter().zip(&full) {
-                prop_assert_eq!(mean.to_bits(), fm.to_bits());
-            }
-            let x = &queries[0][..d];
+            let nargp_full = gp.predict_batch_standardized(queries);
             let fs: Vec<f64> = (0..s).map(|k| (k as f64 * 0.71).sin() - 0.2).collect();
-            let means = gp.predict_propagated_means_standardized(x, &fs);
-            let full = gp.predict_propagated_standardized(x, &fs);
-            prop_assert_eq!(means.len(), s);
-            for (mean, (fm, _)) in means.iter().zip(&full) {
-                prop_assert_eq!(mean.to_bits(), fm.to_bits());
+
+            for be in [mfbo_simd::Backend::Scalar, mfbo_simd::active()] {
+                let cross = DiffBatch::cross_with_backend(&se_queries, se.xs(), be);
+                let mut means = vec![f64::NAN; m];
+                se.predict_means_from_cross(&cross, &mut means);
+                let posts = se.predict_batch_from_cross(&se_queries, &cross);
+                for (((q, mean), post), f) in se_queries.iter().zip(&means).zip(&posts).zip(&full) {
+                    prop_assert_eq!(mean.to_bits(), f.0.to_bits());
+                    prop_assert_eq!(mean.to_bits(), se.predict_standardized(q).0.to_bits());
+                    prop_assert_eq!(post.0.to_bits(), f.0.to_bits());
+                    prop_assert_eq!(post.1.to_bits(), f.1.to_bits());
+                }
+
+                let cross = DiffBatch::cross_with_backend(queries, gp.xs(), be);
+                gp.predict_means_from_cross(&cross, &mut means);
+                for (mean, f) in means.iter().zip(&nargp_full) {
+                    prop_assert_eq!(mean.to_bits(), f.0.to_bits());
+                }
+
+                // The propagation batch pairs the design points with the
+                // (longer) augmented training inputs.
+                let design_batch = DiffBatch::cross_with_backend(&se_queries, gp.xs(), be);
+                let mut propagation = gp.propagation(&design_batch);
+                let mut sample_means = vec![f64::NAN; s];
+                for (q, x) in se_queries.iter().enumerate() {
+                    propagation.means(q, &fs, &mut sample_means);
+                    let full = gp.predict_propagated_standardized(x, &fs);
+                    prop_assert_eq!(full.len(), s);
+                    for (mean, f) in sample_means.iter().zip(&full) {
+                        prop_assert_eq!(mean.to_bits(), f.0.to_bits());
+                    }
+                }
             }
-            prop_assert!(gp.predict_propagated_means_standardized(x, &[]).is_empty());
         }
 
         /// The SIMD backend choice must be bit-invisible end to end: forced

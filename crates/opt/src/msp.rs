@@ -10,11 +10,30 @@
 //! are Gaussian perturbations of the low-fidelity incumbent `τ_l`, 40 % of
 //! the high-fidelity incumbent `τ_h`, and the rest uniform. [`MultiStart`]
 //! exposes exactly this via [`MultiStart::with_anchor`].
+//!
+//! # Lockstep groups
+//!
+//! The local searches run in lockstep groups of [`LOCKSTEP_GROUP`]
+//! consecutive starts (see [`crate::neldermead`]). Within a group,
+//! each search scores its initial simplex (`n + 1` points) and each shrink
+//! (`n` points) in one call of its own, and every round pools the single
+//! pending point of each live search into one call of at most
+//! [`LOCKSTEP_GROUP`] points. Pooling amortizes the per-call setup of a
+//! batched objective (the acquisition's shared difference rows) over the
+//! group; capping the group keeps the pooled batches, and so peak memory,
+//! small. [`Parallelism::Threads`] distributes whole groups over the pool.
+//! Every search is bit-identical to a lone search from its start, so the
+//! grouping and the parallelism never show in the result.
 
 use crate::neldermead::{pointwise, NelderMead};
 use crate::{sampling, Bounds, OptResult};
 use mfbo_pool::{par_map, Parallelism};
 use rand::Rng;
+
+/// Starts per lockstep group (see the module docs). A fixed constant, not
+/// a setting: it trades the per-call setup the pooled calls amortize
+/// against the memory of larger batches, and no result depends on it.
+pub const LOCKSTEP_GROUP: usize = 8;
 
 /// An anchor point around which a fraction of the starting points is
 /// concentrated.
@@ -68,7 +87,8 @@ impl MultiStart {
         }
     }
 
-    /// Distributes the per-start local searches over a thread pool.
+    /// Distributes the lockstep groups of local searches over a thread
+    /// pool.
     ///
     /// All randomness (the starting points) is drawn from the caller's RNG
     /// *before* the searches run, and the best result is reduced in start
@@ -171,9 +191,25 @@ impl MultiStart {
         self.minimize_batched_with_stats(&pointwise(f), bounds, rng)
     }
 
-    /// [`MultiStart::minimize_with_stats`] with a batched objective: each
-    /// local search scores its initial simplex and every shrink in one call
-    /// (see [`NelderMead::minimize_batched`] for the contract).
+    /// The local optimum of every start, in start order: the starts run in
+    /// lockstep groups of [`LOCKSTEP_GROUP`], the groups on
+    /// [`MultiStart::with_parallelism`]'s pool.
+    fn local_optima<F>(&self, f: &F, starts: &[Vec<f64>], bounds: &Bounds) -> Vec<OptResult>
+    where
+        F: Fn(&[Vec<f64>], &mut [f64]) + Sync + ?Sized,
+    {
+        let groups: Vec<&[Vec<f64>]> = starts.chunks(LOCKSTEP_GROUP).collect();
+        par_map(self.parallelism, &groups, |g| {
+            self.local.minimize_lockstep(f, g, bounds)
+        })
+        .into_iter()
+        .flatten()
+        .collect()
+    }
+
+    /// [`MultiStart::minimize_with_stats`] with a batched objective, called
+    /// with the call shapes of the module docs (see
+    /// [`NelderMead::minimize_batched`] for the contract).
     pub fn minimize_batched_with_stats<F, R>(
         &self,
         f: &F,
@@ -185,9 +221,7 @@ impl MultiStart {
         R: Rng + ?Sized,
     {
         let starts = self.starting_points(bounds, rng);
-        let mut results = par_map(self.parallelism, &starts, |s| {
-            self.local.minimize_batched(f, s, bounds)
-        });
+        let mut results = self.local_optima(f, &starts, bounds);
         // Selection: strictly-better wins, first occurrence kept — taboo'd
         // optima are skipped unless every start is taboo'd (the fallback
         // keeps the result well-defined; see `with_taboo`). With no taboo
@@ -444,6 +478,98 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Lockstep groups against lone searches: at 1, 5 and 36 dimensions,
+    /// with fewer, as many and more starts than [`LOCKSTEP_GROUP`], with
+    /// anchors and a taboo set, in every [`Parallelism`] mode, each start's
+    /// local optimum equals a lone search from that start bit for bit, and
+    /// so does the selected best.
+    #[test]
+    fn bit_identity_lockstep_matches_lone_searches() {
+        let batched = |xs: &[Vec<f64>], out: &mut [f64]| {
+            for (x, o) in xs.iter().zip(out) {
+                *o = rastrigin(x);
+            }
+        };
+        for d in [1usize, 5, 36] {
+            let b = Bounds::symmetric(d, 3.0);
+            for starts in [1usize, LOCKSTEP_GROUP, 24] {
+                let base = MultiStart::new(starts)
+                    .with_anchor(vec![0.5; d], 0.3, 0.05)
+                    .with_local_search(NelderMead::new().with_max_iters(60));
+                let pts = base.starting_points(&b, &mut StdRng::seed_from_u64(d as u64));
+                let lone: Vec<OptResult> = pts
+                    .iter()
+                    .map(|x0| base.local.minimize_batched(&batched, x0, &b))
+                    .collect();
+                // Taboo the lone best so the selection has to skip it.
+                let (best, _) =
+                    lone.iter()
+                        .enumerate()
+                        .fold((0, f64::INFINITY), |(bk, bv), (k, r)| {
+                            if r.value < bv {
+                                (k, r.value)
+                            } else {
+                                (bk, bv)
+                            }
+                        });
+                let ms = base.with_taboo(vec![lone[best].x.clone()], 1e-9);
+                let expected = lone
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, r)| !ms.is_taboo(&r.x))
+                    .fold(None, |acc: Option<(usize, f64)>, (k, r)| match acc {
+                        Some((_, v)) if r.value >= v => acc,
+                        _ => Some((k, r.value)),
+                    })
+                    .map_or(best, |(k, _)| k);
+                for par in [
+                    Parallelism::Serial,
+                    Parallelism::Threads(2),
+                    Parallelism::Threads(8),
+                ] {
+                    let ms = ms.clone().with_parallelism(par);
+                    let case = format!("d = {d}, {starts} starts, {par:?}");
+                    for (a, l) in ms.local_optima(&batched, &pts, &b).iter().zip(&lone) {
+                        assert_eq!(a.x, l.x, "{case}");
+                        assert_eq!(a.value.to_bits(), l.value.to_bits(), "{case}");
+                        assert_eq!(a.evaluations, l.evaluations, "{case}");
+                        assert_eq!(a.iterations, l.iterations, "{case}");
+                        assert_eq!(a.converged, l.converged, "{case}");
+                    }
+                    let mut rng = StdRng::seed_from_u64(d as u64);
+                    let (r, stats) = ms.minimize_batched_with_stats(&batched, &b, &mut rng);
+                    assert_eq!(stats.best_start, expected, "{case}");
+                    assert_eq!(r.x, lone[expected].x, "{case}");
+                    assert_eq!(r.value.to_bits(), lone[expected].value.to_bits());
+                    let evals: usize = lone.iter().map(|l| l.evaluations).sum();
+                    assert_eq!(r.evaluations, evals, "{case}");
+                }
+            }
+        }
+    }
+
+    /// The call shapes of a multi-start solve: lockstep groups of at most
+    /// [`LOCKSTEP_GROUP`] starts, each pooled call one point per live
+    /// search of its group (see `assert_lockstep_shapes`).
+    #[test]
+    fn lockstep_groups_batched_call_shapes() {
+        use crate::neldermead::tests::{assert_lockstep_shapes, recorded, terraced};
+        let n = 9;
+        let b = Bounds::unit(n);
+        let ms = MultiStart::new(20).with_local_search(NelderMead::new().with_max_iters(60));
+        let pts = ms.starting_points(&b, &mut StdRng::seed_from_u64(4));
+        let lone: Vec<Vec<usize>> = pts
+            .iter()
+            .map(|x0| recorded(terraced, |g| ms.local.minimize_batched(g, x0, &b)).0)
+            .collect();
+        let (shapes, r) = recorded(terraced, |g| {
+            ms.minimize_batched_with_stats(g, &b, &mut StdRng::seed_from_u64(4))
+                .0
+        });
+        assert_lockstep_shapes(&shapes, &lone, n, LOCKSTEP_GROUP);
+        assert_eq!(shapes.iter().sum::<usize>(), r.evaluations);
     }
 
     #[test]
