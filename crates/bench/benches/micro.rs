@@ -227,6 +227,15 @@ fn bench_mfgp_predict(c: &mut Criterion) {
     c.bench_function("mfgp_predict_mc20", |b| {
         b.iter(|| model.predict(black_box(&[0.61])))
     });
+    // The charge pump's 36 design variables: the pointwise NARGP path the
+    // wEI searches call once per point.
+    let (xl, yl) = linalg_bench_data(60, 36);
+    let (xh, yh) = linalg_bench_data(12, 36);
+    let model = MfGp::fit(xl, yl, xh, yh, &MfGpConfig::default(), &mut rng).expect("fit");
+    let x = vec![0.37; 36];
+    c.bench_function("mfgp_predict_mc20_d36", |b| {
+        b.iter(|| model.predict(black_box(&x)))
+    });
 }
 
 fn bench_circuits(c: &mut Criterion) {

@@ -859,14 +859,24 @@ impl Gp<NargpKernel> {
             return Vec::new();
         }
         mfbo_telemetry::counter!("predict_batch_points", fs.len() as u64);
-        let x = [x.to_vec()];
-        let scalar = mfbo_simd::Backend::Scalar;
-        let p = self.propagation(&DiffBatch::cross_with_backend(&x, &self.xs, scalar));
+        // One design point: the factors pair by pair, with no batch built.
+        let scales = self.kernel.scales(&self.params);
+        let (k2, k3) = self
+            .xs
+            .iter()
+            .map(|z| scales.design_pair(x.iter().zip(z).map(|(a, b)| a - b)))
+            .unzip();
         // The prior variance's design factors from the `x − x` differences
         // a diagonal batch holds.
-        let (k2_xx, k3_xx) = p
-            .scales
-            .design(&DiffBatch::diagonal_with_backend(&x, scalar));
+        #[allow(clippy::eq_op)]
+        let (k2_xx, k3_xx) = scales.design_pair(x.iter().map(|a| a - a));
+        let p = Propagation {
+            gp: self,
+            scales,
+            k2,
+            k3,
+            row: Vec::new(),
+        };
         let n = self.xs.len();
         let mut kv = vec![0.0; fs.len() * n];
         let mut kss = Vec::with_capacity(fs.len());
@@ -875,7 +885,7 @@ impl Gp<NargpKernel> {
             // Deliberately `f − f`, as the diagonal batch stores it (NaN,
             // not 0, for a non-finite sample).
             #[allow(clippy::eq_op)]
-            kss.push(p.scales.k1(f - f) * k2_xx[0] + k3_xx[0]);
+            kss.push(p.scales.k1(f - f) * k2_xx + k3_xx);
         }
         let mut out = Vec::with_capacity(fs.len());
         self.finish_posteriors(be, &kv, &kss, &mut out);

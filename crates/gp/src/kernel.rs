@@ -382,33 +382,45 @@ impl NargpScales {
         self.sf2_1 * (-0.5 * (zf * zf)).exp()
     }
 
-    /// The design factors `(k2, k3)` of every pair of a design-space
-    /// batch, each squared norm accumulated in dimension order from the
-    /// signed difference: one [`mfbo_simd::sq_norm`] sweep per factor over
-    /// a vector-backend batch's rows, the same sequence per pair otherwise.
+    /// The design factors `(k2, k3)` of one pair from its signed
+    /// differences, each squared norm accumulated in dimension order.
+    pub(crate) fn design_pair(&self, diffs: impl Iterator<Item = f64>) -> (f64, f64) {
+        let (mut q2, mut q3) = (0.0, 0.0);
+        for ((di, l2), l3) in diffs.zip(&self.inv_l2).zip(&self.inv_l3) {
+            let z2 = di * l2;
+            q2 += z2 * z2;
+            let z3 = di * l3;
+            q3 += z3 * z3;
+        }
+        (self.k2_of(q2), self.k3_of(q3))
+    }
+
+    fn k2_of(&self, q2: f64) -> f64 {
+        self.sf2_2 * (-0.5 * q2).exp()
+    }
+
+    fn k3_of(&self, q3: f64) -> f64 {
+        self.sf2_3 * (-0.5 * q3).exp()
+    }
+
+    /// [`NargpScales::design_pair`] of every pair of a design-space batch:
+    /// one [`mfbo_simd::sq_norm`] sweep per factor over a vector-backend
+    /// batch's rows, which accumulates the same sequence per pair.
     pub(crate) fn design(&self, batch: &DiffBatch<'_>) -> (Vec<f64>, Vec<f64>) {
+        let Some((be, rows)) = batch.simd_rows() else {
+            let pairs = batch.diffs().chunks_exact(self.inv_l2.len());
+            return pairs.map(|d| self.design_pair(d.iter().copied())).unzip();
+        };
         let count = batch.len();
         let mut k2 = vec![0.0; count];
         let mut k3 = vec![0.0; count];
-        if let Some((be, rows)) = batch.simd_rows() {
-            mfbo_simd::sq_norm(be, rows, count, &self.inv_l2, &mut k2);
-            mfbo_simd::sq_norm(be, rows, count, &self.inv_l3, &mut k3);
-        } else {
-            let pairs = batch.diffs().chunks_exact(self.inv_l2.len());
-            for ((d, q2), q3) in pairs.zip(&mut k2).zip(&mut k3) {
-                for ((&di, l2), l3) in d.iter().zip(&self.inv_l2).zip(&self.inv_l3) {
-                    let z2 = di * l2;
-                    *q2 += z2 * z2;
-                    let z3 = di * l3;
-                    *q3 += z3 * z3;
-                }
-            }
-        }
+        mfbo_simd::sq_norm(be, rows, count, &self.inv_l2, &mut k2);
+        mfbo_simd::sq_norm(be, rows, count, &self.inv_l3, &mut k3);
         for q2 in &mut k2 {
-            *q2 = self.sf2_2 * (-0.5 * *q2).exp();
+            *q2 = self.k2_of(*q2);
         }
         for q3 in &mut k3 {
-            *q3 = self.sf2_3 * (-0.5 * *q3).exp();
+            *q3 = self.k3_of(*q3);
         }
         (k2, k3)
     }

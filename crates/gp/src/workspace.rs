@@ -13,6 +13,8 @@
 //! `√((a-b)²)·w` differ in floating point), which is what lets the batch
 //! paths reproduce the scalar paths bit for bit.
 
+use std::sync::OnceLock;
+
 /// Pairwise signed-difference tensor over two point sets.
 ///
 /// Two layouts exist:
@@ -49,9 +51,14 @@ enum Storage<'a> {
     /// glibc bounce the second one through fresh `mmap` pages every time
     /// (measured ~7× the cost of the copies themselves).
     Owned(Vec<f64>),
-    /// Only the dim-major transpose: a cross batch built for a vector
-    /// backend, whose kernel evaluation reads nothing else.
-    RowsOnly(Vec<f64>),
+    /// The dim-major transpose of a cross batch built for a vector
+    /// backend, the only layout its value hook reads. The pair-major
+    /// tensor is transposed back on the first [`DiffBatch::diffs`] call
+    /// (the gradient hooks read it), so every hook takes every batch.
+    RowsOnly {
+        rows: Vec<f64>,
+        diffs: OnceLock<Vec<f64>>,
+    },
     /// Views into a [`FitCache`]'s persistent buffers. `rows` is empty when
     /// no transpose is needed (scalar backend).
     Borrowed { diffs: &'a [f64], rows: &'a [f64] },
@@ -148,9 +155,10 @@ impl<'a> DiffBatch<'a> {
     /// point may be longer, and only its leading `d` coordinates are read
     /// (the design columns of the NARGP augmented inputs).
     ///
-    /// A batch is evaluated by the kernels' batch hook and nothing else, so
-    /// it stores only what that hook reads: the dim-major rows under a
-    /// vector backend, the pair-major tensor under the scalar one.
+    /// The batch stores only what the kernels' value hook reads: the
+    /// dim-major rows under a vector backend, the pair-major tensor under
+    /// the scalar one. A vector-backend batch builds its pair-major tensor
+    /// only if [`DiffBatch::diffs`] asks for it.
     ///
     /// # Panics
     ///
@@ -192,7 +200,10 @@ impl<'a> DiffBatch<'a> {
             return DiffBatch {
                 dim,
                 count,
-                storage: Storage::RowsOnly(rows),
+                storage: Storage::RowsOnly {
+                    rows,
+                    diffs: OnceLock::new(),
+                },
                 simd_backend: Some(be),
             };
         }
@@ -277,16 +288,16 @@ impl<'a> DiffBatch<'a> {
     }
 
     /// The flat `len() × dim` difference tensor; pair `q` occupies
-    /// `[q*dim, (q+1)*dim)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a cross batch built for a vector backend, which holds
-    /// only the dim-major rows ([`DiffBatch::simd_rows`]).
+    /// `[q*dim, (q+1)*dim)`. A cross batch built for a vector backend
+    /// transposes it from its rows on the first call.
     pub fn diffs(&self) -> &[f64] {
         match &self.storage {
             Storage::Owned(buf) => &buf[..self.count * self.dim],
-            Storage::RowsOnly(_) => panic!("this cross batch holds only dim-major rows"),
+            Storage::RowsOnly { rows, diffs } => diffs.get_or_init(|| {
+                let mut out = vec![0.0; self.count * self.dim];
+                transpose_rows(rows, &mut out, self.dim, self.count);
+                out
+            }),
             Storage::Borrowed { diffs, .. } => diffs,
         }
     }
@@ -300,7 +311,7 @@ impl<'a> DiffBatch<'a> {
         self.simd_backend.map(|be| {
             let rows = match &self.storage {
                 Storage::Owned(buf) => &buf[self.count * self.dim..],
-                Storage::RowsOnly(rows) => rows,
+                Storage::RowsOnly { rows, .. } => rows,
                 Storage::Borrowed { rows, .. } => *rows,
             };
             (be, rows)
@@ -526,26 +537,28 @@ mod tests {
             vec![4.0, 8.0, 16.0],
             vec![0.5, -1.0, 2.5],
         ];
-        let scalar_cross = DiffBatch::cross_with_backend(&xs[..2], &xs, mfbo_simd::Backend::Scalar);
-        for (b, pair_major) in [
+        let avx2 = mfbo_simd::Backend::Avx2;
+        for (b, scalar) in [
             (
-                DiffBatch::lower_triangle_with_backend(&xs, mfbo_simd::Backend::Avx2),
-                None,
+                DiffBatch::lower_triangle_with_backend(&xs, avx2),
+                DiffBatch::lower_triangle_with_backend(&xs, mfbo_simd::Backend::Scalar),
             ),
-            // A vector-backend cross batch keeps only the rows: its
-            // transpose is checked against the scalar layout.
+            // A vector-backend cross batch keeps only the rows and
+            // transposes them back on demand.
             (
-                DiffBatch::cross_with_backend(&xs[..2], &xs, mfbo_simd::Backend::Avx2),
-                Some(&scalar_cross),
+                DiffBatch::cross_with_backend(&xs[..2], &xs, avx2),
+                DiffBatch::cross_with_backend(&xs[..2], &xs, mfbo_simd::Backend::Scalar),
             ),
             (
-                DiffBatch::diagonal_with_backend(&xs, mfbo_simd::Backend::Avx2),
-                None,
+                DiffBatch::diagonal_with_backend(&xs, avx2),
+                DiffBatch::diagonal_with_backend(&xs, mfbo_simd::Backend::Scalar),
             ),
         ] {
             let (be, rows) = b.simd_rows().expect("vector backend builds rows");
-            assert_eq!(be, mfbo_simd::Backend::Avx2);
-            let diffs = pair_major.unwrap_or(&b).diffs();
+            assert_eq!(be, avx2);
+            assert!(scalar.simd_rows().is_none());
+            let diffs = b.diffs();
+            assert_eq!(diffs, scalar.diffs());
             for q in 0..b.len() {
                 for t in 0..b.dim() {
                     assert_eq!(
@@ -555,8 +568,6 @@ mod tests {
                 }
             }
         }
-        let scalar = DiffBatch::lower_triangle_with_backend(&xs, mfbo_simd::Backend::Scalar);
-        assert!(scalar.simd_rows().is_none());
     }
 
     #[test]

@@ -129,35 +129,57 @@ mod bit_identity {
     use proptest::TestCaseError;
 
     /// All three batch hooks of `kernel` under the detected backend must
-    /// reproduce the forced-scalar workspace bit for bit.
+    /// reproduce the forced-scalar workspace bit for bit, on a training
+    /// (lower-triangle) batch and on a cross batch, whose vector layout
+    /// holds only the dim-major rows.
     fn check_kernel_backend_invisible<K: Kernel>(
         kernel: &K,
         theta: &[f64],
         xs: &[Vec<f64>],
     ) -> Result<(), TestCaseError> {
-        let weights: Vec<f64> = (0..xs.len() * (xs.len() + 1) / 2)
-            .map(|i| (i as f64 * 0.37).sin())
-            .collect();
-        let fast = DiffBatch::lower_triangle_with_backend(xs, mfbo_simd::detect());
-        let reference = DiffBatch::lower_triangle_with_backend(xs, mfbo_simd::Backend::Scalar);
+        let (be, scalar) = (mfbo_simd::detect(), mfbo_simd::Backend::Scalar);
+        check_hooks_match(
+            kernel,
+            theta,
+            &DiffBatch::lower_triangle_with_backend(xs, be),
+            &DiffBatch::lower_triangle_with_backend(xs, scalar),
+        )?;
+        let queries = &xs[..xs.len().div_ceil(2)];
+        check_hooks_match(
+            kernel,
+            theta,
+            &DiffBatch::cross_with_backend(queries, xs, be),
+            &DiffBatch::cross_with_backend(queries, xs, scalar),
+        )
+    }
+
+    /// The three batch hooks of `kernel` on `fast` and `reference`, two
+    /// layouts of the same pairs, give the same bits.
+    fn check_hooks_match<K: Kernel>(
+        kernel: &K,
+        theta: &[f64],
+        fast: &DiffBatch<'_>,
+        reference: &DiffBatch<'_>,
+    ) -> Result<(), TestCaseError> {
+        let weights: Vec<f64> = (0..fast.len()).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut kf = vec![0.0; fast.len()];
         let mut kr = vec![0.0; fast.len()];
-        kernel.eval_from_diffs(theta, &fast, &mut kf);
-        kernel.eval_from_diffs(theta, &reference, &mut kr);
+        kernel.eval_from_diffs(theta, fast, &mut kf);
+        kernel.eval_from_diffs(theta, reference, &mut kr);
         for (a, b) in kf.iter().zip(&kr) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
         let mut gf = vec![0.0; kernel.num_params()];
         let mut gr = vec![0.0; kernel.num_params()];
-        kernel.grad_from_diffs(theta, &fast, &weights, &mut gf);
-        kernel.grad_from_diffs(theta, &reference, &weights, &mut gr);
+        kernel.grad_from_diffs(theta, fast, &weights, &mut gf);
+        kernel.grad_from_diffs(theta, reference, &weights, &mut gr);
         for (a, b) in gf.iter().zip(&gr) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
         let mut gf2 = vec![0.0; kernel.num_params()];
         let mut gr2 = vec![0.0; kernel.num_params()];
-        kernel.grad_from_diffs_with_values(theta, &fast, &weights, &kf, &mut gf2);
-        kernel.grad_from_diffs_with_values(theta, &reference, &weights, &kr, &mut gr2);
+        kernel.grad_from_diffs_with_values(theta, fast, &weights, &kf, &mut gf2);
+        kernel.grad_from_diffs_with_values(theta, reference, &weights, &kr, &mut gr2);
         for (a, b) in gf2.iter().zip(&gr2) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }

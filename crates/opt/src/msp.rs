@@ -21,9 +21,12 @@
 //! [`LOCKSTEP_GROUP`] points. Pooling amortizes the per-call setup of a
 //! batched objective (the acquisition's shared difference rows) over the
 //! group; capping the group keeps the pooled batches, and so peak memory,
-//! small. [`Parallelism::Threads`] distributes whole groups over the pool.
-//! Every search is bit-identical to a lone search from its start, so the
-//! grouping and the parallelism never show in the result.
+//! small. On a pool ([`Parallelism::Threads`] or [`Parallelism::Auto`])
+//! the groups shrink to `⌈starts / workers⌉` when that is below
+//! [`LOCKSTEP_GROUP`], so every worker gets a group, and the pool
+//! distributes whole groups. Every search is bit-identical to a lone
+//! search from its start, so the grouping and the parallelism never show
+//! in the result.
 
 use crate::neldermead::{pointwise, NelderMead};
 use crate::{sampling, Bounds, OptResult};
@@ -34,6 +37,19 @@ use rand::Rng;
 /// a setting: it trades the per-call setup the pooled calls amortize
 /// against the memory of larger batches, and no result depends on it.
 pub const LOCKSTEP_GROUP: usize = 8;
+
+/// Starts per lockstep group for `starts` starts on `parallelism`'s pool:
+/// [`LOCKSTEP_GROUP`], or fewer when that would leave workers idle, so
+/// every worker gets a group. Inside a pool worker the map runs inline
+/// (see [`mfbo_pool::in_worker`]), so the groups stay whole there.
+fn group_len(starts: usize, parallelism: Parallelism) -> usize {
+    let workers = if mfbo_pool::in_worker() {
+        1
+    } else {
+        parallelism.workers()
+    };
+    starts.div_ceil(workers).clamp(1, LOCKSTEP_GROUP)
+}
 
 /// An anchor point around which a fraction of the starting points is
 /// concentrated.
@@ -192,13 +208,15 @@ impl MultiStart {
     }
 
     /// The local optimum of every start, in start order: the starts run in
-    /// lockstep groups of [`LOCKSTEP_GROUP`], the groups on
-    /// [`MultiStart::with_parallelism`]'s pool.
+    /// lockstep groups of at most [`LOCKSTEP_GROUP`] (see `group_len`), the
+    /// groups on [`MultiStart::with_parallelism`]'s pool.
     fn local_optima<F>(&self, f: &F, starts: &[Vec<f64>], bounds: &Bounds) -> Vec<OptResult>
     where
         F: Fn(&[Vec<f64>], &mut [f64]) + Sync + ?Sized,
     {
-        let groups: Vec<&[Vec<f64>]> = starts.chunks(LOCKSTEP_GROUP).collect();
+        let groups: Vec<&[Vec<f64>]> = starts
+            .chunks(group_len(starts.len(), self.parallelism))
+            .collect();
         par_map(self.parallelism, &groups, |g| {
             self.local.minimize_lockstep(f, g, bounds)
         })
@@ -570,6 +588,41 @@ mod tests {
         });
         assert_lockstep_shapes(&shapes, &lone, n, LOCKSTEP_GROUP);
         assert_eq!(shapes.iter().sum::<usize>(), r.evaluations);
+    }
+
+    /// On a pool the groups shrink so every worker gets one: eight starts
+    /// on two workers run as two groups of four, not one serial group of
+    /// eight.
+    #[test]
+    fn lockstep_groups_spread_over_the_pool() {
+        use crate::neldermead::tests::{recorded, terraced};
+        assert_eq!(group_len(24, Parallelism::Serial), LOCKSTEP_GROUP);
+        assert_eq!(group_len(24, Parallelism::Threads(2)), LOCKSTEP_GROUP);
+        assert_eq!(group_len(24, Parallelism::Threads(4)), 6);
+        assert_eq!(group_len(8, Parallelism::Threads(2)), 4);
+        assert_eq!(group_len(1, Parallelism::Threads(8)), 1);
+        let inner = mfbo_pool::par_map_indexed(Parallelism::Threads(2), 2, |_| {
+            group_len(24, Parallelism::Threads(4))
+        });
+        assert_eq!(inner, [LOCKSTEP_GROUP; 2], "a worker's map runs inline");
+
+        let n = 9;
+        let b = Bounds::unit(n);
+        for (starts, workers) in [(8usize, 2usize), (20, 4)] {
+            let ms = MultiStart::new(starts)
+                .with_local_search(NelderMead::new().with_max_iters(60))
+                .with_parallelism(Parallelism::Threads(workers));
+            let (shapes, r) = recorded(terraced, |g| {
+                ms.minimize_batched_with_stats(g, &b, &mut StdRng::seed_from_u64(4))
+                    .0
+            });
+            let group = starts.div_ceil(workers);
+            let pooled = shapes.iter().filter(|&&m| m < n);
+            assert!(pooled.clone().all(|&m| m <= group), "{shapes:?}");
+            assert!(pooled.clone().any(|&m| m == group), "{shapes:?}");
+            assert_eq!(shapes.iter().filter(|&&m| m == n + 1).count(), starts);
+            assert_eq!(shapes.iter().sum::<usize>(), r.evaluations);
+        }
     }
 
     #[test]
