@@ -9,7 +9,9 @@ use mfbo_circuits::pa::{PaFidelity, PowerAmplifier};
 use mfbo_circuits::pvt::PvtCorner;
 use mfbo_circuits::testfns;
 use mfbo_gp::kernel::{Kernel, SquaredExponential};
-use mfbo_gp::{nlml_with_grad, nlml_with_grad_cached, Gp, GpConfig, NlmlWorkspace};
+use mfbo_gp::{
+    nlml_value_cached, nlml_with_grad, nlml_with_grad_cached, Gp, GpConfig, NlmlWorkspace,
+};
 use mfbo_linalg::{Cholesky, Matrix};
 use mfbo_opt::msp::MultiStart;
 use mfbo_opt::Bounds;
@@ -58,7 +60,9 @@ fn linalg_bench_data(n: usize, dim: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
 /// training (L-BFGS calls this hundreds of times per fit over fixed data).
 /// `naive` rebuilds pairwise differences per call; `cached` replays them
 /// from a [`NlmlWorkspace`] (built once per fit, outside the timed loop, as
-/// `Gp::fit` does). The two rows return bit-identical values.
+/// `Gp::fit` does). The two rows return bit-identical values. `value_only`
+/// is the value half alone — the cost of one L-BFGS line-search probe,
+/// which skips the inverse and trace-weight pass of the gradient.
 fn bench_nlml_eval(c: &mut Criterion) {
     let mut group = c.benchmark_group("nlml_eval");
     group.sample_size(10);
@@ -74,6 +78,9 @@ fn bench_nlml_eval(c: &mut Criterion) {
         let ws = NlmlWorkspace::new(&xs);
         group.bench_with_input(BenchmarkId::new("cached", n), &n, |bch, _| {
             bch.iter(|| nlml_with_grad_cached(black_box(&kernel), black_box(&theta), &ws, &ys))
+        });
+        group.bench_with_input(BenchmarkId::new("value_only", n), &n, |bch, _| {
+            bch.iter(|| nlml_value_cached(black_box(&kernel), black_box(&theta), &ws, &ys))
         });
     }
     group.finish();

@@ -1,12 +1,15 @@
 //! Gaussian-process regression model: training and posterior prediction.
 
 use crate::kernel::{Kernel, NargpKernel, NargpScales};
-use crate::nlml::{kernel_matrix_cached, nlml_with_grad_cached, NlmlWorkspace};
+use crate::nlml::{
+    kernel_matrix_cached, nlml_grad_cached, nlml_value_cached, NlmlFactor, NlmlWorkspace,
+};
 use crate::workspace::DiffBatch;
 use crate::GpError;
 use mfbo_infer::InferenceMode;
 use mfbo_linalg::{Cholesky, Standardizer};
-use mfbo_opt::{lbfgs::Lbfgs, sampling, Bounds};
+use mfbo_opt::lbfgs::{Lbfgs, Objective};
+use mfbo_opt::{sampling, Bounds};
 use mfbo_pool::{par_map, Parallelism};
 use rand::Rng;
 
@@ -284,7 +287,11 @@ impl<K: Kernel> Gp<K> {
             Some(b) if Self::shared_usable(b, &xs) => NlmlWorkspace::from_batch(b, xs.len()),
             _ => NlmlWorkspace::new(&xs),
         };
-        let objective = |theta: &[f64]| nlml_with_grad_cached(&kernel, theta, &ws, &ys_std);
+        let objective = NlmlObjective {
+            kernel: &kernel,
+            ws: &ws,
+            ys: &ys_std,
+        };
         let optimizer = Lbfgs::new()
             .with_max_iters(config.max_iters)
             .with_grad_tol(1e-5);
@@ -333,8 +340,10 @@ impl<K: Kernel> Gp<K> {
         // Start 0 is always the kernel default; 1 is the warm start when one
         // was supplied — best_start tells which strategy won this refit.
         // `factorizations` counts Cholesky factorization entry points: one
-        // per NLML evaluation plus the final model build (jitter retries
-        // within an entry are reported separately via `cholesky_jitter`).
+        // per NLML value evaluation plus the final model build (jitter
+        // retries within an entry are reported separately via
+        // `cholesky_jitter`). Gradients are finished from the accepted
+        // probe's factor and add none.
         mfbo_telemetry::debug_event!(
             "gp_fit",
             n = xs.len(),
@@ -977,6 +986,29 @@ impl Propagation<'_> {
     }
 }
 
+/// The NLML of one fit as a two-phase L-BFGS objective: line-search probes
+/// run only [`nlml_value_cached`], and the accepted probe's factor finishes
+/// the gradient in [`nlml_grad_cached`] — the same bits as
+/// [`crate::nlml_with_grad_cached`], without a gradient per rejected probe
+/// or a second evaluation per accepted step.
+struct NlmlObjective<'a, 'w, K> {
+    kernel: &'a K,
+    ws: &'a NlmlWorkspace<'w>,
+    ys: &'a [f64],
+}
+
+impl<K: Kernel> Objective for NlmlObjective<'_, '_, K> {
+    type Partial = Option<NlmlFactor>;
+
+    fn value(&self, theta: &[f64]) -> (f64, Option<NlmlFactor>) {
+        nlml_value_cached(self.kernel, theta, self.ws, self.ys)
+    }
+
+    fn gradient(&self, theta: &[f64], factor: Option<NlmlFactor>) -> Vec<f64> {
+        nlml_grad_cached(self.kernel, theta, self.ws, factor)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1363,6 +1395,89 @@ mod tests {
         let gp = Gp::fit(SquaredExponential::new(1), xs, ys, &roomy, &mut rng()).unwrap();
         assert_eq!(gp.len(), 40);
         assert_eq!(gp.nlml().to_bits(), exact.nlml().to_bits());
+    }
+
+    /// Differential oracle for the two-phase NLML objective: `fit_planned`
+    /// must pick the same θ with the same NLML bits, and build the same
+    /// posterior, as L-BFGS over the fused `nlml_with_grad_cached` closure
+    /// with the best restart chosen in start order.
+    fn check_split_objective_matches_fused<K: Kernel + Clone>(
+        kernel: K,
+        xs: Vec<Vec<f64>>,
+        ys: Vec<f64>,
+        queries: &[Vec<f64>],
+    ) {
+        let config = GpConfig {
+            restarts: 5,
+            ..GpConfig::fast()
+        };
+        let starts = Gp::plan_starts(&kernel, &config, None, &mut rng());
+        assert!(starts.len() >= 6);
+        let fit = Gp::fit_planned(
+            kernel.clone(),
+            xs.clone(),
+            ys.clone(),
+            &config,
+            starts.clone(),
+            None,
+        )
+        .unwrap();
+
+        let ys_std = Standardizer::fit(&ys).transform_all(&ys);
+        let ws = NlmlWorkspace::new(&xs);
+        let fused = |theta: &[f64]| crate::nlml_with_grad_cached(&kernel, theta, &ws, &ys_std);
+        let bounds = Gp::theta_bounds(&kernel, &config);
+        let optimizer = Lbfgs::new()
+            .with_max_iters(config.max_iters)
+            .with_grad_tol(1e-5);
+        let mut best: Option<(Vec<f64>, f64, usize)> = None;
+        for (k, s) in starts.iter().enumerate() {
+            let r = optimizer.minimize(&fused, s, &bounds);
+            if r.value.is_finite() && best.as_ref().is_none_or(|b| r.value < b.1) {
+                best = Some((r.x, r.value, k));
+            }
+        }
+        let (theta, value, start) = best.unwrap();
+
+        assert_eq!(fit.best_start(), Some(start));
+        assert_eq!(fit.nlml().to_bits(), value.to_bits());
+        for (a, b) in fit.theta().iter().zip(&theta) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        let np = kernel.num_params();
+        let oracle = Gp::with_params(
+            kernel,
+            xs,
+            ys,
+            theta[..np].to_vec(),
+            theta[np],
+            &config,
+            None,
+        )
+        .unwrap();
+        for q in queries {
+            let (a, b) = (fit.predict(q), oracle.predict(q));
+            assert_eq!(a.mean.to_bits(), b.mean.to_bits());
+            assert_eq!(a.var.to_bits(), b.var.to_bits());
+        }
+    }
+
+    #[test]
+    fn split_nlml_objective_fits_bit_identical_to_fused_closure() {
+        let (xs, ys) = sine_data(14);
+        let queries: Vec<Vec<f64>> = (0..9).map(|i| vec![i as f64 / 8.0 + 0.03]).collect();
+        check_split_objective_matches_fused(SquaredExponential::new(1), xs, ys, &queries);
+
+        // NARGP over augmented (x, f_low) inputs.
+        let xs: Vec<Vec<f64>> = (0..12)
+            .map(|i| {
+                let x = i as f64 / 11.0;
+                vec![x, (8.0 * x).sin()]
+            })
+            .collect();
+        let ys: Vec<f64> = xs.iter().map(|z| (z[0] - 0.3) * z[1] * z[1]).collect();
+        let queries: Vec<Vec<f64>> = xs.iter().map(|z| vec![z[0] + 0.04, z[1]]).collect();
+        check_split_objective_matches_fused(NargpKernel::new(1), xs, ys, &queries);
     }
 
     #[test]

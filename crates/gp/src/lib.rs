@@ -47,5 +47,8 @@ pub mod workspace;
 pub use error::GpError;
 pub use gp::{Gp, GpConfig, Prediction, Propagation};
 pub use mfbo_infer::InferenceMode;
-pub use nlml::{nlml, nlml_cached, nlml_with_grad, nlml_with_grad_cached, NlmlWorkspace};
+pub use nlml::{
+    nlml, nlml_cached, nlml_grad_cached, nlml_value_cached, nlml_with_grad, nlml_with_grad_cached,
+    NlmlFactor, NlmlWorkspace,
+};
 pub use workspace::{DiffBatch, FitCache};

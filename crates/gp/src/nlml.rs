@@ -253,7 +253,9 @@ pub fn nlml_with_grad<K: Kernel>(
     (value, grad)
 }
 
-/// [`nlml_with_grad`] evaluated through a per-fit difference workspace.
+/// [`nlml_with_grad`] evaluated through a per-fit difference workspace: the
+/// value half [`nlml_value_cached`] followed by the gradient half
+/// [`nlml_grad_cached`].
 ///
 /// Bit-identical to the naive path: the trace weights `Wᵢⱼ` are computed in
 /// the same lower-triangle order and handed to
@@ -273,30 +275,82 @@ pub fn nlml_with_grad_cached<K: Kernel>(
     ws: &NlmlWorkspace<'_>,
     ys: &[f64],
 ) -> (f64, Vec<f64>) {
+    let (value, factor) = nlml_value_cached(kernel, theta, ws, ys);
+    (value, nlml_grad_cached(kernel, theta, ws, factor))
+}
+
+/// What the gradient half of the NLML needs from its value half: the raw
+/// (noise-free) lower-triangle kernel values, the Cholesky factor of the
+/// noisy kernel matrix and `α = K⁻¹ y`.
+#[derive(Debug)]
+pub struct NlmlFactor {
+    kv: Vec<f64>,
+    chol: Cholesky,
+    alpha: Vec<f64>,
+}
+
+/// The value half of [`nlml_with_grad_cached`]: the NLML at `theta` plus
+/// the factor its gradient is finished from, or `(f64::INFINITY, None)` when
+/// the kernel matrix cannot be factorized.
+///
+/// The value is `½ (yᵀα + log|K| + N log 2π)` — the fused path's form,
+/// whose bits differ from [`nlml_cached`]'s quadratic form.
+///
+/// # Panics
+///
+/// Panics if `theta.len() != kernel.num_params() + 1` or if the workspace
+/// and `ys` lengths disagree.
+pub fn nlml_value_cached<K: Kernel>(
+    kernel: &K,
+    theta: &[f64],
+    ws: &NlmlWorkspace<'_>,
+    ys: &[f64],
+) -> (f64, Option<NlmlFactor>) {
     assert_eq!(
         theta.len(),
         kernel.num_params() + 1,
         "theta layout mismatch"
     );
     assert_eq!(ws.n, ys.len(), "workspace/ys length mismatch");
-    let np = kernel.num_params();
-    let (kp, log_noise) = theta.split_at(np);
+    let (kp, log_noise) = theta.split_at(kernel.num_params());
     let n = ws.n;
     // Keep the raw (noise-free) kernel values of the eval pass alive: the
-    // gradient hook below reuses them, saving kernels whose gradient
-    // factors through the value a second per-pair `exp` sweep.
+    // gradient hook reuses them, saving kernels whose gradient factors
+    // through the value a second per-pair `exp` sweep.
     let mut kv = vec![0.0; ws.batch().len()];
     kernel.eval_from_diffs(kp, ws.batch(), &mut kv);
-    let sn2 = (2.0 * log_noise[0]).exp();
-    let km = assemble_from_lower(n, &kv, sn2);
+    let km = assemble_from_lower(n, &kv, (2.0 * log_noise[0]).exp());
     mfbo_telemetry::counter!("nlml_evals", 1u64);
     let chol = match Cholesky::new_with_jitter(&km, 1e-10, 1e-4) {
         Ok(c) => c,
-        Err(_) => return (f64::INFINITY, vec![0.0; theta.len()]),
+        Err(_) => return (f64::INFINITY, None),
     };
     let alpha = chol.solve_vec(ys);
     let value = 0.5 * (mfbo_linalg::dot(ys, &alpha) + chol.log_det() + n as f64 * LOG_2PI);
+    (value, Some(NlmlFactor { kv, chol, alpha }))
+}
 
+/// The gradient half of [`nlml_with_grad_cached`]: the NLML gradient at
+/// `theta`, finished from the factor [`nlml_value_cached`] returned for the
+/// same `theta`. A missing factor (singular kernel matrix) gives zeros.
+///
+/// # Panics
+///
+/// Panics if `theta.len() != kernel.num_params() + 1`.
+pub fn nlml_grad_cached<K: Kernel>(
+    kernel: &K,
+    theta: &[f64],
+    ws: &NlmlWorkspace<'_>,
+    factor: Option<NlmlFactor>,
+) -> Vec<f64> {
+    let np = kernel.num_params();
+    assert_eq!(theta.len(), np + 1, "theta layout mismatch");
+    let mut grad = vec![0.0; theta.len()];
+    let Some(NlmlFactor { kv, chol, alpha }) = factor else {
+        return grad;
+    };
+    let (kp, log_noise) = theta.split_at(np);
+    let n = ws.n;
     // W = K⁻¹ − α αᵀ (symmetric), flattened in lower-triangle pair order
     // (diagonal entries carry the ½ trace factor). Only the lower triangle
     // of K⁻¹ is read, so the early-stopped inverse suffices — its computed
@@ -311,14 +365,14 @@ pub fn nlml_with_grad_cached<K: Kernel>(
             q += 1;
         }
     }
-    let mut grad = vec![0.0; theta.len()];
     kernel.grad_from_diffs_with_values(kp, ws.batch(), &weights, &kv, &mut grad[..np]);
+    let sn2 = (2.0 * log_noise[0]).exp();
     for i in 0..n {
         // Diagonal pair (i, i) sits at lower-triangle index i(i+3)/2.
         let weight = weights[i * (i + 3) / 2];
         grad[np] += weight * 2.0 * sn2;
     }
-    (value, grad)
+    grad
 }
 
 #[cfg(test)]

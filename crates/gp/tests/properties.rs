@@ -2,8 +2,8 @@
 
 use mfbo_gp::kernel::{Kernel, NargpKernel, SquaredExponential};
 use mfbo_gp::{
-    nlml, nlml_cached, nlml_with_grad, nlml_with_grad_cached, DiffBatch, Gp, GpConfig,
-    NlmlWorkspace,
+    nlml, nlml_cached, nlml_grad_cached, nlml_value_cached, nlml_with_grad, nlml_with_grad_cached,
+    DiffBatch, Gp, GpConfig, NlmlWorkspace,
 };
 use mfbo_linalg::{Cholesky, Matrix};
 use proptest::prelude::*;
@@ -246,8 +246,96 @@ mod bit_identity {
         Ok(())
     }
 
+    /// The split NLML — value half, then gradient half from the value
+    /// half's factor — against the fused `nlml_with_grad_cached` oracle,
+    /// on workspaces built under the detected backend and forced scalar.
+    /// The fused path is itself checked against the pair-by-pair
+    /// `nlml_with_grad`, which shares no code with the halves. Returns the
+    /// fused value so callers can assert which branch ran.
+    fn check_split_nlml<K: Kernel>(
+        kernel: &K,
+        theta: &[f64],
+        xs: &[Vec<f64>],
+        ys: &[f64],
+    ) -> Result<f64, TestCaseError> {
+        let (nv, ng) = nlml_with_grad(kernel, theta, xs, ys);
+        let mut fused_value = f64::NAN;
+        for be in [mfbo_simd::detect(), mfbo_simd::Backend::Scalar] {
+            let batch = DiffBatch::lower_triangle_with_backend(xs, be);
+            let ws = NlmlWorkspace::from_batch(&batch, xs.len());
+            let (fv, fg) = nlml_with_grad_cached(kernel, theta, &ws, ys);
+            let (sv, factor) = nlml_value_cached(kernel, theta, &ws, ys);
+            prop_assert_eq!(factor.is_some(), sv.is_finite());
+            let sg = nlml_grad_cached(kernel, theta, &ws, factor);
+            prop_assert_eq!(sv.to_bits(), fv.to_bits());
+            prop_assert_eq!(sg.len(), fg.len());
+            for (a, b) in sg.iter().zip(&fg) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+            prop_assert_eq!(fv.to_bits(), nv.to_bits());
+            for (a, b) in fg.iter().zip(&ng) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+            fused_value = fv;
+        }
+        Ok(fused_value)
+    }
+
+    /// A singular θ gives `(inf, zeros)` from both paths: the value half
+    /// keeps no factor and the gradient half reports zeros.
+    fn check_split_nlml_singular<K: Kernel>(
+        kernel: &K,
+        xs: &[Vec<f64>],
+        ys: &[f64],
+    ) -> Result<(), TestCaseError> {
+        // exp(2·400) overflows: every kernel entry is infinite.
+        let theta = vec![400.0; kernel.num_params() + 1];
+        let v = check_split_nlml(kernel, &theta, xs, ys)?;
+        prop_assert_eq!(v, f64::INFINITY);
+        let ws = NlmlWorkspace::new(xs);
+        let (sv, factor) = nlml_value_cached(kernel, &theta, &ws, ys);
+        prop_assert_eq!(sv, f64::INFINITY);
+        prop_assert!(factor.is_none());
+        let g = nlml_grad_cached(kernel, &theta, &ws, None);
+        prop_assert!(g.len() == theta.len() && g.iter().all(|&x| x == 0.0));
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The two-phase NLML objective L-BFGS trains with is bit-identical
+        /// to the fused value-and-gradient path, for SE and NARGP kernels
+        /// from one to 36 design dimensions.
+        #[test]
+        fn split_nlml_bit_identical_to_fused(
+            xs in points(10, 37),
+            logsf in -0.5f64..0.5,
+            logl in -1.5f64..0.5,
+            log_noise in -6.0f64..-1.0,
+        ) {
+            for d in [1usize, 5, 36] {
+                let se_xs: Vec<Vec<f64>> = xs.iter().map(|x| x[..d].to_vec()).collect();
+                let ys: Vec<f64> = se_xs
+                    .iter()
+                    .map(|x| (4.0 * x[0]).sin() + x.iter().sum::<f64>() / d as f64)
+                    .collect();
+                let se = SquaredExponential::new(d);
+                let mut theta = vec![logsf];
+                theta.extend((0..d).map(|i| logl + 0.1 * i as f64));
+                theta.push(log_noise);
+                prop_assert!(check_split_nlml(&se, &theta, &se_xs, &ys)?.is_finite());
+                check_split_nlml_singular(&se, &se_xs, &ys)?;
+
+                // NARGP: d design dims plus the low-fidelity feature.
+                let aug: Vec<Vec<f64>> = xs.iter().map(|x| x[..=d].to_vec()).collect();
+                let nargp = NargpKernel::new(d);
+                let mut theta = nargp.default_params();
+                theta.push(log_noise);
+                prop_assert!(check_split_nlml(&nargp, &theta, &aug, &ys)?.is_finite());
+                check_split_nlml_singular(&nargp, &aug, &ys)?;
+            }
+        }
 
         /// Differential oracle for the cross-iteration fit cache: a cache
         /// grown by arbitrary append/truncate/sync sequences must serve a

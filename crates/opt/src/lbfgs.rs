@@ -1,15 +1,59 @@
 //! Limited-memory BFGS with projected box bounds.
 //!
-//! This is the workhorse behind GP hyperparameter training (minimizing the
-//! negative log marginal likelihood in log-hyperparameter space) and the
-//! final polish of acquisition optima. The implementation is the standard
-//! two-loop recursion with an Armijo backtracking line search; box bounds
-//! are handled by projecting both the iterates and the search direction
-//! (a gradient-projection scheme that is simple and robust for the smooth,
-//! low-dimensional problems we solve).
+//! This is the optimizer behind GP hyperparameter training: `Gp::fit_planned`
+//! minimizes the negative log marginal likelihood in log-hyperparameter
+//! space with it. The implementation is the standard two-loop recursion with
+//! an Armijo backtracking line search; box bounds are handled by projecting
+//! both the iterates and the search direction (a gradient-projection scheme
+//! that is simple and robust for the smooth, low-dimensional problems we
+//! solve).
+//!
+//! The objective is two-phase ([`Objective`]): the line search asks only
+//! for values, and the gradient is finished once per accepted step from the
+//! state the accepted probe kept. Rejected Armijo probes therefore never pay
+//! for a gradient, and no point is evaluated twice. Any
+//! `Fn(&[f64]) -> (f64, Vec<f64>)` closure is an [`Objective`] whose value
+//! phase computes both halves at once.
 
 use crate::{Bounds, OptResult};
 use std::collections::VecDeque;
+
+/// A differentiable objective evaluated in two phases: the value, then —
+/// only at points the line search accepts — the gradient.
+///
+/// [`Objective::value`] returns the value together with whatever state the
+/// gradient needs (a matrix factor, say); [`Objective::gradient`] finishes
+/// the gradient from that state at the same point. Splitting the two lets
+/// rejected line-search probes skip the gradient entirely.
+///
+/// Every `Fn(&[f64]) -> (f64, Vec<f64>)` closure implements this trait with
+/// the gradient itself as the kept state.
+pub trait Objective {
+    /// State kept from [`Objective::value`] for [`Objective::gradient`].
+    type Partial;
+
+    /// The objective value at `x`, plus the state its gradient needs.
+    fn value(&self, x: &[f64]) -> (f64, Self::Partial);
+
+    /// The gradient at `x`, finished from the `partial` that
+    /// [`Objective::value`] returned for the same `x`.
+    fn gradient(&self, x: &[f64], partial: Self::Partial) -> Vec<f64>;
+}
+
+impl<F> Objective for F
+where
+    F: Fn(&[f64]) -> (f64, Vec<f64>) + ?Sized,
+{
+    type Partial = Vec<f64>;
+
+    fn value(&self, x: &[f64]) -> (f64, Vec<f64>) {
+        self(x)
+    }
+
+    fn gradient(&self, _x: &[f64], partial: Vec<f64>) -> Vec<f64> {
+        partial
+    }
+}
 
 /// L-BFGS minimizer configuration.
 ///
@@ -73,28 +117,30 @@ impl Lbfgs {
         self
     }
 
-    /// Minimizes `fg` (returning `(value, gradient)`) from `x0` inside
-    /// `bounds`.
+    /// Minimizes `obj` from `x0` inside `bounds`. A `(value, gradient)`
+    /// closure is the simplest [`Objective`].
+    ///
+    /// The value is taken at `x0` and at every line-search probe; the
+    /// gradient only at `x0` and at each accepted step.
     ///
     /// Non-finite objective values are treated as `+inf`, which the line
     /// search simply backs away from; this matters for NLML surfaces that
-    /// blow up when a kernel matrix loses positive definiteness.
+    /// blow up when a kernel matrix loses positive definiteness. A run that
+    /// never leaves a non-finite start reports `converged: false`.
     ///
     /// # Panics
     ///
     /// Panics if `x0.len() != bounds.dim()`.
-    pub fn minimize<F>(&self, fg: &F, x0: &[f64], bounds: &Bounds) -> OptResult
+    pub fn minimize<O>(&self, obj: &O, x0: &[f64], bounds: &Bounds) -> OptResult
     where
-        F: Fn(&[f64]) -> (f64, Vec<f64>) + ?Sized,
+        O: Objective + ?Sized,
     {
         assert_eq!(x0.len(), bounds.dim(), "x0 dimension mismatch");
         let n = x0.len();
         let mut x = bounds.clamp(x0);
-        let (mut f, mut g) = fg(&x);
+        let (mut f, partial) = probe(obj, &x);
+        let mut g = obj.gradient(&x, partial);
         let mut evals = 1usize;
-        if !f.is_finite() {
-            f = f64::INFINITY;
-        }
 
         let mut s_hist: VecDeque<Vec<f64>> = VecDeque::with_capacity(MEMORY);
         let mut y_hist: VecDeque<Vec<f64>> = VecDeque::with_capacity(MEMORY);
@@ -148,7 +194,7 @@ impl Lbfgs {
 
             // Armijo backtracking line search with projection onto bounds.
             let c1 = 1e-4;
-            let mut line_search = |d: &[f64]| -> Option<(Vec<f64>, f64)> {
+            let mut line_search = |d: &[f64]| -> Option<(Vec<f64>, f64, O::Partial)> {
                 let g_dot_d = mfbo_linalg::dot(&pg, d);
                 let mut step = 1.0;
                 let mut x_new = x.clone();
@@ -157,7 +203,7 @@ impl Lbfgs {
                         x_new[i] = x[i] + step * d[i];
                     }
                     bounds.clamp_in_place(&mut x_new);
-                    let (fv, _) = probe(fg, &x_new);
+                    let (fv, partial) = probe(obj, &x_new);
                     evals += 1;
                     // Armijo on the projected step (use the actual
                     // displacement when the direction was not provably a
@@ -169,7 +215,7 @@ impl Lbfgs {
                         -c1 * mfbo_linalg::norm2(&actual)
                     };
                     if fv.is_finite() && fv <= f + pred {
-                        return Some((x_new, fv));
+                        return Some((x_new, fv, partial));
                     }
                     step *= 0.5;
                 }
@@ -187,7 +233,7 @@ impl Lbfgs {
                 }
                 r
             });
-            let (x_new, f_new) = match attempt {
+            let (x_new, f_new, partial) = match attempt {
                 Some(v) => v,
                 None => {
                     // Both directions failed: we are at a (projected)
@@ -197,8 +243,7 @@ impl Lbfgs {
                 }
             };
 
-            let (_, g_new) = fg(&x_new);
-            evals += 1;
+            let g_new = obj.gradient(&x_new, partial);
             let s: Vec<f64> = x_new.iter().zip(&x).map(|(a, b)| a - b).collect();
             // Curvature pairs use projected gradients so the memory stays
             // consistent with the projected search directions.
@@ -233,22 +278,25 @@ impl Lbfgs {
             value: f,
             evaluations: evals,
             iterations: iters,
-            converged,
+            // A non-finite start has no usable gradient (the NLML reports
+            // zeros there), so the projected-gradient test passes trivially;
+            // that is a failed run, not a converged one.
+            converged: converged && f.is_finite(),
         }
     }
 }
 
-/// Evaluates `fg`, mapping non-finite values to `+inf` so the line search
-/// treats them as "worse than anything".
-fn probe<F>(fg: &F, x: &[f64]) -> (f64, Vec<f64>)
+/// Evaluates the value phase of `obj`, mapping non-finite values to `+inf`
+/// so the line search treats them as "worse than anything".
+fn probe<O>(obj: &O, x: &[f64]) -> (f64, O::Partial)
 where
-    F: Fn(&[f64]) -> (f64, Vec<f64>) + ?Sized,
+    O: Objective + ?Sized,
 {
-    let (f, g) = fg(x);
+    let (f, partial) = obj.value(x);
     if f.is_finite() {
-        (f, g)
+        (f, partial)
     } else {
-        (f64::INFINITY, g)
+        (f64::INFINITY, partial)
     }
 }
 
@@ -274,6 +322,7 @@ fn projected_gradient(x: &[f64], g: &[f64], bounds: &Bounds) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::numgrad::with_central_gradient;
+    use std::cell::{Cell, RefCell};
 
     #[test]
     fn quadratic_bowl() {
@@ -336,6 +385,97 @@ mod tests {
         let b = Bounds::new(vec![1.0], vec![2.0]);
         let r = Lbfgs::new().minimize(&fg, &[100.0], &b);
         assert!((r.x[0] - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn non_finite_start_is_not_converged() {
+        // The NLML's contract at a singular θ: `(inf, zeros)`. The zero
+        // gradient passes the projected-gradient test at once, which must
+        // not read as convergence.
+        let fg = |x: &[f64]| (f64::INFINITY, vec![0.0; x.len()]);
+        let b = Bounds::symmetric(3, 1.0);
+        let r = Lbfgs::new().minimize(&fg, &[0.1, 0.2, 0.3], &b);
+        assert_eq!(r.value, f64::INFINITY);
+        assert!(!r.converged);
+        assert_eq!(r.evaluations, 1);
+    }
+
+    /// A two-phase objective that logs every call: the value phase keeps
+    /// the gradient as its partial state, so the run must follow the plain
+    /// closure over the same function bit for bit.
+    struct Counting<'a, F> {
+        fg: F,
+        values: &'a Cell<usize>,
+        gradients: &'a RefCell<Vec<(Vec<f64>, usize)>>,
+        last_value_x: &'a RefCell<Vec<f64>>,
+    }
+
+    impl<F: Fn(&[f64]) -> (f64, Vec<f64>)> Objective for Counting<'_, F> {
+        type Partial = Vec<f64>;
+
+        fn value(&self, x: &[f64]) -> (f64, Vec<f64>) {
+            self.values.set(self.values.get() + 1);
+            *self.last_value_x.borrow_mut() = x.to_vec();
+            (self.fg)(x)
+        }
+
+        fn gradient(&self, x: &[f64], partial: Vec<f64>) -> Vec<f64> {
+            self.gradients
+                .borrow_mut()
+                .push((x.to_vec(), self.values.get()));
+            // The gradient is only ever asked for at the point just valued.
+            assert_eq!(*self.last_value_x.borrow(), x);
+            partial
+        }
+    }
+
+    #[test]
+    fn gradient_only_at_x0_and_accepted_steps() {
+        let rosen = |x: &[f64]| {
+            let v = (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2);
+            let g = vec![
+                -2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] * x[0]),
+                200.0 * (x[1] - x[0] * x[0]),
+            ];
+            (v, g)
+        };
+        let b = Bounds::new(vec![-2.0, -0.5], vec![2.0, 3.0]);
+        let x0 = [-1.2, 1.0];
+        let opt = Lbfgs::new().with_max_iters(300);
+        let plain = opt.minimize(&rosen, &x0, &b);
+
+        let values = Cell::new(0);
+        let gradients = RefCell::new(Vec::new());
+        let last_value_x = RefCell::new(Vec::new());
+        let counting = Counting {
+            fg: rosen,
+            values: &values,
+            gradients: &gradients,
+            last_value_x: &last_value_x,
+        };
+        let split = opt.minimize(&counting, &x0, &b);
+
+        assert_eq!(values.get(), split.evaluations);
+        let grads = gradients.into_inner();
+        // Once for x0 (right after its value) ...
+        assert_eq!(grads[0], (x0.to_vec(), 1));
+        // ... then once per accepted step, each at a new iterate, ending at
+        // the returned point. Rejected probes in between cost no gradient.
+        for w in grads.windows(2) {
+            assert!(w[1].1 > w[0].1);
+            assert_ne!(w[1].0, w[0].0);
+        }
+        assert_eq!(grads.last().unwrap().0, split.x);
+        assert!(grads.len() - 1 <= split.iterations);
+        assert!(values.get() > grads.len(), "no probe was rejected");
+
+        assert_eq!(split.evaluations, plain.evaluations);
+        assert_eq!(split.iterations, plain.iterations);
+        assert_eq!(split.converged, plain.converged);
+        assert_eq!(split.value.to_bits(), plain.value.to_bits());
+        for (a, b) in split.x.iter().zip(&plain.x) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]

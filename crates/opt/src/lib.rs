@@ -4,20 +4,27 @@
 //! kinds of inner optimizer, all provided here:
 //!
 //! * **L-BFGS** ([`lbfgs::Lbfgs`]) with projected box bounds — used to
-//!   minimize the GP negative log marginal likelihood (with analytic
-//!   gradients) and to polish acquisition-function optima (with numeric
-//!   gradients via [`numgrad::central_gradient`]).
+//!   minimize the GP negative log marginal likelihood with analytic
+//!   gradients (`Gp::fit_planned` is its one caller in the flow). The
+//!   objective is two-phase ([`lbfgs::Objective`]): line-search probes ask
+//!   only for the value, and the gradient is finished once per accepted
+//!   step from the state the accepted probe kept. A plain
+//!   `(value, gradient)` closure — e.g. one built by
+//!   [`numgrad::with_central_gradient`] — is an objective too.
 //! * **Nelder–Mead** ([`neldermead::NelderMead`]) — a derivative-free local
-//!   searcher used inside the multiple-starting-point strategy where the
-//!   Monte-Carlo acquisition surface is noisy.
+//!   searcher used inside the multiple-starting-point strategy. The
+//!   acquisition surfaces are deterministic (the NARGP propagation uses
+//!   fixed stratified quantiles), but they have no input gradient and carry
+//!   flat regions and kinks that a simplex search tolerates.
 //! * **Differential evolution** ([`de::DifferentialEvolution`]) — both the DE
 //!   baseline of the paper and the evolutionary engine inside GASPAD.
 //!
 //! On top of these, [`msp::MultiStart`] implements the paper's §4.1
 //! multiple-starting-point strategy, including the biased start distribution
 //! (a fraction of starts near the low- and high-fidelity incumbents), and
-//! [`sampling`] provides Latin-hypercube and uniform designs for the initial
-//! GP training sets.
+//! [`sampling`] provides Latin-hypercube designs (the initial training
+//! sets, GP restarts and unbiased MSP starts), the Gaussian-perturbed starts
+//! of the biased fraction, and Halton sequences.
 //!
 //! # Example: minimizing a quadratic under box bounds
 //!
@@ -50,7 +57,8 @@ pub struct OptResult {
     pub x: Vec<f64>,
     /// Objective value at [`OptResult::x`].
     pub value: f64,
-    /// Number of objective evaluations consumed.
+    /// Number of objective evaluations consumed. For L-BFGS these are value
+    /// evaluations; a gradient is finished only at accepted points.
     pub evaluations: usize,
     /// Number of iterations of the outer loop.
     pub iterations: usize,

@@ -1,10 +1,9 @@
 //! Numerical differentiation helpers.
 //!
-//! Acquisition functions built on the Monte-Carlo multi-fidelity posterior
-//! have no cheap analytic gradient, so the L-BFGS polish step uses
-//! central-difference gradients from this module. The step size scales with
-//! the magnitude of each coordinate to keep relative truncation and rounding
-//! error balanced.
+//! Central-difference gradients for objectives without an analytic one,
+//! e.g. to run [`crate::lbfgs::Lbfgs`] on a value-only function or to check
+//! an analytic gradient in tests. The step size scales with the magnitude of
+//! each coordinate to keep relative truncation and rounding error balanced.
 
 /// Central-difference gradient of `f` at `x`.
 ///
