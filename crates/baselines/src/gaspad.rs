@@ -8,6 +8,7 @@
 //! LCB-feasibility variant of Deb's rules (optimistic constraint bounds),
 //! and into selection with the exact feasibility rules.
 
+use mfbo::acquisition::lower_confidence_bound;
 use mfbo::problem::{Fidelity, MultiFidelityProblem};
 use mfbo::{EvaluationRecord, FidelityData, MfboError, Outcome, SfSurrogates};
 use mfbo_gp::{FitCache, GpConfig};
@@ -195,10 +196,10 @@ impl Gaspad {
             let mut best_score = f64::INFINITY;
             for (k, cand) in candidates.iter().enumerate() {
                 let (obj, cons) = surrogates.predict(cand);
-                let lcb = obj.mean - cfg.kappa * obj.std_dev();
+                let lcb = lower_confidence_bound(obj.mean, obj.std_dev(), cfg.kappa);
                 let viol: f64 = cons
                     .iter()
-                    .map(|c| (c.mean - cfg.kappa * c.std_dev()).max(0.0))
+                    .map(|c| lower_confidence_bound(c.mean, c.std_dev(), cfg.kappa).max(0.0))
                     .sum();
                 // Predicted-feasible candidates rank by LCB; others by
                 // violation, shifted above any feasible score.

@@ -7,9 +7,9 @@
 //!
 //! * [`Weibo`] — the single-fidelity GP-BO of Lyu et al. (TCAS-I 2018):
 //!   weighted-EI acquisition with multiple-starting-point optimization.
-//!   This is a paper-parameterized configuration of
-//!   [`mfbo::SfBayesOpt`], which runs on the same ask/tell core as the
-//!   multi-fidelity optimizer, without a low-fidelity design.
+//!   This is a paper-parameterized preset of [`mfbo::MfBayesOpt`] with no
+//!   low-fidelity design (`initial_low: 0`): the same ask/tell core as the
+//!   multi-fidelity optimizer, every sample at high fidelity.
 //! * [`Gaspad`] — Liu et al. (TCAD 2014): a surrogate-assisted evolutionary
 //!   algorithm; differential-evolution operators propose candidates, a GP
 //!   prescreens them with a lower-confidence-bound rule, and only the most

@@ -2,14 +2,15 @@
 //!
 //! WEIBO is single-fidelity constrained Bayesian optimization with the
 //! weighted-EI acquisition — precisely the machinery the DAC'19 paper
-//! extends with the fusion model. It therefore runs as [`mfbo::SfBayesOpt`],
-//! the one-fidelity case of the multi-fidelity ask/tell core; this wrapper
-//! pins the paper's parameterization (40 % of MSP starts around the
-//! incumbent) and exposes the experiment knobs the tables vary (initial
-//! design size, simulation budget).
+//! extends with the fusion model. It therefore runs as [`mfbo::MfBayesOpt`]
+//! with no low-fidelity design (`initial_low: 0`), the one-fidelity case of
+//! the multi-fidelity ask/tell core; this wrapper pins the paper's
+//! parameterization (40 % of MSP starts around the incumbent) and exposes
+//! the experiment knobs the tables vary (initial design size, simulation
+//! budget).
 
 use mfbo::problem::MultiFidelityProblem;
-use mfbo::{MfboError, Outcome, SfBayesOpt, SfBoConfig};
+use mfbo::{MfBayesOpt, MfBoConfig, MfGpConfig, MfboError, Outcome};
 use mfbo_gp::GpConfig;
 use mfbo_pool::Parallelism;
 use rand::Rng;
@@ -32,7 +33,7 @@ pub struct WeiboConfig {
     /// [`mfbo::FidelityData::winsorized`]).
     pub winsorize_sigma: Option<f64>,
     /// Thread-pool mode for the hot paths (forwarded to
-    /// [`SfBoConfig::parallelism`]). Every mode produces bit-identical
+    /// [`MfBoConfig::parallelism`]). Every mode produces bit-identical
     /// optimization histories.
     pub parallelism: Parallelism,
 }
@@ -87,7 +88,7 @@ impl Weibo {
     ///
     /// # Errors
     ///
-    /// Same contract as [`SfBayesOpt::run`].
+    /// Same contract as [`Weibo::run_with`] with default options.
     pub fn run<P, R>(&self, problem: &P, rng: &mut R) -> Result<Outcome, MfboError>
     where
         P: MultiFidelityProblem + ?Sized,
@@ -97,12 +98,15 @@ impl Weibo {
     }
 
     /// Runs WEIBO with durability and fault-tolerance options (journaling,
-    /// checkpoint/resume, caching, robust evaluation) — forwarded to
-    /// [`SfBayesOpt::run_with`].
+    /// checkpoint/resume, caching, robust evaluation) — the semantics of
+    /// [`MfBayesOpt::run_with`], minus warm-starting, which seeds a
+    /// low-fidelity surrogate this loop does not have.
     ///
     /// # Errors
     ///
-    /// Same contract as [`SfBayesOpt::run_with`].
+    /// Same contract as [`MfBayesOpt::run_with`], plus
+    /// [`MfboError::InvalidConfig`] when the budget does not exceed the
+    /// initial design or `opts.warm_start` is set.
     pub fn run_with<P, R>(
         &self,
         problem: &P,
@@ -113,26 +117,43 @@ impl Weibo {
         P: MultiFidelityProblem + ?Sized,
         R: Rng + ?Sized,
     {
-        let sf = SfBoConfig {
-            initial_points: self.config.initial_points,
-            budget: self.config.budget,
-            msp_starts: self.config.msp_starts,
+        let cfg = &self.config;
+        // `MfBoConfig::validate` refuses only an empty design.
+        if cfg.budget <= cfg.initial_points {
+            return Err(MfboError::InvalidConfig {
+                reason: "budget must exceed the initial design size".into(),
+            });
+        }
+        let mf = MfBoConfig {
+            initial_low: 0,
+            initial_high: cfg.initial_points,
+            // `cost(High) = 1.0`, so the budget counts simulations.
+            budget: cfg.budget as f64,
+            // The budget alone stops the loop.
+            max_iterations: usize::MAX,
+            msp_starts: cfg.msp_starts,
             // Paper §4.1: 40 % of the starting points around τ_h.
-            frac_around_tau: 0.40,
-            anchor_spread: 0.05,
-            model: self.config.model.clone(),
-            refit_every: self.config.refit_every,
-            winsorize_sigma: self.config.winsorize_sigma,
-            parallelism: self.config.parallelism,
+            frac_around_tau_h: 0.40,
+            model: MfGpConfig {
+                high: cfg.model.clone(),
+                ..MfGpConfig::fast()
+            },
+            refit_every: cfg.refit_every,
+            winsorize_sigma: cfg.winsorize_sigma,
+            parallelism: cfg.parallelism,
+            gp_inference: cfg.model.inference,
+            ..MfBoConfig::default()
         };
-        SfBayesOpt::new(sf).run_with(problem, rng, opts)
+        MfBayesOpt::new(mf).run_with(problem, rng, opts)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mfbo::problem::FunctionProblem;
     use mfbo_circuits::testfns;
+    use mfbo_opt::Bounds;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -149,5 +170,80 @@ mod tests {
         assert!(out.best_objective < -5.5, "best = {}", out.best_objective);
         assert_eq!(out.n_low, 0);
         assert_eq!(out.n_high, 24);
+        // The budget counts simulations and is spent exactly.
+        assert_eq!(out.history.len(), 24);
+        assert!((out.total_cost - 24.0).abs() < 1e-12);
+    }
+
+    /// Objective `x0 + x1`, feasible only where both coordinates exceed
+    /// `corner`; initial designs typically miss it, exercising the eq. (13)
+    /// drive.
+    fn corner(corner: f64) -> FunctionProblem {
+        FunctionProblem::builder("corner", Bounds::unit(2))
+            .high(|x: &[f64]| x[0] + x[1])
+            .high_constraints(2, move |x: &[f64]| vec![corner - x[0], corner - x[1]])
+            .build()
+    }
+
+    #[test]
+    #[ignore = "slow (~15 s in debug): full 30-point feasibility drive; run with --ignored"]
+    fn constrained_run_reaches_feasibility() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let config = WeiboConfig {
+            initial_points: 8,
+            budget: 30,
+            ..WeiboConfig::default()
+        };
+        let out = Weibo::new(config).run(&corner(0.8), &mut rng).unwrap();
+        assert!(out.feasible, "never found the feasible corner");
+        assert!(out.best_x[0] > 0.8 && out.best_x[1] > 0.8);
+    }
+
+    #[test]
+    fn constrained_run_reaches_feasibility_smoke() {
+        // Fast default-suite variant of `constrained_run_reaches_feasibility`:
+        // a milder corner and a smaller budget still exercise the eq. (13)
+        // drive on every `cargo test`.
+        let mut rng = StdRng::seed_from_u64(3);
+        let config = WeiboConfig {
+            initial_points: 6,
+            budget: 14,
+            ..WeiboConfig::default()
+        };
+        let out = Weibo::new(config).run(&corner(0.6), &mut rng).unwrap();
+        assert!(out.feasible, "never found the feasible corner");
+        assert!(out.best_x[0] > 0.6 && out.best_x[1] > 0.6);
+    }
+
+    #[test]
+    fn rejects_budget_not_exceeding_init() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let e = Weibo::new(WeiboConfig {
+            initial_points: 10,
+            budget: 10,
+            ..WeiboConfig::default()
+        })
+        .run(&testfns::forrester(), &mut rng);
+        match e {
+            Err(MfboError::InvalidConfig { reason }) => {
+                assert!(reason.contains("initial design size"), "{reason}")
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn refit_interval_variant_still_optimizes() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let config = WeiboConfig {
+            initial_points: 6,
+            budget: 22,
+            refit_every: 4,
+            ..WeiboConfig::default()
+        };
+        let out = Weibo::new(config)
+            .run(&testfns::forrester(), &mut rng)
+            .unwrap();
+        assert!(out.best_objective < -5.0, "best = {}", out.best_objective);
     }
 }

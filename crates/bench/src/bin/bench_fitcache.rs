@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 const DIM: usize = 12;
 
-/// Synthetic constrained training set in [0,1]^DIM — the `BENCH_infer.json`
+/// Synthetic constrained training set in `[0,1]^DIM` — the `BENCH_infer.json`
 /// data shape (dim = 12, middle of the paper's 10–36 design-variable range).
 fn bench_data(n: usize, m: usize) -> FidelityData {
     let mut fd = FidelityData::new(m);

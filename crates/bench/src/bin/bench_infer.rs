@@ -22,7 +22,7 @@ use std::time::Instant;
 const DIM: usize = 12;
 const QUERIES: usize = 256;
 
-/// Training inputs in [0,1]^DIM — the `BENCH_simd.json` data shape
+/// Training inputs in `[0,1]^DIM` — the `BENCH_simd.json` data shape
 /// (dim = 12, middle of the paper's 10–36 design-variable range).
 fn bench_data(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
     let xs: Vec<Vec<f64>> = (0..n)

@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
-/// Training inputs in [0,1]^dim — the `BENCH_linalg.json` data shape
+/// Training inputs in `[0,1]^dim` — the `BENCH_linalg.json` data shape
 /// (dim = 12, middle of the paper's 10–36 design-variable range).
 fn bench_data(n: usize, dim: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
     let xs: Vec<Vec<f64>> = (0..n)

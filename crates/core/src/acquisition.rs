@@ -63,25 +63,9 @@ pub fn weighted_ei(mean: f64, std: f64, tau: f64, constraints: &[(f64, f64)]) ->
     v
 }
 
-/// Probability of improvement over incumbent `tau` for a minimization
-/// problem: `PI = Φ((τ − μ)/σ)`. Greedier than EI (it ignores the
-/// *magnitude* of improvement); listed among the classic acquisitions in
-/// paper §2.4's survey references.
-pub fn probability_of_improvement(mean: f64, std: f64, tau: f64) -> f64 {
-    if std <= 0.0 {
-        return if mean < tau { 1.0 } else { 0.0 };
-    }
-    norm_cdf((tau - mean) / std)
-}
-
 /// Lower confidence bound `μ − κσ`, the prescreening rule GASPAD uses.
 pub fn lower_confidence_bound(mean: f64, std: f64, kappa: f64) -> f64 {
     mean - kappa * std
-}
-
-/// Upper confidence bound `μ + κσ` (for maximization framings).
-pub fn upper_confidence_bound(mean: f64, std: f64, kappa: f64) -> f64 {
-    mean + kappa * std
 }
 
 /// The first-feasible-point surrogate objective — paper eq. (13):
@@ -166,32 +150,8 @@ mod tests {
     }
 
     #[test]
-    fn pi_limits_and_degenerate() {
-        // μ far below τ → certain improvement.
-        assert!(probability_of_improvement(-10.0, 1.0, 0.0) > 0.999);
-        // μ far above τ → no chance.
-        assert!(probability_of_improvement(10.0, 1.0, 0.0) < 1e-3);
-        // At the incumbent → 50/50.
-        assert!((probability_of_improvement(0.0, 1.0, 0.0) - 0.5).abs() < 1e-7);
-        // Degenerate σ.
-        assert_eq!(probability_of_improvement(-1.0, 0.0, 0.0), 1.0);
-        assert_eq!(probability_of_improvement(1.0, 0.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn ei_dominates_pi_scaled_improvement() {
-        // EI >= (τ − μ)·PI when μ < τ (EI accounts for the upside tail).
-        for &(m, s, t) in &[(-0.5, 1.0, 0.0), (-2.0, 0.5, 0.0), (0.2, 2.0, 0.5)] {
-            let ei = expected_improvement(m, s, t);
-            let pi = probability_of_improvement(m, s, t);
-            assert!(ei >= (t - m) * pi - 1e-12, "m={m} s={s} t={t}");
-        }
-    }
-
-    #[test]
-    fn confidence_bounds() {
+    fn lower_confidence_bound_subtracts_kappa_sigma() {
         assert_eq!(lower_confidence_bound(1.0, 0.5, 2.0), 0.0);
-        assert_eq!(upper_confidence_bound(1.0, 0.5, 2.0), 2.0);
     }
 
     #[test]

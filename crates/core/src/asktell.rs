@@ -7,9 +7,9 @@
 //! - [`AskTellMfbo::tell`] folds a result back in, in *any* order;
 //! - [`AskTellMfbo::finish`] closes the run and returns the [`Outcome`].
 //!
-//! The sequential drivers (`MfBayesOpt::run_with`, and through it
-//! `SfBayesOpt` and WEIBO) are thin clients of this core, so every existing
-//! golden trajectory pins its behavior.
+//! The sequential driver (`MfBayesOpt::run_with`, and through it WEIBO) is
+//! a thin client of this core, so every existing golden trajectory pins its
+//! behavior.
 //!
 //! # Single-fidelity runs
 //!
@@ -78,6 +78,10 @@ use std::time::{Duration, Instant};
 /// near-duplicate rows out of the fantasy kernel matrices, small enough to
 /// never exclude a genuinely different optimum.
 const TABOO_RADIUS: f64 = 1e-6;
+
+/// Relative width of the MSP anchor clouds around the incumbents and `x*_l`
+/// (fraction of each unit-cube side).
+const ANCHOR_SPREAD: f64 = 0.05;
 
 /// Queries per tile of the batched feasibility drive. Each tile builds one
 /// query × training-point × dimension difference batch per training set,
@@ -310,8 +314,10 @@ impl Thetas {
     }
 }
 
-/// The ask/tell core of the multi-fidelity optimizer. See the
-/// [module docs](self) for the state-machine contract.
+/// The ask/tell core of the multi-fidelity optimizer. Its decisions
+/// (surrogate fits, acquisition, fidelity choice, RNG draws) are a pure
+/// function of the seed, the config and the problem, whatever order or
+/// timing `tell` delivers results in.
 ///
 /// Construct with [`AskTellMfbo::new`]; drive with [`AskTellMfbo::ask`] /
 /// [`AskTellMfbo::tell`]; close with [`AskTellMfbo::finish`].
@@ -921,13 +927,13 @@ where
                     ms_low = ms_low.with_anchor(
                         low_u.xs[k].clone(),
                         self.cfg.frac_around_tau_l + self.cfg.frac_around_tau_h,
-                        self.cfg.anchor_spread,
+                        ANCHOR_SPREAD,
                     );
                 }
                 let wei_l = |x: &[f64]| mf.wei_low(x, tau_l);
                 let xl_star = ms_low.maximize(&wei_l, &self.unit, &mut self.rng).x;
                 // Line 6 starts from x*_l.
-                ms_high = ms_high.with_anchor(xl_star, 0.15, self.cfg.anchor_spread);
+                ms_high = ms_high.with_anchor(xl_star, 0.15, ANCHOR_SPREAD);
             }
             // Line 6: optimize the high-fidelity wEI with the biased
             // anchors of §4.1.
@@ -935,14 +941,14 @@ where
                 ms_high = ms_high.with_anchor(
                     high_u.xs[k].clone(),
                     self.cfg.frac_around_tau_h,
-                    self.cfg.anchor_spread,
+                    ANCHOR_SPREAD,
                 );
             }
             if let Some((k, _)) = best_low {
                 ms_high = ms_high.with_anchor(
                     low_u.xs[k].clone(),
                     self.cfg.frac_around_tau_l,
-                    self.cfg.anchor_spread,
+                    ANCHOR_SPREAD,
                 );
             }
             if !taboo.is_empty() {

@@ -13,7 +13,8 @@
 //!   GP over inputs augmented with the low-fidelity posterior mean, with
 //!   Monte-Carlo propagation of low-fidelity uncertainty.
 //! * [`acquisition`] — expected improvement, probability of feasibility,
-//!   weighted EI (paper eqs. 5–6) and confidence bounds.
+//!   weighted EI (paper eqs. 5–6), the eq. (13) feasibility drive and the
+//!   lower confidence bound GASPAD prescreens with.
 //! * [`FidelitySelector`] — the σ²-threshold fidelity-selection criterion
 //!   (paper eqs. 11–12).
 //! * [`MfBayesOpt`] — the full Algorithm 1, with the multiple-starting-point
@@ -21,10 +22,9 @@
 //!   §4.2.
 //! * [`AskTellMfbo`] — the ask/tell decomposition of Algorithm 1 for
 //!   asynchronous and batched (constant-liar) evaluation; `MfBayesOpt` is a
-//!   thin sequential client of it.
-//! * [`SfBayesOpt`] — the single-fidelity constrained BO loop this paper
-//!   (and its WEIBO baseline) builds upon: the one-fidelity case of the
-//!   same core (`initial_low == 0`).
+//!   thin sequential client of it. With `initial_low: 0` the same core runs
+//!   single-fidelity constrained BO, the loop this paper (and its WEIBO
+//!   baseline in `mfbo-baselines`) builds upon.
 //!
 //! # Quickstart
 //!
@@ -68,7 +68,6 @@ mod nargp;
 pub mod problem;
 pub mod report;
 pub mod run_report;
-mod sfbo;
 mod surrogate;
 
 pub use ar1::{Ar1Config, Ar1Gp};
@@ -86,5 +85,4 @@ pub use mfbo_pool::Parallelism;
 pub use mfbo_runstore::{GroupCommitter, RunStore};
 pub use nargp::{MfGp, MfGpConfig, MfGpPlan, MfGpThetas};
 pub use run_report::RunReport;
-pub use sfbo::{SfBayesOpt, SfBoConfig};
 pub use surrogate::{MfBundleThetas, MfSurrogates, SfBundleThetas, SfSurrogates};

@@ -13,6 +13,11 @@
 //! When the high-fidelity data contain no feasible point yet, step 2–3 are
 //! replaced by the first-feasible-point search of §4.2 (minimize
 //! `Σ max(0, μ_h,i(x))`, eq. 13).
+//!
+//! With `initial_low: 0` the same driver is single-fidelity constrained BO:
+//! one GP per output, no low-fidelity search (step 2) and no fidelity
+//! selection (step 4), every sample at high fidelity. That is the WEIBO
+//! baseline (`mfbo_baselines::Weibo` is a preset of it).
 
 use crate::asktell::{AskTellMfbo, Told};
 use crate::evaluator::{robust_evaluate, RunOptions, SimOutcome};
@@ -35,7 +40,7 @@ use std::time::Instant;
 pub struct MfBoConfig {
     /// Size of the initial low-fidelity Latin-hypercube design. `0` means
     /// single-fidelity BO: no fusion model and no fidelity selection, every
-    /// sample at high fidelity (the loop [`crate::SfBayesOpt`] runs).
+    /// sample at high fidelity (the loop the WEIBO baseline runs).
     pub initial_low: usize,
     /// Size of the initial high-fidelity Latin-hypercube design.
     pub initial_high: usize,
@@ -53,8 +58,6 @@ pub struct MfBoConfig {
     /// Fraction of starts scattered around the high-fidelity incumbent
     /// (paper: 0.40).
     pub frac_around_tau_h: f64,
-    /// Relative width of the anchor clouds (fraction of each bound width).
-    pub anchor_spread: f64,
     /// Fidelity-selection threshold γ of eqs. (11)–(12).
     pub gamma: f64,
     /// Surrogate training configuration.
@@ -113,7 +116,6 @@ impl Default for MfBoConfig {
             msp_starts: 24,
             frac_around_tau_l: 0.10,
             frac_around_tau_h: 0.40,
-            anchor_spread: 0.05,
             gamma: 0.01,
             model: MfGpConfig::fast(),
             refit_every: 1,
@@ -565,6 +567,58 @@ mod tests {
 
         assert_eq!(sink.named("run_start").len(), 1);
         assert_eq!(sink.named("run_end").len(), 1);
+    }
+
+    /// The single-fidelity preset WEIBO runs: no low-fidelity design.
+    fn single_fidelity(initial_high: usize, budget: f64) -> MfBoConfig {
+        MfBoConfig {
+            initial_low: 0,
+            initial_high,
+            budget,
+            ..MfBoConfig::default()
+        }
+    }
+
+    #[test]
+    fn warm_start_is_refused_without_a_low_fidelity_design() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut opts = RunOptions {
+            warm_start: true,
+            ..RunOptions::default()
+        };
+        let e =
+            MfBayesOpt::new(single_fidelity(5, 8.0)).run_with(&forrester(), &mut rng, &mut opts);
+        match e {
+            Err(MfboError::InvalidConfig { reason }) => {
+                assert!(reason.contains("low-fidelity surrogate"), "{reason}")
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn single_fidelity_telemetry_covers_every_iteration() {
+        let sink = std::sync::Arc::new(mfbo_telemetry::sinks::CollectSink::new());
+        let guard = mfbo_telemetry::scoped_sink(sink.clone());
+        let mut rng = StdRng::seed_from_u64(2);
+        let out = MfBayesOpt::new(single_fidelity(5, 12.0))
+            .run(&forrester(), &mut rng)
+            .unwrap();
+        drop(guard);
+        let bo_iters = out.history.iter().filter(|r| r.iteration > 0).count();
+        assert_eq!(bo_iters, 7);
+        assert_eq!(sink.named("sfbo_iteration").len(), bo_iters);
+        assert!(sink.named("fidelity_decision").is_empty());
+        assert_eq!(
+            out.telemetry.stages["surrogate_fit"].calls as usize,
+            bo_iters
+        );
+        assert_eq!(out.telemetry.stages["acq_opt"].calls as usize, bo_iters);
+        // 5 initial + 7 BO simulations, all at high fidelity.
+        assert_eq!(out.telemetry.stages["simulate_high"].calls, 12);
+        assert_eq!(out.n_low, 0);
+        assert!(out.telemetry.decisions.is_empty());
+        assert!(out.telemetry.wall_us > 0);
     }
 
     #[test]

@@ -444,15 +444,6 @@ impl MfGp {
         self.quantiles.len()
     }
 
-    /// Best (minimum) raw observation at each fidelity:
-    /// `(τ_l, τ_h)`.
-    pub fn incumbents(&self) -> (f64, f64) {
-        (
-            self.low.best_observation().1,
-            self.high.best_observation().1,
-        )
-    }
-
     /// The trained hyperparameters of both stages — feed back as the `warm`
     /// start of [`MfGp::plan`] or the frozen θ of [`MfGp::fit_frozen`] on
     /// later refits.
@@ -468,8 +459,8 @@ impl MfGp {
     /// loops use this between full refits to keep per-iteration cost low.
     ///
     /// Every setting comes from `config`, as for a full fit: each stage's
-    /// [`GpConfig::inference`] and [`GpConfig::standardize`], and the
-    /// model's `mc_samples` and `parallelism`. `low_shared` is the optional
+    /// [`GpConfig::inference`], and the model's `mc_samples` and
+    /// `parallelism`. `low_shared` is the optional
     /// low-stage difference batch over `xl` (see [`MfGp::fit_planned`] for
     /// the sharing contract).
     ///
@@ -653,14 +644,6 @@ mod tests {
         let st = model.high().standardizer();
         let v_prop_std = (p.var.sqrt() / st.std()).powi(2);
         assert!(v_prop_std >= v_plug - 1e-9);
-    }
-
-    #[test]
-    fn incumbents_are_minima() {
-        let model = pedagogical_model(30, 10, 4);
-        let (tl, th) = model.incumbents();
-        assert!(model.low().ys_raw().iter().all(|&y| y >= tl));
-        assert!(model.high().ys_raw().iter().all(|&y| y >= th));
     }
 
     #[test]

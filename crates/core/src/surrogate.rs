@@ -392,9 +392,9 @@ impl SfSurrogates {
     }
 
     /// Rebuilds every model on new data with frozen hyperparameters, reading
-    /// [`GpConfig::standardize`], [`GpConfig::inference`] and
-    /// [`GpConfig::parallelism`] from `config` as a full fit does. The
-    /// shared batch comes from `cache` as in [`SfSurrogates::fit`].
+    /// [`GpConfig::inference`] and [`GpConfig::parallelism`] from `config`
+    /// as a full fit does. The shared batch comes from `cache` as in
+    /// [`SfSurrogates::fit`].
     ///
     /// # Errors
     ///
@@ -456,23 +456,6 @@ impl SfSurrogates {
         acquisition::weighted_ei(p.mean, p.std_dev(), tau, &cons)
     }
 
-    /// Lower confidence bound of the objective (used by GASPAD).
-    pub fn lcb(&self, x: &[f64], kappa: f64) -> f64 {
-        let p = self.objective.predict(x);
-        acquisition::lower_confidence_bound(p.mean, p.std_dev(), kappa)
-    }
-
-    /// Probability that all constraints are satisfied at `x`.
-    pub fn feasibility_probability(&self, x: &[f64]) -> f64 {
-        self.constraints
-            .iter()
-            .map(|c| {
-                let p = c.predict(x);
-                acquisition::probability_of_feasibility(p.mean, p.std_dev())
-            })
-            .product()
-    }
-
     /// The first-feasible-point objective of eq. (13) plus `1e-4` × the
     /// objective mean — the tie-break that steers the search toward good
     /// designs once the drive term flattens at zero — at each of `tile`
@@ -531,9 +514,6 @@ mod tests {
         assert!((obj.mean - 0.25).abs() < 0.1);
         assert_eq!(cons.len(), 1);
         assert!((cons[0].mean - (-0.2)).abs() < 0.1);
-        // Feasibility probability should be high at x = 0.9, low at x = 0.05.
-        assert!(s.feasibility_probability(&[0.9]) > 0.8);
-        assert!(s.feasibility_probability(&[0.05]) < 0.2);
     }
 
     #[test]
@@ -558,15 +538,6 @@ mod tests {
         s.drive(&[vec![0.9], vec![0.0]], &mut d);
         assert_eq!(d[0], 1e-4 * s.objective().predict(&[0.9]).mean);
         assert!(d[1] > 0.1);
-    }
-
-    #[test]
-    fn sf_lcb_below_mean() {
-        let data = make_data(10, 0.0);
-        let mut rng = StdRng::seed_from_u64(3);
-        let s = SfSurrogates::fit(&data, &GpConfig::fast(), None, &mut rng, None).unwrap();
-        let p = s.objective().predict(&[0.5]);
-        assert!(s.lcb(&[0.5], 2.0) <= p.mean);
     }
 
     #[test]

@@ -38,16 +38,6 @@ pub struct GpConfig {
     pub restarts: usize,
     /// L-BFGS iteration cap per restart.
     pub max_iters: usize,
-    /// If `false`, the observation noise is frozen at
-    /// [`GpConfig::log_noise_init`] instead of being optimized.
-    pub train_noise: bool,
-    /// Initial `log σ_n` (standardized output units).
-    pub log_noise_init: f64,
-    /// Bounds for `log σ_n` during training.
-    pub log_noise_bounds: (f64, f64),
-    /// Whether to z-score the outputs before training (recommended; all the
-    /// default kernel bounds assume standardized outputs).
-    pub standardize: bool,
     /// Distributes the (pure) per-restart L-BFGS runs over a thread pool.
     /// All randomness is drawn before the restarts launch and the best
     /// restart is selected in start order, so every mode returns
@@ -65,10 +55,6 @@ impl Default for GpConfig {
         GpConfig {
             restarts: 4,
             max_iters: 80,
-            train_noise: true,
-            log_noise_init: (1e-3f64).ln(),
-            log_noise_bounds: ((1e-6f64).ln(), (0.3f64).ln()),
-            standardize: true,
             parallelism: Parallelism::Serial,
             inference: InferenceMode::Exact,
         }
@@ -89,7 +75,9 @@ impl GpConfig {
 
 /// A trained Gaussian-process regression model (paper §2.3).
 ///
-/// See the crate-level example for typical usage.
+/// Outputs are z-scored before training (every kernel bound assumes
+/// standardized outputs), and the observation noise `σ_n` is trained with
+/// the kernel parameters. See the crate-level example for typical usage.
 #[derive(Debug, Clone)]
 pub struct Gp<K: Kernel> {
     kernel: K,
@@ -149,10 +137,10 @@ impl<K: Kernel> Gp<K> {
         warm: Option<&[f64]>,
         rng: &mut R,
     ) -> Vec<Vec<f64>> {
-        let theta_bounds = Self::theta_bounds(kernel, config);
+        let theta_bounds = Self::theta_bounds(kernel);
         let mut starts: Vec<Vec<f64>> = Vec::new();
         let mut default_start = kernel.default_params();
-        default_start.push(config.log_noise_init);
+        default_start.push(Self::NOISE_INIT.ln());
         starts.push(theta_bounds.clamp(&default_start));
         if let Some(ws) = warm {
             if ws.len() == kernel.num_params() + 1 {
@@ -167,16 +155,18 @@ impl<K: Kernel> Gp<K> {
         starts
     }
 
-    /// Hyperparameter search space: kernel bounds ⊕ noise bounds.
-    fn theta_bounds(kernel: &K, config: &GpConfig) -> Bounds {
+    /// Observation-noise standard deviation `σ_n` of the default start
+    /// (standardized output units).
+    const NOISE_INIT: f64 = 1e-3;
+
+    /// Range of `σ_n` the NLML search may move in.
+    const NOISE_BOUNDS: (f64, f64) = (1e-6, 0.3);
+
+    /// Hyperparameter search space: kernel bounds ⊕ `log σ_n` bounds.
+    fn theta_bounds(kernel: &K) -> Bounds {
         let (mut lo, mut hi) = kernel.param_bounds();
-        if config.train_noise {
-            lo.push(config.log_noise_bounds.0);
-            hi.push(config.log_noise_bounds.1.max(config.log_noise_bounds.0));
-        } else {
-            lo.push(config.log_noise_init);
-            hi.push(config.log_noise_init);
-        }
+        lo.push(Self::NOISE_BOUNDS.0.ln());
+        hi.push(Self::NOISE_BOUNDS.1.ln());
         Bounds::new(lo, hi)
     }
 
@@ -271,13 +261,9 @@ impl<K: Kernel> Gp<K> {
     ) -> Result<Self, GpError> {
         Self::validate(&kernel, &xs, &ys)?;
         let (xs, ys, shared) = Self::training_set(xs, ys, config, shared);
-        let standardizer = if config.standardize {
-            Standardizer::fit(&ys)
-        } else {
-            Standardizer::identity()
-        };
+        let standardizer = Standardizer::fit(&ys);
         let ys_std = standardizer.transform_all(&ys);
-        let theta_bounds = Self::theta_bounds(&kernel, config);
+        let theta_bounds = Self::theta_bounds(&kernel);
 
         // One distance workspace for the whole fit: every NLML evaluation
         // of every restart reuses the pairwise difference tensor (the
@@ -326,9 +312,9 @@ impl<K: Kernel> Gp<K> {
         // A winning hyperparameter pinned at its search-space boundary
         // usually means the bound, not the data, chose the value — the
         // classic symptom of a degenerating surrogate (lengthscale collapsed
-        // to the floor, or noise railed at its cap). Components whose bounds
-        // are pinned (lo == hi, e.g. log_noise with train_noise off) cannot
-        // meaningfully "hit" a bound and are skipped.
+        // to the floor, or noise railed at its cap). A component whose bounds
+        // are pinned (lo == hi) cannot meaningfully "hit" a bound and is
+        // skipped.
         let bound_hits = theta
             .iter()
             .zip(theta_bounds.lower().iter().zip(theta_bounds.upper()))
@@ -379,10 +365,9 @@ impl<K: Kernel> Gp<K> {
     /// frozen-refresh path the BO loops run between full refits, and a
     /// direct constructor for tests and benches.
     ///
-    /// Reads [`GpConfig::standardize`] and [`GpConfig::inference`] from
-    /// `config`; the training-only fields are ignored. `SubsetOfData` past
-    /// its cap builds the exact model on the same farthest-point subset
-    /// [`Gp::fit_planned`] selects. `shared` is the optional lower-triangle
+    /// Reads [`GpConfig::inference`] from `config`; the training-only
+    /// fields are ignored. `SubsetOfData` past its cap builds the exact
+    /// model on the same farthest-point subset [`Gp::fit_planned`] selects. `shared` is the optional lower-triangle
     /// difference batch over `xs` (see [`Gp::fit_planned`]); only the exact
     /// path consumes it, and the result is bit-identical with or without it.
     ///
@@ -411,11 +396,7 @@ impl<K: Kernel> Gp<K> {
             });
         }
         let (xs, ys, shared) = Self::training_set(xs, ys, config, shared);
-        let standardizer = if config.standardize {
-            Standardizer::fit(&ys)
-        } else {
-            Standardizer::identity()
-        };
+        let standardizer = Standardizer::fit(&ys);
         let ys_std = standardizer.transform_all(&ys);
         let ws = match shared {
             Some(b) if Self::shared_usable(b, &xs) => NlmlWorkspace::from_batch(b, xs.len()),
@@ -425,10 +406,7 @@ impl<K: Kernel> Gp<K> {
         let chol = Cholesky::new_with_jitter(&km, 1e-10, 1e-4)?;
         let alpha = chol.solve_vec(&ys_std);
         // The frozen θ's NLML falls out of the factorization already in
-        // hand: `nlml_cached` would rebuild the identical kernel matrix and
-        // refactorize it, doubling the cost of every frozen refresh for
-        // bit-identical output (same workspace + same θ ⇒ same matrix ⇒
-        // same factor, and this is the same quad-form/log-det expression).
+        // hand, in the quad-form/log-det form of the naive `nlml`.
         let nlml = 0.5
             * (chol.quad_form(&ys_std) + chol.log_det() + xs.len() as f64 * crate::nlml::LOG_2PI);
         mfbo_telemetry::counter!("nlml_evals", 1u64);
@@ -699,16 +677,6 @@ impl<K: Kernel> Gp<K> {
             .collect()
     }
 
-    /// Posterior prediction including observation noise (paper eq. 4).
-    pub fn predict_with_noise(&self, x: &[f64]) -> Prediction {
-        let (m, v) = self.predict_standardized(x);
-        let noisy = v + self.noise_var_standardized();
-        Prediction {
-            mean: self.standardizer.inverse(m),
-            var: self.standardizer.inverse_std(noisy.max(0.0).sqrt()).powi(2),
-        }
-    }
-
     /// Observation-noise variance `σ_n²` in standardized space.
     pub fn noise_var_standardized(&self) -> f64 {
         (2.0 * self.log_noise).exp()
@@ -768,52 +736,6 @@ impl<K: Kernel> Gp<K> {
     /// (`theta_warm_wins`) from this.
     pub fn best_start(&self) -> Option<usize> {
         self.best_start
-    }
-
-    /// Leave-one-out cross-validation residuals and predictive variances in
-    /// *standardized* space, computed in closed form from the full
-    /// factorization (Rasmussen & Williams, §5.4.2):
-    ///
-    /// `μ_{-i} = y_i − α_i / K⁻¹_ii`, `σ²_{-i} = 1 / K⁻¹_ii`.
-    ///
-    /// Returns one `(residual, variance)` pair per training point, where
-    /// `residual = y_i − μ_{-i}`. Large standardized residuals
-    /// (`residual/√variance`) flag observations the model cannot explain —
-    /// a practical diagnostic for misconverged circuit simulations entering
-    /// the training set.
-    pub fn loo_residuals(&self) -> Vec<(f64, f64)> {
-        let kinv = self.chol.inverse();
-        (0..self.alpha.len())
-            .map(|i| {
-                let kii = kinv[(i, i)].max(1e-300);
-                let var = 1.0 / kii;
-                let resid = self.alpha[i] / kii;
-                (resid, var)
-            })
-            .collect()
-    }
-
-    /// Mean negative log predictive density of the leave-one-out folds
-    /// (standardized space); lower is better. A robust model-quality score
-    /// that, unlike NLML, is comparable across different noise levels.
-    pub fn loo_nlpd(&self) -> f64 {
-        let loo = self.loo_residuals();
-        let n = loo.len() as f64;
-        loo.iter()
-            .map(|(r, v)| 0.5 * (v.ln() + r * r / v + (2.0 * std::f64::consts::PI).ln()))
-            .sum::<f64>()
-            / n
-    }
-
-    /// Index and raw value of the minimum observation.
-    pub fn best_observation(&self) -> (usize, f64) {
-        let mut bi = 0;
-        for i in 1..self.ys_raw.len() {
-            if self.ys_raw[i] < self.ys_raw[bi] {
-                bi = i;
-            }
-        }
-        (bi, self.ys_raw[bi])
     }
 
     /// Number of training points.
@@ -1062,6 +984,7 @@ mod tests {
             near.var,
             far.var
         );
+        assert!(near.std_dev() >= 0.0 && far.std_dev() > near.std_dev());
     }
 
     #[test]
@@ -1137,18 +1060,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_noise_stays_fixed() {
-        let (xs, ys) = sine_data(10);
-        let config = GpConfig {
-            train_noise: false,
-            log_noise_init: -4.0,
-            ..GpConfig::default()
-        };
-        let gp = Gp::fit(SquaredExponential::new(1), xs, ys, &config, &mut rng()).unwrap();
-        assert!((gp.log_noise() - (-4.0)).abs() < 1e-12);
-    }
-
-    #[test]
     fn warm_start_is_used_and_theta_round_trips() {
         let (xs, ys) = sine_data(10);
         let gp1 = Gp::fit(
@@ -1221,107 +1132,6 @@ mod tests {
             Some(mfbo_telemetry::Value::F64(c)) => assert!(c.is_finite() && *c >= 1.0),
             other => panic!("condition field missing or mistyped: {other:?}"),
         }
-    }
-
-    #[test]
-    fn best_observation_finds_minimum() {
-        let xs: Vec<Vec<f64>> = (0..5).map(|i| vec![i as f64]).collect();
-        let ys = vec![3.0, 1.0, 4.0, 0.5, 2.0];
-        let gp = Gp::fit(
-            SquaredExponential::new(1),
-            xs,
-            ys,
-            &GpConfig::fast(),
-            &mut rng(),
-        )
-        .unwrap();
-        let (i, v) = gp.best_observation();
-        assert_eq!(i, 3);
-        assert_eq!(v, 0.5);
-    }
-
-    #[test]
-    fn loo_matches_brute_force_refits() {
-        let (xs, ys) = sine_data(9);
-        let k = SquaredExponential::new(1);
-        let params = vec![0.1, -1.0];
-        let log_noise = -2.0;
-        let raw = GpConfig {
-            standardize: false,
-            ..GpConfig::default()
-        };
-        let gp = Gp::with_params(
-            k.clone(),
-            xs.clone(),
-            ys.clone(),
-            params.clone(),
-            log_noise,
-            &raw,
-            None,
-        )
-        .unwrap();
-        let loo = gp.loo_residuals();
-        for i in 0..xs.len() {
-            // Brute force: refit without point i (same fixed params, no
-            // standardization so spaces coincide) and predict at x_i.
-            let mut xs2 = xs.clone();
-            let mut ys2 = ys.clone();
-            xs2.remove(i);
-            ys2.remove(i);
-            let gp2 = Gp::with_params(k.clone(), xs2, ys2, params.clone(), log_noise, &raw, None)
-                .unwrap();
-            let (mu, var) = gp2.predict_standardized(&xs[i]);
-            let noise = gp2.noise_var_standardized();
-            let (resid, loo_var) = loo[i];
-            assert!(
-                (resid - (ys[i] - mu)).abs() < 1e-8,
-                "point {i}: residual {resid} vs brute {}",
-                ys[i] - mu
-            );
-            assert!(
-                (loo_var - (var + noise)).abs() < 1e-8,
-                "point {i}: var {loo_var} vs brute {}",
-                var + noise
-            );
-        }
-    }
-
-    #[test]
-    fn loo_nlpd_prefers_correct_lengthscale() {
-        let (xs, ys) = sine_data(15);
-        let k = SquaredExponential::new(1);
-        let good = Gp::with_params(
-            k.clone(),
-            xs.clone(),
-            ys.clone(),
-            vec![0.0, -1.2],
-            -3.0,
-            &GpConfig::default(),
-            None,
-        )
-        .unwrap();
-        // Absurdly long lengthscale = underfit.
-        let bad =
-            Gp::with_params(k, xs, ys, vec![0.0, 3.0], -3.0, &GpConfig::default(), None).unwrap();
-        assert!(good.loo_nlpd() < bad.loo_nlpd());
-    }
-
-    #[test]
-    fn noise_prediction_is_larger() {
-        let (xs, ys) = sine_data(10);
-        let gp = Gp::fit(
-            SquaredExponential::new(1),
-            xs,
-            ys,
-            &GpConfig::default(),
-            &mut rng(),
-        )
-        .unwrap();
-        let latent = gp.predict(&[0.33]);
-        let noisy = gp.predict_with_noise(&[0.33]);
-        assert!(noisy.var >= latent.var);
-        assert_eq!(noisy.mean, latent.mean);
-        assert!(latent.std_dev() >= 0.0);
     }
 
     #[test]
@@ -1426,7 +1236,7 @@ mod tests {
         let ys_std = Standardizer::fit(&ys).transform_all(&ys);
         let ws = NlmlWorkspace::new(&xs);
         let fused = |theta: &[f64]| crate::nlml_with_grad_cached(&kernel, theta, &ws, &ys_std);
-        let bounds = Gp::theta_bounds(&kernel, &config);
+        let bounds = Gp::theta_bounds(&kernel);
         let optimizer = Lbfgs::new()
             .with_max_iters(config.max_iters)
             .with_grad_tol(1e-5);

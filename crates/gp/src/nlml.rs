@@ -164,31 +164,6 @@ pub fn nlml<K: Kernel>(kernel: &K, theta: &[f64], xs: &[Vec<f64>], ys: &[f64]) -
     nlml_from_matrix(&km, n, ys)
 }
 
-/// [`nlml`] evaluated through a per-fit difference workspace — bit-identical
-/// to the naive path, which it uses as its differential-testing reference.
-///
-/// # Panics
-///
-/// Panics if `theta.len() != kernel.num_params() + 1` or if the workspace
-/// and `ys` lengths disagree.
-pub fn nlml_cached<K: Kernel>(
-    kernel: &K,
-    theta: &[f64],
-    ws: &NlmlWorkspace<'_>,
-    ys: &[f64],
-) -> f64 {
-    assert_eq!(
-        theta.len(),
-        kernel.num_params() + 1,
-        "theta layout mismatch"
-    );
-    assert_eq!(ws.n, ys.len(), "workspace/ys length mismatch");
-    let (kp, log_noise) = theta.split_at(kernel.num_params());
-    let km = kernel_matrix_cached(kernel, kp, log_noise[0], ws);
-    mfbo_telemetry::counter!("nlml_evals", 1u64);
-    nlml_from_matrix(&km, ws.n, ys)
-}
-
 fn nlml_from_matrix(km: &Matrix, n: usize, ys: &[f64]) -> f64 {
     let chol = match Cholesky::new_with_jitter(km, 1e-10, 1e-4) {
         Ok(c) => c,
@@ -294,7 +269,7 @@ pub struct NlmlFactor {
 /// the kernel matrix cannot be factorized.
 ///
 /// The value is `½ (yᵀα + log|K| + N log 2π)` — the fused path's form,
-/// whose bits differ from [`nlml_cached`]'s quadratic form.
+/// whose bits differ from the quadratic form of the naive [`nlml`].
 ///
 /// # Panics
 ///
@@ -456,9 +431,6 @@ mod tests {
         let k = SquaredExponential::new(1);
         let ws = NlmlWorkspace::new(&xs);
         for theta in [[0.2, -0.8, -1.5], [0.0, -1.0, -3.0], [1.0, 0.5, -2.0]] {
-            let naive = nlml(&k, &theta, &xs, &ys);
-            let cached = nlml_cached(&k, &theta, &ws, &ys);
-            assert_eq!(naive.to_bits(), cached.to_bits());
             let (nv, ng) = nlml_with_grad(&k, &theta, &xs, &ys);
             let (cv, cg) = nlml_with_grad_cached(&k, &theta, &ws, &ys);
             assert_eq!(nv.to_bits(), cv.to_bits());
@@ -476,10 +448,6 @@ mod tests {
         let batch = DiffBatch::lower_triangle(&xs);
         let shared = NlmlWorkspace::from_batch(&batch, xs.len());
         for theta in [[0.2, -0.8, -1.5], [0.0, -1.0, -3.0]] {
-            assert_eq!(
-                nlml_cached(&k, &theta, &owned, &ys).to_bits(),
-                nlml_cached(&k, &theta, &shared, &ys).to_bits()
-            );
             let (ov, og) = nlml_with_grad_cached(&k, &theta, &owned, &ys);
             let (sv, sg) = nlml_with_grad_cached(&k, &theta, &shared, &ys);
             assert_eq!(ov.to_bits(), sv.to_bits());

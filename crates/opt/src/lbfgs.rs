@@ -267,7 +267,9 @@ impl Lbfgs {
             f = f_new;
             g = g_new;
 
-            if (f_prev - f).abs() <= F_TOL * f_prev.abs().max(1.0) {
+            // From a non-finite start the first finite step would read
+            // `inf <= inf` and stop far from the minimum.
+            if f_prev.is_finite() && (f_prev - f).abs() <= F_TOL * f_prev.abs().max(1.0) {
                 converged = true;
                 break;
             }
@@ -398,6 +400,27 @@ mod tests {
         assert_eq!(r.value, f64::INFINITY);
         assert!(!r.converged);
         assert_eq!(r.evaluations, 1);
+    }
+
+    #[test]
+    fn first_finite_step_from_a_non_finite_start_keeps_going() {
+        // Infinite left of x = 1 (with a gradient pointing right), a
+        // parabola with its minimum at x = 3 beyond. The first accepted step
+        // lands on the finite side; the relative-change stop must not read
+        // `inf -> 4` as convergence.
+        let fg = |x: &[f64]| {
+            if x[0] < 1.0 {
+                (f64::INFINITY, vec![-1.0])
+            } else {
+                ((x[0] - 3.0).powi(2), vec![2.0 * (x[0] - 3.0)])
+            }
+        };
+        let b = Bounds::new(vec![0.0], vec![10.0]);
+        let r = Lbfgs::new().minimize(&fg, &[0.0], &b);
+        assert!((r.x[0] - 3.0).abs() < 1e-9, "x = {:?}", r.x);
+        assert!(r.value < 1e-12, "value = {}", r.value);
+        assert!(r.converged);
+        assert!(r.iterations > 1);
     }
 
     /// A two-phase objective that logs every call: the value phase keeps

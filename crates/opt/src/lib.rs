@@ -23,8 +23,8 @@
 //! multiple-starting-point strategy, including the biased start distribution
 //! (a fraction of starts near the low- and high-fidelity incumbents), and
 //! [`sampling`] provides Latin-hypercube designs (the initial training
-//! sets, GP restarts and unbiased MSP starts), the Gaussian-perturbed starts
-//! of the biased fraction, and Halton sequences.
+//! sets, GP restarts and unbiased MSP starts) and the Gaussian-perturbed
+//! starts of the biased fraction.
 //!
 //! # Example: minimizing a quadratic under box bounds
 //!

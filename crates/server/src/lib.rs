@@ -29,8 +29,8 @@
 //!
 //! ## Execution model
 //!
-//! Runs are driven by a fixed pool of *shard* threads (see
-//! [`crate::shard`]): each run is hashed to one shard, whose event loop
+//! Runs are driven by a fixed pool of *shard* threads (the private `shard`
+//! module): each run is hashed to one shard, whose event loop
 //! multiplexes ask → dispatch → tell for every run it owns. Serving
 //! thousands of concurrent runs therefore costs `shards + workers`
 //! threads, not one thread per run. Connections are likewise served by a

@@ -4,7 +4,7 @@
 //! that one sick run never poisons its siblings.
 
 use mfbo::problem::MultiFidelityProblem;
-use mfbo::{MfBayesOpt, MfBoConfig, Outcome, RunOptions, RunStore, SfBayesOpt, SfBoConfig};
+use mfbo::{MfBayesOpt, MfBoConfig, Outcome, RunOptions, RunStore};
 use mfbo_circuits::testfns;
 use mfbo_server::{Client, Server, ServerConfig};
 use mfbo_telemetry::json::Json;
@@ -121,8 +121,9 @@ fn concurrent_runs_match_their_in_process_references() {
 #[test]
 fn single_fidelity_run_matches_in_process_sfbo() {
     // `init_low: 0` serves single-fidelity BO: the served run must write the
-    // same journal, byte for byte, as an in-process `SfBayesOpt` run with
-    // the same seed, design and budget, so its history is bit-identical.
+    // same journal, byte for byte, as an in-process `MfBayesOpt` run with no
+    // low-fidelity design and the same seed, design and budget, so its
+    // history is bit-identical.
     let (mut client, _addr) = boot(2);
     let root = std::env::temp_dir().join(format!("mfbo-served-sfbo-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -142,10 +143,11 @@ fn single_fidelity_run_matches_in_process_sfbo() {
 
     let mut rng = StdRng::seed_from_u64(9);
     let mut opts = RunOptions::journaled(RunStore::open(&local_dir).unwrap());
-    let want = SfBayesOpt::new(SfBoConfig {
-        initial_points: 4,
-        budget: 9,
-        ..SfBoConfig::default()
+    let want = MfBayesOpt::new(MfBoConfig {
+        initial_low: 0,
+        initial_high: 4,
+        budget: 9.0,
+        ..MfBoConfig::default()
     })
     .run_with(&testfns::forrester(), &mut rng, &mut opts)
     .unwrap();
@@ -154,7 +156,7 @@ fn single_fidelity_run_matches_in_process_sfbo() {
         assert_eq!(
             std::fs::read(served_dir.join(file)).unwrap(),
             std::fs::read(local_dir.join(file)).unwrap(),
-            "served {file} differs from the in-process SfBayesOpt run"
+            "served {file} differs from the in-process single-fidelity run"
         );
     }
     assert_eq!(

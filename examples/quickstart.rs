@@ -42,13 +42,13 @@ fn main() -> Result<(), mfbo::MfboError> {
 
     // Single-fidelity BO with the same equivalent budget.
     let mut rng = StdRng::seed_from_u64(42);
-    let sf_config = SfBoConfig {
+    let sf_config = WeiboConfig {
         initial_points: 5,
         budget: budget as usize,
-        ..SfBoConfig::default()
+        ..WeiboConfig::default()
     };
-    let sf = SfBayesOpt::new(sf_config).run(&problem, &mut rng)?;
-    println!("\n-- single-fidelity BO (WEIBO machinery), same budget --");
+    let sf = Weibo::new(sf_config).run(&problem, &mut rng)?;
+    println!("\n-- single-fidelity BO (WEIBO), same budget --");
     println!("best objective : {:>9.4}", sf.best_objective);
     println!("best design    : x = {:.4}", sf.best_x[0]);
     println!("simulations    : {} high", sf.n_high);

@@ -47,7 +47,7 @@ pub mod prelude {
     pub use mfbo::{
         AskTellMfbo, Candidate, EvalPolicy, EvalStats, FaultInjector, FaultKind, InferenceMode,
         MfBayesOpt, MfBoConfig, MfGp, MfGpConfig, NonFinitePolicy, Outcome, RunOptions, RunStore,
-        SfBayesOpt, SfBoConfig, Told,
+        Told,
     };
     pub use mfbo_baselines::{
         DeBaselineConfig, DifferentialEvolutionBaseline, Gaspad, GaspadConfig, Weibo, WeiboConfig,

@@ -27,10 +27,10 @@ fn mf_bo_beats_sf_bo_on_forrester_at_equal_cost() {
         .run(&problem, &mut rng)
         .expect("mf run");
         let mut rng = StdRng::seed_from_u64(seed);
-        let sf = SfBayesOpt::new(SfBoConfig {
+        let sf = Weibo::new(WeiboConfig {
             initial_points: 4,
             budget: budget as usize,
-            ..SfBoConfig::default()
+            ..WeiboConfig::default()
         })
         .run(&problem, &mut rng)
         .expect("sf run");

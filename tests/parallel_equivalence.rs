@@ -98,14 +98,17 @@ fn constrained_mfbo_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn sfbo_history_is_bit_identical_across_thread_counts() {
+    // Single-fidelity BO as `mfbo-serve` starts it: the core with no
+    // low-fidelity design (WEIBO's preset is covered below).
     let problem = testfns::forrester();
     let run = |parallelism| {
         let mut rng = StdRng::seed_from_u64(3);
-        SfBayesOpt::new(SfBoConfig {
-            initial_points: 6,
-            budget: 14,
+        MfBayesOpt::new(MfBoConfig {
+            initial_low: 0,
+            initial_high: 6,
+            budget: 14.0,
             parallelism,
-            ..SfBoConfig::default()
+            ..MfBoConfig::default()
         })
         .run(&problem, &mut rng)
         .unwrap()

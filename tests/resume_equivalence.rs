@@ -313,51 +313,10 @@ fn mfbo_resumes_after_a_simulator_crash() {
 }
 
 #[test]
-fn sfbo_and_weibo_resume_bit_identically() {
+fn weibo_resume_is_bit_identical() {
+    // WEIBO is the single-fidelity (`"sfbo"`-tagged) run of the ask/tell
+    // core, reached through its own `run_with` entry point.
     let problem = testfns::forrester();
-    let sf_config = || SfBoConfig {
-        initial_points: 6,
-        budget: 14,
-        ..SfBoConfig::default()
-    };
-    let run_sf = |budget: usize, opts: &mut RunOptions| {
-        let mut rng = StdRng::seed_from_u64(3);
-        SfBayesOpt::new(SfBoConfig {
-            budget,
-            ..sf_config()
-        })
-        .run_with(&problem, &mut rng, opts)
-        .unwrap()
-    };
-    let baseline = {
-        let mut rng = StdRng::seed_from_u64(3);
-        SfBayesOpt::new(sf_config())
-            .run(&problem, &mut rng)
-            .unwrap()
-    };
-    // Interrupt by truncating the simulation budget, then resume with the
-    // full one — the journal covers the first 9 evaluations.
-    let dir = store_dir("sfbo");
-    {
-        let mut rng = StdRng::seed_from_u64(3);
-        SfBayesOpt::new(SfBoConfig {
-            budget: 9,
-            ..sf_config()
-        })
-        .run_with(
-            &problem,
-            &mut rng,
-            &mut RunOptions::journaled(RunStore::open(&dir).unwrap()),
-        )
-        .unwrap();
-    }
-    let mut opts = RunOptions::resuming(RunStore::open(&dir).unwrap());
-    let resumed = run_sf(14, &mut opts);
-    assert_outcomes_identical(&baseline, &resumed, "sfbo resume");
-    assert_eq!(resumed.eval_stats.replayed, 9);
-    assert_costs_reconcile(&resumed, "sfbo resume");
-
-    // WEIBO shares the machinery through its own `run_with` entry point.
     let weibo_config = || WeiboConfig {
         initial_points: 6,
         budget: 14,
@@ -367,6 +326,8 @@ fn sfbo_and_weibo_resume_bit_identically() {
         let mut rng = StdRng::seed_from_u64(5);
         Weibo::new(weibo_config()).run(&problem, &mut rng).unwrap()
     };
+    // Interrupt by truncating the simulation budget, then resume with the
+    // full one — the journal covers the first 10 evaluations.
     let dir = store_dir("weibo");
     {
         let mut rng = StdRng::seed_from_u64(5);
