@@ -270,6 +270,10 @@ fn bench_circuits(c: &mut Criterion) {
                 .expect("solve")
         })
     });
+    let grid = PvtCorner::grid_27();
+    group.bench_function("charge_pump_all_corners", |b| {
+        b.iter(|| cp.measure(black_box(&x), &grid).expect("solve"))
+    });
     group.finish();
 }
 

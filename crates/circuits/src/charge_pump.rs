@@ -29,7 +29,7 @@
 //! ```
 
 use crate::pvt::PvtCorner;
-use crate::spice::dc::solve_dc_in;
+use crate::spice::dc::{solve_dc_from, solve_dc_in};
 use crate::spice::{Circuit, MosModel, MosPolarity, NewtonWorkspace, SpiceError, Waveform};
 use mfbo::problem::{Evaluation, Fidelity, MultiFidelityProblem};
 use mfbo_opt::Bounds;
@@ -49,12 +49,39 @@ struct CurrentStats {
     min: f64,
 }
 
-impl CurrentStats {
-    fn from_samples(samples: &[f64]) -> Self {
-        let max = samples.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let min = samples.iter().cloned().fold(f64::INFINITY, f64::min);
-        let avg = samples.iter().sum::<f64>() / samples.len() as f64;
-        CurrentStats { max, avg, min }
+/// Running max, sum and min of one transistor's current over a sweep, fed
+/// one sample at a time so a corner needs no sample buffer.
+struct CurrentSweep {
+    max: f64,
+    sum: f64,
+    min: f64,
+    n: usize,
+}
+
+impl CurrentSweep {
+    fn new() -> Self {
+        CurrentSweep {
+            max: f64::NEG_INFINITY,
+            // −0.0 is the exact additive identity, as in `Iterator::sum`.
+            sum: -0.0,
+            min: f64::INFINITY,
+            n: 0,
+        }
+    }
+
+    fn push(&mut self, i: f64) {
+        self.max = self.max.max(i);
+        self.sum += i;
+        self.min = self.min.min(i);
+        self.n += 1;
+    }
+
+    fn stats(&self) -> CurrentStats {
+        CurrentStats {
+            max: self.max,
+            avg: self.sum / self.n as f64,
+            min: self.min,
+        }
     }
 }
 
@@ -101,6 +128,46 @@ impl ChargePumpMetrics {
             deviation,
             fom: 0.3 * (d1 + d2 + d3 + d4) + 0.5 * deviation,
         }
+    }
+}
+
+/// What a charge-pump measurement reuses across corners: one Newton
+/// workspace for both switch phases and each phase's last operating point,
+/// the warm start of its next sweep point.
+struct SweepState {
+    ws: NewtonWorkspace,
+    up_x: Vec<f64>,
+    dn_x: Vec<f64>,
+}
+
+impl SweepState {
+    fn new(circuit: &Circuit) -> Self {
+        let ws = NewtonWorkspace::new(circuit);
+        let dim = ws.x.len();
+        SweepState {
+            ws,
+            up_x: vec![0.0; dim],
+            dn_x: vec![0.0; dim],
+        }
+    }
+
+    /// Solves one sweep point of the switch phase `up_on` selects: cold at
+    /// the phase's first point, else warm from the phase's previous
+    /// solution. The solution is left in `ws.x` and kept as the phase's
+    /// next start.
+    fn solve(&mut self, circuit: &Circuit, up_on: bool, first: bool) -> Result<(), SpiceError> {
+        let prev = if up_on {
+            &mut self.up_x
+        } else {
+            &mut self.dn_x
+        };
+        if first {
+            solve_dc_in(circuit, &mut self.ws)?;
+        } else {
+            solve_dc_from(circuit, &mut self.ws, prev)?;
+        }
+        prev.copy_from_slice(&self.ws.x);
+        Ok(())
     }
 }
 
@@ -282,10 +349,13 @@ impl ChargePump {
     /// calling `point(v_out, I_M1, I_M2)` once per sweep point.
     ///
     /// Both phase netlists are built once; each point only resets the Vout
-    /// source's DC value and cold-starts the DC solve on `ws`. Every
-    /// corner's netlist has the same topology, so the first call creates
-    /// the workspace and later corners reuse it. Per sweep point nothing is
-    /// allocated.
+    /// source's DC value and solves on `state`'s workspace. The first point
+    /// of each phase cold-starts; every later one warm-starts from that
+    /// phase's previous solution and falls back to the cold ladder if the
+    /// warm Newton solve fails. Nothing carries over from the previous
+    /// corner. Every corner's netlist has the same topology, so the first
+    /// call creates the state and later corners reuse it. Per sweep point
+    /// nothing is allocated.
     ///
     /// # Errors
     ///
@@ -294,25 +364,25 @@ impl ChargePump {
         &self,
         x: &[f64],
         corner: &PvtCorner,
-        ws: &mut Option<NewtonWorkspace>,
+        state: &mut Option<SweepState>,
         mut point: impl FnMut(f64, f64, f64),
     ) -> Result<(), SpiceError> {
         let vdd = self.vdd_nominal * corner.supply_factor;
         let (mut up, src) = self.build_netlist(x, corner, true, 0.0);
         let (mut dn, _) = self.build_netlist(x, corner, false, 0.0);
-        let ws = ws.get_or_insert_with(|| NewtonWorkspace::new(&up));
-        for &f in &self.sweep_fractions {
+        let state = state.get_or_insert_with(|| SweepState::new(&up));
+        for (k, &f) in self.sweep_fractions.iter().enumerate() {
             let vout = vdd * f;
             // Sourcing phase: current flows out of the UP branch *into* the
             // Vout source, i.e. positive branch current (p → n internally).
             up.set_source_waveform(src, Waveform::Dc(vout));
-            solve_dc_in(&up, ws)?;
-            let i_up = ws.branch_current(src).expect("vout branch");
+            state.solve(&up, true, k == 0)?;
+            let i_up = state.ws.branch_current(src).expect("vout branch");
             // Sinking phase: current flows out of the source into the DN
             // branch — negative branch current.
             dn.set_source_waveform(src, Waveform::Dc(vout));
-            solve_dc_in(&dn, ws)?;
-            let i_dn = -ws.branch_current(src).expect("vout branch");
+            state.solve(&dn, false, k == 0)?;
+            let i_dn = -state.ws.branch_current(src).expect("vout branch");
             point(vout, i_up, i_dn);
         }
         Ok(())
@@ -328,18 +398,14 @@ impl ChargePump {
         &self,
         x: &[f64],
         corner: &PvtCorner,
-        ws: &mut Option<NewtonWorkspace>,
+        state: &mut Option<SweepState>,
     ) -> Result<(CurrentStats, CurrentStats), SpiceError> {
-        let mut i_up = Vec::with_capacity(self.sweep_fractions.len());
-        let mut i_dn = Vec::with_capacity(self.sweep_fractions.len());
-        self.sweep(x, corner, ws, |_, up, dn| {
+        let (mut i_up, mut i_dn) = (CurrentSweep::new(), CurrentSweep::new());
+        self.sweep(x, corner, state, |_, up, dn| {
             i_up.push(up);
             i_dn.push(dn);
         })?;
-        Ok((
-            CurrentStats::from_samples(&i_up),
-            CurrentStats::from_samples(&i_dn),
-        ))
+        Ok((i_up.stats(), i_dn.stats()))
     }
 
     /// Sweeps the output voltage at one corner and returns
@@ -363,8 +429,9 @@ impl ChargePump {
 
     /// Evaluates the full metric set over the given corners.
     ///
-    /// All corners share one Newton workspace; its work counters are
-    /// emitted once, when the measurement ends.
+    /// All corners share one Newton workspace and the two phases' start
+    /// buffers; the workspace's work counters are emitted once, when the
+    /// measurement ends.
     ///
     /// # Errors
     ///
@@ -380,14 +447,14 @@ impl ChargePump {
             corners = corners.len(),
             sweep_points = self.sweep_fractions.len()
         );
-        let mut ws = None;
+        let mut state = None;
         let mut per_corner = Vec::with_capacity(corners.len());
         let swept: Result<(), SpiceError> = corners.iter().try_for_each(|corner| {
-            per_corner.push(self.corner_stats(x, corner, &mut ws)?);
+            per_corner.push(self.corner_stats(x, corner, &mut state)?);
             Ok(())
         });
-        if let Some(ws) = &ws {
-            ws.stats.emit();
+        if let Some(state) = &state {
+            state.ws.stats.emit();
         }
         swept?;
         Ok(ChargePumpMetrics::from_corner_stats(&per_corner))
@@ -579,9 +646,11 @@ mod tests {
 
     #[test]
     fn bit_identity_measure_matches_per_corner_sweeps() {
-        // `measure` shares one workspace across all corners;
-        // `sweep_currents` starts a fresh one per corner, and
-        // tests/properties.rs pins it to a per-point rebuild oracle.
+        // `measure` shares one sweep state across all corners;
+        // `sweep_currents` starts a fresh one per corner, so the two agree
+        // bit for bit only if nothing carries from one corner to the next.
+        // tests/properties.rs pins `sweep_currents` to a per-point cold
+        // rebuild oracle.
         let cp = ChargePump::new();
         let mut x = ChargePump::reference_design();
         x[1] = 0.12; // short M1: strong λ, so every sweep point differs
@@ -589,13 +658,12 @@ mod tests {
         let per_corner: Vec<_> = corners
             .iter()
             .map(|corner| {
-                let sweep = cp.sweep_currents(&x, corner).unwrap();
-                let up: Vec<f64> = sweep.iter().map(|p| p.1).collect();
-                let dn: Vec<f64> = sweep.iter().map(|p| p.2).collect();
-                (
-                    CurrentStats::from_samples(&up),
-                    CurrentStats::from_samples(&dn),
-                )
+                let (mut up, mut dn) = (CurrentSweep::new(), CurrentSweep::new());
+                for (_, i_up, i_dn) in cp.sweep_currents(&x, corner).unwrap() {
+                    up.push(i_up);
+                    dn.push(i_dn);
+                }
+                (up.stats(), dn.stats())
             })
             .collect();
         let oracle = ChargePumpMetrics::from_corner_stats(&per_corner);
@@ -612,24 +680,59 @@ mod tests {
         }
     }
 
+    /// The value of the one `name` counter `sink` collected.
+    fn counter(sink: &mfbo_telemetry::sinks::CollectSink, name: &str) -> u64 {
+        let recs = sink.named(name);
+        assert_eq!(recs.len(), 1, "one {name} emission per measure");
+        match recs[0].field("value") {
+            Some(&mfbo_telemetry::Value::U64(n)) => n,
+            other => panic!("{name} value missing or mistyped: {other:?}"),
+        }
+    }
+
     #[test]
     fn measure_emits_work_counters_once() {
-        use mfbo_telemetry::{sinks::CollectSink, Level, Value};
+        use mfbo_telemetry::{sinks::CollectSink, Level};
         let sink = std::sync::Arc::new(CollectSink::with_level(Level::Debug));
         let _g = mfbo_telemetry::scoped_sink(sink.clone());
         let cp = ChargePump::new();
         cp.measure(&ChargePump::reference_design(), &PvtCorner::grid_27())
             .unwrap();
-        let iters = sink.named("spice_newton_iters");
-        let fallbacks = sink.named("spice_dc_fallbacks");
-        assert_eq!(iters.len(), 1, "one emission per measure");
-        assert_eq!(fallbacks.len(), 1, "one emission per measure");
         // 27 corners × 5 points × 2 phases, each at least one iteration.
-        match iters[0].field("value") {
-            Some(&Value::U64(n)) => assert!(n >= 270, "{n} Newton iterations"),
-            other => panic!("counter value missing or mistyped: {other:?}"),
+        let iters = counter(&sink, "spice_newton_iters");
+        assert!(iters >= 270, "{iters} Newton iterations");
+        counter(&sink, "spice_dc_fallbacks");
+        counter(&sink, "spice_dc_warm_misses");
+    }
+
+    #[test]
+    fn continuation_takes_fewer_newton_iterations_than_cold_solves() {
+        use mfbo_telemetry::{sinks::CollectSink, Level};
+        let cp = ChargePump::new();
+        let x = ChargePump::reference_design();
+        let corners = PvtCorner::grid_27();
+        // The cold solves the sweep replaces, one per point and phase, on
+        // a workspace of their own.
+        let mut cold: Option<NewtonWorkspace> = None;
+        for corner in &corners {
+            let vdd = cp.vdd_nominal * corner.supply_factor;
+            for &f in &cp.sweep_fractions {
+                for up_on in [true, false] {
+                    let (c, _) = cp.build_netlist(&x, corner, up_on, vdd * f);
+                    let ws = cold.get_or_insert_with(|| NewtonWorkspace::new(&c));
+                    solve_dc_in(&c, ws).unwrap();
+                }
+            }
         }
-        assert!(matches!(fallbacks[0].field("value"), Some(&Value::U64(_))));
+        let cold_iters = cold.unwrap().stats.newton_iters;
+        let sink = std::sync::Arc::new(CollectSink::with_level(Level::Debug));
+        let _g = mfbo_telemetry::scoped_sink(sink.clone());
+        cp.measure(&x, &corners).unwrap();
+        let warm_iters = counter(&sink, "spice_newton_iters");
+        assert!(
+            warm_iters < cold_iters,
+            "{warm_iters} Newton iterations with continuation, {cold_iters} cold"
+        );
     }
 
     #[test]

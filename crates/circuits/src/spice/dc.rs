@@ -4,6 +4,10 @@
 //! with a large conductance to ground everywhere and relax it geometrically)
 //! and then **source stepping** (ramp all independent sources from zero).
 //! These are the same convergence aids every production SPICE uses.
+//!
+//! A DC sweep may also seed a point from the previous point's operating
+//! point, as SPICE `.dc` sweeps do (`solve_dc_from`): one plain Newton
+//! solve from that start, and the full cold ladder above if it fails.
 
 use super::netlist::Circuit;
 use super::stamp::{solve_newton, MnaLayout, Mode, NewtonWorkspace};
@@ -95,6 +99,29 @@ pub(crate) fn solve_dc_in(circuit: &Circuit, ws: &mut NewtonWorkspace) -> Result
         solve_newton(circuit, ws, &dc(scale, GMIN), MAX_ITER, TOL, "dc", 0)?;
     }
     Ok(())
+}
+
+/// [`solve_dc_in`] warm-started from `start` (a DC-sweep continuation
+/// step): plain Newton at the final g-min from `start`, and if that fails,
+/// the whole cold ladder of [`solve_dc_in`], counted as a warm miss. So a
+/// warm start fails only where the cold solve fails too.
+///
+/// `start` must have the workspace's dimension.
+pub(crate) fn solve_dc_from(
+    circuit: &Circuit,
+    ws: &mut NewtonWorkspace,
+    start: &[f64],
+) -> Result<(), SpiceError> {
+    ws.x.copy_from_slice(start);
+    let warm = Mode::Dc {
+        source_scale: 1.0,
+        gmin: GMIN,
+    };
+    if solve_newton(circuit, ws, &warm, MAX_ITER, TOL, "dc", 0).is_ok() {
+        return Ok(());
+    }
+    ws.stats.dc_warm_misses += 1;
+    solve_dc_in(circuit, ws)
 }
 
 #[cfg(test)]
@@ -269,6 +296,33 @@ mod tests {
         let fresh = solve_dc(&good).unwrap();
         let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&ws.x), bits(&fresh.x));
+    }
+
+    #[test]
+    fn warm_start_hits_or_falls_back_to_the_cold_ladder() {
+        let mut c = Circuit::new();
+        let vdd = c.node("vdd");
+        let d = c.node("d");
+        let g = c.node("g");
+        c.vsource(vdd, Circuit::GND, Waveform::Dc(1.8));
+        c.vsource(g, Circuit::GND, Waveform::Dc(0.8));
+        c.resistor(vdd, d, 10e3);
+        c.mosfet(d, g, Circuit::GND, MosModel::nmos_default(), 10.0);
+        let cold = solve_dc(&c).unwrap();
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut ws = NewtonWorkspace::new(&c);
+        // Seeded at the solution, one iteration confirms it.
+        solve_dc_from(&c, &mut ws, &cold.x).unwrap();
+        assert_eq!(ws.stats.newton_iters, 1);
+        assert_eq!(ws.stats.dc_warm_misses, 0);
+        let vd = ws.x[ws.layout.v_index(d).unwrap()];
+        assert!((vd - cold.voltage(d)).abs() < 1e-9, "vd = {vd}");
+        // A non-finite start fails the warm solve; the cold ladder then
+        // reproduces the cold operating point bit for bit.
+        let nan = vec![f64::NAN; ws.x.len()];
+        solve_dc_from(&c, &mut ws, &nan).unwrap();
+        assert_eq!(ws.stats.dc_warm_misses, 1);
+        assert_eq!(bits(&ws.x), bits(&cold.x));
     }
 
     #[test]

@@ -22,11 +22,13 @@
 //! zeroes and restamps them in element order, so the arithmetic is that of
 //! a fresh allocation and no iteration allocates. A DC sweep goes further:
 //! it builds its netlist once, changes only the swept source's value with
-//! [`Circuit::set_source_waveform`] and cold-starts each point on the same
-//! workspace (the charge-pump testbench does this for every corner and
-//! switch phase). Newton iterations and DC fallback-ladder entries are
-//! counted on the workspace and emitted once per analysis as the
-//! `spice_newton_iters` and `spice_dc_fallbacks` telemetry counters.
+//! [`Circuit::set_source_waveform`] and solves each point on the same
+//! workspace, warm-started from the previous point's solution with the
+//! cold ladder as fallback (the charge-pump testbench does this for every
+//! corner and switch phase). Newton iterations, DC fallback-ladder entries
+//! and warm starts that fell back are counted on the workspace and emitted
+//! once per analysis as the `spice_newton_iters`, `spice_dc_fallbacks` and
+//! `spice_dc_warm_misses` telemetry counters.
 //!
 //! # Example: RC low-pass step response
 //!

@@ -185,14 +185,17 @@ pub(crate) struct SolveStats {
     pub newton_iters: u64,
     /// Entries into a DC fallback-ladder rung (g-min or source stepping).
     pub dc_fallbacks: u64,
+    /// Warm-started DC solves that fell back to the cold ladder.
+    pub dc_warm_misses: u64,
 }
 
 impl SolveStats {
-    /// Emits the totals as the `spice_newton_iters` and
-    /// `spice_dc_fallbacks` telemetry counters.
+    /// Emits the totals as the `spice_newton_iters`, `spice_dc_fallbacks`
+    /// and `spice_dc_warm_misses` telemetry counters.
     pub fn emit(&self) {
         mfbo_telemetry::counter!("spice_newton_iters", self.newton_iters);
         mfbo_telemetry::counter!("spice_dc_fallbacks", self.dc_fallbacks);
+        mfbo_telemetry::counter!("spice_dc_warm_misses", self.dc_warm_misses);
     }
 }
 

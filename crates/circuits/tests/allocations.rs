@@ -1,7 +1,9 @@
-//! The charge-pump DC sweep allocates per corner (its two phase netlists
-//! and the shared Newton workspace), never per Newton iteration or per
-//! sweep point: two designs whose solves take different numbers of Newton
-//! iterations must allocate exactly as often.
+//! The charge-pump DC sweep allocates per corner only its two phase
+//! netlists, and per measurement the shared Newton workspace and the two
+//! phases' warm-start buffers; never per Newton iteration or per sweep
+//! point: two designs whose solves take different numbers of Newton
+//! iterations must allocate exactly as often, and every corner after the
+//! first costs exactly its two `build_netlist` calls.
 //!
 //! A counting global allocator is installed for this test binary only;
 //! counts are per thread, so the harness's own threads do not leak in.
@@ -88,13 +90,18 @@ fn sweep_allocations_do_not_depend_on_newton_iterations() {
         a_easy, a_hard,
         "{iters_easy} vs {iters_hard} Newton iterations"
     );
-    // Every corner after the first (which also creates the workspace)
-    // costs the same fixed number of allocations: its two netlists.
+    // Every corner after the first (which also creates the workspace and
+    // the start buffers) costs exactly its two phase netlists.
+    let netlists = allocations_of(|| {
+        cp.build_netlist(&easy, &corners[1], true, 0.0);
+        cp.build_netlist(&easy, &corners[1], false, 0.0);
+    });
     let first = allocations_of(|| {
         cp.measure(&easy, &corners[..1]).unwrap();
     });
     let two = allocations_of(|| {
         cp.measure(&easy, &corners[..2]).unwrap();
     });
-    assert_eq!(a_easy, first + 26 * (two - first));
+    assert_eq!(two - first, netlists, "per-corner allocations");
+    assert_eq!(a_easy, first + 26 * netlists);
 }

@@ -213,12 +213,19 @@ fn design_in_box(bounds: &mfbo_opt::Bounds, seed: u64) -> Vec<f64> {
     x
 }
 
-/// The charge-pump sweep builds each corner's phase netlists once and
-/// solves every point on one reused Newton workspace. Its currents must
-/// equal, bit for bit, an oracle that rebuilds the netlist and cold-starts
-/// the public `solve_dc` at every point — and it must fail exactly when
-/// the oracle fails.
-mod bit_identity {
+/// The charge-pump sweep builds each corner's phase netlists once, solves
+/// every point on one reused Newton workspace, and warm-starts each point
+/// after a phase's first from that phase's previous solution (DC-sweep
+/// continuation). Against an oracle that rebuilds the netlist and
+/// cold-starts the public `solve_dc` at every point:
+///
+/// * wherever the oracle succeeds, the sweep succeeds, and every current
+///   agrees within `CURRENT_TOL`;
+/// * the sweep fails only where the oracle fails, with the same error (a
+///   warm start that misses falls back to the whole cold ladder, so it can
+///   only add successes);
+/// * the swept output voltages are bit-equal.
+mod sweep_continuation {
     use super::design_in_box;
     use mfbo::problem::MultiFidelityProblem;
     use mfbo_circuits::charge_pump::ChargePump;
@@ -230,6 +237,13 @@ mod bit_identity {
     /// `ChargePump::new()`'s output-voltage sweep, as fractions of the
     /// corner's supply.
     const SWEEP_FRACTIONS: [f64; 5] = [0.25, 0.375, 0.5, 0.625, 0.75];
+
+    /// Largest |warm − cold| pump current, in amps. Both solves stop at
+    /// the same Newton tolerance from different starts; over 300 box
+    /// designs × 27 corners × 10 solves the largest difference seen was
+    /// 2.1e-16 A (5.6e-11 relative to a 1 µA floor), over three orders
+    /// below.
+    const CURRENT_TOL: f64 = 1e-12;
 
     /// Per-point rebuild: `(v_out, I_M1, I_M2)` like `sweep_currents`.
     fn oracle(
@@ -254,7 +268,7 @@ mod bit_identity {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         #[test]
-        fn bit_identity_reused_sweep_matches_per_point_rebuild(seed in 0u64..u64::MAX) {
+        fn continuation_sweep_matches_cold_per_point_rebuild(seed in 0u64..u64::MAX) {
             let cp = ChargePump::new();
             let x = design_in_box(&cp.bounds(), seed);
             let grid = PvtCorner::grid_27();
@@ -265,17 +279,24 @@ mod bit_identity {
                         prop_assert_eq!(fast.len(), slow.len());
                         for (a, b) in fast.iter().zip(&slow) {
                             prop_assert_eq!(a.0.to_bits(), b.0.to_bits());
-                            prop_assert_eq!(a.1.to_bits(), b.1.to_bits());
-                            prop_assert_eq!(a.2.to_bits(), b.2.to_bits());
+                            prop_assert!(
+                                (a.1 - b.1).abs() <= CURRENT_TOL && (a.2 - b.2).abs() <= CURRENT_TOL,
+                                "corner {}, v_out {}: sweep {:?} but oracle {:?}",
+                                idx,
+                                a.0,
+                                (a.1, a.2),
+                                (b.1, b.2)
+                            );
                         }
                     }
                     (Err(fast), Err(slow)) => prop_assert_eq!(fast, slow),
-                    (fast, slow) => prop_assert!(
+                    // A warm start may converge where a cold solve does not.
+                    (Ok(_), Err(_)) => {}
+                    (Err(fast), Ok(_)) => prop_assert!(
                         false,
-                        "corner {}: sweep {:?} but oracle {:?}",
+                        "corner {}: sweep failed with {:?} where the oracle converged",
                         idx,
-                        fast.map(|_| ()),
-                        slow.map(|_| ())
+                        fast
                     ),
                 }
             }
