@@ -235,42 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn vcvs_ideal_amplifier() {
-        // Divider to 0.5 V, VCVS gain 10 → output 5 V.
-        let mut c = Circuit::new();
-        let vin = c.node("in");
-        let mid = c.node("mid");
-        let out = c.node("out");
-        c.vsource(vin, Circuit::GND, Waveform::Dc(1.0));
-        c.resistor(vin, mid, 1e3);
-        c.resistor(mid, Circuit::GND, 1e3);
-        c.vcvs(out, Circuit::GND, mid, Circuit::GND, 10.0);
-        c.resistor(out, Circuit::GND, 50.0); // load does not affect ideal VCVS
-        let sol = solve_dc(&c).unwrap();
-        assert!((sol.voltage(out) - 5.0).abs() < 1e-6);
-        // The controlling divider is unloaded by the VCVS input.
-        assert!((sol.voltage(mid) - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn vccs_transconductance() {
-        // gm = 2 mS driven by 0.7 V → 1.4 mA into a 1 kΩ load = 1.4 V.
-        let mut c = Circuit::new();
-        let ctrl = c.node("ctrl");
-        let out = c.node("out");
-        c.vsource(ctrl, Circuit::GND, Waveform::Dc(0.7));
-        // Current flows from ground through the source into `out`.
-        c.vccs(Circuit::GND, out, ctrl, Circuit::GND, 2e-3);
-        c.resistor(out, Circuit::GND, 1e3);
-        let sol = solve_dc(&c).unwrap();
-        assert!(
-            (sol.voltage(out) - 1.4).abs() < 1e-6,
-            "v = {}",
-            sol.voltage(out)
-        );
-    }
-
-    #[test]
     fn workspace_recovers_after_a_failed_solve() {
         // Same element kinds and order (V, V, R), hence one layout. With
         // both sources on node a the MNA matrix is singular.

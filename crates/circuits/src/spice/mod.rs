@@ -10,7 +10,7 @@
 //! * **Transient analysis** ([`transient::Transient`]): trapezoidal (default)
 //!   or backward-Euler integration with a full Newton solve per timestep.
 //! * **Waveform post-processing** ([`waveform`]): single-bin DFT at the
-//!   drive frequency and its harmonics, THD, RMS and average measures.
+//!   drive frequency and its harmonics, THD, average and dBm measures.
 //!
 //! The MNA matrices are dense and solved with the pivoted LU from
 //! `mfbo-linalg` — our circuits have tens of nodes, where dense is both

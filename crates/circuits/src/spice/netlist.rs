@@ -193,36 +193,6 @@ pub enum Element {
         /// Width/length ratio.
         w_over_l: f64,
     },
-    /// Voltage-controlled current source (SPICE `G` element):
-    /// current `gm · (v(cp) − v(cn))` flows from `a` through the source to
-    /// `b`.
-    Vccs {
-        /// Current exits this terminal into the source.
-        a: NodeId,
-        /// Current re-enters the circuit here.
-        b: NodeId,
-        /// Positive controlling node.
-        cp: NodeId,
-        /// Negative controlling node.
-        cn: NodeId,
-        /// Transconductance in siemens.
-        gm: f64,
-    },
-    /// Voltage-controlled voltage source (SPICE `E` element):
-    /// `v(p) − v(n) = gain · (v(cp) − v(cn))`; adds a branch-current
-    /// unknown.
-    Vcvs {
-        /// Positive output terminal.
-        p: NodeId,
-        /// Negative output terminal.
-        n: NodeId,
-        /// Positive controlling node.
-        cp: NodeId,
-        /// Negative controlling node.
-        cn: NodeId,
-        /// Voltage gain.
-        gain: f64,
-    },
 }
 
 /// A circuit netlist under construction.
@@ -272,11 +242,6 @@ impl Circuit {
     /// The elements in insertion order.
     pub fn elements(&self) -> &[Element] {
         &self.elements
-    }
-
-    /// Looks up a node id by name.
-    pub fn find_node(&self, name: &str) -> Option<NodeId> {
-        self.node_names.get(name).copied()
     }
 
     fn push(&mut self, e: Element) -> usize {
@@ -341,16 +306,6 @@ impl Circuit {
     pub fn diode(&mut self, a: NodeId, k: NodeId, is: f64, n: f64) -> usize {
         assert!(is > 0.0 && n > 0.0, "diode parameters must be positive");
         self.push(Element::Diode { a, k, is, n })
-    }
-
-    /// Adds a voltage-controlled current source; returns its element index.
-    pub fn vccs(&mut self, a: NodeId, b: NodeId, cp: NodeId, cn: NodeId, gm: f64) -> usize {
-        self.push(Element::Vccs { a, b, cp, cn, gm })
-    }
-
-    /// Adds a voltage-controlled voltage source; returns its element index.
-    pub fn vcvs(&mut self, p: NodeId, n: NodeId, cp: NodeId, cn: NodeId, gain: f64) -> usize {
-        self.push(Element::Vcvs { p, n, cp, cn, gain })
     }
 
     /// Adds a MOSFET; returns its element index.
@@ -427,8 +382,6 @@ mod tests {
         let a2 = c.node("a");
         assert_eq!(a, a2);
         assert_eq!(c.num_nodes(), 2);
-        assert_eq!(c.find_node("0"), Some(Circuit::GND));
-        assert_eq!(c.find_node("missing"), None);
     }
 
     #[test]

@@ -78,7 +78,7 @@ impl MnaLayout {
         let mut caps = 0;
         for (i, e) in circuit.elements().iter().enumerate() {
             match e {
-                Element::VSource { .. } | Element::Inductor { .. } | Element::Vcvs { .. } => {
+                Element::VSource { .. } | Element::Inductor { .. } => {
                     branch_of[i] = Some(branches);
                     branches += 1;
                 }
@@ -392,49 +392,6 @@ pub(crate) fn assemble_into(
                 let ieq = id - gd * vd;
                 stamp_g(a, na, nk, gd);
                 stamp_i(b, na, nk, ieq);
-            }
-            Element::Vccs {
-                a: na,
-                b: nb,
-                cp,
-                cn,
-                gm,
-            } => {
-                // Current gm·(v_cp − v_cn) flows na → nb.
-                for (node, sign) in [(na, 1.0), (nb, -1.0)] {
-                    if let Some(i) = layout.v_index(node) {
-                        if let Some(j) = layout.v_index(cp) {
-                            a[(i, j)] += sign * gm;
-                        }
-                        if let Some(j) = layout.v_index(cn) {
-                            a[(i, j)] -= sign * gm;
-                        }
-                    }
-                }
-            }
-            Element::Vcvs {
-                p,
-                n: nn,
-                cp,
-                cn,
-                gain,
-            } => {
-                let br = layout.i_index(ei).expect("vcvs branch");
-                if let Some(i) = layout.v_index(p) {
-                    a[(i, br)] += 1.0;
-                    a[(br, i)] += 1.0;
-                }
-                if let Some(j) = layout.v_index(nn) {
-                    a[(j, br)] -= 1.0;
-                    a[(br, j)] -= 1.0;
-                }
-                if let Some(j) = layout.v_index(cp) {
-                    a[(br, j)] -= gain;
-                }
-                if let Some(j) = layout.v_index(cn) {
-                    a[(br, j)] += gain;
-                }
-                b[br] = 0.0;
             }
             Element::Mosfet {
                 d,

@@ -392,31 +392,4 @@ mod tests {
     fn rejects_bad_step() {
         let _ = Transient::new(0.0, 1.0);
     }
-
-    #[test]
-    fn vccs_amplifies_a_sine() {
-        // gm into a load: transient gain must equal gm·R at all times
-        // (memoryless linear element).
-        let mut c = Circuit::new();
-        let ctrl = c.node("ctrl");
-        let out = c.node("out");
-        c.vsource(
-            ctrl,
-            Circuit::GND,
-            Waveform::Sine {
-                dc: 0.0,
-                ampl: 0.5,
-                freq: 1e6,
-                phase: 0.0,
-            },
-        );
-        c.vccs(Circuit::GND, out, ctrl, Circuit::GND, 1e-3);
-        c.resistor(out, Circuit::GND, 4e3);
-        let r = Transient::new(1e-8, 2e-6).run(&c).unwrap();
-        let vc = r.voltage(ctrl);
-        let vo = r.voltage(out);
-        for (a, b) in vc.iter().zip(&vo) {
-            assert!((b - 4.0 * a).abs() < 1e-6, "in {a} out {b}");
-        }
-    }
 }

@@ -13,14 +13,6 @@ pub fn average(samples: &[f64]) -> f64 {
     samples.iter().sum::<f64>() / samples.len() as f64
 }
 
-/// Root-mean-square of a sampled waveform.
-pub fn rms(samples: &[f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    (samples.iter().map(|v| v * v).sum::<f64>() / samples.len() as f64).sqrt()
-}
-
 /// Peak amplitude of the component at `harmonic × f0` in a
 /// waveform sampled at uniform `dt`, analyzed over an integer number of
 /// fundamental periods.
@@ -71,19 +63,6 @@ pub fn thd_db(samples: &[f64], dt: f64, f0: f64, max_harmonic: usize) -> f64 {
     20.0 * (p.sqrt() / a1).log10()
 }
 
-/// Average instantaneous power `mean(v·i)` of paired samples.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn average_power(v: &[f64], i: &[f64]) -> f64 {
-    assert_eq!(v.len(), i.len(), "power window length mismatch");
-    if v.is_empty() {
-        return 0.0;
-    }
-    v.iter().zip(i).map(|(a, b)| a * b).sum::<f64>() / v.len() as f64
-}
-
 /// Power in dBm of `watts`.
 pub fn to_dbm(watts: f64) -> f64 {
     10.0 * (watts / 1e-3).log10()
@@ -116,12 +95,10 @@ mod tests {
     }
 
     #[test]
-    fn average_and_rms() {
+    fn average_of_empty_and_sine() {
         assert_eq!(average(&[]), 0.0);
-        assert_eq!(rms(&[]), 0.0);
         let s = sine(1000, 1e-3, 1.0, 2.0, 0.0);
         assert!(average(&s).abs() < 1e-12);
-        assert!((rms(&s) - 2.0 / 2f64.sqrt()).abs() < 1e-3);
     }
 
     #[test]
@@ -148,11 +125,6 @@ mod tests {
 
     #[test]
     fn power_measures() {
-        // v = 2 sin, i = 0.5 sin in phase → P = ½·2·0.5 = 0.5 W.
-        let dt = 1.0 / 1000.0;
-        let v = sine(1000, dt, 1.0, 2.0, 0.0);
-        let i = sine(1000, dt, 1.0, 0.5, 0.0);
-        assert!((average_power(&v, &i) - 0.5).abs() < 1e-3);
         assert!((to_dbm(1e-3) - 0.0).abs() < 1e-12);
         assert!((to_dbm(1.0) - 30.0).abs() < 1e-12);
     }

@@ -164,18 +164,3 @@ fn charge_pump_currents_scale_with_mirror_width() {
         "I(base) = {i_base}, I(1.3x) = {i_big}"
     );
 }
-
-/// Controlled sources must behave identically in DC and transient.
-#[test]
-fn vcvs_consistent_between_dc_and_transient() {
-    let mut c = Circuit::new();
-    let vin = c.node("in");
-    let out = c.node("out");
-    c.vsource(vin, Circuit::GND, Waveform::Dc(0.25));
-    c.vcvs(out, Circuit::GND, vin, Circuit::GND, 4.0);
-    c.resistor(out, Circuit::GND, 1e3);
-    let dc = solve_dc(&c).unwrap();
-    let tr = Transient::new(1e-9, 1e-7).run(&c).unwrap();
-    assert!((dc.voltage(out) - 1.0).abs() < 1e-6);
-    assert!((tr.voltage(out).last().unwrap() - 1.0).abs() < 1e-6);
-}

@@ -179,14 +179,6 @@ mod waveform_props {
         }
 
         #[test]
-        fn rms_bounds_average(samples in prop::collection::vec(-5.0f64..5.0, 1..50)) {
-            // |mean| <= rms (Cauchy–Schwarz).
-            let m = waveform::average(&samples).abs();
-            let r = waveform::rms(&samples);
-            prop_assert!(m <= r + 1e-12);
-        }
-
-        #[test]
         fn dbm_round_trip(p in 1e-6f64..10.0) {
             let dbm = waveform::to_dbm(p);
             let back = 1e-3 * 10f64.powf(dbm / 10.0);

@@ -1,10 +1,9 @@
 //! Cholesky factorization of symmetric positive-definite matrices.
 //!
 //! The Gaussian-process stack funnels every covariance operation through
-//! this module: training needs `log|K|` and `K⁻¹y`, prediction needs
-//! triangular solves against kernel cross-covariance vectors, and the
-//! Monte-Carlo posterior propagation in the multi-fidelity model needs
-//! `L z` products for sampling. Kernel matrices are only positive
+//! this module: training needs `log|K|`, `K⁻¹y` and the `K⁻¹` trace terms
+//! of the NLML gradient, and prediction needs forward solves against kernel
+//! cross-covariance vectors. Kernel matrices are only positive
 //! *semi*-definite in exact arithmetic and frequently slip below zero in
 //! floating point when inputs nearly coincide, so [`Cholesky::new_with_jitter`]
 //! retries with a geometrically growing diagonal "jitter" — the standard GP
@@ -40,8 +39,7 @@ pub struct Cholesky {
     /// blocked factorization walk columns of `L`; in the row-major [`Matrix`]
     /// those walks stride by `n` and miss cache on every element, so the
     /// packed copy is kept alongside the row-major factor (which row-oriented
-    /// consumers — forward substitution, `l_matvec`, [`Cholesky::factor`] —
-    /// still use).
+    /// consumers — forward substitution, [`Cholesky::factor`] — still use).
     cols: Vec<f64>,
     /// Diagonal jitter that had to be added for the factorization to succeed.
     jitter: f64,
@@ -430,19 +428,6 @@ impl Cholesky {
         mfbo_simd::forward_solve_interleaved(be, self.l.as_slice(), self.dim(), b, out);
     }
 
-    /// Interleaved multi-RHS back substitution: solves `Lᵀ x = b` for
-    /// `be.lanes()` lane-interleaved right-hand sides against the packed
-    /// column storage — the multi-RHS counterpart of
-    /// [`Cholesky::back_solve_into`], bit-identical per lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` or `out.len()` differs from
-    /// `self.dim() * be.lanes()`.
-    pub fn back_solve_interleaved_into(&self, be: mfbo_simd::Backend, b: &[f64], out: &mut [f64]) {
-        mfbo_simd::back_solve_interleaved(be, &self.cols, self.dim(), b, out);
-    }
-
     /// Solves `A x = b` (both triangular solves).
     ///
     /// # Panics
@@ -468,85 +453,6 @@ impl Cholesky {
         self.back_solve_into(scratch, out);
     }
 
-    /// Solves `A X = B` column by column.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.rows() != self.dim()`.
-    pub fn solve_matrix(&self, b: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(b.rows(), b.cols());
-        self.solve_matrix_into(b, &mut out);
-        out
-    }
-
-    /// Solves `A X = B` into a caller-provided matrix, reusing scratch
-    /// buffers across all columns instead of allocating per column.
-    ///
-    /// Columns are solved in groups of [`mfbo_simd::Backend::lanes`]
-    /// through the interleaved multi-RHS kernels (bit-identical per column
-    /// to the scalar solves), with a scalar per-column pass for the
-    /// remainder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.rows() != self.dim()` or `out` is not the shape of `b`.
-    pub fn solve_matrix_into(&self, b: &Matrix, out: &mut Matrix) {
-        self.solve_matrix_into_with_backend(b, out, mfbo_simd::active())
-    }
-
-    /// [`Cholesky::solve_matrix_into`] with an explicit SIMD backend — the
-    /// differential-testing and A/B-bench hook.
-    ///
-    /// # Panics
-    ///
-    /// As for [`Cholesky::solve_matrix_into`].
-    pub fn solve_matrix_into_with_backend(
-        &self,
-        b: &Matrix,
-        out: &mut Matrix,
-        be: mfbo_simd::Backend,
-    ) {
-        let n = self.dim();
-        assert_eq!(b.rows(), n, "solve_matrix shape mismatch");
-        assert_eq!(out.rows(), b.rows(), "solve_matrix output shape mismatch");
-        assert_eq!(out.cols(), b.cols(), "solve_matrix output shape mismatch");
-        let lanes = be.lanes();
-        let mut j = 0;
-        if lanes > 1 {
-            let mut bi = vec![0.0; n * lanes];
-            let mut zi = vec![0.0; n * lanes];
-            let mut xi = vec![0.0; n * lanes];
-            while j + lanes <= b.cols() {
-                for i in 0..n {
-                    for (c, slot) in bi[i * lanes..(i + 1) * lanes].iter_mut().enumerate() {
-                        *slot = b[(i, j + c)];
-                    }
-                }
-                self.forward_solve_interleaved_into(be, &bi, &mut zi);
-                self.back_solve_interleaved_into(be, &zi, &mut xi);
-                for i in 0..n {
-                    for (c, &v) in xi[i * lanes..(i + 1) * lanes].iter().enumerate() {
-                        out[(i, j + c)] = v;
-                    }
-                }
-                j += lanes;
-            }
-        }
-        let mut rhs = vec![0.0; n];
-        let mut z = vec![0.0; n];
-        let mut x = vec![0.0; n];
-        for j in j..b.cols() {
-            for (i, r) in rhs.iter_mut().enumerate() {
-                *r = b[(i, j)];
-            }
-            self.forward_solve_into(&rhs, &mut z);
-            self.back_solve_into(&z, &mut x);
-            for (i, &xi) in x.iter().enumerate() {
-                out[(i, j)] = xi;
-            }
-        }
-    }
-
     /// The explicit inverse `A⁻¹`.
     ///
     /// Prefer the `solve_*` methods; the explicit inverse is only needed for
@@ -560,8 +466,8 @@ impl Cholesky {
 
     /// Writes `A⁻¹` into a caller-provided matrix.
     ///
-    /// Equivalent to `solve_matrix(&Matrix::identity(n))` bit for bit, but
-    /// skips the structurally-zero work: when forward-substituting the
+    /// Equivalent to [`Cholesky::solve_vec`] on each identity column bit for
+    /// bit, but skips the structurally-zero work: when forward-substituting the
     /// `j`-th identity column, rows `< j` of the intermediate solution are
     /// exactly `+0.0` (every subtracted term is `L·(±0.0)` and `s - ±0.0`
     /// leaves `+0.0` unchanged), so the forward sweep starts at row `j`
@@ -679,27 +585,6 @@ impl Cholesky {
         self.forward_solve_into(b, scratch);
         crate::dot(scratch, scratch)
     }
-
-    /// Returns `L z` — used to draw correlated Gaussian samples from
-    /// i.i.d. standard normals `z`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `z.len() != self.dim()`.
-    pub fn l_matvec(&self, z: &[f64]) -> Vec<f64> {
-        let n = self.dim();
-        assert_eq!(z.len(), n, "l_matvec length mismatch");
-        let mut out = vec![0.0; n];
-        for (i, o) in out.iter_mut().enumerate() {
-            let row = self.l.row(i);
-            let mut s = 0.0;
-            for k in 0..=i {
-                s += row[k] * z[k];
-            }
-            *o = s;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -748,7 +633,7 @@ mod tests {
     }
 
     #[test]
-    fn solve_matrix_and_inverse() {
+    fn inverse_times_matrix_is_identity() {
         let a = spd_example();
         let chol = Cholesky::new(&a).unwrap();
         let inv = chol.inverse();
@@ -827,17 +712,6 @@ mod tests {
         assert!(Cholesky::new_with_jitter(&a, 1e-10, 1e-4).is_err());
     }
 
-    #[test]
-    fn l_matvec_matches_dense_product() {
-        let chol = Cholesky::new(&spd_example()).unwrap();
-        let z = vec![0.5, -1.0, 2.0];
-        let got = chol.l_matvec(&z);
-        let want = chol.factor().matvec(&z);
-        for (g, w) in got.iter().zip(&want) {
-            assert!((g - w).abs() < 1e-14);
-        }
-    }
-
     /// Deterministic SPD matrix large enough to cross several panel
     /// boundaries of the blocked factorization.
     fn spd_large(n: usize) -> Matrix {
@@ -870,12 +744,15 @@ mod tests {
         let a = spd_large(37);
         let chol = Cholesky::new(&a).unwrap();
         let fast = chol.inverse();
-        let reference = chol.solve_matrix(&Matrix::identity(37));
-        for i in 0..37 {
-            for j in 0..37 {
+        let mut e = vec![0.0; 37];
+        for j in 0..37 {
+            e[j] = 1.0;
+            let reference = chol.solve_vec(&e);
+            e[j] = 0.0;
+            for (i, r) in reference.iter().enumerate() {
                 assert_eq!(
                     fast[(i, j)].to_bits(),
-                    reference[(i, j)].to_bits(),
+                    r.to_bits(),
                     "inverse mismatch at ({i}, {j})"
                 );
             }
@@ -916,10 +793,6 @@ mod tests {
         chol.solve_vec_into(&b, &mut scratch, &mut out);
         assert_eq!(out, chol.solve_vec(&b));
         assert_eq!(chol.quad_form_with(&b, &mut scratch), chol.quad_form(&b));
-        let rhs = Matrix::from_fn(n, 3, |i, j| (i + 7 * j) as f64 / 11.0 - 1.0);
-        let mut m_out = Matrix::zeros(n, 3);
-        chol.solve_matrix_into(&rhs, &mut m_out);
-        assert!(m_out.max_abs_diff(&chol.solve_matrix(&rhs)) == 0.0);
     }
 
     #[test]
@@ -927,7 +800,7 @@ mod tests {
         let chol = Cholesky::new(&spd_example()).unwrap();
         let b = vec![1.0, 2.0, 3.0];
         let z = chol.forward_solve(&b);
-        let lb = chol.l_matvec(&z);
+        let lb = chol.factor().matvec(&z);
         for (x, y) in lb.iter().zip(&b) {
             assert!((x - y).abs() < 1e-12);
         }

@@ -39,7 +39,6 @@ pub use error::LinalgError;
 pub use lu::Lu;
 pub use matrix::Matrix;
 pub use stats::{
-    mean, median, norm_cdf, norm_inv_cdf, norm_log_pdf, norm_pdf, percentile, std_dev, variance,
-    Standardizer,
+    mean, median, norm_cdf, norm_inv_cdf, norm_pdf, percentile, std_dev, variance, Standardizer,
 };
-pub use vector::{axpy, dot, infinity_norm, norm2, scale, sub};
+pub use vector::{axpy, dot, infinity_norm, norm2};

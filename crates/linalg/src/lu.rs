@@ -164,22 +164,6 @@ impl Lu {
         }
         d
     }
-
-    /// Explicit inverse `A⁻¹` (column-by-column solve).
-    pub fn inverse(&self) -> Matrix {
-        let n = self.dim();
-        let mut out = Matrix::zeros(n, n);
-        let mut e = vec![0.0; n];
-        for j in 0..n {
-            e[j] = 1.0;
-            let x = self.solve(&e);
-            for i in 0..n {
-                out[(i, j)] = x[i];
-            }
-            e[j] = 0.0;
-        }
-        out
-    }
 }
 
 /// Doolittle LU with partial pivoting on row-major `n x n` storage, in
@@ -273,14 +257,6 @@ mod tests {
             Lu::new(&a),
             Err(LinalgError::ShapeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn inverse_round_trip() {
-        let a = Matrix::from_rows(&[&[4.0, 7.0], &[2.0, 6.0]]);
-        let inv = Lu::new(&a).unwrap().inverse();
-        let prod = a.matmul(&inv);
-        assert!(prod.max_abs_diff(&Matrix::identity(2)) < 1e-12);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! spends essentially all of its time in [`crate::Cholesky`]; the kernels
 //! here only have to be correct and cache-friendly.
 
-use crate::LinalgError;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -107,16 +106,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Creates a square matrix with `diag` on the diagonal.
-    pub fn from_diag(diag: &[f64]) -> Self {
-        let n = diag.len();
-        let mut m = Matrix::zeros(n, n);
-        for (i, &d) in diag.iter().enumerate() {
-            m[(i, i)] = d;
-        }
-        m
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -160,16 +149,6 @@ impl Matrix {
     pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
         assert!(i < self.rows, "row index out of bounds");
         &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Copies column `j` into a new vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= self.cols()`.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        assert!(j < self.cols, "column index out of bounds");
-        (0..self.rows).map(|i| self[(i, j)]).collect()
     }
 
     /// Returns the transposed matrix.
@@ -218,78 +197,6 @@ impl Matrix {
         (0..self.rows).map(|i| crate::dot(self.row(i), x)).collect()
     }
 
-    /// Dense transposed matrix-vector product `selfᵀ * x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.rows() != x.len()`.
-    pub fn matvec_t(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(self.rows, x.len(), "matvec_t shape mismatch");
-        let mut out = vec![0.0; self.cols];
-        for (i, &xi) in x.iter().enumerate() {
-            if xi == 0.0 {
-                continue;
-            }
-            for (o, &a) in out.iter_mut().zip(self.row(i)) {
-                *o += xi * a;
-            }
-        }
-        out
-    }
-
-    /// Element-wise sum, returning a new matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the shapes differ.
-    pub fn add(&self, other: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.rows != other.rows || self.cols != other.cols {
-            return Err(LinalgError::ShapeMismatch { context: "add" });
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
-    /// Element-wise difference, returning a new matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the shapes differ.
-    pub fn sub(&self, other: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.rows != other.rows || self.cols != other.cols {
-            return Err(LinalgError::ShapeMismatch { context: "sub" });
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a - b)
-            .collect();
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
-    /// Returns `self` scaled by `s`.
-    pub fn scaled(&self, s: f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|a| a * s).collect(),
-        }
-    }
-
     /// Adds `v` to every diagonal element in place.
     ///
     /// # Panics
@@ -300,21 +207,6 @@ impl Matrix {
         for i in 0..self.rows {
             self[(i, i)] += v;
         }
-    }
-
-    /// Sum of the diagonal elements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square.
-    pub fn trace(&self) -> f64 {
-        assert!(self.is_square(), "trace requires a square matrix");
-        (0..self.rows).map(|i| self[(i, i)]).sum()
-    }
-
-    /// Frobenius norm `sqrt(sum a_ij^2)`.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|a| a * a).sum::<f64>().sqrt()
     }
 
     /// Maximum absolute element-wise difference to `other`.
@@ -345,53 +237,6 @@ impl Matrix {
             }
         }
         true
-    }
-
-    /// Extracts a copy of the sub-matrix with rows `r0..r1` and columns
-    /// `c0..c1` (half-open ranges).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ranges exceed the matrix shape or are reversed.
-    pub fn submatrix(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> Matrix {
-        assert!(r0 <= r1 && r1 <= self.rows, "row range out of bounds");
-        assert!(c0 <= c1 && c1 <= self.cols, "column range out of bounds");
-        Matrix::from_fn(r1 - r0, c1 - c0, |i, j| self[(r0 + i, c0 + j)])
-    }
-
-    /// Stacks `self` on top of `other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the column counts differ.
-    pub fn vstack(&self, other: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.cols != other.cols {
-            return Err(LinalgError::ShapeMismatch { context: "vstack" });
-        }
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
-        Ok(Matrix {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
-    /// Places `other` to the right of `self`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the row counts differ.
-    pub fn hstack(&self, other: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.rows != other.rows {
-            return Err(LinalgError::ShapeMismatch { context: "hstack" });
-        }
-        let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
-        for i in 0..self.rows {
-            out.row_mut(i)[..self.cols].copy_from_slice(self.row(i));
-            out.row_mut(i)[self.cols..].copy_from_slice(other.row(i));
-        }
-        Ok(out)
     }
 }
 
@@ -450,7 +295,6 @@ mod tests {
         let i = Matrix::identity(3);
         assert_eq!(i[(0, 0)], 1.0);
         assert_eq!(i[(0, 1)], 0.0);
-        assert_eq!(i.trace(), 3.0);
     }
 
     #[test]
@@ -459,7 +303,6 @@ mod tests {
         assert_eq!(m[(0, 1)], 2.0);
         assert_eq!(m[(1, 0)], 3.0);
         assert_eq!(m.row(1), &[3.0, 4.0]);
-        assert_eq!(m.col(0), vec![1.0, 3.0]);
     }
 
     #[test]
@@ -488,7 +331,7 @@ mod tests {
     }
 
     #[test]
-    fn matvec_and_matvec_t_agree_with_matmul() {
+    fn matvec_agrees_with_matmul() {
         let a = Matrix::from_fn(3, 2, |i, j| (i + 2 * j) as f64 + 0.5);
         let x = vec![1.5, -2.0];
         let y = a.matvec(&x);
@@ -496,12 +339,6 @@ mod tests {
         let ym = a.matmul(&xm);
         for i in 0..3 {
             assert!((y[i] - ym[(i, 0)]).abs() < 1e-14);
-        }
-        let z = vec![1.0, 2.0, 3.0];
-        let w = a.matvec_t(&z);
-        let wt = a.transpose().matvec(&z);
-        for j in 0..2 {
-            assert!((w[j] - wt[j]).abs() < 1e-14);
         }
     }
 
@@ -512,29 +349,10 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_scaled() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let b = Matrix::from_rows(&[&[3.0, 5.0]]);
-        let s = a.add(&b).unwrap();
-        assert_eq!(s.as_slice(), &[4.0, 7.0]);
-        let d = b.sub(&a).unwrap();
-        assert_eq!(d.as_slice(), &[2.0, 3.0]);
-        assert_eq!(a.scaled(2.0).as_slice(), &[2.0, 4.0]);
-    }
-
-    #[test]
-    fn add_shape_mismatch_errors() {
-        let a = Matrix::zeros(2, 2);
-        let b = Matrix::zeros(3, 2);
-        assert!(matches!(a.add(&b), Err(LinalgError::ShapeMismatch { .. })));
-    }
-
-    #[test]
     fn diag_helpers() {
-        let mut m = Matrix::from_diag(&[1.0, 2.0, 3.0]);
-        assert_eq!(m.trace(), 6.0);
+        let mut m = Matrix::identity(3);
         m.add_diag(0.5);
-        assert_eq!(m.trace(), 7.5);
+        assert_eq!(m[(2, 2)], 1.5);
         assert_eq!(m[(0, 1)], 0.0);
     }
 
@@ -548,29 +366,8 @@ mod tests {
     }
 
     #[test]
-    fn submatrix_and_stacking() {
-        let a = Matrix::from_fn(3, 3, |i, j| (i * 3 + j) as f64);
-        let s = a.submatrix(1, 3, 0, 2);
-        assert_eq!(s.rows(), 2);
-        assert_eq!(s.cols(), 2);
-        assert_eq!(s[(0, 0)], 3.0);
-        assert_eq!(s[(1, 1)], 7.0);
-
-        let top = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let bot = Matrix::from_rows(&[&[3.0, 4.0]]);
-        let v = top.vstack(&bot).unwrap();
-        assert_eq!(v.rows(), 2);
-        assert_eq!(v[(1, 0)], 3.0);
-
-        let h = top.hstack(&bot).unwrap();
-        assert_eq!(h.cols(), 4);
-        assert_eq!(h[(0, 2)], 3.0);
-    }
-
-    #[test]
-    fn frobenius_and_max_abs_diff() {
+    fn max_abs_diff_is_largest_gap() {
         let a = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-14);
         let b = Matrix::from_rows(&[&[3.5, 4.0]]);
         assert!((a.max_abs_diff(&b) - 0.5).abs() < 1e-14);
     }

@@ -48,23 +48,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// Returns `a - b` as a new vector.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
-    assert_eq!(a.len(), b.len(), "sub length mismatch");
-    a.iter().zip(b).map(|(x, y)| x - y).collect()
-}
-
-/// Returns `alpha * a` as a new vector.
-#[inline]
-pub fn scale(alpha: f64, a: &[f64]) -> Vec<f64> {
-    a.iter().map(|x| alpha * x).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,11 +73,9 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_friends() {
+    fn axpy_accumulates() {
         let mut y = vec![1.0, 2.0];
         axpy(2.0, &[10.0, 20.0], &mut y);
         assert_eq!(y, vec![21.0, 42.0]);
-        assert_eq!(sub(&[5.0, 4.0], &[1.0, 1.0]), vec![4.0, 3.0]);
-        assert_eq!(scale(0.5, &[2.0, 4.0]), vec![1.0, 2.0]);
     }
 }

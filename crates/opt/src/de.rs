@@ -133,25 +133,6 @@ impl DifferentialEvolution {
         F: Fn(&[f64]) -> Fitness + ?Sized,
         R: Rng + ?Sized,
     {
-        self.minimize_with_history(f, bounds, rng, |_, _, _| {})
-    }
-
-    /// Like [`DifferentialEvolution::minimize`], additionally invoking
-    /// `on_eval(evaluation_index, candidate, fitness)` after every
-    /// evaluation — the bench harness uses this to record convergence
-    /// traces.
-    pub fn minimize_with_history<F, R, H>(
-        &self,
-        f: &F,
-        bounds: &Bounds,
-        rng: &mut R,
-        mut on_eval: H,
-    ) -> OptResult
-    where
-        F: Fn(&[f64]) -> Fitness + ?Sized,
-        R: Rng + ?Sized,
-        H: FnMut(usize, &[f64], &Fitness),
-    {
         let n = bounds.dim();
         let np = self.population;
         let mut evals = 0usize;
@@ -160,10 +141,8 @@ impl DifferentialEvolution {
         let mut pop: Vec<Vec<f64>> = (0..np).map(|_| bounds.sample_uniform(rng)).collect();
         let mut fit: Vec<Fitness> = Vec::with_capacity(np);
         for p in &pop {
-            let fv = f(p);
-            on_eval(evals, p, &fv);
+            fit.push(f(p));
             evals += 1;
-            fit.push(fv);
             if evals >= self.max_evaluations {
                 break;
             }
@@ -203,7 +182,6 @@ impl DifferentialEvolution {
                 }
                 bounds.clamp_in_place(&mut trial);
                 let tf = f(&trial);
-                on_eval(evals, &trial, &tf);
                 evals += 1;
                 // Selection by feasibility rules.
                 if tf.beats(&fit[i]) {
@@ -319,23 +297,6 @@ mod tests {
             .minimize(&f, &b, &mut rng);
         assert_eq!(count.get(), 57);
         assert_eq!(r.evaluations, 57);
-    }
-
-    #[test]
-    fn history_callback_sees_every_evaluation() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let b = Bounds::unit(2);
-        let f = |x: &[f64]| Fitness::unconstrained(x[0]);
-        let mut seen = 0usize;
-        let _ = DifferentialEvolution::new()
-            .with_population(8)
-            .with_max_evaluations(100)
-            .minimize_with_history(&f, &b, &mut rng, |i, x, _| {
-                assert_eq!(i, seen);
-                assert_eq!(x.len(), 2);
-                seen += 1;
-            });
-        assert_eq!(seen, 100);
     }
 
     #[test]

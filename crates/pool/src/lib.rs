@@ -10,21 +10,17 @@
 //!
 //! # Determinism contract
 //!
-//! For any fixed inputs, [`par_map`] / [`par_map_indexed`] /
-//! [`par_map_seeded`] return **bit-identical** results under
-//! [`Parallelism::Serial`] and [`Parallelism::Threads`]`(n)` for every `n`:
+//! For any fixed inputs, [`par_map`] / [`par_map_indexed`] return
+//! **bit-identical** results under [`Parallelism::Serial`] and
+//! [`Parallelism::Threads`]`(n)` for every `n`:
 //!
-//! * Work items are pure functions of their index (and, for
-//!   [`par_map_seeded`], of a per-index RNG stream); they never share
-//!   mutable state.
+//! * Work items are pure functions of their index; they never share
+//!   mutable state. Callers that need randomness draw it from their own RNG
+//!   serially before the map (plan first, then run in parallel), so no
+//!   random stream ever depends on the thread count.
 //! * Results are collected **by item index**, not by completion order, so
 //!   any reduction the caller performs over the returned `Vec` visits items
 //!   in the same order a serial loop would.
-//! * [`par_map_seeded`] derives one RNG stream per item by drawing a 64-bit
-//!   seed per index from the caller's master RNG *serially, in index order*,
-//!   before any worker starts. The stream an item sees therefore depends
-//!   only on (master RNG state, item index) — never on thread count or
-//!   scheduling.
 //!
 //! Nested calls run serially: a `par_map` issued from inside a pool worker
 //! falls back to an inline loop (same results, no thread explosion), so
@@ -43,8 +39,6 @@
 pub mod service;
 pub use service::WorkerPool;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -220,28 +214,6 @@ where
     par_map_indexed(par, items.len(), |i| f(&items[i]))
 }
 
-/// Maps `f` over `items`, giving each item its own deterministic RNG stream.
-///
-/// One 64-bit seed per item is drawn from `rng` serially in index order
-/// before any work is dispatched, and item `i` receives
-/// `StdRng::seed_from_u64(seed_i)`. The stream an item observes therefore
-/// depends only on the master RNG state and the item index — never on the
-/// thread count — so `Serial` and `Threads(n)` produce bit-identical
-/// results, and the master RNG is left in the same state under both.
-pub fn par_map_seeded<I, T, F, R>(par: Parallelism, rng: &mut R, items: &[I], f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I, &mut StdRng) -> T + Sync,
-    R: Rng + ?Sized,
-{
-    let seeds: Vec<u64> = items.iter().map(|_| rng.gen::<u64>()).collect();
-    par_map_indexed(par, items.len(), |i| {
-        let mut item_rng = StdRng::seed_from_u64(seeds[i]);
-        f(&items[i], &mut item_rng)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,23 +321,6 @@ mod tests {
         assert_eq!(Parallelism::Serial.workers(), 1);
         assert_eq!(Parallelism::Threads(0).workers(), 1);
         assert_eq!(Parallelism::Threads(6).workers(), 6);
-    }
-
-    #[test]
-    fn seeded_map_is_thread_count_invariant() {
-        let items: Vec<u32> = (0..12).collect();
-        let draw = |&item: &u32, rng: &mut StdRng| {
-            let a: f64 = rng.gen();
-            let b = rng.gen_range(0usize..100);
-            (item, a, b)
-        };
-        let mut rng_a = StdRng::seed_from_u64(99);
-        let serial = par_map_seeded(Parallelism::Serial, &mut rng_a, &items, draw);
-        let mut rng_b = StdRng::seed_from_u64(99);
-        let threaded = par_map_seeded(Parallelism::Threads(4), &mut rng_b, &items, draw);
-        assert_eq!(serial, threaded);
-        // Master RNG left in the same state under both modes.
-        assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! Property tests for the deterministic pool: for arbitrary item counts and
-//! thread counts, parallel maps must preserve index order and per-index RNG
-//! streams must be independent of scheduling.
+//! thread counts, parallel maps must preserve index order and never depend
+//! on scheduling.
 
-use mfbo_pool::{par_map, par_map_indexed, par_map_seeded, Parallelism};
+use mfbo_pool::{par_map, par_map_indexed, Parallelism};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 proptest! {
     #[test]
@@ -23,40 +21,6 @@ proptest! {
         let serial: Vec<u64> = items.iter().map(f).collect();
         let parallel = par_map(Parallelism::Threads(threads), &items, f);
         prop_assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn seeded_streams_depend_only_on_index(seed in 0u64..1_000_000, n in 1usize..60, threads in 2usize..9) {
-        let items: Vec<usize> = (0..n).collect();
-        let draw = |&i: &usize, rng: &mut StdRng| {
-            // Consume a per-item-dependent number of draws so any stream
-            // sharing between items would corrupt neighbours.
-            let mut acc = i as u64;
-            for _ in 0..(i % 5 + 1) {
-                acc = acc.wrapping_add(rng.gen::<u64>());
-            }
-            (acc, rng.gen_range(0usize..7))
-        };
-
-        let mut rng_serial = StdRng::seed_from_u64(seed);
-        let serial = par_map_seeded(Parallelism::Serial, &mut rng_serial, &items, draw);
-        let mut rng_par = StdRng::seed_from_u64(seed);
-        let parallel = par_map_seeded(Parallelism::Threads(threads), &mut rng_par, &items, draw);
-        prop_assert_eq!(&serial, &parallel);
-
-        // The master RNG is left in the same state under both modes.
-        prop_assert_eq!(rng_serial.gen::<u64>(), rng_par.gen::<u64>());
-
-        // Dropping the last item must not change the streams of the others:
-        // stream i depends only on (master state, index i).
-        let mut rng_prefix = StdRng::seed_from_u64(seed);
-        let prefix = par_map_seeded(
-            Parallelism::Threads(threads),
-            &mut rng_prefix,
-            &items[..n - 1],
-            draw,
-        );
-        prop_assert_eq!(&serial[..n - 1], &prefix[..]);
     }
 
     #[test]

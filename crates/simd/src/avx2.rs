@@ -224,19 +224,3 @@ pub(crate) unsafe fn forward_solve_interleaved(l: &[f64], n: usize, b: &[f64], o
         _mm256_storeu_pd(op.add(i * LANES), s);
     }
 }
-
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn back_solve_interleaved(cols: &[f64], n: usize, b: &[f64], out: &mut [f64]) {
-    let op = out.as_mut_ptr();
-    for i in (0..n).rev() {
-        let off = i * (2 * n - i + 1) / 2;
-        let col = &cols[off..off + (n - i)];
-        let mut s = _mm256_loadu_pd(b.as_ptr().add(i * LANES));
-        for (k, &cki) in col.iter().enumerate().skip(1) {
-            let xv = _mm256_loadu_pd(op.add((i + k) * LANES) as *const f64);
-            s = _mm256_sub_pd(s, _mm256_mul_pd(_mm256_set1_pd(cki), xv));
-        }
-        s = _mm256_div_pd(s, _mm256_set1_pd(col[0]));
-        _mm256_storeu_pd(op.add(i * LANES), s);
-    }
-}

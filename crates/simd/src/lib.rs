@@ -1,8 +1,8 @@
 //! Bit-exact vectorized micro-kernels with runtime CPU dispatch.
 //!
 //! The GP hot loops (pairwise kernel sweeps, the blocked-Cholesky trailing
-//! update, batched triangular solves) are straight-line floating-point code
-//! whose cost is dominated by instruction throughput. This crate provides
+//! update, batched forward substitutions) are straight-line floating-point
+//! code whose cost is dominated by instruction throughput. This crate provides
 //! SIMD implementations of those inner loops that are **bit-identical** to
 //! the portable scalar reference in [`scalar`], which is what lets them sit
 //! underneath the repository's reproducibility contract (golden trajectory
@@ -15,11 +15,11 @@
 //! instead of splitting one chain across lanes:
 //!
 //! - Vectorize **across independent entries** (pairs of a [`sq_norm`] batch,
-//!   elements of a [`fold_cols`] column, right-hand sides of an interleaved
-//!   solve). Each lane then executes exactly the scalar operation sequence
-//!   for its entry.
+//!   elements of a [`fold_cols`] column, right-hand sides of a
+//!   [`forward_solve_interleaved`]). Each lane then executes exactly the
+//!   scalar operation sequence for its entry.
 //! - Keep every per-entry reduction (the `Σ_t z_t²` of one kernel pair, the
-//!   `Σ_k L[i][k]·x[k]` of one solve row) **sequential in ascending order**,
+//!   `Σ_k L[i][k]·z[k]` of one solve row) **sequential in ascending order**,
 //!   never tree- or lane-reduced.
 //! - Use separate multiply and add/subtract instructions — **no FMA**. A
 //!   fused `a*b+c` rounds once where the scalar path rounds twice, so fusing
@@ -339,37 +339,6 @@ pub fn forward_solve_interleaved(be: Backend, l: &[f64], n: usize, b: &[f64], ou
         // SAFETY: NEON availability confirmed by the guard.
         unsafe { neon::forward_solve_interleaved(l, n, b, out) },
         _ => scalar::forward_solve_interleaved(l, n, lanes, b, out),
-    }
-}
-
-/// Interleaved multi-RHS back substitution: solves `Lᵀ x = b` for
-/// `be.lanes()` lane-interleaved right-hand sides against the packed
-/// column-major factor (`cols[j·(2n−j+1)/2..][..n−j]` holds `L[j..n][j]`).
-///
-/// # Panics
-///
-/// Panics if `cols.len() != n(n+1)/2` or the RHS/output lengths are not
-/// `n * be.lanes()`.
-pub fn back_solve_interleaved(be: Backend, cols: &[f64], n: usize, b: &[f64], out: &mut [f64]) {
-    let lanes = be.lanes();
-    assert_eq!(
-        cols.len(),
-        n * (n + 1) / 2,
-        "back_solve_interleaved factor mismatch"
-    );
-    assert_eq!(b.len(), n * lanes, "back_solve_interleaved rhs mismatch");
-    assert_eq!(out.len(), n * lanes, "back_solve_interleaved out mismatch");
-    match be {
-        Backend::Scalar => scalar::back_solve_interleaved(cols, n, 1, b, out),
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 if std::arch::is_x86_feature_detected!("avx2") =>
-        // SAFETY: AVX2 availability confirmed by the guard.
-        unsafe { avx2::back_solve_interleaved(cols, n, b, out) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon if std::arch::is_aarch64_feature_detected!("neon") =>
-        // SAFETY: NEON availability confirmed by the guard.
-        unsafe { neon::back_solve_interleaved(cols, n, b, out) },
-        _ => scalar::back_solve_interleaved(cols, n, lanes, b, out),
     }
 }
 

@@ -207,19 +207,3 @@ pub(crate) unsafe fn forward_solve_interleaved(l: &[f64], n: usize, b: &[f64], o
         vst1q_f64(op.add(i * LANES), s);
     }
 }
-
-#[target_feature(enable = "neon")]
-pub(crate) unsafe fn back_solve_interleaved(cols: &[f64], n: usize, b: &[f64], out: &mut [f64]) {
-    let op = out.as_mut_ptr();
-    for i in (0..n).rev() {
-        let off = i * (2 * n - i + 1) / 2;
-        let col = &cols[off..off + (n - i)];
-        let mut s = vld1q_f64(b.as_ptr().add(i * LANES));
-        for (k, &cki) in col.iter().enumerate().skip(1) {
-            let xv = vld1q_f64(op.add((i + k) * LANES) as *const f64);
-            s = vsubq_f64(s, vmulq_f64(vdupq_n_f64(cki), xv));
-        }
-        s = vdivq_f64(s, vdupq_n_f64(col[0]));
-        vst1q_f64(op.add(i * LANES), s);
-    }
-}

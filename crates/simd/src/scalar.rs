@@ -82,21 +82,3 @@ pub fn forward_solve_interleaved(l: &[f64], n: usize, lanes: usize, b: &[f64], o
         }
     }
 }
-
-/// Back substitution `Lᵀ x = b` for `lanes` lane-interleaved right-hand
-/// sides against the packed column-major factor (`cols[j·(2n−j+1)/2..]`
-/// holds `L[j..n][j]`). Each lane runs the exact scalar recurrence with the
-/// `k` terms subtracted in ascending order.
-pub fn back_solve_interleaved(cols: &[f64], n: usize, lanes: usize, b: &[f64], out: &mut [f64]) {
-    for i in (0..n).rev() {
-        let off = i * (2 * n - i + 1) / 2;
-        let col = &cols[off..off + (n - i)];
-        for c in 0..lanes {
-            let mut s = b[i * lanes + c];
-            for k in (i + 1)..n {
-                s -= col[k - i] * out[k * lanes + c];
-            }
-            out[i * lanes + c] = s / col[0];
-        }
-    }
-}

@@ -102,7 +102,7 @@ proptest! {
     }
 
     #[test]
-    fn interleaved_solves_bit_identical_to_per_rhs_scalar(
+    fn interleaved_forward_solve_bit_identical_to_per_rhs_scalar(
         n in 1usize..24,
         lseed in values(24 * 24),
         bseed in values(24 * 4),
@@ -117,13 +117,6 @@ proptest! {
             }
             l[i * n + i] = 1.0 + l[i * n + i].abs();
         }
-        let mut cols = vec![0.0; n * (n + 1) / 2];
-        for j in 0..n {
-            let off = j * (2 * n - j + 1) / 2;
-            for i in j..n {
-                cols[off + (i - j)] = l[i * n + j];
-            }
-        }
         let b = &bseed[..n * lanes];
 
         let mut fast = vec![0.0; n * lanes];
@@ -134,19 +127,6 @@ proptest! {
             let bc: Vec<f64> = (0..n).map(|i| b[i * lanes + c]).collect();
             let mut xc = vec![0.0; n];
             simd::scalar::forward_solve_interleaved(&l, n, 1, &bc, &mut xc);
-            for i in 0..n {
-                reference[i * lanes + c] = xc[i];
-            }
-        }
-        assert_bits_eq(&fast, &reference)?;
-
-        let mut fast = vec![0.0; n * lanes];
-        simd::back_solve_interleaved(be, &cols, n, b, &mut fast);
-        let mut reference = vec![0.0; n * lanes];
-        for c in 0..lanes {
-            let bc: Vec<f64> = (0..n).map(|i| b[i * lanes + c]).collect();
-            let mut xc = vec![0.0; n];
-            simd::scalar::back_solve_interleaved(&cols, n, 1, &bc, &mut xc);
             for i in 0..n {
                 reference[i * lanes + c] = xc[i];
             }

@@ -7,10 +7,17 @@
 //! [`BenchmarkId`], and [`Bencher::iter`].
 //!
 //! Measurement is deliberately simple: each benchmark is warmed up briefly,
-//! then timed over `sample_size` samples whose per-iteration mean, median, and
-//! spread are printed. There are no HTML reports, no statistical regression
-//! analysis, and no `target/criterion` history — good enough to compare
-//! kernels within one run, which is all the offline harness needs.
+//! then timed over `sample_size` samples, and each row prints
+//! `time: [min median max]` per iteration (the estimate between its bounds,
+//! as upstream's `[low estimate high]`) followed by the mean. There are no
+//! HTML reports, no statistical regression analysis, and no
+//! `target/criterion` history — good enough to compare kernels within one
+//! run, which is all the offline harness needs.
+//!
+//! As upstream, the first command-line argument that does not start with
+//! `-` filters benchmarks by substring of their full `group/id` name
+//! (`cargo bench --bench micro -- charge_pump`); cargo's own `--bench` flag
+//! is skipped.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -110,15 +117,15 @@ fn fmt_ns(ns: f64) -> String {
     }
 }
 
-fn report(name: &str, b: &Bencher) {
-    println!(
-        "{name:<40} time: [{} {} {}]  (min {}, {} samples)",
-        fmt_ns(b.mean_ns),
+fn report_line(name: &str, b: &Bencher) -> String {
+    format!(
+        "{name:<40} time: [{} {} {}]  (mean {}, {} samples)",
+        fmt_ns(b.min_ns),
         fmt_ns(b.median_ns),
         fmt_ns(b.max_ns),
-        fmt_ns(b.min_ns),
+        fmt_ns(b.mean_ns),
         b.sample_size,
-    );
+    )
 }
 
 /// A named set of related benchmarks sharing configuration.
@@ -146,10 +153,9 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher, &I),
     {
         let mut routine = routine;
-        let mut bencher = Bencher::new(self.sample_size);
-        routine(&mut bencher, input);
         let full = format!("{}/{}", self.name, id.into().label);
-        report(&full, &bencher);
+        self.criterion
+            .run(&full, self.sample_size, |b| routine(b, input));
         self
     }
 
@@ -158,38 +164,63 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher),
     {
-        let mut routine = routine;
-        let mut bencher = Bencher::new(self.sample_size);
-        routine(&mut bencher);
         let full = format!("{}/{}", self.name, id.into().label);
-        report(&full, &bencher);
+        self.criterion.run(&full, self.sample_size, routine);
         self
     }
 
     /// Ends the group (printing already happened per-bench).
-    pub fn finish(&mut self) {
-        let _ = &self.criterion;
-    }
+    pub fn finish(&mut self) {}
 }
 
 /// Top-level benchmark driver.
 pub struct Criterion {
     default_sample_size: usize,
+    /// Substring a benchmark's full name must contain for it to run.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
         Criterion {
             default_sample_size: 20,
+            filter: None,
         }
     }
 }
 
+/// The first argument that is not a flag, as upstream's name filter.
+fn filter_from_args(args: impl IntoIterator<Item = String>) -> Option<String> {
+    args.into_iter().find(|a| !a.starts_with('-'))
+}
+
 impl Criterion {
+    /// Takes the benchmark-name filter from the process arguments.
+    pub fn configure_from_args(mut self) -> Self {
+        self.filter = filter_from_args(std::env::args().skip(1));
+        self
+    }
+
+    /// Runs `routine` and prints its row, unless the filter excludes `name`.
+    fn run<F: FnOnce(&mut Bencher)>(&self, name: &str, sample_size: usize, routine: F) {
+        if self
+            .filter
+            .as_ref()
+            .is_some_and(|f| !name.contains(f.as_str()))
+        {
+            return;
+        }
+        let mut bencher = Bencher::new(sample_size);
+        routine(&mut bencher);
+        println!("{}", report_line(name, &bencher));
+    }
+
     /// Starts a named benchmark group.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         let name = name.into();
-        println!("-- group: {name}");
+        if self.filter.is_none() {
+            println!("-- group: {name}");
+        }
         let sample_size = self.default_sample_size;
         BenchmarkGroup {
             name,
@@ -203,10 +234,7 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
-        let mut routine = routine;
-        let mut bencher = Bencher::new(self.default_sample_size);
-        routine(&mut bencher);
-        report(name, &bencher);
+        self.run(name, self.default_sample_size, routine);
         self
     }
 }
@@ -216,7 +244,7 @@ impl Criterion {
 macro_rules! criterion_group {
     ($group:ident, $($target:path),+ $(,)?) => {
         fn $group() {
-            let mut criterion = $crate::Criterion::default();
+            let mut criterion = $crate::Criterion::default().configure_from_args();
             $($target(&mut criterion);)+
         }
     };
@@ -259,5 +287,47 @@ mod tests {
         g.finish();
         c.bench_function("top", |b| b.iter(|| black_box(2 * 2)));
         assert_eq!(BenchmarkId::from_parameter(128).label, "128");
+    }
+
+    #[test]
+    fn filter_skips_non_matching_benches() {
+        assert_eq!(filter_from_args(["--bench".to_string()]), None);
+        let args = ["--bench", "charge_pump"].map(String::from);
+        assert_eq!(filter_from_args(args).as_deref(), Some("charge_pump"));
+
+        let mut c = Criterion {
+            filter: Some("g/keep".into()),
+            ..Criterion::default()
+        };
+        let mut skipped = false;
+        let mut kept = false;
+        let mut g = c.benchmark_group("g");
+        g.sample_size(2);
+        g.bench_function("skip", |_| skipped = true);
+        g.bench_with_input("skip_too", &(), |_, _| skipped = true);
+        g.bench_function("keep_me", |b| {
+            kept = true;
+            b.iter(|| black_box(1));
+        });
+        g.finish();
+        c.bench_function("top", |_| skipped = true);
+        assert!(!skipped, "a filtered-out routine ran");
+        assert!(kept);
+    }
+
+    #[test]
+    fn report_prints_min_median_max_in_order() {
+        let b = Bencher {
+            sample_size: 3,
+            mean_ns: 2.5,
+            median_ns: 2.0,
+            min_ns: 1.0,
+            max_ns: 4.5,
+        };
+        let line = report_line("g/f", &b);
+        assert!(
+            line.ends_with("time: [1.0 ns 2.0 ns 4.5 ns]  (mean 2.5 ns, 3 samples)"),
+            "{line}"
+        );
     }
 }

@@ -29,12 +29,12 @@
 //! journaled run with its telemetry trace and prints a text report (JSON via
 //! `--report FILE`, shape-checked against a schema via `--schema FILE`).
 
-use analog_mfbo::circuits::testfns;
 use analog_mfbo::prelude::*;
 use mfbo::problem::MultiFidelityProblem;
 use mfbo::report;
 use mfbo::run_report::{self, RunReport};
 use mfbo::{InferenceMode, NonFinitePolicy, RunOptions, RunStore};
+use mfbo_server::problems::make_problem;
 use mfbo_telemetry::metrics::MetricsRegistry;
 use mfbo_telemetry::sinks::{JsonlSink, MultiSink, PrettySink};
 use mfbo_telemetry::{Level, Sink};
@@ -258,11 +258,21 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, String
     if opts.journal.is_none() && (opts.resume || opts.cache || opts.warm_start) {
         return Err("--resume, --cache, and --warm-start require --journal DIR".into());
     }
-    if opts.journal.is_some() && !matches!(opts.algo.as_str(), "mf" | "weibo") {
-        return Err(format!(
-            "--journal is only supported for algorithms 'mf' and 'weibo', not '{}'",
-            opts.algo
-        ));
+    // The journal, the refit schedule and the inference engine all belong
+    // to the GP-surrogate loops.
+    if !matches!(opts.algo.as_str(), "mf" | "weibo") {
+        for (flag, set) in [
+            ("--journal", opts.journal.is_some()),
+            ("--refit-every", opts.refit_every != 1),
+            ("--gp-inference", !opts.gp_inference.is_exact()),
+        ] {
+            if set {
+                return Err(format!(
+                    "{flag} is only supported for algorithms 'mf' and 'weibo', not '{}'",
+                    opts.algo
+                ));
+            }
+        }
     }
     if opts.warm_start && (opts.algo != "mf" || opts.initial_low == 0) {
         return Err(
@@ -271,29 +281,11 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, String
                 .into(),
         );
     }
-    if opts.refit_every != 1 && !matches!(opts.algo.as_str(), "mf" | "weibo") {
-        return Err(format!(
-            "--refit-every is only supported for algorithms 'mf' and 'weibo', not '{}'",
-            opts.algo
-        ));
-    }
     Ok(opts)
 }
 
-/// Instantiates a built-in problem by name.
-fn make_problem(name: &str) -> Result<Box<dyn MultiFidelityProblem>, String> {
-    match name {
-        "forrester" => Ok(Box::new(testfns::forrester())),
-        "pedagogical" => Ok(Box::new(testfns::pedagogical())),
-        "branin" => Ok(Box::new(testfns::branin())),
-        "park" => Ok(Box::new(testfns::park())),
-        "pa" => Ok(Box::new(PowerAmplifier::new())),
-        "charge-pump" => Ok(Box::new(ChargePump::new())),
-        other => Err(format!("unknown problem '{other}'\n{USAGE}")),
-    }
-}
-
-/// Assembles the durability/fault-tolerance options from the flags.
+/// Assembles the durability/fault-tolerance options from flags that
+/// [`parse_args`] has already validated.
 fn make_run_options(opts: &Options) -> Result<RunOptions, String> {
     let mut ro = RunOptions::default();
     ro.policy.max_retries = opts.retries;
@@ -302,35 +294,16 @@ fn make_run_options(opts: &Options) -> Result<RunOptions, String> {
     ro.resume = opts.resume;
     ro.cache = opts.cache;
     ro.warm_start = opts.warm_start;
-    match &opts.journal {
-        Some(dir) => ro.store = Some(RunStore::open(dir).map_err(|e| e.to_string())?),
-        None if opts.resume || opts.cache || opts.warm_start => {
-            return Err("--resume, --cache, and --warm-start require --journal DIR".into());
-        }
-        None => {}
+    if let Some(dir) = &opts.journal {
+        ro.store = Some(RunStore::open(dir).map_err(|e| e.to_string())?);
     }
     Ok(ro)
 }
 
-/// Runs the selected algorithm.
+/// Runs the selected algorithm with options [`parse_args`] has validated.
 fn run_algo(opts: &Options, problem: &dyn MultiFidelityProblem) -> Result<mfbo::Outcome, String> {
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let budget_int = opts.budget.round().max(2.0) as usize;
-    if opts.journal.is_some() && !matches!(opts.algo.as_str(), "mf" | "weibo") {
-        return Err(format!(
-            "--journal is only supported for algorithms 'mf' and 'weibo', not '{}'",
-            opts.algo
-        ));
-    }
-    if opts.journal.is_none() && (opts.resume || opts.cache || opts.warm_start) {
-        return Err("--resume, --cache, and --warm-start require --journal DIR".into());
-    }
-    if !opts.gp_inference.is_exact() && !matches!(opts.algo.as_str(), "mf" | "weibo") {
-        return Err(format!(
-            "--gp-inference is only supported for algorithms 'mf' and 'weibo', not '{}'",
-            opts.algo
-        ));
-    }
     match opts.algo.as_str() {
         "mf" => MfBayesOpt::new(MfBoConfig {
             initial_low: opts.initial_low,
@@ -492,10 +465,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let problem = match make_problem(&opts.problem) {
+    let problem = match make_problem(&opts.problem, None) {
         Ok(p) => p,
         Err(msg) => {
-            eprintln!("{msg}");
+            eprintln!("{msg}\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
@@ -742,17 +715,18 @@ mod tests {
 
     #[test]
     fn gp_inference_rejected_for_non_gp_algorithms() {
-        let p = make_problem("forrester").unwrap();
-        let opts = Options {
-            algo: "de".into(),
-            gp_inference: InferenceMode::subset_of_data(),
-            ..Options::default()
-        };
-        let e = run_algo(&opts, p.as_ref()).unwrap_err();
-        assert!(
-            e.contains("only supported for algorithms 'mf' and 'weibo'"),
-            "{e}"
-        );
+        for algo in ["de", "gaspad"] {
+            let e = parse_args(args(&format!(
+                "--algo {algo} --gp-inference subset-of-data"
+            )))
+            .unwrap_err();
+            assert!(
+                e.contains("--gp-inference is only supported for algorithms 'mf' and 'weibo'"),
+                "{e}"
+            );
+        }
+        // The default (exact) engine is not an explicit choice.
+        assert!(parse_args(args("--algo de --gp-inference exact")).is_ok());
     }
 
     #[test]
@@ -785,19 +759,12 @@ mod tests {
 
     #[test]
     fn durability_flags_without_journal_or_with_wrong_algo_fail() {
-        let p = make_problem("forrester").unwrap();
-        let no_journal = Options {
-            resume: true,
-            ..Options::default()
-        };
-        let e = run_algo(&no_journal, p.as_ref()).unwrap_err();
-        assert!(e.contains("--journal"), "{e}");
-        let wrong_algo = Options {
-            algo: "de".into(),
-            journal: Some("/tmp/x".into()),
-            ..Options::default()
-        };
-        let e = run_algo(&wrong_algo, p.as_ref()).unwrap_err();
+        for flag in ["--resume", "--cache", "--warm-start"] {
+            let e = parse_args(args(flag)).unwrap_err();
+            assert!(e.contains("require --journal"), "{flag}: {e}");
+        }
+        let e = parse_args(args("--algo de --journal runs/a")).unwrap_err();
+        assert!(e.contains("--journal is only supported"), "{e}");
         assert!(e.contains("not 'de'"), "{e}");
     }
 
@@ -888,21 +855,6 @@ mod tests {
     }
 
     #[test]
-    fn problems_instantiate() {
-        for name in [
-            "forrester",
-            "pedagogical",
-            "branin",
-            "park",
-            "pa",
-            "charge-pump",
-        ] {
-            assert!(make_problem(name).is_ok(), "{name}");
-        }
-        assert!(make_problem("nope").is_err());
-    }
-
-    #[test]
     fn end_to_end_tiny_run() {
         let opts = Options {
             problem: "forrester".into(),
@@ -914,7 +866,7 @@ mod tests {
             threads: Parallelism::Serial,
             ..Options::default()
         };
-        let p = make_problem(&opts.problem).unwrap();
+        let p = make_problem(&opts.problem, None).unwrap();
         let o = run_algo(&opts, p.as_ref()).unwrap();
         assert!(o.best_objective.is_finite());
     }
