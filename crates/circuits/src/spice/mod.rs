@@ -12,23 +12,27 @@
 //! * **Waveform post-processing** ([`waveform`]): single-bin DFT at the
 //!   drive frequency and its harmonics, THD, average and dBm measures.
 //!
-//! The MNA matrices are dense and solved with the pivoted LU from
-//! `mfbo-linalg` — our circuits have tens of nodes, where dense is both
-//! simpler and faster than sparse machinery.
+//! The MNA matrices are stored dense and solved with the pivoted LU from
+//! `mfbo-linalg`. Assembly records which entries it stamps, and the LU's
+//! structured refactor uses that structure: it touches only the structural
+//! entries and replays the previous factorizations' pivot sequences while
+//! the dense pivot rule still picks them, returning the dense kernel's bits.
 //!
-//! Every Newton solve runs on a reused workspace: the MNA matrix and
-//! right-hand side, the `Lu` (refactored in place every iteration) and the
-//! iterate buffers are allocated once per analysis, and each iteration
+//! Every Newton solve runs on a reused workspace: the MNA matrix, its
+//! structure and right-hand side, the `Lu` (refactored every iteration) and
+//! the iterate buffers are allocated once per analysis, and each iteration
 //! zeroes and restamps them in element order, so the arithmetic is that of
 //! a fresh allocation and no iteration allocates. A DC sweep goes further:
 //! it builds its netlist once, changes only the swept source's value with
 //! [`Circuit::set_source_waveform`] and solves each point on the same
 //! workspace, warm-started from the previous point's solution with the
 //! cold ladder as fallback (the charge-pump testbench does this for every
-//! corner and switch phase). Newton iterations, DC fallback-ladder entries
-//! and warm starts that fell back are counted on the workspace and emitted
-//! once per analysis as the `spice_newton_iters`, `spice_dc_fallbacks` and
-//! `spice_dc_warm_misses` telemetry counters.
+//! corner and switch phase). Newton iterations, DC fallback-ladder entries,
+//! warm starts that fell back, and LU refactorizations that replayed a
+//! recorded pivot sequence or missed are counted on the workspace and
+//! emitted once per analysis as the `spice_newton_iters`,
+//! `spice_dc_fallbacks`, `spice_dc_warm_misses`, `spice_lu_replays` and
+//! `spice_lu_replay_misses` telemetry counters.
 //!
 //! # Example: RC low-pass step response
 //!

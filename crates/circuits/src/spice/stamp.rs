@@ -187,30 +187,43 @@ pub(crate) struct SolveStats {
     pub dc_fallbacks: u64,
     /// Warm-started DC solves that fell back to the cold ladder.
     pub dc_warm_misses: u64,
+    /// LU refactorizations that replayed a recorded pivot sequence.
+    pub lu_replays: u64,
+    /// LU refactorizations that did not: a new pivot sequence was recorded,
+    /// or the dense kernel ran (including on a singular matrix).
+    pub lu_replay_misses: u64,
 }
 
 impl SolveStats {
-    /// Emits the totals as the `spice_newton_iters`, `spice_dc_fallbacks`
-    /// and `spice_dc_warm_misses` telemetry counters.
+    /// Emits the totals as the `spice_newton_iters`, `spice_dc_fallbacks`,
+    /// `spice_dc_warm_misses`, `spice_lu_replays` and
+    /// `spice_lu_replay_misses` telemetry counters.
     pub fn emit(&self) {
         mfbo_telemetry::counter!("spice_newton_iters", self.newton_iters);
         mfbo_telemetry::counter!("spice_dc_fallbacks", self.dc_fallbacks);
         mfbo_telemetry::counter!("spice_dc_warm_misses", self.dc_warm_misses);
+        mfbo_telemetry::counter!("spice_lu_replays", self.lu_replays);
+        mfbo_telemetry::counter!("spice_lu_replay_misses", self.lu_replay_misses);
     }
 }
 
 /// Reusable buffers of the damped Newton solver for one circuit topology.
 ///
-/// Every Newton iteration assembles into `a`/`b`, refactors `lu` in place
-/// and solves into `x_new`, so after construction a solve allocates
-/// nothing. Any circuit with the same element structure (the layout only
-/// depends on element kinds and order) can be solved on the same
-/// workspace; source values may differ between solves.
+/// Every Newton iteration assembles into `a`/`b` (the first of a solve also
+/// records the stamped structure into `rows`), refactors `lu` on that
+/// structure (replaying a recorded pivot sequence while the dense pivot
+/// rule still picks it) and solves into `x_new`, so after the first
+/// factorization a solve allocates nothing. Any circuit with the same
+/// element structure (the layout only depends on element kinds and order)
+/// can be solved on the same workspace; source values may differ between
+/// solves.
 #[derive(Debug)]
 pub(crate) struct NewtonWorkspace {
     /// Unknown-vector layout of the circuit.
     pub layout: MnaLayout,
     a: Matrix,
+    /// The stamped structure of `a`, one column mask per row.
+    rows: Vec<u64>,
     b: Vec<f64>,
     lu: Lu,
     /// The current iterate: the initial guess going in, the solution after
@@ -229,6 +242,7 @@ impl NewtonWorkspace {
         NewtonWorkspace {
             layout,
             a: Matrix::zeros(dim, dim),
+            rows: vec![0; dim],
             b: vec![0.0; dim],
             lu: Lu::default(),
             x: vec![0.0; dim],
@@ -244,17 +258,73 @@ impl NewtonWorkspace {
     }
 }
 
+/// Where [`assemble_into`] stamps the MNA matrix.
+trait Stamp {
+    /// Zeroes the matrix.
+    fn clear(&mut self);
+    /// Adds `v` to entry `(i, j)`.
+    fn add(&mut self, i: usize, j: usize, v: f64);
+    /// Subtracts `v` from entry `(i, j)`.
+    fn sub(&mut self, i: usize, j: usize, v: f64);
+}
+
+impl Stamp for Matrix {
+    fn clear(&mut self) {
+        self.as_mut_slice().fill(0.0);
+    }
+
+    #[inline]
+    fn add(&mut self, i: usize, j: usize, v: f64) {
+        self[(i, j)] += v;
+    }
+
+    #[inline]
+    fn sub(&mut self, i: usize, j: usize, v: f64) {
+        self[(i, j)] -= v;
+    }
+}
+
+/// An MNA matrix under assembly that also records the structure its stamps
+/// write: bit `j` of `rows[i]` is set once entry `(i, j)` is stamped, and
+/// every other entry stays `+0.0`. Columns past 63 are not recorded; such
+/// systems are factored densely.
+struct Recording<'a> {
+    a: &'a mut Matrix,
+    rows: &'a mut [u64],
+}
+
+impl Stamp for Recording<'_> {
+    fn clear(&mut self) {
+        self.a.clear();
+        self.rows.fill(0);
+    }
+
+    #[inline]
+    fn add(&mut self, i: usize, j: usize, v: f64) {
+        self.a.add(i, j, v);
+        self.rows[i] |= 1u64.checked_shl(j as u32).unwrap_or(0);
+    }
+
+    #[inline]
+    fn sub(&mut self, i: usize, j: usize, v: f64) {
+        self.a.sub(i, j, v);
+        self.rows[i] |= 1u64.checked_shl(j as u32).unwrap_or(0);
+    }
+}
+
 /// Assembles the linearized MNA system `A x = b` around the guess `x0` into
-/// `a` and `b`, which are zeroed first.
-pub(crate) fn assemble_into(
+/// `a` and `b`, which are zeroed first. Which entries are stamped depends
+/// on the circuit's elements and nodes and on the kind of analysis, never
+/// on values.
+fn assemble_into<S: Stamp>(
     circuit: &Circuit,
     layout: &MnaLayout,
     x0: &[f64],
     mode: &Mode<'_>,
-    a: &mut Matrix,
+    a: &mut S,
     b: &mut [f64],
 ) {
-    a.as_mut_slice().fill(0.0);
+    a.clear();
     b.fill(0.0);
 
     let gmin = match mode {
@@ -262,20 +332,20 @@ pub(crate) fn assemble_into(
         Mode::Transient { gmin, .. } => *gmin,
     };
     for i in 0..layout.n_nodes {
-        a[(i, i)] += gmin;
+        a.add(i, i, gmin);
     }
 
     // Helper closures for stamping.
-    let stamp_g = |a: &mut Matrix, na: usize, nb: usize, g: f64| {
+    let stamp_g = |a: &mut S, na: usize, nb: usize, g: f64| {
         if let Some(i) = layout.v_index(na) {
-            a[(i, i)] += g;
+            a.add(i, i, g);
         }
         if let Some(j) = layout.v_index(nb) {
-            a[(j, j)] += g;
+            a.add(j, j, g);
         }
         if let (Some(i), Some(j)) = (layout.v_index(na), layout.v_index(nb)) {
-            a[(i, j)] -= g;
-            a[(j, i)] -= g;
+            a.sub(i, j, g);
+            a.sub(j, i, g);
         }
     };
     let stamp_i = |b: &mut [f64], from: usize, to: usize, i_val: f64| {
@@ -318,17 +388,17 @@ pub(crate) fn assemble_into(
                 let br = layout.i_index(ei).expect("inductor branch");
                 // Node KCL coupling to the branch current (flows a → b).
                 if let Some(i) = layout.v_index(na) {
-                    a[(i, br)] += 1.0;
+                    a.add(i, br, 1.0);
                 }
                 if let Some(j) = layout.v_index(nb) {
-                    a[(j, br)] -= 1.0;
+                    a.sub(j, br, 1.0);
                 }
                 // Branch equation.
                 if let Some(i) = layout.v_index(na) {
-                    a[(br, i)] += 1.0;
+                    a.add(br, i, 1.0);
                 }
                 if let Some(j) = layout.v_index(nb) {
-                    a[(br, j)] -= 1.0;
+                    a.sub(br, j, 1.0);
                 }
                 match mode {
                     Mode::Dc { .. } => {
@@ -344,12 +414,12 @@ pub(crate) fn assemble_into(
                         let i_prev = prev_x[br];
                         if *backward_euler {
                             let req = l / dt;
-                            a[(br, br)] -= req;
+                            a.sub(br, br, req);
                             b[br] = -req * i_prev;
                         } else {
                             let req = 2.0 * l / dt;
                             let v_prev = v_at(layout, prev_x, na) - v_at(layout, prev_x, nb);
-                            a[(br, br)] -= req;
+                            a.sub(br, br, req);
                             b[br] = -req * i_prev - v_prev;
                         }
                     }
@@ -358,12 +428,12 @@ pub(crate) fn assemble_into(
             Element::VSource { p, n, wave } => {
                 let br = layout.i_index(ei).expect("vsource branch");
                 if let Some(i) = layout.v_index(p) {
-                    a[(i, br)] += 1.0;
-                    a[(br, i)] += 1.0;
+                    a.add(i, br, 1.0);
+                    a.add(br, i, 1.0);
                 }
                 if let Some(j) = layout.v_index(n) {
-                    a[(j, br)] -= 1.0;
-                    a[(br, j)] -= 1.0;
+                    a.sub(j, br, 1.0);
+                    a.sub(br, j, 1.0);
                 }
                 b[br] = match mode {
                     Mode::Dc { source_scale, .. } => wave.dc_value() * source_scale,
@@ -408,17 +478,17 @@ pub(crate) fn assemble_into(
                 // gm stamps (current source d→s controlled by vgs).
                 if let Some(di) = layout.v_index(d) {
                     if let Some(gi) = layout.v_index(g) {
-                        a[(di, gi)] += gm;
+                        a.add(di, gi, gm);
                     }
                     if let Some(si) = layout.v_index(s) {
-                        a[(di, si)] -= gm;
+                        a.sub(di, si, gm);
                     }
                 }
                 if let Some(si) = layout.v_index(s) {
                     if let Some(gi) = layout.v_index(g) {
-                        a[(si, gi)] -= gm;
+                        a.sub(si, gi, gm);
                     }
-                    a[(si, si)] += gm;
+                    a.add(si, si, gm);
                 }
                 // gds stamps (conductance d–s).
                 stamp_g(a, d, s, gds);
@@ -447,17 +517,36 @@ pub(crate) fn solve_newton(
     let NewtonWorkspace {
         layout,
         a,
+        rows,
         b,
         lu,
         x,
         x_new,
         stats,
     } = ws;
-    for _ in 0..max_iter {
+    for iter in 0..max_iter {
         stats.newton_iters += 1;
-        assemble_into(circuit, layout, x, mode, a, b);
-        lu.refactor(a).map_err(|_| SpiceError::SingularMatrix)?;
+        // The structure is the same for every iteration of one solve, so
+        // only the first records it.
+        if iter == 0 {
+            let recording = &mut Recording {
+                a: &mut *a,
+                rows: &mut *rows,
+            };
+            assemble_into(circuit, layout, x, mode, recording, b);
+        } else {
+            assemble_into(circuit, layout, x, mode, a, b);
+        }
+        let factored = lu.refactor_structured(a, rows);
+        if let Ok(true) = factored {
+            stats.lu_replays += 1;
+        } else {
+            stats.lu_replay_misses += 1;
+        }
+        factored.map_err(|_| SpiceError::SingularMatrix)?;
         lu.solve_into(b, x_new);
+        #[cfg(test)]
+        tests::dense_oracle::check(a, b, x_new);
         // Damped update on the voltage part; currents move freely.
         let mut max_dv: f64 = 0.0;
         for i in 0..layout.dim {
@@ -484,6 +573,72 @@ pub(crate) fn solve_newton(
 mod tests {
     use super::*;
     use crate::spice::Waveform;
+
+    /// The dense kernel as the differential oracle of the structured LU:
+    /// while enabled on a thread, every Newton iteration's solution is
+    /// compared bitwise with a fresh dense factor and solve of the same
+    /// system.
+    pub(super) mod dense_oracle {
+        use mfbo_linalg::{Lu, Matrix};
+        use std::cell::Cell;
+
+        thread_local! {
+            /// `(iterations checked, mismatching solutions)` while enabled.
+            static CHECKED: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
+        }
+
+        pub fn enable() {
+            CHECKED.with(|c| c.set(Some((0, 0))));
+        }
+
+        /// Disables the oracle and returns its tally.
+        pub fn take() -> (u64, u64) {
+            CHECKED.with(|c| c.take()).expect("oracle enabled")
+        }
+
+        pub fn check(a: &Matrix, b: &[f64], x: &[f64]) {
+            let Some((iters, mismatches)) = CHECKED.with(Cell::get) else {
+                return;
+            };
+            let dense = Lu::new(a).expect("the structured factorization succeeded");
+            let same = dense
+                .solve(b)
+                .iter()
+                .zip(x)
+                .all(|(d, s)| d.to_bits() == s.to_bits());
+            CHECKED.with(|c| c.set(Some((iters + 1, mismatches + u64::from(!same)))));
+        }
+    }
+
+    #[test]
+    fn structured_lu_matches_dense_on_every_charge_pump_iteration() {
+        use crate::charge_pump::ChargePump;
+        use crate::pvt::PvtCorner;
+        use mfbo_telemetry::{sinks::CollectSink, Level, Value};
+        let sink = std::sync::Arc::new(CollectSink::with_level(Level::Debug));
+        let _g = mfbo_telemetry::scoped_sink(sink.clone());
+        let counter = |name| match sink.named(name)[0].field("value") {
+            Some(&Value::U64(n)) => n,
+            other => panic!("{name} value missing or mistyped: {other:?}"),
+        };
+        dense_oracle::enable();
+        ChargePump::new()
+            .measure(&ChargePump::reference_design(), &PvtCorner::grid_27())
+            .unwrap();
+        let (iters, mismatches) = dense_oracle::take();
+        assert_eq!(iters, 1767, "the reference measure's Newton iterations");
+        assert_eq!(mismatches, 0, "structured solutions that differ from dense");
+        assert_eq!(counter("spice_newton_iters"), iters);
+        let (replays, misses) = (
+            counter("spice_lu_replays"),
+            counter("spice_lu_replay_misses"),
+        );
+        assert_eq!(replays + misses, iters);
+        assert!(
+            replays > 0 && misses > 0,
+            "{replays} replays, {misses} misses"
+        );
+    }
 
     #[test]
     fn layout_counts_branches_and_caps() {

@@ -1,9 +1,10 @@
 //! The charge-pump DC sweep allocates per corner only its two phase
-//! netlists, and per measurement the shared Newton workspace and the two
-//! phases' warm-start buffers; never per Newton iteration or per sweep
-//! point: two designs whose solves take different numbers of Newton
-//! iterations must allocate exactly as often, and every corner after the
-//! first costs exactly its two `build_netlist` calls.
+//! netlists, and per measurement the shared Newton workspace (with the
+//! LU's recorded pivot sequences) and the two phases' warm-start buffers;
+//! never per Newton iteration, per LU replay miss or per sweep point: two
+//! designs whose solves take different numbers of Newton iterations must
+//! allocate exactly as often, and every corner after the first costs
+//! exactly its two `build_netlist` calls.
 //!
 //! A counting global allocator is installed for this test binary only;
 //! counts are per thread, so the harness's own threads do not leak in.
@@ -53,15 +54,20 @@ fn allocations_of(f: impl FnOnce()) -> u64 {
     ALLOCS.with(Cell::get) - before
 }
 
-fn newton_iters(cp: &ChargePump, x: &[f64], corners: &[PvtCorner]) -> u64 {
+/// The `spice_newton_iters` and `spice_lu_replay_misses` counters of one
+/// measurement.
+fn work(cp: &ChargePump, x: &[f64], corners: &[PvtCorner]) -> (u64, u64) {
     let sink = Arc::new(CollectSink::with_level(Level::Debug));
     let _g = mfbo_telemetry::scoped_sink(sink.clone());
     cp.measure(x, corners).unwrap();
-    let recs = sink.named("spice_newton_iters");
-    match recs[0].field("value") {
+    let counter = |name| match sink.named(name)[0].field("value") {
         Some(&Value::U64(n)) => n,
-        other => panic!("counter value missing or mistyped: {other:?}"),
-    }
+        other => panic!("{name} value missing or mistyped: {other:?}"),
+    };
+    (
+        counter("spice_newton_iters"),
+        counter("spice_lu_replay_misses"),
+    )
 }
 
 #[test]
@@ -74,11 +80,12 @@ fn sweep_allocations_do_not_depend_on_newton_iterations() {
     for l in hard.iter_mut().skip(1).step_by(2) {
         *l = 0.12;
     }
-    let (iters_easy, iters_hard) = (
-        newton_iters(&cp, &easy, &corners),
-        newton_iters(&cp, &hard, &corners),
-    );
+    let ((iters_easy, _), (iters_hard, misses_hard)) =
+        (work(&cp, &easy, &corners), work(&cp, &hard, &corners));
     assert_ne!(iters_easy, iters_hard, "the designs must differ in work");
+    // Replay misses record new pivot sequences; they must not allocate
+    // either.
+    assert!(misses_hard > 0, "the hard design never missed a replay");
     // No telemetry sink is installed here, so the counters cost nothing.
     let a_easy = allocations_of(|| {
         cp.measure(&easy, &corners).unwrap();

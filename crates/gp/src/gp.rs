@@ -1,6 +1,6 @@
 //! Gaussian-process regression model: training and posterior prediction.
 
-use crate::kernel::{Kernel, NargpKernel, NargpScales};
+use crate::kernel::{k1_term_vanishes, Kernel, NargpKernel, NargpScales};
 use crate::nlml::{
     kernel_matrix_cached, nlml_grad_cached, nlml_value_cached, NlmlFactor, NlmlWorkspace,
 };
@@ -897,13 +897,20 @@ impl Propagation<'_> {
     }
 
     /// The kernel row of the augmented input `(x_q, f)` against every
-    /// training point: `k1(f, f_i)·k2_i + k3_i`.
+    /// training point: `k1(f, f_i)·k2_i + k3_i`, which is `k3_i` where
+    /// `k2_i` is zero (see [`k1_term_vanishes`]).
     fn fill(&self, q: usize, f: f64, row: &mut [f64]) {
         let n = row.len();
         let d = self.gp.kernel.design_dim();
         let (k2, k3) = (&self.k2[q * n..(q + 1) * n], &self.k3[q * n..(q + 1) * n]);
+        let s = &self.scales;
         for (((o, z), &k2i), &k3i) in row.iter_mut().zip(&self.gp.xs).zip(k2).zip(k3) {
-            *o = self.scales.k1(f - z[d]) * k2i + k3i;
+            let df = f - z[d];
+            *o = if k1_term_vanishes(s.sf2_1, df * s.inv_l1, k2i) {
+                k3i
+            } else {
+                s.k1(df) * k2i + k3i
+            };
         }
     }
 }
@@ -1315,5 +1322,48 @@ mod tests {
         let l0 = gp.params()[1];
         let l1 = gp.params()[2];
         assert!(l1 > l0, "l0 = {l0}, l1 = {l1}");
+    }
+
+    /// The zero-`k2` short circuit of the propagated kernel rows must
+    /// return the unshortened `k1(f − f_i)·k2_i + k3_i`: a tiny `k2`
+    /// lengthscale zeroes `k2` away from the training designs, and NaN and
+    /// ±inf sample values make `k1` NaN or zero.
+    #[test]
+    fn propagation_zero_k2_short_circuit_matches_unshortened() {
+        let kernel = NargpKernel::new(2);
+        let mut params = kernel.default_params();
+        // k2's design lengthscales e^-8.
+        params[3] = -8.0;
+        params[4] = -8.0;
+        let xs = vec![
+            vec![0.1, 0.2, 0.5],
+            vec![0.4, 0.9, -0.3],
+            vec![0.8, 0.5, 1.2],
+        ];
+        let ys = vec![0.3, -0.1, 0.8];
+        let gp = Gp::with_params(kernel, xs, ys, params, -2.0, &GpConfig::default(), None).unwrap();
+        // The first design point is a training design: its k2 row is not
+        // all zero.
+        let design = vec![vec![0.1, 0.2], vec![0.3, 0.35]];
+        let fs = [0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.2, 1e300];
+        let n = gp.xs.len();
+        for be in [mfbo_simd::Backend::Scalar, mfbo_simd::active()] {
+            let batch = DiffBatch::cross_with_backend(&design, &gp.xs, be);
+            let p = gp.propagation(&batch);
+            assert!(p.k2.contains(&0.0) && p.k2.iter().any(|&k| k != 0.0));
+            let mut row = vec![0.0; n];
+            for q in 0..design.len() {
+                for &f in &fs {
+                    p.fill(q, f, &mut row);
+                    for (i, &v) in row.iter().enumerate() {
+                        let full = p.scales.k1(f - gp.xs[i][2]) * p.k2[q * n + i] + p.k3[q * n + i];
+                        assert!(
+                            v.to_bits() == full.to_bits() || (v.is_nan() && full.is_nan()),
+                            "q {q}, f {f}, i {i}: {v} vs unshortened {full}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -362,6 +362,15 @@ impl NargpKernel {
     }
 }
 
+/// Whether `k1·k2 + k3` is exactly `k3` for one [`NargpKernel`] pair, so
+/// `k1`'s `exp` can be skipped: `k2` is zero, and `k1 = σ²_f1·exp(−zf²/2)`
+/// is finite and non-negative because `σ²_f1` is finite and the scaled
+/// fidelity difference `zf` is not NaN (`zf` may be passed squared).
+#[inline]
+pub(crate) fn k1_term_vanishes(sf2_1: f64, zf: f64, k2: f64) -> bool {
+    k2 == 0.0 && sf2_1.is_finite() && !zf.is_nan()
+}
+
 /// `σ_f²` and inverse lengthscales of the three SE components of
 /// [`NargpKernel`]: `k1` over the fidelity channel, `k2` and `k3` over the
 /// design space.
@@ -500,10 +509,14 @@ impl Kernel for NargpKernel {
             mfbo_simd::sq_norm(be, design_rows, count, &inv_l3, &mut q3);
             mfbo_simd::sq_norm(be, design_rows, count, &inv_l2, out);
             for ((o, &q1v), &q3v) in out.iter_mut().zip(&q1).zip(&q3) {
-                let k1v = sf2_1 * (-0.5 * q1v).exp();
                 let k2v = sf2_2 * (-0.5 * *o).exp();
                 let k3v = sf2_3 * (-0.5 * q3v).exp();
-                *o = k1v * k2v + k3v;
+                *o = if k1_term_vanishes(sf2_1, q1v, k2v) {
+                    k3v
+                } else {
+                    let k1v = sf2_1 * (-0.5 * q1v).exp();
+                    k1v * k2v + k3v
+                };
             }
             return;
         }
@@ -512,7 +525,6 @@ impl Kernel for NargpKernel {
             // difference is the last entry, the design-space differences
             // the first `d`.
             let zf = df[d] * inv_l1;
-            let k1v = sf2_1 * (-0.5 * (zf * zf)).exp();
             let mut q2 = 0.0;
             for (di, li) in df[..d].iter().zip(&inv_l2) {
                 let z = di * li;
@@ -525,7 +537,12 @@ impl Kernel for NargpKernel {
                 q3 += z * z;
             }
             let k3v = sf2_3 * (-0.5 * q3).exp();
-            *o = k1v * k2v + k3v;
+            *o = if k1_term_vanishes(sf2_1, zf, k2v) {
+                k3v
+            } else {
+                let k1v = sf2_1 * (-0.5 * (zf * zf)).exp();
+                k1v * k2v + k3v
+            };
         }
     }
 
@@ -728,6 +745,52 @@ mod tests {
         let k3 = SquaredExponential::new(1);
         let expect = k3.eval(&[0.2, -0.1], &[0.3], &[0.7]);
         assert!((direct - expect).abs() < 1e-12);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The zero-`k2` short circuit of `eval_from_diffs` must return the
+        /// unshortened `k1·k2 + k3` of the per-pair `eval`, under both
+        /// batch layouts: a tiny `k2` lengthscale zeroes `k2` between
+        /// distinct design points, and NaN and ±inf fidelity values make
+        /// `k1` NaN or zero.
+        #[test]
+        fn zero_k2_short_circuit_matches_unshortened(
+            design in proptest::collection::vec(-1.0f64..1.0, 12),
+            fids in proptest::collection::vec(0usize..6, 6),
+            log_l2 in -9.0f64..-6.0,
+            log_sf1 in -2.0f64..2.0,
+        ) {
+            const FIDS: [f64; 6] = [0.3, -0.7, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300];
+            let k = NargpKernel::new(2);
+            let mut p = k.default_params();
+            p[0] = log_sf1;
+            p[3] = log_l2;
+            p[4] = log_l2;
+            let xs: Vec<Vec<f64>> = design
+                .chunks_exact(2)
+                .zip(&fids)
+                .map(|(x, &f)| vec![x[0], x[1], FIDS[f]])
+                .collect();
+            let pairs: Vec<(&[f64], &[f64])> = xs
+                .iter()
+                .enumerate()
+                .flat_map(|(i, a)| xs[..=i].iter().map(move |b| (&a[..], &b[..])))
+                .collect();
+            for be in [mfbo_simd::Backend::Scalar, mfbo_simd::active()] {
+                let batch = crate::workspace::DiffBatch::lower_triangle_with_backend(&xs, be);
+                let mut fast = vec![0.0; batch.len()];
+                k.eval_from_diffs(&p, &batch, &mut fast);
+                for (&v, &(a, b)) in fast.iter().zip(&pairs) {
+                    let full = k.eval(&p, a, b);
+                    proptest::prop_assert!(
+                        v.to_bits() == full.to_bits() || (v.is_nan() && full.is_nan()),
+                        "{v} vs unshortened {full}"
+                    );
+                }
+            }
+        }
     }
 
     /// Batch hooks must reproduce the scalar paths bit for bit: values via

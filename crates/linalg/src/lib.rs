@@ -4,7 +4,9 @@
 //! stack (`mfbo-gp`) needs symmetric positive-definite (SPD) factorizations
 //! and triangular solves, the circuit substrate (`mfbo-circuits`) needs a
 //! pivoted LU for modified-nodal-analysis systems, and everything above needs
-//! Gaussian distribution scalars. No external linear-algebra dependency is
+//! Gaussian distribution scalars. The LU has a dense kernel and a structured
+//! refactor for stamped MNA systems, which replays recorded pivot sequences
+//! and returns the dense kernel's bits (see [`Lu::refactor_structured`]). No external linear-algebra dependency is
 //! used; every routine here is written from scratch and tested against
 //! analytic identities and property-based invariants.
 //!

@@ -267,6 +267,246 @@ mod bit_identity {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// A structured `Lu` refactored over a sequence of sparse matrices
+        /// that share one stamped structure must return the dense kernel's
+        /// bits at every step: factors, permutation, determinant and
+        /// solution, against `Lu::new` and the indexed oracle. `±1` entries
+        /// force pivot ties, some pivots are negative, and perturbed values
+        /// make the recorded pivot sequence both hold and miss; one step
+        /// forces a new column-0 pivot. The sequence also holds an exact
+        /// repeat (which must replay), a singular step, a non-finite entry
+        /// and `−0.0` entries the dense kernel turns into `+0.0`, and every
+        /// step also solves a right-hand side of signed zeros.
+        #[test]
+        fn bit_identity_lu_structured_matches_dense(
+            n in 1usize..65,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut next = unit_stream(seed);
+            // Structure: a random transversal (so the pattern is not
+            // structurally singular), half the diagonals, about three more
+            // entries per row, and at least two entries in column 0.
+            let mut transversal: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                transversal.swap(i, (next() * (i + 1) as f64) as usize);
+            }
+            let mut rows = vec![0u64; n];
+            for (i, mask) in rows.iter_mut().enumerate() {
+                *mask |= 1 << transversal[i];
+                if next() < 0.5 {
+                    *mask |= 1 << i;
+                }
+                for j in 0..n {
+                    if next() < 3.0 / n as f64 {
+                        *mask |= 1 << j;
+                    }
+                }
+            }
+            rows[0] |= 1;
+            rows[n - 1] |= 1;
+            let structural = |rows: &[u64], i: usize, j: usize| rows[i] & (1 << j) != 0;
+            let mut base = Matrix::zeros(n, n);
+            for i in 0..n {
+                for j in 0..n {
+                    if structural(&rows, i, j) {
+                        let u = next();
+                        let sign = if next() < 0.5 { -1.0 } else { 1.0 };
+                        base[(i, j)] = if u < 0.4 {
+                            sign
+                        } else if u < 0.45 && j != transversal[i] {
+                            0.0
+                        } else {
+                            sign * (0.5 + next()) * 10f64.powf(6.0 * next() - 3.0)
+                        };
+                    }
+                }
+            }
+            let perturbed = |base: &Matrix, next: &mut dyn FnMut() -> f64| {
+                Matrix::from_fn(n, n, |i, j| {
+                    let v = base[(i, j)];
+                    if v.abs() == 1.0 { v } else { v * (1.0 + 0.6 * (next() - 0.5)) }
+                })
+            };
+            let mut lu = Lu::default();
+            let mut recorded = false;
+            for step in 0..10 {
+                let mut a = match step {
+                    0 | 1 => base.clone(),
+                    _ => perturbed(&base, &mut next),
+                };
+                let (i, j) = {
+                    let structural_entries: Vec<(usize, usize)> = (0..n)
+                        .flat_map(|i| (0..n).map(move |j| (i, j)))
+                        .filter(|&(i, j)| structural(&rows, i, j))
+                        .collect();
+                    structural_entries[(next() * structural_entries.len() as f64) as usize]
+                };
+                match step {
+                    4 => {
+                        // A new pivot in column 0: another candidate row
+                        // outgrows the current pivot.
+                        let p = lu.permutation().first().copied().unwrap_or(0);
+                        let col_max = (0..n).map(|r| a[(r, 0)].abs()).fold(0.0, f64::max);
+                        if let Some(r) = (0..n).find(|&r| r != p && structural(&rows, r, 0)) {
+                            a[(r, 0)] = -(4.0 * col_max + 1.0);
+                        }
+                    }
+                    5 => {
+                        for r in 0..n {
+                            a[(r, j)] = 0.0;
+                        }
+                    }
+                    6 => a[(i, j)] = if seed % 2 == 0 { f64::INFINITY } else { f64::NAN },
+                    7 => {
+                        // −0.0 where the dense kernel turns it into +0.0:
+                        // in a candidate row of column 0 with a negative
+                        // multiplier, past the pivot row's last entry.
+                        let p = Lu::new(&a).map_or(0, |d| d.permutation()[0]);
+                        let span_end = u64::BITS - rows[p].leading_zeros();
+                        let mut placed = false;
+                        for r in (0..n).filter(|&r| r != p && structural(&rows, r, 0)) {
+                            for c in span_end as usize..n {
+                                if structural(&rows, r, c) {
+                                    a[(r, c)] = -0.0;
+                                    a[(r, 0)] = -a[(r, 0)].abs() * a[(p, 0)].signum();
+                                    placed = true;
+                                }
+                            }
+                        }
+                        if !placed {
+                            a[(i, j)] = -0.0;
+                        }
+                    }
+                    _ => {}
+                }
+                let b: Vec<f64> = (0..n)
+                    .map(|_| {
+                        let u = next();
+                        if u < 0.2 { -0.0 } else if u < 0.3 { 0.0 } else { 4.0 * next() - 2.0 }
+                    })
+                    .collect();
+                let replayed = check_structured(&mut lu, &a, &rows, &b)?;
+                match step {
+                    0 => {
+                        prop_assert!(replayed != Some(true), "the first step records");
+                        recorded = replayed.is_some();
+                    }
+                    1 => prop_assert_eq!(replayed, recorded.then_some(true), "a repeat replays"),
+                    5 => prop_assert_eq!(replayed, None, "a zero column is singular"),
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    /// Above 64 rows the masks cannot describe the structure: the
+    /// structured refactor runs the dense kernel and never replays.
+    #[test]
+    fn bit_identity_lu_structured_falls_back_above_64_rows() {
+        let n = 65;
+        let mut next = unit_stream(7);
+        let a = Matrix::from_fn(n, n, |_, _| next() - 0.5);
+        let b: Vec<f64> = (0..n).map(|_| next()).collect();
+        let mut lu = Lu::default();
+        for _ in 0..2 {
+            assert_eq!(
+                check_structured(&mut lu, &a, &vec![!0; n], &b).unwrap(),
+                Some(false)
+            );
+        }
+    }
+
+    /// A pivot-row entry that overflowed to `+inf` meets a zero
+    /// multiplier: the dense kernel skips that row update (`m == 0`), so
+    /// the structured path must too, or `v − 0·inf` turns `v` into NaN.
+    #[test]
+    fn bit_identity_lu_structured_skips_zero_multipliers() {
+        // Step 0 overflows row 1's last entry (1e308 + 1e308); at step 1
+        // row 1 pivots, and row 2's stamped zero gives the multiplier 0.
+        let a = Matrix::from_rows(&[
+            &[1.0, 0.0, 0.0, 1e308],
+            &[-1.0, 1.0, 0.0, 1e308],
+            &[0.0, 0.0, 2.0, 5.0],
+            &[0.0, 0.0, 0.0, 3.0],
+        ]);
+        let rows = [0b1001, 0b1011, 0b1110, 0b1000];
+        let mut lu = Lu::default();
+        let b = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(
+            check_structured(&mut lu, &a, &rows, &b).unwrap(),
+            Some(false)
+        );
+        assert_eq!(lu.factor()[(1, 3)], f64::INFINITY);
+        assert_eq!(lu.factor()[(2, 3)], 5.0);
+    }
+
+    /// Uniform draws in `[0, 1)` from a xorshift stream.
+    fn unit_stream(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed | 1;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// One step of a structured sequence: `lu.refactor_structured(a, rows)`
+    /// against `Lu::new` and the indexed oracle, bit for bit. Returns
+    /// whether the step replayed, or `None` if the matrix is singular.
+    fn check_structured(
+        lu: &mut Lu,
+        a: &Matrix,
+        rows: &[u64],
+        b: &[f64],
+    ) -> Result<Option<bool>, TestCaseError> {
+        let n = a.rows();
+        let dense = Lu::new(a);
+        let replayed = match lu.refactor_structured(a, rows) {
+            Ok(replayed) => replayed,
+            Err(_) => {
+                prop_assert!(dense.is_err(), "only the structured refactor failed");
+                prop_assert_eq!(lu.dim(), 0);
+                return Ok(None);
+            }
+        };
+        let dense = match dense {
+            Ok(dense) => dense,
+            Err(e) => {
+                return Err(TestCaseError::Fail(format!(
+                    "only the dense kernel failed: {e}"
+                )))
+            }
+        };
+        assert_bits_eq(lu.factor().as_slice(), dense.factor().as_slice())?;
+        prop_assert_eq!(lu.permutation(), dense.permutation());
+        prop_assert_eq!(lu.det().to_bits(), dense.det().to_bits());
+        // A right-hand side of signed zeros: every sum's sign depends on
+        // the dense kernel's zero products.
+        let zeros: Vec<f64> = b
+            .iter()
+            .map(|v| if v.is_sign_negative() { -0.0 } else { 0.0 })
+            .collect();
+        let finite = a.as_slice().iter().all(|v| v.is_finite());
+        let oracle = finite.then(|| reference_lu(a));
+        for rhs in [b, &zeros[..]] {
+            let mut x = vec![f64::NAN; n];
+            lu.solve_into(rhs, &mut x);
+            assert_bits_eq(&x, &dense.solve(rhs))?;
+            if let Some((ref_lu, ref_perm, _)) = &oracle {
+                assert_bits_eq(&x, &reference_solve(ref_lu, ref_perm, rhs))?;
+            }
+        }
+        if let Some((ref_lu, ref_perm, _)) = &oracle {
+            assert_bits_eq(lu.factor().as_slice(), ref_lu.as_slice())?;
+            prop_assert_eq!(lu.permutation(), &ref_perm[..]);
+        }
+        Ok(Some(replayed))
+    }
+
     /// Textbook Doolittle LU with partial pivoting and `(i, j)` indexing:
     /// the differential oracle for the row-slice kernel behind `Lu`. Same
     /// pivot search, row swaps, `m != 0` skip and summation order.

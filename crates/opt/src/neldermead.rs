@@ -376,18 +376,21 @@ impl Search {
         std::mem::swap(&mut self.simplex, &mut self.spare_rows);
         std::mem::swap(&mut self.values, &mut self.spare_values);
 
-        // Convergence: value spread and simplex diameter.
+        // Convergence: value spread, then (only when the spread is small)
+        // the O(d²) simplex diameter.
         let spread = self.values[n] - self.values[0];
-        let diam = self.simplex[1..]
-            .iter()
-            .map(|v| {
-                v.iter()
-                    .zip(&self.simplex[0])
-                    .map(|(a, b)| (a - b).abs())
-                    .fold(0.0, f64::max)
-            })
-            .fold(0.0, f64::max);
-        if spread.abs() < F_TOL && diam < X_TOL {
+        let diam = || {
+            self.simplex[1..]
+                .iter()
+                .map(|v| {
+                    v.iter()
+                        .zip(&self.simplex[0])
+                        .map(|(a, b)| (a - b).abs())
+                        .fold(0.0, f64::max)
+                })
+                .fold(0.0, f64::max)
+        };
+        if spread.abs() < F_TOL && diam() < X_TOL {
             self.converged = true;
             self.phase = Phase::Done;
             return;
