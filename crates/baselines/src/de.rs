@@ -14,17 +14,14 @@ use rand::Rng;
 use std::cell::RefCell;
 
 /// DE baseline configuration (paper Table 2 uses population-scale settings
-/// with 100 initial members and a 10100-simulation budget).
+/// with 100 initial members and a 10100-simulation budget). The mutation
+/// uses [`DifferentialEvolution`]'s fixed F = 0.6 and CR = 0.9.
 #[derive(Debug, Clone)]
 pub struct DeBaselineConfig {
     /// Population size.
     pub population: usize,
     /// Total number of simulations.
     pub budget: usize,
-    /// Differential weight `F`.
-    pub scale: f64,
-    /// Crossover probability `CR`.
-    pub crossover: f64,
 }
 
 impl Default for DeBaselineConfig {
@@ -32,8 +29,6 @@ impl Default for DeBaselineConfig {
         DeBaselineConfig {
             population: 50,
             budget: 5000,
-            scale: 0.6,
-            crossover: 0.9,
         }
     }
 }
@@ -53,7 +48,7 @@ impl Default for DeBaselineConfig {
 ///     .high(|x: &[f64]| x.iter().map(|v| v * v).sum())
 ///     .build();
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// let config = DeBaselineConfig { population: 16, budget: 800, ..DeBaselineConfig::default() };
+/// let config = DeBaselineConfig { population: 16, budget: 800 };
 /// let out = DifferentialEvolutionBaseline::new(config).run(&p, &mut rng)?;
 /// assert!(out.best_objective < 1e-3);
 /// # Ok(())
@@ -115,8 +110,6 @@ impl DifferentialEvolutionBaseline {
 
         let _ = DifferentialEvolution::new()
             .with_population(self.config.population)
-            .with_scale(self.config.scale)
-            .with_crossover(self.config.crossover)
             .with_max_evaluations(self.config.budget)
             .minimize(&fitness, &bounds, rng);
 
@@ -144,7 +137,6 @@ mod tests {
         let config = DeBaselineConfig {
             population: 20,
             budget: 2000,
-            ..DeBaselineConfig::default()
         };
         let out = DifferentialEvolutionBaseline::new(config)
             .run(&p, &mut rng)
@@ -170,7 +162,6 @@ mod tests {
         let e = DifferentialEvolutionBaseline::new(DeBaselineConfig {
             population: 50,
             budget: 10,
-            ..DeBaselineConfig::default()
         })
         .run(&p, &mut rng);
         assert!(matches!(e, Err(MfboError::InvalidConfig { .. })));

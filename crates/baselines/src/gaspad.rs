@@ -11,9 +11,16 @@
 use mfbo::acquisition::lower_confidence_bound;
 use mfbo::problem::{Fidelity, MultiFidelityProblem};
 use mfbo::{EvaluationRecord, FidelityData, MfboError, Outcome, SfSurrogates};
-use mfbo_gp::{FitCache, GpConfig};
+use mfbo_gp::{FitCache, GpConfig, InferenceMode};
 use mfbo_opt::{sampling, Bounds};
 use rand::Rng;
+
+/// LCB exploration weight κ of the prescreen (the GASPAD paper uses ω ≈ 2).
+const KAPPA: f64 = 2.0;
+/// Differential weight `F` of the DE mutation.
+const SCALE: f64 = 0.6;
+/// Crossover probability `CR` of the DE mutation.
+const CROSSOVER: f64 = 0.9;
 
 /// GASPAD configuration (paper Table 2 uses 120 initial points and a
 /// 2500-simulation cap on the charge pump).
@@ -25,14 +32,9 @@ pub struct GaspadConfig {
     pub budget: usize,
     /// Evolutionary population size.
     pub population: usize,
-    /// LCB exploration weight κ (the GASPAD paper uses ω ≈ 2).
-    pub kappa: f64,
-    /// Differential weight of the DE mutation.
-    pub scale: f64,
-    /// Crossover probability of the DE mutation.
-    pub crossover: f64,
-    /// GP training configuration.
-    pub model: GpConfig,
+    /// GP inference engine for every surrogate fit (full and frozen
+    /// refits); the GPs otherwise train with [`GpConfig::fast`].
+    pub gp_inference: InferenceMode,
     /// Re-optimize hyperparameters every `refit_every` iterations.
     pub refit_every: usize,
 }
@@ -43,10 +45,7 @@ impl Default for GaspadConfig {
             initial_points: 40,
             budget: 300,
             population: 40,
-            kappa: 2.0,
-            scale: 0.6,
-            crossover: 0.9,
-            model: GpConfig::fast(),
+            gp_inference: InferenceMode::Exact,
             refit_every: 1,
         }
     }
@@ -129,6 +128,10 @@ impl Gaspad {
             });
         }
 
+        let model = GpConfig {
+            inference: cfg.gp_inference,
+            ..GpConfig::fast()
+        };
         let mut thetas = None;
         let mut since_refit = 0usize;
         let mut fit_cache = FitCache::new();
@@ -140,22 +143,16 @@ impl Gaspad {
             let data_u = data.to_unit(&bounds);
             let surrogates = match &thetas {
                 Some(t) if since_refit < cfg.refit_every => {
-                    match SfSurrogates::fit_frozen(&data_u, &cfg.model, t, Some(&mut fit_cache)) {
+                    match SfSurrogates::fit_frozen(&data_u, &model, t, Some(&mut fit_cache)) {
                         Ok(s) => s,
                         Err(_) => {
-                            SfSurrogates::fit(&data_u, &cfg.model, None, rng, Some(&mut fit_cache))?
+                            SfSurrogates::fit(&data_u, &model, None, rng, Some(&mut fit_cache))?
                         }
                     }
                 }
                 warm => {
                     since_refit = 0;
-                    SfSurrogates::fit(
-                        &data_u,
-                        &cfg.model,
-                        warm.as_ref(),
-                        rng,
-                        Some(&mut fit_cache),
-                    )?
+                    SfSurrogates::fit(&data_u, &model, warm.as_ref(), rng, Some(&mut fit_cache))?
                 }
             };
             since_refit += 1;
@@ -181,8 +178,8 @@ impl Gaspad {
                 let j_rand = rng.gen_range(0..bounds.dim());
                 let mut child = parents[i].clone();
                 for j in 0..bounds.dim() {
-                    if j == j_rand || rng.gen::<f64>() < cfg.crossover {
-                        child[j] = parents[a][j] + cfg.scale * (parents[b][j] - parents[c][j]);
+                    if j == j_rand || rng.gen::<f64>() < CROSSOVER {
+                        child[j] = parents[a][j] + SCALE * (parents[b][j] - parents[c][j]);
                     }
                 }
                 unit.clamp_in_place(&mut child);
@@ -196,10 +193,10 @@ impl Gaspad {
             let mut best_score = f64::INFINITY;
             for (k, cand) in candidates.iter().enumerate() {
                 let (obj, cons) = surrogates.predict(cand);
-                let lcb = lower_confidence_bound(obj.mean, obj.std_dev(), cfg.kappa);
+                let lcb = lower_confidence_bound(obj.mean, obj.std_dev(), KAPPA);
                 let viol: f64 = cons
                     .iter()
-                    .map(|c| lower_confidence_bound(c.mean, c.std_dev(), cfg.kappa).max(0.0))
+                    .map(|c| lower_confidence_bound(c.mean, c.std_dev(), KAPPA).max(0.0))
                     .sum();
                 // Predicted-feasible candidates rank by LCB; others by
                 // violation, shifted above any feasible score.

@@ -4,14 +4,14 @@
 //! weighted-EI acquisition — precisely the machinery the DAC'19 paper
 //! extends with the fusion model. It therefore runs as [`mfbo::MfBayesOpt`]
 //! with no low-fidelity design (`initial_low: 0`), the one-fidelity case of
-//! the multi-fidelity ask/tell core; this wrapper pins the paper's
-//! parameterization (40 % of MSP starts around the incumbent) and exposes
-//! the experiment knobs the tables vary (initial design size, simulation
-//! budget).
+//! the multi-fidelity ask/tell core. The paper's parameterization (40 % of
+//! MSP starts around the incumbent) is the [`MfBoConfig`] default; this
+//! wrapper exposes the experiment knobs the tables vary (initial design
+//! size, simulation budget).
 
 use mfbo::problem::MultiFidelityProblem;
-use mfbo::{MfBayesOpt, MfBoConfig, MfGpConfig, MfboError, Outcome};
-use mfbo_gp::GpConfig;
+use mfbo::{MfBayesOpt, MfBoConfig, MfboError, Outcome};
+use mfbo_gp::InferenceMode;
 use mfbo_pool::Parallelism;
 use rand::Rng;
 
@@ -25,8 +25,6 @@ pub struct WeiboConfig {
     pub budget: usize,
     /// Number of MSP starting points per acquisition optimization.
     pub msp_starts: usize,
-    /// GP training configuration.
-    pub model: GpConfig,
     /// Re-optimize hyperparameters every `refit_every` iterations.
     pub refit_every: usize,
     /// Optional target winsorization (see
@@ -36,6 +34,9 @@ pub struct WeiboConfig {
     /// [`MfBoConfig::parallelism`]). Every mode produces bit-identical
     /// optimization histories.
     pub parallelism: Parallelism,
+    /// GP inference engine for every surrogate fit (forwarded to
+    /// [`MfBoConfig::gp_inference`]).
+    pub gp_inference: InferenceMode,
 }
 
 impl Default for WeiboConfig {
@@ -44,10 +45,10 @@ impl Default for WeiboConfig {
             initial_points: 40,
             budget: 150,
             msp_starts: 24,
-            model: GpConfig::fast(),
             refit_every: 1,
             winsorize_sigma: None,
             parallelism: Parallelism::Serial,
+            gp_inference: InferenceMode::Exact,
         }
     }
 }
@@ -132,16 +133,10 @@ impl Weibo {
             // The budget alone stops the loop.
             max_iterations: usize::MAX,
             msp_starts: cfg.msp_starts,
-            // Paper §4.1: 40 % of the starting points around τ_h.
-            frac_around_tau_h: 0.40,
-            model: MfGpConfig {
-                high: cfg.model.clone(),
-                ..MfGpConfig::fast()
-            },
             refit_every: cfg.refit_every,
             winsorize_sigma: cfg.winsorize_sigma,
             parallelism: cfg.parallelism,
-            gp_inference: cfg.model.inference,
+            gp_inference: cfg.gp_inference,
             ..MfBoConfig::default()
         };
         MfBayesOpt::new(mf).run_with(problem, rng, opts)

@@ -13,7 +13,7 @@
 //!    AR(1) co-kriging (eq. 7) vs the nonlinear NARGP fusion (eq. 8–9), on
 //!    a linearly- and a nonlinearly-correlated pair.
 
-use mfbo::{Ar1Config, Ar1Gp, MfBayesOpt, MfBoConfig, MfGp, MfGpConfig};
+use mfbo::{Ar1Gp, MfBayesOpt, MfBoConfig, MfGp, MfGpConfig};
 use mfbo_bench::{print_table, Scale};
 use mfbo_circuits::testfns;
 use mfbo_gp::kernel::SquaredExponential;
@@ -217,15 +217,8 @@ fn ablate_model_class() {
             &mut rng,
         )
         .expect("sf fit");
-        let ar1 = Ar1Gp::fit(
-            xl.clone(),
-            yl.clone(),
-            xh.clone(),
-            yh.clone(),
-            &Ar1Config::default(),
-            &mut rng,
-        )
-        .expect("ar1 fit");
+        let ar1 =
+            Ar1Gp::fit(xl.clone(), yl.clone(), xh.clone(), yh.clone(), &mut rng).expect("ar1 fit");
         let nargp = MfGp::fit(xl, yl, xh, yh, &MfGpConfig::default(), &mut rng).expect("nargp fit");
 
         let n = 201;

@@ -120,7 +120,6 @@ fn main() {
         let config = DeBaselineConfig {
             population: scale.pick3(15, 25, 50),
             budget: scale.pick3(90, 200, 300),
-            ..DeBaselineConfig::default()
         };
         let out = DifferentialEvolutionBaseline::new(config)
             .run(&pa, &mut rng)

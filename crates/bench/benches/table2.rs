@@ -134,7 +134,6 @@ fn main() {
         let config = DeBaselineConfig {
             population: scale.pick3(20, 40, 100),
             budget: scale.pick3(150, 500, 10_100),
-            ..DeBaselineConfig::default()
         };
         let out = DifferentialEvolutionBaseline::new(config)
             .run(&cp, &mut rng)

@@ -23,21 +23,12 @@ use mfbo_gp::kernel::SquaredExponential;
 use mfbo_gp::{Gp, GpConfig, GpError, Prediction};
 use rand::Rng;
 
-/// Configuration for [`Ar1Gp::fit`].
-#[derive(Debug, Clone, Default)]
-pub struct Ar1Config {
-    /// Training configuration of the low-fidelity GP.
-    pub low: GpConfig,
-    /// Training configuration of the discrepancy GP.
-    pub delta: GpConfig,
-}
-
 /// The two-fidelity linear (AR(1)) co-kriging model.
 ///
 /// # Examples
 ///
 /// ```
-/// use mfbo::{Ar1Config, Ar1Gp};
+/// use mfbo::Ar1Gp;
 /// use rand::SeedableRng;
 ///
 /// # fn main() -> Result<(), mfbo_gp::GpError> {
@@ -48,7 +39,7 @@ pub struct Ar1Config {
 /// let xh: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64 / 7.0]).collect();
 /// let yh: Vec<f64> = xh.iter().map(|x| 2.0 * fl(x[0]) - 1.0).collect();
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// let model = Ar1Gp::fit(xl, yl, xh, yh, &Ar1Config::default(), &mut rng)?;
+/// let model = Ar1Gp::fit(xl, yl, xh, yh, &mut rng)?;
 /// assert!((model.rho() - 2.0).abs() < 0.1);
 /// let p = model.predict(&[0.5]);
 /// assert!((p.mean - (2.0 * fl(0.5) - 1.0)).abs() < 0.05);
@@ -64,7 +55,7 @@ pub struct Ar1Gp {
 
 impl Ar1Gp {
     /// Trains the co-kriging model on coarse data `(xl, yl)` and fine data
-    /// `(xh, yh)`.
+    /// `(xh, yh)`; both stages train with [`GpConfig::default`].
     ///
     /// # Errors
     ///
@@ -75,7 +66,6 @@ impl Ar1Gp {
         yl: Vec<f64>,
         xh: Vec<Vec<f64>>,
         yh: Vec<f64>,
-        config: &Ar1Config,
         rng: &mut R,
     ) -> Result<Self, GpError> {
         if xh.is_empty() {
@@ -84,7 +74,8 @@ impl Ar1Gp {
             });
         }
         let dim = xh[0].len();
-        let low = Gp::fit(SquaredExponential::new(dim), xl, yl, &config.low, rng)?;
+        let config = GpConfig::default();
+        let low = Gp::fit(SquaredExponential::new(dim), xl, yl, &config, rng)?;
 
         // Least-squares ρ of yh on μ_l(Xh), with centering so the intercept
         // is absorbed by the discrepancy (whose standardizer removes means).
@@ -102,7 +93,7 @@ impl Ar1Gp {
 
         // Discrepancy on the residuals.
         let resid: Vec<f64> = yh.iter().zip(&mu_l).map(|(y, u)| y - rho * u).collect();
-        let delta = Gp::fit(SquaredExponential::new(dim), xh, resid, &config.delta, rng)?;
+        let delta = Gp::fit(SquaredExponential::new(dim), xh, resid, &config, rng)?;
         Ok(Ar1Gp { low, rho, delta })
     }
 
@@ -175,7 +166,7 @@ mod tests {
     fn recovers_rho_on_linear_pair() {
         let (xl, yl, xh, yh) = data(50, 14, fh_linear);
         let mut rng = StdRng::seed_from_u64(0);
-        let m = Ar1Gp::fit(xl, yl, xh, yh, &Ar1Config::default(), &mut rng).unwrap();
+        let m = Ar1Gp::fit(xl, yl, xh, yh, &mut rng).unwrap();
         assert!((m.rho() - 1.5).abs() < 0.1, "rho = {}", m.rho());
         // Accurate predictions off the training grid.
         for &x in &[0.17, 0.43, 0.81] {
@@ -195,15 +186,7 @@ mod tests {
         // The paper's core claim about model classes.
         let (xl, yl, xh, yh) = data(50, 14, fh_nonlinear);
         let mut rng = StdRng::seed_from_u64(1);
-        let ar1 = Ar1Gp::fit(
-            xl.clone(),
-            yl.clone(),
-            xh.clone(),
-            yh.clone(),
-            &Ar1Config::default(),
-            &mut rng,
-        )
-        .unwrap();
+        let ar1 = Ar1Gp::fit(xl.clone(), yl.clone(), xh.clone(), yh.clone(), &mut rng).unwrap();
         let nargp =
             crate::MfGp::fit(xl, yl, xh, yh, &crate::MfGpConfig::default(), &mut rng).unwrap();
         let mut ar1_se = 0.0;
@@ -226,15 +209,7 @@ mod tests {
         // fewer training points, same model-class claim at a looser margin.
         let (xl, yl, xh, yh) = data(40, 12, fh_nonlinear);
         let mut rng = StdRng::seed_from_u64(1);
-        let ar1 = Ar1Gp::fit(
-            xl.clone(),
-            yl.clone(),
-            xh.clone(),
-            yh.clone(),
-            &Ar1Config::default(),
-            &mut rng,
-        )
-        .unwrap();
+        let ar1 = Ar1Gp::fit(xl.clone(), yl.clone(), xh.clone(), yh.clone(), &mut rng).unwrap();
         let nargp =
             crate::MfGp::fit(xl, yl, xh, yh, &crate::MfGpConfig::default(), &mut rng).unwrap();
         let mut ar1_se = 0.0;
@@ -255,7 +230,7 @@ mod tests {
     fn variance_combines_both_stages() {
         let (xl, yl, xh, yh) = data(30, 10, fh_linear);
         let mut rng = StdRng::seed_from_u64(2);
-        let m = Ar1Gp::fit(xl, yl, xh, yh, &Ar1Config::default(), &mut rng).unwrap();
+        let m = Ar1Gp::fit(xl, yl, xh, yh, &mut rng).unwrap();
         let p = m.predict(&[0.5]);
         let pl = m.predict_low(&[0.5]);
         let pd = m.delta().predict(&[0.5]);
@@ -271,7 +246,7 @@ mod tests {
         let xh: Vec<Vec<f64>> = (0..5).map(|i| vec![i as f64 / 4.0]).collect();
         let yh: Vec<f64> = xh.iter().map(|x| x[0]).collect();
         let mut rng = StdRng::seed_from_u64(3);
-        let m = Ar1Gp::fit(xl, yl, xh, yh, &Ar1Config::default(), &mut rng).unwrap();
+        let m = Ar1Gp::fit(xl, yl, xh, yh, &mut rng).unwrap();
         assert_eq!(m.rho(), 0.0);
         // Everything is explained by the discrepancy.
         let p = m.predict(&[0.5]);
@@ -281,14 +256,7 @@ mod tests {
     #[test]
     fn requires_high_fidelity_data() {
         let mut rng = StdRng::seed_from_u64(4);
-        let e = Ar1Gp::fit(
-            vec![vec![0.0]],
-            vec![0.0],
-            vec![],
-            vec![],
-            &Ar1Config::default(),
-            &mut rng,
-        );
+        let e = Ar1Gp::fit(vec![vec![0.0]], vec![0.0], vec![], vec![], &mut rng);
         assert!(e.is_err());
     }
 }

@@ -63,7 +63,7 @@ use crate::nargp::MfGpConfig;
 use crate::problem::{Evaluation, Fidelity, MultiFidelityProblem};
 use crate::surrogate::{MfBundleThetas, MfSurrogates, SfBundleThetas, SfSurrogates};
 use crate::MfboError;
-use mfbo_gp::{FitCache, GpError};
+use mfbo_gp::{FitCache, GpConfig, GpError};
 use mfbo_opt::msp::MultiStart;
 use mfbo_opt::neldermead::NelderMead;
 use mfbo_opt::{sampling, Bounds};
@@ -211,16 +211,12 @@ impl Surrogates {
     ) -> Result<Self, GpError> {
         Ok(match warm {
             None if low.is_empty() => {
-                Surrogates::Sf(SfSurrogates::fit(high, &cfg.high, None, rng, Some(cache))?)
+                Surrogates::Sf(SfSurrogates::fit(high, &cfg.gp, None, rng, Some(cache))?)
             }
             None => Surrogates::Mf(MfSurrogates::fit(low, high, cfg, None, rng, Some(cache))?),
-            Some(Thetas::Sf(t)) => Surrogates::Sf(SfSurrogates::fit(
-                high,
-                &cfg.high,
-                Some(t),
-                rng,
-                Some(cache),
-            )?),
+            Some(Thetas::Sf(t)) => {
+                Surrogates::Sf(SfSurrogates::fit(high, &cfg.gp, Some(t), rng, Some(cache))?)
+            }
             Some(Thetas::Mf(t)) => Surrogates::Mf(MfSurrogates::fit(
                 low,
                 high,
@@ -242,7 +238,7 @@ impl Surrogates {
     ) -> Result<Self, GpError> {
         Ok(match thetas {
             Thetas::Sf(t) => {
-                Surrogates::Sf(SfSurrogates::fit_frozen(high, &cfg.high, t, Some(cache))?)
+                Surrogates::Sf(SfSurrogates::fit_frozen(high, &cfg.gp, t, Some(cache))?)
             }
             Thetas::Mf(t) => {
                 Surrogates::Mf(MfSurrogates::fit_frozen(low, high, cfg, t, Some(cache))?)
@@ -444,11 +440,16 @@ where
         let init_outstanding = init_plan.len();
 
         let selector = FidelitySelector::new(cfg.gamma);
-        let model_cfg = cfg
-            .model
-            .clone()
-            .with_parallelism(cfg.parallelism)
-            .with_inference(cfg.gp_inference);
+        // Every run trains its surrogates alike (paper Algorithm 1); only
+        // the pool and the inference engine are run settings.
+        let model_cfg = MfGpConfig {
+            gp: GpConfig {
+                parallelism: cfg.parallelism,
+                inference: cfg.gp_inference,
+                ..GpConfig::fast()
+            },
+            ..MfGpConfig::fast()
+        };
         let unit = Bounds::unit(bounds.dim());
         let mut core = AskTellMfbo {
             low: FidelityData::new(nc),
@@ -1451,8 +1452,7 @@ mod tests {
             objective: theta.clone(),
             constraints: vec![theta; CONSTRAINTS],
         };
-        let cfg = MfGpConfig::fast();
-        Surrogates::Sf(SfSurrogates::fit_frozen(high, &cfg.high, &thetas, None).unwrap())
+        Surrogates::Sf(SfSurrogates::fit_frozen(high, &GpConfig::fast(), &thetas, None).unwrap())
     }
 
     #[test]

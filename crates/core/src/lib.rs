@@ -70,7 +70,7 @@ pub mod report;
 pub mod run_report;
 mod surrogate;
 
-pub use ar1::{Ar1Config, Ar1Gp};
+pub use ar1::Ar1Gp;
 pub use asktell::{AskTellMfbo, Candidate, Told};
 pub use error::MfboError;
 pub use evaluator::{

@@ -22,7 +22,6 @@
 use crate::asktell::{AskTellMfbo, Told};
 use crate::evaluator::{robust_evaluate, RunOptions, SimOutcome};
 use crate::history::Outcome;
-use crate::nargp::MfGpConfig;
 use crate::problem::{Fidelity, MultiFidelityProblem};
 use crate::MfboError;
 use mfbo_gp::InferenceMode;
@@ -35,7 +34,9 @@ use std::time::Instant;
 ///
 /// The defaults mirror the paper's reported settings where it states them:
 /// γ = 0.01, 10 % of MSP starts around the low-fidelity incumbent, 40 %
-/// around the high-fidelity incumbent.
+/// around the high-fidelity incumbent. Every surrogate trains with the
+/// [`crate::MfGpConfig::fast`] settings; [`MfBoConfig::parallelism`] and
+/// [`MfBoConfig::gp_inference`] are the run's only GP settings.
 #[derive(Debug, Clone)]
 pub struct MfBoConfig {
     /// Size of the initial low-fidelity Latin-hypercube design. `0` means
@@ -60,8 +61,6 @@ pub struct MfBoConfig {
     pub frac_around_tau_h: f64,
     /// Fidelity-selection threshold γ of eqs. (11)–(12).
     pub gamma: f64,
-    /// Surrogate training configuration.
-    pub model: MfGpConfig,
     /// Re-optimize hyperparameters every `refit_every` iterations; in
     /// between, refresh the models with frozen hyperparameters. `1` = refit
     /// every iteration (most faithful, most expensive).
@@ -117,7 +116,6 @@ impl Default for MfBoConfig {
             frac_around_tau_l: 0.10,
             frac_around_tau_h: 0.40,
             gamma: 0.01,
-            model: MfGpConfig::fast(),
             refit_every: 1,
             winsorize_sigma: None,
             max_low_streak: 25,
@@ -163,6 +161,13 @@ impl MfBoConfig {
                          hyperparameters every iteration)"
                     .into(),
             });
+        }
+        if let Some(k) = self.winsorize_sigma {
+            if !(k > 0.0 && k.is_finite()) {
+                return Err(MfboError::InvalidConfig {
+                    reason: "winsorize_sigma must be positive and finite".into(),
+                });
+            }
         }
         Ok(())
     }
@@ -418,6 +423,22 @@ mod tests {
         })
         .run(&p, &mut rng);
         assert!(matches!(e, Err(MfboError::InvalidConfig { .. })));
+
+        // A winsorization width the clipping cannot use is refused before
+        // the initial design is simulated, not by a panic in the first fit.
+        for k in [0.0, -1.0, f64::NAN] {
+            let e = MfBayesOpt::new(MfBoConfig {
+                winsorize_sigma: Some(k),
+                ..MfBoConfig::default()
+            })
+            .run(&p, &mut rng);
+            match e {
+                Err(MfboError::InvalidConfig { reason }) => {
+                    assert!(reason.contains("winsorize_sigma"), "{reason}")
+                }
+                other => panic!("winsorize_sigma {k}: expected InvalidConfig, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! to the same integral.
 
 use mfbo_gp::kernel::{NargpKernel, SquaredExponential};
-use mfbo_gp::{DiffBatch, Gp, GpConfig, GpError, InferenceMode, Prediction};
+use mfbo_gp::{DiffBatch, Gp, GpConfig, GpError, Prediction};
 use mfbo_linalg::norm_inv_cdf;
 use mfbo_pool::{par_map_indexed, Parallelism};
 use rand::Rng;
@@ -45,24 +45,20 @@ pub struct MfGpConfig {
     /// Number of stratified Monte-Carlo samples used to propagate
     /// low-fidelity uncertainty through the high GP (paper eq. 10).
     pub mc_samples: usize,
-    /// Training configuration of the low-fidelity GP.
-    pub low: GpConfig,
-    /// Training configuration of the high-fidelity (fusion) GP.
-    pub high: GpConfig,
-    /// Distributes the propagated posteriors of [`MfGp::predict_batch`]
-    /// over a thread pool in contiguous chunks of queries. The quantiles
-    /// are fixed and each query's moment-matching reduction runs in sample
-    /// order, so every mode returns bit-identical predictions.
-    pub parallelism: Parallelism,
+    /// Training configuration of both fusion stages (paper Algorithm 1
+    /// trains them alike). Its [`GpConfig::parallelism`] also distributes
+    /// the propagated posteriors of [`MfGp::predict_batch`] over a thread
+    /// pool in contiguous chunks of queries; the quantiles are fixed and
+    /// each query's moment-matching reduction runs in sample order, so
+    /// every mode returns bit-identical predictions.
+    pub gp: GpConfig,
 }
 
 impl Default for MfGpConfig {
     fn default() -> Self {
         MfGpConfig {
             mc_samples: 20,
-            low: GpConfig::default(),
-            high: GpConfig::default(),
-            parallelism: Parallelism::Serial,
+            gp: GpConfig::default(),
         }
     }
 }
@@ -72,28 +68,8 @@ impl MfGpConfig {
     pub fn fast() -> Self {
         MfGpConfig {
             mc_samples: 12,
-            low: GpConfig::fast(),
-            high: GpConfig::fast(),
-            ..Self::default()
+            gp: GpConfig::fast(),
         }
-    }
-
-    /// Applies one [`Parallelism`] mode to this config and both nested GP
-    /// training configs.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self.low.parallelism = parallelism;
-        self.high.parallelism = parallelism;
-        self
-    }
-
-    /// Applies one [`InferenceMode`] to both nested GP training configs —
-    /// the single knob the BO drivers expose. [`InferenceMode::Exact`] (the
-    /// default) keeps every historical trajectory byte-identical.
-    pub fn with_inference(mut self, inference: InferenceMode) -> Self {
-        self.low.inference = inference;
-        self.high.inference = inference;
-        self
     }
 }
 
@@ -184,13 +160,13 @@ impl MfGp {
         MfGpPlan {
             low: Gp::plan_starts(
                 &SquaredExponential::new(dim),
-                &config.low,
+                &config.gp,
                 warm.map(|w| w.low.as_slice()),
                 rng,
             ),
             high: Gp::plan_starts(
                 &NargpKernel::new(dim),
-                &config.high,
+                &config.gp,
                 warm.map(|w| w.high.as_slice()),
                 rng,
             ),
@@ -230,7 +206,7 @@ impl MfGp {
             SquaredExponential::new(dim),
             xl,
             yl,
-            &config.low,
+            &config.gp,
             plan.low,
             low_shared,
         )?;
@@ -238,20 +214,13 @@ impl MfGp {
         // Augment the high-fidelity inputs with the low GP's standardized
         // posterior mean (one batched posterior call).
         let aug = augment_inputs(&low, &xh);
-        let high = Gp::fit_planned(
-            NargpKernel::new(dim),
-            aug,
-            yh,
-            &config.high,
-            plan.high,
-            None,
-        )?;
+        let high = Gp::fit_planned(NargpKernel::new(dim), aug, yh, &config.gp, plan.high, None)?;
 
         Ok(MfGp {
             low,
             high,
             quantiles: stratified_quantiles(config.mc_samples),
-            parallelism: config.parallelism,
+            parallelism: config.gp.parallelism,
         })
     }
 
@@ -259,13 +228,6 @@ impl MfGp {
     /// (see [`Gp::best_start`]); `(low, high)`.
     pub fn best_starts(&self) -> (Option<usize>, Option<usize>) {
         (self.low.best_start(), self.high.best_start())
-    }
-
-    /// Sets the [`Parallelism`] mode used by [`MfGp::predict_batch`]'s
-    /// Monte-Carlo propagation. Predictions are bit-identical in every mode.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
     }
 
     /// Posterior of the **low-fidelity** function at `x` (raw low-fidelity
@@ -458,9 +420,9 @@ impl MfGp {
     /// NLML optimization at all, just fresh Cholesky factorizations. The BO
     /// loops use this between full refits to keep per-iteration cost low.
     ///
-    /// Every setting comes from `config`, as for a full fit: each stage's
-    /// [`GpConfig::inference`], and the model's `mc_samples` and
-    /// `parallelism`. `low_shared` is the optional
+    /// Every setting comes from `config`, as for a full fit: the
+    /// [`GpConfig::inference`] of both stages, `mc_samples`, and the
+    /// propagation's [`GpConfig::parallelism`]. `low_shared` is the optional
     /// low-stage difference batch over `xl` (see [`MfGp::fit_planned`] for
     /// the sharing contract).
     ///
@@ -490,17 +452,17 @@ impl MfGp {
             yl,
             lp,
             ln,
-            &config.low,
+            &config.gp,
             low_shared,
         )?;
         let aug = augment_inputs(&low, &xh);
         let (hp, hn) = split_theta(&thetas.high);
-        let high = Gp::with_params(NargpKernel::new(dim), aug, yh, hp, hn, &config.high, None)?;
+        let high = Gp::with_params(NargpKernel::new(dim), aug, yh, hp, hn, &config.gp, None)?;
         Ok(MfGp {
             low,
             high,
             quantiles: stratified_quantiles(config.mc_samples),
-            parallelism: config.parallelism,
+            parallelism: config.gp.parallelism,
         })
     }
 }
@@ -569,7 +531,7 @@ mod tests {
             SquaredExponential::new(1),
             xh,
             yh,
-            &mfbo_gp::GpConfig::default(),
+            &GpConfig::default(),
             &mut rng,
         )
         .unwrap();
@@ -602,7 +564,7 @@ mod tests {
             SquaredExponential::new(1),
             xh,
             yh,
-            &mfbo_gp::GpConfig::default(),
+            &GpConfig::default(),
             &mut rng,
         )
         .unwrap();
@@ -717,13 +679,9 @@ mod tests {
         let xh: Vec<Vec<f64>> = model.high().xs().iter().map(|z| z[..1].to_vec()).collect();
         let yh = model.high().ys_raw().to_vec();
         let cfg = MfGpConfig {
-            low: mfbo_gp::GpConfig {
+            gp: GpConfig {
                 restarts: 0,
-                ..mfbo_gp::GpConfig::fast()
-            },
-            high: mfbo_gp::GpConfig {
-                restarts: 0,
-                ..mfbo_gp::GpConfig::fast()
+                ..GpConfig::fast()
             },
             ..MfGpConfig::fast()
         };
@@ -763,11 +721,32 @@ mod tests {
 
     #[test]
     fn batched_prediction_bit_identical_across_parallelism_modes() {
-        // The pooled chunked sweep must agree with the serial batch.
+        // The pooled chunked sweep must agree with the serial batch. Both
+        // models are rebuilt from the same hyperparameters, so they differ
+        // only in the propagation's pool.
         let model = pedagogical_model(30, 10, 14);
         let queries: Vec<Vec<f64>> = (0..7).map(|i| vec![i as f64 / 6.0]).collect();
-        let serial = model.clone().with_parallelism(Parallelism::Serial);
-        let threaded = model.with_parallelism(Parallelism::Threads(3));
+        let rebuild = |parallelism| {
+            let config = MfGpConfig {
+                gp: GpConfig {
+                    parallelism,
+                    ..GpConfig::default()
+                },
+                ..MfGpConfig::default()
+            };
+            MfGp::fit_frozen(
+                model.low().xs().to_vec(),
+                model.low().ys_raw().to_vec(),
+                model.high().xs().iter().map(|z| z[..1].to_vec()).collect(),
+                model.high().ys_raw().to_vec(),
+                &config,
+                &model.thetas(),
+                None,
+            )
+            .unwrap()
+        };
+        let serial = rebuild(Parallelism::Serial);
+        let threaded = rebuild(Parallelism::Threads(3));
         for (a, b) in serial
             .predict_batch_standardized(&queries)
             .iter()

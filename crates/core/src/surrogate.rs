@@ -158,7 +158,7 @@ impl MfSurrogates {
     /// Every model's starting points are drawn from `rng` serially, in
     /// output order (objective first, then each constraint), before `cache`
     /// is touched; the fits themselves are pure and run on
-    /// `config.parallelism`, so the bundle is bit-identical in every mode.
+    /// `config.gp.parallelism`, so the bundle is bit-identical in every mode.
     /// All 1+m models train their low stage on the same `X_l`, so one
     /// difference batch serves them all: served by the persistent `cache`
     /// when given, built from scratch when `None` (bit-identical either
@@ -184,7 +184,7 @@ impl MfSurrogates {
             })
             .collect();
         let batch = bundle_batch(&low.xs, cache);
-        let fitted = par_map_indexed(config.parallelism, plans.len(), |i| {
+        let fitted = par_map_indexed(config.gp.parallelism, plans.len(), |i| {
             MfGp::fit_planned(
                 low.xs.clone(),
                 output(&low.objective, &low.constraints, i).clone(),
@@ -202,7 +202,7 @@ impl MfSurrogates {
     /// Rebuilds every model on new data with frozen hyperparameters (no
     /// training) — the cheap path between full refits. Each model reads its
     /// settings from `config` (see [`MfGp::fit_frozen`]); the refreshes
-    /// consume no randomness and run on `config.parallelism`. The shared
+    /// consume no randomness and run on `config.gp.parallelism`. The shared
     /// low-stage batch comes from `cache` as in [`MfSurrogates::fit`].
     ///
     /// # Errors
@@ -217,7 +217,7 @@ impl MfSurrogates {
     ) -> Result<Self, GpError> {
         let n_cons = low.constraints.len().min(high.constraints.len());
         let batch = bundle_batch(&low.xs, cache);
-        let fitted = par_map_indexed(config.parallelism, n_cons + 1, |i| {
+        let fitted = par_map_indexed(config.gp.parallelism, n_cons + 1, |i| {
             MfGp::fit_frozen(
                 low.xs.clone(),
                 output(&low.objective, &low.constraints, i).clone(),
@@ -598,7 +598,13 @@ mod tests {
         for (k, c) in high.constraints[0].iter_mut().enumerate() {
             *c += 3.0 * ((k * 5) % 7) as f64;
         }
-        let cfg = MfGpConfig::fast().with_inference(InferenceMode::SubsetOfData { max_points: 4 });
+        let cfg = MfGpConfig {
+            gp: GpConfig {
+                inference: InferenceMode::SubsetOfData { max_points: 4 },
+                ..GpConfig::fast()
+            },
+            ..MfGpConfig::fast()
+        };
         let mut rng = StdRng::seed_from_u64(13);
         let s = MfSurrogates::fit(&low, &high, &cfg, None, &mut rng, None).unwrap();
         assert!(

@@ -41,7 +41,9 @@ pub struct GpConfig {
     /// Distributes the (pure) per-restart L-BFGS runs over a thread pool.
     /// All randomness is drawn before the restarts launch and the best
     /// restart is selected in start order, so every mode returns
-    /// bit-identical models.
+    /// bit-identical models. Nested in the core crate's fusion-model
+    /// config, the same value also sets the pool of the surrogate bundle
+    /// fits and of the Monte-Carlo posterior propagation.
     pub parallelism: Parallelism,
     /// Inference engine for training and the final model build (see
     /// [`InferenceMode`]). `Exact` — the default — runs the historical

@@ -13,8 +13,8 @@
 //!   map iteration order, so approximate runs journal and replay
 //!   bit-identically.
 //! * [`InferenceMode`] — the user-facing knob threaded through
-//!   `GpConfig`/`MfGpConfig`, `mfbo-cli --gp-inference`, and the server
-//!   `start` request. The exact Cholesky path stays the differential
+//!   `GpConfig::inference`, the run configs' `gp_inference`,
+//!   `mfbo-cli --gp-inference`, and the server `start` request. The exact Cholesky path stays the differential
 //!   oracle: `Exact` must remain byte-identical to the pre-existing
 //!   behavior, and the subset mode is tested against it.
 //!

@@ -55,6 +55,11 @@ impl Fitness {
     }
 }
 
+/// Differential weight `F` of the mutation.
+const SCALE: f64 = 0.6;
+/// Crossover probability `CR` of the binomial crossover.
+const CROSSOVER: f64 = 0.9;
+
 /// Differential evolution (DE/rand/1/bin) configuration.
 ///
 /// # Examples
@@ -75,8 +80,6 @@ impl Fitness {
 #[derive(Debug, Clone)]
 pub struct DifferentialEvolution {
     population: usize,
-    scale: f64,
-    crossover: f64,
     max_evaluations: usize,
 }
 
@@ -84,8 +87,6 @@ impl Default for DifferentialEvolution {
     fn default() -> Self {
         DifferentialEvolution {
             population: 40,
-            scale: 0.6,
-            crossover: 0.9,
             max_evaluations: 10_000,
         }
     }
@@ -102,18 +103,6 @@ impl DifferentialEvolution {
     /// rand/1 mutation).
     pub fn with_population(mut self, n: usize) -> Self {
         self.population = n.max(4);
-        self
-    }
-
-    /// Sets the differential weight `F`.
-    pub fn with_scale(mut self, f: f64) -> Self {
-        self.scale = f;
-        self
-    }
-
-    /// Sets the crossover probability `CR`.
-    pub fn with_crossover(mut self, cr: f64) -> Self {
-        self.crossover = cr.clamp(0.0, 1.0);
         self
     }
 
@@ -176,8 +165,8 @@ impl DifferentialEvolution {
                 let j_rand = rng.gen_range(0..n);
                 let mut trial = pop[i].clone();
                 for j in 0..n {
-                    if j == j_rand || rng.gen::<f64>() < self.crossover {
-                        trial[j] = pop[a][j] + self.scale * (pop[b][j] - pop[c][j]);
+                    if j == j_rand || rng.gen::<f64>() < CROSSOVER {
+                        trial[j] = pop[a][j] + SCALE * (pop[b][j] - pop[c][j]);
                     }
                 }
                 bounds.clamp_in_place(&mut trial);

@@ -316,19 +316,16 @@ fn run_algo(opts: &Options, problem: &dyn MultiFidelityProblem) -> Result<mfbo::
         })
         .run_with(&problem, &mut rng, &mut make_run_options(opts)?)
         .map_err(|e| e.to_string()),
-        "weibo" => {
-            let mut cfg = WeiboConfig {
-                initial_points: opts.initial_high.max(4),
-                budget: budget_int,
-                parallelism: opts.threads,
-                refit_every: opts.refit_every,
-                ..WeiboConfig::default()
-            };
-            cfg.model.inference = opts.gp_inference;
-            Weibo::new(cfg)
-                .run_with(&problem, &mut rng, &mut make_run_options(opts)?)
-                .map_err(|e| e.to_string())
-        }
+        "weibo" => Weibo::new(WeiboConfig {
+            initial_points: opts.initial_high.max(4),
+            budget: budget_int,
+            parallelism: opts.threads,
+            gp_inference: opts.gp_inference,
+            refit_every: opts.refit_every,
+            ..WeiboConfig::default()
+        })
+        .run_with(&problem, &mut rng, &mut make_run_options(opts)?)
+        .map_err(|e| e.to_string()),
         "gaspad" => Gaspad::new(GaspadConfig {
             initial_points: opts.initial_high.max(8),
             budget: budget_int,

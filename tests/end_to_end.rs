@@ -96,7 +96,6 @@ fn all_four_algorithms_run_on_the_power_amplifier() {
     let de = DifferentialEvolutionBaseline::new(DeBaselineConfig {
         population: 8,
         budget: 20,
-        ..DeBaselineConfig::default()
     })
     .run(&pa, &mut rng)
     .expect("de on PA");
@@ -129,9 +128,8 @@ fn charge_pump_pipeline_runs_end_to_end() {
 #[test]
 fn charge_pump_pipeline_smoke() {
     // Fast default-suite variant of `charge_pump_pipeline_runs_end_to_end`:
-    // the same 36-dimensional pipeline with lighter surrogate settings and a
-    // smaller budget, so the wiring stays covered on every `cargo test`.
-    use mfbo::MfGpConfig;
+    // the same 36-dimensional pipeline with fewer MSP starts and a smaller
+    // budget, so the wiring stays covered on every `cargo test`.
     let cp = ChargePump::new();
     let mut rng = StdRng::seed_from_u64(5);
     let out = MfBayesOpt::new(MfBoConfig {
@@ -143,7 +141,6 @@ fn charge_pump_pipeline_smoke() {
         max_iterations: 4,
         refit_every: 8,
         msp_starts: 4,
-        model: MfGpConfig::fast(),
         ..MfBoConfig::default()
     })
     .run(&cp, &mut rng)
@@ -264,7 +261,6 @@ fn seeded_runs_are_reproducible() {
 /// model of every refit selects a subset.
 #[test]
 fn gaspad_frozen_refits_honour_the_inference_mode() {
-    use analog_mfbo::gp::GpConfig;
     use std::sync::Arc;
 
     let problem = FunctionProblem::builder("ctoy", Bounds::unit(2))
@@ -277,11 +273,7 @@ fn gaspad_frozen_refits_honour_the_inference_mode() {
         budget,
         population: 10,
         refit_every: 3,
-        model: GpConfig {
-            inference: InferenceMode::SubsetOfData { max_points: 8 },
-            ..GpConfig::fast()
-        },
-        ..GaspadConfig::default()
+        gp_inference: InferenceMode::SubsetOfData { max_points: 8 },
     };
     let reg = Arc::new(mfbo_telemetry::metrics::MetricsRegistry::new());
     {
@@ -294,4 +286,50 @@ fn gaspad_frozen_refits_honour_the_inference_mode() {
     // Six refits (two full, four frozen) of two models: objective and one
     // constraint.
     assert_eq!(selections, (budget - initial) as u64 * 2);
+}
+
+#[test]
+fn weibo_runs_and_journals_under_its_inference_mode() {
+    use std::sync::Arc;
+
+    let problem = testfns::forrester();
+    let dir = std::env::temp_dir().join(format!("mfbo-e2e-weibo-sod-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = |gp_inference| WeiboConfig {
+        initial_points: 10,
+        budget: 14,
+        refit_every: 2,
+        gp_inference,
+        ..WeiboConfig::default()
+    };
+    let reg = Arc::new(mfbo_telemetry::metrics::MetricsRegistry::new());
+    {
+        let _g = mfbo_telemetry::scoped_sink(reg.clone());
+        Weibo::new(config(InferenceMode::SubsetOfData { max_points: 8 }))
+            .run_with(
+                &problem,
+                &mut StdRng::seed_from_u64(8),
+                &mut RunOptions::journaled(RunStore::open(&dir).unwrap()),
+            )
+            .expect("weibo run");
+    }
+    // Ten initial points outgrow the eight-point subset at the first fit.
+    assert!(reg.snapshot().counters["infer_subset_selections"] > 0);
+    let meta = std::fs::read_to_string(dir.join("meta.json")).unwrap();
+    assert!(
+        meta.contains("\"inference\":\"subset-of-data\""),
+        "meta.json: {meta}"
+    );
+    // Replaying the journal under another engine would refit different
+    // surrogates, so the resume is refused.
+    let err = Weibo::new(config(InferenceMode::Exact))
+        .run_with(
+            &problem,
+            &mut StdRng::seed_from_u64(8),
+            &mut RunOptions::resuming(RunStore::open(&dir).unwrap()),
+        )
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("GP inference engine"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
