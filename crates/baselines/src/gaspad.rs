@@ -192,11 +192,15 @@ impl Gaspad {
             let mut best_idx = 0;
             let mut best_score = f64::INFINITY;
             for (k, cand) in candidates.iter().enumerate() {
-                let (obj, cons) = surrogates.predict(cand);
+                let obj = surrogates.objective().predict(cand);
                 let lcb = lower_confidence_bound(obj.mean, obj.std_dev(), KAPPA);
-                let viol: f64 = cons
+                let viol: f64 = surrogates
+                    .constraints()
                     .iter()
-                    .map(|c| lower_confidence_bound(c.mean, c.std_dev(), KAPPA).max(0.0))
+                    .map(|gp| {
+                        let c = gp.predict(cand);
+                        lower_confidence_bound(c.mean, c.std_dev(), KAPPA).max(0.0)
+                    })
                     .sum();
                 // Predicted-feasible candidates rank by LCB; others by
                 // violation, shifted above any feasible score.

@@ -213,7 +213,7 @@ fn main() {
       ]
     }},
     "batched_predict": {{
-      "what": "256-point standardized posterior sweep through predict_batch_standardized_with_backend (cache-tiled in both modes). scalar = per-query forward solve; simd = lane-interleaved multi-RHS forward solves + sq_norm kernel rows",
+      "what": "256-point standardized posterior sweep through predict_batch_standardized_with_backend. scalar = per-query forward solve; simd = lane-interleaved multi-RHS forward solves + sq_dist kernel rows from the fit-time layout",
       "rows": [
 {predict_rows}
       ]

@@ -83,16 +83,6 @@ const TABOO_RADIUS: f64 = 1e-6;
 /// (fraction of each unit-cube side).
 const ANCHOR_SPREAD: f64 = 0.05;
 
-/// Queries per tile of the batched feasibility drive. Each tile builds one
-/// query × training-point × dimension difference batch per training set,
-/// shared by every model of the bundle: one over the inputs for a
-/// single-fidelity bundle, one over the low inputs and one over the high
-/// design points for a multi-fidelity one. Scoring a whole 37-point
-/// charge-pump simplex at once grew the peak RSS of a `cp-mfbo` benchmark
-/// run by 12% (EXPERIMENTS.md). A pooled lockstep call holds at most
-/// [`mfbo_opt::msp::LOCKSTEP_GROUP`] points, one tile.
-const DRIVE_TILE: usize = 8;
-
 /// A candidate returned by [`AskTellMfbo::ask`], awaiting evaluation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
@@ -256,14 +246,11 @@ impl Surrogates {
     /// Eq. (13)'s feasibility drive plus a tiny objective-mean tie-break
     /// that steers the search toward good designs once the drive term
     /// flattens at zero, at each of `points` into `out` — the batched
-    /// objective of the drive's Nelder–Mead searches. Posterior means only,
-    /// scored in tiles of [`DRIVE_TILE`] queries.
+    /// objective of the drive's Nelder–Mead searches. Posterior means only.
     fn drive(&self, points: &[Vec<f64>], out: &mut [f64]) {
-        for (tile, out) in points.chunks(DRIVE_TILE).zip(out.chunks_mut(DRIVE_TILE)) {
-            match self {
-                Surrogates::Mf(s) => s.drive(tile, out),
-                Surrogates::Sf(s) => s.drive(tile, out),
-            }
+        match self {
+            Surrogates::Mf(s) => s.drive(points, out),
+            Surrogates::Sf(s) => s.drive(points, out),
         }
     }
 

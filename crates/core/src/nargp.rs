@@ -19,7 +19,7 @@
 //! to the same integral.
 
 use mfbo_gp::kernel::{NargpKernel, SquaredExponential};
-use mfbo_gp::{DiffBatch, Gp, GpConfig, GpError, Prediction};
+use mfbo_gp::{with_scratch, DiffBatch, Gp, GpConfig, GpError, Prediction};
 use mfbo_linalg::norm_inv_cdf;
 use mfbo_pool::{par_map_indexed, Parallelism};
 use rand::Rng;
@@ -289,15 +289,19 @@ impl MfGp {
     }
 
     /// The fidelity samples of one query with low-fidelity posterior
-    /// `(ml, vl)`: `None` for the single plug-in sample `ml`, taken when
-    /// the low posterior is effectively deterministic or `S = 1`; otherwise
-    /// the `S` stratified samples `f_k = μ + σ·quantiles[k]`.
-    fn samples(&self, ml: f64, vl: f64) -> Option<Vec<f64>> {
+    /// `(ml, vl)`, written into `buf` (`S` entries): `None` for the single
+    /// plug-in sample `ml`, taken when the low posterior is effectively
+    /// deterministic or `S = 1`; otherwise the `S` stratified samples
+    /// `f_k = μ + σ·quantiles[k]`.
+    fn samples<'b>(&self, ml: f64, vl: f64, buf: &'b mut [f64]) -> Option<&'b [f64]> {
         let sl = vl.max(0.0).sqrt();
         if self.quantiles.len() == 1 || sl < 1e-12 {
             return None;
         }
-        Some(self.quantiles.iter().map(|&q| ml + sl * q).collect())
+        for (f, &q) in buf.iter_mut().zip(&self.quantiles) {
+            *f = ml + sl * q;
+        }
+        Some(buf)
     }
 
     /// One query's propagated posterior from its low-fidelity posterior
@@ -305,10 +309,13 @@ impl MfGp {
     /// [`MfGp::samples`]) moment-matched by the law of total variance
     /// (`E[σ²] + Var[μ]`).
     fn propagate(&self, x: &[f64], ml: f64, vl: f64) -> (f64, f64) {
-        let Some(fs) = self.samples(ml, vl) else {
+        let samples = with_scratch(self.quantiles.len(), |buf| {
+            self.samples(ml, vl, buf)
+                .map(|fs| self.high.predict_propagated_standardized(x, fs))
+        });
+        let Some(samples) = samples else {
             return self.high.predict_propagated_standardized(x, &[ml])[0];
         };
-        let samples = self.high.predict_propagated_standardized(x, &fs);
         let c = samples.len() as f64;
         let mut mean_sum = 0.0;
         let mut var_sum = 0.0;
@@ -325,53 +332,48 @@ impl MfGp {
         (mean, var_sum / c + var_of_means)
     }
 
-    /// The propagated raw-unit posterior means at the queries `tile`, into
-    /// `out`: bit-identical to the `mean` of [`MfGp::predict`]. The caller
-    /// builds the two difference batches, and may share them across every
-    /// fusion model trained on the same inputs: `low` is
-    /// [`DiffBatch::cross`] of `tile` against the low stage's inputs, and
-    /// `design` the same against the high stage's (whose design columns
-    /// alone it reads; see [`Gp::propagation`]). The low stage runs the full
-    /// posterior (the samples need `σ_l`); the high stage computes only the
-    /// sample means, summed in sample order and divided by `S` as
-    /// [`MfGp::predict`] does. `predict_batch_points` counts as for
-    /// [`MfGp::predict`]: `m` for the low stage, `S` per query for the
-    /// propagation. Runs serially: its caller, the acquisition search, is
-    /// already distributed over starts.
+    /// The propagated raw-unit posterior means at the queries `points`, into
+    /// `out`: bit-identical to the `mean` of [`MfGp::predict`], with no
+    /// allocation. The low stage runs the full posterior (the samples need
+    /// `σ_l`); the high stage computes only the sample means
+    /// ([`Gp::predict_propagated_means`]), summed in sample order and
+    /// divided by `S` as [`MfGp::predict`] does. `predict_batch_points`
+    /// counts as for [`MfGp::predict`]: `m` for the low stage, `S` per query
+    /// for the propagation. Runs serially: its caller, the acquisition
+    /// search, is already distributed over starts.
     ///
     /// # Panics
     ///
-    /// Panics if `out.len() != tile.len()` or a batch does not pair `tile`
-    /// with its stage's training inputs.
-    pub fn predict_means_from_cross(
-        &self,
-        tile: &[Vec<f64>],
-        low: &DiffBatch<'_>,
-        design: &DiffBatch<'_>,
-        out: &mut [f64],
-    ) {
-        assert_eq!(out.len(), tile.len(), "one mean per query");
-        let lows = self.low.predict_batch_from_cross(tile, low);
-        let mut propagation = self.high.propagation(design);
-        let st = self.high.standardizer();
-        let mut means = vec![0.0; self.quantiles.len()];
-        for (q, (o, &(ml, vl))) in out.iter_mut().zip(&lows).enumerate() {
-            let mean = match self.samples(ml, vl) {
-                None => {
-                    propagation.means(q, &[ml], &mut means[..1]);
-                    means[0]
-                }
-                Some(fs) => {
-                    propagation.means(q, &fs, &mut means);
-                    let mut sum = 0.0;
-                    for &m in &means {
-                        sum += m;
+    /// Panics if `out.len() != points.len()` or a query dimension differs
+    /// from the model's.
+    pub fn predict_means(&self, points: &[Vec<f64>], out: &mut [f64]) {
+        assert_eq!(out.len(), points.len(), "one mean per query");
+        let (m, s) = (points.len(), self.quantiles.len());
+        with_scratch(2 * (m + s), |buf| {
+            let (ml, rest) = buf.split_at_mut(m);
+            let (vl, rest) = rest.split_at_mut(m);
+            let (fs, means) = rest.split_at_mut(s);
+            self.low.predict_batch_standardized_into(points, ml, vl);
+            let st = self.high.standardizer();
+            for (q, (o, x)) in out.iter_mut().zip(points).enumerate() {
+                let mean = match self.samples(ml[q], vl[q], fs) {
+                    None => {
+                        self.high
+                            .predict_propagated_means(x, &ml[q..=q], &mut means[..1]);
+                        means[0]
                     }
-                    sum / means.len() as f64
-                }
-            };
-            *o = st.inverse(mean);
-        }
+                    Some(fs) => {
+                        self.high.predict_propagated_means(x, fs, means);
+                        let mut sum = 0.0;
+                        for &m in &*means {
+                            sum += m;
+                        }
+                        sum / means.len() as f64
+                    }
+                };
+                *o = st.inverse(mean);
+            }
+        });
     }
 
     /// Batched [`MfGp::predict`]: propagated raw-unit posteriors for a set

@@ -11,7 +11,7 @@ use crate::acquisition;
 use crate::history::FidelityData;
 use crate::nargp::{split_theta, MfGp, MfGpConfig, MfGpPlan, MfGpThetas};
 use mfbo_gp::kernel::SquaredExponential;
-use mfbo_gp::{DiffBatch, FitCache, Gp, GpConfig, GpError, Prediction};
+use mfbo_gp::{with_scratch, DiffBatch, FitCache, Gp, GpConfig, GpError};
 use mfbo_pool::par_map_indexed;
 use rand::Rng;
 
@@ -96,19 +96,21 @@ fn drive_from_means<M>(
     if m == 0 {
         return;
     }
-    let mut rows = vec![0.0; (1 + constraints.len()) * m];
-    let models = std::iter::once(objective).chain(constraints);
-    for (model, row) in models.zip(rows.chunks_exact_mut(m)) {
-        means(model, row);
-    }
-    let (obj, cons) = rows.split_at(m);
-    let mut at = vec![0.0; constraints.len()];
-    for (q, o) in out.iter_mut().enumerate() {
-        for (a, row) in at.iter_mut().zip(cons.chunks_exact(m)) {
-            *a = row[q];
+    let c = constraints.len();
+    with_scratch((1 + c) * m + c, |buf| {
+        let (rows, at) = buf.split_at_mut((1 + c) * m);
+        let models = std::iter::once(objective).chain(constraints);
+        for (model, row) in models.zip(rows.chunks_exact_mut(m)) {
+            means(model, row);
         }
-        *o = acquisition::feasibility_drive(&at) + 1e-4 * obj[q];
-    }
+        let (obj, cons) = rows.split_at(m);
+        for (q, o) in out.iter_mut().enumerate() {
+            for (a, row) in at.iter_mut().zip(cons.chunks_exact(m)) {
+                *a = row[q];
+            }
+            *o = acquisition::feasibility_drive(at) + 1e-4 * obj[q];
+        }
+    });
 }
 
 /// Splits per-model results (objective first) into the bundle's models,
@@ -126,28 +128,17 @@ fn split_models<M>(fitted: Vec<Result<M, GpError>>) -> Result<(M, Vec<M>), GpErr
 pub struct MfSurrogates {
     objective: MfGp,
     constraints: Vec<MfGp>,
-    /// Whether every fusion stage trains on the objective's design points,
-    /// so one drive batch serves them all. Subset-of-data selects each
-    /// stage's subset over its augmented inputs, whose last column differs
-    /// per model, so past its cap the subsets can differ.
-    shared_design: bool,
 }
 
 impl MfSurrogates {
     /// Assembles a bundle. Every low stage trains on the same inputs:
     /// subset-of-data picks its subset from the inputs alone.
     fn new(objective: MfGp, constraints: Vec<MfGp>) -> Self {
-        let (low, high) = (objective.low().xs(), objective.high().xs());
+        let low = objective.low().xs();
         debug_assert!(constraints.iter().all(|c| c.low().xs() == low));
-        let d = objective.high().kernel().design_dim();
-        let shared_design = constraints.iter().all(|c| {
-            let xs = c.high().xs();
-            xs.len() == high.len() && xs.iter().zip(high).all(|(a, b)| a[..d] == b[..d])
-        });
         MfSurrogates {
             objective,
             constraints,
-            shared_design,
         }
     }
 
@@ -302,35 +293,15 @@ impl MfSurrogates {
     }
 
     /// The first-feasible-point objective of eq. (13), with the objective
-    /// tie-break (see [`SfSurrogates::drive`]), at each of `tile` into
+    /// tie-break (see [`SfSurrogates::drive`]), at each of `points` into
     /// `out`, from the high-fidelity posterior means (bit-identical to the
-    /// `mean` of [`MfGp::predict`]). One difference batch over the low
-    /// inputs serves every low stage and one over the high design points
-    /// every fusion stage ([`MfGp::predict_means_from_cross`]).
-    pub fn drive(&self, tile: &[Vec<f64>], out: &mut [f64]) {
-        let low = DiffBatch::cross(tile, self.objective.low().xs());
-        let shared = self
-            .shared_design
-            .then(|| DiffBatch::cross(tile, self.objective.high().xs()));
+    /// `mean` of [`MfGp::predict`]). Each stage of each model predicts from
+    /// its own fit-time layout ([`MfGp::predict_means`]), allocating
+    /// nothing once the thread's scratch is warm.
+    pub fn drive(&self, points: &[Vec<f64>], out: &mut [f64]) {
         drive_from_means(&self.objective, &self.constraints, out, |mf, row| {
-            let own;
-            let design = match &shared {
-                Some(batch) => batch,
-                None => {
-                    own = DiffBatch::cross(tile, mf.high().xs());
-                    &own
-                }
-            };
-            mf.predict_means_from_cross(tile, &low, design, row);
+            mf.predict_means(points, row);
         });
-    }
-
-    /// High-fidelity posterior of every output at `x`.
-    pub fn predict_high(&self, x: &[f64]) -> (Prediction, Vec<Prediction>) {
-        (
-            self.objective.predict(x),
-            self.constraints.iter().map(|c| c.predict(x)).collect(),
-        )
     }
 }
 
@@ -458,26 +429,17 @@ impl SfSurrogates {
 
     /// The first-feasible-point objective of eq. (13) plus `1e-4` × the
     /// objective mean — the tie-break that steers the search toward good
-    /// designs once the drive term flattens at zero — at each of `tile`
+    /// designs once the drive term flattens at zero — at each of `points`
     /// into `out`, from the posterior means (bit-identical to the `mean`
-    /// of [`Gp::predict`]). One difference batch serves every model
-    /// ([`Gp::predict_means_from_cross`]).
-    pub fn drive(&self, tile: &[Vec<f64>], out: &mut [f64]) {
-        let cross = DiffBatch::cross(tile, self.objective.xs());
+    /// of [`Gp::predict`]). Each model predicts from its own fit-time
+    /// layout ([`Gp::predict_means_standardized`]).
+    pub fn drive(&self, points: &[Vec<f64>], out: &mut [f64]) {
         drive_from_means(&self.objective, &self.constraints, out, |gp, row| {
-            gp.predict_means_from_cross(&cross, row);
+            gp.predict_means_standardized(points, row);
             for m in row {
                 *m = gp.standardizer().inverse(*m);
             }
         });
-    }
-
-    /// Posterior of every output at `x`.
-    pub fn predict(&self, x: &[f64]) -> (Prediction, Vec<Prediction>) {
-        (
-            self.objective.predict(x),
-            self.constraints.iter().map(|c| c.predict(x)).collect(),
-        )
     }
 }
 
@@ -510,10 +472,9 @@ mod tests {
         let data = make_data(12, 0.0);
         let mut rng = StdRng::seed_from_u64(0);
         let s = SfSurrogates::fit(&data, &GpConfig::fast(), None, &mut rng, None).unwrap();
-        let (obj, cons) = s.predict(&[0.5]);
-        assert!((obj.mean - 0.25).abs() < 0.1);
-        assert_eq!(cons.len(), 1);
-        assert!((cons[0].mean - (-0.2)).abs() < 0.1);
+        assert!((s.objective().predict(&[0.5]).mean - 0.25).abs() < 0.1);
+        assert_eq!(s.constraints().len(), 1);
+        assert!((s.constraints()[0].predict(&[0.5]).mean - (-0.2)).abs() < 0.1);
     }
 
     #[test]
@@ -547,9 +508,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let s = MfSurrogates::fit(&low, &high, &MfGpConfig::fast(), None, &mut rng, None).unwrap();
         assert_eq!(s.constraints().len(), 1);
-        let (obj, cons) = s.predict_high(&[0.6]);
+        let obj = s.objective().predict(&[0.6]);
         assert!((obj.mean - 0.36).abs() < 0.15, "mean = {}", obj.mean);
-        assert_eq!(cons.len(), 1);
     }
 
     #[test]
@@ -588,7 +548,7 @@ mod tests {
 
     /// Past the subset-of-data cap each fusion stage picks its subset over
     /// its own augmented inputs, so the stages can train on different
-    /// design points; the drive then builds each stage its own batch and
+    /// design points; each stage predicts from its own layout, and the drive
     /// still matches the full posteriors bit for bit.
     #[test]
     fn bit_identity_batched_drive_mf_diverging_subsets() {
@@ -607,19 +567,73 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(13);
         let s = MfSurrogates::fit(&low, &high, &cfg, None, &mut rng, None).unwrap();
+        let design = |m: &MfGp| m.high().xs().iter().map(|z| z[0]).collect::<Vec<_>>();
         assert!(
-            !s.shared_design,
+            s.constraints()
+                .iter()
+                .any(|c| design(c) != design(s.objective())),
             "the fusion stages must train on different subsets"
         );
         let tile: Vec<Vec<f64>> = (0..7).map(|i| vec![i as f64 / 6.0]).collect();
         let mut out = vec![0.0; tile.len()];
         s.drive(&tile, &mut out);
         for (x, o) in tile.iter().zip(&out) {
-            let (obj, cons) = s.predict_high(x);
-            let means: Vec<f64> = cons.iter().map(|c| c.mean).collect();
-            let expected = acquisition::feasibility_drive(&means) + 1e-4 * obj.mean;
+            let means: Vec<f64> = s.constraints().iter().map(|c| c.predict(x).mean).collect();
+            let objective = s.objective().predict(x).mean;
+            let expected = acquisition::feasibility_drive(&means) + 1e-4 * objective;
             assert_eq!(o.to_bits(), expected.to_bits());
         }
+    }
+
+    /// The `predict_batch_points` and difference-batch counters of `f` —
+    /// benchmark per-layer metrics, whose meaning must not drift.
+    fn layer_counts(f: impl FnOnce()) -> [u64; 4] {
+        let reg = std::sync::Arc::new(mfbo_telemetry::metrics::MetricsRegistry::new());
+        {
+            let _g = mfbo_telemetry::scoped_sink(reg.clone());
+            f();
+        }
+        let snap = reg.snapshot();
+        [
+            "predict_batch_points",
+            "diffbatch_builds",
+            "diffbatch_appends",
+            "diffbatch_shared_hits",
+        ]
+        .map(|k| snap.counters.get(k).copied().unwrap_or(0))
+    }
+
+    /// A seeded drive call counts `m` points per low stage plus `S` per
+    /// query of propagation, for every model of the bundle, and one
+    /// pointwise fusion prediction `1 + S`; prediction builds no difference
+    /// batch, and the single-fidelity drive counts nothing.
+    #[test]
+    fn drive_and_predict_layer_counts_are_pinned() {
+        let low = make_data(14, 0.3);
+        let high = make_data(6, 0.0);
+        let cfg = MfGpConfig::fast();
+        let mut rng = StdRng::seed_from_u64(17);
+        let s = MfSurrogates::fit(&low, &high, &cfg, None, &mut rng, None).unwrap();
+        let tile: Vec<Vec<f64>> = (0..7).map(|i| vec![(i as f64 + 0.37) / 7.3]).collect();
+        // Off the training points every low posterior is uncertain, so each
+        // query takes all S samples rather than the plug-in one.
+        for m in std::iter::once(s.objective()).chain(s.constraints()) {
+            for x in &tile {
+                assert!(m.low().predict_standardized(x).1.max(0.0).sqrt() >= 1e-12);
+            }
+        }
+        let (m, samples, models) = (tile.len() as u64, cfg.mc_samples as u64, 2);
+        let mut out = vec![0.0; tile.len()];
+        let drive = layer_counts(|| s.drive(&tile, &mut out));
+        assert_eq!(drive, [models * (m + m * samples), 0, 0, 0]);
+        let predict = layer_counts(|| {
+            s.objective().predict(&tile[0]);
+        });
+        assert_eq!(predict, [1 + samples, 0, 0, 0]);
+
+        let mut rng = StdRng::seed_from_u64(18);
+        let sf = SfSurrogates::fit(&high, &GpConfig::fast(), None, &mut rng, None).unwrap();
+        assert_eq!(layer_counts(|| sf.drive(&tile, &mut out)), [0; 4]);
     }
 
     /// θ bits, then posterior mean and variance bits at fixed queries, of
@@ -632,8 +646,8 @@ mod tests {
             .map(|v| v.to_bits())
             .collect();
         for &x in &[0.07, 0.52, 0.93] {
-            let (obj, cons) = s.predict(&[x]);
-            for p in std::iter::once(&obj).chain(&cons) {
+            for m in std::iter::once(s.objective()).chain(s.constraints()) {
+                let p = m.predict(&[x]);
                 bits.extend([p.mean.to_bits(), p.var.to_bits()]);
             }
         }
@@ -650,11 +664,9 @@ mod tests {
             .map(|v| v.to_bits())
             .collect();
         for &x in &[0.07, 0.52, 0.93] {
-            let (obj, cons) = s.predict_high(&[x]);
-            let lows = std::iter::once(s.objective())
-                .chain(s.constraints())
-                .map(|m| m.predict_low(&[x]));
-            for p in std::iter::once(obj).chain(cons).chain(lows) {
+            let models = || std::iter::once(s.objective()).chain(s.constraints());
+            let highs = models().map(|m| m.predict(&[x]));
+            for p in highs.chain(models().map(|m| m.predict_low(&[x]))) {
                 bits.extend([p.mean.to_bits(), p.var.to_bits()]);
             }
         }

@@ -1,10 +1,11 @@
 //! Gaussian-process regression model: training and posterior prediction.
 
-use crate::kernel::{k1_term_vanishes, Kernel, NargpKernel, NargpScales};
+use crate::kernel::{Kernel, NargpKernel};
 use crate::nlml::{
     kernel_matrix_cached, nlml_grad_cached, nlml_value_cached, NlmlFactor, NlmlWorkspace,
 };
-use crate::workspace::DiffBatch;
+use crate::scratch::with_scratch;
+use crate::workspace::{DiffBatch, TrainLayout};
 use crate::GpError;
 use mfbo_infer::InferenceMode;
 use mfbo_linalg::{Cholesky, Standardizer};
@@ -88,6 +89,10 @@ pub struct Gp<K: Kernel> {
     /// Optimized `log σ_n`.
     log_noise: f64,
     xs: Vec<Vec<f64>>,
+    /// The training inputs laid out for prediction, built once here.
+    layout: TrainLayout,
+    /// The kernel's parameter transforms, taken once at construction.
+    scales: K::Scales,
     /// Raw observations.
     ys_raw: Vec<f64>,
     /// Standardized observations.
@@ -349,6 +354,8 @@ impl<K: Kernel> Gp<K> {
         );
 
         Ok(Gp {
+            layout: TrainLayout::new(&xs),
+            scales: kernel.scales(&params),
             kernel,
             params,
             log_noise,
@@ -414,6 +421,8 @@ impl<K: Kernel> Gp<K> {
         mfbo_telemetry::counter!("nlml_evals", 1u64);
         drop(ws);
         Ok(Gp {
+            layout: TrainLayout::new(&xs),
+            scales: kernel.scales(&params),
             kernel,
             params,
             log_noise,
@@ -435,9 +444,13 @@ impl<K: Kernel> Gp<K> {
     /// Panics if `x.len() != kernel.input_dim()`.
     pub fn predict(&self, x: &[f64]) -> Prediction {
         let (m, v) = self.predict_standardized(x);
+        self.destandardize(m, v)
+    }
+
+    fn destandardize(&self, mean: f64, var: f64) -> Prediction {
         Prediction {
-            mean: self.standardizer.inverse(m),
-            var: self.standardizer.inverse_std(v.max(0.0).sqrt()).powi(2),
+            mean: self.standardizer.inverse(mean),
+            var: self.standardizer.inverse_std(var.max(0.0).sqrt()).powi(2),
         }
     }
 
@@ -445,9 +458,8 @@ impl<K: Kernel> Gp<K> {
     /// fidelity-selection threshold `γ` (paper eq. 11) and the NARGP
     /// augmented inputs live in.
     ///
-    /// A one-query batch: the kernel row goes through the batch hook, so
-    /// the parameter `exp` transforms are taken once per call rather than
-    /// once per training pair. Unlike [`Gp::predict_batch_standardized`] it
+    /// The kernel row comes from the query and the fit-time layout (see
+    /// [`Kernel::eval_row`]). Unlike [`Gp::predict_batch_standardized`] it
     /// does not count towards `predict_batch_points`.
     ///
     /// # Panics
@@ -455,17 +467,19 @@ impl<K: Kernel> Gp<K> {
     /// Panics if `x.len() != kernel.input_dim()`.
     pub fn predict_standardized(&self, x: &[f64]) -> (f64, f64) {
         assert_eq!(x.len(), self.kernel.input_dim(), "query dimension mismatch");
-        self.posteriors(std::slice::from_ref(&x.to_vec()), mfbo_simd::active())[0]
+        let (be, mut post) = (mfbo_simd::active(), (0.0, 0.0));
+        self.posteriors(1, be, |_, row| self.kernel_row(x, be, row), |_, p| post = p);
+        post
     }
 
     /// Batched [`Gp::predict_standardized`]: one `(mean, var)` pair per
     /// query point, bit-identical to the pointwise calls.
     ///
-    /// The M×n cross-covariance block is assembled through the kernel's
-    /// batch hook (parameter `exp` transforms hoisted out of the M·n pair
-    /// loop) and the per-query triangular solves reuse one scratch buffer,
-    /// so the per-point cost collapses to the unavoidable O(n²) forward
-    /// solve plus O(n) dot products.
+    /// Each query's kernel row comes from the fit-time layout (parameter
+    /// transforms taken once per model, at construction), and groups of
+    /// [`mfbo_simd::Backend::lanes`] queries share one interleaved
+    /// multi-RHS forward solve, so the per-point cost is the unavoidable
+    /// O(n²) forward solve plus O(n·d) row work.
     ///
     /// # Panics
     ///
@@ -474,16 +488,11 @@ impl<K: Kernel> Gp<K> {
         self.predict_batch_standardized_with_backend(points, mfbo_simd::active())
     }
 
-    /// [`Gp::predict_batch_standardized`] with an explicit SIMD backend —
-    /// the differential-testing and A/B-bench hook.
-    ///
-    /// Queries are processed in cache-sized tiles (the tile's
-    /// cross-covariance rows and difference workspace stay resident while
-    /// the Cholesky factor streams through), and within each tile groups of
-    /// [`mfbo_simd::Backend::lanes`] queries share one interleaved
-    /// multi-RHS forward solve. Both the tiling and the interleaving are
-    /// bit-invisible: each query's mean and variance run the exact
-    /// pointwise operation sequence.
+    /// [`Gp::predict_batch_standardized`] with an explicit SIMD backend for
+    /// the kernel rows and the forward solves — the differential-testing
+    /// and A/B-bench hook. Both the backend and the lane grouping are
+    /// bit-invisible: each query runs the exact pointwise operation
+    /// sequence.
     ///
     /// # Panics
     ///
@@ -493,174 +502,140 @@ impl<K: Kernel> Gp<K> {
         points: &[Vec<f64>],
         be: mfbo_simd::Backend,
     ) -> Vec<(f64, f64)> {
+        let mut out = vec![(0.0, 0.0); points.len()];
+        self.batch_posteriors(points, be, |q, p| out[q] = p);
+        out
+    }
+
+    /// [`Gp::predict_batch_standardized`] into `means` and `vars`, one
+    /// entry per query, without allocating: the surrogate bundles' drive
+    /// path. Counted the same.
+    ///
+    /// # Panics
+    ///
+    /// As for [`Gp::predict_batch_standardized`], and if `means` or `vars`
+    /// is not one entry per query.
+    pub fn predict_batch_standardized_into(
+        &self,
+        points: &[Vec<f64>],
+        means: &mut [f64],
+        vars: &mut [f64],
+    ) {
+        assert_eq!(means.len(), points.len(), "one mean per query");
+        assert_eq!(vars.len(), points.len(), "one variance per query");
+        self.batch_posteriors(points, mfbo_simd::active(), |q, (m, v)| {
+            means[q] = m;
+            vars[q] = v;
+        });
+    }
+
+    /// The counted batch behind the `predict_batch_standardized*` entry
+    /// points.
+    fn batch_posteriors(
+        &self,
+        points: &[Vec<f64>],
+        be: mfbo_simd::Backend,
+        emit: impl FnMut(usize, (f64, f64)),
+    ) {
         if points.is_empty() {
-            return Vec::new();
+            return;
         }
         mfbo_telemetry::counter!("predict_batch_points", points.len() as u64);
         for x in points {
             assert_eq!(x.len(), self.kernel.input_dim(), "query dimension mismatch");
         }
-        self.posteriors(points, be)
+        self.posteriors(
+            points.len(),
+            be,
+            |q, row| self.kernel_row(&points[q], be, row),
+            emit,
+        );
     }
 
-    /// Standardized posterior means `k*ᵀα` at the queries of `cross`, into
-    /// `out` (one per query): bit-identical to the `.0` of
-    /// [`Gp::predict_batch_standardized`]. The caller builds `cross` as
-    /// [`DiffBatch::cross`] of the queries against [`Gp::xs`], in any
-    /// backend layout, and may share it across every model trained on the
-    /// same inputs. The kernel rows go through the batch hook; no forward
-    /// solve and no prior variance run. Like [`Gp::predict_standardized`] it
-    /// does not count towards `predict_batch_points`.
+    /// Standardized posterior means `k*ᵀα` at `points`, into `out` (one per
+    /// query): bit-identical to the `.0` of
+    /// [`Gp::predict_batch_standardized`], with no forward solve and no
+    /// prior variance, and no allocation. Like [`Gp::predict_standardized`]
+    /// it does not count towards `predict_batch_points`.
     ///
     /// # Panics
     ///
-    /// Panics if `cross` does not pair `out.len()` queries of the kernel's
-    /// input dimension with the training inputs.
-    pub fn predict_means_from_cross(&self, cross: &DiffBatch<'_>, out: &mut [f64]) {
-        let kv = self.cross_rows(cross, out.len());
-        for (o, kstar) in out.iter_mut().zip(kv.chunks_exact(self.xs.len())) {
-            *o = mfbo_linalg::dot(kstar, &self.alpha);
-        }
+    /// Panics if `out.len() != points.len()` or a query dimension differs
+    /// from `kernel.input_dim()`.
+    pub fn predict_means_standardized(&self, points: &[Vec<f64>], out: &mut [f64]) {
+        assert_eq!(out.len(), points.len(), "one mean per query");
+        let (n, be) = (self.len(), mfbo_simd::active());
+        with_scratch(self.layout.stride(), |row| {
+            for (o, x) in out.iter_mut().zip(points) {
+                assert_eq!(x.len(), self.kernel.input_dim(), "query dimension mismatch");
+                self.kernel_row(x, be, row);
+                *o = mfbo_linalg::dot(&row[..n], &self.alpha);
+            }
+        });
     }
 
-    /// Full standardized posteriors at the queries `tile` from `cross`, the
-    /// caller's [`DiffBatch::cross`] of `tile` against [`Gp::xs`] (see
-    /// [`Gp::predict_means_from_cross`]): bit-identical to
-    /// [`Gp::predict_batch_standardized`], and counted the same.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cross` does not pair `tile` with the training inputs.
-    pub fn predict_batch_from_cross(
-        &self,
-        tile: &[Vec<f64>],
-        cross: &DiffBatch<'_>,
-    ) -> Vec<(f64, f64)> {
-        mfbo_telemetry::counter!("predict_batch_points", tile.len() as u64);
-        let mut out = Vec::with_capacity(tile.len());
-        self.tile_posteriors(tile, cross, mfbo_simd::active(), &mut out);
-        out
+    /// The kernel row of `x` against the training inputs into `row`
+    /// (`layout.stride()` entries), returning the prior variance `k(x, x)`.
+    fn kernel_row(&self, x: &[f64], be: mfbo_simd::Backend, row: &mut [f64]) -> f64 {
+        self.kernel.eval_row(&self.scales, x, &self.layout, be, row);
+        self.kernel.prior_var(&self.scales, x)
     }
 
-    /// The one posterior path behind every predict entry point: tiles of
-    /// queries, each through [`Gp::tile_posteriors`].
-    fn posteriors(&self, points: &[Vec<f64>], be: mfbo_simd::Backend) -> Vec<(f64, f64)> {
-        let n = self.xs.len();
-        let dim = self.kernel.input_dim();
-        let lanes = be.lanes();
-        // Tile size: per query the hot working set is the n×dim difference
-        // rows (8·n·dim bytes; the tile's batch is scalar-layout, so no
-        // dim-major transpose is built) and the cross-covariance row (8·n
-        // bytes). Budget ~1 MiB so the tile stays cache-resident across the
-        // kernel sweep and the solves; round down to a whole number of SIMD
-        // lanes.
-        let per_query = 8 * n * dim + 8 * n;
-        let tile_len = (1 << 20) / per_query.max(1);
-        let tile_len = (tile_len / lanes * lanes).clamp(lanes, points.len().max(lanes));
-        let mut out = Vec::with_capacity(points.len());
-        for tile in points.chunks(tile_len) {
-            // The per-tile batches are deliberately built in the scalar
-            // layout whatever the backend: a batch evaluated for one model
-            // evaluates its kernel rows exactly once, so the dim-major
-            // transpose the vector kernels want costs more to build than it
-            // saves (unlike the NLML training batch, or a batch the caller
-            // shares across a bundle). The SIMD win here is the interleaved
-            // multi-RHS solves, which read `kv` directly — and scalar vs
-            // vector kernel evaluation is bit-identical by construction, so
-            // the mix is invisible in the output.
-            let cross = DiffBatch::cross_with_backend(tile, &self.xs, mfbo_simd::Backend::Scalar);
-            self.tile_posteriors(tile, &cross, be, &mut out);
-        }
-        out
-    }
-
-    /// The cross-covariance rows (query-major, `n` per query) of the `m`
-    /// queries of `cross`.
-    fn cross_rows(&self, cross: &DiffBatch<'_>, m: usize) -> Vec<f64> {
-        let n = self.xs.len();
-        assert_eq!(
-            cross.len(),
-            m * n,
-            "cross batch does not pair the queries with the training set"
-        );
-        assert_eq!(
-            cross.dim(),
-            self.kernel.input_dim(),
-            "query dimension mismatch"
-        );
-        let mut kv = vec![0.0; m * n];
-        self.kernel.eval_from_diffs(&self.params, cross, &mut kv);
-        kv
-    }
-
-    /// Appends the `(mean, var)` of each query of `tile` to `out`, from
-    /// `cross` (the tile against the training inputs): kernel rows and
-    /// prior variances through the batch hook (one parameter hoist per
-    /// tile), then [`Gp::finish_posteriors`].
-    fn tile_posteriors(
-        &self,
-        tile: &[Vec<f64>],
-        cross: &DiffBatch<'_>,
-        be: mfbo_simd::Backend,
-        out: &mut Vec<(f64, f64)>,
-    ) {
-        let kv = self.cross_rows(cross, tile.len());
-        let diag = DiffBatch::diagonal_with_backend(tile, mfbo_simd::Backend::Scalar);
-        let mut kss = vec![0.0; tile.len()];
-        self.kernel.eval_from_diffs(&self.params, &diag, &mut kss);
-        self.finish_posteriors(be, &kv, &kss, out);
-    }
-
-    /// Turns the cross-covariance rows `kv` (query-major, `n` per query)
-    /// and prior variances `kss` of a block of queries into one `(mean,
-    /// var)` pair each, appended to `out` in query order.
+    /// The one posterior path behind every full predict entry point: the
+    /// `(mean, var)` of each of `m` queries, handed to `emit` in query
+    /// order. `row(q, buf)` writes query `q`'s kernel row into `buf`
+    /// (`layout.stride()` entries) and returns its prior variance.
     ///
     /// Lane-groups of queries share one interleaved forward solve; the
     /// variance reduction walks lane `c`'s strided entries in the same
     /// ascending order (and from the same 0.0 start) as `dot(&v, &v)` on
     /// the de-interleaved vector, so every query runs the pointwise
-    /// operation sequence.
-    fn finish_posteriors(
+    /// operation sequence. All working memory is per-thread scratch.
+    fn posteriors(
         &self,
+        m: usize,
         be: mfbo_simd::Backend,
-        kv: &[f64],
-        kss: &[f64],
-        out: &mut Vec<(f64, f64)>,
+        mut row: impl FnMut(usize, &mut [f64]) -> f64,
+        mut emit: impl FnMut(usize, (f64, f64)),
     ) {
-        let n = self.xs.len();
-        let m = kss.len();
-        let lanes = be.lanes();
-        let mut q = 0;
-        if lanes > 1 && m >= lanes {
-            let mut bi = vec![0.0; n * lanes];
-            let mut vi = vec![0.0; n * lanes];
-            while q + lanes <= m {
+        let (n, stride, lanes) = (self.len(), self.layout.stride(), be.lanes());
+        with_scratch(lanes * (stride + 1 + 2 * n), |buf| {
+            let (kv, rest) = buf.split_at_mut(lanes * stride);
+            let (kss, rest) = rest.split_at_mut(lanes);
+            let (bi, vi) = rest.split_at_mut(n * lanes);
+            let mut q = 0;
+            while q + lanes <= m && lanes > 1 {
+                for (c, (kstar, prior)) in
+                    kv.chunks_exact_mut(stride).zip(kss.iter_mut()).enumerate()
+                {
+                    *prior = row(q + c, kstar);
+                }
                 for i in 0..n {
                     for (c, slot) in bi[i * lanes..(i + 1) * lanes].iter_mut().enumerate() {
-                        *slot = kv[(q + c) * n + i];
+                        *slot = kv[c * stride + i];
                     }
                 }
-                self.chol.forward_solve_interleaved_into(be, &bi, &mut vi);
-                for c in 0..lanes {
-                    let kstar = &kv[(q + c) * n..(q + c + 1) * n];
-                    let mean = mfbo_linalg::dot(kstar, &self.alpha);
+                self.chol.forward_solve_interleaved_into(be, bi, vi);
+                for (c, &prior) in kss.iter().enumerate() {
+                    let mean = mfbo_linalg::dot(&kv[c * stride..c * stride + n], &self.alpha);
                     let mut s = 0.0;
                     for k in 0..n {
                         let x = vi[k * lanes + c];
                         s += x * x;
                     }
-                    out.push((mean, (kss[q + c] - s).max(0.0)));
+                    emit(q + c, (mean, (prior - s).max(0.0)));
                 }
                 q += lanes;
             }
-        }
-        let mut v = vec![0.0; n];
-        for q in q..m {
-            let kstar = &kv[q * n..(q + 1) * n];
-            let mean = mfbo_linalg::dot(kstar, &self.alpha);
-            self.chol.forward_solve_into(kstar, &mut v);
-            out.push((mean, (kss[q] - mfbo_linalg::dot(&v, &v)).max(0.0)));
-        }
+            let (kstar, v) = (&mut kv[..stride], &mut vi[..n]);
+            for q in q..m {
+                let prior = row(q, kstar);
+                let kstar = &kstar[..n];
+                let mean = mfbo_linalg::dot(kstar, &self.alpha);
+                self.chol.forward_solve_into(kstar, v);
+                emit(q, (mean, (prior - mfbo_linalg::dot(v, v)).max(0.0)));
+            }
+        });
     }
 
     /// Batched [`Gp::predict`]: raw-unit predictions for a set of query
@@ -672,10 +647,7 @@ impl<K: Kernel> Gp<K> {
     pub fn predict_batch(&self, points: &[Vec<f64>]) -> Vec<Prediction> {
         self.predict_batch_standardized(points)
             .into_iter()
-            .map(|(m, v)| Prediction {
-                mean: self.standardizer.inverse(m),
-                var: self.standardizer.inverse_std(v.max(0.0).sqrt()).powi(2),
-            })
+            .map(|(m, v)| self.destandardize(m, v))
             .collect()
     }
 
@@ -760,8 +732,8 @@ impl Gp<NargpKernel> {
     /// Of eq. (9)'s `k1(f, f_i)·k2(x, x_i) + k3(x, x_i)`, only `k1` sees
     /// the fidelity value, so the design-space factors `k2`, `k3` (and
     /// their prior-variance terms) are evaluated once per training point
-    /// instead of once per sample (see [`Gp::propagation`]). Counts one
-    /// `predict_batch_points` per sample.
+    /// instead of once per sample. Counts one `predict_batch_points` per
+    /// sample.
     ///
     /// # Panics
     ///
@@ -771,7 +743,7 @@ impl Gp<NargpKernel> {
     }
 
     /// [`Gp::predict_propagated_standardized`] with an explicit SIMD
-    /// backend for the interleaved forward solves — the
+    /// backend for the kernel rows and the interleaved forward solves — the
     /// differential-testing hook.
     ///
     /// # Panics
@@ -783,140 +755,77 @@ impl Gp<NargpKernel> {
         fs: &[f64],
         be: mfbo_simd::Backend,
     ) -> Vec<(f64, f64)> {
-        assert_eq!(
-            x.len(),
-            self.kernel.design_dim(),
-            "design point dimension mismatch"
-        );
-        if fs.is_empty() {
-            return Vec::new();
-        }
-        mfbo_telemetry::counter!("predict_batch_points", fs.len() as u64);
-        // One design point: the factors pair by pair, with no batch built.
-        let scales = self.kernel.scales(&self.params);
-        let (k2, k3) = self
-            .xs
-            .iter()
-            .map(|z| scales.design_pair(x.iter().zip(z).map(|(a, b)| a - b)))
-            .unzip();
-        // The prior variance's design factors from the `x − x` differences
-        // a diagonal batch holds.
-        #[allow(clippy::eq_op)]
-        let (k2_xx, k3_xx) = scales.design_pair(x.iter().map(|a| a - a));
-        let p = Propagation {
-            gp: self,
-            scales,
-            k2,
-            k3,
-            row: Vec::new(),
-        };
-        let n = self.xs.len();
-        let mut kv = vec![0.0; fs.len() * n];
-        let mut kss = Vec::with_capacity(fs.len());
-        for (&f, row) in fs.iter().zip(kv.chunks_exact_mut(n)) {
-            p.fill(0, f, row);
-            // Deliberately `f − f`, as the diagonal batch stores it (NaN,
-            // not 0, for a non-finite sample).
-            #[allow(clippy::eq_op)]
-            kss.push(p.scales.k1(f - f) * k2_xx + k3_xx);
-        }
-        let mut out = Vec::with_capacity(fs.len());
-        self.finish_posteriors(be, &kv, &kss, &mut out);
+        let mut out = vec![(0.0, 0.0); fs.len()];
+        self.propagate(x, fs, be, |fill| {
+            // The prior variance's design factors, as `eval(z, z)` takes
+            // them from the `x − x` self-differences.
+            let (k2_xx, k3_xx) = self.scales.design_prior(x);
+            self.posteriors(
+                fs.len(),
+                be,
+                |q, row| {
+                    fill(fs[q], row);
+                    // Deliberately `f − f`, as `eval(z, z)` computes it
+                    // (NaN, not 0, for a non-finite sample).
+                    #[allow(clippy::eq_op)]
+                    self.scales.combine(fs[q] - fs[q], k2_xx, k3_xx)
+                },
+                |q, p| out[q] = p,
+            );
+        });
         out
     }
 
-    /// The design-space half of the propagated kernel rows (eq. 9's
-    /// `k2(x_q, x_i)` and `k3(x_q, x_i)`) for every design point `x_q` of
-    /// `design`, a [`DiffBatch::cross`] of the design points against
-    /// [`Gp::xs`] (only their leading design columns are read). The caller
-    /// may share one batch across every fusion model trained on the same
-    /// design points. The parameter transforms are taken once per call,
-    /// and a vector-backend batch runs each factor as one
-    /// [`mfbo_simd::sq_norm`] sweep; either layout gives the same bits.
+    /// The standardized posterior means alone at the augmented inputs
+    /// `(x, f)` for `f` in `fs`, into `out` in sample order: bit-identical
+    /// to the `.0` of [`Gp::predict_propagated_standardized`], with no
+    /// forward solve and no allocation. Counts one `predict_batch_points`
+    /// per sample, as the full path does.
     ///
     /// # Panics
     ///
-    /// Panics if `design` is not over the kernel's design dimension or does
-    /// not pair whole design points with the training inputs.
-    pub fn propagation(&self, design: &DiffBatch<'_>) -> Propagation<'_> {
-        let n = self.xs.len();
-        assert_eq!(
-            design.dim(),
-            self.kernel.design_dim(),
-            "design dimension mismatch"
-        );
-        assert_eq!(
-            design.len() % n.max(1),
-            0,
-            "design batch does not pair whole queries"
-        );
-        let scales = self.kernel.scales(&self.params);
-        let (k2, k3) = scales.design(design);
-        Propagation {
-            gp: self,
-            scales,
-            k2,
-            k3,
-            row: vec![0.0; n],
-        }
-    }
-}
-
-/// The hoisted NARGP kernel factors of a block of design points (see
-/// [`Gp::propagation`]): only the 1-dim `k1` is left to evaluate per
-/// sample.
-#[derive(Debug)]
-pub struct Propagation<'a> {
-    gp: &'a Gp<NargpKernel>,
-    scales: NargpScales,
-    /// `k2(x_q, x_i)`, query-major, `n` per design point.
-    k2: Vec<f64>,
-    /// `k3(x_q, x_i)`, laid out as `k2`.
-    k3: Vec<f64>,
-    /// Scratch kernel row.
-    row: Vec<f64>,
-}
-
-impl Propagation<'_> {
-    /// The standardized posterior means at the augmented inputs
-    /// `(x_q, f)` of design point `q`, for `f` in `fs`, into `out` in
-    /// sample order: bit-identical to the `.0` of
-    /// [`Gp::predict_propagated_standardized`]. Counts one
-    /// `predict_batch_points` per sample, as the full path does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is out of range or `out.len() != fs.len()`.
-    pub fn means(&mut self, q: usize, fs: &[f64], out: &mut [f64]) {
+    /// Panics if `x.len()` differs from the kernel's design dimension or
+    /// `out.len() != fs.len()`.
+    pub fn predict_propagated_means(&self, x: &[f64], fs: &[f64], out: &mut [f64]) {
         assert_eq!(out.len(), fs.len(), "one mean per sample");
-        mfbo_telemetry::counter!("predict_batch_points", fs.len() as u64);
-        let mut row = std::mem::take(&mut self.row);
-        for (o, &f) in out.iter_mut().zip(fs) {
-            self.fill(q, f, &mut row);
-            *o = mfbo_linalg::dot(&row, &self.gp.alpha);
-        }
-        self.row = row;
+        let n = self.len();
+        self.propagate(x, fs, mfbo_simd::active(), |fill| {
+            with_scratch(self.layout.stride(), |row| {
+                for (o, &f) in out.iter_mut().zip(fs) {
+                    fill(f, row);
+                    *o = mfbo_linalg::dot(&row[..n], &self.alpha);
+                }
+            });
+        });
     }
 
-    /// The kernel row of the augmented input `(x_q, f)` against every
-    /// training point: `k1(f, f_i)·k2_i + k3_i`, which is `k3_i` where
-    /// `k2_i` is zero (see [`k1_term_vanishes`]).
-    fn fill(&self, q: usize, f: f64, row: &mut [f64]) {
-        let n = row.len();
-        let d = self.gp.kernel.design_dim();
-        let (k2, k3) = (&self.k2[q * n..(q + 1) * n], &self.k3[q * n..(q + 1) * n]);
-        let s = &self.scales;
-        for (((o, z), &k2i), &k3i) in row.iter_mut().zip(&self.gp.xs).zip(k2).zip(k3) {
-            let df = f - z[d];
-            *o = if k1_term_vanishes(s.sf2_1, df * s.inv_l1, k2i) {
-                k3i
-            } else {
-                s.k1(df) * k2i + k3i
-            };
+    /// Shared set-up of the propagated paths: counts the samples, computes
+    /// the design factors of `x` once, then hands `body` a `fill(f, row)`
+    /// that writes the kernel row of `(x, f)` into `row` from them and the
+    /// fidelity column of the training inputs.
+    fn propagate(
+        &self,
+        x: &[f64],
+        fs: &[f64],
+        be: mfbo_simd::Backend,
+        body: impl FnOnce(&dyn Fn(f64, &mut [f64])),
+    ) {
+        let d = self.kernel.design_dim();
+        assert_eq!(x.len(), d, "design point dimension mismatch");
+        if fs.is_empty() {
+            return;
         }
+        mfbo_telemetry::counter!("predict_batch_points", fs.len() as u64);
+        let (n, stride) = (self.len(), self.layout.stride());
+        with_scratch(2 * stride, |buf| {
+            let (k2, k3) = buf.split_at_mut(stride);
+            self.scales.design_rows(x, &self.layout, be, k2, k3);
+            let fid = &self.layout.rows(d..d + 1)[..n];
+            let (k2, k3) = (&k2[..n], &k3[..n]);
+            body(&|f, row: &mut [f64]| self.scales.fill(f, fid, k2, k3, &mut row[..n]));
+        });
     }
 }
-
 /// The NLML of one fit as a two-phase L-BFGS objective: line-search probes
 /// run only [`nlml_value_cached`], and the accepted probe's factor finishes
 /// the gradient in [`nlml_grad_cached`] — the same bits as
@@ -1348,24 +1257,30 @@ mod tests {
         // all zero.
         let design = vec![vec![0.1, 0.2], vec![0.3, 0.35]];
         let fs = [0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.2, 1e300];
-        let n = gp.xs.len();
+        let (n, stride, s) = (gp.len(), gp.layout.stride(), &gp.scales);
+        let fid = &gp.layout.rows(2..3)[..n];
         for be in [mfbo_simd::Backend::Scalar, mfbo_simd::active()] {
-            let batch = DiffBatch::cross_with_backend(&design, &gp.xs, be);
-            let p = gp.propagation(&batch);
-            assert!(p.k2.contains(&0.0) && p.k2.iter().any(|&k| k != 0.0));
-            let mut row = vec![0.0; n];
-            for q in 0..design.len() {
+            let mut k2_rows = Vec::new();
+            for x in &design {
+                let (mut k2, mut k3) = (vec![0.0; stride], vec![0.0; stride]);
+                s.design_rows(x, &gp.layout, be, &mut k2, &mut k3);
+                let (k2, k3) = (&k2[..n], &k3[..n]);
+                k2_rows.extend_from_slice(k2);
+                let mut row = vec![0.0; n];
                 for &f in &fs {
-                    p.fill(q, f, &mut row);
+                    s.fill(f, fid, k2, k3, &mut row);
                     for (i, &v) in row.iter().enumerate() {
-                        let full = p.scales.k1(f - gp.xs[i][2]) * p.k2[q * n + i] + p.k3[q * n + i];
+                        let zf = (f - gp.xs[i][2]) * s.inv_l1;
+                        let k1 = s.sf2_1 * (-0.5 * (zf * zf)).exp();
+                        let full = k1 * k2[i] + k3[i];
                         assert!(
                             v.to_bits() == full.to_bits() || (v.is_nan() && full.is_nan()),
-                            "q {q}, f {f}, i {i}: {v} vs unshortened {full}"
+                            "x {x:?}, f {f}, i {i}: {v} vs unshortened {full}"
                         );
                     }
                 }
             }
+            assert!(k2_rows.contains(&0.0) && k2_rows.iter().any(|&k| k != 0.0));
         }
     }
 }

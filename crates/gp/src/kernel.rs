@@ -9,7 +9,7 @@
 //! The gradient convention: [`Kernel::eval_grad`] writes `∂k/∂p_j` (the
 //! derivative with respect to the *log* parameter) into the output slice.
 
-use crate::workspace::DiffBatch;
+use crate::workspace::{DiffBatch, TrainLayout};
 use std::fmt::Debug;
 
 /// A positive-definite covariance function over `R^dim`.
@@ -87,6 +87,37 @@ pub trait Kernel: Debug + Clone + Send + Sync {
         self.grad_from_diffs(p, batch, weights, acc);
     }
 
+    /// The parameter transforms prediction reads (`σ_f²`, inverse
+    /// lengthscales), which a fitted model computes once.
+    type Scales: Debug + Clone + Send + Sync;
+
+    /// Transforms the log-parameters `p` for [`Kernel::eval_row`] and
+    /// [`Kernel::prior_var`].
+    fn scales(&self, p: &[f64]) -> Self::Scales;
+
+    /// The kernel row of query `x` against every point of `layout`, into
+    /// `out` (`layout.stride()` entries; those past `layout.len()` are
+    /// padding), under `s = self.scales(p)`. The contract is
+    /// **bit-identity** with [`Kernel::eval`]`(p, x, x_j)` per point, as for
+    /// [`Kernel::eval_from_diffs`].
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if `out.len() != layout.stride()` or the
+    /// dimensions disagree.
+    fn eval_row(
+        &self,
+        s: &Self::Scales,
+        x: &[f64],
+        layout: &TrainLayout,
+        be: mfbo_simd::Backend,
+        out: &mut [f64],
+    );
+
+    /// The prior variance `k(x, x)` under `s = self.scales(p)`:
+    /// bit-identical to [`Kernel::eval`]`(p, x, x)`, or NaN where that is.
+    fn prior_var(&self, s: &Self::Scales, x: &[f64]) -> f64;
+
     /// A reasonable starting point for hyperparameter optimization, assuming
     /// inputs roughly in the unit box and standardized outputs.
     fn default_params(&self) -> Vec<f64>;
@@ -121,6 +152,32 @@ impl SquaredExponential {
     pub fn new(dim: usize) -> Self {
         assert!(dim > 0, "kernel dimension must be positive");
         SquaredExponential { dim }
+    }
+}
+
+/// The parameter transforms of a [`SquaredExponential`]: `σ_f²` and the
+/// inverse lengthscales.
+#[derive(Debug, Clone)]
+pub struct SeScales {
+    sf2: f64,
+    inv_l: Vec<f64>,
+}
+
+/// Whether every scaled self-difference `(x_t − x_t)·ℓ_t⁻¹` is zero, so an
+/// SE factor's `k(x, x)` is exactly `σ_f²·exp(−0) = σ_f²`. A non-finite
+/// coordinate (or inverse lengthscale) makes one of them NaN, and `k(x, x)`
+/// with it.
+#[allow(clippy::eq_op)]
+fn zero_self_distance(x: &[f64], inv_l: &[f64]) -> bool {
+    x.iter().zip(inv_l).all(|(&a, &l)| (a - a) * l == 0.0)
+}
+
+/// An SE factor's prior variance `k(x, x)` (see [`zero_self_distance`]).
+fn se_prior(sf2: f64, x: &[f64], inv_l: &[f64]) -> f64 {
+    if zero_self_distance(x, inv_l) {
+        sf2
+    } else {
+        f64::NAN
     }
 }
 
@@ -174,8 +231,7 @@ impl Kernel for SquaredExponential {
         // loop. Per pair, the arithmetic below is the exact sequence of
         // `eval` (signed difference × inv_l, squared, accumulated in
         // dimension order), so values are bit-identical.
-        let sf2 = (2.0 * p[0]).exp();
-        let inv_l: Vec<f64> = p[1..1 + self.dim].iter().map(|&l| (-l).exp()).collect();
+        let SeScales { sf2, inv_l } = self.scales(p);
         if let Some((be, rows)) = batch.simd_rows() {
             // Vectorized across pairs: `sq_norm` fills `out` with the exact
             // `q` each scalar pair iteration would accumulate (ascending
@@ -201,8 +257,7 @@ impl Kernel for SquaredExponential {
         debug_assert_eq!(weights.len(), batch.len());
         debug_assert_eq!(acc.len(), self.num_params());
         debug_assert_eq!(batch.dim(), self.dim);
-        let sf2 = (2.0 * p[0]).exp();
-        let inv_l: Vec<f64> = p[1..1 + self.dim].iter().map(|&l| (-l).exp()).collect();
+        let SeScales { sf2, inv_l } = self.scales(p);
         // One scratch for the whole batch instead of `eval_grad`'s
         // per-pair allocation.
         let mut z2 = vec![0.0; self.dim];
@@ -254,7 +309,7 @@ impl Kernel for SquaredExponential {
         // `k z_i²`), and `values[q]` is the bit-exact `k` the pair loop of
         // `grad_from_diffs` would recompute — so the per-pair `exp`
         // disappears and only the `z_i²` products remain.
-        let inv_l: Vec<f64> = p[1..1 + self.dim].iter().map(|&l| (-l).exp()).collect();
+        let inv_l = self.scales(p).inv_l;
         if let Some((be, _)) = batch.simd_rows() {
             let (acc0, accl) = acc.split_at_mut(1);
             for ((d, &w), &k) in batch
@@ -280,6 +335,37 @@ impl Kernel for SquaredExponential {
                 acc[1 + i] += w * (k * (z * z));
             }
         }
+    }
+
+    type Scales = SeScales;
+
+    fn scales(&self, p: &[f64]) -> SeScales {
+        SeScales {
+            sf2: (2.0 * p[0]).exp(),
+            inv_l: p[1..1 + self.dim].iter().map(|&l| (-l).exp()).collect(),
+        }
+    }
+
+    fn eval_row(
+        &self,
+        s: &SeScales,
+        x: &[f64],
+        layout: &TrainLayout,
+        be: mfbo_simd::Backend,
+        out: &mut [f64],
+    ) {
+        debug_assert_eq!(x.len(), self.dim);
+        // The fused sweep accumulates each point's `q` exactly as `eval`
+        // does (query − point, × inv_l, squared, added in dimension order);
+        // the parameter-dependent finish runs per real point.
+        mfbo_simd::sq_dist(be, x, layout.rows(0..self.dim), &s.inv_l, out);
+        for o in &mut out[..layout.len()] {
+            *o = s.sf2 * (-0.5 * *o).exp();
+        }
+    }
+
+    fn prior_var(&self, s: &SeScales, x: &[f64]) -> f64 {
+        se_prior(s.sf2, x, &s.inv_l)
     }
 
     fn default_params(&self) -> Vec<f64> {
@@ -345,21 +431,6 @@ impl NargpKernel {
         debug_assert_eq!(p.len(), n1 + n2 + n3);
         (&p[..n1], &p[n1..n1 + n2], &p[n1 + n2..])
     }
-
-    /// The parameter transforms of all three SE components, hoisted out of
-    /// the pair loops of the batch hooks and the propagated posterior.
-    pub(crate) fn scales(&self, p: &[f64]) -> NargpScales {
-        let d = self.design_dim;
-        let (p1, p2, p3) = self.split(p);
-        NargpScales {
-            sf2_1: (2.0 * p1[0]).exp(),
-            inv_l1: (-p1[1]).exp(),
-            sf2_2: (2.0 * p2[0]).exp(),
-            inv_l2: p2[1..1 + d].iter().map(|&l| (-l).exp()).collect(),
-            sf2_3: (2.0 * p3[0]).exp(),
-            inv_l3: p3[1..1 + d].iter().map(|&l| (-l).exp()).collect(),
-        }
-    }
 }
 
 /// Whether `k1·k2 + k3` is exactly `k3` for one [`NargpKernel`] pair, so
@@ -367,15 +438,15 @@ impl NargpKernel {
 /// is finite and non-negative because `σ²_f1` is finite and the scaled
 /// fidelity difference `zf` is not NaN (`zf` may be passed squared).
 #[inline]
-pub(crate) fn k1_term_vanishes(sf2_1: f64, zf: f64, k2: f64) -> bool {
+fn k1_term_vanishes(sf2_1: f64, zf: f64, k2: f64) -> bool {
     k2 == 0.0 && sf2_1.is_finite() && !zf.is_nan()
 }
 
 /// `σ_f²` and inverse lengthscales of the three SE components of
 /// [`NargpKernel`]: `k1` over the fidelity channel, `k2` and `k3` over the
 /// design space.
-#[derive(Debug)]
-pub(crate) struct NargpScales {
+#[derive(Debug, Clone)]
+pub struct NargpScales {
     pub(crate) sf2_1: f64,
     pub(crate) inv_l1: f64,
     pub(crate) sf2_2: f64,
@@ -385,23 +456,16 @@ pub(crate) struct NargpScales {
 }
 
 impl NargpScales {
-    /// The fidelity factor `k1` of a fidelity difference.
-    pub(crate) fn k1(&self, df: f64) -> f64 {
+    /// `k1·k2 + k3` of one pair from its fidelity difference `df` and
+    /// design factors, or `k3` where the `k1` term vanishes (see
+    /// [`k1_term_vanishes`]) — the per-pair finish of every NARGP path.
+    pub(crate) fn combine(&self, df: f64, k2: f64, k3: f64) -> f64 {
         let zf = df * self.inv_l1;
-        self.sf2_1 * (-0.5 * (zf * zf)).exp()
-    }
-
-    /// The design factors `(k2, k3)` of one pair from its signed
-    /// differences, each squared norm accumulated in dimension order.
-    pub(crate) fn design_pair(&self, diffs: impl Iterator<Item = f64>) -> (f64, f64) {
-        let (mut q2, mut q3) = (0.0, 0.0);
-        for ((di, l2), l3) in diffs.zip(&self.inv_l2).zip(&self.inv_l3) {
-            let z2 = di * l2;
-            q2 += z2 * z2;
-            let z3 = di * l3;
-            q3 += z3 * z3;
+        if k1_term_vanishes(self.sf2_1, zf, k2) {
+            k3
+        } else {
+            self.sf2_1 * (-0.5 * (zf * zf)).exp() * k2 + k3
         }
-        (self.k2_of(q2), self.k3_of(q3))
     }
 
     fn k2_of(&self, q2: f64) -> f64 {
@@ -412,26 +476,47 @@ impl NargpScales {
         self.sf2_3 * (-0.5 * q3).exp()
     }
 
-    /// [`NargpScales::design_pair`] of every pair of a design-space batch:
-    /// one [`mfbo_simd::sq_norm`] sweep per factor over a vector-backend
-    /// batch's rows, which accumulates the same sequence per pair.
-    pub(crate) fn design(&self, batch: &DiffBatch<'_>) -> (Vec<f64>, Vec<f64>) {
-        let Some((be, rows)) = batch.simd_rows() else {
-            let pairs = batch.diffs().chunks_exact(self.inv_l2.len());
-            return pairs.map(|d| self.design_pair(d.iter().copied())).unzip();
-        };
-        let count = batch.len();
-        let mut k2 = vec![0.0; count];
-        let mut k3 = vec![0.0; count];
-        mfbo_simd::sq_norm(be, rows, count, &self.inv_l2, &mut k2);
-        mfbo_simd::sq_norm(be, rows, count, &self.inv_l3, &mut k3);
-        for q2 in &mut k2 {
+    /// The design factors `k2(x, x_j)` and `k3(x, x_j)` of design point `x`
+    /// against every point of `layout` (whose first `d` rows are the design
+    /// columns), into `k2` and `k3` (`layout.stride()` entries each): one
+    /// fused [`mfbo_simd::sq_dist`] sweep per factor, which accumulates each
+    /// point's squared norm as `eval` does.
+    pub(crate) fn design_rows(
+        &self,
+        x: &[f64],
+        layout: &TrainLayout,
+        be: mfbo_simd::Backend,
+        k2: &mut [f64],
+        k3: &mut [f64],
+    ) {
+        let design = layout.rows(0..self.inv_l2.len());
+        mfbo_simd::sq_dist(be, x, design, &self.inv_l2, k2);
+        mfbo_simd::sq_dist(be, x, design, &self.inv_l3, k3);
+        let n = layout.len();
+        for q2 in &mut k2[..n] {
             *q2 = self.k2_of(*q2);
         }
-        for q3 in &mut k3 {
+        for q3 in &mut k3[..n] {
             *q3 = self.k3_of(*q3);
         }
-        (k2, k3)
+    }
+
+    /// The design factors `k2(x, x)` and `k3(x, x)` of the prior variance
+    /// (see [`zero_self_distance`]).
+    pub(crate) fn design_prior(&self, x: &[f64]) -> (f64, f64) {
+        (
+            se_prior(self.sf2_2, x, &self.inv_l2),
+            se_prior(self.sf2_3, x, &self.inv_l3),
+        )
+    }
+
+    /// The kernel row of the augmented input `(x, f)` from the design
+    /// factors of `x` (see [`NargpScales::design_rows`]) and the fidelity
+    /// column `fid` of the training inputs, into `row`.
+    pub(crate) fn fill(&self, f: f64, fid: &[f64], k2: &[f64], k3: &[f64], row: &mut [f64]) {
+        for (((o, &fj), &k2j), &k3j) in row.iter_mut().zip(fid).zip(k2).zip(k3) {
+            *o = self.combine(f - fj, k2j, k3j);
+        }
     }
 }
 
@@ -486,14 +571,7 @@ impl Kernel for NargpKernel {
         debug_assert_eq!(batch.dim(), self.input_dim());
         let d = self.design_dim;
         // All three components are SE: hoist every parameter transform.
-        let NargpScales {
-            sf2_1,
-            inv_l1,
-            sf2_2,
-            inv_l2,
-            sf2_3,
-            inv_l3,
-        } = self.scales(p);
+        let s = self.scales(p);
         if let Some((be, rows)) = batch.simd_rows() {
             // Dim-major rows split cleanly into the design-space block
             // (dimensions 0..d) and the fidelity channel (dimension d), so
@@ -505,16 +583,16 @@ impl Kernel for NargpKernel {
             let (design_rows, fid_row) = rows.split_at(d * count);
             let mut q1 = vec![0.0; count];
             let mut q3 = vec![0.0; count];
-            mfbo_simd::sq_norm(be, fid_row, count, &[inv_l1], &mut q1);
-            mfbo_simd::sq_norm(be, design_rows, count, &inv_l3, &mut q3);
-            mfbo_simd::sq_norm(be, design_rows, count, &inv_l2, out);
+            mfbo_simd::sq_norm(be, fid_row, count, &[s.inv_l1], &mut q1);
+            mfbo_simd::sq_norm(be, design_rows, count, &s.inv_l3, &mut q3);
+            mfbo_simd::sq_norm(be, design_rows, count, &s.inv_l2, out);
             for ((o, &q1v), &q3v) in out.iter_mut().zip(&q1).zip(&q3) {
-                let k2v = sf2_2 * (-0.5 * *o).exp();
-                let k3v = sf2_3 * (-0.5 * q3v).exp();
-                *o = if k1_term_vanishes(sf2_1, q1v, k2v) {
+                let k2v = s.k2_of(*o);
+                let k3v = s.k3_of(q3v);
+                *o = if k1_term_vanishes(s.sf2_1, q1v, k2v) {
                     k3v
                 } else {
-                    let k1v = sf2_1 * (-0.5 * q1v).exp();
+                    let k1v = s.sf2_1 * (-0.5 * q1v).exp();
                     k1v * k2v + k3v
                 };
             }
@@ -524,25 +602,17 @@ impl Kernel for NargpKernel {
             // The augmented layout is (x_1 … x_d, f): the fidelity channel
             // difference is the last entry, the design-space differences
             // the first `d`.
-            let zf = df[d] * inv_l1;
             let mut q2 = 0.0;
-            for (di, li) in df[..d].iter().zip(&inv_l2) {
+            for (di, li) in df[..d].iter().zip(&s.inv_l2) {
                 let z = di * li;
                 q2 += z * z;
             }
-            let k2v = sf2_2 * (-0.5 * q2).exp();
             let mut q3 = 0.0;
-            for (di, li) in df[..d].iter().zip(&inv_l3) {
+            for (di, li) in df[..d].iter().zip(&s.inv_l3) {
                 let z = di * li;
                 q3 += z * z;
             }
-            let k3v = sf2_3 * (-0.5 * q3).exp();
-            *o = if k1_term_vanishes(sf2_1, zf, k2v) {
-                k3v
-            } else {
-                let k1v = sf2_1 * (-0.5 * (zf * zf)).exp();
-                k1v * k2v + k3v
-            };
+            *o = s.combine(df[d], s.k2_of(q2), s.k3_of(q3));
         }
     }
 
@@ -625,6 +695,50 @@ impl Kernel for NargpKernel {
                 acc[n1 + n2 + 1 + i] += w * (k3v * z2_3[i]);
             }
         }
+    }
+
+    type Scales = NargpScales;
+
+    fn scales(&self, p: &[f64]) -> NargpScales {
+        let d = self.design_dim;
+        let (p1, p2, p3) = self.split(p);
+        NargpScales {
+            sf2_1: (2.0 * p1[0]).exp(),
+            inv_l1: (-p1[1]).exp(),
+            sf2_2: (2.0 * p2[0]).exp(),
+            inv_l2: p2[1..1 + d].iter().map(|&l| (-l).exp()).collect(),
+            sf2_3: (2.0 * p3[0]).exp(),
+            inv_l3: p3[1..1 + d].iter().map(|&l| (-l).exp()).collect(),
+        }
+    }
+
+    fn eval_row(
+        &self,
+        s: &NargpScales,
+        x: &[f64],
+        layout: &TrainLayout,
+        be: mfbo_simd::Backend,
+        out: &mut [f64],
+    ) {
+        debug_assert_eq!(x.len(), self.input_dim());
+        let d = self.design_dim;
+        let n = layout.len();
+        crate::scratch::with_scratch(layout.stride(), |k3| {
+            s.design_rows(&x[..d], layout, be, out, k3);
+            let fid = &layout.rows(d..d + 1)[..n];
+            for ((o, &fj), &k3j) in out.iter_mut().zip(fid).zip(&*k3) {
+                *o = s.combine(x[d] - fj, *o, k3j);
+            }
+        });
+    }
+
+    fn prior_var(&self, s: &NargpScales, x: &[f64]) -> f64 {
+        let d = self.design_dim;
+        let (k2, k3) = s.design_prior(&x[..d]);
+        // Deliberately `f − f`, as `eval(x, x)` computes it: NaN, not 0,
+        // for a non-finite fidelity value.
+        #[allow(clippy::eq_op)]
+        s.combine(x[d] - x[d], k2, k3)
     }
 
     fn default_params(&self) -> Vec<f64> {
@@ -747,8 +861,93 @@ mod tests {
         assert!((direct - expect).abs() < 1e-12);
     }
 
+    /// `a` and `b` are the same bits, or both NaN (whose payload the
+    /// posterior never reads: a NaN prior variance clamps to 0).
+    fn same(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// Every constructible backend: a foreign one degrades to scalar.
+    const BACKENDS: [mfbo_simd::Backend; 3] = [
+        mfbo_simd::Backend::Scalar,
+        mfbo_simd::Backend::Avx2,
+        mfbo_simd::Backend::Neon,
+    ];
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Differential oracle of the prediction path: under every backend,
+        /// the fused kernel rows from the fit-time layout — SE rows, NARGP's
+        /// design factors `k2`/`k3` and its fidelity-channel finish — and
+        /// the analytic prior variances reproduce the per-pair
+        /// [`Kernel::eval`] bit for bit, at point counts that do and do not
+        /// fill whole SIMD lanes, on finite queries and on queries holding
+        /// NaN and ±∞ coordinates.
+        #[test]
+        fn bit_identity_fused_rows_match_per_pair_eval(
+            train in proptest::collection::vec(-1.0f64..1.0, 9 * 7),
+            query in proptest::collection::vec(-1.0f64..1.0, 7),
+            special in proptest::collection::vec(0usize..16, 7),
+            n in 1usize..10,
+            d in 1usize..7,
+            log_l in -2.0f64..1.0,
+            log_sf in -1.0f64..1.0,
+        ) {
+            const SPECIAL: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+            let xs: Vec<Vec<f64>> = train.chunks_exact(7).take(n).map(|c| c[..=d].to_vec()).collect();
+            let finite = query[..=d].to_vec();
+            let odd: Vec<f64> = finite
+                .iter()
+                .zip(&special)
+                .map(|(&v, &k)| SPECIAL.get(k).copied().unwrap_or(v))
+                .collect();
+            let layout = TrainLayout::new(&xs);
+            let stride = layout.stride();
+
+            let se = SquaredExponential::new(d + 1);
+            let mut p_se = vec![log_sf];
+            p_se.extend((0..=d).map(|t| log_l + 0.1 * t as f64));
+            let s_se = se.scales(&p_se);
+
+            let nargp = NargpKernel::new(d);
+            let mut p = nargp.default_params();
+            p[0] = log_sf;
+            p[1] = log_l;
+            for v in &mut p[3..3 + d] {
+                *v = log_l;
+            }
+            let s = nargp.scales(&p);
+            let (_, p2, p3) = nargp.split(&p);
+            let fid = &layout.rows(d..d + 1)[..n];
+
+            for z in [&finite, &odd] {
+                proptest::prop_assert!(same(se.prior_var(&s_se, z), se.eval(&p_se, z, z)));
+                proptest::prop_assert!(same(nargp.prior_var(&s, z), nargp.eval(&p, z, z)));
+                for be in BACKENDS {
+                    let mut row = vec![0.0; stride];
+                    se.eval_row(&s_se, z, &layout, be, &mut row);
+                    for (j, x) in xs.iter().enumerate() {
+                        proptest::prop_assert!(same(row[j], se.eval(&p_se, z, x)), "SE point {}", j);
+                    }
+
+                    let (mut k2, mut k3) = (vec![0.0; stride], vec![0.0; stride]);
+                    s.design_rows(&z[..d], &layout, be, &mut k2, &mut k3);
+                    for (j, x) in xs.iter().enumerate() {
+                        proptest::prop_assert!(same(k2[j], nargp.k2.eval(p2, &z[..d], &x[..d])));
+                        proptest::prop_assert!(same(k3[j], nargp.k3.eval(p3, &z[..d], &x[..d])));
+                    }
+                    let mut filled = vec![0.0; n];
+                    s.fill(z[d], fid, &k2[..n], &k3[..n], &mut filled);
+                    nargp.eval_row(&s, z, &layout, be, &mut row);
+                    for (j, x) in xs.iter().enumerate() {
+                        let want = nargp.eval(&p, z, x);
+                        proptest::prop_assert!(same(row[j], want), "NARGP point {}", j);
+                        proptest::prop_assert!(same(filled[j], want), "filled point {}", j);
+                    }
+                }
+            }
+        }
 
         /// The zero-`k2` short circuit of `eval_from_diffs` must return the
         /// unshortened `k1·k2 + k3` of the per-pair `eval`, under both
@@ -832,13 +1031,6 @@ mod tests {
         k.grad_from_diffs_with_values(p, &batch, &weights, &fast, &mut acc_vals);
         for (j, (f, r)) in acc_vals.iter().zip(&acc_ref).enumerate() {
             assert_eq!(f.to_bits(), r.to_bits(), "grad-with-values param {j}");
-        }
-        // Diagonal batch must reproduce the scalar eval(x, x) terms.
-        let dbatch = crate::workspace::DiffBatch::diagonal(xs);
-        let mut dvals = vec![0.0; dbatch.len()];
-        k.eval_from_diffs(p, &dbatch, &mut dvals);
-        for (i, &v) in dvals.iter().enumerate() {
-            assert_eq!(v.to_bits(), k.eval(p, &xs[i], &xs[i]).to_bits(), "diag {i}");
         }
     }
 

@@ -42,13 +42,15 @@ mod error;
 mod gp;
 pub mod kernel;
 mod nlml;
+mod scratch;
 pub mod workspace;
 
 pub use error::GpError;
-pub use gp::{Gp, GpConfig, Prediction, Propagation};
+pub use gp::{Gp, GpConfig, Prediction};
 pub use mfbo_infer::InferenceMode;
 pub use nlml::{
     nlml, nlml_grad_cached, nlml_value_cached, nlml_with_grad, nlml_with_grad_cached, NlmlFactor,
     NlmlWorkspace,
 };
-pub use workspace::{DiffBatch, FitCache};
+pub use scratch::with_scratch;
+pub use workspace::{DiffBatch, FitCache, TrainLayout};

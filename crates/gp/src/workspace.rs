@@ -1,37 +1,38 @@
-//! Precomputed pairwise-difference workspaces for batch kernel evaluation.
+//! Precomputed layouts of the training inputs for batch kernel evaluation.
 //!
-//! Every NLML evaluation of a fit rebuilds the kernel matrix over the *same*
-//! point set — only the hyperparameters change between L-BFGS steps and
-//! restarts. A [`DiffBatch`] materializes the per-dimension signed
-//! differences `a_i - b_i` for every pair once, so the per-evaluation work
-//! collapses to the parameter-dependent part (for stationary kernels, a
-//! handful of `exp` calls hoisted out of the pair loop — see
-//! [`Kernel::eval_from_diffs`](crate::kernel::Kernel::eval_from_diffs)).
+//! Two layouts serve the two halves of a GP's life:
 //!
-//! The stored differences are the exact floating-point values the scalar
-//! kernel paths compute internally (signed, *not* squared: `(a-b)·w` and
-//! `√((a-b)²)·w` differ in floating point), which is what lets the batch
-//! paths reproduce the scalar paths bit for bit.
+//! - **Training.** Every NLML evaluation of a fit rebuilds the kernel matrix
+//!   over the *same* point set — only the hyperparameters change between
+//!   L-BFGS steps and restarts. A [`DiffBatch`] materializes the
+//!   per-dimension signed differences `a_i - b_i` of every lower-triangle
+//!   pair once, so the per-evaluation work collapses to the
+//!   parameter-dependent part (for stationary kernels, a handful of `exp`
+//!   calls hoisted out of the pair loop — see
+//!   [`Kernel::eval_from_diffs`](crate::kernel::Kernel::eval_from_diffs)). A
+//!   [`FitCache`] keeps that batch across BO iterations.
+//! - **Prediction.** A fitted model stores its training inputs once,
+//!   dimension-major and padded to whole SIMD lanes, in a [`TrainLayout`].
+//!   A kernel row then comes straight from a query and the layout through
+//!   the fused [`mfbo_simd::sq_dist`] kernel (see
+//!   [`Kernel::eval_row`](crate::kernel::Kernel::eval_row)), with no
+//!   difference tensor built per call.
+//!
+//! Both paths compute the exact floating-point differences the scalar kernel
+//! paths compute internally (signed, *not* squared: `(a-b)·w` and
+//! `√((a-b)²)·w` differ in floating point), which is what lets them
+//! reproduce the scalar paths bit for bit.
 
-use std::sync::OnceLock;
-
-/// Pairwise signed-difference tensor over two point sets.
-///
-/// Two layouts exist:
-/// - [`DiffBatch::lower_triangle`] — all pairs `(i, j)` with `j ≤ i` of one
-///   set, in the row-major lower-triangle order the kernel-matrix builder
-///   walks. Used by NLML training.
-/// - [`DiffBatch::cross`] — all pairs of an `M`-point query set against an
-///   `n`-point training set, query-major. Used by batched prediction, and
-///   built by the caller when one batch serves several models trained on
-///   the same inputs.
+/// Lower-triangle signed-difference tensor over one point set: all pairs
+/// `(i, j)` with `j ≤ i`, in the row-major order the kernel-matrix builder
+/// walks. NLML training reads it.
 #[derive(Debug)]
 pub struct DiffBatch<'a> {
     dim: usize,
     /// Number of pairs.
     count: usize,
-    /// Backing storage — owned by this batch (the fresh-build constructors)
-    /// or borrowed from a [`FitCache`] that persists across fits.
+    /// Backing storage — owned by this batch (a fresh build) or borrowed
+    /// from a [`FitCache`] that persists across fits.
     storage: Storage<'a>,
     /// Backend the transpose was built for; `None` when the backend is
     /// scalar and only the diff tensor exists.
@@ -45,20 +46,8 @@ enum Storage<'a> {
     /// `diffs[q*dim + t] = left[t] - right[t]` for pair `q`. When a SIMD
     /// backend is active the buffer is twice that size and the second half
     /// holds the dim-major transpose `rows[t*count + q]`, so a vector
-    /// kernel can stream `lanes` consecutive pairs per load. One allocation
-    /// holds both halves deliberately: batches are rebuilt per prediction
-    /// tile, and two transient multi-hundred-KB allocations per build make
-    /// glibc bounce the second one through fresh `mmap` pages every time
-    /// (measured ~7× the cost of the copies themselves).
+    /// kernel can stream `lanes` consecutive pairs per load.
     Owned(Vec<f64>),
-    /// The dim-major transpose of a cross batch built for a vector
-    /// backend, the only layout its value hook reads. The pair-major
-    /// tensor is transposed back on the first [`DiffBatch::diffs`] call
-    /// (the gradient hooks read it), so every hook takes every batch.
-    RowsOnly {
-        rows: Vec<f64>,
-        diffs: OnceLock<Vec<f64>>,
-    },
     /// Views into a [`FitCache`]'s persistent buffers. `rows` is empty when
     /// no transpose is needed (scalar backend).
     Borrowed { diffs: &'a [f64], rows: &'a [f64] },
@@ -147,131 +136,6 @@ impl<'a> DiffBatch<'a> {
         }
     }
 
-    /// Workspace over all `queries × xs` pairs, query-major — pair
-    /// `qi * xs.len() + xj` is `(queries[qi], xs[xj])`, matching the
-    /// `k(x_query, x_train)` argument order of the pointwise predict path.
-    ///
-    /// The differences run over the queries' dimension `d`: a training
-    /// point may be longer, and only its leading `d` coordinates are read
-    /// (the design columns of the NARGP augmented inputs).
-    ///
-    /// The batch stores only what the kernels' value hook reads: the
-    /// dim-major rows under a vector backend, the pair-major tensor under
-    /// the scalar one. A vector-backend batch builds its pair-major tensor
-    /// only if [`DiffBatch::diffs`] asks for it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queries have inconsistent dimensions or a training
-    /// point is shorter than them.
-    pub fn cross(queries: &'a [Vec<f64>], xs: &'a [Vec<f64>]) -> Self {
-        Self::cross_with_backend(queries, xs, mfbo_simd::active())
-    }
-
-    /// [`DiffBatch::cross`] with an explicit SIMD backend — the
-    /// differential-testing and A/B-bench hook.
-    ///
-    /// # Panics
-    ///
-    /// As for [`DiffBatch::cross`].
-    pub fn cross_with_backend(
-        queries: &'a [Vec<f64>],
-        xs: &'a [Vec<f64>],
-        be: mfbo_simd::Backend,
-    ) -> Self {
-        let dim = queries.first().or_else(|| xs.first()).map_or(0, Vec::len);
-        for a in queries {
-            assert_eq!(a.len(), dim, "inconsistent query dimension");
-        }
-        for b in xs {
-            assert!(b.len() >= dim, "training point shorter than the queries");
-        }
-        let n = xs.len();
-        let count = queries.len() * n;
-        if simd_wanted(be, count, dim) {
-            let mut rows = vec![0.0; count * dim];
-            for (t, row) in rows.chunks_exact_mut(count).enumerate() {
-                for (a, out) in queries.iter().zip(row.chunks_exact_mut(n)) {
-                    for (o, b) in out.iter_mut().zip(xs) {
-                        *o = a[t] - b[t];
-                    }
-                }
-            }
-            return DiffBatch {
-                dim,
-                count,
-                storage: Storage::RowsOnly {
-                    rows,
-                    diffs: OnceLock::new(),
-                },
-                simd_backend: Some(be),
-            };
-        }
-        let mut buf = vec![0.0; count * dim];
-        let mut idx = 0;
-        for a in queries {
-            for b in xs {
-                for ((o, &at), &bt) in buf[idx..idx + dim].iter_mut().zip(a).zip(b) {
-                    *o = at - bt;
-                }
-                idx += dim;
-            }
-        }
-        DiffBatch {
-            dim,
-            count,
-            storage: Storage::Owned(buf),
-            simd_backend: None,
-        }
-    }
-
-    /// Workspace over the diagonal pairs `(i, i)` of one point set — the
-    /// prior-variance terms `k(x, x)` of a batched prediction. The stored
-    /// differences are the exact `a_i - a_i` values the scalar path
-    /// computes (always `+0.0` for finite inputs), so the batch hook
-    /// reproduces `eval(x, x)` bit for bit while hoisting the parameter
-    /// `exp` transforms out of the per-query loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the points have inconsistent dimensions.
-    pub fn diagonal(xs: &'a [Vec<f64>]) -> Self {
-        Self::diagonal_with_backend(xs, mfbo_simd::active())
-    }
-
-    /// [`DiffBatch::diagonal`] with an explicit SIMD backend — the
-    /// differential-testing and A/B-bench hook.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the points have inconsistent dimensions.
-    pub fn diagonal_with_backend(xs: &'a [Vec<f64>], be: mfbo_simd::Backend) -> Self {
-        let dim = xs.first().map_or(0, Vec::len);
-        let count = xs.len();
-        let want = simd_wanted(be, count, dim);
-        let mut buf = vec![0.0; count * dim * if want { 2 } else { 1 }];
-        let mut idx = 0;
-        for a in xs {
-            assert_eq!(a.len(), dim, "inconsistent point dimension");
-            // Deliberately `a − a`, not a constant 0.0: the batch must hold
-            // the exact value the scalar path computes for the pair (i, i).
-            #[allow(clippy::eq_op)]
-            for (o, &at) in buf[idx..idx + dim].iter_mut().zip(a) {
-                *o = at - at;
-            }
-            idx += dim;
-        }
-        if want {
-            fill_simd_rows(&mut buf, count, dim);
-        }
-        DiffBatch {
-            dim,
-            count,
-            storage: Storage::Owned(buf),
-            simd_backend: want.then_some(be),
-        }
-    }
-
     /// Number of pairs.
     pub fn len(&self) -> usize {
         self.count
@@ -288,16 +152,10 @@ impl<'a> DiffBatch<'a> {
     }
 
     /// The flat `len() × dim` difference tensor; pair `q` occupies
-    /// `[q*dim, (q+1)*dim)`. A cross batch built for a vector backend
-    /// transposes it from its rows on the first call.
+    /// `[q*dim, (q+1)*dim)`.
     pub fn diffs(&self) -> &[f64] {
         match &self.storage {
             Storage::Owned(buf) => &buf[..self.count * self.dim],
-            Storage::RowsOnly { rows, diffs } => diffs.get_or_init(|| {
-                let mut out = vec![0.0; self.count * self.dim];
-                transpose_rows(rows, &mut out, self.dim, self.count);
-                out
-            }),
             Storage::Borrowed { diffs, .. } => diffs,
         }
     }
@@ -311,11 +169,72 @@ impl<'a> DiffBatch<'a> {
         self.simd_backend.map(|be| {
             let rows = match &self.storage {
                 Storage::Owned(buf) => &buf[self.count * self.dim..],
-                Storage::RowsOnly { rows, .. } => rows,
                 Storage::Borrowed { rows, .. } => *rows,
             };
             (be, rows)
         })
+    }
+}
+
+/// A fitted model's training inputs stored dimension-major and padded to
+/// whole SIMD lanes — the fit-time layout every prediction reads.
+///
+/// Coordinate `t` of point `j` sits at `t * stride() + j`, so each
+/// coordinate of all points is one contiguous row: the operand of the fused
+/// [`mfbo_simd::sq_dist`], and for NARGP's augmented inputs the fidelity
+/// column. The stride is the point count rounded up to [`mfbo_simd::PAD`],
+/// so a row sweep has no scalar tail; padding entries hold `0.0`, and the
+/// kernel values computed for them are never read.
+#[derive(Debug, Clone)]
+pub struct TrainLayout {
+    len: usize,
+    stride: usize,
+    xt: Vec<f64>,
+}
+
+impl TrainLayout {
+    /// Lays out `xs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the points have inconsistent dimensions.
+    pub fn new(xs: &[Vec<f64>]) -> Self {
+        let len = xs.len();
+        let dim = xs.first().map_or(0, Vec::len);
+        let stride = len.next_multiple_of(mfbo_simd::PAD);
+        let mut xt = vec![0.0; dim * stride];
+        for (j, x) in xs.iter().enumerate() {
+            assert_eq!(x.len(), dim, "inconsistent point dimension");
+            for (t, &v) in x.iter().enumerate() {
+                xt[t * stride + j] = v;
+            }
+        }
+        TrainLayout { len, stride, xt }
+    }
+
+    /// Number of points.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the layout holds no points.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Row length: [`TrainLayout::len`] rounded up to [`mfbo_simd::PAD`].
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// Coordinates `dims` of every point: `dims.len()` rows of
+    /// [`TrainLayout::stride`] entries each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dims` reaches past the point dimension.
+    pub fn rows(&self, dims: std::ops::Range<usize>) -> &[f64] {
+        &self.xt[dims.start * self.stride..dims.end * self.stride]
     }
 }
 
@@ -495,39 +414,16 @@ mod tests {
     }
 
     #[test]
-    fn cross_layout_and_values() {
-        let queries = vec![vec![1.0], vec![5.0]];
-        let xs = vec![vec![0.0], vec![2.0], vec![3.0]];
-        let b = DiffBatch::cross_with_backend(&queries, &xs, mfbo_simd::Backend::Scalar);
-        assert_eq!(b.len(), 6);
-        // Query-major: pair 4 is (queries[1], xs[1]) → 5 − 2.
-        assert_eq!(b.diffs(), &[1.0, -1.0, -2.0, 5.0, 3.0, 2.0]);
-    }
-
-    #[test]
-    fn cross_reads_the_leading_columns_of_longer_training_points() {
-        let queries = vec![vec![1.0, 2.0]];
-        let augmented = vec![vec![0.5, 0.25, 9.0], vec![3.0, 1.0, -4.0]];
-        let design: Vec<Vec<f64>> = augmented.iter().map(|z| z[..2].to_vec()).collect();
-        for be in [mfbo_simd::Backend::Scalar, mfbo_simd::Backend::Avx2] {
-            let a = DiffBatch::cross_with_backend(&queries, &augmented, be);
-            let b = DiffBatch::cross_with_backend(&queries, &design, be);
-            assert_eq!(a.dim(), 2);
-            match (a.simd_rows(), b.simd_rows()) {
-                (Some((_, ra)), Some((_, rb))) => assert_eq!(ra, rb),
-                (None, None) => assert_eq!(a.diffs(), b.diffs()),
-                _ => unreachable!("same backend, same layout"),
-            }
-        }
-    }
-
-    #[test]
-    fn diagonal_layout_and_values() {
+    fn train_layout_is_dimension_major_and_padded() {
         let xs = vec![vec![1.0, 2.0], vec![4.0, 8.0], vec![0.5, -1.0]];
-        let b = DiffBatch::diagonal(&xs);
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.dim(), 2);
-        assert!(b.diffs().iter().all(|&d| d == 0.0));
+        let layout = TrainLayout::new(&xs);
+        assert_eq!(layout.len(), 3);
+        assert_eq!(layout.stride() % mfbo_simd::PAD, 0);
+        let s = layout.stride();
+        assert_eq!(&layout.rows(0..1)[..3], &[1.0, 4.0, 0.5]);
+        assert_eq!(&layout.rows(1..2)[..3], &[2.0, 8.0, -1.0]);
+        assert_eq!(layout.rows(0..2).len(), 2 * s);
+        assert!(layout.rows(0..2)[3..s].iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -538,34 +434,19 @@ mod tests {
             vec![0.5, -1.0, 2.5],
         ];
         let avx2 = mfbo_simd::Backend::Avx2;
-        for (b, scalar) in [
-            (
-                DiffBatch::lower_triangle_with_backend(&xs, avx2),
-                DiffBatch::lower_triangle_with_backend(&xs, mfbo_simd::Backend::Scalar),
-            ),
-            // A vector-backend cross batch keeps only the rows and
-            // transposes them back on demand.
-            (
-                DiffBatch::cross_with_backend(&xs[..2], &xs, avx2),
-                DiffBatch::cross_with_backend(&xs[..2], &xs, mfbo_simd::Backend::Scalar),
-            ),
-            (
-                DiffBatch::diagonal_with_backend(&xs, avx2),
-                DiffBatch::diagonal_with_backend(&xs, mfbo_simd::Backend::Scalar),
-            ),
-        ] {
-            let (be, rows) = b.simd_rows().expect("vector backend builds rows");
-            assert_eq!(be, avx2);
-            assert!(scalar.simd_rows().is_none());
-            let diffs = b.diffs();
-            assert_eq!(diffs, scalar.diffs());
-            for q in 0..b.len() {
-                for t in 0..b.dim() {
-                    assert_eq!(
-                        rows[t * b.len() + q].to_bits(),
-                        diffs[q * b.dim() + t].to_bits()
-                    );
-                }
+        let b = DiffBatch::lower_triangle_with_backend(&xs, avx2);
+        let scalar = DiffBatch::lower_triangle_with_backend(&xs, mfbo_simd::Backend::Scalar);
+        let (be, rows) = b.simd_rows().expect("vector backend builds rows");
+        assert_eq!(be, avx2);
+        assert!(scalar.simd_rows().is_none());
+        let diffs = b.diffs();
+        assert_eq!(diffs, scalar.diffs());
+        for q in 0..b.len() {
+            for t in 0..b.dim() {
+                assert_eq!(
+                    rows[t * b.len() + q].to_bits(),
+                    diffs[q * b.dim() + t].to_bits()
+                );
             }
         }
     }

@@ -129,9 +129,8 @@ mod bit_identity {
     use proptest::TestCaseError;
 
     /// All three batch hooks of `kernel` under the detected backend must
-    /// reproduce the forced-scalar workspace bit for bit, on a training
-    /// (lower-triangle) batch and on a cross batch, whose vector layout
-    /// holds only the dim-major rows.
+    /// reproduce the forced-scalar training (lower-triangle) workspace bit
+    /// for bit.
     fn check_kernel_backend_invisible<K: Kernel>(
         kernel: &K,
         theta: &[f64],
@@ -143,13 +142,6 @@ mod bit_identity {
             theta,
             &DiffBatch::lower_triangle_with_backend(xs, be),
             &DiffBatch::lower_triangle_with_backend(xs, scalar),
-        )?;
-        let queries = &xs[..xs.len().div_ceil(2)];
-        check_hooks_match(
-            kernel,
-            theta,
-            &DiffBatch::cross_with_backend(queries, xs, be),
-            &DiffBatch::cross_with_backend(queries, xs, scalar),
         )
     }
 
@@ -511,12 +503,12 @@ mod bit_identity {
             }
         }
 
-        /// The cross-batch posteriors against the full ones, at 1, 5 and the
-        /// charge pump's 36 design dimensions, with the caller's batch in
-        /// the scalar and the active backend's layout: the means of both
-        /// kernels against the `.0` of the full posterior, the SE full
-        /// posterior against the batch path, and the propagated NARGP
-        /// sample means from a batch over the design columns.
+        /// The mean-only and slice-filling posteriors against the full
+        /// ones, at 1, 5 and the charge pump's 36 design dimensions: the
+        /// means of both kernels against the `.0` of the full posterior, the
+        /// SE posteriors written into slices against the returned ones, and
+        /// the propagated NARGP sample means against the full propagated
+        /// posterior.
         #[test]
         fn mean_only_posteriors_match_full(
             flat in prop::collection::vec(0.0f64..1.0, 22 * 37),
@@ -563,36 +555,31 @@ mod bit_identity {
             let nargp_full = gp.predict_batch_standardized(queries);
             let fs: Vec<f64> = (0..s).map(|k| (k as f64 * 0.71).sin() - 0.2).collect();
 
-            for be in [mfbo_simd::Backend::Scalar, mfbo_simd::active()] {
-                let cross = DiffBatch::cross_with_backend(&se_queries, se.xs(), be);
-                let mut means = vec![f64::NAN; m];
-                se.predict_means_from_cross(&cross, &mut means);
-                let posts = se.predict_batch_from_cross(&se_queries, &cross);
-                for (((q, mean), post), f) in se_queries.iter().zip(&means).zip(&posts).zip(&full) {
-                    prop_assert_eq!(mean.to_bits(), f.0.to_bits());
-                    prop_assert_eq!(mean.to_bits(), se.predict_standardized(q).0.to_bits());
-                    prop_assert_eq!(post.0.to_bits(), f.0.to_bits());
-                    prop_assert_eq!(post.1.to_bits(), f.1.to_bits());
-                }
+            let mut means = vec![f64::NAN; m];
+            let mut vars = vec![f64::NAN; m];
+            se.predict_means_standardized(&se_queries, &mut means);
+            for ((q, mean), f) in se_queries.iter().zip(&means).zip(&full) {
+                prop_assert_eq!(mean.to_bits(), f.0.to_bits());
+                prop_assert_eq!(mean.to_bits(), se.predict_standardized(q).0.to_bits());
+            }
+            se.predict_batch_standardized_into(&se_queries, &mut means, &mut vars);
+            for ((mean, var), f) in means.iter().zip(&vars).zip(&full) {
+                prop_assert_eq!(mean.to_bits(), f.0.to_bits());
+                prop_assert_eq!(var.to_bits(), f.1.to_bits());
+            }
 
-                let cross = DiffBatch::cross_with_backend(queries, gp.xs(), be);
-                gp.predict_means_from_cross(&cross, &mut means);
-                for (mean, f) in means.iter().zip(&nargp_full) {
-                    prop_assert_eq!(mean.to_bits(), f.0.to_bits());
-                }
+            gp.predict_means_standardized(queries, &mut means);
+            for (mean, f) in means.iter().zip(&nargp_full) {
+                prop_assert_eq!(mean.to_bits(), f.0.to_bits());
+            }
 
-                // The propagation batch pairs the design points with the
-                // (longer) augmented training inputs.
-                let design_batch = DiffBatch::cross_with_backend(&se_queries, gp.xs(), be);
-                let mut propagation = gp.propagation(&design_batch);
-                let mut sample_means = vec![f64::NAN; s];
-                for (q, x) in se_queries.iter().enumerate() {
-                    propagation.means(q, &fs, &mut sample_means);
-                    let full = gp.predict_propagated_standardized(x, &fs);
-                    prop_assert_eq!(full.len(), s);
-                    for (mean, f) in sample_means.iter().zip(&full) {
-                        prop_assert_eq!(mean.to_bits(), f.0.to_bits());
-                    }
+            let mut sample_means = vec![f64::NAN; s];
+            for x in &se_queries {
+                gp.predict_propagated_means(x, &fs, &mut sample_means);
+                let full = gp.predict_propagated_standardized(x, &fs);
+                prop_assert_eq!(full.len(), s);
+                for (mean, f) in sample_means.iter().zip(&full) {
+                    prop_assert_eq!(mean.to_bits(), f.0.to_bits());
                 }
             }
         }

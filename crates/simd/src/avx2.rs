@@ -59,6 +59,50 @@ pub(crate) unsafe fn sq_norm(rows: &[f64], count: usize, inv_l: &[f64], out: &mu
 }
 
 #[target_feature(enable = "avx2")]
+pub(crate) unsafe fn sq_dist(q: &[f64], xt: &[f64], inv_l: &[f64], out: &mut [f64]) {
+    let count = out.len();
+    let xp = xt.as_ptr();
+    let op = out.as_mut_ptr();
+    let mut j = 0usize;
+    // As `sq_norm`, two accumulators per block; each lane runs one entry's
+    // subtract, multiply, square and add in ascending `t`.
+    while j + 2 * LANES <= count {
+        let mut acc0 = _mm256_setzero_pd();
+        let mut acc1 = _mm256_setzero_pd();
+        for (t, (&qt, &li)) in q.iter().zip(inv_l).enumerate() {
+            let qv = _mm256_set1_pd(qt);
+            let lv = _mm256_set1_pd(li);
+            let base = t * count + j;
+            let z0 = _mm256_mul_pd(_mm256_sub_pd(qv, _mm256_loadu_pd(xp.add(base))), lv);
+            let z1 = _mm256_mul_pd(_mm256_sub_pd(qv, _mm256_loadu_pd(xp.add(base + LANES))), lv);
+            acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(z0, z0));
+            acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(z1, z1));
+        }
+        _mm256_storeu_pd(op.add(j), acc0);
+        _mm256_storeu_pd(op.add(j + LANES), acc1);
+        j += 2 * LANES;
+    }
+    while j + LANES <= count {
+        let mut acc = _mm256_setzero_pd();
+        for (t, (&qt, &li)) in q.iter().zip(inv_l).enumerate() {
+            let d = _mm256_sub_pd(_mm256_set1_pd(qt), _mm256_loadu_pd(xp.add(t * count + j)));
+            let z = _mm256_mul_pd(d, _mm256_set1_pd(li));
+            acc = _mm256_add_pd(acc, _mm256_mul_pd(z, z));
+        }
+        _mm256_storeu_pd(op.add(j), acc);
+        j += LANES;
+    }
+    for jj in j..count {
+        let mut s = 0.0;
+        for (t, (&qt, &li)) in q.iter().zip(inv_l).enumerate() {
+            let z = (qt - xt[t * count + jj]) * li;
+            s += z * z;
+        }
+        out[jj] = s;
+    }
+}
+
+#[target_feature(enable = "avx2")]
 pub(crate) unsafe fn z2_into(d: &[f64], inv_l: &[f64], out: &mut [f64]) {
     let n = d.len();
     let mut i = 0usize;

@@ -241,6 +241,27 @@ pub fn sq_norm(be: Backend, rows: &[f64], count: usize, inv_l: &[f64], out: &mut
     dispatch!(be, sq_norm(rows, count, inv_l, out));
 }
 
+/// Squared weighted distances from one query to a dimension-major point
+/// set: `out[j] = Σ_t ((q[t] − xt[t*out.len() + j]) · inv_l[t])²`, the `t`
+/// terms added in ascending order per entry. This is [`sq_norm`] fused with
+/// the query-minus-point differences it would read (the same subtraction,
+/// then the same separate multiply and add), so a kernel row comes straight
+/// from the query and a training layout built once per model. A point count
+/// padded to a multiple of [`PAD`] leaves no scalar tail on any backend.
+///
+/// # Panics
+///
+/// Panics if `q.len() != inv_l.len()` or `xt.len() != inv_l.len() * out.len()`.
+pub fn sq_dist(be: Backend, q: &[f64], xt: &[f64], inv_l: &[f64], out: &mut [f64]) {
+    assert_eq!(q.len(), inv_l.len(), "sq_dist query length mismatch");
+    assert_eq!(xt.len(), inv_l.len() * out.len(), "sq_dist shape mismatch");
+    dispatch!(be, sq_dist(q, xt, inv_l, out));
+}
+
+/// A multiple of every backend's [`Backend::lanes`]: a point count rounded
+/// up to it leaves [`sq_dist`] no scalar tail on any backend.
+pub const PAD: usize = 4;
+
 /// Elementwise scaled squares: `out[i] = (d[i]·inv_l[i])²` — the `z_i²`
 /// terms of one kernel pair's ARD gradient.
 ///

@@ -55,6 +55,48 @@ pub(crate) unsafe fn sq_norm(rows: &[f64], count: usize, inv_l: &[f64], out: &mu
 }
 
 #[target_feature(enable = "neon")]
+pub(crate) unsafe fn sq_dist(q: &[f64], xt: &[f64], inv_l: &[f64], out: &mut [f64]) {
+    let count = out.len();
+    let xp = xt.as_ptr();
+    let op = out.as_mut_ptr();
+    let mut j = 0usize;
+    while j + 2 * LANES <= count {
+        let mut acc0 = vdupq_n_f64(0.0);
+        let mut acc1 = vdupq_n_f64(0.0);
+        for (t, (&qt, &li)) in q.iter().zip(inv_l).enumerate() {
+            let qv = vdupq_n_f64(qt);
+            let lv = vdupq_n_f64(li);
+            let base = t * count + j;
+            let z0 = vmulq_f64(vsubq_f64(qv, vld1q_f64(xp.add(base))), lv);
+            let z1 = vmulq_f64(vsubq_f64(qv, vld1q_f64(xp.add(base + LANES))), lv);
+            acc0 = vaddq_f64(acc0, vmulq_f64(z0, z0));
+            acc1 = vaddq_f64(acc1, vmulq_f64(z1, z1));
+        }
+        vst1q_f64(op.add(j), acc0);
+        vst1q_f64(op.add(j + LANES), acc1);
+        j += 2 * LANES;
+    }
+    while j + LANES <= count {
+        let mut acc = vdupq_n_f64(0.0);
+        for (t, (&qt, &li)) in q.iter().zip(inv_l).enumerate() {
+            let d = vsubq_f64(vdupq_n_f64(qt), vld1q_f64(xp.add(t * count + j)));
+            let z = vmulq_f64(d, vdupq_n_f64(li));
+            acc = vaddq_f64(acc, vmulq_f64(z, z));
+        }
+        vst1q_f64(op.add(j), acc);
+        j += LANES;
+    }
+    for jj in j..count {
+        let mut s = 0.0;
+        for (t, (&qt, &li)) in q.iter().zip(inv_l).enumerate() {
+            let z = (qt - xt[t * count + jj]) * li;
+            s += z * z;
+        }
+        out[jj] = s;
+    }
+}
+
+#[target_feature(enable = "neon")]
 pub(crate) unsafe fn z2_into(d: &[f64], inv_l: &[f64], out: &mut [f64]) {
     let n = d.len();
     let mut i = 0usize;

@@ -24,6 +24,23 @@ pub fn sq_norm(rows: &[f64], count: usize, inv_l: &[f64], out: &mut [f64]) {
     }
 }
 
+/// `out[j] = Σ_t ((q[t] − xt[t*count + j]) · inv_l[t])²` with `count =
+/// out.len()`, terms added in ascending `t` order per entry. `xt` is
+/// dimension-major: row `t` holds coordinate `t` of all `count` points.
+pub fn sq_dist(q: &[f64], xt: &[f64], inv_l: &[f64], out: &mut [f64]) {
+    let count = out.len();
+    for o in out.iter_mut() {
+        *o = 0.0;
+    }
+    for (t, (&qt, &li)) in q.iter().zip(inv_l).enumerate() {
+        let row = &xt[t * count..(t + 1) * count];
+        for (o, &x) in out.iter_mut().zip(row) {
+            let z = (qt - x) * li;
+            *o += z * z;
+        }
+    }
+}
+
 /// `out[i] = (d[i]·inv_l[i])²`.
 pub fn z2_into(d: &[f64], inv_l: &[f64], out: &mut [f64]) {
     for ((o, &di), &li) in out.iter_mut().zip(d).zip(inv_l) {

@@ -43,6 +43,35 @@ proptest! {
         assert_bits_eq(&fast, &reference)?;
     }
 
+    /// The fused distance kernel against the scalar reference under every
+    /// constructible backend, and against its unfused definition: the
+    /// query-minus-point differences laid out dimension-major, then
+    /// `sq_norm`. Point counts straddle the 8/4-wide blocks and the tail.
+    #[test]
+    fn sq_dist_dispatch_bit_identical_and_equal_to_diff_then_sq_norm(
+        count in 1usize..40,
+        dim in 1usize..8,
+        seed in values(40 * 8),
+        query in values(8),
+        scale in values(8),
+    ) {
+        let xt = &seed[..count * dim];
+        let (q, inv_l) = (&query[..dim], &scale[..dim]);
+        let mut want = vec![0.0; count];
+        simd::scalar::sq_dist(q, xt, inv_l, &mut want);
+        let diffs: Vec<f64> = (0..dim)
+            .flat_map(|t| xt[t * count..(t + 1) * count].iter().map(move |&x| q[t] - x))
+            .collect();
+        let mut unfused = vec![0.0; count];
+        simd::scalar::sq_norm(&diffs, count, inv_l, &mut unfused);
+        assert_bits_eq(&unfused, &want)?;
+        for be in [Backend::Scalar, Backend::Avx2, Backend::Neon, simd::detect()] {
+            let mut got = vec![0.0; count];
+            simd::sq_dist(be, q, xt, inv_l, &mut got);
+            assert_bits_eq(&got, &want)?;
+        }
+    }
+
     #[test]
     fn elementwise_kernels_dispatch_bit_identical(
         len in 1usize..20,
