@@ -11,7 +11,7 @@
 use mfbo::acquisition::lower_confidence_bound;
 use mfbo::problem::{Fidelity, MultiFidelityProblem};
 use mfbo::{EvaluationRecord, FidelityData, MfboError, Outcome, SfSurrogates};
-use mfbo_gp::{FitCache, GpConfig, InferenceMode};
+use mfbo_gp::{GpConfig, InferenceMode};
 use mfbo_opt::{sampling, Bounds};
 use rand::Rng;
 
@@ -134,7 +134,6 @@ impl Gaspad {
         };
         let mut thetas = None;
         let mut since_refit = 0usize;
-        let mut fit_cache = FitCache::new();
 
         for iteration in 1.. {
             if data.len() >= cfg.budget {
@@ -143,16 +142,14 @@ impl Gaspad {
             let data_u = data.to_unit(&bounds);
             let surrogates = match &thetas {
                 Some(t) if since_refit < cfg.refit_every => {
-                    match SfSurrogates::fit_frozen(&data_u, &model, t, Some(&mut fit_cache)) {
+                    match SfSurrogates::fit_frozen(&data_u, &model, t) {
                         Ok(s) => s,
-                        Err(_) => {
-                            SfSurrogates::fit(&data_u, &model, None, rng, Some(&mut fit_cache))?
-                        }
+                        Err(_) => SfSurrogates::fit(&data_u, &model, None, rng)?,
                     }
                 }
                 warm => {
                     since_refit = 0;
-                    SfSurrogates::fit(&data_u, &model, warm.as_ref(), rng, Some(&mut fit_cache))?
+                    SfSurrogates::fit(&data_u, &model, warm.as_ref(), rng)?
                 }
             };
             since_refit += 1;

@@ -9,9 +9,7 @@ use mfbo_circuits::pa::{PaFidelity, PowerAmplifier};
 use mfbo_circuits::pvt::PvtCorner;
 use mfbo_circuits::testfns;
 use mfbo_gp::kernel::{Kernel, SquaredExponential};
-use mfbo_gp::{
-    nlml_value_cached, nlml_with_grad, nlml_with_grad_cached, Gp, GpConfig, NlmlWorkspace,
-};
+use mfbo_gp::{nlml_value_cached, nlml_with_grad, nlml_with_grad_cached, DiffBatch, Gp, GpConfig};
 use mfbo_linalg::{Cholesky, Matrix};
 use mfbo_opt::msp::MultiStart;
 use mfbo_opt::Bounds;
@@ -59,7 +57,7 @@ fn linalg_bench_data(n: usize, dim: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
 /// One NLML + gradient evaluation — the inner loop of hyperparameter
 /// training (L-BFGS calls this hundreds of times per fit over fixed data).
 /// `naive` rebuilds pairwise differences per call; `cached` replays them
-/// from a [`NlmlWorkspace`] (built once per fit, outside the timed loop, as
+/// from a [`DiffBatch`] (built once per fit, outside the timed loop, as
 /// `Gp::fit` does). The two rows return bit-identical values. `value_only`
 /// is the value half alone — the cost of one L-BFGS line-search probe,
 /// which skips the inverse and trace-weight pass of the gradient.
@@ -75,12 +73,12 @@ fn bench_nlml_eval(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("naive", n), &n, |bch, _| {
             bch.iter(|| nlml_with_grad(black_box(&kernel), black_box(&theta), &xs, &ys))
         });
-        let ws = NlmlWorkspace::new(&xs);
+        let batch = DiffBatch::lower_triangle(&xs);
         group.bench_with_input(BenchmarkId::new("cached", n), &n, |bch, _| {
-            bch.iter(|| nlml_with_grad_cached(black_box(&kernel), black_box(&theta), &ws, &ys))
+            bch.iter(|| nlml_with_grad_cached(black_box(&kernel), black_box(&theta), &batch, &ys))
         });
         group.bench_with_input(BenchmarkId::new("value_only", n), &n, |bch, _| {
-            bch.iter(|| nlml_value_cached(black_box(&kernel), black_box(&theta), &ws, &ys))
+            bch.iter(|| nlml_value_cached(black_box(&kernel), black_box(&theta), &batch, &ys))
         });
     }
     group.finish();
@@ -139,7 +137,7 @@ fn bench_simd_kernels(c: &mut Criterion) {
         let kernel = SquaredExponential::new(dim);
         let theta = kernel.default_params();
         for (name, be) in backends {
-            let batch = mfbo_gp::DiffBatch::lower_triangle_with_backend(&xs, be);
+            let batch = DiffBatch::lower_triangle_with_backend(&xs, be);
             let mut kv = vec![0.0; batch.len()];
             group.bench_with_input(
                 BenchmarkId::new(format!("kernel_matrix_build_{name}"), n),

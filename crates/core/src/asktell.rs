@@ -63,7 +63,7 @@ use crate::nargp::MfGpConfig;
 use crate::problem::{Evaluation, Fidelity, MultiFidelityProblem};
 use crate::surrogate::{MfBundleThetas, MfSurrogates, SfBundleThetas, SfSurrogates};
 use crate::MfboError;
-use mfbo_gp::{FitCache, GpConfig, GpError};
+use mfbo_gp::{GpConfig, GpError};
 use mfbo_opt::msp::MultiStart;
 use mfbo_opt::neldermead::NelderMead;
 use mfbo_opt::{sampling, Bounds};
@@ -197,24 +197,12 @@ impl Surrogates {
         cfg: &MfGpConfig,
         warm: Option<&Thetas>,
         rng: &mut R,
-        cache: &mut FitCache,
     ) -> Result<Self, GpError> {
         Ok(match warm {
-            None if low.is_empty() => {
-                Surrogates::Sf(SfSurrogates::fit(high, &cfg.gp, None, rng, Some(cache))?)
-            }
-            None => Surrogates::Mf(MfSurrogates::fit(low, high, cfg, None, rng, Some(cache))?),
-            Some(Thetas::Sf(t)) => {
-                Surrogates::Sf(SfSurrogates::fit(high, &cfg.gp, Some(t), rng, Some(cache))?)
-            }
-            Some(Thetas::Mf(t)) => Surrogates::Mf(MfSurrogates::fit(
-                low,
-                high,
-                cfg,
-                Some(t),
-                rng,
-                Some(cache),
-            )?),
+            None if low.is_empty() => Surrogates::Sf(SfSurrogates::fit(high, &cfg.gp, None, rng)?),
+            None => Surrogates::Mf(MfSurrogates::fit(low, high, cfg, None, rng)?),
+            Some(Thetas::Sf(t)) => Surrogates::Sf(SfSurrogates::fit(high, &cfg.gp, Some(t), rng)?),
+            Some(Thetas::Mf(t)) => Surrogates::Mf(MfSurrogates::fit(low, high, cfg, Some(t), rng)?),
         })
     }
 
@@ -224,15 +212,10 @@ impl Surrogates {
         high: &FidelityData,
         cfg: &MfGpConfig,
         thetas: &Thetas,
-        cache: &mut FitCache,
     ) -> Result<Self, GpError> {
         Ok(match thetas {
-            Thetas::Sf(t) => {
-                Surrogates::Sf(SfSurrogates::fit_frozen(high, &cfg.gp, t, Some(cache))?)
-            }
-            Thetas::Mf(t) => {
-                Surrogates::Mf(MfSurrogates::fit_frozen(low, high, cfg, t, Some(cache))?)
-            }
+            Thetas::Sf(t) => Surrogates::Sf(SfSurrogates::fit_frozen(high, &cfg.gp, t)?),
+            Thetas::Mf(t) => Surrogates::Mf(MfSurrogates::fit_frozen(low, high, cfg, t)?),
         })
     }
 
@@ -328,11 +311,6 @@ pub struct AskTellMfbo<P, R> {
     low_streak: usize,
     thetas: Option<Thetas>,
     iterations_since_refit: usize,
-    /// Persistent pairwise-difference cache for the first-stage training
-    /// set (low fidelity, or high without a low-fidelity design): refits
-    /// append only the new points' diffs instead of rebuilding the full
-    /// O(n²·d) lower triangle (see `mfbo_gp::FitCache`).
-    fit_cache: FitCache,
     next_iteration: usize,
     next_id: u64,
     pending: VecDeque<Slot>,
@@ -450,7 +428,6 @@ where
             low_streak: 0,
             thetas: None,
             iterations_since_refit: 0,
-            fit_cache: FitCache::default(),
             next_iteration: 1,
             next_id: 1,
             pending: VecDeque::new(),
@@ -825,24 +802,13 @@ where
         );
         let surrogates = match &self.thetas {
             Some(t) if self.iterations_since_refit < self.cfg.refit_every => {
-                match Surrogates::fit_frozen(
-                    &low_u,
-                    &high_u,
-                    &self.model_cfg,
-                    t,
-                    &mut self.fit_cache,
-                ) {
+                match Surrogates::fit_frozen(&low_u, &high_u, &self.model_cfg, t) {
                     Ok(s) => s,
                     // Frozen-refresh recovery: a full re-optimization from
                     // scratch.
-                    Err(_) => Surrogates::fit(
-                        &low_u,
-                        &high_u,
-                        &self.model_cfg,
-                        None,
-                        &mut self.rng,
-                        &mut self.fit_cache,
-                    )?,
+                    Err(_) => {
+                        Surrogates::fit(&low_u, &high_u, &self.model_cfg, None, &mut self.rng)?
+                    }
                 }
             }
             warm => {
@@ -852,7 +818,6 @@ where
                     &self.model_cfg,
                     warm.as_ref(),
                     &mut self.rng,
-                    &mut self.fit_cache,
                 )?;
                 if let (Some(_), Surrogates::Mf(mf)) = (warm, &s) {
                     if mf.warm_seed_won() {
@@ -1387,7 +1352,7 @@ mod tests {
             mc_samples,
             ..MfGpConfig::fast()
         };
-        Surrogates::Mf(MfSurrogates::fit_frozen(low, high, &cfg, &thetas, None).unwrap())
+        Surrogates::Mf(MfSurrogates::fit_frozen(low, high, &cfg, &thetas).unwrap())
     }
 
     #[test]
@@ -1439,7 +1404,7 @@ mod tests {
             objective: theta.clone(),
             constraints: vec![theta; CONSTRAINTS],
         };
-        Surrogates::Sf(SfSurrogates::fit_frozen(high, &GpConfig::fast(), &thetas, None).unwrap())
+        Surrogates::Sf(SfSurrogates::fit_frozen(high, &GpConfig::fast(), &thetas).unwrap())
     }
 
     #[test]

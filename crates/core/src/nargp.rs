@@ -194,7 +194,7 @@ impl MfGp {
         yh: Vec<f64>,
         config: &MfGpConfig,
         plan: MfGpPlan,
-        low_shared: Option<&DiffBatch<'_>>,
+        low_shared: Option<&DiffBatch>,
     ) -> Result<Self, GpError> {
         if xh.is_empty() {
             return Err(GpError::InvalidTrainingSet {
@@ -439,7 +439,7 @@ impl MfGp {
         yh: Vec<f64>,
         config: &MfGpConfig,
         thetas: &MfGpThetas,
-        low_shared: Option<&DiffBatch<'_>>,
+        low_shared: Option<&DiffBatch>,
     ) -> Result<Self, GpError> {
         if xh.is_empty() {
             return Err(GpError::InvalidTrainingSet {

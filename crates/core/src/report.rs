@@ -137,17 +137,6 @@ fn cost_split_pct(outcome: &Outcome) -> (f64, f64) {
     }
 }
 
-/// Counts evaluations per fidelity in the trace (sanity/reporting helper).
-pub fn fidelity_mix(outcome: &Outcome) -> (usize, usize) {
-    let low = outcome
-        .history
-        .iter()
-        .filter(|r| r.fidelity == Fidelity::Low)
-        .count();
-    let high = outcome.history.len() - low;
-    (low, high)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,10 +273,5 @@ mod tests {
         assert!(s.contains("cache hit rate 14.3%"), "{s}");
         // toy history: 0.1 low cost, 1.0 high cost.
         assert!(s.contains("cost split low 9.1% / high 90.9%"), "{s}");
-    }
-
-    #[test]
-    fn fidelity_mix_counts() {
-        assert_eq!(fidelity_mix(&toy_outcome()), (1, 1));
     }
 }

@@ -11,7 +11,7 @@ use crate::acquisition;
 use crate::history::FidelityData;
 use crate::nargp::{split_theta, MfGp, MfGpConfig, MfGpPlan, MfGpThetas};
 use mfbo_gp::kernel::SquaredExponential;
-use mfbo_gp::{with_scratch, DiffBatch, FitCache, Gp, GpConfig, GpError};
+use mfbo_gp::{with_scratch, DiffBatch, Gp, GpConfig, GpError};
 use mfbo_pool::par_map_indexed;
 use rand::Rng;
 
@@ -54,20 +54,6 @@ fn output<'a, T>(objective: &'a T, constraints: &'a [T], i: usize) -> &'a T {
         objective
     } else {
         &constraints[i - 1]
-    }
-}
-
-/// The lower-triangle difference batch over `xs` that every model of a
-/// bundle shares. A persistent `cache` is synced to `xs` (computing only the
-/// pair diffs of newly appended points) and serves the batch; `None` builds
-/// it from scratch — the oracle the cached path must match bit for bit.
-fn bundle_batch<'a>(xs: &'a [Vec<f64>], cache: Option<&'a mut FitCache>) -> DiffBatch<'a> {
-    match cache {
-        Some(cache) => {
-            cache.sync(xs);
-            cache.batch()
-        }
-        None => DiffBatch::lower_triangle(xs),
     }
 }
 
@@ -147,13 +133,11 @@ impl MfSurrogates {
     /// previous optimum as one extra start when `warm` is given.
     ///
     /// Every model's starting points are drawn from `rng` serially, in
-    /// output order (objective first, then each constraint), before `cache`
-    /// is touched; the fits themselves are pure and run on
-    /// `config.gp.parallelism`, so the bundle is bit-identical in every mode.
-    /// All 1+m models train their low stage on the same `X_l`, so one
-    /// difference batch serves them all: served by the persistent `cache`
-    /// when given, built from scratch when `None` (bit-identical either
-    /// way; see [`FitCache`]).
+    /// output order (objective first, then each constraint); the fits
+    /// themselves are pure and run on `config.gp.parallelism`, so the bundle
+    /// is bit-identical in every mode. All 1+m models train their low stage
+    /// on the same `X_l`, so the bundle builds one difference batch and
+    /// shares it across them (bit-identical to a batch per model).
     ///
     /// # Errors
     ///
@@ -164,7 +148,6 @@ impl MfSurrogates {
         config: &MfGpConfig,
         warm: Option<&MfBundleThetas>,
         rng: &mut R,
-        cache: Option<&mut FitCache>,
     ) -> Result<Self, GpError> {
         let dim = input_dim(&high.xs, "no high-fidelity training points")?;
         let n_cons = low.constraints.len().min(high.constraints.len());
@@ -174,7 +157,7 @@ impl MfSurrogates {
                 MfGp::plan(dim, config, w, rng)
             })
             .collect();
-        let batch = bundle_batch(&low.xs, cache);
+        let batch = DiffBatch::lower_triangle(&low.xs);
         let fitted = par_map_indexed(config.gp.parallelism, plans.len(), |i| {
             MfGp::fit_planned(
                 low.xs.clone(),
@@ -193,8 +176,8 @@ impl MfSurrogates {
     /// Rebuilds every model on new data with frozen hyperparameters (no
     /// training) — the cheap path between full refits. Each model reads its
     /// settings from `config` (see [`MfGp::fit_frozen`]); the refreshes
-    /// consume no randomness and run on `config.gp.parallelism`. The shared
-    /// low-stage batch comes from `cache` as in [`MfSurrogates::fit`].
+    /// consume no randomness and run on `config.gp.parallelism`, sharing one
+    /// low-stage batch as in [`MfSurrogates::fit`].
     ///
     /// # Errors
     ///
@@ -204,10 +187,9 @@ impl MfSurrogates {
         high: &FidelityData,
         config: &MfGpConfig,
         thetas: &MfBundleThetas,
-        cache: Option<&mut FitCache>,
     ) -> Result<Self, GpError> {
         let n_cons = low.constraints.len().min(high.constraints.len());
-        let batch = bundle_batch(&low.xs, cache);
+        let batch = DiffBatch::lower_triangle(&low.xs);
         let fitted = par_map_indexed(config.gp.parallelism, n_cons + 1, |i| {
             MfGp::fit_frozen(
                 low.xs.clone(),
@@ -326,8 +308,8 @@ impl SfSurrogates {
 
     /// Fits one SE-ARD GP per output by a full hyperparameter search —
     /// seeded with that model's previous optimum when `warm` is given.
-    /// Planning, parallelism and the shared difference batch (from `cache`,
-    /// or built fresh when `None`) work as in [`MfSurrogates::fit`].
+    /// Planning, parallelism and the shared difference batch work as in
+    /// [`MfSurrogates::fit`].
     ///
     /// # Errors
     ///
@@ -337,7 +319,6 @@ impl SfSurrogates {
         config: &GpConfig,
         warm: Option<&SfBundleThetas>,
         rng: &mut R,
-        cache: Option<&mut FitCache>,
     ) -> Result<Self, GpError> {
         let dim = input_dim(&data.xs, "no training points")?;
         let kernel = SquaredExponential::new(dim);
@@ -347,7 +328,7 @@ impl SfSurrogates {
                 Gp::plan_starts(&kernel, config, w, rng)
             })
             .collect();
-        let batch = bundle_batch(&data.xs, cache);
+        let batch = DiffBatch::lower_triangle(&data.xs);
         let fitted = par_map_indexed(config.parallelism, plans.len(), |i| {
             Gp::fit_planned(
                 SquaredExponential::new(dim),
@@ -364,7 +345,7 @@ impl SfSurrogates {
 
     /// Rebuilds every model on new data with frozen hyperparameters, reading
     /// [`GpConfig::inference`] and [`GpConfig::parallelism`] from `config`
-    /// as a full fit does. The shared batch comes from `cache` as in
+    /// as a full fit does, sharing one difference batch as in
     /// [`SfSurrogates::fit`].
     ///
     /// # Errors
@@ -374,10 +355,9 @@ impl SfSurrogates {
         data: &FidelityData,
         config: &GpConfig,
         thetas: &SfBundleThetas,
-        cache: Option<&mut FitCache>,
     ) -> Result<Self, GpError> {
         let dim = input_dim(&data.xs, "no training points")?;
-        let batch = bundle_batch(&data.xs, cache);
+        let batch = DiffBatch::lower_triangle(&data.xs);
         let fitted = par_map_indexed(config.parallelism, data.constraints.len() + 1, |i| {
             let theta = output(&thetas.objective, &thetas.constraints, i);
             let (kp, ln) = split_theta(theta.as_slice());
@@ -471,7 +451,7 @@ mod tests {
     fn sf_bundle_fits_and_predicts() {
         let data = make_data(12, 0.0);
         let mut rng = StdRng::seed_from_u64(0);
-        let s = SfSurrogates::fit(&data, &GpConfig::fast(), None, &mut rng, None).unwrap();
+        let s = SfSurrogates::fit(&data, &GpConfig::fast(), None, &mut rng).unwrap();
         assert!((s.objective().predict(&[0.5]).mean - 0.25).abs() < 0.1);
         assert_eq!(s.constraints().len(), 1);
         assert!((s.constraints()[0].predict(&[0.5]).mean - (-0.2)).abs() < 0.1);
@@ -481,7 +461,7 @@ mod tests {
     fn sf_wei_prefers_feasible_improvement() {
         let data = make_data(12, 0.0);
         let mut rng = StdRng::seed_from_u64(1);
-        let s = SfSurrogates::fit(&data, &GpConfig::fast(), None, &mut rng, None).unwrap();
+        let s = SfSurrogates::fit(&data, &GpConfig::fast(), None, &mut rng).unwrap();
         let tau = 0.5;
         // x = 0.4: feasible with objective 0.16 < τ → good wEI.
         // x = 0.1: better objective but infeasible → tiny wEI.
@@ -494,7 +474,7 @@ mod tests {
     fn sf_drive_is_the_tie_break_inside_feasible_region() {
         let data = make_data(12, 0.0);
         let mut rng = StdRng::seed_from_u64(2);
-        let s = SfSurrogates::fit(&data, &GpConfig::fast(), None, &mut rng, None).unwrap();
+        let s = SfSurrogates::fit(&data, &GpConfig::fast(), None, &mut rng).unwrap();
         let mut d = [0.0; 2];
         s.drive(&[vec![0.9], vec![0.0]], &mut d);
         assert_eq!(d[0], 1e-4 * s.objective().predict(&[0.9]).mean);
@@ -506,7 +486,7 @@ mod tests {
         let low = make_data(20, 0.3);
         let high = make_data(8, 0.0);
         let mut rng = StdRng::seed_from_u64(4);
-        let s = MfSurrogates::fit(&low, &high, &MfGpConfig::fast(), None, &mut rng, None).unwrap();
+        let s = MfSurrogates::fit(&low, &high, &MfGpConfig::fast(), None, &mut rng).unwrap();
         assert_eq!(s.constraints().len(), 1);
         let obj = s.objective().predict(&[0.6]);
         assert!((obj.mean - 0.36).abs() < 0.15, "mean = {}", obj.mean);
@@ -518,17 +498,10 @@ mod tests {
         let low_dense = make_data(40, 0.3);
         let high = make_data(6, 0.0);
         let mut rng = StdRng::seed_from_u64(5);
-        let sparse = MfSurrogates::fit(
-            &low_sparse,
-            &high,
-            &MfGpConfig::fast(),
-            None,
-            &mut rng,
-            None,
-        )
-        .unwrap();
-        let dense = MfSurrogates::fit(&low_dense, &high, &MfGpConfig::fast(), None, &mut rng, None)
-            .unwrap();
+        let sparse =
+            MfSurrogates::fit(&low_sparse, &high, &MfGpConfig::fast(), None, &mut rng).unwrap();
+        let dense =
+            MfSurrogates::fit(&low_dense, &high, &MfGpConfig::fast(), None, &mut rng).unwrap();
         // Between training points, the dense model is far more certain.
         let x = [0.513];
         assert!(dense.max_low_variance(&x) <= sparse.max_low_variance(&x) + 1e-6);
@@ -539,7 +512,7 @@ mod tests {
         let low = make_data(15, 0.3);
         let high = make_data(6, 0.0);
         let mut rng = StdRng::seed_from_u64(6);
-        let s = MfSurrogates::fit(&low, &high, &MfGpConfig::fast(), None, &mut rng, None).unwrap();
+        let s = MfSurrogates::fit(&low, &high, &MfGpConfig::fast(), None, &mut rng).unwrap();
         for &x in &[0.1, 0.5, 0.77] {
             assert!(s.wei_low(&[x], 0.4) >= 0.0);
             assert!(s.wei_high(&[x], 0.4) >= 0.0);
@@ -566,7 +539,7 @@ mod tests {
             ..MfGpConfig::fast()
         };
         let mut rng = StdRng::seed_from_u64(13);
-        let s = MfSurrogates::fit(&low, &high, &cfg, None, &mut rng, None).unwrap();
+        let s = MfSurrogates::fit(&low, &high, &cfg, None, &mut rng).unwrap();
         let design = |m: &MfGp| m.high().xs().iter().map(|z| z[0]).collect::<Vec<_>>();
         assert!(
             s.constraints()
@@ -587,7 +560,7 @@ mod tests {
 
     /// The `predict_batch_points` and difference-batch counters of `f` —
     /// benchmark per-layer metrics, whose meaning must not drift.
-    fn layer_counts(f: impl FnOnce()) -> [u64; 4] {
+    fn layer_counts(f: impl FnOnce()) -> [u64; 3] {
         let reg = std::sync::Arc::new(mfbo_telemetry::metrics::MetricsRegistry::new());
         {
             let _g = mfbo_telemetry::scoped_sink(reg.clone());
@@ -597,7 +570,6 @@ mod tests {
         [
             "predict_batch_points",
             "diffbatch_builds",
-            "diffbatch_appends",
             "diffbatch_shared_hits",
         ]
         .map(|k| snap.counters.get(k).copied().unwrap_or(0))
@@ -613,7 +585,7 @@ mod tests {
         let high = make_data(6, 0.0);
         let cfg = MfGpConfig::fast();
         let mut rng = StdRng::seed_from_u64(17);
-        let s = MfSurrogates::fit(&low, &high, &cfg, None, &mut rng, None).unwrap();
+        let s = MfSurrogates::fit(&low, &high, &cfg, None, &mut rng).unwrap();
         let tile: Vec<Vec<f64>> = (0..7).map(|i| vec![(i as f64 + 0.37) / 7.3]).collect();
         // Off the training points every low posterior is uncertain, so each
         // query takes all S samples rather than the plug-in one.
@@ -625,15 +597,15 @@ mod tests {
         let (m, samples, models) = (tile.len() as u64, cfg.mc_samples as u64, 2);
         let mut out = vec![0.0; tile.len()];
         let drive = layer_counts(|| s.drive(&tile, &mut out));
-        assert_eq!(drive, [models * (m + m * samples), 0, 0, 0]);
+        assert_eq!(drive, [models * (m + m * samples), 0, 0]);
         let predict = layer_counts(|| {
             s.objective().predict(&tile[0]);
         });
-        assert_eq!(predict, [1 + samples, 0, 0, 0]);
+        assert_eq!(predict, [1 + samples, 0, 0]);
 
         let mut rng = StdRng::seed_from_u64(18);
-        let sf = SfSurrogates::fit(&high, &GpConfig::fast(), None, &mut rng, None).unwrap();
-        assert_eq!(layer_counts(|| sf.drive(&tile, &mut out)), [0; 4]);
+        let sf = SfSurrogates::fit(&high, &GpConfig::fast(), None, &mut rng).unwrap();
+        assert_eq!(layer_counts(|| sf.drive(&tile, &mut out)), [0; 3]);
     }
 
     /// θ bits, then posterior mean and variance bits at fixed queries, of
@@ -673,66 +645,149 @@ mod tests {
         bits
     }
 
-    /// The from-scratch oracle of the fit cache at bundle level: for both
-    /// bundle kinds and all three fit kinds, a cache persisting across a
-    /// training set that grows and shrinks (a constant-liar fantasy point
-    /// vanishing between iterations) yields the θ and posterior bits of
-    /// `cache: None`.
-    #[test]
-    fn bit_identity_bundle_cache_matches_fresh() {
-        #[derive(Debug, Clone, Copy)]
-        enum Kind {
-            Cold,
-            Warm,
-            Frozen,
+    /// How a test bundle is fitted: from scratch, warm-started from the
+    /// given thetas, or frozen at them.
+    #[derive(Debug)]
+    enum Fit<'a, T> {
+        Cold,
+        Warm(&'a T),
+        Frozen(&'a T),
+    }
+
+    impl<T> Fit<'_, T> {
+        /// The thetas a full fit is warm-started from.
+        fn warm(&self) -> Option<&T> {
+            match self {
+                Fit::Warm(t) => Some(t),
+                _ => None,
+            }
         }
+    }
+
+    /// An SF bundle over 1-D `data`, fitted as `fit` from the seed-9 stream:
+    /// through [`SfSurrogates`], which shares one difference batch across
+    /// its models, or (`per_model`) one model at a time, each building its
+    /// own batch.
+    fn sf_bundle(
+        data: &FidelityData,
+        cfg: &GpConfig,
+        fit: &Fit<SfBundleThetas>,
+        per_model: bool,
+    ) -> SfSurrogates {
+        let mut rng = StdRng::seed_from_u64(9);
+        if !per_model {
+            let s = match fit {
+                Fit::Frozen(t) => SfSurrogates::fit_frozen(data, cfg, t),
+                _ => SfSurrogates::fit(data, cfg, fit.warm(), &mut rng),
+            };
+            return s.unwrap();
+        }
+        let kernel = SquaredExponential::new(1);
+        let mut models = (0..=data.constraints.len())
+            .map(|i| {
+                let ys = output(&data.objective, &data.constraints, i).clone();
+                let theta = |t: &SfBundleThetas| output(&t.objective, &t.constraints, i).clone();
+                match fit {
+                    Fit::Frozen(t) => {
+                        let (kp, ln) = split_theta(&theta(t));
+                        Gp::with_params(kernel.clone(), data.xs.clone(), ys, kp, ln, cfg, None)
+                    }
+                    _ => {
+                        let warm = fit.warm().map(theta);
+                        let starts = Gp::plan_starts(&kernel, cfg, warm.as_deref(), &mut rng);
+                        Gp::fit_planned(kernel.clone(), data.xs.clone(), ys, cfg, starts, None)
+                    }
+                }
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap();
+        let objective = models.remove(0);
+        SfSurrogates::new(objective, models)
+    }
+
+    /// [`sf_bundle`] for a fusion bundle over 1-D `low` and `high` data.
+    fn mf_bundle(
+        low: &FidelityData,
+        high: &FidelityData,
+        cfg: &MfGpConfig,
+        fit: &Fit<MfBundleThetas>,
+        per_model: bool,
+    ) -> MfSurrogates {
+        let mut rng = StdRng::seed_from_u64(9);
+        if !per_model {
+            let s = match fit {
+                Fit::Frozen(t) => MfSurrogates::fit_frozen(low, high, cfg, t),
+                _ => MfSurrogates::fit(low, high, cfg, fit.warm(), &mut rng),
+            };
+            return s.unwrap();
+        }
+        let mut models = (0..=low.constraints.len())
+            .map(|i| {
+                let yl = output(&low.objective, &low.constraints, i).clone();
+                let yh = output(&high.objective, &high.constraints, i).clone();
+                let (xl, xh) = (low.xs.clone(), high.xs.clone());
+                let theta = |t: &MfBundleThetas| output(&t.objective, &t.constraints, i).clone();
+                match fit {
+                    Fit::Frozen(t) => MfGp::fit_frozen(xl, yl, xh, yh, cfg, &theta(t), None),
+                    _ => {
+                        let warm = fit.warm().map(theta);
+                        let plan = MfGp::plan(1, cfg, warm.as_ref(), &mut rng);
+                        MfGp::fit_planned(xl, yl, xh, yh, cfg, plan, None)
+                    }
+                }
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap();
+        let objective = models.remove(0);
+        MfSurrogates::new(objective, models)
+    }
+
+    /// The bundle-level oracle of batch sharing: for both bundle kinds and
+    /// all three fit kinds, a bundle fitted from its one shared difference
+    /// batch yields the θ and posterior bits of the same bundle fitted one
+    /// model at a time, each model building its own batch.
+    #[test]
+    fn bit_identity_bundle_shared_batch_matches_per_model() {
         let high = make_data(6, 0.0);
         let (sf_cfg, mf_cfg) = (GpConfig::fast(), MfGpConfig::fast());
         let seed = make_data(9, 0.3);
         let mut rng = StdRng::seed_from_u64(12);
-        let sf_t = SfSurrogates::fit(&seed, &sf_cfg, None, &mut rng, None)
+        let sf_t = SfSurrogates::fit(&seed, &sf_cfg, None, &mut rng)
             .unwrap()
             .thetas();
-        let mf_t = MfSurrogates::fit(&seed, &high, &mf_cfg, None, &mut rng, None)
+        let mf_t = MfSurrogates::fit(&seed, &high, &mf_cfg, None, &mut rng)
             .unwrap()
             .thetas();
-        for kind in [Kind::Cold, Kind::Warm, Kind::Frozen] {
-            let mut sf_cache = FitCache::default();
-            let mut mf_cache = FitCache::default();
-            for n in [10usize, 11, 14, 12] {
-                let low = make_data(n, 0.3);
-                let sf = |cache: Option<&mut FitCache>| {
-                    let mut rng = StdRng::seed_from_u64(9);
-                    let s = match kind {
-                        Kind::Cold => SfSurrogates::fit(&low, &sf_cfg, None, &mut rng, cache),
-                        Kind::Warm => {
-                            SfSurrogates::fit(&low, &sf_cfg, Some(&sf_t), &mut rng, cache)
-                        }
-                        Kind::Frozen => SfSurrogates::fit_frozen(&low, &sf_cfg, &sf_t, cache),
-                    };
-                    sf_bits(&s.unwrap())
-                };
-                let mf = |cache: Option<&mut FitCache>| {
-                    let mut rng = StdRng::seed_from_u64(9);
-                    let s = match kind {
-                        Kind::Cold => {
-                            MfSurrogates::fit(&low, &high, &mf_cfg, None, &mut rng, cache)
-                        }
-                        Kind::Warm => {
-                            MfSurrogates::fit(&low, &high, &mf_cfg, Some(&mf_t), &mut rng, cache)
-                        }
-                        Kind::Frozen => {
-                            MfSurrogates::fit_frozen(&low, &high, &mf_cfg, &mf_t, cache)
-                        }
-                    };
-                    mf_bits(&s.unwrap())
-                };
-                assert_eq!(sf(None), sf(Some(&mut sf_cache)), "Sf {kind:?}, n = {n}");
-                assert_eq!(mf(None), mf(Some(&mut mf_cache)), "Mf {kind:?}, n = {n}");
-                assert_eq!(sf_cache.len(), n);
-                assert_eq!(mf_cache.len(), n);
+        for n in [10usize, 14] {
+            let low = make_data(n, 0.3);
+            for fit in [Fit::Cold, Fit::Warm(&sf_t), Fit::Frozen(&sf_t)] {
+                let shared = sf_bits(&sf_bundle(&low, &sf_cfg, &fit, false));
+                let own = sf_bits(&sf_bundle(&low, &sf_cfg, &fit, true));
+                assert_eq!(shared, own, "Sf {fit:?}, n = {n}");
+            }
+            for fit in [Fit::Cold, Fit::Warm(&mf_t), Fit::Frozen(&mf_t)] {
+                let shared = mf_bits(&mf_bundle(&low, &high, &mf_cfg, &fit, false));
+                let own = mf_bits(&mf_bundle(&low, &high, &mf_cfg, &fit, true));
+                assert_eq!(shared, own, "Mf {fit:?}, n = {n}");
             }
         }
+    }
+
+    /// The `diffbatch_builds`, `diffbatch_shared_hits` and
+    /// `kernel_matrix_builds` counters of `f`.
+    fn sharing_counts(f: impl FnOnce()) -> (u64, u64, u64) {
+        let reg = std::sync::Arc::new(mfbo_telemetry::metrics::MetricsRegistry::new());
+        {
+            let _g = mfbo_telemetry::scoped_sink(reg.clone());
+            f();
+        }
+        let snap = reg.snapshot();
+        let get = |k: &str| snap.counters.get(k).copied().unwrap_or(0);
+        (
+            get("diffbatch_builds"),
+            get("diffbatch_shared_hits"),
+            get("kernel_matrix_builds"),
+        )
     }
 
     /// The whole point of the shared bundle batch: one from-scratch
@@ -742,61 +797,21 @@ mod tests {
     /// demands.
     #[test]
     fn mf_bundle_sharing_counters() {
-        use std::sync::Arc;
         let low = make_data(16, 0.3);
         let high = make_data(6, 0.0);
-
-        let count = |f: &dyn Fn()| -> (u64, u64, u64) {
-            let reg = Arc::new(mfbo_telemetry::metrics::MetricsRegistry::new());
-            {
-                let _g = mfbo_telemetry::scoped_sink(reg.clone());
-                f();
-            }
-            let snap = reg.snapshot();
-            let get = |k: &str| snap.counters.get(k).copied().unwrap_or(0);
-            (
-                get("diffbatch_builds"),
-                get("diffbatch_shared_hits"),
-                get("kernel_matrix_builds"),
-            )
-        };
-
-        // Shared (the default `fit`): one low-stage build for the whole
-        // bundle, plus one per-model high-stage build (the augmented high X
-        // differs per model and cannot be shared).
-        let (builds_shared, hits, kmb_shared) = count(&|| {
-            let mut rng = StdRng::seed_from_u64(21);
-            MfSurrogates::fit(&low, &high, &MfGpConfig::fast(), None, &mut rng, None).unwrap();
+        let cfg = MfGpConfig::fast();
+        // Shared: one low-stage build for the whole bundle, plus one
+        // per-model high-stage build (the augmented high X differs per model
+        // and cannot be shared).
+        let (builds_shared, hits, kmb_shared) = sharing_counts(|| {
+            mf_bundle(&low, &high, &cfg, &Fit::Cold, false);
         });
         // Unshared baseline: every model builds its own low batch.
-        let (builds_owned, _, kmb_owned) = count(&|| {
-            let mut rng = StdRng::seed_from_u64(21);
-            let cfg = MfGpConfig::fast();
-            let plan_o = MfGp::plan(1, &cfg, None, &mut rng);
-            let plan_c = MfGp::plan(1, &cfg, None, &mut rng);
-            MfGp::fit_planned(
-                low.xs.clone(),
-                low.objective.clone(),
-                high.xs.clone(),
-                high.objective.clone(),
-                &cfg,
-                plan_o,
-                None,
-            )
-            .unwrap();
-            MfGp::fit_planned(
-                low.xs.clone(),
-                low.constraints[0].clone(),
-                high.xs.clone(),
-                high.constraints[0].clone(),
-                &cfg,
-                plan_c,
-                None,
-            )
-            .unwrap();
+        let (builds_owned, _, kmb_owned) = sharing_counts(|| {
+            mf_bundle(&low, &high, &cfg, &Fit::Cold, true);
         });
         // 1 objective + 1 constraint: sharing saves exactly one low-stage
-        // build (the (1+m)× drop for m = 1), and every model's workspace
+        // build (the (1+m)× drop for m = 1), and every model's low stage
         // registers a shared hit.
         assert_eq!(
             builds_owned - builds_shared,
@@ -807,5 +822,31 @@ mod tests {
         // Layout invisibility: the theta-dependent assembly count is
         // untouched by who owns the difference buffers.
         assert_eq!(kmb_shared, kmb_owned);
+    }
+
+    /// The single-fidelity counterpart of [`mf_bundle_sharing_counters`]:
+    /// for every fit kind, a bundle of 1+m models makes exactly one
+    /// difference build and 1+m shared hits, and the same
+    /// `kernel_matrix_builds` as 1+m per-model builds.
+    #[test]
+    fn sf_bundle_sharing_counters() {
+        let data = make_data(16, 0.0);
+        let cfg = GpConfig::fast();
+        let mut rng = StdRng::seed_from_u64(22);
+        let t = SfSurrogates::fit(&data, &cfg, None, &mut rng)
+            .unwrap()
+            .thetas();
+        let models = 1 + data.constraints.len() as u64;
+        for fit in [Fit::Cold, Fit::Warm(&t), Fit::Frozen(&t)] {
+            let shared = sharing_counts(|| {
+                sf_bundle(&data, &cfg, &fit, false);
+            });
+            let owned = sharing_counts(|| {
+                sf_bundle(&data, &cfg, &fit, true);
+            });
+            assert_eq!((shared.0, shared.1), (1, models), "{fit:?}");
+            assert_eq!((owned.0, owned.1), (models, 0), "{fit:?}");
+            assert_eq!(shared.2, owned.2, "{fit:?}");
+        }
     }
 }

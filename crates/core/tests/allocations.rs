@@ -76,8 +76,8 @@ fn data(n: usize, bias: f64, seed: u64) -> FidelityData {
 fn warm_drive_tiles_allocate_nothing() {
     let (low, high) = (data(14, 0.2, 1), data(6, 0.0, 2));
     let mut rng = StdRng::seed_from_u64(3);
-    let mf = MfSurrogates::fit(&low, &high, &MfGpConfig::fast(), None, &mut rng, None).unwrap();
-    let sf = SfSurrogates::fit(&high, &GpConfig::fast(), None, &mut rng, None).unwrap();
+    let mf = MfSurrogates::fit(&low, &high, &MfGpConfig::fast(), None, &mut rng).unwrap();
+    let sf = SfSurrogates::fit(&high, &GpConfig::fast(), None, &mut rng).unwrap();
     let tile: Vec<Vec<f64>> = (0..7)
         .map(|i| vec![0.13 * i as f64, 0.5, 1.0 - 0.1 * i as f64])
         .collect();

@@ -1,9 +1,7 @@
 //! Gaussian-process regression model: training and posterior prediction.
 
 use crate::kernel::{Kernel, NargpKernel};
-use crate::nlml::{
-    kernel_matrix_cached, nlml_grad_cached, nlml_value_cached, NlmlFactor, NlmlWorkspace,
-};
+use crate::nlml::{kernel_matrix_cached, nlml_grad_cached, nlml_value_cached, NlmlFactor};
 use crate::scratch::with_scratch;
 use crate::workspace::{DiffBatch, TrainLayout};
 use crate::GpError;
@@ -13,6 +11,7 @@ use mfbo_opt::lbfgs::{Lbfgs, Objective};
 use mfbo_opt::{sampling, Bounds};
 use mfbo_pool::{par_map, Parallelism};
 use rand::Rng;
+use std::borrow::Cow;
 
 /// Posterior prediction at a single query point, in raw (de-standardized)
 /// output units.
@@ -211,12 +210,12 @@ impl<K: Kernel> Gp<K> {
     /// `SubsetOfData` keeps the deterministic farthest-point subset (over
     /// committed history order), which a batch over the full set cannot
     /// serve; otherwise the full set and `shared` pass through unchanged.
-    fn training_set<'b, 'c>(
+    fn training_set<'b>(
         xs: Vec<Vec<f64>>,
         ys: Vec<f64>,
         config: &GpConfig,
-        shared: Option<&'b DiffBatch<'c>>,
-    ) -> (Vec<Vec<f64>>, Vec<f64>, Option<&'b DiffBatch<'c>>) {
+        shared: Option<&'b DiffBatch>,
+    ) -> (Vec<Vec<f64>>, Vec<f64>, Option<&'b DiffBatch>) {
         match config.inference {
             InferenceMode::SubsetOfData { max_points } if xs.len() > max_points => {
                 let keep = mfbo_infer::select_subset(&xs, max_points);
@@ -228,11 +227,19 @@ impl<K: Kernel> Gp<K> {
         }
     }
 
-    /// Whether `batch` is a usable lower-triangle difference tensor for
-    /// `xs` (right pair count and dimensionality).
-    fn shared_usable(batch: &DiffBatch<'_>, xs: &[Vec<f64>]) -> bool {
+    /// The lower-triangle difference batch a fit over `xs` trains on: the
+    /// caller's `shared` batch when its shape (pair count and
+    /// dimensionality) fits `xs`, counted as a `diffbatch_shared_hits`;
+    /// otherwise one built here.
+    fn fit_batch<'b>(shared: Option<&'b DiffBatch>, xs: &[Vec<f64>]) -> Cow<'b, DiffBatch> {
         let n = xs.len();
-        batch.len() == n * (n + 1) / 2 && batch.dim() == xs.first().map_or(0, Vec::len)
+        match shared {
+            Some(b) if b.len() == n * (n + 1) / 2 && b.dim() == xs.first().map_or(0, Vec::len) => {
+                mfbo_telemetry::counter!("diffbatch_shared_hits", 1u64);
+                Cow::Borrowed(b)
+            }
+            _ => Cow::Owned(DiffBatch::lower_triangle(xs)),
+        }
     }
 
     /// Trains a GP from pre-drawn starting points (see [`Gp::plan_starts`]).
@@ -249,7 +256,7 @@ impl<K: Kernel> Gp<K> {
     /// `shared` is an optional pre-built lower-triangle difference batch
     /// over `xs` — the bundle fitters' sharing hook (the objective and
     /// constraint GPs of one bundle train on the same `X`, so one batch
-    /// serves every model's NLML workspace). The batch must hold the exact
+    /// serves every model's NLML search). The batch must hold the exact
     /// diffs a fresh build over `xs` would (bit-identical results); a batch
     /// whose shape does not match `xs` is ignored and a fresh build is used.
     /// Only the exact path consumes the batch — the subset engine trains on
@@ -264,7 +271,7 @@ impl<K: Kernel> Gp<K> {
         ys: Vec<f64>,
         config: &GpConfig,
         starts: Vec<Vec<f64>>,
-        shared: Option<&DiffBatch<'_>>,
+        shared: Option<&DiffBatch>,
     ) -> Result<Self, GpError> {
         Self::validate(&kernel, &xs, &ys)?;
         let (xs, ys, shared) = Self::training_set(xs, ys, config, shared);
@@ -272,17 +279,13 @@ impl<K: Kernel> Gp<K> {
         let ys_std = standardizer.transform_all(&ys);
         let theta_bounds = Self::theta_bounds(&kernel);
 
-        // One distance workspace for the whole fit: every NLML evaluation
-        // of every restart reuses the pairwise difference tensor (the
-        // workspace is read-only, so parallel restarts share it). A shared
-        // bundle batch replaces even that single build.
-        let ws = match shared {
-            Some(b) if Self::shared_usable(b, &xs) => NlmlWorkspace::from_batch(b, xs.len()),
-            _ => NlmlWorkspace::new(&xs),
-        };
+        // One difference batch for the whole fit: every NLML evaluation of
+        // every restart reuses it (it is read-only, so parallel restarts
+        // share it). A shared bundle batch replaces even that single build.
+        let batch = Self::fit_batch(shared, &xs);
         let objective = NlmlObjective {
             kernel: &kernel,
-            ws: &ws,
+            batch: &batch,
             ys: &ys_std,
         };
         let optimizer = Lbfgs::new()
@@ -312,8 +315,8 @@ impl<K: Kernel> Gp<K> {
         let np = kernel.num_params();
         let params = theta[..np].to_vec();
         let log_noise = theta[np];
-        let km = kernel_matrix_cached(&kernel, &params, log_noise, &ws);
-        drop(ws);
+        let km = kernel_matrix_cached(&kernel, &params, log_noise, &batch, xs.len());
+        drop(batch);
         let chol = Cholesky::new_with_jitter(&km, 1e-10, 1e-4)?;
         let alpha = chol.solve_vec(&ys_std);
         // A winning hyperparameter pinned at its search-space boundary
@@ -392,7 +395,7 @@ impl<K: Kernel> Gp<K> {
         params: Vec<f64>,
         log_noise: f64,
         config: &GpConfig,
-        shared: Option<&DiffBatch<'_>>,
+        shared: Option<&DiffBatch>,
     ) -> Result<Self, GpError> {
         if xs.is_empty() || xs.len() != ys.len() {
             return Err(GpError::InvalidTrainingSet {
@@ -407,11 +410,8 @@ impl<K: Kernel> Gp<K> {
         let (xs, ys, shared) = Self::training_set(xs, ys, config, shared);
         let standardizer = Standardizer::fit(&ys);
         let ys_std = standardizer.transform_all(&ys);
-        let ws = match shared {
-            Some(b) if Self::shared_usable(b, &xs) => NlmlWorkspace::from_batch(b, xs.len()),
-            _ => NlmlWorkspace::new(&xs),
-        };
-        let km = kernel_matrix_cached(&kernel, &params, log_noise, &ws);
+        let batch = Self::fit_batch(shared, &xs);
+        let km = kernel_matrix_cached(&kernel, &params, log_noise, &batch, xs.len());
         let chol = Cholesky::new_with_jitter(&km, 1e-10, 1e-4)?;
         let alpha = chol.solve_vec(&ys_std);
         // The frozen θ's NLML falls out of the factorization already in
@@ -419,7 +419,7 @@ impl<K: Kernel> Gp<K> {
         let nlml = 0.5
             * (chol.quad_form(&ys_std) + chol.log_det() + xs.len() as f64 * crate::nlml::LOG_2PI);
         mfbo_telemetry::counter!("nlml_evals", 1u64);
-        drop(ws);
+        drop(batch);
         Ok(Gp {
             layout: TrainLayout::new(&xs),
             scales: kernel.scales(&params),
@@ -831,21 +831,21 @@ impl Gp<NargpKernel> {
 /// the gradient in [`nlml_grad_cached`] — the same bits as
 /// [`crate::nlml_with_grad_cached`], without a gradient per rejected probe
 /// or a second evaluation per accepted step.
-struct NlmlObjective<'a, 'w, K> {
+struct NlmlObjective<'a, K> {
     kernel: &'a K,
-    ws: &'a NlmlWorkspace<'w>,
+    batch: &'a DiffBatch,
     ys: &'a [f64],
 }
 
-impl<K: Kernel> Objective for NlmlObjective<'_, '_, K> {
+impl<K: Kernel> Objective for NlmlObjective<'_, K> {
     type Partial = Option<NlmlFactor>;
 
     fn value(&self, theta: &[f64]) -> (f64, Option<NlmlFactor>) {
-        nlml_value_cached(self.kernel, theta, self.ws, self.ys)
+        nlml_value_cached(self.kernel, theta, self.batch, self.ys)
     }
 
     fn gradient(&self, theta: &[f64], factor: Option<NlmlFactor>) -> Vec<f64> {
-        nlml_grad_cached(self.kernel, theta, self.ws, factor)
+        nlml_grad_cached(self.kernel, theta, self.batch, factor)
     }
 }
 
@@ -1152,8 +1152,8 @@ mod tests {
         .unwrap();
 
         let ys_std = Standardizer::fit(&ys).transform_all(&ys);
-        let ws = NlmlWorkspace::new(&xs);
-        let fused = |theta: &[f64]| crate::nlml_with_grad_cached(&kernel, theta, &ws, &ys_std);
+        let batch = DiffBatch::lower_triangle(&xs);
+        let fused = |theta: &[f64]| crate::nlml_with_grad_cached(&kernel, theta, &batch, &ys_std);
         let bounds = Gp::theta_bounds(&kernel);
         let optimizer = Lbfgs::new()
             .with_max_iters(config.max_iters)

@@ -45,7 +45,7 @@ pub trait Kernel: Debug + Clone + Send + Sync {
     ///
     /// Implementations may panic if `out.len() != batch.len()` or the batch
     /// dimension does not match [`Kernel::input_dim`].
-    fn eval_from_diffs(&self, p: &[f64], batch: &DiffBatch<'_>, out: &mut [f64]);
+    fn eval_from_diffs(&self, p: &[f64], batch: &DiffBatch, out: &mut [f64]);
 
     /// Accumulates the weighted parameter gradient over every pair of a
     /// difference workspace: `acc[j] += weights[q] · ∂k_q/∂p_j`, pairs in
@@ -58,7 +58,7 @@ pub trait Kernel: Debug + Clone + Send + Sync {
     ///
     /// Implementations may panic if `weights.len() != batch.len()` or
     /// `acc.len() != self.num_params()`.
-    fn grad_from_diffs(&self, p: &[f64], batch: &DiffBatch<'_>, weights: &[f64], acc: &mut [f64]);
+    fn grad_from_diffs(&self, p: &[f64], batch: &DiffBatch, weights: &[f64], acc: &mut [f64]);
 
     /// [`Kernel::grad_from_diffs`] with the kernel values of the same batch
     /// (as produced by [`Kernel::eval_from_diffs`] under the same `p`)
@@ -77,7 +77,7 @@ pub trait Kernel: Debug + Clone + Send + Sync {
     fn grad_from_diffs_with_values(
         &self,
         p: &[f64],
-        batch: &DiffBatch<'_>,
+        batch: &DiffBatch,
         weights: &[f64],
         values: &[f64],
         acc: &mut [f64],
@@ -224,7 +224,7 @@ impl Kernel for SquaredExponential {
         k
     }
 
-    fn eval_from_diffs(&self, p: &[f64], batch: &DiffBatch<'_>, out: &mut [f64]) {
+    fn eval_from_diffs(&self, p: &[f64], batch: &DiffBatch, out: &mut [f64]) {
         debug_assert_eq!(out.len(), batch.len());
         debug_assert_eq!(batch.dim(), self.dim);
         // The only parameter-dependent scalars: hoisted out of the pair
@@ -232,28 +232,17 @@ impl Kernel for SquaredExponential {
         // `eval` (signed difference × inv_l, squared, accumulated in
         // dimension order), so values are bit-identical.
         let SeScales { sf2, inv_l } = self.scales(p);
-        if let Some((be, rows)) = batch.simd_rows() {
-            // Vectorized across pairs: `sq_norm` fills `out` with the exact
-            // `q` each scalar pair iteration would accumulate (ascending
-            // dimension order, separate mul and add), then the
-            // parameter-dependent finish runs per entry as before.
-            mfbo_simd::sq_norm(be, rows, batch.len(), &inv_l, out);
-            for o in out.iter_mut() {
-                *o = sf2 * (-0.5 * *o).exp();
-            }
-            return;
-        }
-        for (d, o) in batch.diffs().chunks_exact(self.dim).zip(out.iter_mut()) {
-            let mut q = 0.0;
-            for (di, li) in d.iter().zip(&inv_l) {
-                let z = di * li;
-                q += z * z;
-            }
-            *o = sf2 * (-0.5 * q).exp();
+        // Vectorized across pairs: `sq_norm` fills `out` with the exact `q`
+        // `eval` accumulates per pair (ascending dimension order, separate
+        // mul and add), then the parameter-dependent finish runs per entry.
+        let (be, rows) = batch.simd_rows();
+        mfbo_simd::sq_norm(be, rows, batch.len(), &inv_l, out);
+        for o in out.iter_mut() {
+            *o = sf2 * (-0.5 * *o).exp();
         }
     }
 
-    fn grad_from_diffs(&self, p: &[f64], batch: &DiffBatch<'_>, weights: &[f64], acc: &mut [f64]) {
+    fn grad_from_diffs(&self, p: &[f64], batch: &DiffBatch, weights: &[f64], acc: &mut [f64]) {
         debug_assert_eq!(weights.len(), batch.len());
         debug_assert_eq!(acc.len(), self.num_params());
         debug_assert_eq!(batch.dim(), self.dim);
@@ -261,42 +250,27 @@ impl Kernel for SquaredExponential {
         // One scratch for the whole batch instead of `eval_grad`'s
         // per-pair allocation.
         let mut z2 = vec![0.0; self.dim];
-        if let Some((be, _)) = batch.simd_rows() {
-            // Vectorized across dimensions within each pair; the per-pair
-            // accumulation into `acc` keeps the scalar pair order, so every
-            // partial sum matches the scalar path bit for bit.
-            let (acc0, accl) = acc.split_at_mut(1);
-            for (d, &w) in batch.diffs().chunks_exact(self.dim).zip(weights.iter()) {
-                mfbo_simd::z2_into(be, d, &inv_l, &mut z2);
-                let mut q = 0.0;
-                for &z2i in &z2 {
-                    q += z2i;
-                }
-                let k = sf2 * (-0.5 * q).exp();
-                acc0[0] += w * (2.0 * k);
-                mfbo_simd::accum_scaled(be, accl, &z2, k, w);
-            }
-            return;
-        }
+        // Vectorized across dimensions within each pair; the per-pair
+        // accumulation into `acc` keeps the pair order of `eval_grad`, so
+        // every partial sum matches it bit for bit.
+        let (be, _) = batch.simd_rows();
+        let (acc0, accl) = acc.split_at_mut(1);
         for (d, &w) in batch.diffs().chunks_exact(self.dim).zip(weights.iter()) {
+            mfbo_simd::z2_into(be, d, &inv_l, &mut z2);
             let mut q = 0.0;
-            for i in 0..self.dim {
-                let z = d[i] * inv_l[i];
-                z2[i] = z * z;
-                q += z2[i];
+            for &z2i in &z2 {
+                q += z2i;
             }
             let k = sf2 * (-0.5 * q).exp();
-            acc[0] += w * (2.0 * k);
-            for i in 0..self.dim {
-                acc[1 + i] += w * (k * z2[i]);
-            }
+            acc0[0] += w * (2.0 * k);
+            mfbo_simd::accum_scaled(be, accl, &z2, k, w);
         }
     }
 
     fn grad_from_diffs_with_values(
         &self,
         p: &[f64],
-        batch: &DiffBatch<'_>,
+        batch: &DiffBatch,
         weights: &[f64],
         values: &[f64],
         acc: &mut [f64],
@@ -310,30 +284,16 @@ impl Kernel for SquaredExponential {
         // `grad_from_diffs` would recompute — so the per-pair `exp`
         // disappears and only the `z_i²` products remain.
         let inv_l = self.scales(p).inv_l;
-        if let Some((be, _)) = batch.simd_rows() {
-            let (acc0, accl) = acc.split_at_mut(1);
-            for ((d, &w), &k) in batch
-                .diffs()
-                .chunks_exact(self.dim)
-                .zip(weights.iter())
-                .zip(values.iter())
-            {
-                acc0[0] += w * (2.0 * k);
-                mfbo_simd::accum_weighted_sq(be, accl, d, &inv_l, k, w);
-            }
-            return;
-        }
+        let (be, _) = batch.simd_rows();
+        let (acc0, accl) = acc.split_at_mut(1);
         for ((d, &w), &k) in batch
             .diffs()
             .chunks_exact(self.dim)
             .zip(weights.iter())
             .zip(values.iter())
         {
-            acc[0] += w * (2.0 * k);
-            for i in 0..self.dim {
-                let z = d[i] * inv_l[i];
-                acc[1 + i] += w * (k * (z * z));
-            }
+            acc0[0] += w * (2.0 * k);
+            mfbo_simd::accum_weighted_sq(be, accl, d, &inv_l, k, w);
         }
     }
 
@@ -458,7 +418,8 @@ pub struct NargpScales {
 impl NargpScales {
     /// `k1·k2 + k3` of one pair from its fidelity difference `df` and
     /// design factors, or `k3` where the `k1` term vanishes (see
-    /// [`k1_term_vanishes`]) — the per-pair finish of every NARGP path.
+    /// [`k1_term_vanishes`]) — the per-pair finish of the NARGP prediction
+    /// paths.
     pub(crate) fn combine(&self, df: f64, k2: f64, k3: f64) -> f64 {
         let zf = df * self.inv_l1;
         if k1_term_vanishes(self.sf2_1, zf, k2) {
@@ -566,57 +527,39 @@ impl Kernel for NargpKernel {
         k1v * k2v + k3v
     }
 
-    fn eval_from_diffs(&self, p: &[f64], batch: &DiffBatch<'_>, out: &mut [f64]) {
+    fn eval_from_diffs(&self, p: &[f64], batch: &DiffBatch, out: &mut [f64]) {
         debug_assert_eq!(out.len(), batch.len());
         debug_assert_eq!(batch.dim(), self.input_dim());
         let d = self.design_dim;
         // All three components are SE: hoist every parameter transform.
         let s = self.scales(p);
-        if let Some((be, rows)) = batch.simd_rows() {
-            // Dim-major rows split cleanly into the design-space block
-            // (dimensions 0..d) and the fidelity channel (dimension d), so
-            // each SE component is one `sq_norm` sweep across all pairs.
-            // `sq_norm` with a single dimension yields `0.0 + z_f²`, which
-            // is bit-identical to the scalar path's bare `z_f · z_f` (a
-            // square is never -0.0).
-            let count = batch.len();
-            let (design_rows, fid_row) = rows.split_at(d * count);
-            let mut q1 = vec![0.0; count];
-            let mut q3 = vec![0.0; count];
-            mfbo_simd::sq_norm(be, fid_row, count, &[s.inv_l1], &mut q1);
-            mfbo_simd::sq_norm(be, design_rows, count, &s.inv_l3, &mut q3);
-            mfbo_simd::sq_norm(be, design_rows, count, &s.inv_l2, out);
-            for ((o, &q1v), &q3v) in out.iter_mut().zip(&q1).zip(&q3) {
-                let k2v = s.k2_of(*o);
-                let k3v = s.k3_of(q3v);
-                *o = if k1_term_vanishes(s.sf2_1, q1v, k2v) {
-                    k3v
-                } else {
-                    let k1v = s.sf2_1 * (-0.5 * q1v).exp();
-                    k1v * k2v + k3v
-                };
-            }
-            return;
-        }
-        for (df, o) in batch.diffs().chunks_exact(d + 1).zip(out.iter_mut()) {
-            // The augmented layout is (x_1 … x_d, f): the fidelity channel
-            // difference is the last entry, the design-space differences
-            // the first `d`.
-            let mut q2 = 0.0;
-            for (di, li) in df[..d].iter().zip(&s.inv_l2) {
-                let z = di * li;
-                q2 += z * z;
-            }
-            let mut q3 = 0.0;
-            for (di, li) in df[..d].iter().zip(&s.inv_l3) {
-                let z = di * li;
-                q3 += z * z;
-            }
-            *o = s.combine(df[d], s.k2_of(q2), s.k3_of(q3));
+        // The augmented layout is (x_1 … x_d, f), so the dim-major rows
+        // split cleanly into the design-space block (dimensions 0..d) and
+        // the fidelity channel (dimension d), and each SE component is one
+        // `sq_norm` sweep across all pairs. `sq_norm` with a single
+        // dimension yields `0.0 + z_f²`, which is bit-identical to `eval`'s
+        // bare `z_f · z_f` (a square is never -0.0).
+        let (be, rows) = batch.simd_rows();
+        let count = batch.len();
+        let (design_rows, fid_row) = rows.split_at(d * count);
+        let mut q1 = vec![0.0; count];
+        let mut q3 = vec![0.0; count];
+        mfbo_simd::sq_norm(be, fid_row, count, &[s.inv_l1], &mut q1);
+        mfbo_simd::sq_norm(be, design_rows, count, &s.inv_l3, &mut q3);
+        mfbo_simd::sq_norm(be, design_rows, count, &s.inv_l2, out);
+        for ((o, &q1v), &q3v) in out.iter_mut().zip(&q1).zip(&q3) {
+            let k2v = s.k2_of(*o);
+            let k3v = s.k3_of(q3v);
+            *o = if k1_term_vanishes(s.sf2_1, q1v, k2v) {
+                k3v
+            } else {
+                let k1v = s.sf2_1 * (-0.5 * q1v).exp();
+                k1v * k2v + k3v
+            };
         }
     }
 
-    fn grad_from_diffs(&self, p: &[f64], batch: &DiffBatch<'_>, weights: &[f64], acc: &mut [f64]) {
+    fn grad_from_diffs(&self, p: &[f64], batch: &DiffBatch, weights: &[f64], acc: &mut [f64]) {
         debug_assert_eq!(weights.len(), batch.len());
         debug_assert_eq!(acc.len(), self.num_params());
         debug_assert_eq!(batch.dim(), self.input_dim());
@@ -633,67 +576,34 @@ impl Kernel for NargpKernel {
         } = self.scales(p);
         let mut z2_2 = vec![0.0; d];
         let mut z2_3 = vec![0.0; d];
-        if let Some((be, _)) = batch.simd_rows() {
-            // Vectorized across design dimensions within each pair, scalar
-            // over the single fidelity channel; per-pair accumulation order
-            // into `acc` is unchanged.
-            for (df, &w) in batch.diffs().chunks_exact(d + 1).zip(weights.iter()) {
-                let zf = df[d] * inv_l1;
-                let z2f = zf * zf;
-                let k1v = sf2_1 * (-0.5 * z2f).exp();
-                mfbo_simd::z2_into(be, &df[..d], &inv_l2, &mut z2_2);
-                let mut q2 = 0.0;
-                for &v in &z2_2 {
-                    q2 += v;
-                }
-                let k2v = sf2_2 * (-0.5 * q2).exp();
-                mfbo_simd::z2_into(be, &df[..d], &inv_l3, &mut z2_3);
-                let mut q3 = 0.0;
-                for &v in &z2_3 {
-                    q3 += v;
-                }
-                let k3v = sf2_3 * (-0.5 * q3).exp();
-                acc[0] += w * ((2.0 * k1v) * k2v);
-                acc[1] += w * ((k1v * z2f) * k2v);
-                acc[n1] += w * ((2.0 * k2v) * k1v);
-                mfbo_simd::accum_scaled2(be, &mut acc[n1 + 1..n1 + 1 + d], &z2_2, k2v, k1v, w);
-                acc[n1 + n2] += w * (2.0 * k3v);
-                mfbo_simd::accum_scaled(be, &mut acc[n1 + n2 + 1..], &z2_3, k3v, w);
-            }
-            return;
-        }
+        // Vectorized across design dimensions within each pair, scalar over
+        // the single fidelity channel. The product rule runs exactly as in
+        // `eval_grad`: component gradients first, then the cross-scaling,
+        // then the weighted accumulation in pair order — each product
+        // parenthesized the way `eval_grad` computes it.
+        let (be, _) = batch.simd_rows();
         for (df, &w) in batch.diffs().chunks_exact(d + 1).zip(weights.iter()) {
             let zf = df[d] * inv_l1;
             let z2f = zf * zf;
             let k1v = sf2_1 * (-0.5 * z2f).exp();
+            mfbo_simd::z2_into(be, &df[..d], &inv_l2, &mut z2_2);
             let mut q2 = 0.0;
-            for i in 0..d {
-                let z = df[i] * inv_l2[i];
-                z2_2[i] = z * z;
-                q2 += z2_2[i];
+            for &v in &z2_2 {
+                q2 += v;
             }
             let k2v = sf2_2 * (-0.5 * q2).exp();
+            mfbo_simd::z2_into(be, &df[..d], &inv_l3, &mut z2_3);
             let mut q3 = 0.0;
-            for i in 0..d {
-                let z = df[i] * inv_l3[i];
-                z2_3[i] = z * z;
-                q3 += z2_3[i];
+            for &v in &z2_3 {
+                q3 += v;
             }
             let k3v = sf2_3 * (-0.5 * q3).exp();
-            // Product rule exactly as `eval_grad`: component gradients
-            // first, then the cross-scaling, then the weighted
-            // accumulation — each product parenthesized the way the scalar
-            // path computes it.
             acc[0] += w * ((2.0 * k1v) * k2v);
             acc[1] += w * ((k1v * z2f) * k2v);
             acc[n1] += w * ((2.0 * k2v) * k1v);
-            for i in 0..d {
-                acc[n1 + 1 + i] += w * ((k2v * z2_2[i]) * k1v);
-            }
+            mfbo_simd::accum_scaled2(be, &mut acc[n1 + 1..n1 + 1 + d], &z2_2, k2v, k1v, w);
             acc[n1 + n2] += w * (2.0 * k3v);
-            for i in 0..d {
-                acc[n1 + n2 + 1 + i] += w * (k3v * z2_3[i]);
-            }
+            mfbo_simd::accum_scaled(be, &mut acc[n1 + n2 + 1..], &z2_3, k3v, w);
         }
     }
 
@@ -950,8 +860,8 @@ mod tests {
         }
 
         /// The zero-`k2` short circuit of `eval_from_diffs` must return the
-        /// unshortened `k1·k2 + k3` of the per-pair `eval`, under both
-        /// batch layouts: a tiny `k2` lengthscale zeroes `k2` between
+        /// unshortened `k1·k2 + k3` of the per-pair `eval`, under every
+        /// backend: a tiny `k2` lengthscale zeroes `k2` between
         /// distinct design points, and NaN and ±inf fidelity values make
         /// `k1` NaN or zero.
         #[test]
@@ -977,7 +887,7 @@ mod tests {
                 .enumerate()
                 .flat_map(|(i, a)| xs[..=i].iter().map(move |b| (&a[..], &b[..])))
                 .collect();
-            for be in [mfbo_simd::Backend::Scalar, mfbo_simd::active()] {
+            for be in BACKENDS {
                 let batch = crate::workspace::DiffBatch::lower_triangle_with_backend(&xs, be);
                 let mut fast = vec![0.0; batch.len()];
                 k.eval_from_diffs(&p, &batch, &mut fast);
@@ -992,11 +902,16 @@ mod tests {
         }
     }
 
-    /// Batch hooks must reproduce the scalar paths bit for bit: values via
-    /// per-pair `eval`, gradients via the weighted per-pair `eval_grad`
+    /// Batch hooks under `be` must reproduce the per-pair paths bit for
+    /// bit: values via `eval`, gradients via the weighted `eval_grad`
     /// accumulation.
-    fn check_batch_bit_identity<K: Kernel>(k: &K, p: &[f64], xs: &[Vec<f64>]) {
-        let batch = crate::workspace::DiffBatch::lower_triangle(xs);
+    fn check_batch_bit_identity<K: Kernel>(
+        k: &K,
+        p: &[f64],
+        xs: &[Vec<f64>],
+        be: mfbo_simd::Backend,
+    ) {
+        let batch = crate::workspace::DiffBatch::lower_triangle_with_backend(xs, be);
         // The batch's `(0,0), (1,0), (1,1), (2,0), …` pair order.
         let pairs: Vec<(&[f64], &[f64])> = xs
             .iter()
@@ -1035,7 +950,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_hooks_bit_identical_to_scalar_paths() {
+    fn batch_hooks_bit_identical_to_per_pair_paths() {
         let xs: Vec<Vec<f64>> = (0..7)
             .map(|i| {
                 (0..3)
@@ -1043,12 +958,15 @@ mod tests {
                     .collect()
             })
             .collect();
-        check_batch_bit_identity(&SquaredExponential::new(3), &[0.3, -0.5, 0.2, 0.9], &xs);
-        check_batch_bit_identity(
-            &NargpKernel::new(2),
-            &[0.1, -0.2, 0.3, 0.0, -0.4, -1.0, 0.5, -0.3],
-            &xs,
-        );
+        for be in BACKENDS {
+            check_batch_bit_identity(&SquaredExponential::new(3), &[0.3, -0.5, 0.2, 0.9], &xs, be);
+            check_batch_bit_identity(
+                &NargpKernel::new(2),
+                &[0.1, -0.2, 0.3, 0.0, -0.4, -1.0, 0.5, -0.3],
+                &xs,
+                be,
+            );
+        }
     }
 
     #[test]

@@ -50,7 +50,6 @@ pub use gp::{Gp, GpConfig, Prediction};
 pub use mfbo_infer::InferenceMode;
 pub use nlml::{
     nlml, nlml_grad_cached, nlml_value_cached, nlml_with_grad, nlml_with_grad_cached, NlmlFactor,
-    NlmlWorkspace,
 };
 pub use scratch::with_scratch;
-pub use workspace::{DiffBatch, FitCache, TrainLayout};
+pub use workspace::{DiffBatch, TrainLayout};

@@ -14,80 +14,6 @@ use mfbo_linalg::{Cholesky, Matrix};
 
 pub(crate) const LOG_2PI: f64 = 1.837_877_066_409_345_5;
 
-/// Per-fit workspace for repeated NLML evaluations over a fixed point set.
-///
-/// Holds the pairwise signed-difference tensor ([`DiffBatch`]) that every
-/// kernel-matrix build of the fit reuses — L-BFGS steps and restarts change
-/// only the hyperparameters, so the `O(n² d)` difference computation is paid
-/// once per fit instead of once per evaluation, and stationary kernels
-/// additionally hoist their `O(n² d)` parameter `exp` calls out of the pair
-/// loop (see [`Kernel::eval_from_diffs`]).
-///
-/// The workspace is read-only after construction and `Sync`: parallel
-/// restarts share one instance.
-pub struct NlmlWorkspace<'a> {
-    batch: WsBatch<'a>,
-    n: usize,
-}
-
-/// The difference tensor behind an [`NlmlWorkspace`]: built fresh for this
-/// fit, or a reference to a batch shared across a bundle of fits over the
-/// same point set.
-enum WsBatch<'a> {
-    Owned(DiffBatch<'a>),
-    Shared(&'a DiffBatch<'a>),
-}
-
-impl<'a> NlmlWorkspace<'a> {
-    /// Builds the lower-triangle difference tensor over `xs`.
-    pub fn new(xs: &'a [Vec<f64>]) -> Self {
-        NlmlWorkspace {
-            batch: WsBatch::Owned(DiffBatch::lower_triangle(xs)),
-            n: xs.len(),
-        }
-    }
-
-    /// A workspace over a pre-built lower-triangle batch — the bundle
-    /// fitters' sharing hook: the objective GP and every constraint GP train
-    /// on the same `X`, so one difference tensor serves all of their NLML
-    /// workspaces. Bit-identical to [`NlmlWorkspace::new`] over the same
-    /// points (the batch holds the exact values a fresh build computes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` does not cover the lower triangle of `n` points.
-    pub fn from_batch(batch: &'a DiffBatch<'a>, n: usize) -> Self {
-        assert_eq!(
-            batch.len(),
-            n * (n + 1) / 2,
-            "shared batch pair count does not match the training set"
-        );
-        mfbo_telemetry::counter!("diffbatch_shared_hits", 1u64);
-        NlmlWorkspace {
-            batch: WsBatch::Shared(batch),
-            n,
-        }
-    }
-
-    /// The underlying difference tensor.
-    fn batch(&self) -> &DiffBatch<'a> {
-        match &self.batch {
-            WsBatch::Owned(b) => b,
-            WsBatch::Shared(b) => b,
-        }
-    }
-
-    /// Number of training points.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the workspace covers an empty point set.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-}
-
 /// Assembles the noisy kernel matrix `K(X,X) + σ_n² I`.
 pub(crate) fn kernel_matrix<K: Kernel>(
     kernel: &K,
@@ -110,17 +36,19 @@ pub(crate) fn kernel_matrix<K: Kernel>(
     k
 }
 
-/// [`kernel_matrix`] from a precomputed difference workspace: same matrix
-/// bit for bit, but the per-pair kernel values come from the batch hook.
+/// [`kernel_matrix`] from the lower-triangle difference batch over `n`
+/// points: same matrix bit for bit, but the per-pair kernel values come
+/// from the batch hook.
 pub(crate) fn kernel_matrix_cached<K: Kernel>(
     kernel: &K,
     p: &[f64],
     log_noise: f64,
-    ws: &NlmlWorkspace<'_>,
+    batch: &DiffBatch,
+    n: usize,
 ) -> Matrix {
-    let mut kv = vec![0.0; ws.batch().len()];
-    kernel.eval_from_diffs(p, ws.batch(), &mut kv);
-    assemble_from_lower(ws.n, &kv, (2.0 * log_noise).exp())
+    let mut kv = vec![0.0; batch.len()];
+    kernel.eval_from_diffs(p, batch, &mut kv);
+    assemble_from_lower(n, &kv, (2.0 * log_noise).exp())
 }
 
 /// Mirrors the noisy lower-triangle kernel values into a full symmetric
@@ -228,8 +156,9 @@ pub fn nlml_with_grad<K: Kernel>(
     (value, grad)
 }
 
-/// [`nlml_with_grad`] evaluated through a per-fit difference workspace: the
-/// value half [`nlml_value_cached`] followed by the gradient half
+/// [`nlml_with_grad`] evaluated through the lower-triangle difference batch
+/// over the training inputs (built once per fit, or shared by a bundle of
+/// fits over the same inputs): the value half [`nlml_value_cached`] followed by the gradient half
 /// [`nlml_grad_cached`].
 ///
 /// Bit-identical to the naive path: the trace weights `Wᵢⱼ` are computed in
@@ -242,16 +171,16 @@ pub fn nlml_with_grad<K: Kernel>(
 ///
 /// # Panics
 ///
-/// Panics if `theta.len() != kernel.num_params() + 1` or if the workspace
-/// and `ys` lengths disagree.
+/// Panics if `theta.len() != kernel.num_params() + 1` or if `batch` does
+/// not cover the lower triangle of `ys.len()` points.
 pub fn nlml_with_grad_cached<K: Kernel>(
     kernel: &K,
     theta: &[f64],
-    ws: &NlmlWorkspace<'_>,
+    batch: &DiffBatch,
     ys: &[f64],
 ) -> (f64, Vec<f64>) {
-    let (value, factor) = nlml_value_cached(kernel, theta, ws, ys);
-    (value, nlml_grad_cached(kernel, theta, ws, factor))
+    let (value, factor) = nlml_value_cached(kernel, theta, batch, ys);
+    (value, nlml_grad_cached(kernel, theta, batch, factor))
 }
 
 /// What the gradient half of the NLML needs from its value half: the raw
@@ -273,12 +202,12 @@ pub struct NlmlFactor {
 ///
 /// # Panics
 ///
-/// Panics if `theta.len() != kernel.num_params() + 1` or if the workspace
-/// and `ys` lengths disagree.
+/// Panics if `theta.len() != kernel.num_params() + 1` or if `batch` does
+/// not cover the lower triangle of `ys.len()` points.
 pub fn nlml_value_cached<K: Kernel>(
     kernel: &K,
     theta: &[f64],
-    ws: &NlmlWorkspace<'_>,
+    batch: &DiffBatch,
     ys: &[f64],
 ) -> (f64, Option<NlmlFactor>) {
     assert_eq!(
@@ -286,14 +215,14 @@ pub fn nlml_value_cached<K: Kernel>(
         kernel.num_params() + 1,
         "theta layout mismatch"
     );
-    assert_eq!(ws.n, ys.len(), "workspace/ys length mismatch");
+    let n = ys.len();
+    assert_eq!(batch.len(), n * (n + 1) / 2, "batch/ys length mismatch");
     let (kp, log_noise) = theta.split_at(kernel.num_params());
-    let n = ws.n;
     // Keep the raw (noise-free) kernel values of the eval pass alive: the
     // gradient hook reuses them, saving kernels whose gradient factors
     // through the value a second per-pair `exp` sweep.
-    let mut kv = vec![0.0; ws.batch().len()];
-    kernel.eval_from_diffs(kp, ws.batch(), &mut kv);
+    let mut kv = vec![0.0; batch.len()];
+    kernel.eval_from_diffs(kp, batch, &mut kv);
     let km = assemble_from_lower(n, &kv, (2.0 * log_noise[0]).exp());
     mfbo_telemetry::counter!("nlml_evals", 1u64);
     let chol = match Cholesky::new_with_jitter(&km, 1e-10, 1e-4) {
@@ -315,7 +244,7 @@ pub fn nlml_value_cached<K: Kernel>(
 pub fn nlml_grad_cached<K: Kernel>(
     kernel: &K,
     theta: &[f64],
-    ws: &NlmlWorkspace<'_>,
+    batch: &DiffBatch,
     factor: Option<NlmlFactor>,
 ) -> Vec<f64> {
     let np = kernel.num_params();
@@ -325,13 +254,13 @@ pub fn nlml_grad_cached<K: Kernel>(
         return grad;
     };
     let (kp, log_noise) = theta.split_at(np);
-    let n = ws.n;
+    let n = alpha.len();
     // W = K⁻¹ − α αᵀ (symmetric), flattened in lower-triangle pair order
     // (diagonal entries carry the ½ trace factor). Only the lower triangle
     // of K⁻¹ is read, so the early-stopped inverse suffices — its computed
     // entries are bit-identical to the full inverse.
     let kinv = chol.inverse_lower();
-    let mut weights = vec![0.0; ws.batch().len()];
+    let mut weights = vec![0.0; batch.len()];
     let mut q = 0;
     for i in 0..n {
         for j in 0..=i {
@@ -340,7 +269,7 @@ pub fn nlml_grad_cached<K: Kernel>(
             q += 1;
         }
     }
-    kernel.grad_from_diffs_with_values(kp, ws.batch(), &weights, &kv, &mut grad[..np]);
+    kernel.grad_from_diffs_with_values(kp, batch, &weights, &kv, &mut grad[..np]);
     let sn2 = (2.0 * log_noise[0]).exp();
     for i in 0..n {
         // Diagonal pair (i, i) sits at lower-triangle index i(i+3)/2.
@@ -429,29 +358,12 @@ mod tests {
     fn cached_path_bit_identical_to_naive() {
         let (xs, ys) = toy_data();
         let k = SquaredExponential::new(1);
-        let ws = NlmlWorkspace::new(&xs);
+        let batch = DiffBatch::lower_triangle(&xs);
         for theta in [[0.2, -0.8, -1.5], [0.0, -1.0, -3.0], [1.0, 0.5, -2.0]] {
             let (nv, ng) = nlml_with_grad(&k, &theta, &xs, &ys);
-            let (cv, cg) = nlml_with_grad_cached(&k, &theta, &ws, &ys);
+            let (cv, cg) = nlml_with_grad_cached(&k, &theta, &batch, &ys);
             assert_eq!(nv.to_bits(), cv.to_bits());
             for (a, b) in ng.iter().zip(&cg) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn shared_workspace_bit_identical_to_owned() {
-        let (xs, ys) = toy_data();
-        let k = SquaredExponential::new(1);
-        let owned = NlmlWorkspace::new(&xs);
-        let batch = DiffBatch::lower_triangle(&xs);
-        let shared = NlmlWorkspace::from_batch(&batch, xs.len());
-        for theta in [[0.2, -0.8, -1.5], [0.0, -1.0, -3.0]] {
-            let (ov, og) = nlml_with_grad_cached(&k, &theta, &owned, &ys);
-            let (sv, sg) = nlml_with_grad_cached(&k, &theta, &shared, &ys);
-            assert_eq!(ov.to_bits(), sv.to_bits());
-            for (a, b) in og.iter().zip(&sg) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }

@@ -3,7 +3,7 @@
 use mfbo_gp::kernel::{Kernel, NargpKernel, SquaredExponential};
 use mfbo_gp::{
     nlml, nlml_grad_cached, nlml_value_cached, nlml_with_grad, nlml_with_grad_cached, DiffBatch,
-    Gp, GpConfig, NlmlWorkspace,
+    Gp, GpConfig,
 };
 use mfbo_linalg::{Cholesky, Matrix};
 use proptest::prelude::*;
@@ -128,52 +128,56 @@ mod bit_identity {
     use super::*;
     use proptest::TestCaseError;
 
-    /// All three batch hooks of `kernel` under the detected backend must
-    /// reproduce the forced-scalar training (lower-triangle) workspace bit
-    /// for bit.
-    fn check_kernel_backend_invisible<K: Kernel>(
+    /// Every constructible backend, scalar included: a foreign one degrades
+    /// to scalar.
+    const BACKENDS: [mfbo_simd::Backend; 3] = [
+        mfbo_simd::Backend::Scalar,
+        mfbo_simd::Backend::Avx2,
+        mfbo_simd::Backend::Neon,
+    ];
+
+    /// All three batch hooks of `kernel`, on a lower-triangle batch built
+    /// for every backend, reproduce the per-pair paths bit for bit: values
+    /// through `Kernel::eval`, gradients through the weighted `eval_grad`
+    /// accumulation in pair order — the loop the NLML gradient runs pair by
+    /// pair — and the values-supplied gradient fed the batch's own values.
+    fn check_hooks_match_per_pair<K: Kernel>(
         kernel: &K,
         theta: &[f64],
         xs: &[Vec<f64>],
     ) -> Result<(), TestCaseError> {
-        let (be, scalar) = (mfbo_simd::detect(), mfbo_simd::Backend::Scalar);
-        check_hooks_match(
-            kernel,
-            theta,
-            &DiffBatch::lower_triangle_with_backend(xs, be),
-            &DiffBatch::lower_triangle_with_backend(xs, scalar),
-        )
-    }
-
-    /// The three batch hooks of `kernel` on `fast` and `reference`, two
-    /// layouts of the same pairs, give the same bits.
-    fn check_hooks_match<K: Kernel>(
-        kernel: &K,
-        theta: &[f64],
-        fast: &DiffBatch<'_>,
-        reference: &DiffBatch<'_>,
-    ) -> Result<(), TestCaseError> {
-        let weights: Vec<f64> = (0..fast.len()).map(|i| (i as f64 * 0.37).sin()).collect();
-        let mut kf = vec![0.0; fast.len()];
-        let mut kr = vec![0.0; fast.len()];
-        kernel.eval_from_diffs(theta, fast, &mut kf);
-        kernel.eval_from_diffs(theta, reference, &mut kr);
-        for (a, b) in kf.iter().zip(&kr) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
+        let pairs: Vec<(&[f64], &[f64])> = xs
+            .iter()
+            .enumerate()
+            .flat_map(|(i, a)| xs[..=i].iter().map(move |b| (&a[..], &b[..])))
+            .collect();
+        let weights: Vec<f64> = (0..pairs.len()).map(|i| (i as f64 * 0.37).sin()).collect();
+        let mut grad_ref = vec![0.0; kernel.num_params()];
+        let mut kg = vec![0.0; kernel.num_params()];
+        for (&w, &(a, b)) in weights.iter().zip(&pairs) {
+            kernel.eval_grad(theta, a, b, &mut kg);
+            for (g, &dk) in grad_ref.iter_mut().zip(&kg) {
+                *g += w * dk;
+            }
         }
-        let mut gf = vec![0.0; kernel.num_params()];
-        let mut gr = vec![0.0; kernel.num_params()];
-        kernel.grad_from_diffs(theta, fast, &weights, &mut gf);
-        kernel.grad_from_diffs(theta, reference, &weights, &mut gr);
-        for (a, b) in gf.iter().zip(&gr) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-        let mut gf2 = vec![0.0; kernel.num_params()];
-        let mut gr2 = vec![0.0; kernel.num_params()];
-        kernel.grad_from_diffs_with_values(theta, fast, &weights, &kf, &mut gf2);
-        kernel.grad_from_diffs_with_values(theta, reference, &weights, &kr, &mut gr2);
-        for (a, b) in gf2.iter().zip(&gr2) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
+        for be in BACKENDS {
+            let batch = DiffBatch::lower_triangle_with_backend(xs, be);
+            prop_assert_eq!(batch.len(), pairs.len());
+            let mut values = vec![0.0; batch.len()];
+            kernel.eval_from_diffs(theta, &batch, &mut values);
+            for (v, &(a, b)) in values.iter().zip(&pairs) {
+                prop_assert_eq!(v.to_bits(), kernel.eval(theta, a, b).to_bits(), "{:?}", be);
+            }
+            let mut grad = vec![0.0; kernel.num_params()];
+            kernel.grad_from_diffs(theta, &batch, &weights, &mut grad);
+            for (g, r) in grad.iter().zip(&grad_ref) {
+                prop_assert_eq!(g.to_bits(), r.to_bits(), "{:?}", be);
+            }
+            let mut grad = vec![0.0; kernel.num_params()];
+            kernel.grad_from_diffs_with_values(theta, &batch, &weights, &values, &mut grad);
+            for (g, r) in grad.iter().zip(&grad_ref) {
+                prop_assert_eq!(g.to_bits(), r.to_bits(), "{:?}", be);
+            }
         }
         Ok(())
     }
@@ -225,9 +229,9 @@ mod bit_identity {
         xs: &[Vec<f64>],
         ys: &[f64],
     ) -> Result<(), TestCaseError> {
-        let ws = NlmlWorkspace::new(xs);
+        let batch = DiffBatch::lower_triangle(xs);
         let (nv, ng) = nlml_with_grad(kernel, theta, xs, ys);
-        let (cv, cg) = nlml_with_grad_cached(kernel, theta, &ws, ys);
+        let (cv, cg) = nlml_with_grad_cached(kernel, theta, &batch, ys);
         prop_assert_eq!(nv.to_bits(), cv.to_bits());
         for (a, b) in ng.iter().zip(&cg) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
@@ -237,7 +241,7 @@ mod bit_identity {
 
     /// The split NLML — value half, then gradient half from the value
     /// half's factor — against the fused `nlml_with_grad_cached` oracle,
-    /// on workspaces built under the detected backend and forced scalar.
+    /// on batches built under the detected backend and forced scalar.
     /// The fused path is itself checked against the pair-by-pair
     /// `nlml_with_grad`, which shares no code with the halves. Returns the
     /// fused value so callers can assert which branch ran.
@@ -251,11 +255,10 @@ mod bit_identity {
         let mut fused_value = f64::NAN;
         for be in [mfbo_simd::detect(), mfbo_simd::Backend::Scalar] {
             let batch = DiffBatch::lower_triangle_with_backend(xs, be);
-            let ws = NlmlWorkspace::from_batch(&batch, xs.len());
-            let (fv, fg) = nlml_with_grad_cached(kernel, theta, &ws, ys);
-            let (sv, factor) = nlml_value_cached(kernel, theta, &ws, ys);
+            let (fv, fg) = nlml_with_grad_cached(kernel, theta, &batch, ys);
+            let (sv, factor) = nlml_value_cached(kernel, theta, &batch, ys);
             prop_assert_eq!(factor.is_some(), sv.is_finite());
-            let sg = nlml_grad_cached(kernel, theta, &ws, factor);
+            let sg = nlml_grad_cached(kernel, theta, &batch, factor);
             prop_assert_eq!(sv.to_bits(), fv.to_bits());
             prop_assert_eq!(sg.len(), fg.len());
             for (a, b) in sg.iter().zip(&fg) {
@@ -281,11 +284,11 @@ mod bit_identity {
         let theta = vec![400.0; kernel.num_params() + 1];
         let v = check_split_nlml(kernel, &theta, xs, ys)?;
         prop_assert_eq!(v, f64::INFINITY);
-        let ws = NlmlWorkspace::new(xs);
-        let (sv, factor) = nlml_value_cached(kernel, &theta, &ws, ys);
+        let batch = DiffBatch::lower_triangle(xs);
+        let (sv, factor) = nlml_value_cached(kernel, &theta, &batch, ys);
         prop_assert_eq!(sv, f64::INFINITY);
         prop_assert!(factor.is_none());
-        let g = nlml_grad_cached(kernel, &theta, &ws, None);
+        let g = nlml_grad_cached(kernel, &theta, &batch, None);
         prop_assert!(g.len() == theta.len() && g.iter().all(|&x| x == 0.0));
         Ok(())
     }
@@ -326,56 +329,14 @@ mod bit_identity {
             }
         }
 
-        /// Differential oracle for the cross-iteration fit cache: a cache
-        /// grown by arbitrary append/truncate/sync sequences must serve a
-        /// batch bit-identical to a fresh `lower_triangle` build over the
-        /// same points — diffs and SIMD transpose alike, under both the
-        /// detected backend and forced scalar (exercised by the
-        /// `MFBO_SIMD` CI matrix).
+        /// A fit handed a caller's batch — the bundle fitters' sharing
+        /// hook — is bit-identical to one that builds its own, whichever
+        /// backend the shared batch was built for: the NLML value and
+        /// gradient over the shared batch against the per-pair path, and
+        /// the θ, NLML and posterior of `Gp::fit_planned` and
+        /// `Gp::with_params` with and without it.
         #[test]
-        fn fit_cache_append_bit_identity_vs_fresh(
-            xs in points(12, 3),
-            split in 1usize..11,
-            resync_at in 1usize..11,
-        ) {
-            let mut cache = mfbo_gp::FitCache::new();
-            cache.append_points(&xs[..split]);
-            cache.append_points(&xs[split..]);
-            for be in [mfbo_simd::detect(), mfbo_simd::Backend::Scalar] {
-                let fresh = DiffBatch::lower_triangle_with_backend(&xs, be);
-                let view = cache.batch_with_backend(be);
-                prop_assert_eq!(view.len(), fresh.len());
-                for (a, b) in view.diffs().iter().zip(fresh.diffs()) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits());
-                }
-                match (view.simd_rows(), fresh.simd_rows()) {
-                    (None, None) => {}
-                    (Some((ba, ra)), Some((bb, rb))) => {
-                        prop_assert_eq!(ba, bb);
-                        for (a, b) in ra.iter().zip(rb) {
-                            prop_assert_eq!(a.to_bits(), b.to_bits());
-                        }
-                    }
-                    _ => prop_assert!(false, "simd_rows presence mismatch"),
-                }
-            }
-            // Sync to a prefix + divergent tail (the constant-liar flow).
-            let mut target = xs[..resync_at].to_vec();
-            target.push(vec![0.123, 0.456, 0.789]);
-            cache.sync(&target);
-            let fresh = DiffBatch::lower_triangle_with_backend(&target, mfbo_simd::detect());
-            let view = cache.batch_with_backend(mfbo_simd::detect());
-            prop_assert_eq!(view.len(), fresh.len());
-            for (a, b) in view.diffs().iter().zip(fresh.diffs()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-
-        /// A shared-workspace NLML (value + gradient) is bit-identical to
-        /// the per-model owned workspace — the invariant behind the
-        /// default-on bundle distance-cache sharing.
-        #[test]
-        fn shared_workspace_nlml_bit_identity(
+        fn shared_batch_nlml_bit_identity(
             xs in points(9, 2),
             logsf in -0.5f64..0.5,
             logl in -1.5f64..0.5,
@@ -383,14 +344,37 @@ mod bit_identity {
             let ys: Vec<f64> = xs.iter().map(|x| (4.0 * x[0] - x[1]).sin()).collect();
             let k = SquaredExponential::new(2);
             let theta = [logsf, logl, -1.0, -2.0];
-            let owned = NlmlWorkspace::new(&xs);
-            let batch = DiffBatch::lower_triangle(&xs);
-            let shared = NlmlWorkspace::from_batch(&batch, xs.len());
-            let (ov, og) = nlml_with_grad_cached(&k, &theta, &owned, &ys);
-            let (sv, sg) = nlml_with_grad_cached(&k, &theta, &shared, &ys);
-            prop_assert_eq!(ov.to_bits(), sv.to_bits());
-            for (a, b) in og.iter().zip(&sg) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
+            let (nv, ng) = nlml_with_grad(&k, &theta, &xs, &ys);
+            let cfg = GpConfig::fast();
+            let starts = Gp::plan_starts(&k, &cfg, None, &mut StdRng::seed_from_u64(3));
+            let fit = |batch: Option<&DiffBatch>| {
+                let (xs, ys) = (xs.clone(), ys.clone());
+                Gp::fit_planned(k.clone(), xs, ys, &cfg, starts.clone(), batch).unwrap()
+            };
+            let frozen = |batch: Option<&DiffBatch>| {
+                let (xs, ys, p) = (xs.clone(), ys.clone(), theta[..3].to_vec());
+                Gp::with_params(k.clone(), xs, ys, p, theta[3], &cfg, batch).unwrap()
+            };
+            let (fit_own, frozen_own) = (fit(None), frozen(None));
+            for be in BACKENDS {
+                let shared = DiffBatch::lower_triangle_with_backend(&xs, be);
+                let (sv, sg) = nlml_with_grad_cached(&k, &theta, &shared, &ys);
+                prop_assert_eq!(nv.to_bits(), sv.to_bits());
+                for (a, b) in ng.iter().zip(&sg) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits());
+                }
+                let pairs = [(&fit_own, fit(Some(&shared))), (&frozen_own, frozen(Some(&shared)))];
+                for (own, borrowed) in pairs {
+                    prop_assert_eq!(own.nlml().to_bits(), borrowed.nlml().to_bits());
+                    for (a, b) in own.theta().iter().zip(&borrowed.theta()) {
+                        prop_assert_eq!(a.to_bits(), b.to_bits());
+                    }
+                    for q in [[0.13, 0.71], [0.52, 0.05]] {
+                        let (a, b) = (own.predict(&q), borrowed.predict(&q));
+                        prop_assert_eq!(a.mean.to_bits(), b.mean.to_bits());
+                        prop_assert_eq!(a.var.to_bits(), b.var.to_bits());
+                    }
+                }
             }
         }
 
@@ -616,14 +600,15 @@ mod bit_identity {
             }
         }
 
-        /// Kernel batch hooks under every constructible backend reproduce
-        /// the scalar workspace bit for bit, for both kernels.
+        /// Kernel batch hooks under every constructible backend, scalar
+        /// included, reproduce the per-pair `eval`/`eval_grad` bit for bit,
+        /// for both kernels.
         #[test]
-        fn kernel_batch_hooks_backend_bit_invisible(xs in points(9, 3)) {
-            check_kernel_backend_invisible(&SquaredExponential::new(3), &[0.2, -0.5, 0.1, -1.0], &xs)?;
+        fn kernel_batch_hooks_match_per_pair_eval(xs in points(9, 3)) {
+            check_hooks_match_per_pair(&SquaredExponential::new(3), &[0.2, -0.5, 0.1, -1.0], &xs)?;
             let nargp = NargpKernel::new(2);
             let theta = nargp.default_params();
-            check_kernel_backend_invisible(&nargp, &theta, &xs)?;
+            check_hooks_match_per_pair(&nargp, &theta, &xs)?;
         }
     }
 }

@@ -119,6 +119,11 @@ impl JournalEntry {
                 .and_then(Json::as_f64)
                 .ok_or_else(|| bad(format!("missing numeric field {key:?}")))
         };
+        let uint = |key: &str, max: u64| -> Result<u64, StoreError> {
+            crate::uint_field(&v, key, max)
+                .map_err(bad)?
+                .ok_or_else(|| bad(format!("missing numeric field {key:?}")))
+        };
         let floats = |key: &str| -> Result<Vec<f64>, StoreError> {
             v.get(key)
                 .and_then(Json::as_arr)
@@ -153,19 +158,19 @@ impl JournalEntry {
             }
         };
         Ok(JournalEntry {
-            iteration: num("iter")? as u64,
+            iteration: uint("iter", u64::MAX)?,
             fid,
             x: floats("x")?,
             objective: num("obj")?,
             constraints: floats("cons")?,
             cost_after: num("cost")?,
             rng,
-            attempts: num("attempts")? as u32,
+            attempts: uint("attempts", u32::MAX.into())? as u32,
             cached: flag("cached"),
             quarantined: flag("quarantined"),
             warm: flag("warm"),
             pending: flag("pending"),
-            cand: v.get("cand").and_then(Json::as_f64).map(|n| n as u64),
+            cand: crate::uint_field(&v, "cand", u64::MAX).map_err(bad)?,
         })
     }
 }
@@ -256,10 +261,6 @@ pub struct GroupCommitter {
 }
 
 impl GroupCommitter {
-    /// Default linger window: long enough to coalesce appends from many
-    /// concurrent runs, short enough to be invisible next to a simulation.
-    pub const DEFAULT_LINGER: Duration = Duration::from_millis(1);
-
     /// Starts the flusher thread. `linger` bounds how long an append may
     /// sit buffered before it reaches the OS; [`GroupCommitter::sync`]
     /// commits the pending batch immediately rather than waiting the

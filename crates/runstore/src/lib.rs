@@ -76,6 +76,23 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+/// Reads the integer field `key` of a stored record: `None` when it is
+/// absent or not a number, an error naming the field when the number is not
+/// an integer in `0..=max`. Integers are stored as JSON numbers, which
+/// decode to `f64`, so `max` is capped at 2⁵³, past which `f64` no longer
+/// holds every integer.
+pub(crate) fn uint_field(v: &Json, key: &str, max: u64) -> Result<Option<u64>, String> {
+    let Some(x) = v.get(key).and_then(Json::as_f64) else {
+        return Ok(None);
+    };
+    let max = max.min(1 << 53);
+    if x >= 0.0 && x.fract() == 0.0 && x <= max as f64 {
+        Ok(Some(x as u64))
+    } else {
+        Err(format!("field {key:?} is {x}, not an integer in 0..={max}"))
+    }
+}
+
 /// Fidelity tag used by the store. Mirrors the core crate's fidelity enum
 /// without depending on it (the store sits below the optimizer crates).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -182,9 +199,9 @@ impl RunMeta {
             reason,
         };
         let v = mfbo_telemetry::json::parse(text).map_err(bad)?;
-        let num = |key: &str| -> Result<f64, StoreError> {
-            v.get(key)
-                .and_then(Json::as_f64)
+        let uint = |key: &str, max: u64| -> Result<u64, StoreError> {
+            uint_field(&v, key, max)
+                .map_err(bad)?
                 .ok_or_else(|| bad(format!("missing numeric field {key:?}")))
         };
         let string = |key: &str| -> Result<String, StoreError> {
@@ -220,13 +237,13 @@ impl RunMeta {
             }
         };
         Ok(RunMeta {
-            format_version: num("format_version")? as u64,
+            format_version: uint("format_version", u64::MAX)?,
             algo: string("algo")?,
             problem: string("problem")?,
-            dim: num("dim")? as usize,
-            num_constraints: num("num_constraints")? as usize,
+            dim: uint("dim", usize::MAX as u64)? as usize,
+            num_constraints: uint("num_constraints", usize::MAX as u64)? as usize,
             rng_start,
-            batch: v.get("batch").and_then(Json::as_f64).map(|n| n as u64),
+            batch: uint_field(&v, "batch", u64::MAX).map_err(bad)?,
             inference: v
                 .get("inference")
                 .and_then(Json::as_str)
@@ -904,6 +921,89 @@ mod tests {
             ..meta()
         };
         assert_eq!(RunMeta::from_json(&batched.to_json()).unwrap(), batched);
+    }
+
+    /// Every integer field the store writes loads back exactly, up to the
+    /// largest value an `f64` holds exactly, as does the checked-in journal
+    /// of the retired standalone loop.
+    #[test]
+    fn written_integer_fields_load_back() {
+        let dir = tmpdir("ints");
+        let mut store = RunStore::open(&dir).unwrap();
+        let big = 1u64 << 53;
+        let m = RunMeta {
+            dim: 36,
+            num_constraints: 3,
+            batch: Some(big),
+            ..meta()
+        };
+        store.begin_run(&m).unwrap();
+        let entries = [
+            JournalEntry {
+                iteration: big,
+                attempts: u32::MAX,
+                pending: true,
+                cand: Some(big),
+                ..entry(0, 0.5)
+            },
+            entry(3, 0.25),
+        ];
+        for e in &entries {
+            store.append(e).unwrap();
+        }
+        drop(store);
+        assert_eq!(RunStore::load_journal(&dir).unwrap(), (m, entries.to_vec()));
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let golden =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/sfbo_journal_pa_seed3");
+        let (m, entries) = RunStore::load_journal(golden).unwrap();
+        assert_eq!((m.format_version, m.dim, m.num_constraints), (1, 5, 2));
+        assert!(entries.iter().all(|e| e.attempts == 1));
+    }
+
+    /// A negative, fractional, non-finite or out-of-range integer field is
+    /// refused as corrupt, naming the field, instead of being narrowed to
+    /// some other integer.
+    #[test]
+    fn bad_integer_fields_are_refused() {
+        let refused = |err: StoreError, key: &str| match err {
+            StoreError::Corrupt { reason, .. } => {
+                assert!(reason.contains(&format!("{key:?}")), "{reason}")
+            }
+            other => panic!("{key}: expected a corrupt-record error, got {other}"),
+        };
+        let batched = RunMeta {
+            batch: Some(4),
+            ..meta()
+        }
+        .to_json();
+        let line = JournalEntry {
+            cand: Some(17),
+            ..entry(2, 0.5)
+        }
+        .to_json_line();
+        for bad in ["-1", "2.5", "1e300", "1e16", "-0.5"] {
+            for (key, ok) in [
+                ("format_version", "1"),
+                ("dim", "1"),
+                ("num_constraints", "0"),
+                ("batch", "4"),
+            ] {
+                let text =
+                    batched.replacen(&format!("\"{key}\":{ok}"), &format!("\"{key}\":{bad}"), 1);
+                assert_ne!(text, batched);
+                refused(RunMeta::from_json(&text).unwrap_err(), key);
+            }
+            for (key, ok) in [("iter", "2"), ("attempts", "1"), ("cand", "17")] {
+                let text =
+                    line.replacen(&format!("\"{key}\":{ok}"), &format!("\"{key}\":{bad}"), 1);
+                assert_ne!(text, line);
+                refused(JournalEntry::from_json_line(&text).unwrap_err(), key);
+            }
+        }
+        let text = line.replacen("\"attempts\":1", "\"attempts\":4294967296", 1);
+        refused(JournalEntry::from_json_line(&text).unwrap_err(), "attempts");
     }
 
     #[test]

@@ -61,7 +61,6 @@ fn history_csv_round_trips_through_parsing() {
     }
     assert_eq!(lows, outcome.n_low);
     assert_eq!(highs, outcome.n_high);
-    assert_eq!(report::fidelity_mix(&outcome), (lows, highs));
 }
 
 #[test]
