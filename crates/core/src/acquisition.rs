@@ -51,13 +51,22 @@ pub fn probability_of_feasibility(mean: f64, std: f64) -> f64 {
 /// Weighted expected improvement — paper eq. (6):
 /// `wEI = EI(x) · Π_i PF_i(x)`.
 ///
-/// `constraints` holds `(mean_i, std_i)` pairs of the constraint posteriors.
-pub fn weighted_ei(mean: f64, std: f64, tau: f64, constraints: &[(f64, f64)]) -> f64 {
+/// `constraints` yields `(mean_i, std_i)` pairs of the constraint
+/// posteriors. It is drawn from lazily: once the product is exactly zero no
+/// further pair is taken, so a caller that predicts the constraints inside
+/// the iterator skips the predictions that could not change the result.
+pub fn weighted_ei(
+    mean: f64,
+    std: f64,
+    tau: f64,
+    constraints: impl IntoIterator<Item = (f64, f64)>,
+) -> f64 {
     let mut v = expected_improvement(mean, std, tau);
-    for &(cm, cs) in constraints {
-        if v == 0.0 {
+    let mut constraints = constraints.into_iter();
+    while v != 0.0 {
+        let Some((cm, cs)) = constraints.next() else {
             break;
-        }
+        };
         v *= probability_of_feasibility(cm, cs);
     }
     v
@@ -139,13 +148,13 @@ mod tests {
     fn wei_multiplies_feasibility() {
         let ei = expected_improvement(0.0, 1.0, 0.5);
         // One certainly-feasible constraint leaves EI unchanged.
-        let w1 = weighted_ei(0.0, 1.0, 0.5, &[(-100.0, 1.0)]);
+        let w1 = weighted_ei(0.0, 1.0, 0.5, [(-100.0, 1.0)]);
         assert!((w1 - ei).abs() < 1e-9);
         // One certainly-infeasible constraint kills it.
-        let w2 = weighted_ei(0.0, 1.0, 0.5, &[(100.0, 1.0)]);
+        let w2 = weighted_ei(0.0, 1.0, 0.5, [(100.0, 1.0)]);
         assert!(w2 < 1e-9);
         // Two 50/50 constraints quarter it.
-        let w3 = weighted_ei(0.0, 1.0, 0.5, &[(0.0, 1.0), (0.0, 1.0)]);
+        let w3 = weighted_ei(0.0, 1.0, 0.5, [(0.0, 1.0), (0.0, 1.0)]);
         assert!((w3 - 0.25 * ei).abs() < 1e-6);
     }
 

@@ -99,6 +99,14 @@ fn drive_from_means<M>(
     });
 }
 
+/// The lower-triangle difference batch over a bundle's shared training
+/// inputs `xs`, or `None` where its models' fits would not read it
+/// ([`Gp::reads_shared_batch`]).
+fn shared_batch(xs: &[Vec<f64>], config: &GpConfig) -> Option<DiffBatch> {
+    Gp::<SquaredExponential>::reads_shared_batch(config, xs.len())
+        .then(|| DiffBatch::lower_triangle(xs))
+}
+
 /// Splits per-model results (objective first) into the bundle's models,
 /// returning the first error in output order, as sequential fits would.
 fn split_models<M>(fitted: Vec<Result<M, GpError>>) -> Result<(M, Vec<M>), GpError> {
@@ -157,7 +165,7 @@ impl MfSurrogates {
                 MfGp::plan(dim, config, w, rng)
             })
             .collect();
-        let batch = DiffBatch::lower_triangle(&low.xs);
+        let batch = shared_batch(&low.xs, &config.gp);
         let fitted = par_map_indexed(config.gp.parallelism, plans.len(), |i| {
             MfGp::fit_planned(
                 low.xs.clone(),
@@ -166,7 +174,7 @@ impl MfSurrogates {
                 output(&high.objective, &high.constraints, i).clone(),
                 config,
                 plans[i].clone(),
-                Some(&batch),
+                batch.as_ref(),
             )
         });
         let (objective, constraints) = split_models(fitted)?;
@@ -189,7 +197,7 @@ impl MfSurrogates {
         thetas: &MfBundleThetas,
     ) -> Result<Self, GpError> {
         let n_cons = low.constraints.len().min(high.constraints.len());
-        let batch = DiffBatch::lower_triangle(&low.xs);
+        let batch = shared_batch(&low.xs, &config.gp);
         let fitted = par_map_indexed(config.gp.parallelism, n_cons + 1, |i| {
             MfGp::fit_frozen(
                 low.xs.clone(),
@@ -198,7 +206,7 @@ impl MfSurrogates {
                 output(&high.objective, &high.constraints, i).clone(),
                 config,
                 output(&thetas.objective, &thetas.constraints, i),
-                Some(&batch),
+                batch.as_ref(),
             )
         });
         let (objective, constraints) = split_models(fitted)?;
@@ -235,33 +243,30 @@ impl MfSurrogates {
     }
 
     /// Weighted EI of the **low-fidelity** models at `x` against incumbent
-    /// `tau_l` (Algorithm 1, line 5).
+    /// `tau_l` (Algorithm 1, line 5). EI comes first, and each constraint is
+    /// predicted only while the running product is nonzero: the
+    /// constraints [`acquisition::weighted_ei`] would skip are never
+    /// predicted.
     pub fn wei_low(&self, x: &[f64], tau_l: f64) -> f64 {
         let p = self.objective.predict_low(x);
-        let cons: Vec<(f64, f64)> = self
-            .constraints
-            .iter()
-            .map(|c| {
-                let cp = c.predict_low(x);
-                (cp.mean, cp.std_dev())
-            })
-            .collect();
-        acquisition::weighted_ei(p.mean, p.std_dev(), tau_l, &cons)
+        let cons = self.constraints.iter().map(|c| {
+            let cp = c.predict_low(x);
+            (cp.mean, cp.std_dev())
+        });
+        acquisition::weighted_ei(p.mean, p.std_dev(), tau_l, cons)
     }
 
     /// Weighted EI of the **high-fidelity** fusion posteriors at `x` against
-    /// incumbent `tau_h` (Algorithm 1, line 6).
+    /// incumbent `tau_h` (Algorithm 1, line 6). As in
+    /// [`MfSurrogates::wei_low`], a constraint is predicted only while the
+    /// running product is nonzero.
     pub fn wei_high(&self, x: &[f64], tau_h: f64) -> f64 {
         let p = self.objective.predict(x);
-        let cons: Vec<(f64, f64)> = self
-            .constraints
-            .iter()
-            .map(|c| {
-                let cp = c.predict(x);
-                (cp.mean, cp.std_dev())
-            })
-            .collect();
-        acquisition::weighted_ei(p.mean, p.std_dev(), tau_h, &cons)
+        let cons = self.constraints.iter().map(|c| {
+            let cp = c.predict(x);
+            (cp.mean, cp.std_dev())
+        });
+        acquisition::weighted_ei(p.mean, p.std_dev(), tau_h, cons)
     }
 
     /// Maximum standardized low-fidelity posterior variance over all outputs
@@ -328,7 +333,7 @@ impl SfSurrogates {
                 Gp::plan_starts(&kernel, config, w, rng)
             })
             .collect();
-        let batch = DiffBatch::lower_triangle(&data.xs);
+        let batch = shared_batch(&data.xs, config);
         let fitted = par_map_indexed(config.parallelism, plans.len(), |i| {
             Gp::fit_planned(
                 SquaredExponential::new(dim),
@@ -336,7 +341,7 @@ impl SfSurrogates {
                 output(&data.objective, &data.constraints, i).clone(),
                 config,
                 plans[i].clone(),
-                Some(&batch),
+                batch.as_ref(),
             )
         });
         let (objective, constraints) = split_models(fitted)?;
@@ -357,7 +362,7 @@ impl SfSurrogates {
         thetas: &SfBundleThetas,
     ) -> Result<Self, GpError> {
         let dim = input_dim(&data.xs, "no training points")?;
-        let batch = DiffBatch::lower_triangle(&data.xs);
+        let batch = shared_batch(&data.xs, config);
         let fitted = par_map_indexed(config.parallelism, data.constraints.len() + 1, |i| {
             let theta = output(&thetas.objective, &thetas.constraints, i);
             let (kp, ln) = split_theta(theta.as_slice());
@@ -368,7 +373,7 @@ impl SfSurrogates {
                 kp,
                 ln,
                 config,
-                Some(&batch),
+                batch.as_ref(),
             )
         });
         let (objective, constraints) = split_models(fitted)?;
@@ -393,18 +398,16 @@ impl SfSurrogates {
         &self.constraints
     }
 
-    /// Weighted EI at `x` against incumbent `tau`.
+    /// Weighted EI at `x` against incumbent `tau`. As in
+    /// [`MfSurrogates::wei_low`], a constraint is predicted only while the
+    /// running product is nonzero.
     pub fn wei(&self, x: &[f64], tau: f64) -> f64 {
         let p = self.objective.predict(x);
-        let cons: Vec<(f64, f64)> = self
-            .constraints
-            .iter()
-            .map(|c| {
-                let cp = c.predict(x);
-                (cp.mean, cp.std_dev())
-            })
-            .collect();
-        acquisition::weighted_ei(p.mean, p.std_dev(), tau, &cons)
+        let cons = self.constraints.iter().map(|c| {
+            let cp = c.predict(x);
+            (cp.mean, cp.std_dev())
+        });
+        acquisition::weighted_ei(p.mean, p.std_dev(), tau, cons)
     }
 
     /// The first-feasible-point objective of eq. (13) plus `1e-4` × the
@@ -847,6 +850,95 @@ mod tests {
             assert_eq!((shared.0, shared.1), (1, models), "{fit:?}");
             assert_eq!((owned.0, owned.1), (models, 0), "{fit:?}");
             assert_eq!(shared.2, owned.2, "{fit:?}");
+        }
+    }
+
+    /// Past the subset-of-data cap every model trains on (and builds a
+    /// batch over) its own subset, so a bundle builds no shared batch: a
+    /// 12-point bundle capped at 4 points with one constraint makes one
+    /// build per model and no shared hit, where it made 3 builds before.
+    #[test]
+    fn subset_bundles_build_no_unread_shared_batch() {
+        let data = make_data(12, 0.0);
+        let cfg = GpConfig {
+            inference: mfbo_gp::InferenceMode::SubsetOfData { max_points: 4 },
+            ..GpConfig::fast()
+        };
+        let mut rng = StdRng::seed_from_u64(23);
+        let t = SfSurrogates::fit(&data, &cfg, None, &mut rng)
+            .unwrap()
+            .thetas();
+        for fit in [Fit::Cold, Fit::Frozen(&t)] {
+            let (builds, hits, _) = sharing_counts(|| {
+                sf_bundle(&data, &cfg, &fit, false);
+            });
+            assert_eq!((builds, hits), (2, 0), "{fit:?}");
+        }
+        // Fusion bundles: the low and high stage of each of the 2 models.
+        let mf_cfg = MfGpConfig {
+            gp: cfg.clone(),
+            ..MfGpConfig::fast()
+        };
+        let high = make_data(6, 0.0);
+        let (builds, hits, _) = sharing_counts(|| {
+            mf_bundle(&data, &high, &mf_cfg, &Fit::Cold, false);
+        });
+        assert_eq!((builds, hits), (4, 0));
+        // Under the cap the bundle still shares one batch.
+        assert!(Gp::<SquaredExponential>::reads_shared_batch(&cfg, 4));
+        assert!(!Gp::<SquaredExponential>::reads_shared_batch(&cfg, 5));
+    }
+
+    /// wEI with every constraint predicted up front, as the bundles
+    /// computed it before predicting lazily.
+    fn eager_wei(p: mfbo_gp::Prediction, tau: f64, cons: &[mfbo_gp::Prediction]) -> f64 {
+        let cons: Vec<(f64, f64)> = cons.iter().map(|c| (c.mean, c.std_dev())).collect();
+        acquisition::weighted_ei(p.mean, p.std_dev(), tau, cons)
+    }
+
+    /// At a query whose EI is exactly 0 the bundles return 0 without
+    /// predicting a constraint (the fusion bundle's counters show only the
+    /// objective's `1 + S` points); where EI is positive every constraint
+    /// is predicted and the value is the eager product's, bit for bit.
+    #[test]
+    fn wei_predicts_no_constraint_once_ei_is_zero() {
+        let low = make_data(14, 0.3);
+        let high = make_data(6, 0.0);
+        let cfg = MfGpConfig::fast();
+        let mut rng = StdRng::seed_from_u64(24);
+        let s = MfSurrogates::fit(&low, &high, &cfg, None, &mut rng).unwrap();
+        let sf = SfSurrogates::fit(&high, &GpConfig::fast(), None, &mut rng).unwrap();
+        let x = [0.537];
+        let per_model = 1 + cfg.mc_samples as u64;
+        let (zero, some) = (-1e9, 1e9);
+
+        let o = s.objective();
+        assert_eq!(
+            acquisition::expected_improvement(o.predict(&x).mean, o.predict(&x).std_dev(), zero),
+            0.0
+        );
+        assert_eq!(
+            layer_counts(|| assert_eq!(s.wei_high(&x, zero), 0.0))[0],
+            per_model
+        );
+        assert_eq!(
+            layer_counts(|| assert!(s.wei_high(&x, some) > 0.0))[0],
+            2 * per_model
+        );
+        assert_eq!(s.wei_low(&x, zero), 0.0);
+        assert_eq!(sf.wei(&x, zero), 0.0);
+
+        let c = s.constraints();
+        let highs: Vec<_> = c.iter().map(|m| m.predict(&x)).collect();
+        let lows: Vec<_> = c.iter().map(|m| m.predict_low(&x)).collect();
+        let sfs: Vec<_> = sf.constraints().iter().map(|m| m.predict(&x)).collect();
+        for tau in [zero, some, 0.2] {
+            let want = eager_wei(o.predict(&x), tau, &highs);
+            assert_eq!(s.wei_high(&x, tau).to_bits(), want.to_bits());
+            let want = eager_wei(o.predict_low(&x), tau, &lows);
+            assert_eq!(s.wei_low(&x, tau).to_bits(), want.to_bits());
+            let want = eager_wei(sf.objective().predict(&x), tau, &sfs);
+            assert_eq!(sf.wei(&x, tau).to_bits(), want.to_bits());
         }
     }
 }

@@ -74,7 +74,7 @@ proptest! {
         cons in prop::collection::vec((-3.0f64..3.0, 0.0f64..2.0), 0..4),
     ) {
         let ei = expected_improvement(mean, std, tau);
-        let wei = weighted_ei(mean, std, tau, &cons);
+        let wei = weighted_ei(mean, std, tau, cons.iter().copied());
         prop_assert!(wei >= 0.0);
         prop_assert!(wei <= ei + 1e-12);
     }

@@ -206,10 +206,20 @@ impl<K: Kernel> Gp<K> {
         Ok(())
     }
 
-    /// Applies [`GpConfig::inference`] to a training set: past its cap,
-    /// `SubsetOfData` keeps the deterministic farthest-point subset (over
-    /// committed history order), which a batch over the full set cannot
-    /// serve; otherwise the full set and `shared` pass through unchanged.
+    /// Whether a fit over `n` training points under `config` trains on all
+    /// of them, and so reads a shared difference batch over them (see
+    /// [`Gp::fit_planned`]). Past its cap, `SubsetOfData` trains on a
+    /// subset and builds its own batch: bundle fitters ask this before
+    /// building a batch to share.
+    pub fn reads_shared_batch(config: &GpConfig, n: usize) -> bool {
+        !matches!(config.inference, InferenceMode::SubsetOfData { max_points } if n > max_points)
+    }
+
+    /// Applies [`GpConfig::inference`] to a training set: past its cap (see
+    /// [`Gp::reads_shared_batch`]), `SubsetOfData` keeps the deterministic
+    /// farthest-point subset (over committed history order), which a batch
+    /// over the full set cannot serve; otherwise the full set and `shared`
+    /// pass through unchanged.
     fn training_set<'b>(
         xs: Vec<Vec<f64>>,
         ys: Vec<f64>,
@@ -217,7 +227,9 @@ impl<K: Kernel> Gp<K> {
         shared: Option<&'b DiffBatch>,
     ) -> (Vec<Vec<f64>>, Vec<f64>, Option<&'b DiffBatch>) {
         match config.inference {
-            InferenceMode::SubsetOfData { max_points } if xs.len() > max_points => {
+            InferenceMode::SubsetOfData { max_points }
+                if !Self::reads_shared_batch(config, xs.len()) =>
+            {
                 let keep = mfbo_infer::select_subset(&xs, max_points);
                 let xs_sub = keep.iter().map(|&i| xs[i].clone()).collect();
                 let ys_sub = keep.iter().map(|&i| ys[i]).collect();
@@ -653,7 +665,7 @@ impl<K: Kernel> Gp<K> {
 
     /// Observation-noise variance `σ_n²` in standardized space.
     pub fn noise_var_standardized(&self) -> f64 {
-        (2.0 * self.log_noise).exp()
+        mfbo_simd::exp(2.0 * self.log_noise)
     }
 
     /// The training inputs.
@@ -732,8 +744,9 @@ impl Gp<NargpKernel> {
     /// Of eq. (9)'s `k1(f, f_i)·k2(x, x_i) + k3(x, x_i)`, only `k1` sees
     /// the fidelity value, so the design-space factors `k2`, `k3` (and
     /// their prior-variance terms) are evaluated once per training point
-    /// instead of once per sample. Counts one `predict_batch_points` per
-    /// sample.
+    /// instead of once per sample, and the kernel rows of all samples come
+    /// from one sample-major tile (see [`Gp::predict_propagated_means`]).
+    /// Counts one `predict_batch_points` per sample.
     ///
     /// # Panics
     ///
@@ -756,7 +769,8 @@ impl Gp<NargpKernel> {
         be: mfbo_simd::Backend,
     ) -> Vec<(f64, f64)> {
         let mut out = vec![(0.0, 0.0); fs.len()];
-        self.propagate(x, fs, be, |fill| {
+        let n = self.len();
+        self.propagated_tile(x, fs, be, |tile| {
             // The prior variance's design factors, as `eval(z, z)` takes
             // them from the `x − x` self-differences.
             let (k2_xx, k3_xx) = self.scales.design_prior(x);
@@ -764,7 +778,7 @@ impl Gp<NargpKernel> {
                 fs.len(),
                 be,
                 |q, row| {
-                    fill(fs[q], row);
+                    row[..n].copy_from_slice(&tile[q * n..(q + 1) * n]);
                     // Deliberately `f − f`, as `eval(z, z)` computes it
                     // (NaN, not 0, for a non-finite sample).
                     #[allow(clippy::eq_op)]
@@ -782,33 +796,51 @@ impl Gp<NargpKernel> {
     /// forward solve and no allocation. Counts one `predict_batch_points`
     /// per sample, as the full path does.
     ///
+    /// The kernel rows of all `S` samples form one sample-major `S × n`
+    /// tile whose `exp`s run in one vectorized sweep; each sample's mean is
+    /// then the `dot` of its row with `α`.
+    ///
     /// # Panics
     ///
     /// Panics if `x.len()` differs from the kernel's design dimension or
     /// `out.len() != fs.len()`.
     pub fn predict_propagated_means(&self, x: &[f64], fs: &[f64], out: &mut [f64]) {
-        assert_eq!(out.len(), fs.len(), "one mean per sample");
-        let n = self.len();
-        self.propagate(x, fs, mfbo_simd::active(), |fill| {
-            with_scratch(self.layout.stride(), |row| {
-                for (o, &f) in out.iter_mut().zip(fs) {
-                    fill(f, row);
-                    *o = mfbo_linalg::dot(&row[..n], &self.alpha);
-                }
-            });
-        });
+        self.predict_propagated_means_with_backend(x, fs, mfbo_simd::active(), out);
     }
 
-    /// Shared set-up of the propagated paths: counts the samples, computes
-    /// the design factors of `x` once, then hands `body` a `fill(f, row)`
-    /// that writes the kernel row of `(x, f)` into `row` from them and the
-    /// fidelity column of the training inputs.
-    fn propagate(
+    /// [`Gp::predict_propagated_means`] with an explicit SIMD backend — the
+    /// differential-testing hook.
+    ///
+    /// # Panics
+    ///
+    /// As for [`Gp::predict_propagated_means`].
+    pub fn predict_propagated_means_with_backend(
         &self,
         x: &[f64],
         fs: &[f64],
         be: mfbo_simd::Backend,
-        body: impl FnOnce(&dyn Fn(f64, &mut [f64])),
+        out: &mut [f64],
+    ) {
+        assert_eq!(out.len(), fs.len(), "one mean per sample");
+        let n = self.len();
+        self.propagated_tile(x, fs, be, |tile| {
+            for (o, row) in out.iter_mut().zip(tile.chunks_exact(n)) {
+                *o = mfbo_linalg::dot(row, &self.alpha);
+            }
+        });
+    }
+
+    /// Shared set-up of the propagated paths: counts the samples, computes
+    /// the design factors of `x` once, and hands `body` the kernel rows of
+    /// every `(x, f)`, sample-major (`fs.len()` rows of `n` entries; see
+    /// `NargpScales::fidelity_tile`). All working memory is per-thread
+    /// scratch.
+    fn propagated_tile(
+        &self,
+        x: &[f64],
+        fs: &[f64],
+        be: mfbo_simd::Backend,
+        body: impl FnOnce(&[f64]),
     ) {
         let d = self.kernel.design_dim();
         assert_eq!(x.len(), d, "design point dimension mismatch");
@@ -817,12 +849,14 @@ impl Gp<NargpKernel> {
         }
         mfbo_telemetry::counter!("predict_batch_points", fs.len() as u64);
         let (n, stride) = (self.len(), self.layout.stride());
-        with_scratch(2 * stride, |buf| {
-            let (k2, k3) = buf.split_at_mut(stride);
+        with_scratch(2 * stride + fs.len() * n, |buf| {
+            let (k2, rest) = buf.split_at_mut(stride);
+            let (k3, tile) = rest.split_at_mut(stride);
             self.scales.design_rows(x, &self.layout, be, k2, k3);
             let fid = &self.layout.rows(d..d + 1)[..n];
-            let (k2, k3) = (&k2[..n], &k3[..n]);
-            body(&|f, row: &mut [f64]| self.scales.fill(f, fid, k2, k3, &mut row[..n]));
+            self.scales
+                .fidelity_tile(fs, fid, &k2[..n], &k3[..n], be, tile);
+            body(tile);
         });
     }
 }
@@ -1235,52 +1269,93 @@ mod tests {
         assert!(l1 > l0, "l0 = {l0}, l1 = {l1}");
     }
 
-    /// The zero-`k2` short circuit of the propagated kernel rows must
-    /// return the unshortened `k1(f − f_i)·k2_i + k3_i`: a tiny `k2`
-    /// lengthscale zeroes `k2` away from the training designs, and NaN and
-    /// ±inf sample values make `k1` NaN or zero.
-    #[test]
-    fn propagation_zero_k2_short_circuit_matches_unshortened() {
-        let kernel = NargpKernel::new(2);
-        let mut params = kernel.default_params();
-        // k2's design lengthscales e^-8.
-        params[3] = -8.0;
-        params[4] = -8.0;
-        let xs = vec![
-            vec![0.1, 0.2, 0.5],
-            vec![0.4, 0.9, -0.3],
-            vec![0.8, 0.5, 1.2],
-        ];
-        let ys = vec![0.3, -0.1, 0.8];
-        let gp = Gp::with_params(kernel, xs, ys, params, -2.0, &GpConfig::default(), None).unwrap();
-        // The first design point is a training design: its k2 row is not
-        // all zero.
-        let design = vec![vec![0.1, 0.2], vec![0.3, 0.35]];
-        let fs = [0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.2, 1e300];
-        let (n, stride, s) = (gp.len(), gp.layout.stride(), &gp.scales);
-        let fid = &gp.layout.rows(2..3)[..n];
-        for be in [mfbo_simd::Backend::Scalar, mfbo_simd::active()] {
-            let mut k2_rows = Vec::new();
-            for x in &design {
-                let (mut k2, mut k3) = (vec![0.0; stride], vec![0.0; stride]);
-                s.design_rows(x, &gp.layout, be, &mut k2, &mut k3);
-                let (k2, k3) = (&k2[..n], &k3[..n]);
-                k2_rows.extend_from_slice(k2);
-                let mut row = vec![0.0; n];
-                for &f in &fs {
-                    s.fill(f, fid, k2, k3, &mut row);
-                    for (i, &v) in row.iter().enumerate() {
-                        let zf = (f - gp.xs[i][2]) * s.inv_l1;
-                        let k1 = s.sf2_1 * (-0.5 * (zf * zf)).exp();
-                        let full = k1 * k2[i] + k3[i];
-                        assert!(
-                            v.to_bits() == full.to_bits() || (v.is_nan() && full.is_nan()),
-                            "x {x:?}, f {f}, i {i}: {v} vs unshortened {full}"
-                        );
-                    }
+    /// Every constructible backend: a foreign one degrades to scalar.
+    const BACKENDS: [mfbo_simd::Backend; 3] = [
+        mfbo_simd::Backend::Scalar,
+        mfbo_simd::Backend::Avx2,
+        mfbo_simd::Backend::Neon,
+    ];
+
+    /// `a` and `b` are the same bits, or both NaN.
+    fn same(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Differential oracle of the sample-major propagation tile: under
+        /// every backend, the propagated means and full posteriors equal the
+        /// posterior of each sample's kernel row built pair by pair from
+        /// [`Kernel::eval`] — `dot(row, α)` and `k(z, z) − |L⁻¹row|²` —
+        /// bit for bit. `S` covers the plug-in single sample, tail lanes
+        /// and whole tiles; samples include NaN and ±∞; a tiny `k2`
+        /// lengthscale zeroes `k2` in every column but a training design's.
+        #[test]
+        fn bit_identity_propagated_tile_matches_per_sample_eval(
+            train in proptest::collection::vec(-1.0f64..1.0, 9 * 3),
+            ys in proptest::collection::vec(-1.0f64..1.0, 9),
+            n in 1usize..10,
+            s_pick in 0usize..4,
+            raw in proptest::collection::vec(-2.0f64..2.0, 20),
+            special in proptest::collection::vec(0usize..10, 20),
+            query in proptest::collection::vec(-1.0f64..1.0, 2),
+            tiny_l2 in 0usize..2,
+            at_train in 0usize..2,
+            log_l in -2.0f64..1.0,
+            log_sf in proptest::collection::vec(-1.0f64..1.0, 3),
+        ) {
+            const SPECIAL: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+            let samples = [1usize, 3, 12, 20][s_pick];
+            let fs: Vec<f64> = raw[..samples]
+                .iter()
+                .zip(&special)
+                .map(|(&f, &k)| SPECIAL.get(k).copied().unwrap_or(f))
+                .collect();
+            let xs: Vec<Vec<f64>> = train.chunks_exact(3).take(n).map(<[f64]>::to_vec).collect();
+            let kernel = NargpKernel::new(2);
+            let mut params = kernel.default_params();
+            // σ_f of k1, k2 and k3 away from 1, so a reassociated product
+            // shows.
+            (params[0], params[2], params[5]) = (log_sf[0], log_sf[1], log_sf[2]);
+            params[1] = log_l;
+            let l2 = if tiny_l2 == 1 { -8.0 } else { log_l };
+            params[3] = l2;
+            params[4] = l2;
+            let gp = Gp::with_params(
+                kernel.clone(),
+                xs.clone(),
+                ys[..n].to_vec(),
+                params.clone(),
+                -2.0,
+                &GpConfig::default(),
+                None,
+            )
+            .unwrap();
+            let x = if at_train == 1 { xs[0][..2].to_vec() } else { query };
+
+            let mut want = Vec::new();
+            let mut row = vec![0.0; n];
+            let mut v = vec![0.0; n];
+            for &f in &fs {
+                let z = [x[0], x[1], f];
+                for (r, xj) in row.iter_mut().zip(&xs) {
+                    *r = kernel.eval(&params, &z, xj);
+                }
+                gp.chol.forward_solve_into(&row, &mut v);
+                let var = kernel.eval(&params, &z, &z) - mfbo_linalg::dot(&v, &v);
+                want.push((mfbo_linalg::dot(&row, &gp.alpha), var.max(0.0)));
+            }
+            for be in BACKENDS {
+                let mut means = vec![0.0; samples];
+                gp.predict_propagated_means_with_backend(&x, &fs, be, &mut means);
+                let full = gp.predict_propagated_standardized_with_backend(&x, &fs, be);
+                for (k, (&(wm, wv), (&m, &(fm, fv)))) in want.iter().zip(means.iter().zip(&full)).enumerate() {
+                    proptest::prop_assert!(same(m, wm), "{:?} sample {} mean {} vs {}", be, k, m, wm);
+                    proptest::prop_assert!(same(fm, wm), "{:?} sample {} full mean {} vs {}", be, k, fm, wm);
+                    proptest::prop_assert!(same(fv, wv), "{:?} sample {} var {} vs {}", be, k, fv, wv);
                 }
             }
-            assert!(k2_rows.contains(&0.0) && k2_rows.iter().any(|&k| k != 0.0));
         }
     }
 }

@@ -10,6 +10,7 @@
 //! derivative with respect to the *log* parameter) into the output slice.
 
 use crate::workspace::{DiffBatch, TrainLayout};
+use mfbo_simd::exp;
 use std::fmt::Debug;
 
 /// A positive-definite covariance function over `R^dim`.
@@ -181,6 +182,20 @@ fn se_prior(sf2: f64, x: &[f64], inv_l: &[f64]) -> f64 {
     }
 }
 
+/// Finishes SE values from squared scaled distances in place:
+/// `q ← σ_f²·exp(−½·q)`, the last step of `eval`, with the `exp` run across
+/// all entries at once ([`mfbo_simd::exp_in_place`], the same bits as the
+/// scalar [`exp`] per entry).
+fn se_finish(sf2: f64, be: mfbo_simd::Backend, qs: &mut [f64]) {
+    for q in qs.iter_mut() {
+        *q *= -0.5;
+    }
+    mfbo_simd::exp_in_place(be, qs);
+    for q in qs.iter_mut() {
+        *q *= sf2;
+    }
+}
+
 impl Kernel for SquaredExponential {
     fn input_dim(&self) -> usize {
         self.dim
@@ -194,28 +209,28 @@ impl Kernel for SquaredExponential {
         debug_assert_eq!(p.len(), self.num_params());
         debug_assert_eq!(a.len(), self.dim);
         debug_assert_eq!(b.len(), self.dim);
-        let sf2 = (2.0 * p[0]).exp();
+        let sf2 = exp(2.0 * p[0]);
         let mut q = 0.0;
         for i in 0..self.dim {
-            let inv_l = (-p[1 + i]).exp();
+            let inv_l = exp(-p[1 + i]);
             let z = (a[i] - b[i]) * inv_l;
             q += z * z;
         }
-        sf2 * (-0.5 * q).exp()
+        sf2 * exp(-0.5 * q)
     }
 
     fn eval_grad(&self, p: &[f64], a: &[f64], b: &[f64], grad: &mut [f64]) -> f64 {
         debug_assert_eq!(grad.len(), self.num_params());
-        let sf2 = (2.0 * p[0]).exp();
+        let sf2 = exp(2.0 * p[0]);
         let mut q = 0.0;
         let mut z2 = vec![0.0; self.dim];
         for i in 0..self.dim {
-            let inv_l = (-p[1 + i]).exp();
+            let inv_l = exp(-p[1 + i]);
             let z = (a[i] - b[i]) * inv_l;
             z2[i] = z * z;
             q += z2[i];
         }
-        let k = sf2 * (-0.5 * q).exp();
+        let k = sf2 * exp(-0.5 * q);
         // ∂k/∂log σ_f = 2k;   ∂k/∂log ℓ_i = k · z_i².
         grad[0] = 2.0 * k;
         for i in 0..self.dim {
@@ -234,12 +249,11 @@ impl Kernel for SquaredExponential {
         let SeScales { sf2, inv_l } = self.scales(p);
         // Vectorized across pairs: `sq_norm` fills `out` with the exact `q`
         // `eval` accumulates per pair (ascending dimension order, separate
-        // mul and add), then the parameter-dependent finish runs per entry.
+        // mul and add), then the parameter-dependent finish runs across
+        // entries too.
         let (be, rows) = batch.simd_rows();
         mfbo_simd::sq_norm(be, rows, batch.len(), &inv_l, out);
-        for o in out.iter_mut() {
-            *o = sf2 * (-0.5 * *o).exp();
-        }
+        se_finish(sf2, be, out);
     }
 
     fn grad_from_diffs(&self, p: &[f64], batch: &DiffBatch, weights: &[f64], acc: &mut [f64]) {
@@ -261,7 +275,7 @@ impl Kernel for SquaredExponential {
             for &z2i in &z2 {
                 q += z2i;
             }
-            let k = sf2 * (-0.5 * q).exp();
+            let k = sf2 * exp(-0.5 * q);
             acc0[0] += w * (2.0 * k);
             mfbo_simd::accum_scaled(be, accl, &z2, k, w);
         }
@@ -301,8 +315,8 @@ impl Kernel for SquaredExponential {
 
     fn scales(&self, p: &[f64]) -> SeScales {
         SeScales {
-            sf2: (2.0 * p[0]).exp(),
-            inv_l: p[1..1 + self.dim].iter().map(|&l| (-l).exp()).collect(),
+            sf2: exp(2.0 * p[0]),
+            inv_l: p[1..1 + self.dim].iter().map(|&l| exp(-l)).collect(),
         }
     }
 
@@ -317,11 +331,9 @@ impl Kernel for SquaredExponential {
         debug_assert_eq!(x.len(), self.dim);
         // The fused sweep accumulates each point's `q` exactly as `eval`
         // does (query − point, × inv_l, squared, added in dimension order);
-        // the parameter-dependent finish runs per real point.
+        // the parameter-dependent finish runs across the real points.
         mfbo_simd::sq_dist(be, x, layout.rows(0..self.dim), &s.inv_l, out);
-        for o in &mut out[..layout.len()] {
-            *o = s.sf2 * (-0.5 * *o).exp();
-        }
+        se_finish(s.sf2, be, &mut out[..layout.len()]);
     }
 
     fn prior_var(&self, s: &SeScales, x: &[f64]) -> f64 {
@@ -393,15 +405,6 @@ impl NargpKernel {
     }
 }
 
-/// Whether `k1·k2 + k3` is exactly `k3` for one [`NargpKernel`] pair, so
-/// `k1`'s `exp` can be skipped: `k2` is zero, and `k1 = σ²_f1·exp(−zf²/2)`
-/// is finite and non-negative because `σ²_f1` is finite and the scaled
-/// fidelity difference `zf` is not NaN (`zf` may be passed squared).
-#[inline]
-fn k1_term_vanishes(sf2_1: f64, zf: f64, k2: f64) -> bool {
-    k2 == 0.0 && sf2_1.is_finite() && !zf.is_nan()
-}
-
 /// `σ_f²` and inverse lengthscales of the three SE components of
 /// [`NargpKernel`]: `k1` over the fidelity channel, `k2` and `k3` over the
 /// design space.
@@ -417,31 +420,18 @@ pub struct NargpScales {
 
 impl NargpScales {
     /// `k1·k2 + k3` of one pair from its fidelity difference `df` and
-    /// design factors, or `k3` where the `k1` term vanishes (see
-    /// [`k1_term_vanishes`]) — the per-pair finish of the NARGP prediction
-    /// paths.
+    /// design factors: the per-pair finish of `eval`, parenthesized as it
+    /// computes it.
     pub(crate) fn combine(&self, df: f64, k2: f64, k3: f64) -> f64 {
         let zf = df * self.inv_l1;
-        if k1_term_vanishes(self.sf2_1, zf, k2) {
-            k3
-        } else {
-            self.sf2_1 * (-0.5 * (zf * zf)).exp() * k2 + k3
-        }
-    }
-
-    fn k2_of(&self, q2: f64) -> f64 {
-        self.sf2_2 * (-0.5 * q2).exp()
-    }
-
-    fn k3_of(&self, q3: f64) -> f64 {
-        self.sf2_3 * (-0.5 * q3).exp()
+        self.sf2_1 * exp(-0.5 * (zf * zf)) * k2 + k3
     }
 
     /// The design factors `k2(x, x_j)` and `k3(x, x_j)` of design point `x`
     /// against every point of `layout` (whose first `d` rows are the design
     /// columns), into `k2` and `k3` (`layout.stride()` entries each): one
     /// fused [`mfbo_simd::sq_dist`] sweep per factor, which accumulates each
-    /// point's squared norm as `eval` does.
+    /// point's squared norm as `eval` does, then one vectorized finish.
     pub(crate) fn design_rows(
         &self,
         x: &[f64],
@@ -454,12 +444,8 @@ impl NargpScales {
         mfbo_simd::sq_dist(be, x, design, &self.inv_l2, k2);
         mfbo_simd::sq_dist(be, x, design, &self.inv_l3, k3);
         let n = layout.len();
-        for q2 in &mut k2[..n] {
-            *q2 = self.k2_of(*q2);
-        }
-        for q3 in &mut k3[..n] {
-            *q3 = self.k3_of(*q3);
-        }
+        se_finish(self.sf2_2, be, &mut k2[..n]);
+        se_finish(self.sf2_3, be, &mut k3[..n]);
     }
 
     /// The design factors `k2(x, x)` and `k3(x, x)` of the prior variance
@@ -471,12 +457,38 @@ impl NargpScales {
         )
     }
 
-    /// The kernel row of the augmented input `(x, f)` from the design
-    /// factors of `x` (see [`NargpScales::design_rows`]) and the fidelity
-    /// column `fid` of the training inputs, into `row`.
-    pub(crate) fn fill(&self, f: f64, fid: &[f64], k2: &[f64], k3: &[f64], row: &mut [f64]) {
-        for (((o, &fj), &k2j), &k3j) in row.iter_mut().zip(fid).zip(k2).zip(k3) {
-            *o = self.combine(f - fj, k2j, k3j);
+    /// The kernel rows of the augmented inputs `(x, f_k)` for every sample
+    /// `f_k` in `fs`, sample-major into `tile` (`fs.len()` rows of `n =
+    /// fid.len()` entries), from the design factors `k2`, `k3` of `x` (see
+    /// [`NargpScales::design_rows`]) and the fidelity column `fid` of the
+    /// training inputs.
+    ///
+    /// All `S × n` arguments `−½·((f_k − f_j)·ℓ₁⁻¹)²` go through one
+    /// [`mfbo_simd::exp_in_place`], then each entry is finished as
+    /// [`NargpScales::combine`] finishes it, so every entry has the bits of
+    /// `eval` at its pair.
+    pub(crate) fn fidelity_tile(
+        &self,
+        fs: &[f64],
+        fid: &[f64],
+        k2: &[f64],
+        k3: &[f64],
+        be: mfbo_simd::Backend,
+        tile: &mut [f64],
+    ) {
+        let n = fid.len();
+        debug_assert_eq!(tile.len(), fs.len() * n);
+        for (row, &f) in tile.chunks_exact_mut(n).zip(fs) {
+            for (t, &fj) in row.iter_mut().zip(fid) {
+                let zf = (f - fj) * self.inv_l1;
+                *t = -0.5 * (zf * zf);
+            }
+        }
+        mfbo_simd::exp_in_place(be, tile);
+        for row in tile.chunks_exact_mut(n) {
+            for ((t, &k2j), &k3j) in row.iter_mut().zip(k2).zip(k3) {
+                *t = self.sf2_1 * *t * k2j + k3j;
+            }
         }
     }
 }
@@ -542,20 +554,16 @@ impl Kernel for NargpKernel {
         let (be, rows) = batch.simd_rows();
         let count = batch.len();
         let (design_rows, fid_row) = rows.split_at(d * count);
-        let mut q1 = vec![0.0; count];
-        let mut q3 = vec![0.0; count];
-        mfbo_simd::sq_norm(be, fid_row, count, &[s.inv_l1], &mut q1);
-        mfbo_simd::sq_norm(be, design_rows, count, &s.inv_l3, &mut q3);
+        let mut k1 = vec![0.0; count];
+        let mut k3 = vec![0.0; count];
+        mfbo_simd::sq_norm(be, fid_row, count, &[s.inv_l1], &mut k1);
+        mfbo_simd::sq_norm(be, design_rows, count, &s.inv_l3, &mut k3);
         mfbo_simd::sq_norm(be, design_rows, count, &s.inv_l2, out);
-        for ((o, &q1v), &q3v) in out.iter_mut().zip(&q1).zip(&q3) {
-            let k2v = s.k2_of(*o);
-            let k3v = s.k3_of(q3v);
-            *o = if k1_term_vanishes(s.sf2_1, q1v, k2v) {
-                k3v
-            } else {
-                let k1v = s.sf2_1 * (-0.5 * q1v).exp();
-                k1v * k2v + k3v
-            };
+        se_finish(s.sf2_1, be, &mut k1);
+        se_finish(s.sf2_2, be, out);
+        se_finish(s.sf2_3, be, &mut k3);
+        for ((o, &k1v), &k3v) in out.iter_mut().zip(&k1).zip(&k3) {
+            *o = k1v * *o + k3v;
         }
     }
 
@@ -585,19 +593,19 @@ impl Kernel for NargpKernel {
         for (df, &w) in batch.diffs().chunks_exact(d + 1).zip(weights.iter()) {
             let zf = df[d] * inv_l1;
             let z2f = zf * zf;
-            let k1v = sf2_1 * (-0.5 * z2f).exp();
+            let k1v = sf2_1 * exp(-0.5 * z2f);
             mfbo_simd::z2_into(be, &df[..d], &inv_l2, &mut z2_2);
             let mut q2 = 0.0;
             for &v in &z2_2 {
                 q2 += v;
             }
-            let k2v = sf2_2 * (-0.5 * q2).exp();
+            let k2v = sf2_2 * exp(-0.5 * q2);
             mfbo_simd::z2_into(be, &df[..d], &inv_l3, &mut z2_3);
             let mut q3 = 0.0;
             for &v in &z2_3 {
                 q3 += v;
             }
-            let k3v = sf2_3 * (-0.5 * q3).exp();
+            let k3v = sf2_3 * exp(-0.5 * q3);
             acc[0] += w * ((2.0 * k1v) * k2v);
             acc[1] += w * ((k1v * z2f) * k2v);
             acc[n1] += w * ((2.0 * k2v) * k1v);
@@ -613,12 +621,12 @@ impl Kernel for NargpKernel {
         let d = self.design_dim;
         let (p1, p2, p3) = self.split(p);
         NargpScales {
-            sf2_1: (2.0 * p1[0]).exp(),
-            inv_l1: (-p1[1]).exp(),
-            sf2_2: (2.0 * p2[0]).exp(),
-            inv_l2: p2[1..1 + d].iter().map(|&l| (-l).exp()).collect(),
-            sf2_3: (2.0 * p3[0]).exp(),
-            inv_l3: p3[1..1 + d].iter().map(|&l| (-l).exp()).collect(),
+            sf2_1: exp(2.0 * p1[0]),
+            inv_l1: exp(-p1[1]),
+            sf2_2: exp(2.0 * p2[0]),
+            inv_l2: p2[1..1 + d].iter().map(|&l| exp(-l)).collect(),
+            sf2_3: exp(2.0 * p3[0]),
+            inv_l3: p3[1..1 + d].iter().map(|&l| exp(-l)).collect(),
         }
     }
 
@@ -633,12 +641,12 @@ impl Kernel for NargpKernel {
         debug_assert_eq!(x.len(), self.input_dim());
         let d = self.design_dim;
         let n = layout.len();
-        crate::scratch::with_scratch(layout.stride(), |k3| {
-            s.design_rows(&x[..d], layout, be, out, k3);
+        let stride = layout.stride();
+        crate::scratch::with_scratch(2 * stride, |buf| {
+            let (k2, k3) = buf.split_at_mut(stride);
+            s.design_rows(&x[..d], layout, be, k2, k3);
             let fid = &layout.rows(d..d + 1)[..n];
-            for ((o, &fj), &k3j) in out.iter_mut().zip(fid).zip(&*k3) {
-                *o = s.combine(x[d] - fj, *o, k3j);
-            }
+            s.fidelity_tile(&x[d..], fid, &k2[..n], &k3[..n], be, &mut out[..n]);
         });
     }
 
@@ -829,7 +837,6 @@ mod tests {
             }
             let s = nargp.scales(&p);
             let (_, p2, p3) = nargp.split(&p);
-            let fid = &layout.rows(d..d + 1)[..n];
 
             for z in [&finite, &odd] {
                 proptest::prop_assert!(same(se.prior_var(&s_se, z), se.eval(&p_se, z, z)));
@@ -847,25 +854,22 @@ mod tests {
                         proptest::prop_assert!(same(k2[j], nargp.k2.eval(p2, &z[..d], &x[..d])));
                         proptest::prop_assert!(same(k3[j], nargp.k3.eval(p3, &z[..d], &x[..d])));
                     }
-                    let mut filled = vec![0.0; n];
-                    s.fill(z[d], fid, &k2[..n], &k3[..n], &mut filled);
                     nargp.eval_row(&s, z, &layout, be, &mut row);
                     for (j, x) in xs.iter().enumerate() {
                         let want = nargp.eval(&p, z, x);
                         proptest::prop_assert!(same(row[j], want), "NARGP point {}", j);
-                        proptest::prop_assert!(same(filled[j], want), "filled point {}", j);
                     }
                 }
             }
         }
 
-        /// The zero-`k2` short circuit of `eval_from_diffs` must return the
-        /// unshortened `k1·k2 + k3` of the per-pair `eval`, under every
-        /// backend: a tiny `k2` lengthscale zeroes `k2` between
-        /// distinct design points, and NaN and ±inf fidelity values make
-        /// `k1` NaN or zero.
+        /// Pairs whose `k2` is zero must still get the per-pair `eval`'s
+        /// `k1·k2 + k3` from `eval_from_diffs`, which computes every `k1`
+        /// without skipping any, under every backend: a tiny `k2`
+        /// lengthscale zeroes `k2` between distinct design points, and NaN
+        /// and ±inf fidelity values make `k1` NaN or zero.
         #[test]
-        fn zero_k2_short_circuit_matches_unshortened(
+        fn zero_k2_pairs_match_per_pair_eval(
             design in proptest::collection::vec(-1.0f64..1.0, 12),
             fids in proptest::collection::vec(0usize..6, 6),
             log_l2 in -9.0f64..-6.0,
@@ -895,7 +899,7 @@ mod tests {
                     let full = k.eval(&p, a, b);
                     proptest::prop_assert!(
                         v.to_bits() == full.to_bits() || (v.is_nan() && full.is_nan()),
-                        "{v} vs unshortened {full}"
+                        "{v} vs per-pair {full}"
                     );
                 }
             }

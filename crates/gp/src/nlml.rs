@@ -22,7 +22,7 @@ pub(crate) fn kernel_matrix<K: Kernel>(
     xs: &[Vec<f64>],
 ) -> Matrix {
     let n = xs.len();
-    let sn2 = (2.0 * log_noise).exp();
+    let sn2 = mfbo_simd::exp(2.0 * log_noise);
     let mut k = Matrix::zeros(n, n);
     for i in 0..n {
         for j in 0..=i {
@@ -48,7 +48,7 @@ pub(crate) fn kernel_matrix_cached<K: Kernel>(
 ) -> Matrix {
     let mut kv = vec![0.0; batch.len()];
     kernel.eval_from_diffs(p, batch, &mut kv);
-    assemble_from_lower(n, &kv, (2.0 * log_noise).exp())
+    assemble_from_lower(n, &kv, mfbo_simd::exp(2.0 * log_noise))
 }
 
 /// Mirrors the noisy lower-triangle kernel values into a full symmetric
@@ -138,7 +138,7 @@ pub fn nlml_with_grad<K: Kernel>(
     let kinv = chol.inverse();
     let mut grad = vec![0.0; theta.len()];
     let mut kg = vec![0.0; np];
-    let sn2 = (2.0 * log_noise[0]).exp();
+    let sn2 = mfbo_simd::exp(2.0 * log_noise[0]);
     for i in 0..n {
         for j in 0..=i {
             let w = kinv[(i, j)] - alpha[i] * alpha[j];
@@ -223,7 +223,7 @@ pub fn nlml_value_cached<K: Kernel>(
     // through the value a second per-pair `exp` sweep.
     let mut kv = vec![0.0; batch.len()];
     kernel.eval_from_diffs(kp, batch, &mut kv);
-    let km = assemble_from_lower(n, &kv, (2.0 * log_noise[0]).exp());
+    let km = assemble_from_lower(n, &kv, mfbo_simd::exp(2.0 * log_noise[0]));
     mfbo_telemetry::counter!("nlml_evals", 1u64);
     let chol = match Cholesky::new_with_jitter(&km, 1e-10, 1e-4) {
         Ok(c) => c,
@@ -270,7 +270,7 @@ pub fn nlml_grad_cached<K: Kernel>(
         }
     }
     kernel.grad_from_diffs_with_values(kp, batch, &weights, &kv, &mut grad[..np]);
-    let sn2 = (2.0 * log_noise[0]).exp();
+    let sn2 = mfbo_simd::exp(2.0 * log_noise[0]);
     for i in 0..n {
         // Diagonal pair (i, i) sits at lower-triangle index i(i+3)/2.
         let weight = weights[i * (i + 3) / 2];

@@ -12,6 +12,7 @@
 //! the same ascending order as the scalar reference, and `vdivpd` is IEEE
 //! correctly rounded, so every lane reproduces the scalar result exactly.
 
+use crate::exp_core;
 use core::arch::x86_64::*;
 
 const LANES: usize = 4;
@@ -266,5 +267,71 @@ pub(crate) unsafe fn forward_solve_interleaved(l: &[f64], n: usize, b: &[f64], o
         }
         s = _mm256_div_pd(s, _mm256_set1_pd(row[i]));
         _mm256_storeu_pd(op.add(i * LANES), s);
+    }
+}
+
+/// The scalar reference `exp` compiled with FMA, so each `mul_add` is one
+/// instruction.
+#[target_feature(enable = "fma")]
+pub(crate) unsafe fn exp_fma(x: f64) -> f64 {
+    exp_core::exp(x)
+}
+
+/// [`exp_fma`] over a slice.
+#[target_feature(enable = "fma")]
+pub(crate) unsafe fn exp_each_fma(xs: &mut [f64]) {
+    for x in xs {
+        *x = exp_core::exp(*x);
+    }
+}
+
+/// `exp` on four lanes: the scalar reference's operation sequence, with the
+/// two table words of each lane gathered. Lanes outside the main range
+/// (see `exp_core::is_special`) are redone by the scalar special cases.
+#[target_feature(enable = "avx2,fma")]
+pub(crate) unsafe fn exp_in_place(xs: &mut [f64]) {
+    let n = xs.len();
+    let p = xs.as_mut_ptr();
+    let tab = exp_core::TAB.as_ptr();
+    let set1 = |v: f64| _mm256_set1_pd(v);
+    let mut i = 0usize;
+    while i + LANES <= n {
+        let x = _mm256_loadu_pd(p.add(i));
+        let kd = _mm256_fmadd_pd(x, set1(exp_core::INV_LN2_N), set1(exp_core::SHIFT));
+        let ki = _mm256_castpd_si256(kd);
+        let kd = _mm256_sub_pd(kd, set1(exp_core::SHIFT));
+        let r = _mm256_fmadd_pd(kd, set1(exp_core::NEG_LN2_HI_N), x);
+        let r = _mm256_fmadd_pd(kd, set1(exp_core::NEG_LN2_LO_N), r);
+        let j = _mm256_and_si256(ki, _mm256_set1_epi64x((1 << exp_core::TABLE_BITS) - 1));
+        let idx = _mm256_add_epi64(j, j);
+        let tail = _mm256_i64gather_pd::<8>(tab as *const f64, idx);
+        let hi = _mm256_i64gather_epi64::<8>(tab.add(1) as *const i64, idx);
+        let top = _mm256_slli_epi64::<{ 52 - exp_core::TABLE_BITS as i32 }>(ki);
+        let scale = _mm256_castsi256_pd(_mm256_add_epi64(hi, top));
+        let r2 = _mm256_mul_pd(r, r);
+        let p23 = _mm256_fmadd_pd(r, set1(exp_core::C3), set1(exp_core::C2));
+        let p45 = _mm256_fmadd_pd(r, set1(exp_core::C5), set1(exp_core::C4));
+        let tmp = _mm256_fmadd_pd(r2, p23, _mm256_add_pd(tail, r));
+        let tmp = _mm256_fmadd_pd(_mm256_mul_pd(r2, r2), p45, tmp);
+        _mm256_storeu_pd(p.add(i), _mm256_fmadd_pd(scale, tmp, scale));
+        let ax = _mm256_andnot_pd(set1(-0.0), x);
+        let normal = _mm256_and_pd(
+            _mm256_cmp_pd::<_CMP_GE_OQ>(ax, set1(exp_core::TINY)),
+            _mm256_cmp_pd::<_CMP_LT_OQ>(ax, set1(exp_core::HUGE)),
+        );
+        let mask = _mm256_movemask_pd(normal);
+        if mask != 0b1111 {
+            let mut lanes = [0.0; LANES];
+            _mm256_storeu_pd(lanes.as_mut_ptr(), x);
+            for (c, &xc) in lanes.iter().enumerate() {
+                if mask & (1 << c) == 0 {
+                    *p.add(i + c) = exp_core::special(xc);
+                }
+            }
+        }
+        i += LANES;
+    }
+    for x in &mut xs[i..] {
+        *x = exp_core::exp(*x);
     }
 }

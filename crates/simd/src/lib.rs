@@ -21,18 +21,23 @@
 //! - Keep every per-entry reduction (the `Σ_t z_t²` of one kernel pair, the
 //!   `Σ_k L[i][k]·z[k]` of one solve row) **sequential in ascending order**,
 //!   never tree- or lane-reduced.
-//! - Use separate multiply and add/subtract instructions — **no FMA**. A
-//!   fused `a*b+c` rounds once where the scalar path rounds twice, so fusing
-//!   changes low bits even with identical ordering.
+//! - Use separate multiply and add/subtract instructions everywhere but
+//!   inside [`exp`]. A fused `a*b+c` rounds once where `a*b` then `+c`
+//!   rounds twice, so fusing an ordinary kernel's operations would change
+//!   its low bits even with identical ordering.
+//! - [`exp`] is the one transcendental, and fused multiply-adds are part of
+//!   its definition: it is glibc's table-driven `exp` with the FMAs of glibc's
+//!   FMA build written out. Its scalar form uses [`f64::mul_add`] (one
+//!   correctly rounded operation, as the vector `vfmadd` is), so every
+//!   backend computes the same bits, and callers use it instead of libm —
+//!   their results then no longer depend on the platform's `exp`.
 //! - Division and square root are IEEE-754 correctly rounded in both scalar
-//!   and vector form, so `vdivpd`/`vsqrtpd` are safe to use; transcendental
-//!   functions (`exp`) are **not** vectorized — callers keep them in scalar
-//!   `libm` form.
+//!   and vector form, so `vdivpd`/`vsqrtpd` are safe to use.
 //!
 //! # Dispatch
 //!
-//! [`active`] resolves the process-wide backend once: AVX2 on `x86_64`,
-//! NEON on `aarch64` (both runtime-detected), scalar otherwise. The
+//! [`active`] resolves the process-wide backend once: AVX2 (with FMA) on
+//! `x86_64`, NEON on `aarch64` (both runtime-detected), scalar otherwise. The
 //! `MFBO_SIMD` environment variable overrides it (`scalar` forces the
 //! fallback, `auto` is the default); any other value aborts loudly rather
 //! than silently degrading — reproducibility knobs must not guess. Every
@@ -47,8 +52,11 @@ use std::sync::OnceLock;
 
 pub mod scalar;
 
+pub use scalar::exp;
+
 #[cfg(target_arch = "x86_64")]
 mod avx2;
+mod exp_core;
 #[cfg(target_arch = "aarch64")]
 mod neon;
 
@@ -57,7 +65,7 @@ mod neon;
 pub enum Backend {
     /// Portable scalar reference ([`scalar`]).
     Scalar,
-    /// 256-bit AVX2 on `x86_64` (4 f64 lanes).
+    /// 256-bit AVX2 with FMA on `x86_64` (4 f64 lanes).
     Avx2,
     /// 128-bit NEON on `aarch64` (2 f64 lanes).
     Neon,
@@ -105,11 +113,18 @@ impl SimdMode {
     }
 }
 
+/// Whether the running CPU has both AVX2 and FMA, which the
+/// [`Backend::Avx2`] kernels require ([`exp_in_place`] uses both).
+#[cfg(target_arch = "x86_64")]
+fn avx2_fma() -> bool {
+    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+}
+
 /// Best backend the running CPU supports, ignoring `MFBO_SIMD`.
 pub fn detect() -> Backend {
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx2") {
+        if avx2_fma() {
             return Backend::Avx2;
         }
     }
@@ -211,10 +226,11 @@ macro_rules! dispatch {
         match $be {
             Backend::Scalar => scalar::$f($($arg),*),
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 if std::arch::is_x86_feature_detected!("avx2") =>
-                // SAFETY: the guard just confirmed AVX2 is available on the
-                // running CPU, which is the only requirement of the
-                // `#[target_feature(enable = "avx2")]` kernels.
+            Backend::Avx2 if avx2_fma() =>
+                // SAFETY: the guard just confirmed AVX2 and FMA are available
+                // on the running CPU, the only requirement of the
+                // `#[target_feature(enable = "avx2")]` kernels (and of the
+                // `"avx2,fma"` one).
                 unsafe { avx2::$f($($arg),*) },
             #[cfg(target_arch = "aarch64")]
             Backend::Neon if std::arch::is_aarch64_feature_detected!("neon") =>
@@ -352,7 +368,7 @@ pub fn forward_solve_interleaved(be: Backend, l: &[f64], n: usize, b: &[f64], ou
     match be {
         Backend::Scalar => scalar::forward_solve_interleaved(l, n, 1, b, out),
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 if std::arch::is_x86_feature_detected!("avx2") =>
+        Backend::Avx2 if avx2_fma() =>
         // SAFETY: AVX2 availability confirmed by the guard.
         unsafe { avx2::forward_solve_interleaved(l, n, b, out) },
         #[cfg(target_arch = "aarch64")]
@@ -361,6 +377,12 @@ pub fn forward_solve_interleaved(be: Backend, l: &[f64], n: usize, b: &[f64], ou
         unsafe { neon::forward_solve_interleaved(l, n, b, out) },
         _ => scalar::forward_solve_interleaved(l, n, lanes, b, out),
     }
+}
+
+/// `xs[i] = exp(xs[i])` for every entry: [`exp`] across independent lanes,
+/// bit-identical to it per entry on every backend.
+pub fn exp_in_place(be: Backend, xs: &mut [f64]) {
+    dispatch!(be, exp_in_place(xs));
 }
 
 #[cfg(test)]

@@ -99,3 +99,38 @@ pub fn forward_solve_interleaved(l: &[f64], n: usize, lanes: usize, b: &[f64], o
         }
     }
 }
+
+/// `e^x`, the crate's one transcendental (see the crate docs): glibc's
+/// table-driven algorithm on [`f64::mul_add`], the same bits on every host
+/// and backend, and on x86-64 glibc hosts with FMA the bits of
+/// [`f64::exp`]. There the body runs compiled with the `fma` feature, where
+/// each `mul_add` is one instruction instead of a libm `fma()` call.
+///
+/// # Examples
+///
+/// ```
+/// assert_eq!(mfbo_simd::exp(0.0), 1.0);
+/// assert_eq!(mfbo_simd::exp(-1000.0), 0.0);
+/// assert!((mfbo_simd::exp(1.0) - std::f64::consts::E).abs() < 1e-15);
+/// ```
+pub fn exp(x: f64) -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("fma") {
+        // SAFETY: the guard just confirmed FMA, the only requirement of the
+        // `#[target_feature(enable = "fma")]` body.
+        return unsafe { crate::avx2::exp_fma(x) };
+    }
+    crate::exp_core::exp(x)
+}
+
+/// `xs[i] = exp(xs[i])` for every entry, each as [`exp`] computes it.
+pub fn exp_in_place(xs: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("fma") {
+        // SAFETY: as in `exp`.
+        return unsafe { crate::avx2::exp_each_fma(xs) };
+    }
+    for x in xs {
+        *x = crate::exp_core::exp(*x);
+    }
+}
