@@ -64,7 +64,7 @@ use crate::problem::{Evaluation, Fidelity, MultiFidelityProblem};
 use crate::surrogate::{MfBundleThetas, MfSurrogates, SfBundleThetas, SfSurrogates};
 use crate::MfboError;
 use mfbo_gp::{GpConfig, GpError};
-use mfbo_opt::msp::MultiStart;
+use mfbo_opt::msp::{LandscapeStats, MultiStart};
 use mfbo_opt::neldermead::NelderMead;
 use mfbo_opt::{sampling, Bounds};
 use mfbo_runstore::JournalEntry;
@@ -115,12 +115,40 @@ pub enum Told {
     },
 }
 
-/// Fidelity-decision data captured at candidate generation, recorded into
-/// [`RunTelemetry`] when the candidate commits.
-#[derive(Debug, Clone)]
-struct PendingDecision {
+/// One BO iteration's decision (Algorithm 1, lines 5–7).
+/// [`AskTellMfbo::acquire`] fills in the point and its search record as a
+/// single-fidelity decision; [`AskTellMfbo::decide`] then settles the
+/// fidelity. The candidate's slot carries it until it commits, where a
+/// multi-fidelity decision becomes the telemetry [`FidelityDecision`].
+#[derive(Debug)]
+struct Decision {
+    /// The chosen point x*, in unit-cube coordinates.
+    x_unit: Vec<f64>,
+    /// The acquisition value at x*: wEI, or the feasibility drive.
+    acq_value: f64,
+    /// The multi-start search's spread of local optima.
+    landscape: LandscapeStats,
+    /// Whether eq. (13)'s feasibility drive replaced wEI: a constrained run
+    /// with no feasible high-fidelity point yet (§4.2).
+    feasibility_drive: bool,
+    /// Incumbent objectives τ_l and τ_h, fantasies included (`None` at a
+    /// fidelity without data).
+    tau_l: Option<f64>,
+    tau_h: Option<f64>,
+    /// The fidelity to evaluate x* at.
+    fidelity: Fidelity,
+    /// The eq. (11)/(12) choice; `None` on single-fidelity runs.
+    fusion: Option<FusionChoice>,
+}
+
+/// The inputs and outcome of eq. (11)/(12) on a multi-fidelity iteration.
+#[derive(Debug, Clone, Copy)]
+struct FusionChoice {
+    /// `max σ²_l` over the objective and constraints at x*.
     max_low_variance: f64,
+    /// The switching threshold `(1 + Nc)·γ`.
     threshold: f64,
+    /// The `max_low_streak` cap overrode a low-fidelity pick.
     forced: bool,
 }
 
@@ -146,19 +174,29 @@ struct Slot {
     iteration: usize,
     /// Design point in raw problem units.
     x: Vec<f64>,
-    /// Unit-cube coordinates (empty for initial-design slots, which are
-    /// generated in raw units and never feed the rank-one append path).
-    x_unit: Vec<f64>,
     fidelity: Fidelity,
     /// RNG cursor at generation — journaled and verified on resume.
     snap: Option<[u64; 4]>,
-    decision: Option<PendingDecision>,
+    /// The BO decision behind the candidate (`None` for the initial design).
+    decision: Option<Decision>,
     /// Constant-liar stand-in used while the candidate is in flight.
     lie: Evaluation,
     issued: bool,
     result: Option<SlotResult>,
     /// Evaluator-reported duration, recorded as the simulate stage time.
     sim_time: Duration,
+}
+
+impl Slot {
+    /// Adopts the journal's next commit record as this candidate's result
+    /// (resume); a batched run's records carry the candidate id.
+    fn adopt_commit(&mut self, session: &mut EvalSession, batched: bool) -> Result<(), MfboError> {
+        let cand = batched.then_some(self.id);
+        let entry =
+            session.replay_pop_commit(&self.x, self.fidelity, self.iteration, self.snap, cand)?;
+        self.result = Some(SlotResult::Replayed { entry });
+        Ok(())
+    }
 }
 
 /// Outcome of one generation attempt inside the pump.
@@ -695,24 +733,17 @@ where
             if self.pending.front().is_some_and(|s| s.result.is_none())
                 && self.session.replay_front_flags() == Some((false, false))
             {
-                let front = self.pending.front().expect("checked non-empty");
-                let cand = (self.q > 1).then_some(front.id);
-                let entry = self.session.replay_pop_commit(
-                    &front.x,
-                    front.fidelity,
-                    front.iteration,
-                    front.snap,
-                    cand,
-                )?;
-                self.pending.front_mut().expect("checked non-empty").result =
-                    Some(SlotResult::Replayed { entry });
+                let front = self.pending.front_mut().expect("checked non-empty");
+                front.adopt_commit(&mut self.session, self.q > 1)?;
                 continue;
             }
             return Ok(());
         }
     }
 
-    /// Generates the next candidate (initial design or BO iteration).
+    /// Generates the next candidate: an initial-design point, or one BO
+    /// iteration's decision pass (Algorithm 1, lines 3–7) — [`Self::fit`],
+    /// [`Self::acquire`], [`Self::decide`] — behind the budget gate.
     fn generate_one(&mut self) -> Result<Gen, MfboError> {
         if self.in_init {
             let Some((x, fidelity, snap)) = self.init_plan.pop_front() else {
@@ -720,35 +751,9 @@ where
                 // point has committed (the surrogates need all of them).
                 return Ok(Gen::Blocked);
             };
-            let id = self.next_id;
-            self.next_id += 1;
-            let slot = Slot {
-                id,
-                iteration: 0,
-                x,
-                x_unit: Vec::new(),
-                fidelity,
-                snap,
-                decision: None,
-                lie: Evaluation {
-                    objective: 0.0,
-                    constraints: vec![0.0; self.nc],
-                },
-                issued: false,
-                result: None,
-                sim_time: Duration::ZERO,
-            };
-            self.resolve_and_push(slot)?;
+            self.enqueue(0, x, fidelity, snap, None)?;
             return Ok(Gen::Generated);
         }
-        self.generate_loop()
-    }
-
-    /// One BO iteration's decision pass (Algorithm 1, lines 3–7): surrogate
-    /// fit, acquisition optimization, fidelity selection. With candidates in
-    /// flight the training data is augmented with their constant-liar
-    /// fantasies first.
-    fn generate_loop(&mut self) -> Result<Gen, MfboError> {
         // Budget gate — the sequential `cost >= budget` check, made
         // batch-aware by billing in-flight candidates at their fidelity
         // cost, so a batch overshoots the budget no more than the
@@ -758,42 +763,53 @@ where
             .iter()
             .map(|s| self.problem.cost(s.fidelity))
             .sum();
-        if self.cost + in_flight_cost >= self.cfg.budget {
-            return Ok(Gen::Exhausted);
-        }
-        if self.next_iteration > self.cfg.max_iterations {
+        if self.cost + in_flight_cost >= self.cfg.budget
+            || self.next_iteration > self.cfg.max_iterations
+        {
             return Ok(Gen::Exhausted);
         }
         let iteration = self.next_iteration;
-        let fantasy = !self.pending.is_empty();
+        let (surrogates, low, high) = self.fit(iteration)?;
+        let mut decision = self.acquire(iteration, &surrogates, &low, &high);
+        self.decide(iteration, &surrogates, &mut decision);
 
-        // Constant-liar augmentation (batched mode only — with q = 1 the
-        // pending set is always empty here and this is the legacy data).
-        let fantasy_data = fantasy.then(|| {
-            let mut l = self.low.clone();
-            let mut h = self.high.clone();
-            for s in &self.pending {
-                match s.fidelity {
-                    Fidelity::Low => l.push(s.x.clone(), &s.lie),
-                    Fidelity::High => h.push(s.x.clone(), &s.lie),
-                }
+        // Line 8 is split: the simulation happens outside, between ask()
+        // and tell(); here the candidate enters the in-flight set.
+        let x = self.bounds.from_unit(&decision.x_unit);
+        let snap = self.rng.state_snapshot();
+        self.next_iteration += 1;
+        self.enqueue(iteration, x, decision.fidelity, snap, Some(decision))?;
+        Ok(Gen::Generated)
+    }
+
+    /// Line 3: fits the surrogates on the committed data plus, in batched
+    /// mode, the in-flight candidates' constant-liar fantasies. Full
+    /// hyperparameter optimization every `refit_every` iterations, frozen
+    /// refresh in between; a frozen-refresh failure falls back to a full
+    /// refit. Returns the surrogates and the `(low, high)` data they were
+    /// fit on, in unit-cube coordinates and before winsorizing (incumbents
+    /// are read from the raw values).
+    fn fit(
+        &mut self,
+        iteration: usize,
+    ) -> Result<(Surrogates, FidelityData, FidelityData), MfboError> {
+        // Constant-liar augmentation (with q = 1 the pending set is always
+        // empty here and this is the committed data).
+        let with_fantasies = |data: &FidelityData, fidelity| {
+            let mut unit = data.to_unit(&self.bounds);
+            for s in self.pending.iter().filter(|s| s.fidelity == fidelity) {
+                unit.push(self.bounds.to_unit(&s.x), &s.lie);
             }
-            (l, h)
-        });
-        let (low_data, high_data) = match &fantasy_data {
-            Some((l, h)) => (l, h),
-            None => (&self.low, &self.high),
+            unit
         };
-        let mut low_u = low_data.to_unit(&self.bounds);
-        let mut high_u = high_data.to_unit(&self.bounds);
-        if let Some(k) = self.cfg.winsorize_sigma {
-            low_u = low_u.winsorized(k);
-            high_u = high_u.winsorized(k);
-        }
+        let low = with_fantasies(&self.low, Fidelity::Low);
+        let high = with_fantasies(&self.high, Fidelity::High);
+        let winsorized = self
+            .cfg
+            .winsorize_sigma
+            .map(|k| (low.winsorized(k), high.winsorized(k)));
+        let (low_u, high_u) = winsorized.as_ref().map_or((&low, &high), |(l, h)| (l, h));
 
-        // Line 3: build the surrogate models. Full hyperparameter
-        // optimization every `refit_every` iterations, frozen refresh in
-        // between; a frozen-refresh failure falls back to a full refit.
         let fit_span = span!(
             "surrogate_fit",
             iteration = iteration,
@@ -802,23 +818,16 @@ where
         );
         let surrogates = match &self.thetas {
             Some(t) if self.iterations_since_refit < self.cfg.refit_every => {
-                match Surrogates::fit_frozen(&low_u, &high_u, &self.model_cfg, t) {
+                match Surrogates::fit_frozen(low_u, high_u, &self.model_cfg, t) {
                     Ok(s) => s,
                     // Frozen-refresh recovery: a full re-optimization from
                     // scratch.
-                    Err(_) => {
-                        Surrogates::fit(&low_u, &high_u, &self.model_cfg, None, &mut self.rng)?
-                    }
+                    Err(_) => Surrogates::fit(low_u, high_u, &self.model_cfg, None, &mut self.rng)?,
                 }
             }
             warm => {
-                let s = Surrogates::fit(
-                    &low_u,
-                    &high_u,
-                    &self.model_cfg,
-                    warm.as_ref(),
-                    &mut self.rng,
-                )?;
+                let s =
+                    Surrogates::fit(low_u, high_u, &self.model_cfg, warm.as_ref(), &mut self.rng)?;
                 if let (Some(_), Surrogates::Mf(mf)) = (warm, &s) {
                     if mf.warm_seed_won() {
                         mfbo_telemetry::counter!("theta_warm_wins", 1);
@@ -835,54 +844,55 @@ where
         self.telemetry
             .record_stage("surrogate_fit", fit_span.elapsed());
         drop(fit_span);
+        Ok((surrogates, low, high))
+    }
 
+    /// Lines 5–6: searches the low-fidelity wEI for x*_l, then the
+    /// high-fidelity wEI from the §4.1 anchors; with no feasible
+    /// high-fidelity point known it minimizes the feasibility drive instead
+    /// (§4.2). Every in-flight candidate is taboo. Returns a
+    /// single-fidelity decision for [`Self::decide`] to settle.
+    fn acquire(
+        &mut self,
+        iteration: usize,
+        surrogates: &Surrogates,
+        low: &FidelityData,
+        high: &FidelityData,
+    ) -> Decision {
         // Incumbents (values and locations) at each fidelity, fantasies
         // included — the liar keeps speculative candidates from looking
         // better than anything actually observed.
-        let best_low = low_data.best_feasible().or_else(|| low_data.best_any());
-        let best_high = high_data.best_feasible().or_else(|| high_data.best_any());
-        let has_feasible_high = high_data.best_feasible().is_some();
-
-        let local = NelderMead::new().with_max_iters(90);
-        let tau_l_val = best_low.map(|(_, v)| v);
-        let tau_h_val = best_high.map(|(_, v)| v);
+        let (best_low, best_high) = (low.best_any(), high.best_any());
+        let (tau_l, tau_h) = (best_low.map(|(_, v)| v), best_high.map(|(_, v)| v));
         // In-flight exclusion zone for the batched acquisition search.
-        let taboo: Vec<Vec<f64>> = if fantasy {
-            self.pending.iter().map(|s| s.x_unit.clone()).collect()
-        } else {
-            Vec::new()
-        };
+        let taboo: Vec<Vec<f64>> = self
+            .pending
+            .iter()
+            .filter_map(|s| Some(s.decision.as_ref()?.x_unit.clone()))
+            .collect();
         let acq_span = span!("acq_opt", iteration = iteration);
-        let drove_feasibility = self.nc > 0 && !has_feasible_high;
-        let (xt_unit, acq_value, landscape) = if drove_feasibility {
+        let feasibility_drive = self.nc > 0 && high.best_feasible().is_none();
+        let (r, landscape) = if feasibility_drive {
             // §4.2: no feasible point known — minimize Σ max(0, μ_h,i).
             let drive = |xs: &[Vec<f64>], out: &mut [f64]| surrogates.drive(xs, out);
-            let mut ms = MultiStart::new(self.cfg.msp_starts)
-                .with_local_search(local.clone())
-                .with_parallelism(self.cfg.parallelism);
-            if !taboo.is_empty() {
-                ms = ms.with_taboo(taboo.clone(), TABOO_RADIUS);
-            }
-            let (r, stats) = ms.minimize_batched_with_stats(&drive, &self.unit, &mut self.rng);
-            (r.x, r.value, stats)
+            self.multi_start(taboo)
+                .minimize_batched_with_stats(&drive, &self.unit, &mut self.rng)
         } else {
-            let tau_h = tau_h_val.unwrap_or(0.0);
-            let mut ms_high = MultiStart::new(self.cfg.msp_starts)
-                .with_local_search(local.clone())
-                .with_parallelism(self.cfg.parallelism);
-            if let Surrogates::Mf(mf) = &surrogates {
+            // §4.1's biased starts: a cloud of `fraction` of them around an
+            // incumbent's location.
+            let around =
+                |ms: MultiStart, best: Option<(usize, f64)>, data: &FidelityData, fraction| {
+                    match best {
+                        Some((k, _)) => ms.with_anchor(data.xs[k].clone(), fraction, ANCHOR_SPREAD),
+                        None => ms,
+                    }
+                };
+            let (frac_l, frac_h) = (self.cfg.frac_around_tau_l, self.cfg.frac_around_tau_h);
+            let mut ms_high = self.multi_start(taboo);
+            if let Surrogates::Mf(mf) = surrogates {
                 // Line 5: optimize the low-fidelity wEI → x*_l.
-                let tau_l = tau_l_val.unwrap_or(0.0);
-                let mut ms_low = MultiStart::new(self.cfg.msp_starts)
-                    .with_local_search(local)
-                    .with_parallelism(self.cfg.parallelism);
-                if let Some((k, _)) = best_low {
-                    ms_low = ms_low.with_anchor(
-                        low_u.xs[k].clone(),
-                        self.cfg.frac_around_tau_l + self.cfg.frac_around_tau_h,
-                        ANCHOR_SPREAD,
-                    );
-                }
+                let ms_low = around(self.multi_start(Vec::new()), best_low, low, frac_l + frac_h);
+                let tau_l = tau_l.unwrap_or(0.0);
                 let wei_l = |x: &[f64]| mf.wei_low(x, tau_l);
                 let xl_star = ms_low.maximize(&wei_l, &self.unit, &mut self.rng).x;
                 // Line 6 starts from x*_l.
@@ -890,29 +900,28 @@ where
             }
             // Line 6: optimize the high-fidelity wEI with the biased
             // anchors of §4.1.
-            if let Some((k, _)) = best_high {
-                ms_high = ms_high.with_anchor(
-                    high_u.xs[k].clone(),
-                    self.cfg.frac_around_tau_h,
-                    ANCHOR_SPREAD,
-                );
-            }
-            if let Some((k, _)) = best_low {
-                ms_high = ms_high.with_anchor(
-                    low_u.xs[k].clone(),
-                    self.cfg.frac_around_tau_l,
-                    ANCHOR_SPREAD,
-                );
-            }
-            if !taboo.is_empty() {
-                ms_high = ms_high.with_taboo(taboo.clone(), TABOO_RADIUS);
-            }
+            ms_high = around(
+                around(ms_high, best_high, high, frac_h),
+                best_low,
+                low,
+                frac_l,
+            );
+            let tau_h = tau_h.unwrap_or(0.0);
             let wei_h = |x: &[f64]| surrogates.wei_high(x, tau_h);
-            let (r, stats) = ms_high.maximize_with_stats(&wei_h, &self.unit, &mut self.rng);
-            (r.x, r.value, stats)
+            ms_high.maximize_with_stats(&wei_h, &self.unit, &mut self.rng)
         };
         self.telemetry.record_stage("acq_opt", acq_span.elapsed());
         drop(acq_span);
+        let d = Decision {
+            x_unit: r.x,
+            acq_value: r.value,
+            landscape,
+            feasibility_drive,
+            tau_l,
+            tau_h,
+            fidelity: Fidelity::High,
+            fusion: None,
+        };
         // Acquisition-landscape health: in wEI mode a large frac_zero
         // means most restarts sat where the model offers no expected
         // improvement; a near-zero spread means the landscape has
@@ -920,87 +929,70 @@ where
         mfbo_telemetry::debug_event!(
             "acq_landscape",
             iteration = iteration,
-            feasibility_drive = drove_feasibility,
-            best_value = landscape.best_value,
-            worst_value = landscape.worst_value,
-            spread = landscape.spread,
-            frac_zero = landscape.frac_zero,
-            starts = landscape.starts,
-            best_start = landscape.best_start,
+            feasibility_drive = d.feasibility_drive,
+            best_value = d.landscape.best_value,
+            worst_value = d.landscape.worst_value,
+            spread = d.landscape.spread,
+            frac_zero = d.landscape.frac_zero,
+            starts = d.landscape.starts,
+            best_start = d.landscape.best_start,
         );
+        d
+    }
 
-        let (fidelity, decision) = match &surrogates {
-            Surrogates::Sf(_) => {
-                event!(
-                    "sfbo_iteration",
-                    iteration = iteration,
-                    feasibility_drive = drove_feasibility,
-                    acq_value = acq_value,
-                    tau = tau_h_val.unwrap_or(f64::NAN),
-                    cost = self.cost,
-                );
-                (Fidelity::High, None)
-            }
-            Surrogates::Mf(mf) => {
-                // Line 7: fidelity selection (§3.4), with the verification
-                // safeguard (see MfBoConfig::max_low_streak).
-                let max_low_var = mf.max_low_variance(&xt_unit);
-                let threshold = self.selector.threshold(self.nc);
-                let mut fidelity = self.selector.select(max_low_var, self.nc);
-                let mut forced = false;
-                if fidelity == Fidelity::Low && self.low_streak >= self.cfg.max_low_streak {
-                    fidelity = Fidelity::High;
-                    forced = true;
-                }
-                match fidelity {
-                    Fidelity::Low => self.low_streak += 1,
-                    Fidelity::High => self.low_streak = 0,
-                }
-                event!(
-                    "fidelity_decision",
-                    iteration = iteration,
-                    max_low_variance = max_low_var,
-                    threshold = threshold,
-                    chose_high = fidelity == Fidelity::High,
-                    forced = forced,
-                    feasibility_drive = drove_feasibility,
-                    acq_value = acq_value,
-                    tau_l = tau_l_val.unwrap_or(f64::NAN),
-                    tau_h = tau_h_val.unwrap_or(f64::NAN),
-                    cost = self.cost,
-                );
-                let decision = PendingDecision {
-                    max_low_variance: max_low_var,
-                    threshold,
-                    forced,
-                };
-                (fidelity, Some(decision))
-            }
-        };
+    /// The acquisition's multi-start search: `msp_starts` starts on the
+    /// run's pool, a Nelder–Mead local search from each, and local optima
+    /// within [`TABOO_RADIUS`] of a `taboo` point skipped. The one place
+    /// the acquisition's local search is chosen.
+    fn multi_start(&self, taboo: Vec<Vec<f64>>) -> MultiStart {
+        MultiStart::new(self.cfg.msp_starts)
+            .with_local_search(NelderMead::new().with_max_iters(90))
+            .with_parallelism(self.cfg.parallelism)
+            .with_taboo(taboo, TABOO_RADIUS)
+    }
 
-        // Line 8 is now split: the simulation happens outside, between
-        // ask() and tell(); here the candidate enters the in-flight set.
-        let xt = self.bounds.from_unit(&xt_unit);
-        let snap = self.rng.state_snapshot();
-        let lie = self.lie_for(fidelity);
-        let id = self.next_id;
-        self.next_id += 1;
-        self.next_iteration += 1;
-        let slot = Slot {
-            id,
-            iteration,
-            x: xt,
-            x_unit: xt_unit,
-            fidelity,
-            snap,
-            decision,
-            lie,
-            issued: false,
-            result: None,
-            sim_time: Duration::ZERO,
+    /// Line 7: on a multi-fidelity run, the fidelity of x* by eq. (11)/(12)
+    /// (§3.4) with the `max_low_streak` verification safeguard; then the
+    /// iteration's decision event.
+    fn decide(&mut self, iteration: usize, surrogates: &Surrogates, d: &mut Decision) {
+        let Surrogates::Mf(mf) = surrogates else {
+            event!(
+                "sfbo_iteration",
+                iteration = iteration,
+                feasibility_drive = d.feasibility_drive,
+                acq_value = d.acq_value,
+                tau = d.tau_h.unwrap_or(f64::NAN),
+                cost = self.cost,
+            );
+            return;
         };
-        self.resolve_and_push(slot)?;
-        Ok(Gen::Generated)
+        let max_low_variance = mf.max_low_variance(&d.x_unit);
+        let threshold = self.selector.threshold(self.nc);
+        let picked = self.selector.select(max_low_variance, self.nc);
+        let forced = picked == Fidelity::Low && self.low_streak >= self.cfg.max_low_streak;
+        d.fidelity = if forced { Fidelity::High } else { picked };
+        match d.fidelity {
+            Fidelity::Low => self.low_streak += 1,
+            Fidelity::High => self.low_streak = 0,
+        }
+        d.fusion = Some(FusionChoice {
+            max_low_variance,
+            threshold,
+            forced,
+        });
+        event!(
+            "fidelity_decision",
+            iteration = iteration,
+            max_low_variance = max_low_variance,
+            threshold = threshold,
+            chose_high = d.fidelity == Fidelity::High,
+            forced = forced,
+            feasibility_drive = d.feasibility_drive,
+            acq_value = d.acq_value,
+            tau_l = d.tau_l.unwrap_or(f64::NAN),
+            tau_h = d.tau_h.unwrap_or(f64::NAN),
+            cost = self.cost,
+        );
     }
 
     /// The deterministic constant-liar value for a candidate at `fidelity`:
@@ -1013,32 +1005,45 @@ where
             Fidelity::Low => &self.low,
             Fidelity::High => &self.high,
         };
-        let objective = data
-            .best_feasible()
-            .or_else(|| data.best_any())
-            .map(|(_, v)| v)
-            .unwrap_or(0.0);
-        let constraints = data
-            .constraints
-            .iter()
-            .map(|series| {
-                if series.is_empty() {
-                    0.0
-                } else {
-                    series.iter().sum::<f64>() / series.len() as f64
-                }
-            })
-            .collect();
+        let mean = |c: &Vec<f64>| {
+            if c.is_empty() {
+                0.0
+            } else {
+                mfbo_linalg::mean(c)
+            }
+        };
         Evaluation {
-            objective,
-            constraints,
+            objective: data.best_any().map_or(0.0, |(_, v)| v),
+            constraints: data.constraints.iter().map(mean).collect(),
         }
     }
 
-    /// Resolves a freshly generated candidate against the journal and the
-    /// cross-run cache, enforces the fresh-evaluation budget, journals the
-    /// pending record (batched mode), and queues the slot.
-    fn resolve_and_push(&mut self, mut slot: Slot) -> Result<(), MfboError> {
+    /// Queues a freshly generated candidate under the next id with its
+    /// constant lie: resolves it against the journal and the cross-run
+    /// cache, enforces the fresh-evaluation budget, and journals the
+    /// pending record (batched mode).
+    fn enqueue(
+        &mut self,
+        iteration: usize,
+        x: Vec<f64>,
+        fidelity: Fidelity,
+        snap: Option<[u64; 4]>,
+        decision: Option<Decision>,
+    ) -> Result<(), MfboError> {
+        let lie = self.lie_for(fidelity);
+        let mut slot = Slot {
+            id: self.next_id,
+            iteration,
+            x,
+            fidelity,
+            snap,
+            decision,
+            lie,
+            issued: false,
+            result: None,
+            sim_time: Duration::ZERO,
+        };
+        self.next_id += 1;
         match self.session.replay_front_flags() {
             Some((true, _)) => {
                 return Err(MfboError::ResumeMismatch {
@@ -1049,50 +1054,36 @@ where
                     ),
                 });
             }
-            Some((false, true)) => {
-                // Pending record: this candidate was issued by the
-                // interrupted run but its result never landed. Verify
-                // identity and re-issue; the record is not re-journaled.
-                self.session.replay_pop_pending(
-                    &slot.x,
-                    slot.fidelity,
-                    slot.iteration,
-                    slot.snap,
-                    self.cost,
-                    slot.id,
-                )?;
-                self.pending.push_back(slot);
-                return Ok(());
-            }
-            Some((false, false)) => {
-                let cand = (self.q > 1).then_some(slot.id);
-                let entry = self.session.replay_pop_commit(
-                    &slot.x,
-                    slot.fidelity,
-                    slot.iteration,
-                    slot.snap,
-                    cand,
-                )?;
-                slot.result = Some(SlotResult::Replayed { entry });
-                self.pending.push_back(slot);
-                return Ok(());
-            }
-            None => {}
+            // Pending record: this candidate was issued by the interrupted
+            // run but its result never landed. Verify identity and re-issue;
+            // the record is not re-journaled.
+            Some((false, true)) => self.session.replay_pop_pending(
+                &slot.x,
+                slot.fidelity,
+                slot.iteration,
+                slot.snap,
+                self.cost,
+                slot.id,
+            )?,
+            Some((false, false)) => slot.adopt_commit(&mut self.session, self.q > 1)?,
+            None => self.resolve_fresh(&mut slot)?,
         }
+        self.pending.push_back(slot);
+        Ok(())
+    }
+
+    /// Serves a candidate the journal does not hold from the cross-run
+    /// cache, or else checks the fresh-evaluation budget and journals its
+    /// pending record (batched mode).
+    fn resolve_fresh(&mut self, slot: &mut Slot) -> Result<(), MfboError> {
         if let Some(evaluation) = self.session.cache_lookup(&slot.x, slot.fidelity) {
             slot.result = Some(SlotResult::Cached { evaluation });
-            self.pending.push_back(slot);
             return Ok(());
         }
         let outstanding = self
             .pending
             .iter()
-            .filter(|s| {
-                !matches!(
-                    s.result,
-                    Some(SlotResult::Cached { .. } | SlotResult::Replayed { .. })
-                )
-            })
+            .filter(|s| matches!(s.result, None | Some(SlotResult::Fresh { .. })))
             .count() as u64;
         self.session.fresh_allowed(outstanding)?;
         if self.q > 1 {
@@ -1105,7 +1096,6 @@ where
                 slot.id,
             )?;
         }
-        self.pending.push_back(slot);
         Ok(())
     }
 
@@ -1163,13 +1153,13 @@ where
             Fidelity::High => "simulate_high",
         };
         self.telemetry.record_stage(stage, slot.sim_time);
-        if let Some(d) = slot.decision {
+        if let Some(f) = slot.decision.and_then(|d| d.fusion) {
             self.telemetry.record_decision(FidelityDecision {
                 iteration: slot.iteration,
-                max_low_variance: d.max_low_variance,
-                threshold: d.threshold,
+                max_low_variance: f.max_low_variance,
+                threshold: f.threshold,
                 chose_high: slot.fidelity == Fidelity::High,
-                forced: d.forced,
+                forced: f.forced,
                 cost_after: self.cost,
             });
         }
@@ -1435,6 +1425,143 @@ mod tests {
             check_drive(&sf_surrogates(&low, se_theta_in(d, log_l, -3.0)), &points);
             let one = data_in(d, 1, 0.0, &mut rng);
             check_drive(&sf_surrogates(&one, se_theta_in(d, log_l, -3.0)), &points);
+        }
+    }
+}
+
+/// The [`Decision`] each BO candidate carries, checked against the run's
+/// decision events.
+#[cfg(test)]
+mod decision_tests {
+    use super::*;
+    use crate::problem::FunctionProblem;
+    use mfbo_telemetry::sinks::CollectSink;
+    use mfbo_telemetry::{Record, Value};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    fn forrester() -> FunctionProblem {
+        FunctionProblem::builder("forrester", Bounds::unit(1))
+            .high(|x: &[f64]| (6.0 * x[0] - 2.0).powi(2) * (12.0 * x[0] - 4.0).sin())
+            .low(|x: &[f64]| {
+                let f = (6.0 * x[0] - 2.0).powi(2) * (12.0 * x[0] - 4.0).sin();
+                0.5 * f + 10.0 * (x[0] - 0.5) - 5.0
+            })
+            .low_cost(0.1)
+            .build()
+    }
+
+    /// What a test reads off one issued candidate's [`Decision`].
+    type Issued = (Fidelity, f64, bool, Option<FusionChoice>);
+
+    /// Runs `cfg` on Forrester through ask/tell with one candidate in
+    /// flight, reading each BO candidate's decision as it is issued; also
+    /// returns the events named `event`.
+    fn issued_decisions(cfg: MfBoConfig, event: &str) -> (Vec<Issued>, Vec<Record>) {
+        let problem = forrester();
+        let sink = std::sync::Arc::new(CollectSink::new());
+        let guard = mfbo_telemetry::scoped_sink(sink.clone());
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut opts = RunOptions::default();
+        let mut core = AskTellMfbo::new(cfg, &problem, &mut rng, &mut opts).unwrap();
+        let mut issued = Vec::new();
+        while !core.is_finished() {
+            if let Some(d) = core.pending.front().and_then(|s| s.decision.as_ref()) {
+                issued.push((d.fidelity, d.acq_value, d.feasibility_drive, d.fusion));
+            }
+            let batch = core.ask(1).unwrap();
+            assert_eq!(batch.len(), 1, "an unfinished run issues a candidate");
+            let evaluation = problem.evaluate(&batch[0].x, batch[0].fidelity);
+            let told = Told::Evaluated {
+                evaluation,
+                attempts: 1,
+            };
+            core.tell(batch[0].id, told).unwrap();
+        }
+        core.finish().unwrap();
+        drop(guard);
+        (issued, sink.named(event))
+    }
+
+    fn num(r: &Record, key: &str) -> f64 {
+        match r.field(key) {
+            Some(Value::F64(v)) => *v,
+            other => panic!("{key}: {other:?}"),
+        }
+    }
+
+    fn flag(r: &Record, key: &str) -> bool {
+        match r.field(key) {
+            Some(Value::Bool(b)) => *b,
+            other => panic!("{key}: {other:?}"),
+        }
+    }
+
+    /// Each multi-fidelity decision's eq. (12) margin, pick and forcing
+    /// match its `fidelity_decision` event, and `forced` is set exactly
+    /// when the streak cap overrode a low-fidelity pick. A cap of 0
+    /// overrides every low pick; at 2 the low picks here (which a high one
+    /// always follows) stand.
+    #[test]
+    fn mf_decisions_match_their_events_and_the_streak_cap() {
+        let (mut forced, mut low) = (0, 0);
+        for cap in [0, 2] {
+            let cfg = MfBoConfig {
+                // A sparse low-fidelity design leaves σ²_l large, so eq. (12)
+                // often picks low.
+                initial_low: 3,
+                initial_high: 2,
+                budget: 6.0,
+                max_low_streak: cap,
+                ..MfBoConfig::default()
+            };
+            let (issued, events) = issued_decisions(cfg, "fidelity_decision");
+            assert!(!issued.is_empty());
+            assert_eq!(issued.len(), events.len());
+            let mut streak = 0;
+            for ((fidelity, acq_value, drive, fusion), e) in issued.iter().zip(&events) {
+                let f = fusion.expect("a multi-fidelity decision carries eq. (12)");
+                let margin = f.max_low_variance - f.threshold;
+                let event_margin = num(e, "max_low_variance") - num(e, "threshold");
+                assert_eq!(margin.to_bits(), event_margin.to_bits());
+                assert_eq!(acq_value.to_bits(), num(e, "acq_value").to_bits());
+                assert_eq!(*drive, flag(e, "feasibility_drive"));
+                assert_eq!(f.forced, flag(e, "forced"));
+                assert_eq!(*fidelity == Fidelity::High, flag(e, "chose_high"));
+                let picked_low = margin >= 0.0;
+                assert_eq!(f.forced, picked_low && streak >= cap);
+                assert_eq!(*fidelity == Fidelity::High, !picked_low || f.forced);
+                streak = if *fidelity == Fidelity::Low {
+                    streak + 1
+                } else {
+                    0
+                };
+                forced += usize::from(f.forced);
+                low += usize::from(*fidelity == Fidelity::Low);
+            }
+        }
+        assert!(forced > 0 && low > 0, "{forced} forced, {low} low picks");
+    }
+
+    /// A single-fidelity decision is a high-fidelity pick with no eq. (12)
+    /// fields, one per `sfbo_iteration` event.
+    #[test]
+    fn sf_decisions_carry_no_variance_fields() {
+        let cfg = MfBoConfig {
+            initial_low: 0,
+            initial_high: 5,
+            budget: 12.0,
+            ..MfBoConfig::default()
+        };
+        let (issued, events) = issued_decisions(cfg, "sfbo_iteration");
+        assert!(!issued.is_empty());
+        assert_eq!(issued.len(), events.len());
+        for ((fidelity, acq_value, drive, fusion), e) in issued.iter().zip(&events) {
+            assert_eq!(*fidelity, Fidelity::High);
+            assert!(fusion.is_none());
+            assert_eq!(acq_value.to_bits(), num(e, "acq_value").to_bits());
+            assert_eq!(*drive, flag(e, "feasibility_drive"));
+            assert!(e.field("max_low_variance").is_none());
         }
     }
 }

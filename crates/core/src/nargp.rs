@@ -21,7 +21,6 @@
 use mfbo_gp::kernel::{NargpKernel, SquaredExponential};
 use mfbo_gp::{with_scratch, DiffBatch, Gp, GpConfig, GpError, Prediction};
 use mfbo_linalg::norm_inv_cdf;
-use mfbo_pool::{par_map_indexed, Parallelism};
 use rand::Rng;
 
 /// Augments each `x` with the low GP's standardized posterior mean — the
@@ -46,11 +45,7 @@ pub struct MfGpConfig {
     /// low-fidelity uncertainty through the high GP (paper eq. 10).
     pub mc_samples: usize,
     /// Training configuration of both fusion stages (paper Algorithm 1
-    /// trains them alike). Its [`GpConfig::parallelism`] also distributes
-    /// the propagated posteriors of [`MfGp::predict_batch`] over a thread
-    /// pool in contiguous chunks of queries; the quantiles are fixed and
-    /// each query's moment-matching reduction runs in sample order, so
-    /// every mode returns bit-identical predictions.
+    /// trains them alike).
     pub gp: GpConfig,
 }
 
@@ -103,7 +98,6 @@ pub struct MfGp {
     /// The stratified quantiles `Φ⁻¹((k+½)/S)`, `k = 0..S`: the same for
     /// every query, so computed once per model.
     quantiles: Vec<f64>,
-    parallelism: Parallelism,
 }
 
 /// The `S` stratified quantiles `Φ⁻¹((k+½)/S)` of the Monte-Carlo
@@ -150,7 +144,7 @@ impl MfGp {
     ///
     /// Pre-drawing the plans for a whole bundle of models lets the (pure)
     /// fits run in parallel with bit-identical results in every
-    /// [`Parallelism`] mode — see [`MfGp::fit_planned`].
+    /// [`mfbo_pool::Parallelism`] mode — see [`MfGp::fit_planned`].
     pub fn plan<R: Rng + ?Sized>(
         dim: usize,
         config: &MfGpConfig,
@@ -220,7 +214,6 @@ impl MfGp {
             low,
             high,
             quantiles: stratified_quantiles(config.mc_samples),
-            parallelism: config.gp.parallelism,
         })
     }
 
@@ -247,45 +240,11 @@ impl MfGp {
     /// with low-fidelity uncertainty propagated by stratified Monte-Carlo
     /// over eq. (10).
     pub fn predict(&self, x: &[f64]) -> Prediction {
-        let (m, v) = self
-            .predict_batch_standardized(std::slice::from_ref(&x.to_vec()))
-            .pop()
-            .expect("one query yields one prediction");
+        // The low stage runs as a one-point batch, so it counts towards
+        // `predict_batch_points` like the acquisition's batches.
+        let (ml, vl) = self.low.predict_batch_standardized(&[x.to_vec()])[0];
+        let (m, v) = self.propagate(x, ml, vl);
         self.destandardize(m, v)
-    }
-
-    /// Batched propagated high-fidelity posterior in standardized output
-    /// space: one `(mean, var)` pair per query, bit-identical to calling
-    /// the pointwise path per point.
-    ///
-    /// The low GP is queried once with all `M` points; then each query's
-    /// stratified Monte-Carlo samples (paper eq. 10) go through
-    /// [`Gp::predict_propagated_standardized`], which evaluates the
-    /// design-space kernel factors once per query rather than once per
-    /// sample. Queries are split into contiguous chunks across the pool;
-    /// the moment-matching reduction stays in sample order per query.
-    pub fn predict_batch_standardized(&self, points: &[Vec<f64>]) -> Vec<(f64, f64)> {
-        if points.is_empty() {
-            return Vec::new();
-        }
-        let lows = self.low.predict_batch_standardized(points);
-        let propagate = |(x, &(ml, vl)): (&Vec<f64>, &(f64, f64))| self.propagate(x, ml, vl);
-        let workers = self.parallelism.workers();
-        if workers <= 1 || points.len() < 2 {
-            return points.iter().zip(&lows).map(propagate).collect();
-        }
-        let chunk = points.len().div_ceil(workers);
-        par_map_indexed(self.parallelism, points.len().div_ceil(chunk), |c| {
-            let span = c * chunk..points.len().min((c + 1) * chunk);
-            points[span.clone()]
-                .iter()
-                .zip(&lows[span])
-                .map(propagate)
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
     }
 
     /// The fidelity samples of one query with low-fidelity posterior
@@ -376,15 +335,6 @@ impl MfGp {
         });
     }
 
-    /// Batched [`MfGp::predict`]: propagated raw-unit posteriors for a set
-    /// of query points, bit-identical to the pointwise calls.
-    pub fn predict_batch(&self, points: &[Vec<f64>]) -> Vec<Prediction> {
-        self.predict_batch_standardized(points)
-            .into_iter()
-            .map(|(m, v)| self.destandardize(m, v))
-            .collect()
-    }
-
     fn destandardize(&self, mean_std: f64, var_std: f64) -> Prediction {
         let st = self.high.standardizer();
         Prediction {
@@ -423,10 +373,9 @@ impl MfGp {
     /// loops use this between full refits to keep per-iteration cost low.
     ///
     /// Every setting comes from `config`, as for a full fit: the
-    /// [`GpConfig::inference`] of both stages, `mc_samples`, and the
-    /// propagation's [`GpConfig::parallelism`]. `low_shared` is the optional
-    /// low-stage difference batch over `xl` (see [`MfGp::fit_planned`] for
-    /// the sharing contract).
+    /// [`GpConfig::inference`] of both stages and `mc_samples`. `low_shared`
+    /// is the optional low-stage difference batch over `xl` (see
+    /// [`MfGp::fit_planned`] for the sharing contract).
     ///
     /// # Errors
     ///
@@ -464,7 +413,6 @@ impl MfGp {
             low,
             high,
             quantiles: stratified_quantiles(config.mc_samples),
-            parallelism: config.gp.parallelism,
         })
     }
 }
@@ -699,63 +647,5 @@ mod tests {
         let a = model.predict(&[0.31]);
         let b = model.predict(&[0.31]);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn batched_prediction_bit_identical_to_pointwise() {
-        let model = pedagogical_model(30, 10, 12);
-        // Mix of points near and far from the low data so both the MC and
-        // (potentially) plug-in branches are exercised.
-        let queries: Vec<Vec<f64>> = (0..9).map(|i| vec![i as f64 / 8.0]).collect();
-        let batch = model.predict_batch(&queries);
-        let batch_std = model.predict_batch_standardized(&queries);
-        assert_eq!(batch.len(), queries.len());
-        for ((q, b), bs) in queries.iter().zip(&batch).zip(&batch_std) {
-            let p = model.predict(q);
-            assert_eq!(p.mean.to_bits(), b.mean.to_bits());
-            assert_eq!(p.var.to_bits(), b.var.to_bits());
-            let single = model.predict_batch_standardized(std::slice::from_ref(q));
-            assert_eq!(single[0].0.to_bits(), bs.0.to_bits());
-            assert_eq!(single[0].1.to_bits(), bs.1.to_bits());
-        }
-        assert!(model.predict_batch(&[]).is_empty());
-    }
-
-    #[test]
-    fn batched_prediction_bit_identical_across_parallelism_modes() {
-        // The pooled chunked sweep must agree with the serial batch. Both
-        // models are rebuilt from the same hyperparameters, so they differ
-        // only in the propagation's pool.
-        let model = pedagogical_model(30, 10, 14);
-        let queries: Vec<Vec<f64>> = (0..7).map(|i| vec![i as f64 / 6.0]).collect();
-        let rebuild = |parallelism| {
-            let config = MfGpConfig {
-                gp: GpConfig {
-                    parallelism,
-                    ..GpConfig::default()
-                },
-                ..MfGpConfig::default()
-            };
-            MfGp::fit_frozen(
-                model.low().xs().to_vec(),
-                model.low().ys_raw().to_vec(),
-                model.high().xs().iter().map(|z| z[..1].to_vec()).collect(),
-                model.high().ys_raw().to_vec(),
-                &config,
-                &model.thetas(),
-                None,
-            )
-            .unwrap()
-        };
-        let serial = rebuild(Parallelism::Serial);
-        let threaded = rebuild(Parallelism::Threads(3));
-        for (a, b) in serial
-            .predict_batch_standardized(&queries)
-            .iter()
-            .zip(&threaded.predict_batch_standardized(&queries))
-        {
-            assert_eq!(a.0.to_bits(), b.0.to_bits());
-            assert_eq!(a.1.to_bits(), b.1.to_bits());
-        }
     }
 }

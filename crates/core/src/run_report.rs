@@ -178,7 +178,7 @@ impl RunReport {
 }
 
 /// Reads and parses a telemetry JSONL trace file.
-pub fn load_trace(path: &Path) -> Result<Vec<Json>, StoreError> {
+fn load_trace(path: &Path) -> Result<Vec<Json>, StoreError> {
     let text = std::fs::read_to_string(path).map_err(|source| StoreError::Io {
         path: path.to_path_buf(),
         source,

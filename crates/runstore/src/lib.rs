@@ -636,12 +636,14 @@ impl RunStore {
     }
 
     /// Whether a key is quarantined.
-    pub fn is_quarantined(&self, key: &str) -> bool {
+    #[cfg(test)]
+    fn is_quarantined(&self, key: &str) -> bool {
         self.quarantined.contains(key)
     }
 
     /// Number of cached evaluations (excluding quarantined keys).
-    pub fn cache_len(&self) -> usize {
+    #[cfg(test)]
+    fn cache_len(&self) -> usize {
         self.cache
             .keys()
             .filter(|k| !self.quarantined.contains(*k))

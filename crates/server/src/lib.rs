@@ -25,7 +25,9 @@
 //! by name, and counts must be non-negative integers.
 //!
 //! Every failure is a `{"ok":false,"error":…}` reply on the same line; the
-//! connection stays usable. Malformed frames never take the server down.
+//! connection stays usable. Malformed frames never take the server down: a
+//! frame longer than [`MAX_FRAME_BYTES`] gets an error reply and its
+//! connection is closed.
 //!
 //! ## Execution model
 //!
@@ -76,6 +78,11 @@ use std::time::{Duration, Instant};
 const READERS: usize = 4;
 /// Bytes asked from the socket per read into the scratch buffer.
 const READ_CHUNK: usize = 8 * 1024;
+/// The longest request frame the server accepts, in bytes before its `\n`.
+/// Real requests are a few KB; a client that streams past this without a
+/// newline is refused instead of growing its connection's buffer without
+/// bound.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
 /// Socket read timeout when other connections are waiting for a reader.
 const BUSY_READ_TIMEOUT: Duration = Duration::from_millis(1);
 /// Socket read timeout when this reader has the queue to itself.
@@ -220,11 +227,24 @@ impl Conn {
     }
 }
 
+/// Why [`FrameBuf`] could not decode a frame; either way the server drops
+/// the connection.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FrameError {
+    /// The frame is not UTF-8 (where `BufRead::lines()` fails too).
+    Utf8(std::str::Utf8Error),
+    /// The frame runs past [`MAX_FRAME_BYTES`].
+    TooLong,
+}
+
 /// Reusable line-frame extractor over a byte scratch buffer, decoding the
-/// exact framing of `BufRead::lines()`: frames end at `\n`, a trailing
-/// `\r` is stripped, and a non-UTF-8 frame is an error (the connection is
+/// exact framing of `BufRead::lines()` for frames up to
+/// [`MAX_FRAME_BYTES`]: frames end at `\n`, a trailing `\r` is stripped,
+/// and a non-UTF-8 or longer frame is an error (the connection is
 /// dropped). Bytes may arrive in any chunking — split mid-frame,
-/// coalesced across frames — without changing the decoded sequence.
+/// coalesced across frames — without changing the decoded sequence. A
+/// reader that asks for a frame after every read buffers at most one read
+/// chunk past the cap.
 #[derive(Debug, Default)]
 pub struct FrameBuf {
     buf: Vec<u8>,
@@ -261,27 +281,36 @@ impl FrameBuf {
         got
     }
 
-    /// Yields the next complete frame, or `None` until more bytes arrive.
-    pub fn next_frame(&mut self) -> Option<Result<&str, std::str::Utf8Error>> {
-        let rel = self.buf[self.pos..].iter().position(|&b| b == b'\n')?;
+    /// Yields the next complete frame, or `None` until more bytes arrive;
+    /// [`FrameError::TooLong`] as soon as the pending frame is over the cap,
+    /// terminated or not.
+    pub fn next_frame(&mut self) -> Option<Result<&str, FrameError>> {
+        let newline = self.buf[self.pos..].iter().position(|&b| b == b'\n');
+        if newline.unwrap_or(self.buf.len() - self.pos) > MAX_FRAME_BYTES {
+            return Some(Err(FrameError::TooLong));
+        }
+        let rel = newline?;
         let start = self.pos;
         let mut end = start + rel;
         self.pos = end + 1;
         if end > start && self.buf[end - 1] == b'\r' {
             end -= 1;
         }
-        Some(std::str::from_utf8(&self.buf[start..end]))
+        Some(std::str::from_utf8(&self.buf[start..end]).map_err(FrameError::Utf8))
     }
 
     /// At EOF, the final unterminated frame — what `lines()` would still
     /// yield (no `\r` stripping without a `\n`).
-    pub fn take_tail(&mut self) -> Option<Result<&str, std::str::Utf8Error>> {
+    pub fn take_tail(&mut self) -> Option<Result<&str, FrameError>> {
         if self.pos >= self.buf.len() {
             return None;
         }
+        if self.buf.len() - self.pos > MAX_FRAME_BYTES {
+            return Some(Err(FrameError::TooLong));
+        }
         let start = self.pos;
         self.pos = self.buf.len();
-        Some(std::str::from_utf8(&self.buf[start..]))
+        Some(std::str::from_utf8(&self.buf[start..]).map_err(FrameError::Utf8))
     }
 
     /// Current scratch capacity in bytes — lets tests pin that a reused
@@ -382,7 +411,7 @@ fn serve_turn(mut conn: Conn, ctx: &Arc<ServeCtx>) -> Option<Conn> {
             let t0 = Instant::now();
             let act = match conn.frames.next_frame() {
                 None => break,
-                Some(Err(_)) => return None,
+                Some(Err(e)) => return refuse(conn, e),
                 Some(Ok(line)) => {
                     if line.trim().is_empty() {
                         continue;
@@ -402,7 +431,8 @@ fn serve_turn(mut conn: Conn, ctx: &Arc<ServeCtx>) -> Option<Conn> {
             // then drop the connection.
             let t0 = Instant::now();
             let act = match conn.frames.take_tail() {
-                None | Some(Err(_)) => return None,
+                None => return None,
+                Some(Err(e)) => return refuse(conn, e),
                 Some(Ok(line)) => {
                     if line.trim().is_empty() {
                         return None;
@@ -440,6 +470,17 @@ fn serve_turn(mut conn: Conn, ctx: &Arc<ServeCtx>) -> Option<Conn> {
             Err(_) => return None,
         }
     }
+}
+
+/// Drops a connection whose frame could not be decoded. A non-UTF-8 frame
+/// closes it silently, as `lines()` would fail; an over-long one first gets
+/// an error reply saying why.
+fn refuse(mut conn: Conn, e: FrameError) -> Option<Conn> {
+    if e == FrameError::TooLong {
+        let why = format!("frame exceeds {MAX_FRAME_BYTES} bytes; closing the connection");
+        let _ = write_reply(&mut conn, &err(why));
+    }
+    None
 }
 
 /// Executes one [`Action`]; returns the connection unless it was closed,

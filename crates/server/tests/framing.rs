@@ -7,9 +7,10 @@
 //! these properties pin that **any** chunking of a byte stream decodes to
 //! exactly the frame sequence `lines()` would produce, including the
 //! `\r\n` strip, the unterminated final line at EOF, and the
-//! drop-connection error on non-UTF-8 frames.
+//! drop-connection error on non-UTF-8 frames. Frames past
+//! [`MAX_FRAME_BYTES`] are refused however they arrive.
 
-use mfbo_server::FrameBuf;
+use mfbo_server::{FrameBuf, FrameError, MAX_FRAME_BYTES};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Read};
 
@@ -186,4 +187,33 @@ fn scratch_buffer_stays_bounded() {
         "scratch grew unbounded: {} bytes",
         fb.capacity()
     );
+}
+
+/// A frame at the cap decodes; one byte more is refused — unterminated
+/// (without waiting for a newline that may never come), terminated in one
+/// push, or as the tail at EOF.
+#[test]
+fn frames_over_the_cap_are_refused() {
+    let at_cap = vec![b'a'; MAX_FRAME_BYTES];
+    let mut fb = FrameBuf::new();
+    fb.push(&at_cap);
+    assert_eq!(fb.next_frame(), None);
+    fb.push(b"\n");
+    assert_eq!(fb.next_frame().unwrap().unwrap().len(), MAX_FRAME_BYTES);
+
+    fb.push(&at_cap);
+    assert_eq!(fb.take_tail().unwrap().unwrap().len(), MAX_FRAME_BYTES);
+
+    let mut unterminated = FrameBuf::new();
+    unterminated.push(&at_cap);
+    unterminated.push(b"a");
+    assert_eq!(unterminated.next_frame(), Some(Err(FrameError::TooLong)));
+    assert_eq!(unterminated.take_tail(), Some(Err(FrameError::TooLong)));
+
+    let mut terminated = FrameBuf::new();
+    terminated.push(b"{}\n");
+    terminated.push(&at_cap);
+    terminated.push(b"a\n");
+    assert_eq!(terminated.next_frame(), Some(Ok("{}")));
+    assert_eq!(terminated.next_frame(), Some(Err(FrameError::TooLong)));
 }

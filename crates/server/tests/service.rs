@@ -345,6 +345,37 @@ fn protocol_errors_leave_the_connection_usable() {
         .unwrap();
 }
 
+/// A client that streams past the frame cap without a newline gets a
+/// readable refusal, then its connection closes; other clients are served
+/// on.
+#[test]
+fn over_long_frame_is_refused_and_its_connection_closed() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    let (mut client, addr) = boot(1);
+    let mut raw = std::net::TcpStream::connect(&addr).unwrap();
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(20)))
+        .unwrap();
+    raw.write_all(&vec![b'x'; mfbo_server::MAX_FRAME_BYTES + 1])
+        .unwrap();
+    let mut reader = BufReader::new(raw);
+    let mut line = String::new();
+    reader
+        .read_line(&mut line)
+        .expect("a refusal before the read timeout");
+    let reply = mfbo_telemetry::json::parse(line.trim()).unwrap();
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+    let error = reply.get("error").and_then(Json::as_str).unwrap();
+    assert!(
+        error.contains(&mfbo_server::MAX_FRAME_BYTES.to_string()),
+        "{error}"
+    );
+    let mut rest = Vec::new();
+    assert_eq!(reader.read_to_end(&mut rest).unwrap(), 0, "closed after");
+    client
+        .expect_ok(&obj(vec![("op", Json::Str("ping".into()))]))
+        .unwrap();
+}
+
 #[test]
 fn batched_runs_complete_and_report_via_list() {
     let (mut client, _addr) = boot(4);

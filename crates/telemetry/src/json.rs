@@ -124,7 +124,7 @@ impl std::fmt::Display for Json {
 }
 
 /// Writes `s` to `out` with JSON string escaping (quotes included).
-pub fn escape_to<W: std::fmt::Write>(out: &mut W, s: &str) -> std::fmt::Result {
+fn escape_to<W: std::fmt::Write>(out: &mut W, s: &str) -> std::fmt::Result {
     out.write_char('"')?;
     for c in s.chars() {
         match c {
@@ -141,7 +141,7 @@ pub fn escape_to<W: std::fmt::Write>(out: &mut W, s: &str) -> std::fmt::Result {
 }
 
 /// Appends `s` to `out` with JSON string escaping.
-pub fn escape_into(out: &mut String, s: &str) {
+fn escape_into(out: &mut String, s: &str) {
     let _ = escape_to(out, s);
 }
 

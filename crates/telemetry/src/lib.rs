@@ -230,7 +230,7 @@ fn epoch() -> &'static (Instant, u64) {
 }
 
 /// Microseconds since the first telemetry call in this process (monotonic).
-pub fn now_us() -> u64 {
+fn now_us() -> u64 {
     epoch().0.elapsed().as_micros() as u64
 }
 

@@ -52,7 +52,7 @@ pub const NUM_BUCKETS: usize = NUM_EDGES + 1;
 ///
 /// Bucket `i < NUM_EDGES` covers `(edge[i-1], edge[i]]` (bucket 0 covers
 /// `(-inf, edge[0]]`); the final bucket covers `(edge[NUM_EDGES-1], +inf)`.
-pub fn bucket_edges() -> &'static [f64] {
+fn bucket_edges() -> &'static [f64] {
     static EDGES: std::sync::OnceLock<Vec<f64>> = std::sync::OnceLock::new();
     EDGES.get_or_init(|| {
         let mut edges = Vec::with_capacity(NUM_EDGES);
@@ -124,7 +124,7 @@ impl Histogram {
     }
 
     /// Merges `other` into `self`, adding bucket counts in index order.
-    pub fn merge(&mut self, other: &Histogram) {
+    fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -183,7 +183,8 @@ impl Histogram {
 /// Serializable aggregate view of one [`Histogram`].
 ///
 /// `buckets` holds `(bucket index, count)` pairs in index order for buckets
-/// with a nonzero count; the edge table is implied by [`bucket_edges`].
+/// with a nonzero count; the fixed log-spaced edge table shared by every
+/// histogram implies the edges.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Finite observation count.

@@ -23,7 +23,7 @@ pub struct StageStats {
 
 impl StageStats {
     /// Mean microseconds per call (0 when the stage never ran).
-    pub fn mean_us(&self) -> f64 {
+    fn mean_us(&self) -> f64 {
         if self.calls == 0 {
             0.0
         } else {
