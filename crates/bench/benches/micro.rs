@@ -2,13 +2,13 @@
 //! factorization, GP training and prediction, fusion-model prediction, and
 //! one transient PA simulation / one charge-pump corner solve.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 use mfbo::{MfGp, MfGpConfig};
 use mfbo_circuits::charge_pump::ChargePump;
 use mfbo_circuits::pa::{PaFidelity, PowerAmplifier};
 use mfbo_circuits::pvt::PvtCorner;
 use mfbo_circuits::testfns;
-use mfbo_gp::kernel::{Kernel, SquaredExponential};
+use mfbo_gp::kernel::{Kernel, NargpKernel, SquaredExponential};
 use mfbo_gp::{nlml_value_cached, nlml_with_grad, nlml_with_grad_cached, DiffBatch, Gp, GpConfig};
 use mfbo_linalg::{Cholesky, Matrix};
 use mfbo_opt::msp::MultiStart;
@@ -31,6 +31,17 @@ fn bench_cholesky(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("unblocked", n), &a, |bch, a| {
             bch.iter(|| Cholesky::new_unblocked(black_box(a)).expect("spd"))
+        });
+    }
+    // The explicit inverse of the NLML gradient: n = 20 is a PA fit's size,
+    // n = 345 the smallest subset size of the scalable-inference engine.
+    for &n in &[20usize, 100, 345] {
+        let b = Matrix::from_fn(n, n, |i, j| ((i * 31 + j * 17) % 13) as f64 / 13.0 - 0.5);
+        let mut a = b.matmul(&b.transpose());
+        a.add_diag(n as f64);
+        let chol = Cholesky::new(&a).expect("spd");
+        group.bench_with_input(BenchmarkId::new("inverse_lower", n), &chol, |bch, chol| {
+            bch.iter(|| black_box(chol).inverse_lower())
         });
     }
     group.finish();
@@ -81,7 +92,37 @@ fn bench_nlml_eval(c: &mut Criterion) {
             bch.iter(|| nlml_value_cached(black_box(&kernel), black_box(&theta), &batch, &ys))
         });
     }
+    // The fit sizes of the PA runs: SE over the 5 design variables, and the
+    // NARGP stage over 6 augmented inputs (5 design variables plus the
+    // low-fidelity mean).
+    for n in [12, 20, 28] {
+        nlml_rows(&mut group, "se_d5", n, &SquaredExponential::new(5), 5);
+    }
+    for n in [7, 12] {
+        nlml_rows(&mut group, "nargp_d6", n, &NargpKernel::new(5), 6);
+    }
     group.finish();
+}
+
+/// The `cached` and `value_only` rows of [`bench_nlml_eval`] for `kernel`
+/// over `n` points in `[0,1]^dim`.
+fn nlml_rows<K: Kernel>(group: &mut BenchmarkGroup, name: &str, n: usize, kernel: &K, dim: usize) {
+    let (xs, ys) = linalg_bench_data(n, dim);
+    let batch = DiffBatch::lower_triangle(&xs);
+    let mut theta = kernel.default_params();
+    theta.push((1e-3f64).ln());
+    group.bench_with_input(
+        BenchmarkId::new(format!("cached_{name}"), n),
+        &n,
+        |bch, _| {
+            bch.iter(|| nlml_with_grad_cached(black_box(kernel), black_box(&theta), &batch, &ys))
+        },
+    );
+    group.bench_with_input(
+        BenchmarkId::new(format!("value_only_{name}"), n),
+        &n,
+        |bch, _| bch.iter(|| nlml_value_cached(black_box(kernel), black_box(&theta), &batch, &ys)),
+    );
 }
 
 /// 256-point posterior sweep — the shape of the MSP restart scoring and MC

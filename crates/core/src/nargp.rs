@@ -298,8 +298,10 @@ impl MfGp {
     /// ([`Gp::predict_propagated_means`]), summed in sample order and
     /// divided by `S` as [`MfGp::predict`] does. `predict_batch_points`
     /// counts as for [`MfGp::predict`]: `m` for the low stage, `S` per query
-    /// for the propagation. Runs serially: its caller, the acquisition
-    /// search, is already distributed over starts.
+    /// for the propagation, the propagation's in one record per call (a
+    /// record per query would flood a debug-level trace). Runs serially:
+    /// its caller, the acquisition search, is already distributed over
+    /// starts.
     ///
     /// # Panics
     ///
@@ -314,14 +316,17 @@ impl MfGp {
             let (fs, means) = rest.split_at_mut(s);
             self.low.predict_batch_standardized_into(points, ml, vl);
             let st = self.high.standardizer();
+            let mut propagated = 0;
             for (q, (o, x)) in out.iter_mut().zip(points).enumerate() {
                 let mean = match self.samples(ml[q], vl[q], fs) {
                     None => {
+                        propagated += 1;
                         self.high
                             .predict_propagated_means(x, &ml[q..=q], &mut means[..1]);
                         means[0]
                     }
                     Some(fs) => {
+                        propagated += fs.len() as u64;
                         self.high.predict_propagated_means(x, fs, means);
                         let mut sum = 0.0;
                         for &m in &*means {
@@ -331,6 +336,9 @@ impl MfGp {
                     }
                 };
                 *o = st.inverse(mean);
+            }
+            if propagated > 0 {
+                mfbo_telemetry::counter!("predict_batch_points", propagated);
             }
         });
     }

@@ -770,6 +770,9 @@ impl Gp<NargpKernel> {
     ) -> Vec<(f64, f64)> {
         let mut out = vec![(0.0, 0.0); fs.len()];
         let n = self.len();
+        if !fs.is_empty() {
+            mfbo_telemetry::counter!("predict_batch_points", fs.len() as u64);
+        }
         self.propagated_tile(x, fs, be, |tile| {
             // The prior variance's design factors, as `eval(z, z)` takes
             // them from the `x − x` self-differences.
@@ -793,8 +796,9 @@ impl Gp<NargpKernel> {
     /// The standardized posterior means alone at the augmented inputs
     /// `(x, f)` for `f` in `fs`, into `out` in sample order: bit-identical
     /// to the `.0` of [`Gp::predict_propagated_standardized`], with no
-    /// forward solve and no allocation. Counts one `predict_batch_points`
-    /// per sample, as the full path does.
+    /// forward solve and no allocation. Unlike the full path it does not
+    /// count towards `predict_batch_points`: its caller, `MfGp::predict_means`,
+    /// counts the samples of all its queries in one record.
     ///
     /// The kernel rows of all `S` samples form one sample-major `S × n`
     /// tile whose `exp`s run in one vectorized sweep; each sample's mean is
@@ -830,9 +834,9 @@ impl Gp<NargpKernel> {
         });
     }
 
-    /// Shared set-up of the propagated paths: counts the samples, computes
-    /// the design factors of `x` once, and hands `body` the kernel rows of
-    /// every `(x, f)`, sample-major (`fs.len()` rows of `n` entries; see
+    /// Shared set-up of the propagated paths: computes the design factors
+    /// of `x` once, and hands `body` the kernel rows of every `(x, f)`,
+    /// sample-major (`fs.len()` rows of `n` entries; see
     /// `NargpScales::fidelity_tile`). All working memory is per-thread
     /// scratch.
     fn propagated_tile(
@@ -847,7 +851,6 @@ impl Gp<NargpKernel> {
         if fs.is_empty() {
             return;
         }
-        mfbo_telemetry::counter!("predict_batch_points", fs.len() as u64);
         let (n, stride) = (self.len(), self.layout.stride());
         with_scratch(2 * stride + fs.len() * n, |buf| {
             let (k2, rest) = buf.split_at_mut(stride);

@@ -49,32 +49,24 @@ pub trait Kernel: Debug + Clone + Send + Sync {
     fn eval_from_diffs(&self, p: &[f64], batch: &DiffBatch, out: &mut [f64]);
 
     /// Accumulates the weighted parameter gradient over every pair of a
-    /// difference workspace: `acc[j] += weights[q] · ∂k_q/∂p_j`, pairs in
-    /// order, parameters innermost — the exact accumulation the NLML
-    /// gradient performs pair by pair with [`Kernel::eval_grad`], so
-    /// implementations are bit-identical to it as long as they keep that
-    /// order.
+    /// difference workspace, `acc[j] += weights[q] · ∂k_q/∂p_j`, given the
+    /// kernel values of the same batch (as produced by
+    /// [`Kernel::eval_from_diffs`] under the same `p`). The NLML gradient
+    /// always evaluates the kernel matrix first, so a kernel whose
+    /// parameter gradient factors through its value (squared-exponential:
+    /// `∂k/∂log σ_f = 2k`, `∂k/∂log ℓ_i = k z_i²`) skips the per-pair `exp`.
+    ///
+    /// The contract is **bit-identity** with the pair-by-pair loop the
+    /// naive NLML gradient runs with [`Kernel::eval_grad`]: every `acc[j]`
+    /// receives the same terms `weights[q] · ∂k_q/∂p_j`, each computed by
+    /// the same expression, added in pair order. Only the interleaving
+    /// across parameters may change, which lets implementations compute
+    /// the terms in vectorized sweeps across pairs.
     ///
     /// # Panics
     ///
-    /// Implementations may panic if `weights.len() != batch.len()` or
-    /// `acc.len() != self.num_params()`.
-    fn grad_from_diffs(&self, p: &[f64], batch: &DiffBatch, weights: &[f64], acc: &mut [f64]);
-
-    /// [`Kernel::grad_from_diffs`] with the kernel values of the same batch
-    /// (as produced by [`Kernel::eval_from_diffs`] under the same `p`)
-    /// supplied by the caller. The NLML gradient always evaluates the kernel
-    /// matrix first, so kernels whose parameter gradient factors through the
-    /// kernel value (e.g. squared-exponential: `∂k/∂log σ_f = 2k`,
-    /// `∂k/∂log ℓ_i = k z_i²`) can skip the per-pair `exp` entirely. The
-    /// supplied value is the bit-exact `f64` the gradient path would have
-    /// recomputed, so overrides remain bit-identical. The default ignores
-    /// `values` and delegates to [`Kernel::grad_from_diffs`].
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `values.len() != batch.len()` or the
-    /// other slice lengths disagree as in [`Kernel::grad_from_diffs`].
+    /// Implementations may panic if `weights.len()` or `values.len()`
+    /// differs from `batch.len()`, or `acc.len() != self.num_params()`.
     fn grad_from_diffs_with_values(
         &self,
         p: &[f64],
@@ -82,11 +74,7 @@ pub trait Kernel: Debug + Clone + Send + Sync {
         weights: &[f64],
         values: &[f64],
         acc: &mut [f64],
-    ) {
-        debug_assert_eq!(values.len(), batch.len());
-        let _ = values;
-        self.grad_from_diffs(p, batch, weights, acc);
-    }
+    );
 
     /// The parameter transforms prediction reads (`σ_f²`, inverse
     /// lengthscales), which a fitted model computes once.
@@ -196,6 +184,63 @@ fn se_finish(sf2: f64, be: mfbo_simd::Backend, qs: &mut [f64]) {
     }
 }
 
+/// Pairs per block of a gradient sweep: one block's terms for [`CHAINS`]
+/// parameters (16 KB) stay in L1 until they are added, whatever the
+/// dimension.
+const PAIR_BLOCK: usize = 256;
+
+/// Parameter chains the pair-order reduction carries side by side.
+const CHAINS: usize = 8;
+
+/// The pair-swept gradient reduction behind the batch gradient hooks. For
+/// each block of up to [`PAIR_BLOCK`] pairs and each group of [`CHAINS`]
+/// parameters, `row(j, pairs, out)` writes parameter `j`'s weighted
+/// gradient terms of those pairs into `out`; then every `acc[j]` of the
+/// group adds its row in pair order. A pair's terms are independent of
+/// each other, so a row can be computed in one sweep across pairs; each
+/// parameter's running sum is one sequential chain, exactly the per-pair
+/// loop's, and the group's chains advance side by side.
+fn sweep_pairs(
+    acc: &mut [f64],
+    count: usize,
+    mut row: impl FnMut(usize, std::ops::Range<usize>, &mut [f64]),
+) {
+    let block = count.min(PAIR_BLOCK);
+    crate::scratch::with_scratch(CHAINS * block, |buf| {
+        let mut q0 = 0;
+        while q0 < count {
+            let len = (count - q0).min(block);
+            for (g, accs) in acc.chunks_mut(CHAINS).enumerate() {
+                let terms = &mut buf[..accs.len() * len];
+                for (c, out) in terms.chunks_exact_mut(len).enumerate() {
+                    row(g * CHAINS + c, q0..q0 + len, out);
+                }
+                add_rows(accs, terms, len);
+            }
+            q0 += len;
+        }
+    });
+}
+
+/// `acc[c] += rows[c*len + q]` for `q = 0..len` ascending, the
+/// `acc.len() ≤ CHAINS` chains interleaved in registers. Chains past
+/// `acc.len()` re-add the first row and are dropped, so the loop always
+/// runs all [`CHAINS`].
+fn add_rows(acc: &mut [f64], rows: &[f64], len: usize) {
+    let mut a = [0.0; CHAINS];
+    a[..acc.len()].copy_from_slice(acc);
+    let r: [&[f64]; CHAINS] = std::array::from_fn(|c| {
+        let c = if c < acc.len() { c } else { 0 };
+        &rows[c * len..(c + 1) * len]
+    });
+    for q in 0..len {
+        for (ac, rc) in a.iter_mut().zip(&r) {
+            *ac += rc[q];
+        }
+    }
+    acc.copy_from_slice(&a[..acc.len()]);
+}
+
 impl Kernel for SquaredExponential {
     fn input_dim(&self) -> usize {
         self.dim
@@ -256,31 +301,6 @@ impl Kernel for SquaredExponential {
         se_finish(sf2, be, out);
     }
 
-    fn grad_from_diffs(&self, p: &[f64], batch: &DiffBatch, weights: &[f64], acc: &mut [f64]) {
-        debug_assert_eq!(weights.len(), batch.len());
-        debug_assert_eq!(acc.len(), self.num_params());
-        debug_assert_eq!(batch.dim(), self.dim);
-        let SeScales { sf2, inv_l } = self.scales(p);
-        // One scratch for the whole batch instead of `eval_grad`'s
-        // per-pair allocation.
-        let mut z2 = vec![0.0; self.dim];
-        // Vectorized across dimensions within each pair; the per-pair
-        // accumulation into `acc` keeps the pair order of `eval_grad`, so
-        // every partial sum matches it bit for bit.
-        let (be, _) = batch.simd_rows();
-        let (acc0, accl) = acc.split_at_mut(1);
-        for (d, &w) in batch.diffs().chunks_exact(self.dim).zip(weights.iter()) {
-            mfbo_simd::z2_into(be, d, &inv_l, &mut z2);
-            let mut q = 0.0;
-            for &z2i in &z2 {
-                q += z2i;
-            }
-            let k = sf2 * exp(-0.5 * q);
-            acc0[0] += w * (2.0 * k);
-            mfbo_simd::accum_scaled(be, accl, &z2, k, w);
-        }
-    }
-
     fn grad_from_diffs_with_values(
         &self,
         p: &[f64],
@@ -294,21 +314,23 @@ impl Kernel for SquaredExponential {
         debug_assert_eq!(acc.len(), self.num_params());
         debug_assert_eq!(batch.dim(), self.dim);
         // The SE gradient factors through the kernel value (`2k` and
-        // `k z_i²`), and `values[q]` is the bit-exact `k` the pair loop of
-        // `grad_from_diffs` would recompute — so the per-pair `exp`
-        // disappears and only the `z_i²` products remain.
+        // `k z_t²`), and `values[q]` is the bit-exact `k` of `eval_grad`, so
+        // no `exp` remains: each term is `eval_grad`'s product times the
+        // weight, swept across pairs over the dimension-major rows.
         let inv_l = self.scales(p).inv_l;
-        let (be, _) = batch.simd_rows();
-        let (acc0, accl) = acc.split_at_mut(1);
-        for ((d, &w), &k) in batch
-            .diffs()
-            .chunks_exact(self.dim)
-            .zip(weights.iter())
-            .zip(values.iter())
-        {
-            acc0[0] += w * (2.0 * k);
-            mfbo_simd::accum_weighted_sq(be, accl, d, &inv_l, k, w);
-        }
+        let (be, rows) = batch.simd_rows();
+        let count = batch.len();
+        sweep_pairs(acc, count, |j, pairs, out| {
+            let (w, k) = (&weights[pairs.clone()], &values[pairs.clone()]);
+            if j == 0 {
+                for ((o, &w), &k) in out.iter_mut().zip(w).zip(k) {
+                    *o = w * (2.0 * k);
+                }
+            } else {
+                let d = &rows[(j - 1) * count..][pairs];
+                mfbo_simd::sq_terms(be, d, inv_l[j - 1], k, w, out);
+            }
+        });
     }
 
     type Scales = SeScales;
@@ -427,6 +449,31 @@ impl NargpScales {
         self.sf2_1 * exp(-0.5 * (zf * zf)) * k2 + k3
     }
 
+    /// The component values `k1`, `k2`, `k3` of every pair of a difference
+    /// batch, from its `count`-pair dimension-major `rows` (the design
+    /// dimensions, then the fidelity channel): one `sq_norm` sweep and one
+    /// vectorized finish per component, each entry the bits `eval` computes
+    /// for that pair. `sq_norm` over the single fidelity dimension yields
+    /// `0.0 + z_f²`, which is bit-identical to `eval`'s bare `z_f · z_f` (a
+    /// square is never -0.0).
+    fn pair_components(
+        &self,
+        be: mfbo_simd::Backend,
+        rows: &[f64],
+        count: usize,
+        k1: &mut [f64],
+        k2: &mut [f64],
+        k3: &mut [f64],
+    ) {
+        let (design, fid) = rows.split_at(self.inv_l2.len() * count);
+        mfbo_simd::sq_norm(be, fid, count, &[self.inv_l1], k1);
+        mfbo_simd::sq_norm(be, design, count, &self.inv_l2, k2);
+        mfbo_simd::sq_norm(be, design, count, &self.inv_l3, k3);
+        se_finish(self.sf2_1, be, k1);
+        se_finish(self.sf2_2, be, k2);
+        se_finish(self.sf2_3, be, k3);
+    }
+
     /// The design factors `k2(x, x_j)` and `k3(x, x_j)` of design point `x`
     /// against every point of `layout` (whose first `d` rows are the design
     /// columns), into `k2` and `k3` (`layout.stride()` entries each): one
@@ -542,77 +589,81 @@ impl Kernel for NargpKernel {
     fn eval_from_diffs(&self, p: &[f64], batch: &DiffBatch, out: &mut [f64]) {
         debug_assert_eq!(out.len(), batch.len());
         debug_assert_eq!(batch.dim(), self.input_dim());
-        let d = self.design_dim;
-        // All three components are SE: hoist every parameter transform.
+        // All three components are SE: hoist every parameter transform,
+        // then sweep each component across all pairs.
         let s = self.scales(p);
-        // The augmented layout is (x_1 … x_d, f), so the dim-major rows
-        // split cleanly into the design-space block (dimensions 0..d) and
-        // the fidelity channel (dimension d), and each SE component is one
-        // `sq_norm` sweep across all pairs. `sq_norm` with a single
-        // dimension yields `0.0 + z_f²`, which is bit-identical to `eval`'s
-        // bare `z_f · z_f` (a square is never -0.0).
         let (be, rows) = batch.simd_rows();
         let count = batch.len();
-        let (design_rows, fid_row) = rows.split_at(d * count);
-        let mut k1 = vec![0.0; count];
-        let mut k3 = vec![0.0; count];
-        mfbo_simd::sq_norm(be, fid_row, count, &[s.inv_l1], &mut k1);
-        mfbo_simd::sq_norm(be, design_rows, count, &s.inv_l3, &mut k3);
-        mfbo_simd::sq_norm(be, design_rows, count, &s.inv_l2, out);
-        se_finish(s.sf2_1, be, &mut k1);
-        se_finish(s.sf2_2, be, out);
-        se_finish(s.sf2_3, be, &mut k3);
-        for ((o, &k1v), &k3v) in out.iter_mut().zip(&k1).zip(&k3) {
-            *o = k1v * *o + k3v;
-        }
+        crate::scratch::with_scratch(2 * count, |buf| {
+            let (k1, k3) = buf.split_at_mut(count);
+            s.pair_components(be, rows, count, k1, out, k3);
+            for ((o, &k1v), &k3v) in out.iter_mut().zip(&*k1).zip(&*k3) {
+                *o = k1v * *o + k3v;
+            }
+        });
     }
 
-    fn grad_from_diffs(&self, p: &[f64], batch: &DiffBatch, weights: &[f64], acc: &mut [f64]) {
+    fn grad_from_diffs_with_values(
+        &self,
+        p: &[f64],
+        batch: &DiffBatch,
+        weights: &[f64],
+        values: &[f64],
+        acc: &mut [f64],
+    ) {
         debug_assert_eq!(weights.len(), batch.len());
+        debug_assert_eq!(values.len(), batch.len());
         debug_assert_eq!(acc.len(), self.num_params());
         debug_assert_eq!(batch.dim(), self.input_dim());
-        let d = self.design_dim;
-        let n1 = self.k1.num_params();
-        let n2 = self.k2.num_params();
-        let NargpScales {
-            sf2_1,
-            inv_l1,
-            sf2_2,
-            inv_l2,
-            sf2_3,
-            inv_l3,
-        } = self.scales(p);
-        let mut z2_2 = vec![0.0; d];
-        let mut z2_3 = vec![0.0; d];
-        // Vectorized across design dimensions within each pair, scalar over
-        // the single fidelity channel. The product rule runs exactly as in
-        // `eval_grad`: component gradients first, then the cross-scaling,
-        // then the weighted accumulation in pair order — each product
-        // parenthesized the way `eval_grad` computes it.
-        let (be, _) = batch.simd_rows();
-        for (df, &w) in batch.diffs().chunks_exact(d + 1).zip(weights.iter()) {
-            let zf = df[d] * inv_l1;
-            let z2f = zf * zf;
-            let k1v = sf2_1 * exp(-0.5 * z2f);
-            mfbo_simd::z2_into(be, &df[..d], &inv_l2, &mut z2_2);
-            let mut q2 = 0.0;
-            for &v in &z2_2 {
-                q2 += v;
-            }
-            let k2v = sf2_2 * exp(-0.5 * q2);
-            mfbo_simd::z2_into(be, &df[..d], &inv_l3, &mut z2_3);
-            let mut q3 = 0.0;
-            for &v in &z2_3 {
-                q3 += v;
-            }
-            let k3v = sf2_3 * exp(-0.5 * q3);
-            acc[0] += w * ((2.0 * k1v) * k2v);
-            acc[1] += w * ((k1v * z2f) * k2v);
-            acc[n1] += w * ((2.0 * k2v) * k1v);
-            mfbo_simd::accum_scaled2(be, &mut acc[n1 + 1..n1 + 1 + d], &z2_2, k2v, k1v, w);
-            acc[n1 + n2] += w * (2.0 * k3v);
-            mfbo_simd::accum_scaled(be, &mut acc[n1 + n2 + 1..], &z2_3, k3v, w);
-        }
+        // The product rule needs the component values k1, k2, k3, not the
+        // combined `values`: they are recomputed with the sweeps of
+        // `eval_from_diffs`, whose bits match `eval_grad`'s per pair.
+        let s = self.scales(p);
+        let (be, rows) = batch.simd_rows();
+        let count = batch.len();
+        let (design_rows, fid_row) = rows.split_at(self.design_dim * count);
+        crate::scratch::with_scratch(3 * count, |buf| {
+            let (k1, rest) = buf.split_at_mut(count);
+            let (k2, k3) = rest.split_at_mut(count);
+            s.pair_components(be, rows, count, k1, k2, k3);
+            // The terms of `eval_grad`'s product rule, parenthesized as it
+            // computes them: `[2k1·k2, (k1 z_f²)·k2]` for θ1, `[2k2·k1,
+            // (k2 z_t²)·k1 …]` for θ2 and `[2k3, k3 z_t² …]` for θ3.
+            let d = self.design_dim;
+            sweep_pairs(acc, count, |j, pairs, out| {
+                let w = &weights[pairs.clone()];
+                let (k1, k2, k3) = (&k1[pairs.clone()], &k2[pairs.clone()], &k3[pairs.clone()]);
+                let design = |t: usize| &design_rows[t * count..][pairs.clone()];
+                match j {
+                    0 => {
+                        for (((o, &w), &a), &b) in out.iter_mut().zip(w).zip(k1).zip(k2) {
+                            *o = w * ((2.0 * a) * b);
+                        }
+                    }
+                    1 => {
+                        mfbo_simd::sq_terms2(be, &fid_row[pairs.clone()], s.inv_l1, k1, k2, w, out)
+                    }
+                    2 => {
+                        for (((o, &w), &a), &b) in out.iter_mut().zip(w).zip(k2).zip(k1) {
+                            *o = w * ((2.0 * a) * b);
+                        }
+                    }
+                    j if j < 3 + d => {
+                        let t = j - 3;
+                        mfbo_simd::sq_terms2(be, design(t), s.inv_l2[t], k2, k1, w, out);
+                    }
+                    j if j == 3 + d => {
+                        for ((o, &w), &a) in out.iter_mut().zip(w).zip(k3) {
+                            *o = w * (2.0 * a);
+                        }
+                    }
+                    j => {
+                        let t = j - 4 - d;
+                        mfbo_simd::sq_terms(be, design(t), s.inv_l3[t], k3, w, out);
+                    }
+                }
+            });
+        });
     }
 
     type Scales = NargpScales;
@@ -931,8 +982,6 @@ mod tests {
         let weights: Vec<f64> = (0..batch.len())
             .map(|q| (q as f64 * 0.37).sin() - 0.3)
             .collect();
-        let mut acc_fast = vec![0.0; k.num_params()];
-        k.grad_from_diffs(p, &batch, &weights, &mut acc_fast);
         let mut acc_ref = vec![0.0; k.num_params()];
         let mut kg = vec![0.0; k.num_params()];
         for (&w, &(a, b)) in weights.iter().zip(&pairs) {
@@ -941,15 +990,12 @@ mod tests {
                 *g += w * dk;
             }
         }
+        // The gradient hook, fed the eval-pass output as the cached NLML
+        // feeds it.
+        let mut acc_fast = vec![0.0; k.num_params()];
+        k.grad_from_diffs_with_values(p, &batch, &weights, &fast, &mut acc_fast);
         for (j, (f, r)) in acc_fast.iter().zip(&acc_ref).enumerate() {
             assert_eq!(f.to_bits(), r.to_bits(), "grad param {j}");
-        }
-        // Values-supplied gradient variant (fed the eval-pass output, as the
-        // cached NLML does) must match the same reference.
-        let mut acc_vals = vec![0.0; k.num_params()];
-        k.grad_from_diffs_with_values(p, &batch, &weights, &fast, &mut acc_vals);
-        for (j, (f, r)) in acc_vals.iter().zip(&acc_ref).enumerate() {
-            assert_eq!(f.to_bits(), r.to_bits(), "grad-with-values param {j}");
         }
     }
 
@@ -962,6 +1008,17 @@ mod tests {
                     .collect()
             })
             .collect();
+        // 23 points in 10 dimensions: 276 pairs (more than one pair block)
+        // and 11 or 22 parameters (more than one group of reduction chains).
+        let wide: Vec<Vec<f64>> = (0..23)
+            .map(|i| {
+                (0..10)
+                    .map(|t| ((i * 7 + t * 5) % 13) as f64 / 13.0)
+                    .collect()
+            })
+            .collect();
+        let p_se: Vec<f64> = (0..11).map(|j| 0.2 * (j as f64).cos() - 0.3).collect();
+        let p_nargp: Vec<f64> = (0..22).map(|j| 0.3 * (j as f64).sin() - 0.2).collect();
         for be in BACKENDS {
             check_batch_bit_identity(&SquaredExponential::new(3), &[0.3, -0.5, 0.2, 0.9], &xs, be);
             check_batch_bit_identity(
@@ -970,6 +1027,8 @@ mod tests {
                 &xs,
                 be,
             );
+            check_batch_bit_identity(&SquaredExponential::new(10), &p_se, &wide, be);
+            check_batch_bit_identity(&NargpKernel::new(9), &p_nargp, &wide, be);
         }
     }
 

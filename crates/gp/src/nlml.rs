@@ -161,13 +161,14 @@ pub fn nlml_with_grad<K: Kernel>(
 /// fits over the same inputs): the value half [`nlml_value_cached`] followed by the gradient half
 /// [`nlml_grad_cached`].
 ///
-/// Bit-identical to the naive path: the trace weights `Wᵢⱼ` are computed in
-/// the same lower-triangle order and handed to
-/// [`Kernel::grad_from_diffs_with_values`] (together with the kernel values
-/// the eval pass already produced), whose accumulation contract matches the
-/// naive pair-by-pair loop exactly. The noise-slot gradient is a separate
-/// accumulator, so summing it over the diagonal afterwards reproduces the
-/// naive interleaved order bit for bit.
+/// Bit-identical to the naive path: the trace weights `Wᵢⱼ` are the same
+/// expressions of the same `K⁻¹` entries (the lane-group inverse
+/// [`Cholesky::inverse_lower_each`] reproduces them bit for bit), and
+/// [`Kernel::grad_from_diffs_with_values`] (fed the kernel values the eval
+/// pass already produced) adds every parameter's terms in the naive loop's
+/// pair order. The noise-slot gradient is a separate accumulator, so
+/// summing it over the diagonal afterwards reproduces the naive interleaved
+/// order bit for bit.
 ///
 /// # Panics
 ///
@@ -184,8 +185,10 @@ pub fn nlml_with_grad_cached<K: Kernel>(
 }
 
 /// What the gradient half of the NLML needs from its value half: the raw
-/// (noise-free) lower-triangle kernel values, the Cholesky factor of the
-/// noisy kernel matrix and `α = K⁻¹ y`.
+/// (noise-free) lower-triangle kernel values, which the gradient hook reads
+/// instead of recomputing them, the Cholesky factor of the noisy kernel
+/// matrix, from which the gradient solves the lower triangle of `K⁻¹`, and
+/// `α = K⁻¹ y`.
 #[derive(Debug)]
 pub struct NlmlFactor {
     kv: Vec<f64>,
@@ -238,6 +241,12 @@ pub fn nlml_value_cached<K: Kernel>(
 /// `theta`, finished from the factor [`nlml_value_cached`] returned for the
 /// same `theta`. A missing factor (singular kernel matrix) gives zeros.
 ///
+/// The trace weights `W = K⁻¹ − ααᵀ` are written in lower-triangle pair
+/// order straight from the SIMD lanes of [`Cholesky::inverse_lower_each`],
+/// which solves four vectors of `K⁻¹`'s columns at a time; no `n × n`
+/// matrix is built. The kernel's gradient hook then sweeps its terms
+/// across pairs. Both run on the batch's backend.
+///
 /// # Panics
 ///
 /// Panics if `theta.len() != kernel.num_params() + 1`.
@@ -254,24 +263,17 @@ pub fn nlml_grad_cached<K: Kernel>(
         return grad;
     };
     let (kp, log_noise) = theta.split_at(np);
-    let n = alpha.len();
-    // W = K⁻¹ − α αᵀ (symmetric), flattened in lower-triangle pair order
-    // (diagonal entries carry the ½ trace factor). Only the lower triangle
-    // of K⁻¹ is read, so the early-stopped inverse suffices — its computed
-    // entries are bit-identical to the full inverse.
-    let kinv = chol.inverse_lower();
+    // W = K⁻¹ − α αᵀ in lower-triangle pair order, the diagonal entries
+    // carrying the ½ trace factor, written straight from the lane-group
+    // inverse (whose lower-triangle entries are the bits of the full one).
     let mut weights = vec![0.0; batch.len()];
-    let mut q = 0;
-    for i in 0..n {
-        for j in 0..=i {
-            let w = kinv[(i, j)] - alpha[i] * alpha[j];
-            weights[q] = if i == j { 0.5 * w } else { w };
-            q += 1;
-        }
-    }
+    chol.inverse_lower_each(batch.simd_rows().0, |i, j, v| {
+        let w = v - alpha[i] * alpha[j];
+        weights[i * (i + 1) / 2 + j] = if i == j { 0.5 * w } else { w };
+    });
     kernel.grad_from_diffs_with_values(kp, batch, &weights, &kv, &mut grad[..np]);
     let sn2 = mfbo_simd::exp(2.0 * log_noise[0]);
-    for i in 0..n {
+    for i in 0..alpha.len() {
         // Diagonal pair (i, i) sits at lower-triangle index i(i+3)/2.
         let weight = weights[i * (i + 3) / 2];
         grad[np] += weight * 2.0 * sn2;
@@ -354,18 +356,67 @@ mod tests {
         }
     }
 
+    /// The cached path — value half, lane-group inverse, pair-swept
+    /// gradient hook — against the naive `nlml_with_grad` bit for bit, for
+    /// both kernels, on every backend, at point counts that do and do not
+    /// fill whole lane groups and pair blocks.
     #[test]
     fn cached_path_bit_identical_to_naive() {
-        let (xs, ys) = toy_data();
-        let k = SquaredExponential::new(1);
-        let batch = DiffBatch::lower_triangle(&xs);
-        for theta in [[0.2, -0.8, -1.5], [0.0, -1.0, -3.0], [1.0, 0.5, -2.0]] {
-            let (nv, ng) = nlml_with_grad(&k, &theta, &xs, &ys);
-            let (cv, cg) = nlml_with_grad_cached(&k, &theta, &batch, &ys);
-            assert_eq!(nv.to_bits(), cv.to_bits());
-            for (a, b) in ng.iter().zip(&cg) {
-                assert_eq!(a.to_bits(), b.to_bits());
+        const BACKENDS: [mfbo_simd::Backend; 3] = [
+            mfbo_simd::Backend::Scalar,
+            mfbo_simd::Backend::Avx2,
+            mfbo_simd::Backend::Neon,
+        ];
+        // Augmented inputs (x_1, x_2, f): the SE kernel reads all three.
+        let data = |n: usize| {
+            let xs: Vec<Vec<f64>> = (0..n)
+                .map(|i| {
+                    let x = (i as f64 * 0.618).fract();
+                    let y = (i as f64 * 0.414 + 0.2).fract();
+                    vec![x, y, (5.0 * x).sin() + y]
+                })
+                .collect();
+            let ys: Vec<f64> = xs
+                .iter()
+                .map(|z| (4.0 * z[0]).sin() * z[2] + z[1])
+                .collect();
+            (xs, ys)
+        };
+        fn check<K: Kernel>(k: &K, theta: &[f64], xs: &[Vec<f64>], ys: &[f64]) {
+            let (nv, ng) = nlml_with_grad(k, theta, xs, ys);
+            for be in BACKENDS {
+                let batch = DiffBatch::lower_triangle_with_backend(xs, be);
+                let (cv, cg) = nlml_with_grad_cached(k, theta, &batch, ys);
+                assert_eq!(
+                    nv.to_bits(),
+                    cv.to_bits(),
+                    "value, n = {}, {be:?}",
+                    xs.len()
+                );
+                for (j, (a, b)) in ng.iter().zip(&cg).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "param {j}, n = {}, {be:?}",
+                        xs.len()
+                    );
+                }
             }
+        }
+        let se = SquaredExponential::new(3);
+        let nargp = NargpKernel::new(2);
+        for n in [1, 2, 3, 4, 5, 7, 9, 13, 28, 33] {
+            let (xs, ys) = data(n);
+            for theta in [[0.2, -0.8, -0.5, 0.1, -1.5], [0.0, -1.0, -2.0, 0.3, -3.0]] {
+                check(&se, &theta, &xs, &ys);
+            }
+            let mut theta = nargp.default_params();
+            theta.push(-2.0);
+            check(&nargp, &theta, &xs, &ys);
+            let theta: Vec<f64> = (0..theta.len())
+                .map(|j| 0.3 * (j as f64).sin() - 0.4)
+                .collect();
+            check(&nargp, &theta, &xs, &ys);
         }
     }
 

@@ -115,8 +115,49 @@ mod bit_identity {
         Ok(())
     }
 
+    /// Deterministic pseudo-random SPD matrix `B Bᵀ + n·I` seeded per case:
+    /// a strategy-generated matrix at the largest sizes would dominate
+    /// runtime, and the entries' exact distribution is irrelevant to the
+    /// indexing paths under test.
+    fn seeded_spd(n: usize, seed: u64) -> Matrix {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let b = Matrix::from_fn(n, n, |_, _| next());
+        let mut a = b.matmul(&b.transpose());
+        a.add_diag(n as f64);
+        a
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The lane-group inverse under every constructible backend, scalar
+        /// included, against the per-column `inverse_into` solves on the
+        /// lower triangle, at sizes that are and are not a multiple of the
+        /// lane count (a last group of one column included): every entry
+        /// is handed over exactly once, column by column.
+        #[test]
+        fn bit_identity_inverse_lanes_match_per_column_solves(
+            n in 1usize..65,
+            seed in 0u64..u64::MAX,
+        ) {
+            let chol = Cholesky::new(&seeded_spd(n, seed)).unwrap();
+            let full = chol.inverse();
+            for be in [mfbo_simd::Backend::Scalar, mfbo_simd::Backend::Avx2, mfbo_simd::Backend::Neon] {
+                let mut seen = Vec::with_capacity(n * (n + 1) / 2);
+                chol.inverse_lower_each(be, |i, j, v| seen.push((i, j, v.to_bits())));
+                let want: Vec<(usize, usize, u64)> = (0..n)
+                    .flat_map(|j| (j..n).map(move |i| (i, j)))
+                    .map(|(i, j)| (i, j, full[(i, j)].to_bits()))
+                    .collect();
+                prop_assert_eq!(seen, want, "{:?}", be);
+            }
+        }
 
         /// At a size past the panel width, so the dispatched fold kernels
         /// engage: the blocked factor matches the unblocked reference and
@@ -141,20 +182,7 @@ mod bit_identity {
             seed in 0u64..u64::MAX,
         ) {
             let n = [47usize, 48, 49, 53, 89, 95, 96, 97, 101][size_idx];
-            // Deterministic pseudo-random SPD matrix seeded per case: a
-            // strategy-generated matrix at the largest size would dominate
-            // runtime, and the entries' exact distribution is irrelevant to
-            // the indexing paths under test.
-            let mut state = seed | 1;
-            let mut next = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-            };
-            let b = Matrix::from_fn(n, n, |_, _| next());
-            let mut a = b.matmul(&b.transpose());
-            a.add_diag(n as f64);
+            let a = seeded_spd(n, seed);
             let blocked = Cholesky::new(&a).unwrap();
             let reference = Cholesky::new_unblocked(&a).unwrap();
             assert_bits_eq(blocked.factor().as_slice(), reference.factor().as_slice())?;

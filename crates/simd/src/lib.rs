@@ -1,8 +1,10 @@
 //! Bit-exact vectorized micro-kernels with runtime CPU dispatch.
 //!
 //! The GP hot loops (pairwise kernel sweeps, the blocked-Cholesky trailing
-//! update, batched forward substitutions) are straight-line floating-point
-//! code whose cost is dominated by instruction throughput. This crate provides
+//! update, lane-interleaved triangular solves for batched posteriors and
+//! for the NLML gradient's explicit inverse, the gradient's per-pair terms)
+//! are straight-line floating-point code whose cost is dominated by
+//! instruction throughput. This crate provides
 //! SIMD implementations of those inner loops that are **bit-identical** to
 //! the portable scalar reference in [`scalar`], which is what lets them sit
 //! underneath the repository's reproducibility contract (golden trajectory
@@ -16,8 +18,9 @@
 //!
 //! - Vectorize **across independent entries** (pairs of a [`sq_norm`] batch,
 //!   elements of a [`fold_cols`] column, right-hand sides of a
-//!   [`forward_solve_interleaved`]). Each lane then executes exactly the
-//!   scalar operation sequence for its entry.
+//!   [`forward_solve_interleaved`] or [`back_solve_interleaved`], such as
+//!   the identity columns of an inverse). Each lane then executes exactly
+//!   the scalar operation sequence for its entry.
 //! - Keep every per-entry reduction (the `Σ_t z_t²` of one kernel pair, the
 //!   `Σ_k L[i][k]·z[k]` of one solve row) **sequential in ascending order**,
 //!   never tree- or lane-reduced.
@@ -278,54 +281,48 @@ pub fn sq_dist(be: Backend, q: &[f64], xt: &[f64], inv_l: &[f64], out: &mut [f64
 /// up to it leaves [`sq_dist`] no scalar tail on any backend.
 pub const PAD: usize = 4;
 
-/// Elementwise scaled squares: `out[i] = (d[i]·inv_l[i])²` — the `z_i²`
-/// terms of one kernel pair's ARD gradient.
+/// Weighted ARD gradient terms of one dimension across independent pairs:
+/// `out[q] = w[q] · (a[q] · (z·z))` with `z = d[q]·inv_l` — the SE
+/// lengthscale term `w·(k·z_t²)` of every pair, with `d` the pairs'
+/// differences in dimension `t` (one dimension-major row) and `a` their
+/// kernel values, parenthesized exactly as the per-pair gradient computes
+/// it.
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths differ.
-pub fn z2_into(be: Backend, d: &[f64], inv_l: &[f64], out: &mut [f64]) {
-    assert_eq!(d.len(), inv_l.len(), "z2_into shape mismatch");
-    assert_eq!(out.len(), d.len(), "z2_into output length mismatch");
-    dispatch!(be, z2_into(d, inv_l, out));
+pub fn sq_terms(be: Backend, d: &[f64], inv_l: f64, a: &[f64], w: &[f64], out: &mut [f64]) {
+    let n = out.len();
+    assert!(
+        d.len() == n && a.len() == n && w.len() == n,
+        "sq_terms shape mismatch"
+    );
+    dispatch!(be, sq_terms(d, inv_l, a, w, out));
 }
 
-/// Weighted gradient accumulation `acc[i] += w · (k · z2[i])` — the SE
-/// lengthscale gradient of one pair, parenthesized exactly as the scalar
-/// path computes it.
+/// [`sq_terms`] with a cross factor: `out[q] = w[q] · ((a[q] · (z·z)) ·
+/// b[q])` — the product-rule shape of the NARGP `k1·k2` term's
+/// lengthscale gradients (`a` the owning component's values, `b` the
+/// other component's).
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths differ.
-pub fn accum_scaled(be: Backend, acc: &mut [f64], z2: &[f64], k: f64, w: f64) {
-    assert_eq!(acc.len(), z2.len(), "accum_scaled shape mismatch");
-    dispatch!(be, accum_scaled(acc, z2, k, w));
-}
-
-/// Weighted cross-term gradient accumulation
-/// `acc[i] += w · ((a · z2[i]) · b)` — the product-rule shape of the NARGP
-/// `k2` lengthscale gradients (`a` the owning component value, `b` the
-/// cross-scaling component value).
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-pub fn accum_scaled2(be: Backend, acc: &mut [f64], z2: &[f64], a: f64, b: f64, w: f64) {
-    assert_eq!(acc.len(), z2.len(), "accum_scaled2 shape mismatch");
-    dispatch!(be, accum_scaled2(acc, z2, a, b, w));
-}
-
-/// Fused weighted-square gradient accumulation
-/// `acc[i] += w · (k · ((d[i]·inv_l[i]) · (d[i]·inv_l[i])))` — the
-/// values-supplied SE gradient of one pair without materializing `z²`.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-pub fn accum_weighted_sq(be: Backend, acc: &mut [f64], d: &[f64], inv_l: &[f64], k: f64, w: f64) {
-    assert_eq!(acc.len(), d.len(), "accum_weighted_sq shape mismatch");
-    assert_eq!(inv_l.len(), d.len(), "accum_weighted_sq shape mismatch");
-    dispatch!(be, accum_weighted_sq(acc, d, inv_l, k, w));
+pub fn sq_terms2(
+    be: Backend,
+    d: &[f64],
+    inv_l: f64,
+    a: &[f64],
+    b: &[f64],
+    w: &[f64],
+    out: &mut [f64],
+) {
+    let n = out.len();
+    assert!(
+        d.len() == n && a.len() == n && b.len() == n && w.len() == n,
+        "sq_terms2 shape mismatch"
+    );
+    dispatch!(be, sq_terms2(d, inv_l, a, b, w, out));
 }
 
 /// Multi-column axpy fold `dst[i] -= src[off + i] · m` for every
@@ -346,37 +343,90 @@ pub fn fold_cols(be: Backend, dst: &mut [f64], src: &[f64], cols: &[(usize, f64)
     dispatch!(be, fold_cols(dst, src, cols));
 }
 
-/// Interleaved multi-RHS forward substitution: solves `L z = b` for
-/// `be.lanes()` right-hand sides stored lane-interleaved
-/// (`b[i*lanes + c]` is row `i` of RHS `c`), each lane executing exactly
-/// the scalar single-RHS operation sequence. `l` is the row-major `n × n`
-/// lower-triangular factor.
+/// Interleaved multi-RHS forward substitution from row `start`: solves
+/// rows `start..n` of `L z = b` for `width` right-hand sides stored
+/// lane-interleaved (`b[r*width + c]` is row `start + r` of RHS `c`), with
+/// the reduction of row `i` running over `k = start..i` — the full solve
+/// when `start == 0`, and the identity-column solve of an inverse otherwise
+/// (the rows of an identity column's solution above its `1` are exactly
+/// `+0.0`, so skipping them changes no bit). Each lane executes exactly the
+/// scalar single-RHS operation sequence. `l` is the row-major `n × n`
+/// lower-triangular factor. `width` is one or four vectors of the backend
+/// ([`Backend::lanes`] or four times that); with four, each row's
+/// reduction runs as four independent chains.
 ///
 /// # Panics
 ///
-/// Panics if `l.len() != n*n` or the RHS/output lengths are not
-/// `n * be.lanes()`.
-pub fn forward_solve_interleaved(be: Backend, l: &[f64], n: usize, b: &[f64], out: &mut [f64]) {
-    let lanes = be.lanes();
+/// Panics if `l.len() != n*n`, `start > n`, `width` is not one or four
+/// vectors, or the RHS/output lengths are not `(n - start) * width`.
+pub fn forward_solve_interleaved(
+    be: Backend,
+    l: &[f64],
+    n: usize,
+    start: usize,
+    width: usize,
+    b: &[f64],
+    out: &mut [f64],
+) {
     assert_eq!(l.len(), n * n, "forward_solve_interleaved factor mismatch");
-    assert_eq!(b.len(), n * lanes, "forward_solve_interleaved rhs mismatch");
-    assert_eq!(
-        out.len(),
-        n * lanes,
-        "forward_solve_interleaved out mismatch"
+    assert!(
+        start <= n,
+        "forward_solve_interleaved start past the factor"
     );
-    match be {
-        Backend::Scalar => scalar::forward_solve_interleaved(l, n, 1, b, out),
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 if avx2_fma() =>
-        // SAFETY: AVX2 availability confirmed by the guard.
-        unsafe { avx2::forward_solve_interleaved(l, n, b, out) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon if std::arch::is_aarch64_feature_detected!("neon") =>
-        // SAFETY: NEON availability confirmed by the guard.
-        unsafe { neon::forward_solve_interleaved(l, n, b, out) },
-        _ => scalar::forward_solve_interleaved(l, n, lanes, b, out),
-    }
+    check_solve_width(be, width);
+    let len = (n - start) * width;
+    assert_eq!(b.len(), len, "forward_solve_interleaved rhs mismatch");
+    assert_eq!(out.len(), len, "forward_solve_interleaved out mismatch");
+    dispatch!(be, forward_solve_interleaved(l, n, start, width, b, out));
+}
+
+/// Interleaved multi-RHS back substitution down to row `stop`: solves rows
+/// `stop..n` of `Lᵀ x = b` for `width` lane-interleaved right-hand sides
+/// (`b[r*width + c]` is row `stop + r` of RHS `c`; `width` as for
+/// [`forward_solve_interleaved`]), from row `n − 1` down. Row `i` reads
+/// only rows below it in the solution vector (`k = i+1..n`, subtracted in
+/// ascending order), so each lane's rows `≥ stop` are the bits of the full
+/// scalar solve. `cols` holds `L` in packed column-major storage: column
+/// `j`, `L[j..n][j]`, starts at `j·(2n − j + 1)/2`.
+///
+/// # Panics
+///
+/// Panics if `cols.len() != n(n+1)/2`, `stop > n`, `width` is not one or
+/// four vectors, or the RHS/output lengths are not `(n - stop) * width`.
+pub fn back_solve_interleaved(
+    be: Backend,
+    cols: &[f64],
+    n: usize,
+    stop: usize,
+    width: usize,
+    b: &[f64],
+    out: &mut [f64],
+) {
+    assert_eq!(
+        cols.len(),
+        n * (n + 1) / 2,
+        "back_solve_interleaved factor mismatch"
+    );
+    assert!(stop <= n, "back_solve_interleaved stop past the factor");
+    check_solve_width(be, width);
+    let len = (n - stop) * width;
+    assert_eq!(b.len(), len, "back_solve_interleaved rhs mismatch");
+    assert_eq!(out.len(), len, "back_solve_interleaved out mismatch");
+    dispatch!(be, back_solve_interleaved(cols, n, stop, width, b, out));
+}
+
+/// Checks that an interleaved solve of `width` right-hand sides spans one
+/// or four of `be`'s vectors.
+///
+/// # Panics
+///
+/// Panics for any other `width`.
+fn check_solve_width(be: Backend, width: usize) {
+    let lanes = be.lanes();
+    assert!(
+        width == lanes || width == 4 * lanes,
+        "interleaved solve width {width} is not one or four {lanes}-lane vectors"
+    );
 }
 
 /// `xs[i] = exp(xs[i])` for every entry: [`exp`] across independent lanes,
@@ -438,11 +488,12 @@ mod tests {
         #[cfg(not(target_arch = "x86_64"))]
         let foreign = Backend::Avx2;
         let d = [1.5, -2.0, 0.25];
-        let l = [0.5, 2.0, 4.0];
+        let a = [0.5, 2.0, 4.0];
+        let w = [0.3, -1.0, 7.0];
         let mut got = [0.0; 3];
         let mut want = [0.0; 3];
-        z2_into(foreign, &d, &l, &mut got);
-        scalar::z2_into(&d, &l, &mut want);
+        sq_terms(foreign, &d, 0.7, &a, &w, &mut got);
+        scalar::sq_terms(&d, 0.7, &a, &w, &mut want);
         assert_eq!(got, want);
     }
 

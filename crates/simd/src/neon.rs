@@ -96,82 +96,60 @@ pub(crate) unsafe fn sq_dist(q: &[f64], xt: &[f64], inv_l: &[f64], out: &mut [f6
     }
 }
 
+/// # Safety
+///
+/// The CPU must support NEON, and `d`, `a`, `w` must be as long as `out`
+/// (the safe wrapper checks it).
 #[target_feature(enable = "neon")]
-pub(crate) unsafe fn z2_into(d: &[f64], inv_l: &[f64], out: &mut [f64]) {
-    let n = d.len();
-    let mut i = 0usize;
-    while i + LANES <= n {
-        let z = vmulq_f64(
-            vld1q_f64(d.as_ptr().add(i)),
-            vld1q_f64(inv_l.as_ptr().add(i)),
+pub(crate) unsafe fn sq_terms(d: &[f64], inv_l: f64, a: &[f64], w: &[f64], out: &mut [f64]) {
+    let n = out.len();
+    let lv = vdupq_n_f64(inv_l);
+    let mut q = 0usize;
+    while q + LANES <= n {
+        let z = vmulq_f64(vld1q_f64(d.as_ptr().add(q)), lv);
+        let t = vmulq_f64(vld1q_f64(a.as_ptr().add(q)), vmulq_f64(z, z));
+        vst1q_f64(
+            out.as_mut_ptr().add(q),
+            vmulq_f64(vld1q_f64(w.as_ptr().add(q)), t),
         );
-        vst1q_f64(out.as_mut_ptr().add(i), vmulq_f64(z, z));
-        i += LANES;
+        q += LANES;
     }
-    while i < n {
-        let z = d[i] * inv_l[i];
-        out[i] = z * z;
-        i += 1;
-    }
-}
-
-#[target_feature(enable = "neon")]
-pub(crate) unsafe fn accum_scaled(acc: &mut [f64], z2: &[f64], k: f64, w: f64) {
-    let n = acc.len();
-    let kv = vdupq_n_f64(k);
-    let wv = vdupq_n_f64(w);
-    let mut i = 0usize;
-    while i + LANES <= n {
-        let t = vmulq_f64(kv, vld1q_f64(z2.as_ptr().add(i)));
-        let a = vld1q_f64(acc.as_ptr().add(i));
-        vst1q_f64(acc.as_mut_ptr().add(i), vaddq_f64(a, vmulq_f64(wv, t)));
-        i += LANES;
-    }
-    while i < n {
-        acc[i] += w * (k * z2[i]);
-        i += 1;
+    while q < n {
+        let z = d[q] * inv_l;
+        out[q] = w[q] * (a[q] * (z * z));
+        q += 1;
     }
 }
 
+/// # Safety
+///
+/// As for [`sq_terms`], and `b` as long as `out` too.
 #[target_feature(enable = "neon")]
-pub(crate) unsafe fn accum_scaled2(acc: &mut [f64], z2: &[f64], a: f64, b: f64, w: f64) {
-    let n = acc.len();
-    let av = vdupq_n_f64(a);
-    let bv = vdupq_n_f64(b);
-    let wv = vdupq_n_f64(w);
-    let mut i = 0usize;
-    while i + LANES <= n {
-        let t = vmulq_f64(vmulq_f64(av, vld1q_f64(z2.as_ptr().add(i))), bv);
-        let g = vld1q_f64(acc.as_ptr().add(i));
-        vst1q_f64(acc.as_mut_ptr().add(i), vaddq_f64(g, vmulq_f64(wv, t)));
-        i += LANES;
-    }
-    while i < n {
-        acc[i] += w * ((a * z2[i]) * b);
-        i += 1;
-    }
-}
-
-#[target_feature(enable = "neon")]
-pub(crate) unsafe fn accum_weighted_sq(acc: &mut [f64], d: &[f64], inv_l: &[f64], k: f64, w: f64) {
-    let n = acc.len();
-    let kv = vdupq_n_f64(k);
-    let wv = vdupq_n_f64(w);
-    let mut i = 0usize;
-    while i + LANES <= n {
-        let z = vmulq_f64(
-            vld1q_f64(d.as_ptr().add(i)),
-            vld1q_f64(inv_l.as_ptr().add(i)),
+pub(crate) unsafe fn sq_terms2(
+    d: &[f64],
+    inv_l: f64,
+    a: &[f64],
+    b: &[f64],
+    w: &[f64],
+    out: &mut [f64],
+) {
+    let n = out.len();
+    let lv = vdupq_n_f64(inv_l);
+    let mut q = 0usize;
+    while q + LANES <= n {
+        let z = vmulq_f64(vld1q_f64(d.as_ptr().add(q)), lv);
+        let t = vmulq_f64(vld1q_f64(a.as_ptr().add(q)), vmulq_f64(z, z));
+        let t = vmulq_f64(t, vld1q_f64(b.as_ptr().add(q)));
+        vst1q_f64(
+            out.as_mut_ptr().add(q),
+            vmulq_f64(vld1q_f64(w.as_ptr().add(q)), t),
         );
-        let t = vmulq_f64(kv, vmulq_f64(z, z));
-        let a = vld1q_f64(acc.as_ptr().add(i));
-        vst1q_f64(acc.as_mut_ptr().add(i), vaddq_f64(a, vmulq_f64(wv, t)));
-        i += LANES;
+        q += LANES;
     }
-    while i < n {
-        let z = d[i] * inv_l[i];
-        acc[i] += w * (k * (z * z));
-        i += 1;
+    while q < n {
+        let z = d[q] * inv_l;
+        out[q] = w[q] * ((a[q] * (z * z)) * b[q]);
+        q += 1;
     }
 }
 
@@ -235,18 +213,123 @@ pub(crate) unsafe fn fold_cols(dst: &mut [f64], src: &[f64], cols: &[(usize, f64
     }
 }
 
+/// One vector (`width == LANES`) or four of right-hand sides per row; with
+/// four, each row's reduction runs as four independent chains.
+///
+/// # Safety
+///
+/// The CPU must support NEON, `width` must be `LANES` or `4·LANES`, `l`
+/// must hold `n·n` entries, and `b` and `out` `(n − start)·width` each (the
+/// safe wrapper checks all of it).
 #[target_feature(enable = "neon")]
-pub(crate) unsafe fn forward_solve_interleaved(l: &[f64], n: usize, b: &[f64], out: &mut [f64]) {
+pub(crate) unsafe fn forward_solve_interleaved(
+    l: &[f64],
+    n: usize,
+    start: usize,
+    width: usize,
+    b: &[f64],
+    out: &mut [f64],
+) {
+    if width == LANES {
+        forward_rows::<1>(l, n, start, b, out)
+    } else {
+        forward_rows::<4>(l, n, start, b, out)
+    }
+}
+
+/// [`forward_solve_interleaved`] with `V` vectors per row.
+///
+/// # Safety
+///
+/// As for [`forward_solve_interleaved`], with `width = V·LANES`.
+#[target_feature(enable = "neon")]
+unsafe fn forward_rows<const V: usize>(
+    l: &[f64],
+    n: usize,
+    start: usize,
+    b: &[f64],
+    out: &mut [f64],
+) {
+    let w = V * LANES;
     let op = out.as_mut_ptr();
-    for i in 0..n {
+    for i in start..n {
         let row = &l[i * n..i * n + n];
-        let mut s = vld1q_f64(b.as_ptr().add(i * LANES));
-        for (k, &lik) in row[..i].iter().enumerate() {
-            let xv = vld1q_f64(op.add(k * LANES) as *const f64);
-            s = vsubq_f64(s, vmulq_f64(vdupq_n_f64(lik), xv));
+        let r = i - start;
+        let mut s = [vdupq_n_f64(0.0); V];
+        for (v, sv) in s.iter_mut().enumerate() {
+            *sv = vld1q_f64(b.as_ptr().add(r * w + v * LANES));
         }
-        s = vdivq_f64(s, vdupq_n_f64(row[i]));
-        vst1q_f64(op.add(i * LANES), s);
+        for (k, &lik) in row[start..i].iter().enumerate() {
+            let lv = vdupq_n_f64(lik);
+            for (v, sv) in s.iter_mut().enumerate() {
+                let xv = vld1q_f64(op.add(k * w + v * LANES) as *const f64);
+                *sv = vsubq_f64(*sv, vmulq_f64(lv, xv));
+            }
+        }
+        let dv = vdupq_n_f64(row[i]);
+        for (v, &sv) in s.iter().enumerate() {
+            vst1q_f64(op.add(r * w + v * LANES), vdivq_f64(sv, dv));
+        }
+    }
+}
+
+/// As [`forward_solve_interleaved`], one vector or four per row.
+///
+/// # Safety
+///
+/// The CPU must support NEON, `width` must be `LANES` or `4·LANES`,
+/// `cols` must hold `n(n+1)/2` entries, and `b` and `out` `(n −
+/// stop)·width` each (the safe wrapper checks all of it).
+#[target_feature(enable = "neon")]
+pub(crate) unsafe fn back_solve_interleaved(
+    cols: &[f64],
+    n: usize,
+    stop: usize,
+    width: usize,
+    b: &[f64],
+    out: &mut [f64],
+) {
+    if width == LANES {
+        back_rows::<1>(cols, n, stop, b, out)
+    } else {
+        back_rows::<4>(cols, n, stop, b, out)
+    }
+}
+
+/// [`back_solve_interleaved`] with `V` vectors per row.
+///
+/// # Safety
+///
+/// As for [`back_solve_interleaved`], with `width = V·LANES`.
+#[target_feature(enable = "neon")]
+unsafe fn back_rows<const V: usize>(
+    cols: &[f64],
+    n: usize,
+    stop: usize,
+    b: &[f64],
+    out: &mut [f64],
+) {
+    let w = V * LANES;
+    let op = out.as_mut_ptr();
+    for i in (stop..n).rev() {
+        let off = i * (2 * n - i + 1) / 2;
+        let col = &cols[off..off + (n - i)];
+        let r = i - stop;
+        let mut s = [vdupq_n_f64(0.0); V];
+        for (v, sv) in s.iter_mut().enumerate() {
+            *sv = vld1q_f64(b.as_ptr().add(r * w + v * LANES));
+        }
+        for (k, &cki) in col.iter().enumerate().skip(1) {
+            let cv = vdupq_n_f64(cki);
+            for (v, sv) in s.iter_mut().enumerate() {
+                let xv = vld1q_f64(op.add((r + k) * w + v * LANES) as *const f64);
+                *sv = vsubq_f64(*sv, vmulq_f64(cv, xv));
+            }
+        }
+        let dv = vdupq_n_f64(col[0]);
+        for (v, &sv) in s.iter().enumerate() {
+            vst1q_f64(op.add(r * w + v * LANES), vdivq_f64(sv, dv));
+        }
     }
 }
 

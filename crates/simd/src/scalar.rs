@@ -41,33 +41,19 @@ pub fn sq_dist(q: &[f64], xt: &[f64], inv_l: &[f64], out: &mut [f64]) {
     }
 }
 
-/// `out[i] = (d[i]·inv_l[i])²`.
-pub fn z2_into(d: &[f64], inv_l: &[f64], out: &mut [f64]) {
-    for ((o, &di), &li) in out.iter_mut().zip(d).zip(inv_l) {
-        let z = di * li;
-        *o = z * z;
+/// `out[q] = w[q] · (a[q] · (z·z))` with `z = d[q]·inv_l`.
+pub fn sq_terms(d: &[f64], inv_l: f64, a: &[f64], w: &[f64], out: &mut [f64]) {
+    for (((o, &d), &a), &w) in out.iter_mut().zip(d).zip(a).zip(w) {
+        let z = d * inv_l;
+        *o = w * (a * (z * z));
     }
 }
 
-/// `acc[i] += w · (k · z2[i])`.
-pub fn accum_scaled(acc: &mut [f64], z2: &[f64], k: f64, w: f64) {
-    for (a, &z) in acc.iter_mut().zip(z2) {
-        *a += w * (k * z);
-    }
-}
-
-/// `acc[i] += w · ((a · z2[i]) · b)`.
-pub fn accum_scaled2(acc: &mut [f64], z2: &[f64], a: f64, b: f64, w: f64) {
-    for (g, &z) in acc.iter_mut().zip(z2) {
-        *g += w * ((a * z) * b);
-    }
-}
-
-/// `acc[i] += w · (k · ((d[i]·inv_l[i]) · (d[i]·inv_l[i])))`.
-pub fn accum_weighted_sq(acc: &mut [f64], d: &[f64], inv_l: &[f64], k: f64, w: f64) {
-    for ((a, &di), &li) in acc.iter_mut().zip(d).zip(inv_l) {
-        let z = di * li;
-        *a += w * (k * (z * z));
+/// `out[q] = w[q] · ((a[q] · (z·z)) · b[q])` with `z = d[q]·inv_l`.
+pub fn sq_terms2(d: &[f64], inv_l: f64, a: &[f64], b: &[f64], w: &[f64], out: &mut [f64]) {
+    for ((((o, &d), &a), &b), &w) in out.iter_mut().zip(d).zip(a).zip(b).zip(w) {
+        let z = d * inv_l;
+        *o = w * ((a * (z * z)) * b);
     }
 }
 
@@ -83,19 +69,55 @@ pub fn fold_cols(dst: &mut [f64], src: &[f64], cols: &[(usize, f64)]) {
     }
 }
 
-/// Forward substitution `L z = b` for `lanes` lane-interleaved right-hand
-/// sides against the row-major factor `l`. Each lane `c` runs the exact
-/// scalar single-RHS recurrence: `s = b[i]; s -= L[i][k]·z[k] (k ascending);
-/// z[i] = s / L[i][i]`.
-pub fn forward_solve_interleaved(l: &[f64], n: usize, lanes: usize, b: &[f64], out: &mut [f64]) {
-    for i in 0..n {
+/// Forward substitution of rows `start..n` of `L z = b` for `width`
+/// lane-interleaved right-hand sides against the row-major factor `l`
+/// (`b[r*width + c]` is row `start + r`). Each lane `c` runs the exact
+/// scalar single-RHS recurrence: `s = b[i]; s -= L[i][k]·z[k] (k = start..i
+/// ascending); z[i] = s / L[i][i]`.
+pub fn forward_solve_interleaved(
+    l: &[f64],
+    n: usize,
+    start: usize,
+    width: usize,
+    b: &[f64],
+    out: &mut [f64],
+) {
+    for i in start..n {
         let row = &l[i * n..i * n + n];
-        for c in 0..lanes {
-            let mut s = b[i * lanes + c];
-            for k in 0..i {
-                s -= row[k] * out[k * lanes + c];
+        let r = i - start;
+        for c in 0..width {
+            let mut s = b[r * width + c];
+            for k in start..i {
+                s -= row[k] * out[(k - start) * width + c];
             }
-            out[i * lanes + c] = s / row[i];
+            out[r * width + c] = s / row[i];
+        }
+    }
+}
+
+/// Back substitution of rows `stop..n` of `Lᵀ x = b` for `width`
+/// lane-interleaved right-hand sides against the packed column-major factor
+/// (`cols[j·(2n−j+1)/2..]` holds `L[j..n][j]`; `b[r*width + c]` is row
+/// `stop + r`). Each lane runs the exact scalar recurrence from row `n − 1`
+/// down, the `k` terms subtracted in ascending order.
+pub fn back_solve_interleaved(
+    cols: &[f64],
+    n: usize,
+    stop: usize,
+    width: usize,
+    b: &[f64],
+    out: &mut [f64],
+) {
+    for i in (stop..n).rev() {
+        let off = i * (2 * n - i + 1) / 2;
+        let col = &cols[off..off + (n - i)];
+        let r = i - stop;
+        for c in 0..width {
+            let mut s = b[r * width + c];
+            for k in (i + 1)..n {
+                s -= col[k - i] * out[(k - stop) * width + c];
+            }
+            out[r * width + c] = s / col[0];
         }
     }
 }

@@ -23,6 +23,50 @@ fn values(len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e3f64..1e3, len)
 }
 
+/// A well-conditioned row-major `n × n` lower-triangular factor: small
+/// off-diagonal entries and a unit-offset diagonal.
+fn lower_factor(n: usize, seed: &[f64]) -> Vec<f64> {
+    let mut l = vec![0.0; n * n];
+    for i in 0..n {
+        for j in 0..=i {
+            l[i * n + j] = seed[i * n + j] / 1e3;
+        }
+        l[i * n + i] = 1.0 + l[i * n + i].abs();
+    }
+    l
+}
+
+/// The lower triangle of a row-major factor in packed column-major
+/// storage: column `j`, `L[j..n][j]`, starting at `j·(2n − j + 1)/2`.
+fn packed_columns(n: usize, l: &[f64]) -> Vec<f64> {
+    (0..n)
+        .flat_map(|j| (j..n).map(move |i| l[i * n + j]))
+        .collect()
+}
+
+/// Every constructible backend (a foreign one degrades to scalar) with each
+/// interleave width its solve kernels take: one and four vectors.
+fn widths() -> impl Iterator<Item = (Backend, usize)> {
+    [Backend::Scalar, Backend::Avx2, Backend::Neon]
+        .into_iter()
+        .flat_map(|be| [(be, be.lanes()), (be, 4 * be.lanes())])
+}
+
+/// Runs `solve` on each lane of the `rows × lanes` interleaved right-hand
+/// side `b` as a single-RHS problem and interleaves the solutions.
+fn per_lane(lanes: usize, rows: usize, b: &[f64], solve: impl Fn(&[f64], &mut [f64])) -> Vec<f64> {
+    let mut out = vec![0.0; rows * lanes];
+    for c in 0..lanes {
+        let bc: Vec<f64> = (0..rows).map(|i| b[i * lanes + c]).collect();
+        let mut xc = vec![0.0; rows];
+        solve(&bc, &mut xc);
+        for (i, &x) in xc.iter().enumerate() {
+            out[i * lanes + c] = x;
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -72,43 +116,30 @@ proptest! {
         }
     }
 
+    /// The pair-swept gradient term kernels under every constructible
+    /// backend, at lengths that straddle the vector width and leave a
+    /// scalar tail.
     #[test]
     fn elementwise_kernels_dispatch_bit_identical(
         len in 1usize..20,
         d in values(20),
-        l in values(20),
-        acc0 in values(20),
-        k in -4.0f64..4.0,
-        w in -4.0f64..4.0,
+        a in values(20),
+        b in values(20),
+        w in values(20),
+        inv_l in -4.0f64..4.0,
     ) {
-        let be = simd::detect();
-        let d = &d[..len];
-        let l = &l[..len];
-
-        let mut fast = vec![0.0; len];
-        let mut reference = vec![0.0; len];
-        simd::z2_into(be, d, l, &mut fast);
-        simd::scalar::z2_into(d, l, &mut reference);
-        assert_bits_eq(&fast, &reference)?;
-
-        let z2 = reference.clone();
-        let mut fast = acc0[..len].to_vec();
-        let mut reference = acc0[..len].to_vec();
-        simd::accum_scaled(be, &mut fast, &z2, k, w);
-        simd::scalar::accum_scaled(&mut reference, &z2, k, w);
-        assert_bits_eq(&fast, &reference)?;
-
-        let mut fast = acc0[..len].to_vec();
-        let mut reference = acc0[..len].to_vec();
-        simd::accum_scaled2(be, &mut fast, &z2, k, w, 0.7);
-        simd::scalar::accum_scaled2(&mut reference, &z2, k, w, 0.7);
-        assert_bits_eq(&fast, &reference)?;
-
-        let mut fast = acc0[..len].to_vec();
-        let mut reference = acc0[..len].to_vec();
-        simd::accum_weighted_sq(be, &mut fast, d, l, k, w);
-        simd::scalar::accum_weighted_sq(&mut reference, d, l, k, w);
-        assert_bits_eq(&fast, &reference)?;
+        let (d, a, b, w) = (&d[..len], &a[..len], &b[..len], &w[..len]);
+        let mut want = vec![0.0; len];
+        simd::scalar::sq_terms(d, inv_l, a, w, &mut want);
+        let mut want2 = vec![0.0; len];
+        simd::scalar::sq_terms2(d, inv_l, a, b, w, &mut want2);
+        for be in [Backend::Scalar, Backend::Avx2, Backend::Neon] {
+            let mut got = vec![0.0; len];
+            simd::sq_terms(be, d, inv_l, a, w, &mut got);
+            assert_bits_eq(&got, &want)?;
+            simd::sq_terms2(be, d, inv_l, a, b, w, &mut got);
+            assert_bits_eq(&got, &want2)?;
+        }
     }
 
     #[test]
@@ -130,37 +161,56 @@ proptest! {
         assert_bits_eq(&fast, &reference)?;
     }
 
+    /// The interleaved forward solve from any start row, under every
+    /// constructible backend, against one scalar single-RHS solve per lane
+    /// whose reduction also starts at that row.
     #[test]
     fn interleaved_forward_solve_bit_identical_to_per_rhs_scalar(
         n in 1usize..24,
+        start_seed in 0usize..24,
         lseed in values(24 * 24),
-        bseed in values(24 * 4),
+        bseed in values(24 * 16),
     ) {
-        let be = simd::detect();
-        let lanes = be.lanes();
-        // Well-conditioned lower-triangular factor: unit-offset diagonal.
-        let mut l = vec![0.0; n * n];
-        for i in 0..n {
-            for j in 0..=i {
-                l[i * n + j] = lseed[i * n + j] / 1e3;
-            }
-            l[i * n + i] = 1.0 + l[i * n + i].abs();
+        let l = lower_factor(n, &lseed);
+        let start = start_seed % (n + 1);
+        for (be, lanes) in widths() {
+            let m = n - start;
+            let b = &bseed[..m * lanes];
+            let mut fast = vec![0.0; m * lanes];
+            simd::forward_solve_interleaved(be, &l, n, start, lanes, b, &mut fast);
+            let reference = per_lane(lanes, m, b, |bc, xc| {
+                simd::scalar::forward_solve_interleaved(&l, n, start, 1, bc, xc)
+            });
+            assert_bits_eq(&fast, &reference)?;
         }
-        let b = &bseed[..n * lanes];
+    }
 
-        let mut fast = vec![0.0; n * lanes];
-        simd::forward_solve_interleaved(be, &l, n, b, &mut fast);
-        // Reference: each lane is one scalar single-RHS solve.
-        let mut reference = vec![0.0; n * lanes];
-        for c in 0..lanes {
-            let bc: Vec<f64> = (0..n).map(|i| b[i * lanes + c]).collect();
-            let mut xc = vec![0.0; n];
-            simd::scalar::forward_solve_interleaved(&l, n, 1, &bc, &mut xc);
-            for i in 0..n {
-                reference[i * lanes + c] = xc[i];
-            }
+    /// The interleaved back solve down to any stop row, under every
+    /// constructible backend, against one scalar single-RHS solve per lane;
+    /// and its rows at or below the stop row are those of the full solve
+    /// (`stop = 0`) of the same right-hand side.
+    #[test]
+    fn interleaved_back_solve_bit_identical_to_per_rhs_scalar(
+        n in 1usize..24,
+        stop_seed in 0usize..24,
+        lseed in values(24 * 24),
+        bseed in values(24 * 16),
+    ) {
+        let cols = packed_columns(n, &lower_factor(n, &lseed));
+        let stop = stop_seed % (n + 1);
+        for (be, lanes) in widths() {
+            let m = n - stop;
+            let b = &bseed[stop * lanes..n * lanes];
+            let mut fast = vec![0.0; m * lanes];
+            simd::back_solve_interleaved(be, &cols, n, stop, lanes, b, &mut fast);
+            let reference = per_lane(lanes, m, b, |bc, xc| {
+                simd::scalar::back_solve_interleaved(&cols, n, stop, 1, bc, xc)
+            });
+            assert_bits_eq(&fast, &reference)?;
+            let mut full = vec![0.0; n * lanes];
+            simd::back_solve_interleaved(be, &cols, n, 0, lanes, &bseed[..n * lanes], &mut full);
+            assert_bits_eq(&fast, &full[stop * lanes..])?;
         }
-        assert_bits_eq(&fast, &reference)?;
     }
 
     /// The dispatch *choice* never changes output bits: every constructible
