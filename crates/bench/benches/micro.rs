@@ -1,6 +1,9 @@
 //! Criterion microbenchmarks of the computational kernels: Cholesky
 //! factorization, GP training and prediction, fusion-model prediction, and
 //! one transient PA simulation / one charge-pump corner solve.
+//! Costly fixtures are [`LazyCell`]s built by the first row that reads
+//! them, so a name filter (`cargo bench --bench micro -- cholesky/inverse`)
+//! pays only for the set-up of the rows it runs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 use mfbo::{MfGp, MfGpConfig};
@@ -16,32 +19,35 @@ use mfbo_opt::Bounds;
 use mfbo_pool::Parallelism;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::LazyCell;
 use std::hint::black_box;
+
+/// An SPD test matrix of order `n`: `B Bᵀ + n I`.
+fn spd_matrix(n: usize) -> Matrix {
+    let b = Matrix::from_fn(n, n, |i, j| ((i * 31 + j * 17) % 13) as f64 / 13.0 - 0.5);
+    let mut a = b.matmul(&b.transpose());
+    a.add_diag(n as f64);
+    a
+}
 
 fn bench_cholesky(c: &mut Criterion) {
     let mut group = c.benchmark_group("cholesky");
     group.sample_size(10);
     for &n in &[32usize, 128, 256, 512] {
-        // SPD matrix: B Bᵀ + n I.
-        let b = Matrix::from_fn(n, n, |i, j| ((i * 31 + j * 17) % 13) as f64 / 13.0 - 0.5);
-        let mut a = b.matmul(&b.transpose());
-        a.add_diag(n as f64);
-        group.bench_with_input(BenchmarkId::new("blocked", n), &a, |bch, a| {
-            bch.iter(|| Cholesky::new(black_box(a)).expect("spd"))
+        let a = LazyCell::new(|| spd_matrix(n));
+        group.bench_function(BenchmarkId::new("blocked", n), |bch| {
+            bch.iter(|| Cholesky::new(black_box(&a)).expect("spd"))
         });
-        group.bench_with_input(BenchmarkId::new("unblocked", n), &a, |bch, a| {
-            bch.iter(|| Cholesky::new_unblocked(black_box(a)).expect("spd"))
+        group.bench_function(BenchmarkId::new("unblocked", n), |bch| {
+            bch.iter(|| Cholesky::new_unblocked(black_box(&a)).expect("spd"))
         });
     }
     // The explicit inverse of the NLML gradient: n = 20 is a PA fit's size,
     // n = 345 the smallest subset size of the scalable-inference engine.
     for &n in &[20usize, 100, 345] {
-        let b = Matrix::from_fn(n, n, |i, j| ((i * 31 + j * 17) % 13) as f64 / 13.0 - 0.5);
-        let mut a = b.matmul(&b.transpose());
-        a.add_diag(n as f64);
-        let chol = Cholesky::new(&a).expect("spd");
-        group.bench_with_input(BenchmarkId::new("inverse_lower", n), &chol, |bch, chol| {
-            bch.iter(|| black_box(chol).inverse_lower())
+        let chol = LazyCell::new(|| Cholesky::new(&spd_matrix(n)).expect("spd"));
+        group.bench_function(BenchmarkId::new("inverse_lower", n), |bch| {
+            bch.iter(|| black_box(&*chol).inverse_lower())
         });
     }
     group.finish();
@@ -84,7 +90,7 @@ fn bench_nlml_eval(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("naive", n), &n, |bch, _| {
             bch.iter(|| nlml_with_grad(black_box(&kernel), black_box(&theta), &xs, &ys))
         });
-        let batch = DiffBatch::lower_triangle(&xs);
+        let batch = LazyCell::new(|| DiffBatch::lower_triangle(&xs));
         group.bench_with_input(BenchmarkId::new("cached", n), &n, |bch, _| {
             bch.iter(|| nlml_with_grad_cached(black_box(&kernel), black_box(&theta), &batch, &ys))
         });
@@ -108,7 +114,7 @@ fn bench_nlml_eval(c: &mut Criterion) {
 /// over `n` points in `[0,1]^dim`.
 fn nlml_rows<K: Kernel>(group: &mut BenchmarkGroup, name: &str, n: usize, kernel: &K, dim: usize) {
     let (xs, ys) = linalg_bench_data(n, dim);
-    let batch = DiffBatch::lower_triangle(&xs);
+    let batch = LazyCell::new(|| DiffBatch::lower_triangle(&xs));
     let mut theta = kernel.default_params();
     theta.push((1e-3f64).ln());
     group.bench_with_input(
@@ -125,6 +131,13 @@ fn nlml_rows<K: Kernel>(group: &mut BenchmarkGroup, name: &str, n: usize, kernel
     );
 }
 
+/// An SE-ARD GP fitted to `(xs, ys)` under `config` from seed 0.
+fn fit_se(xs: &[Vec<f64>], ys: &[f64], config: &GpConfig) -> Gp<SquaredExponential> {
+    let kernel = SquaredExponential::new(xs[0].len());
+    let mut rng = StdRng::seed_from_u64(0);
+    Gp::fit(kernel, xs.to_vec(), ys.to_vec(), config, &mut rng).expect("fit")
+}
+
 /// 256-point posterior sweep — the shape of the MSP restart scoring and MC
 /// propagation workloads. `pointwise` loops [`Gp::predict_standardized`];
 /// `batched` issues one [`Gp::predict_batch_standardized`] call. Bit-identical
@@ -136,23 +149,15 @@ fn bench_predict_batch(c: &mut Criterion) {
     let (queries, _) = linalg_bench_data(256, dim);
     for &n in &[32usize, 128, 512] {
         let (xs, ys) = linalg_bench_data(n, dim);
-        let mut rng = StdRng::seed_from_u64(0);
-        let gp = Gp::fit(
-            SquaredExponential::new(dim),
-            xs,
-            ys,
-            &GpConfig::fast(),
-            &mut rng,
-        )
-        .expect("fit");
-        group.bench_with_input(BenchmarkId::new("pointwise256", n), &gp, |bch, gp| {
+        let gp = LazyCell::new(|| fit_se(&xs, &ys, &GpConfig::fast()));
+        group.bench_function(BenchmarkId::new("pointwise256", n), |bch| {
             bch.iter(|| {
                 for q in &queries {
                     black_box(gp.predict_standardized(black_box(q)));
                 }
             })
         });
-        group.bench_with_input(BenchmarkId::new("batched256", n), &gp, |bch, gp| {
+        group.bench_function(BenchmarkId::new("batched256", n), |bch| {
             bch.iter(|| gp.predict_batch_standardized(black_box(&queries)))
         });
     }
@@ -174,48 +179,33 @@ fn bench_simd_kernels(c: &mut Criterion) {
         ("detected", mfbo_simd::detect()),
     ];
     for &n in &[32usize, 128, 512] {
-        let (xs, _) = linalg_bench_data(n, dim);
+        let (xs, ys) = linalg_bench_data(n, dim);
         let kernel = SquaredExponential::new(dim);
         let theta = kernel.default_params();
         for (name, be) in backends {
-            let batch = DiffBatch::lower_triangle_with_backend(&xs, be);
-            let mut kv = vec![0.0; batch.len()];
-            group.bench_with_input(
+            group.bench_function(
                 BenchmarkId::new(format!("kernel_matrix_build_{name}"), n),
-                &n,
-                |bch, _| {
+                |bch| {
+                    let batch = DiffBatch::lower_triangle_with_backend(&xs, be);
+                    let mut kv = vec![0.0; batch.len()];
                     bch.iter(|| {
                         kernel.eval_from_diffs(black_box(&theta), black_box(&batch), &mut kv)
                     })
                 },
             );
         }
-        let b = Matrix::from_fn(n, n, |i, j| ((i * 31 + j * 17) % 13) as f64 / 13.0 - 0.5);
-        let mut a = b.matmul(&b.transpose());
-        a.add_diag(n as f64);
+        let a = LazyCell::new(|| spd_matrix(n));
         for (name, be) in backends {
-            group.bench_with_input(
-                BenchmarkId::new(format!("cholesky_{name}"), n),
-                &a,
-                |bch, a| bch.iter(|| Cholesky::new_with_backend(black_box(a), be).expect("spd")),
-            );
+            group.bench_function(BenchmarkId::new(format!("cholesky_{name}"), n), |bch| {
+                bch.iter(|| Cholesky::new_with_backend(black_box(&a), be).expect("spd"))
+            });
         }
-        let (xs, ys) = linalg_bench_data(n, dim);
         let (queries, _) = linalg_bench_data(256, dim);
-        let mut rng = StdRng::seed_from_u64(0);
-        let gp = Gp::fit(
-            SquaredExponential::new(dim),
-            xs,
-            ys,
-            &GpConfig::fast(),
-            &mut rng,
-        )
-        .expect("fit");
+        let gp = LazyCell::new(|| fit_se(&xs, &ys, &GpConfig::fast()));
         for (name, be) in backends {
-            group.bench_with_input(
+            group.bench_function(
                 BenchmarkId::new(format!("predict_batch256_{name}"), n),
-                &gp,
-                |bch, gp| {
+                |bch| {
                     bch.iter(|| gp.predict_batch_standardized_with_backend(black_box(&queries), be))
                 },
             );
@@ -236,28 +226,10 @@ fn bench_gp(c: &mut Criterion) {
     for &n in &[25usize, 100] {
         let (xs, ys) = gp_training_data(n);
         group.bench_with_input(BenchmarkId::new("fit", n), &n, |bch, _| {
-            bch.iter(|| {
-                let mut rng = StdRng::seed_from_u64(0);
-                Gp::fit(
-                    SquaredExponential::new(1),
-                    xs.clone(),
-                    ys.clone(),
-                    &GpConfig::fast(),
-                    &mut rng,
-                )
-                .expect("fit")
-            })
+            bch.iter(|| fit_se(&xs, &ys, &GpConfig::fast()))
         });
-        let mut rng = StdRng::seed_from_u64(0);
-        let gp = Gp::fit(
-            SquaredExponential::new(1),
-            xs.clone(),
-            ys.clone(),
-            &GpConfig::fast(),
-            &mut rng,
-        )
-        .expect("fit");
-        group.bench_with_input(BenchmarkId::new("predict", n), &gp, |bch, gp| {
+        let gp = LazyCell::new(|| fit_se(&xs, &ys, &GpConfig::fast()));
+        group.bench_function(BenchmarkId::new("predict", n), |bch| {
             bch.iter(|| gp.predict(black_box(&[0.37])))
         });
     }
@@ -265,22 +237,31 @@ fn bench_gp(c: &mut Criterion) {
 }
 
 fn bench_mfgp_predict(c: &mut Criterion) {
-    let (xl, yl) = gp_training_data(40);
-    let xh: Vec<Vec<f64>> = (0..12).map(|i| vec![i as f64 / 11.0]).collect();
-    let yh: Vec<f64> = xh.iter().map(|x| testfns::pedagogical_high(x[0])).collect();
-    let mut rng = StdRng::seed_from_u64(0);
-    let model = MfGp::fit(xl, yl, xh, yh, &MfGpConfig::default(), &mut rng).expect("fit");
+    // Both models draw from one seeded stream, the 1-D model first, so the
+    // d = 36 model is the same whichever rows the filter selects.
+    let rng = std::cell::RefCell::new(StdRng::seed_from_u64(0));
+    let model = LazyCell::new(|| {
+        let (xl, yl) = gp_training_data(40);
+        let xh: Vec<Vec<f64>> = (0..12).map(|i| vec![i as f64 / 11.0]).collect();
+        let yh: Vec<f64> = xh.iter().map(|x| testfns::pedagogical_high(x[0])).collect();
+        let mut rng = rng.borrow_mut();
+        MfGp::fit(xl, yl, xh, yh, &MfGpConfig::default(), &mut *rng).expect("fit")
+    });
     c.bench_function("mfgp_predict_mc20", |b| {
         b.iter(|| model.predict(black_box(&[0.61])))
     });
     // The charge pump's 36 design variables: the pointwise NARGP path the
     // wEI searches call once per point.
-    let (xl, yl) = linalg_bench_data(60, 36);
-    let (xh, yh) = linalg_bench_data(12, 36);
-    let model = MfGp::fit(xl, yl, xh, yh, &MfGpConfig::default(), &mut rng).expect("fit");
+    let model_d36 = LazyCell::new(|| {
+        LazyCell::force(&model);
+        let (xl, yl) = linalg_bench_data(60, 36);
+        let (xh, yh) = linalg_bench_data(12, 36);
+        let mut rng = rng.borrow_mut();
+        MfGp::fit(xl, yl, xh, yh, &MfGpConfig::default(), &mut *rng).expect("fit")
+    });
     let x = vec![0.37; 36];
     c.bench_function("mfgp_predict_mc20_d36", |b| {
-        b.iter(|| model.predict(black_box(&x)))
+        b.iter(|| model_d36.predict(black_box(&x)))
     });
 }
 
@@ -326,17 +307,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_overhead");
     group.sample_size(10);
     let (xs, ys) = gp_training_data(50);
-    let fit = |xs: &[Vec<f64>], ys: &[f64]| {
-        let mut rng = StdRng::seed_from_u64(0);
-        Gp::fit(
-            SquaredExponential::new(1),
-            xs.to_vec(),
-            ys.to_vec(),
-            &GpConfig::fast(),
-            &mut rng,
-        )
-        .expect("fit")
-    };
+    let fit = |xs: &[Vec<f64>], ys: &[f64]| fit_se(xs, ys, &GpConfig::fast());
     group.bench_function("disabled", |b| b.iter(|| fit(black_box(&xs), &ys)));
     {
         let _g = mfbo_telemetry::scoped_sink(std::sync::Arc::new(
@@ -397,19 +368,7 @@ fn bench_pool_speedup(c: &mut Criterion) {
             parallelism: par,
             ..GpConfig::default()
         };
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut rng = StdRng::seed_from_u64(0);
-                Gp::fit(
-                    SquaredExponential::new(1),
-                    xs.clone(),
-                    ys.clone(),
-                    &config,
-                    &mut rng,
-                )
-                .expect("fit")
-            })
-        });
+        group.bench_function(name, |b| b.iter(|| fit_se(&xs, &ys, &config)));
     }
     group.finish();
 }

@@ -65,7 +65,6 @@ fn fit_predict_ns(xs: &[Vec<f64>], ys: &[f64], qs: &[Vec<f64>], mode: InferenceM
         params,
         -3.0,
         &config,
-        None,
     )
     .unwrap();
     black_box(gp.predict_batch(qs));

@@ -381,9 +381,10 @@ impl MfGp {
     /// loops use this between full refits to keep per-iteration cost low.
     ///
     /// Every setting comes from `config`, as for a full fit: the
-    /// [`GpConfig::inference`] of both stages and `mc_samples`. `low_shared`
-    /// is the optional low-stage difference batch over `xl` (see
-    /// [`MfGp::fit_planned`] for the sharing contract).
+    /// [`GpConfig::inference`] of both stages and `mc_samples`. Each stage
+    /// builds its kernel matrix from its own fit-time layout
+    /// ([`Gp::with_params`]), so a frozen refresh builds no difference
+    /// batch.
     ///
     /// # Errors
     ///
@@ -396,7 +397,6 @@ impl MfGp {
         yh: Vec<f64>,
         config: &MfGpConfig,
         thetas: &MfGpThetas,
-        low_shared: Option<&DiffBatch>,
     ) -> Result<Self, GpError> {
         if xh.is_empty() {
             return Err(GpError::InvalidTrainingSet {
@@ -405,18 +405,10 @@ impl MfGp {
         }
         let dim = xh[0].len();
         let (lp, ln) = split_theta(&thetas.low);
-        let low = Gp::with_params(
-            SquaredExponential::new(dim),
-            xl,
-            yl,
-            lp,
-            ln,
-            &config.gp,
-            low_shared,
-        )?;
+        let low = Gp::with_params(SquaredExponential::new(dim), xl, yl, lp, ln, &config.gp)?;
         let aug = augment_inputs(&low, &xh);
         let (hp, hn) = split_theta(&thetas.high);
-        let high = Gp::with_params(NargpKernel::new(dim), aug, yh, hp, hn, &config.gp, None)?;
+        let high = Gp::with_params(NargpKernel::new(dim), aug, yh, hp, hn, &config.gp)?;
         Ok(MfGp {
             low,
             high,
@@ -617,7 +609,6 @@ mod tests {
             model.high().ys_raw().to_vec(),
             &MfGpConfig::default(),
             &thetas,
-            None,
         )
         .unwrap();
         // Identical data + identical hyperparameters → identical posterior.

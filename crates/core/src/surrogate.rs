@@ -101,7 +101,7 @@ fn drive_from_means<M>(
 
 /// The lower-triangle difference batch over a bundle's shared training
 /// inputs `xs`, or `None` where its models' fits would not read it
-/// ([`Gp::reads_shared_batch`]).
+/// ([`Gp::reads_shared_batch`]). Only a full fit's NLML searches read one.
 fn shared_batch(xs: &[Vec<f64>], config: &GpConfig) -> Option<DiffBatch> {
     Gp::<SquaredExponential>::reads_shared_batch(config, xs.len())
         .then(|| DiffBatch::lower_triangle(xs))
@@ -184,8 +184,8 @@ impl MfSurrogates {
     /// Rebuilds every model on new data with frozen hyperparameters (no
     /// training) — the cheap path between full refits. Each model reads its
     /// settings from `config` (see [`MfGp::fit_frozen`]); the refreshes
-    /// consume no randomness and run on `config.gp.parallelism`, sharing one
-    /// low-stage batch as in [`MfSurrogates::fit`].
+    /// consume no randomness and run on `config.gp.parallelism`. With no
+    /// NLML search to serve, they build no difference batch.
     ///
     /// # Errors
     ///
@@ -197,7 +197,6 @@ impl MfSurrogates {
         thetas: &MfBundleThetas,
     ) -> Result<Self, GpError> {
         let n_cons = low.constraints.len().min(high.constraints.len());
-        let batch = shared_batch(&low.xs, &config.gp);
         let fitted = par_map_indexed(config.gp.parallelism, n_cons + 1, |i| {
             MfGp::fit_frozen(
                 low.xs.clone(),
@@ -206,7 +205,6 @@ impl MfSurrogates {
                 output(&high.objective, &high.constraints, i).clone(),
                 config,
                 output(&thetas.objective, &thetas.constraints, i),
-                batch.as_ref(),
             )
         });
         let (objective, constraints) = split_models(fitted)?;
@@ -350,8 +348,8 @@ impl SfSurrogates {
 
     /// Rebuilds every model on new data with frozen hyperparameters, reading
     /// [`GpConfig::inference`] and [`GpConfig::parallelism`] from `config`
-    /// as a full fit does, sharing one difference batch as in
-    /// [`SfSurrogates::fit`].
+    /// as a full fit does. Like [`MfSurrogates::fit_frozen`], it builds no
+    /// difference batch.
     ///
     /// # Errors
     ///
@@ -362,7 +360,6 @@ impl SfSurrogates {
         thetas: &SfBundleThetas,
     ) -> Result<Self, GpError> {
         let dim = input_dim(&data.xs, "no training points")?;
-        let batch = shared_batch(&data.xs, config);
         let fitted = par_map_indexed(config.parallelism, data.constraints.len() + 1, |i| {
             let theta = output(&thetas.objective, &thetas.constraints, i);
             let (kp, ln) = split_theta(theta.as_slice());
@@ -373,7 +370,6 @@ impl SfSurrogates {
                 kp,
                 ln,
                 config,
-                batch.as_ref(),
             )
         });
         let (objective, constraints) = split_models(fitted)?;
@@ -668,9 +664,9 @@ mod tests {
     }
 
     /// An SF bundle over 1-D `data`, fitted as `fit` from the seed-9 stream:
-    /// through [`SfSurrogates`], which shares one difference batch across
-    /// its models, or (`per_model`) one model at a time, each building its
-    /// own batch.
+    /// through [`SfSurrogates`], whose full fits share one difference batch
+    /// across its models, or (`per_model`, full fits only) one model at a
+    /// time, each building its own batch.
     fn sf_bundle(
         data: &FidelityData,
         cfg: &GpConfig,
@@ -689,18 +685,9 @@ mod tests {
         let mut models = (0..=data.constraints.len())
             .map(|i| {
                 let ys = output(&data.objective, &data.constraints, i).clone();
-                let theta = |t: &SfBundleThetas| output(&t.objective, &t.constraints, i).clone();
-                match fit {
-                    Fit::Frozen(t) => {
-                        let (kp, ln) = split_theta(&theta(t));
-                        Gp::with_params(kernel.clone(), data.xs.clone(), ys, kp, ln, cfg, None)
-                    }
-                    _ => {
-                        let warm = fit.warm().map(theta);
-                        let starts = Gp::plan_starts(&kernel, cfg, warm.as_deref(), &mut rng);
-                        Gp::fit_planned(kernel.clone(), data.xs.clone(), ys, cfg, starts, None)
-                    }
-                }
+                let warm = fit.warm().map(|t| output(&t.objective, &t.constraints, i));
+                let starts = Gp::plan_starts(&kernel, cfg, warm.map(Vec::as_slice), &mut rng);
+                Gp::fit_planned(kernel.clone(), data.xs.clone(), ys, cfg, starts, None)
             })
             .collect::<Result<Vec<_>, _>>()
             .unwrap();
@@ -729,15 +716,9 @@ mod tests {
                 let yl = output(&low.objective, &low.constraints, i).clone();
                 let yh = output(&high.objective, &high.constraints, i).clone();
                 let (xl, xh) = (low.xs.clone(), high.xs.clone());
-                let theta = |t: &MfBundleThetas| output(&t.objective, &t.constraints, i).clone();
-                match fit {
-                    Fit::Frozen(t) => MfGp::fit_frozen(xl, yl, xh, yh, cfg, &theta(t), None),
-                    _ => {
-                        let warm = fit.warm().map(theta);
-                        let plan = MfGp::plan(1, cfg, warm.as_ref(), &mut rng);
-                        MfGp::fit_planned(xl, yl, xh, yh, cfg, plan, None)
-                    }
-                }
+                let warm = fit.warm().map(|t| output(&t.objective, &t.constraints, i));
+                let plan = MfGp::plan(1, cfg, warm, &mut rng);
+                MfGp::fit_planned(xl, yl, xh, yh, cfg, plan, None)
             })
             .collect::<Result<Vec<_>, _>>()
             .unwrap();
@@ -746,9 +727,10 @@ mod tests {
     }
 
     /// The bundle-level oracle of batch sharing: for both bundle kinds and
-    /// all three fit kinds, a bundle fitted from its one shared difference
+    /// both full-fit kinds, a bundle fitted from its one shared difference
     /// batch yields the θ and posterior bits of the same bundle fitted one
-    /// model at a time, each model building its own batch.
+    /// model at a time, each model building its own batch. (A frozen
+    /// refresh reads no batch, so its bundle and per-model paths are one.)
     #[test]
     fn bit_identity_bundle_shared_batch_matches_per_model() {
         let high = make_data(6, 0.0);
@@ -763,12 +745,12 @@ mod tests {
             .thetas();
         for n in [10usize, 14] {
             let low = make_data(n, 0.3);
-            for fit in [Fit::Cold, Fit::Warm(&sf_t), Fit::Frozen(&sf_t)] {
+            for fit in [Fit::Cold, Fit::Warm(&sf_t)] {
                 let shared = sf_bits(&sf_bundle(&low, &sf_cfg, &fit, false));
                 let own = sf_bits(&sf_bundle(&low, &sf_cfg, &fit, true));
                 assert_eq!(shared, own, "Sf {fit:?}, n = {n}");
             }
-            for fit in [Fit::Cold, Fit::Warm(&mf_t), Fit::Frozen(&mf_t)] {
+            for fit in [Fit::Cold, Fit::Warm(&mf_t)] {
                 let shared = mf_bits(&mf_bundle(&low, &high, &mf_cfg, &fit, false));
                 let own = mf_bits(&mf_bundle(&low, &high, &mf_cfg, &fit, true));
                 assert_eq!(shared, own, "Mf {fit:?}, n = {n}");
@@ -828,9 +810,10 @@ mod tests {
     }
 
     /// The single-fidelity counterpart of [`mf_bundle_sharing_counters`]:
-    /// for every fit kind, a bundle of 1+m models makes exactly one
+    /// for both full-fit kinds, a bundle of 1+m models makes exactly one
     /// difference build and 1+m shared hits, and the same
-    /// `kernel_matrix_builds` as 1+m per-model builds.
+    /// `kernel_matrix_builds` as 1+m per-model builds. A frozen refresh
+    /// builds no batch and reads none: one kernel matrix per model.
     #[test]
     fn sf_bundle_sharing_counters() {
         let data = make_data(16, 0.0);
@@ -840,7 +823,7 @@ mod tests {
             .unwrap()
             .thetas();
         let models = 1 + data.constraints.len() as u64;
-        for fit in [Fit::Cold, Fit::Warm(&t), Fit::Frozen(&t)] {
+        for fit in [Fit::Cold, Fit::Warm(&t)] {
             let shared = sharing_counts(|| {
                 sf_bundle(&data, &cfg, &fit, false);
             });
@@ -851,12 +834,17 @@ mod tests {
             assert_eq!((owned.0, owned.1), (models, 0), "{fit:?}");
             assert_eq!(shared.2, owned.2, "{fit:?}");
         }
+        let frozen = sharing_counts(|| {
+            sf_bundle(&data, &cfg, &Fit::Frozen(&t), false);
+        });
+        assert_eq!(frozen, (0, 0, models));
     }
 
     /// Past the subset-of-data cap every model trains on (and builds a
     /// batch over) its own subset, so a bundle builds no shared batch: a
     /// 12-point bundle capped at 4 points with one constraint makes one
-    /// build per model and no shared hit, where it made 3 builds before.
+    /// build per model and no shared hit on a full fit, and none on a
+    /// frozen refresh.
     #[test]
     fn subset_bundles_build_no_unread_shared_batch() {
         let data = make_data(12, 0.0);
@@ -868,11 +856,11 @@ mod tests {
         let t = SfSurrogates::fit(&data, &cfg, None, &mut rng)
             .unwrap()
             .thetas();
-        for fit in [Fit::Cold, Fit::Frozen(&t)] {
+        for (fit, want) in [(Fit::Cold, (2, 0)), (Fit::Frozen(&t), (0, 0))] {
             let (builds, hits, _) = sharing_counts(|| {
                 sf_bundle(&data, &cfg, &fit, false);
             });
-            assert_eq!((builds, hits), (2, 0), "{fit:?}");
+            assert_eq!((builds, hits), want, "{fit:?}");
         }
         // Fusion bundles: the low and high stage of each of the 2 models.
         let mf_cfg = MfGpConfig {

@@ -1,7 +1,7 @@
 //! Gaussian-process regression model: training and posterior prediction.
 
 use crate::kernel::{Kernel, NargpKernel};
-use crate::nlml::{kernel_matrix_cached, nlml_grad_cached, nlml_value_cached, NlmlFactor};
+use crate::nlml::{kernel_matrix_from_layout, nlml_grad_cached, nlml_value_cached, NlmlFactor};
 use crate::scratch::with_scratch;
 use crate::workspace::{DiffBatch, TrainLayout};
 use crate::GpError;
@@ -217,15 +217,13 @@ impl<K: Kernel> Gp<K> {
 
     /// Applies [`GpConfig::inference`] to a training set: past its cap (see
     /// [`Gp::reads_shared_batch`]), `SubsetOfData` keeps the deterministic
-    /// farthest-point subset (over committed history order), which a batch
-    /// over the full set cannot serve; otherwise the full set and `shared`
-    /// pass through unchanged.
-    fn training_set<'b>(
+    /// farthest-point subset (over committed history order); otherwise the
+    /// full set passes through unchanged.
+    fn training_set(
         xs: Vec<Vec<f64>>,
         ys: Vec<f64>,
         config: &GpConfig,
-        shared: Option<&'b DiffBatch>,
-    ) -> (Vec<Vec<f64>>, Vec<f64>, Option<&'b DiffBatch>) {
+    ) -> (Vec<Vec<f64>>, Vec<f64>) {
         match config.inference {
             InferenceMode::SubsetOfData { max_points }
                 if !Self::reads_shared_batch(config, xs.len()) =>
@@ -233,16 +231,53 @@ impl<K: Kernel> Gp<K> {
                 let keep = mfbo_infer::select_subset(&xs, max_points);
                 let xs_sub = keep.iter().map(|&i| xs[i].clone()).collect();
                 let ys_sub = keep.iter().map(|&i| ys[i]).collect();
-                (xs_sub, ys_sub, None)
+                (xs_sub, ys_sub)
             }
-            _ => (xs, ys, shared),
+            _ => (xs, ys),
         }
     }
 
-    /// The lower-triangle difference batch a fit over `xs` trains on: the
-    /// caller's `shared` batch when its shape (pair count and
+    /// The model at fixed θ over a validated (and reduced) training set:
+    /// standardized outputs, the fit-time layout and parameter scales, and
+    /// the factor of the noisy kernel matrix built from them row by row —
+    /// the one kernel matrix a fit or a frozen refresh builds once, with no
+    /// difference batch. `nlml` and `best_start` are the caller's to set.
+    fn at_params(
+        kernel: K,
+        xs: Vec<Vec<f64>>,
+        ys: Vec<f64>,
+        params: Vec<f64>,
+        log_noise: f64,
+    ) -> Result<Self, GpError> {
+        let standardizer = Standardizer::fit(&ys);
+        let ys_std = standardizer.transform_all(&ys);
+        let layout = TrainLayout::new(&xs);
+        let scales = kernel.scales(&params);
+        let km = kernel_matrix_from_layout(&kernel, &scales, log_noise, &xs, &layout);
+        let chol = Cholesky::new_with_jitter(&km, 1e-10, 1e-4)?;
+        let alpha = chol.solve_vec(&ys_std);
+        Ok(Gp {
+            kernel,
+            params,
+            log_noise,
+            xs,
+            layout,
+            scales,
+            ys_raw: ys,
+            ys: ys_std,
+            standardizer,
+            chol,
+            alpha,
+            nlml: f64::NAN,
+            best_start: None,
+        })
+    }
+
+    /// The lower-triangle difference batch a fit's NLML search over `xs`
+    /// reads: the caller's `shared` batch when its shape (pair count and
     /// dimensionality) fits `xs`, counted as a `diffbatch_shared_hits`;
-    /// otherwise one built here.
+    /// otherwise one built here. A subset fit's `xs` never fits a batch
+    /// over the full set.
     fn fit_batch<'b>(shared: Option<&'b DiffBatch>, xs: &[Vec<f64>]) -> Cow<'b, DiffBatch> {
         let n = xs.len();
         match shared {
@@ -272,7 +307,8 @@ impl<K: Kernel> Gp<K> {
     /// diffs a fresh build over `xs` would (bit-identical results); a batch
     /// whose shape does not match `xs` is ignored and a fresh build is used.
     /// Only the exact path consumes the batch — the subset engine trains on
-    /// a reduced point set.
+    /// a reduced point set. Only the search reads it: the final factor is
+    /// built from the fit-time layout, after the batch is dropped.
     ///
     /// # Errors
     ///
@@ -286,7 +322,7 @@ impl<K: Kernel> Gp<K> {
         shared: Option<&DiffBatch>,
     ) -> Result<Self, GpError> {
         Self::validate(&kernel, &xs, &ys)?;
-        let (xs, ys, shared) = Self::training_set(xs, ys, config, shared);
+        let (xs, ys) = Self::training_set(xs, ys, config);
         let standardizer = Standardizer::fit(&ys);
         let ys_std = standardizer.transform_all(&ys);
         let theta_bounds = Self::theta_bounds(&kernel);
@@ -322,15 +358,12 @@ impl<K: Kernel> Gp<K> {
                 }
             }
         }
+        drop(batch);
         let (theta, best_nlml) = best.ok_or(GpError::TrainingFailed)?;
 
         let np = kernel.num_params();
-        let params = theta[..np].to_vec();
-        let log_noise = theta[np];
-        let km = kernel_matrix_cached(&kernel, &params, log_noise, &batch, xs.len());
-        drop(batch);
-        let chol = Cholesky::new_with_jitter(&km, 1e-10, 1e-4)?;
-        let alpha = chol.solve_vec(&ys_std);
+        let mut gp = Self::at_params(kernel, xs, ys, theta[..np].to_vec(), theta[np])?;
+        (gp.nlml, gp.best_start) = (best_nlml, Some(best_start));
         // A winning hyperparameter pinned at its search-space boundary
         // usually means the bound, not the data, chose the value — the
         // classic symptom of a degenerating surrogate (lengthscale collapsed
@@ -354,35 +387,20 @@ impl<K: Kernel> Gp<K> {
         // probe's factor and add none.
         mfbo_telemetry::debug_event!(
             "gp_fit",
-            n = xs.len(),
-            dim = kernel.input_dim(),
+            n = gp.len(),
+            dim = gp.kernel.input_dim(),
             starts = starts.len(),
             best_start = best_start,
             nlml = best_nlml,
             nlml_evals = nlml_evals,
             factorizations = nlml_evals + 1,
             lbfgs_iters = lbfgs_iters,
-            log_noise = log_noise,
-            jitter = chol.jitter(),
-            condition = chol.condition_estimate(),
+            log_noise = gp.log_noise,
+            jitter = gp.chol.jitter(),
+            condition = gp.chol.condition_estimate(),
             bound_hits = bound_hits,
         );
-
-        Ok(Gp {
-            layout: TrainLayout::new(&xs),
-            scales: kernel.scales(&params),
-            kernel,
-            params,
-            log_noise,
-            xs,
-            ys_raw: ys,
-            ys: ys_std,
-            standardizer,
-            chol,
-            alpha,
-            nlml: best_nlml,
-            best_start: Some(best_start),
-        })
+        Ok(gp)
     }
 
     /// Builds a GP with *fixed* hyperparameters (no training) — the
@@ -391,15 +409,17 @@ impl<K: Kernel> Gp<K> {
     ///
     /// Reads [`GpConfig::inference`] from `config`; the training-only
     /// fields are ignored. `SubsetOfData` past its cap builds the exact
-    /// model on the same farthest-point subset [`Gp::fit_planned`] selects. `shared` is the optional lower-triangle
-    /// difference batch over `xs` (see [`Gp::fit_planned`]); only the exact
-    /// path consumes it, and the result is bit-identical with or without it.
+    /// model on the same farthest-point subset [`Gp::fit_planned`] selects.
+    /// The kernel matrix comes row by row from the model's fit-time layout,
+    /// as a fit's final factor does: a frozen refresh builds no difference
+    /// batch.
     ///
     /// # Errors
     ///
     /// Same validation as [`Gp::fit`], plus
-    /// [`GpError::KernelNotPositiveDefinite`] if the kernel matrix cannot be
-    /// factorized.
+    /// [`GpError::InvalidTrainingSet`] for the wrong number of kernel
+    /// parameters and [`GpError::KernelNotPositiveDefinite`] if the kernel
+    /// matrix cannot be factorized.
     pub fn with_params(
         kernel: K,
         xs: Vec<Vec<f64>>,
@@ -407,46 +427,21 @@ impl<K: Kernel> Gp<K> {
         params: Vec<f64>,
         log_noise: f64,
         config: &GpConfig,
-        shared: Option<&DiffBatch>,
     ) -> Result<Self, GpError> {
-        if xs.is_empty() || xs.len() != ys.len() {
-            return Err(GpError::InvalidTrainingSet {
-                reason: "empty or mismatched training set".into(),
-            });
-        }
+        Self::validate(&kernel, &xs, &ys)?;
         if params.len() != kernel.num_params() {
             return Err(GpError::InvalidTrainingSet {
                 reason: "wrong number of kernel parameters".into(),
             });
         }
-        let (xs, ys, shared) = Self::training_set(xs, ys, config, shared);
-        let standardizer = Standardizer::fit(&ys);
-        let ys_std = standardizer.transform_all(&ys);
-        let batch = Self::fit_batch(shared, &xs);
-        let km = kernel_matrix_cached(&kernel, &params, log_noise, &batch, xs.len());
-        let chol = Cholesky::new_with_jitter(&km, 1e-10, 1e-4)?;
-        let alpha = chol.solve_vec(&ys_std);
+        let (xs, ys) = Self::training_set(xs, ys, config);
+        let mut gp = Self::at_params(kernel, xs, ys, params, log_noise)?;
         // The frozen θ's NLML falls out of the factorization already in
         // hand, in the quad-form/log-det form of the naive `nlml`.
-        let nlml = 0.5
-            * (chol.quad_form(&ys_std) + chol.log_det() + xs.len() as f64 * crate::nlml::LOG_2PI);
+        let n = gp.len() as f64;
+        gp.nlml = 0.5 * (gp.chol.quad_form(&gp.ys) + gp.chol.log_det() + n * crate::nlml::LOG_2PI);
         mfbo_telemetry::counter!("nlml_evals", 1u64);
-        drop(batch);
-        Ok(Gp {
-            layout: TrainLayout::new(&xs),
-            scales: kernel.scales(&params),
-            kernel,
-            params,
-            log_noise,
-            xs,
-            ys_raw: ys,
-            ys: ys_std,
-            standardizer,
-            chol,
-            alpha,
-            nlml,
-            best_start: None,
-        })
+        Ok(gp)
     }
 
     /// Posterior prediction (mean and latent variance) in raw output units.
@@ -971,7 +966,6 @@ mod tests {
             params,
             -3.0,
             &GpConfig::default(),
-            None,
         )
         .unwrap();
         // Still interpolates decently with default hyperparameters.
@@ -1012,6 +1006,66 @@ mod tests {
             &mut rng(),
         );
         assert!(matches!(e, Err(GpError::InvalidTrainingSet { .. })));
+    }
+
+    /// A frozen refresh refuses what a fit refuses, with the same typed
+    /// error: a non-finite observation, and a point of the wrong dimension.
+    #[test]
+    fn with_params_validates_like_fit() {
+        let (k, cfg) = (SquaredExponential::new(1), GpConfig::default());
+        for (xs, ys) in [
+            (vec![vec![0.0], vec![1.0]], vec![1.0, f64::NAN]),
+            (vec![vec![0.0], vec![1.0, 2.0]], vec![1.0, 2.0]),
+        ] {
+            let fit = Gp::fit(k.clone(), xs.clone(), ys.clone(), &cfg, &mut rng());
+            match (
+                fit,
+                Gp::with_params(k.clone(), xs, ys, vec![0.0; 2], -3.0, &cfg),
+            ) {
+                (
+                    Err(GpError::InvalidTrainingSet { reason: a }),
+                    Err(GpError::InvalidTrainingSet { reason: b }),
+                ) => assert_eq!(a, b),
+                (a, b) => panic!("expected two typed errors, got {a:?} and {b:?}"),
+            }
+        }
+    }
+
+    /// The single-use kernel matrix of a frozen refresh, built row by row
+    /// from the model's own layout and scales, and the model's factor,
+    /// against the pair-by-pair `kernel_matrix` oracle and its factor,
+    /// entry by entry. The point counts straddle `PAD` and a whole AVX2
+    /// block.
+    #[test]
+    fn with_params_layout_kernel_matrix_matches_naive() {
+        fn check<K: Kernel>(k: K, p: Vec<f64>, xs: Vec<Vec<f64>>) {
+            let n = xs.len();
+            let ys = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
+            let gp = Gp::with_params(k.clone(), xs, ys, p.clone(), -2.5, &GpConfig::default());
+            let gp = gp.unwrap();
+            let naive = crate::nlml::kernel_matrix(&k, &p, -2.5, &gp.xs);
+            let built = kernel_matrix_from_layout(&k, &gp.scales, -2.5, &gp.xs, &gp.layout);
+            let oracle = Cholesky::new_with_jitter(&naive, 1e-10, 1e-4).unwrap();
+            for (a, b) in [(&built, &naive), (gp.chol.factor(), oracle.factor())] {
+                for (q, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
+                    let at = (q / n, q % n);
+                    assert_eq!(x.to_bits(), y.to_bits(), "entry {at:?}, n = {n}");
+                }
+            }
+        }
+        for n in [1, 2, 3, 4, 5, 7, 9, 13, 33] {
+            let xs: Vec<Vec<f64>> = (0..n)
+                .map(|i| (0..3).map(move |t| ((i * 7 + t * 3) as f64 * 0.618).fract() - 0.3))
+                .map(Iterator::collect)
+                .collect();
+            let p_nargp = (0..8).map(|j| 0.3 * (j as f64).sin() - 0.4).collect();
+            check(
+                SquaredExponential::new(3),
+                vec![0.2, -0.8, -0.5, 0.1],
+                xs.clone(),
+            );
+            check(NargpKernel::new(2), p_nargp, xs);
+        }
     }
 
     #[test]
@@ -1105,7 +1159,6 @@ mod tests {
             params.clone(),
             -2.0,
             &sod,
-            None,
         )
         .unwrap();
         assert_eq!(gp.len(), 10);
@@ -1114,7 +1167,7 @@ mod tests {
         let xs_sub: Vec<Vec<f64>> = keep.iter().map(|&i| xs[i].clone()).collect();
         let ys_sub: Vec<f64> = keep.iter().map(|&i| ys[i]).collect();
         let oracle =
-            Gp::with_params(k, xs_sub, ys_sub, params, -2.0, &GpConfig::default(), None).unwrap();
+            Gp::with_params(k, xs_sub, ys_sub, params, -2.0, &GpConfig::default()).unwrap();
         for q in [&[0.13][..], &[0.5], &[0.88]] {
             let (am, av) = gp.predict_standardized(q);
             let (om, ov) = oracle.predict_standardized(q);
@@ -1210,16 +1263,8 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         let np = kernel.num_params();
-        let oracle = Gp::with_params(
-            kernel,
-            xs,
-            ys,
-            theta[..np].to_vec(),
-            theta[np],
-            &config,
-            None,
-        )
-        .unwrap();
+        let oracle =
+            Gp::with_params(kernel, xs, ys, theta[..np].to_vec(), theta[np], &config).unwrap();
         for q in queries {
             let (a, b) = (fit.predict(q), oracle.predict(q));
             assert_eq!(a.mean.to_bits(), b.mean.to_bits());
@@ -1332,7 +1377,6 @@ mod tests {
                 params.clone(),
                 -2.0,
                 &GpConfig::default(),
-                None,
             )
             .unwrap();
             let x = if at_train == 1 { xs[0][..2].to_vec() } else { query };

@@ -7,9 +7,19 @@
 //! `NLML(θ) = ½ (yᵀ K_θ⁻¹ y + log|K_θ| + N log 2π)` with
 //! `K_θ = K(X, X) + σ_n² I`, and the gradient uses the classic identity
 //! `∂NLML/∂θ_j = ½ tr((K⁻¹ − α αᵀ) ∂K/∂θ_j)` with `α = K⁻¹ y`.
+//!
+//! Three builders make the same kernel matrix bit for bit. The naive
+//! [`nlml`] and [`nlml_with_grad`] call [`Kernel::eval`] per pair and serve
+//! as the differential oracle. The NLML search, which rebuilds K over one
+//! point set at every θ it probes, reads a [`DiffBatch`]
+//! ([`nlml_value_cached`], [`nlml_grad_cached`]). A matrix built once — a
+//! fit's final factor or a frozen refresh — comes row by row from the
+//! model's [`TrainLayout`] (`kernel_matrix_from_layout`), so no
+//! O(n²·d) batch is built for it.
 
 use crate::kernel::Kernel;
-use crate::workspace::DiffBatch;
+use crate::scratch::with_scratch;
+use crate::workspace::{DiffBatch, TrainLayout};
 use mfbo_linalg::{Cholesky, Matrix};
 
 pub(crate) const LOG_2PI: f64 = 1.837_877_066_409_345_5;
@@ -36,24 +46,37 @@ pub(crate) fn kernel_matrix<K: Kernel>(
     k
 }
 
-/// [`kernel_matrix`] from the lower-triangle difference batch over `n`
-/// points: same matrix bit for bit, but the per-pair kernel values come
-/// from the batch hook.
-pub(crate) fn kernel_matrix_cached<K: Kernel>(
+/// [`kernel_matrix`] from the fit-time layout of `xs`, under `s =
+/// kernel.scales(p)`: row `i` is the kernel row of `xs[i]` against every
+/// point ([`Kernel::eval_row`], bit-identical to [`Kernel::eval`] per pair)
+/// plus `σ_n²` on the diagonal. The same matrix bit for bit: `eval` is
+/// symmetric to the bit (`x_i − x_j` and `x_j − x_i` differ only in sign
+/// before they are scaled and squared), so row `i` above the diagonal holds
+/// what [`kernel_matrix`] mirrors there.
+pub(crate) fn kernel_matrix_from_layout<K: Kernel>(
     kernel: &K,
-    p: &[f64],
+    s: &K::Scales,
     log_noise: f64,
-    batch: &DiffBatch,
-    n: usize,
+    xs: &[Vec<f64>],
+    layout: &TrainLayout,
 ) -> Matrix {
-    let mut kv = vec![0.0; batch.len()];
-    kernel.eval_from_diffs(p, batch, &mut kv);
-    assemble_from_lower(n, &kv, mfbo_simd::exp(2.0 * log_noise))
+    let n = xs.len();
+    let (sn2, be) = (mfbo_simd::exp(2.0 * log_noise), mfbo_simd::active());
+    let mut k = Matrix::zeros(n, n);
+    with_scratch(layout.stride(), |row| {
+        for (i, x) in xs.iter().enumerate() {
+            kernel.eval_row(s, x, layout, be, row);
+            k.row_mut(i).copy_from_slice(&row[..n]);
+            k[(i, i)] += sn2;
+        }
+    });
+    mfbo_telemetry::counter!("kernel_matrix_builds", 1u64);
+    k
 }
 
 /// Mirrors the noisy lower-triangle kernel values into a full symmetric
-/// matrix — the assembly half of [`kernel_matrix`], shared by every cached
-/// path so the gradient path can keep the value buffer alive.
+/// matrix — the assembly half of [`kernel_matrix`] for the NLML search,
+/// which keeps the value buffer alive for the gradient.
 fn assemble_from_lower(n: usize, kv: &[f64], sn2: f64) -> Matrix {
     let mut k = Matrix::zeros(n, n);
     let mut q = 0;

@@ -1,52 +1,51 @@
 //! Precomputed layouts of the training inputs for batch kernel evaluation.
 //!
-//! Two layouts serve the two halves of a GP's life:
+//! One layout serves a model from its fit onward, and one more serves only
+//! the NLML search:
 //!
-//! - **Training.** Every NLML evaluation of a fit rebuilds the kernel matrix
-//!   over the *same* point set — only the hyperparameters change between
-//!   L-BFGS steps and restarts. A [`DiffBatch`] materializes the
-//!   per-dimension signed differences `a_i - b_i` of every lower-triangle
-//!   pair once, so the per-evaluation work collapses to the
-//!   parameter-dependent part (for stationary kernels, a handful of `exp`
-//!   calls hoisted out of the pair loop — see
-//!   [`Kernel::eval_from_diffs`](crate::kernel::Kernel::eval_from_diffs)).
-//!   One batch is built per fit, or per bundle of fits over the same
-//!   points, and shared by reference.
-//! - **Prediction.** A fitted model stores its training inputs once,
+//! - **The fit-time layout.** A model stores its training inputs once,
 //!   dimension-major and padded to whole SIMD lanes, in a [`TrainLayout`].
 //!   A kernel row then comes straight from a query and the layout through
 //!   the fused [`mfbo_simd::sq_dist`] kernel (see
-//!   [`Kernel::eval_row`](crate::kernel::Kernel::eval_row)), with no
-//!   difference tensor built per call.
+//!   [`Kernel::eval_row`](crate::kernel::Kernel::eval_row)). Every kernel
+//!   matrix built once — a fit's final factor and a frozen refresh — is
+//!   built row by row this way, and so is every prediction.
+//! - **The search's difference batch.** Every NLML evaluation of a fit
+//!   rebuilds the kernel matrix over the *same* point set — only the
+//!   hyperparameters change between L-BFGS steps and restarts. A
+//!   [`DiffBatch`] materializes the per-dimension signed differences
+//!   `a_t - b_t` of every lower-triangle pair once, so the per-evaluation
+//!   work collapses to the parameter-dependent part (see
+//!   [`Kernel::eval_from_diffs`](crate::kernel::Kernel::eval_from_diffs)).
+//!   Only an NLML search builds one: once per fit, or once per bundle of
+//!   fits over the same points, shared by reference.
 //!
-//! Both paths compute the exact floating-point differences the scalar kernel
+//! Both compute the exact floating-point differences the scalar kernel
 //! paths compute internally (signed, *not* squared: `(a-b)·w` and
 //! `√((a-b)²)·w` differ in floating point), which is what lets them
 //! reproduce the scalar paths bit for bit.
 
 /// Lower-triangle signed-difference tensor over one point set: all pairs
-/// `(i, j)` with `j ≤ i`, in the row-major order the kernel-matrix builder
-/// walks. NLML training reads it.
+/// `(i, j)` with `j ≤ i`, in the `(0,0), (1,0), (1,1), (2,0), …` order the
+/// NLML's kernel values and trace weights use. Only the NLML search reads
+/// it.
 ///
-/// The batch owns one buffer holding two layouts of the same differences:
-/// the row-major tensor `diffs[q*dim + t] = left[t] - right[t]` for pair
-/// `q`, then its dim-major transpose `rows[t*count + q]`, so a micro-kernel
-/// of the backend the batch was built for streams consecutive pairs per
-/// load. Both are built for every backend, scalar included.
+/// The differences are stored dimension-major, `rows[t*len() + q] =
+/// x_i[t] - x_j[t]` for pair `q = (i, j)`, so a micro-kernel of the backend
+/// the batch was built for streams consecutive pairs per load.
 #[derive(Debug, Clone)]
 pub struct DiffBatch {
     dim: usize,
     /// Number of pairs.
     count: usize,
-    /// `count*dim` row-major differences, then their `count*dim` transpose.
-    buf: Vec<f64>,
+    /// `dim` rows of `count` differences each.
+    rows: Vec<f64>,
     /// Backend the kernel hooks dispatch through.
     backend: mfbo_simd::Backend,
 }
 
 impl DiffBatch {
-    /// Workspace over the lower triangle (`j ≤ i`) of one point set, in the
-    /// `(0,0), (1,0), (1,1), (2,0), …` order of the kernel-matrix builder.
+    /// Workspace over the lower triangle (`j ≤ i`) of one point set.
     ///
     /// # Panics
     ///
@@ -65,26 +64,27 @@ impl DiffBatch {
         // Every O(n²·d) training-side difference build is counted here; a
         // fit handed a caller's batch counts `diffbatch_shared_hits` instead.
         mfbo_telemetry::counter!("diffbatch_builds", 1u64);
+        // Each row is written straight from one contiguous coordinate
+        // column of the layout.
+        let layout = TrainLayout::new(xs);
         let n = xs.len();
         let dim = xs.first().map_or(0, Vec::len);
         let count = n * (n + 1) / 2;
-        let mut buf = vec![0.0; 2 * count * dim];
-        let (diffs, rows) = buf.split_at_mut(count * dim);
-        let mut idx = 0;
-        for (i, a) in xs.iter().enumerate() {
-            assert_eq!(a.len(), dim, "inconsistent point dimension");
-            for b in &xs[..=i] {
-                for ((o, &at), &bt) in diffs[idx..idx + dim].iter_mut().zip(a).zip(b) {
-                    *o = at - bt;
+        let mut rows = vec![0.0; count * dim];
+        for t in 0..dim {
+            let col = &layout.rows(t..t + 1)[..n];
+            let mut row = rows[t * count..(t + 1) * count].iter_mut();
+            for (i, &a) in col.iter().enumerate() {
+                // `col` leads the zip, so its end stops `row` unconsumed.
+                for (&b, o) in col[..=i].iter().zip(row.by_ref()) {
+                    *o = a - b;
                 }
-                idx += dim;
             }
         }
-        transpose_rows(diffs, rows, count, dim);
         DiffBatch {
             dim,
             count,
-            buf,
+            rows,
             backend: be,
         }
     }
@@ -104,39 +104,11 @@ impl DiffBatch {
         self.dim
     }
 
-    /// The flat `len() × dim` difference tensor; pair `q` occupies
-    /// `[q*dim, (q+1)*dim)`.
-    pub fn diffs(&self) -> &[f64] {
-        &self.buf[..self.count * self.dim]
-    }
-
     /// The SIMD backend this workspace was built for, and the dim-major
-    /// transpose `rows[t*len() + q]` of [`DiffBatch::diffs`] — what the
-    /// kernel batch hooks hand to the [`mfbo_simd`] micro-kernels.
+    /// differences `rows[t*len() + q]` — what the kernel batch hooks hand
+    /// to the [`mfbo_simd`] micro-kernels.
     pub fn simd_rows(&self) -> (mfbo_simd::Backend, &[f64]) {
-        (self.backend, &self.buf[self.count * self.dim..])
-    }
-}
-
-/// Transpose the pair-major diff tensor into the dim-major `rows` layout.
-fn transpose_rows(diffs: &[f64], rows: &mut [f64], count: usize, dim: usize) {
-    // Tiled transpose: within each block of pairs the dimension loop is
-    // outer, so writes into every `rows[t·count ..]` row are contiguous
-    // runs while the block of `diffs` being read stays cache-resident
-    // across all `dim` passes. A plain q-outer loop strides writes `count`
-    // elements apart (every store on a fresh, set-conflicting cache line);
-    // a plain t-outer loop re-streams the whole diff buffer `dim` times.
-    const PAIR_BLOCK: usize = 256;
-    let mut qb = 0;
-    while qb < count {
-        let qe = (qb + PAIR_BLOCK).min(count);
-        for t in 0..dim {
-            let row = &mut rows[t * count..t * count + count];
-            for q in qb..qe {
-                row[q] = diffs[q * dim + t];
-            }
-        }
-        qb = qe;
+        (self.backend, &self.rows)
     }
 }
 
@@ -206,17 +178,52 @@ impl TrainLayout {
 mod tests {
     use super::*;
 
+    /// The per-pair oracle: pair `q = (i, j)` in lower-triangle order holds
+    /// `x_i[t] − x_j[t]` in row `t`, bit for bit, whatever the backend.
+    fn check_against_subtraction(xs: &[Vec<f64>], be: mfbo_simd::Backend) {
+        let b = DiffBatch::lower_triangle_with_backend(xs, be);
+        let (got_be, rows) = b.simd_rows();
+        assert_eq!(got_be, be);
+        let n = xs.len();
+        assert_eq!(b.len(), n * (n + 1) / 2);
+        assert_eq!(rows.len(), b.len() * b.dim());
+        let mut q = 0;
+        for (i, a) in xs.iter().enumerate() {
+            for c in &xs[..=i] {
+                for t in 0..b.dim() {
+                    assert_eq!(rows[t * b.len() + q].to_bits(), (a[t] - c[t]).to_bits());
+                }
+                q += 1;
+            }
+        }
+    }
+
     #[test]
-    fn lower_triangle_layout_and_values() {
-        let xs = vec![vec![1.0, 2.0], vec![4.0, 8.0], vec![0.5, -1.0]];
+    fn rows_match_per_pair_subtraction() {
+        let xs = vec![
+            vec![1.0, 2.0, 3.0],
+            vec![4.0, 8.0, 16.0],
+            vec![0.5, -1.0, 2.5],
+        ];
+        let wide: Vec<Vec<f64>> = (0..13)
+            .map(|i| {
+                (0..5)
+                    .map(|t| ((i * 7 + t * 3) as f64 * 0.618).fract() - 0.4)
+                    .collect()
+            })
+            .collect();
+        for be in [mfbo_simd::Backend::Scalar, mfbo_simd::Backend::Avx2] {
+            check_against_subtraction(&xs, be);
+            check_against_subtraction(&wide, be);
+            check_against_subtraction(&wide[..1], be);
+            check_against_subtraction(&[], be);
+        }
         let b = DiffBatch::lower_triangle(&xs);
-        assert_eq!(b.len(), 6);
-        assert_eq!(b.dim(), 2);
-        // Pair order (0,0), (1,0), (1,1), (2,0), (2,1), (2,2).
-        let d = &b.diffs()[2..4]; // pair (1,0)
-        assert_eq!(d, &[3.0, 6.0]);
-        // Diagonal pairs have zero differences.
-        assert_eq!(&b.diffs()[4..6], &[0.0, 0.0]);
+        assert_eq!((b.len(), b.dim()), (6, 3));
+        // Pair (1, 0) is pair 1; diagonal pairs have zero differences.
+        let rows = b.simd_rows().1;
+        assert_eq!([rows[1], rows[6 + 1], rows[12 + 1]], [3.0, 6.0, 13.0]);
+        assert_eq!([rows[2], rows[6 + 2], rows[12 + 2]], [0.0; 3]);
     }
 
     #[test]
@@ -233,36 +240,11 @@ mod tests {
     }
 
     #[test]
-    fn simd_rows_is_exact_transpose_of_diffs() {
-        let xs = vec![
-            vec![1.0, 2.0, 3.0],
-            vec![4.0, 8.0, 16.0],
-            vec![0.5, -1.0, 2.5],
-        ];
-        let avx2 = mfbo_simd::Backend::Avx2;
-        let b = DiffBatch::lower_triangle_with_backend(&xs, avx2);
-        let scalar = DiffBatch::lower_triangle_with_backend(&xs, mfbo_simd::Backend::Scalar);
-        let (be, rows) = b.simd_rows();
-        assert_eq!(be, avx2);
-        assert_eq!(scalar.simd_rows(), (mfbo_simd::Backend::Scalar, rows));
-        let diffs = b.diffs();
-        assert_eq!(diffs, scalar.diffs());
-        for q in 0..b.len() {
-            for t in 0..b.dim() {
-                assert_eq!(
-                    rows[t * b.len() + q].to_bits(),
-                    diffs[q * b.dim() + t].to_bits()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn differences_are_signed_exact_values() {
         // The workspace must store a−b, not |a−b| or (a−b)²: the scalar
         // kernel path scales the signed difference before squaring.
         let xs = vec![vec![0.1], vec![0.3]];
         let b = DiffBatch::lower_triangle(&xs);
-        assert_eq!(b.diffs()[1].to_bits(), (0.3f64 - 0.1f64).to_bits());
+        assert_eq!(b.simd_rows().1[1].to_bits(), (0.3f64 - 0.1f64).to_bits());
     }
 }

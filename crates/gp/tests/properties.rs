@@ -87,7 +87,7 @@ proptest! {
         let ys: Vec<f64> = xs.iter().map(|x| x[0] * 2.0 - 0.5).collect();
         let k = SquaredExponential::new(1);
         let cfg = GpConfig::default();
-        let gp = Gp::with_params(k, xs.clone(), ys, vec![0.0, -1.0], -4.0, &cfg, None).unwrap();
+        let gp = Gp::with_params(k, xs.clone(), ys, vec![0.0, -1.0], -4.0, &cfg).unwrap();
         for x in &xs {
             let (_, var_at_obs) = gp.predict_standardized(x);
             // Far from all data the latent variance approaches the prior
@@ -108,9 +108,9 @@ proptest! {
         let k = SquaredExponential::new(1);
         let params = vec![0.0, -1.0];
         let cfg = GpConfig::default();
-        let a = Gp::with_params(k.clone(), xs.clone(), ys, params.clone(), -3.0, &cfg, None)
+        let a = Gp::with_params(k.clone(), xs.clone(), ys, params.clone(), -3.0, &cfg)
             .unwrap();
-        let b = Gp::with_params(k, xs, ys_shifted, params, -3.0, &cfg, None).unwrap();
+        let b = Gp::with_params(k, xs, ys_shifted, params, -3.0, &cfg).unwrap();
         for q in [0.05, 0.37, 0.81] {
             let pa = a.predict(&[q]);
             let pb = b.predict(&[q]);
@@ -328,8 +328,8 @@ mod bit_identity {
         /// hook — is bit-identical to one that builds its own, whichever
         /// backend the shared batch was built for: the NLML value and
         /// gradient over the shared batch against the per-pair path, and
-        /// the θ, NLML and posterior of `Gp::fit_planned` and
-        /// `Gp::with_params` with and without it.
+        /// the θ, NLML and posterior of `Gp::fit_planned` with and without
+        /// it. (A frozen refresh reads no batch.)
         #[test]
         fn shared_batch_nlml_bit_identity(
             xs in points(9, 2),
@@ -346,11 +346,7 @@ mod bit_identity {
                 let (xs, ys) = (xs.clone(), ys.clone());
                 Gp::fit_planned(k.clone(), xs, ys, &cfg, starts.clone(), batch).unwrap()
             };
-            let frozen = |batch: Option<&DiffBatch>| {
-                let (xs, ys, p) = (xs.clone(), ys.clone(), theta[..3].to_vec());
-                Gp::with_params(k.clone(), xs, ys, p, theta[3], &cfg, batch).unwrap()
-            };
-            let (fit_own, frozen_own) = (fit(None), frozen(None));
+            let own = fit(None);
             for be in BACKENDS {
                 let shared = DiffBatch::lower_triangle_with_backend(&xs, be);
                 let (sv, sg) = nlml_with_grad_cached(&k, &theta, &shared, &ys);
@@ -358,17 +354,15 @@ mod bit_identity {
                 for (a, b) in ng.iter().zip(&sg) {
                     prop_assert_eq!(a.to_bits(), b.to_bits());
                 }
-                let pairs = [(&fit_own, fit(Some(&shared))), (&frozen_own, frozen(Some(&shared)))];
-                for (own, borrowed) in pairs {
-                    prop_assert_eq!(own.nlml().to_bits(), borrowed.nlml().to_bits());
-                    for (a, b) in own.theta().iter().zip(&borrowed.theta()) {
-                        prop_assert_eq!(a.to_bits(), b.to_bits());
-                    }
-                    for q in [[0.13, 0.71], [0.52, 0.05]] {
-                        let (a, b) = (own.predict(&q), borrowed.predict(&q));
-                        prop_assert_eq!(a.mean.to_bits(), b.mean.to_bits());
-                        prop_assert_eq!(a.var.to_bits(), b.var.to_bits());
-                    }
+                let borrowed = fit(Some(&shared));
+                prop_assert_eq!(own.nlml().to_bits(), borrowed.nlml().to_bits());
+                for (a, b) in own.theta().iter().zip(&borrowed.theta()) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits());
+                }
+                for q in [[0.13, 0.71], [0.52, 0.05]] {
+                    let (a, b) = (own.predict(&q), borrowed.predict(&q));
+                    prop_assert_eq!(a.mean.to_bits(), b.mean.to_bits());
+                    prop_assert_eq!(a.var.to_bits(), b.var.to_bits());
                 }
             }
         }
@@ -414,12 +408,11 @@ mod bit_identity {
                 vec![0.1, logl, logl, -0.3],
                 -2.0,
                 &GpConfig::default(),
-                None,
             )
             .unwrap();
             check_predict_against_oracle(&se, &queries)?;
             let cfg = GpConfig::default();
-            let fused = Gp::with_params(nargp, xs, ys, nargp_params, -2.0, &cfg, None).unwrap();
+            let fused = Gp::with_params(nargp, xs, ys, nargp_params, -2.0, &cfg).unwrap();
             check_predict_against_oracle(&fused, &queries)?;
         }
 
@@ -456,7 +449,7 @@ mod bit_identity {
                 }
             }
             let cfg = GpConfig::default();
-            let gp = Gp::with_params(kernel, train.clone(), ys, params, -2.0, &cfg, None).unwrap();
+            let gp = Gp::with_params(kernel, train.clone(), ys, params, -2.0, &cfg).unwrap();
             let fs: Vec<f64> = (0..s)
                 .map(|k| match k % 3 {
                     0 => train[k % train.len()][d],
@@ -515,7 +508,6 @@ mod bit_identity {
                 se_params,
                 -2.0,
                 &cfg,
-                None,
             )
             .unwrap();
             let se_queries = design(queries);
@@ -530,7 +522,7 @@ mod bit_identity {
                     *p = scale;
                 }
             }
-            let gp = Gp::with_params(kernel, train.to_vec(), ys, params, -2.0, &cfg, None).unwrap();
+            let gp = Gp::with_params(kernel, train.to_vec(), ys, params, -2.0, &cfg).unwrap();
             let nargp_full = gp.predict_batch_standardized(queries);
             let fs: Vec<f64> = (0..s).map(|k| (k as f64 * 0.71).sin() - 0.2).collect();
 
@@ -582,7 +574,6 @@ mod bit_identity {
                 vec![0.1, logl, logl],
                 -2.0,
                 &GpConfig::default(),
-                None,
             )
             .unwrap();
             let queries = &queries[..m];
