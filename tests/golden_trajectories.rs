@@ -248,3 +248,43 @@ fn charge_pump_weibo_trajectory_matches_golden() {
         &evaluations(&out),
     );
 }
+
+#[test]
+fn power_amplifier_gaspad_trajectory_matches_golden() {
+    // GASPAD on the constrained PA with `refit_every: 3`: full
+    // hyperparameter searches warm-started from the last optimum, frozen
+    // refreshes in between, and the DE/rand/1/bin offspring of each
+    // generation all draw from the one seeded stream.
+    let problem = PowerAmplifier::new();
+    let mut rng = StdRng::seed_from_u64(4);
+    let out = Gaspad::new(GaspadConfig {
+        initial_points: 8,
+        budget: 17,
+        population: 8,
+        refit_every: 3,
+        ..GaspadConfig::default()
+    })
+    .run(&problem, &mut rng)
+    .unwrap();
+    check_golden_rows(
+        "pa_gaspad_refit3_seed4.csv",
+        "objective",
+        &evaluations(&out),
+    );
+}
+
+#[test]
+fn charge_pump_de_trajectory_matches_golden() {
+    // The paper's DE column on the 36-variable charge pump: the initial
+    // population and every DE/rand/1/bin trial come from the seeded stream,
+    // so each simulated objective pins the draw order.
+    let problem = ChargePump::new();
+    let mut rng = StdRng::seed_from_u64(12);
+    let out = DifferentialEvolutionBaseline::new(DeBaselineConfig {
+        population: 6,
+        budget: 14,
+    })
+    .run(&problem, &mut rng)
+    .unwrap();
+    check_golden_rows("charge_pump_de_seed12.csv", "objective", &evaluations(&out));
+}
