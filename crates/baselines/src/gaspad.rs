@@ -10,17 +10,14 @@
 
 use mfbo::acquisition::lower_confidence_bound;
 use mfbo::problem::{Fidelity, MultiFidelityProblem};
-use mfbo::{EvaluationRecord, FidelityData, MfboError, Outcome, SfSurrogates};
-use mfbo_gp::{GpConfig, InferenceMode};
-use mfbo_opt::{sampling, Bounds};
+use mfbo::{EvaluationRecord, FidelityData, MfboError, Outcome, RefitSchedule};
+use mfbo_gp::kernel::SquaredExponential;
+use mfbo_gp::{Gp, GpConfig, InferenceMode};
+use mfbo_opt::{de, sampling, Bounds};
 use rand::Rng;
 
 /// LCB exploration weight κ of the prescreen (the GASPAD paper uses ω ≈ 2).
 const KAPPA: f64 = 2.0;
-/// Differential weight `F` of the DE mutation.
-const SCALE: f64 = 0.6;
-/// Crossover probability `CR` of the DE mutation.
-const CROSSOVER: f64 = 0.9;
 
 /// GASPAD configuration (paper Table 2 uses 120 initial points and a
 /// 2500-simulation cap on the charge pump).
@@ -35,7 +32,8 @@ pub struct GaspadConfig {
     /// GP inference engine for every surrogate fit (full and frozen
     /// refits); the GPs otherwise train with [`GpConfig::fast`].
     pub gp_inference: InferenceMode,
-    /// Re-optimize hyperparameters every `refit_every` iterations.
+    /// Re-optimize hyperparameters every `refit_every` iterations, with
+    /// frozen refreshes in between ([`mfbo::RefitSchedule`]).
     pub refit_every: usize,
 }
 
@@ -132,56 +130,23 @@ impl Gaspad {
             inference: cfg.gp_inference,
             ..GpConfig::fast()
         };
-        let mut thetas = None;
-        let mut since_refit = 0usize;
+        let mut schedule = RefitSchedule::<Gp<SquaredExponential>>::new(cfg.refit_every);
 
         for iteration in 1.. {
             if data.len() >= cfg.budget {
                 break;
             }
             let data_u = data.to_unit(&bounds);
-            let surrogates = match &thetas {
-                Some(t) if since_refit < cfg.refit_every => {
-                    match SfSurrogates::fit_frozen(&data_u, &model, t) {
-                        Ok(s) => s,
-                        Err(_) => SfSurrogates::fit(&data_u, &model, None, rng)?,
-                    }
-                }
-                warm => {
-                    since_refit = 0;
-                    SfSurrogates::fit(&data_u, &model, warm.as_ref(), rng)?
-                }
-            };
-            since_refit += 1;
-            thetas = Some(surrogates.thetas());
+            let (surrogates, _) = schedule.fit(&data_u, &model, rng)?;
 
             // Parent pool: the best `population` simulated designs (unit
             // space) under exact feasibility rules.
             let parents = self.select_parents(&data_u);
 
             // DE/rand/1/bin offspring from the parent pool.
-            let mut candidates = Vec::with_capacity(parents.len());
-            let np = parents.len();
-            for i in 0..np {
-                let pick = |rng: &mut R, excl: &[usize]| loop {
-                    let v = rng.gen_range(0..np);
-                    if !excl.contains(&v) {
-                        break v;
-                    }
-                };
-                let a = pick(rng, &[i]);
-                let b = pick(rng, &[i, a]);
-                let c = pick(rng, &[i, a, b]);
-                let j_rand = rng.gen_range(0..bounds.dim());
-                let mut child = parents[i].clone();
-                for j in 0..bounds.dim() {
-                    if j == j_rand || rng.gen::<f64>() < CROSSOVER {
-                        child[j] = parents[a][j] + SCALE * (parents[b][j] - parents[c][j]);
-                    }
-                }
-                unit.clamp_in_place(&mut child);
-                candidates.push(child);
-            }
+            let candidates: Vec<Vec<f64>> = (0..parents.len())
+                .map(|i| de::trial(&parents, i, &unit, rng))
+                .collect();
 
             // LCB prescreen: optimistic objective under optimistic
             // feasibility (LCB of each constraint must be negative to count

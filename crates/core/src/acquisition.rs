@@ -3,9 +3,8 @@
 //! All functions here are pure scalar formulas over a posterior mean, a
 //! posterior standard deviation, and (for improvement-based criteria) an
 //! incumbent value `τ`. Composition with surrogate models happens in the
-//! [`crate::MfSurrogates`]/[`crate::SfSurrogates`] bundles; keeping the
-//! formulas free-standing makes them trivially testable against their
-//! closed forms.
+//! [`crate::Surrogates`] bundle; keeping the formulas free-standing makes
+//! them trivially testable against their closed forms.
 
 use mfbo_linalg::{norm_cdf, norm_pdf};
 

@@ -61,9 +61,9 @@ use crate::history::{EvaluationRecord, FidelityData, Outcome};
 use crate::mfbo::MfBoConfig;
 use crate::nargp::MfGpConfig;
 use crate::problem::{Evaluation, Fidelity, MultiFidelityProblem};
-use crate::surrogate::{MfBundleThetas, MfSurrogates, SfBundleThetas, SfSurrogates};
+use crate::surrogate::{RunSchedule, RunSurrogates};
 use crate::MfboError;
-use mfbo_gp::{GpConfig, GpError};
+use mfbo_gp::GpConfig;
 use mfbo_opt::msp::{LandscapeStats, MultiStart};
 use mfbo_opt::neldermead::NelderMead;
 use mfbo_opt::{sampling, Bounds};
@@ -210,114 +210,6 @@ enum Gen {
     Exhausted,
 }
 
-/// One iteration's surrogate bundle: fusion models when the run has
-/// low-fidelity data, one SE-ARD GP per output when it has none. A single
-/// short-lived value per iteration, so the variants' size gap is harmless.
-#[allow(clippy::large_enum_variant)]
-enum Surrogates {
-    Mf(MfSurrogates),
-    Sf(SfSurrogates),
-}
-
-/// Trained hyperparameters carried across iterations for warm and frozen
-/// refits.
-enum Thetas {
-    Mf(MfBundleThetas),
-    Sf(SfBundleThetas),
-}
-
-impl Surrogates {
-    /// Full hyperparameter optimization, warm-started from `warm` when
-    /// given.
-    fn fit<R: Rng>(
-        low: &FidelityData,
-        high: &FidelityData,
-        cfg: &MfGpConfig,
-        warm: Option<&Thetas>,
-        rng: &mut R,
-    ) -> Result<Self, GpError> {
-        Ok(match warm {
-            None if low.is_empty() => Surrogates::Sf(SfSurrogates::fit(high, &cfg.gp, None, rng)?),
-            None => Surrogates::Mf(MfSurrogates::fit(low, high, cfg, None, rng)?),
-            Some(Thetas::Sf(t)) => Surrogates::Sf(SfSurrogates::fit(high, &cfg.gp, Some(t), rng)?),
-            Some(Thetas::Mf(t)) => Surrogates::Mf(MfSurrogates::fit(low, high, cfg, Some(t), rng)?),
-        })
-    }
-
-    /// Refresh on the current data with frozen hyperparameters.
-    fn fit_frozen(
-        low: &FidelityData,
-        high: &FidelityData,
-        cfg: &MfGpConfig,
-        thetas: &Thetas,
-    ) -> Result<Self, GpError> {
-        Ok(match thetas {
-            Thetas::Sf(t) => Surrogates::Sf(SfSurrogates::fit_frozen(high, &cfg.gp, t)?),
-            Thetas::Mf(t) => Surrogates::Mf(MfSurrogates::fit_frozen(low, high, cfg, t)?),
-        })
-    }
-
-    fn thetas(&self) -> Thetas {
-        match self {
-            Surrogates::Mf(s) => Thetas::Mf(s.thetas()),
-            Surrogates::Sf(s) => Thetas::Sf(s.thetas()),
-        }
-    }
-
-    /// Eq. (13)'s feasibility drive plus a tiny objective-mean tie-break
-    /// that steers the search toward good designs once the drive term
-    /// flattens at zero, at each of `points` into `out` — the batched
-    /// objective of the drive's Nelder–Mead searches. Posterior means only.
-    fn drive(&self, points: &[Vec<f64>], out: &mut [f64]) {
-        match self {
-            Surrogates::Mf(s) => s.drive(points, out),
-            Surrogates::Sf(s) => s.drive(points, out),
-        }
-    }
-
-    /// Weighted EI of the high-fidelity posteriors against `tau_h`.
-    fn wei_high(&self, x: &[f64], tau_h: f64) -> f64 {
-        match self {
-            Surrogates::Mf(s) => s.wei_high(x, tau_h),
-            Surrogates::Sf(s) => s.wei(x, tau_h),
-        }
-    }
-}
-
-impl Thetas {
-    /// The `hyperparams` trajectory event, emitted on the main thread in
-    /// iteration order (worker-thread `gp_fit` events interleave
-    /// nondeterministically; this one is safe to diff run-to-run).
-    fn trace(&self, iteration: usize) {
-        use crate::surrogate::fmt_thetas;
-        match self {
-            Thetas::Mf(t) => mfbo_telemetry::debug_event!(
-                "hyperparams",
-                iteration = iteration,
-                objective_low = fmt_thetas(&t.objective.low),
-                objective_high = fmt_thetas(&t.objective.high),
-                constraints = t
-                    .constraints
-                    .iter()
-                    .map(|c| format!("{}|{}", fmt_thetas(&c.low), fmt_thetas(&c.high)))
-                    .collect::<Vec<_>>()
-                    .join(";"),
-            ),
-            Thetas::Sf(t) => mfbo_telemetry::debug_event!(
-                "hyperparams",
-                iteration = iteration,
-                objective = fmt_thetas(&t.objective),
-                constraints = t
-                    .constraints
-                    .iter()
-                    .map(|c| fmt_thetas(c))
-                    .collect::<Vec<_>>()
-                    .join(";"),
-            ),
-        }
-    }
-}
-
 /// The ask/tell core of the multi-fidelity optimizer. Its decisions
 /// (surrogate fits, acquisition, fidelity choice, RNG draws) are a pure
 /// function of the seed, the config and the problem, whatever order or
@@ -347,8 +239,8 @@ pub struct AskTellMfbo<P, R> {
     selector: FidelitySelector,
     model_cfg: MfGpConfig,
     low_streak: usize,
-    thetas: Option<Thetas>,
-    iterations_since_refit: usize,
+    /// Full refits, frozen refreshes and their fallback (line 3).
+    schedule: RunSchedule,
     next_iteration: usize,
     next_id: u64,
     pending: VecDeque<Slot>,
@@ -464,8 +356,7 @@ where
             selector,
             model_cfg,
             low_streak: 0,
-            thetas: None,
-            iterations_since_refit: 0,
+            schedule: RunSchedule::new(cfg.initial_low > 0, cfg.refit_every),
             next_iteration: 1,
             next_id: 1,
             pending: VecDeque::new(),
@@ -783,16 +674,14 @@ where
     }
 
     /// Line 3: fits the surrogates on the committed data plus, in batched
-    /// mode, the in-flight candidates' constant-liar fantasies. Full
-    /// hyperparameter optimization every `refit_every` iterations, frozen
-    /// refresh in between; a frozen-refresh failure falls back to a full
-    /// refit. Returns the surrogates and the `(low, high)` data they were
+    /// mode, the in-flight candidates' constant-liar fantasies, by the
+    /// run's [`RefitSchedule`](crate::RefitSchedule). Returns the surrogates and the `(low, high)` data they were
     /// fit on, in unit-cube coordinates and before winsorizing (incumbents
     /// are read from the raw values).
     fn fit(
         &mut self,
         iteration: usize,
-    ) -> Result<(Surrogates, FidelityData, FidelityData), MfboError> {
+    ) -> Result<(RunSurrogates, FidelityData, FidelityData), MfboError> {
         // Constant-liar augmentation (with q = 1 the pending set is always
         // empty here and this is the committed data).
         let with_fantasies = |data: &FidelityData, fidelity| {
@@ -816,31 +705,9 @@ where
             n_low = low_u.len(),
             n_high = high_u.len()
         );
-        let surrogates = match &self.thetas {
-            Some(t) if self.iterations_since_refit < self.cfg.refit_every => {
-                match Surrogates::fit_frozen(low_u, high_u, &self.model_cfg, t) {
-                    Ok(s) => s,
-                    // Frozen-refresh recovery: a full re-optimization from
-                    // scratch.
-                    Err(_) => Surrogates::fit(low_u, high_u, &self.model_cfg, None, &mut self.rng)?,
-                }
-            }
-            warm => {
-                let s =
-                    Surrogates::fit(low_u, high_u, &self.model_cfg, warm.as_ref(), &mut self.rng)?;
-                if let (Some(_), Surrogates::Mf(mf)) = (warm, &s) {
-                    if mf.warm_seed_won() {
-                        mfbo_telemetry::counter!("theta_warm_wins", 1);
-                    }
-                }
-                self.iterations_since_refit = 0;
-                s
-            }
-        };
-        self.iterations_since_refit += 1;
-        let thetas = surrogates.thetas();
-        thetas.trace(iteration);
-        self.thetas = Some(thetas);
+        let surrogates =
+            self.schedule
+                .fit(low_u, high_u, &self.model_cfg, iteration, &mut self.rng)?;
         self.telemetry
             .record_stage("surrogate_fit", fit_span.elapsed());
         drop(fit_span);
@@ -855,7 +722,7 @@ where
     fn acquire(
         &mut self,
         iteration: usize,
-        surrogates: &Surrogates,
+        surrogates: &RunSurrogates,
         low: &FidelityData,
         high: &FidelityData,
     ) -> Decision {
@@ -889,7 +756,7 @@ where
                 };
             let (frac_l, frac_h) = (self.cfg.frac_around_tau_l, self.cfg.frac_around_tau_h);
             let mut ms_high = self.multi_start(taboo);
-            if let Surrogates::Mf(mf) = surrogates {
+            if let RunSurrogates::Fusion(mf) = surrogates {
                 // Line 5: optimize the low-fidelity wEI → x*_l.
                 let ms_low = around(self.multi_start(Vec::new()), best_low, low, frac_l + frac_h);
                 let tau_l = tau_l.unwrap_or(0.0);
@@ -907,7 +774,7 @@ where
                 frac_l,
             );
             let tau_h = tau_h.unwrap_or(0.0);
-            let wei_h = |x: &[f64]| surrogates.wei_high(x, tau_h);
+            let wei_h = |x: &[f64]| surrogates.wei(x, tau_h);
             ms_high.maximize_with_stats(&wei_h, &self.unit, &mut self.rng)
         };
         self.telemetry.record_stage("acq_opt", acq_span.elapsed());
@@ -954,8 +821,8 @@ where
     /// Line 7: on a multi-fidelity run, the fidelity of x* by eq. (11)/(12)
     /// (§3.4) with the `max_low_streak` verification safeguard; then the
     /// iteration's decision event.
-    fn decide(&mut self, iteration: usize, surrogates: &Surrogates, d: &mut Decision) {
-        let Surrogates::Mf(mf) = surrogates else {
+    fn decide(&mut self, iteration: usize, surrogates: &RunSurrogates, d: &mut Decision) {
+        let RunSurrogates::Fusion(mf) = surrogates else {
             event!(
                 "sfbo_iteration",
                 iteration = iteration,
@@ -1198,6 +1065,7 @@ mod tests {
     use super::*;
     use crate::acquisition::feasibility_drive;
     use crate::nargp::MfGpThetas;
+    use crate::surrogate::{OutputModel, Surrogates};
     use mfbo_gp::kernel::{Kernel, NargpKernel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1263,18 +1131,19 @@ mod tests {
 
     /// The pointwise drive the batched one replaces: full posteriors,
     /// reading only their means.
-    fn pointwise_drive(s: &Surrogates, x: &[f64]) -> f64 {
-        let (cons, obj): (Vec<f64>, f64) = match s {
-            Surrogates::Mf(s) => (
-                s.constraints().iter().map(|c| c.predict(x).mean).collect(),
-                s.objective().predict(x).mean,
-            ),
-            Surrogates::Sf(s) => (
-                s.constraints().iter().map(|c| c.predict(x).mean).collect(),
-                s.objective().predict(x).mean,
-            ),
-        };
-        feasibility_drive(&cons) + 1e-4 * obj
+    fn pointwise_drive(s: &RunSurrogates, x: &[f64]) -> f64 {
+        fn of<M: OutputModel>(s: &Surrogates<M>, x: &[f64]) -> f64 {
+            let cons: Vec<f64> = s
+                .constraints()
+                .iter()
+                .map(|c| c.posterior(x).mean)
+                .collect();
+            feasibility_drive(&cons) + 1e-4 * s.objective().posterior(x).mean
+        }
+        match s {
+            RunSurrogates::Fusion(s) => of(s, x),
+            RunSurrogates::Single(s) => of(s, x),
+        }
     }
 
     /// The `predict_batch_points` count of `f`.
@@ -1295,7 +1164,7 @@ mod tests {
     /// bit and counts the same `predict_batch_points`; then a short
     /// Nelder–Mead search whose every batch (the whole 37-point initial
     /// simplex, each shrink) is checked the same way.
-    fn check_drive(s: &Surrogates, points: &[Vec<f64>]) {
+    fn check_drive(s: &RunSurrogates, points: &[Vec<f64>]) {
         let mut batched = vec![0.0; points.len()];
         let batched_count = points_counted(|| s.drive(points, &mut batched));
         let mut pointwise = Vec::new();
@@ -1329,20 +1198,17 @@ mod tests {
         mc_samples: usize,
         low_theta: Vec<f64>,
         high_theta: Vec<f64>,
-    ) -> Surrogates {
+    ) -> RunSurrogates {
         let models = MfGpThetas {
             low: low_theta,
             high: high_theta,
         };
-        let thetas = MfBundleThetas {
-            objective: models.clone(),
-            constraints: vec![models; CONSTRAINTS],
-        };
+        let thetas = vec![models; 1 + CONSTRAINTS];
         let cfg = MfGpConfig {
             mc_samples,
             ..MfGpConfig::fast()
         };
-        Surrogates::Mf(MfSurrogates::fit_frozen(low, high, &cfg, &thetas).unwrap())
+        RunSurrogates::Fusion(Surrogates::fit_frozen((low, high), &cfg, &thetas).unwrap())
     }
 
     #[test]
@@ -1371,7 +1237,7 @@ mod tests {
         let s = mf_surrogates(&low, &high, 12, se_theta(-3.0, -30.0), nargp_theta());
         let mut points = data(6, 0.0, &mut rng).xs;
         points.splice(1..1, low.xs[..9].iter().cloned());
-        let Surrogates::Mf(mf) = &s else {
+        let RunSurrogates::Fusion(mf) = &s else {
             unreachable!()
         };
         for x in &low.xs[..9] {
@@ -1389,12 +1255,9 @@ mod tests {
         check_drive(&s, &points);
     }
 
-    fn sf_surrogates(high: &FidelityData, theta: Vec<f64>) -> Surrogates {
-        let thetas = SfBundleThetas {
-            objective: theta.clone(),
-            constraints: vec![theta; CONSTRAINTS],
-        };
-        Surrogates::Sf(SfSurrogates::fit_frozen(high, &GpConfig::fast(), &thetas).unwrap())
+    fn sf_surrogates(high: &FidelityData, theta: Vec<f64>) -> RunSurrogates {
+        let thetas = vec![theta; 1 + CONSTRAINTS];
+        RunSurrogates::Single(Surrogates::fit_frozen(high, &GpConfig::fast(), &thetas).unwrap())
     }
 
     #[test]

@@ -46,6 +46,15 @@ impl FidelityData {
         }
     }
 
+    /// The observations of output `i`: the objective at 0, constraint
+    /// `i - 1` after it — the order of a surrogate bundle's models.
+    pub(crate) fn output(&self, i: usize) -> &[f64] {
+        match i {
+            0 => &self.objective,
+            _ => &self.constraints[i - 1],
+        }
+    }
+
     /// Number of stored points.
     pub fn len(&self) -> usize {
         self.xs.len()

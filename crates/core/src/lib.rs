@@ -85,4 +85,4 @@ pub use mfbo_pool::Parallelism;
 pub use mfbo_runstore::{GroupCommitter, RunStore};
 pub use nargp::{MfGp, MfGpConfig, MfGpPlan, MfGpThetas};
 pub use run_report::RunReport;
-pub use surrogate::{MfBundleThetas, MfSurrogates, SfBundleThetas, SfSurrogates};
+pub use surrogate::{OutputModel, Refit, RefitSchedule, Surrogates, Train};

@@ -80,9 +80,10 @@ pub struct MfBoConfig {
     /// safeguard, but its reported charge-pump run (146 fine samples out of
     /// 471) is unreachable without one.
     pub max_low_streak: usize,
-    /// Thread-pool mode for the hot paths (surrogate training, MSP restart
-    /// optimization, Monte-Carlo posterior propagation). Every mode produces
-    /// bit-identical optimization histories — see `mfbo_pool`.
+    /// Thread-pool mode for the hot paths (surrogate training and MSP
+    /// restart optimization; the Monte-Carlo posterior propagation runs
+    /// serially inside each restart). Every mode produces bit-identical
+    /// optimization histories — see `mfbo_pool`.
     pub parallelism: Parallelism,
     /// Maximum candidates in flight at once through the ask/tell interface
     /// (q-batch acquisition). `1` — the default and the paper's sequential

@@ -1,60 +1,92 @@
-//! Surrogate-model bundles: one model per output (objective + each
-//! constraint), at one or two fidelities.
+//! Surrogate bundles: one model per output (objective + each constraint),
+//! at one or two fidelities, and the refit schedule the BO loops run them
+//! on.
 //!
 //! The paper models every circuit performance separately — the objective and
 //! each constraint get their own GP (single-fidelity case, §2.4) or their
-//! own fusion model (multi-fidelity case, §3). These bundles wire the
+//! own fusion model (multi-fidelity case, §3). [`Surrogates`] holds such a
+//! family for either kind of model ([`OutputModel`]) and wires the
 //! per-output posteriors into the acquisition formulas of
-//! [`crate::acquisition`].
+//! [`crate::acquisition`]; [`RefitSchedule`] decides, each iteration,
+//! whether the family is re-searched or refreshed at its last θ.
 
 use crate::acquisition;
 use crate::history::FidelityData;
 use crate::nargp::{split_theta, MfGp, MfGpConfig, MfGpPlan, MfGpThetas};
 use mfbo_gp::kernel::SquaredExponential;
-use mfbo_gp::{with_scratch, DiffBatch, Gp, GpConfig, GpError};
+use mfbo_gp::{with_scratch, DiffBatch, Gp, GpConfig, GpError, Prediction};
 use mfbo_pool::par_map_indexed;
 use rand::Rng;
 
-/// Trained hyperparameters of a full multi-fidelity bundle, for warm or
-/// frozen refits across BO iterations.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MfBundleThetas {
-    /// Objective fusion-model hyperparameters.
-    pub objective: MfGpThetas,
-    /// Per-constraint fusion-model hyperparameters.
-    pub constraints: Vec<MfGpThetas>,
+/// One output's model in a [`Surrogates`] bundle: an SE-ARD GP (single
+/// fidelity) or a fusion model (two fidelities). Every model of a bundle
+/// trains its first stage on the same inputs, so the bundle selects their
+/// subset and builds their difference batch once.
+pub trait OutputModel: Sized + Send + Sync {
+    /// The bundle's training data.
+    type Data<'a>: Copy + Sync;
+    /// The training configuration.
+    type Config: Sync;
+    /// One model's trained hyperparameters.
+    type Theta: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static;
+    /// One model's pre-drawn NLML starting points.
+    type Plan: Clone + Sync;
+
+    /// The observations whose inputs every first stage trains on, and the
+    /// input dimension.
+    ///
+    /// # Errors
+    ///
+    /// [`GpError::InvalidTrainingSet`] for data with no (high-fidelity)
+    /// training points.
+    fn shared<'a>(data: Self::Data<'a>) -> Result<(&'a FidelityData, usize), GpError>;
+
+    /// The GP settings of every stage: inference engine and pool.
+    fn gp(config: &Self::Config) -> &GpConfig;
+
+    /// Draws one model's NLML starting points; `warm` adds one start that
+    /// consumes no randomness.
+    fn plan<R: Rng + ?Sized>(
+        dim: usize,
+        config: &Self::Config,
+        warm: Option<&Self::Theta>,
+        rng: &mut R,
+    ) -> Self::Plan;
+
+    /// Builds output `i`'s model as `how` says, its first stage on `train`:
+    /// the shared inputs, already reduced to their subset, and output `i`'s
+    /// observations at them. A search reads `batch` when it fits the inputs
+    /// (see [`Gp::fit_planned`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the model's [`GpError`].
+    fn train(
+        data: Self::Data<'_>,
+        i: usize,
+        train: (Vec<Vec<f64>>, Vec<f64>),
+        config: &Self::Config,
+        how: Train<'_, Self>,
+        batch: Option<&DiffBatch>,
+    ) -> Result<Self, GpError>;
+
+    /// The trained hyperparameters.
+    fn theta(&self) -> Self::Theta;
+
+    /// The (high-fidelity) posterior at `x`, in raw units.
+    fn posterior(&self, x: &[f64]) -> Prediction;
+
+    /// The raw posterior means at `points`, into `out`, bit-identical to
+    /// the `mean` of [`OutputModel::posterior`].
+    fn posterior_means(&self, points: &[Vec<f64>], out: &mut [f64]);
 }
 
-/// Trained hyperparameters of a single-fidelity bundle.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SfBundleThetas {
-    /// Objective GP hyperparameters `[kernel…, log σ_n]`.
-    pub objective: Vec<f64>,
-    /// Per-constraint GP hyperparameters.
-    pub constraints: Vec<Vec<f64>>,
-}
-
-/// Serializes a hyperparameter vector for the `hyperparams` trajectory
-/// event: comma-joined shortest-round-trip floats, so the analyzer can parse
-/// the exact `f64` bits back out of a JSONL trace.
-pub(crate) fn fmt_thetas(theta: &[f64]) -> String {
-    let mut out = String::new();
-    for (i, v) in theta.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&mfbo_telemetry::json::Json::Num(*v).to_string());
-    }
-    out
-}
-
-/// Output `i` of a bundle: the objective at 0, constraint `i - 1` after it.
-fn output<'a, T>(objective: &'a T, constraints: &'a [T], i: usize) -> &'a T {
-    if i == 0 {
-        objective
-    } else {
-        &constraints[i - 1]
-    }
+/// How [`OutputModel::train`] builds a model.
+pub enum Train<'a, M: OutputModel> {
+    /// An NLML search from the plan.
+    Search(M::Plan),
+    /// A rebuild at θ with no search.
+    Frozen(&'a M::Theta),
 }
 
 /// The input dimension of a bundle's training points; `empty` is the error
@@ -67,358 +99,474 @@ fn input_dim(xs: &[Vec<f64>], empty: &str) -> Result<usize, GpError> {
         })
 }
 
-/// Eq. (13)'s feasibility drive plus `1e-4` × the objective mean — the
-/// tie-break that steers the search toward good designs once the drive term
-/// flattens at zero — at each of `out.len()` queries, into `out`.
-/// `means(model, row)` writes one model's raw posterior means at the
-/// queries into `row`.
-fn drive_from_means<M>(
-    objective: &M,
-    constraints: &[M],
-    out: &mut [f64],
-    mut means: impl FnMut(&M, &mut [f64]),
-) {
-    let m = out.len();
-    if m == 0 {
-        return;
+impl OutputModel for Gp<SquaredExponential> {
+    type Data<'a> = &'a FidelityData;
+    type Config = GpConfig;
+    type Theta = Vec<f64>;
+    type Plan = Vec<Vec<f64>>;
+
+    fn shared<'a>(data: Self::Data<'a>) -> Result<(&'a FidelityData, usize), GpError> {
+        Ok((data, input_dim(&data.xs, "no training points")?))
     }
-    let c = constraints.len();
-    with_scratch((1 + c) * m + c, |buf| {
-        let (rows, at) = buf.split_at_mut((1 + c) * m);
-        let models = std::iter::once(objective).chain(constraints);
-        for (model, row) in models.zip(rows.chunks_exact_mut(m)) {
-            means(model, row);
-        }
-        let (obj, cons) = rows.split_at(m);
-        for (q, o) in out.iter_mut().enumerate() {
-            for (a, row) in at.iter_mut().zip(cons.chunks_exact(m)) {
-                *a = row[q];
+
+    fn gp(config: &GpConfig) -> &GpConfig {
+        config
+    }
+
+    fn plan<R: Rng + ?Sized>(
+        dim: usize,
+        config: &GpConfig,
+        warm: Option<&Vec<f64>>,
+        rng: &mut R,
+    ) -> Vec<Vec<f64>> {
+        let warm = warm.map(Vec::as_slice);
+        Gp::plan_starts(&SquaredExponential::new(dim), config, warm, rng)
+    }
+
+    fn train(
+        _: &FidelityData,
+        _: usize,
+        (xs, ys): (Vec<Vec<f64>>, Vec<f64>),
+        config: &GpConfig,
+        how: Train<'_, Self>,
+        batch: Option<&DiffBatch>,
+    ) -> Result<Self, GpError> {
+        let kernel = SquaredExponential::new(xs[0].len());
+        match how {
+            Train::Search(plan) => Gp::fit_planned(kernel, xs, ys, config, plan, batch),
+            Train::Frozen(theta) => {
+                let (kp, ln) = split_theta(theta);
+                Gp::with_params(kernel, xs, ys, kp, ln, config)
             }
-            *o = acquisition::feasibility_drive(at) + 1e-4 * obj[q];
-        }
-    });
-}
-
-/// The lower-triangle difference batch over a bundle's shared training
-/// inputs `xs`, or `None` where its models' fits would not read it
-/// ([`Gp::reads_shared_batch`]). Only a full fit's NLML searches read one.
-fn shared_batch(xs: &[Vec<f64>], config: &GpConfig) -> Option<DiffBatch> {
-    Gp::<SquaredExponential>::reads_shared_batch(config, xs.len())
-        .then(|| DiffBatch::lower_triangle(xs))
-}
-
-/// Splits per-model results (objective first) into the bundle's models,
-/// returning the first error in output order, as sequential fits would.
-fn split_models<M>(fitted: Vec<Result<M, GpError>>) -> Result<(M, Vec<M>), GpError> {
-    let mut models = fitted.into_iter();
-    let objective = models.next().expect("a bundle contains the objective")?;
-    let constraints = models.collect::<Result<Vec<_>, _>>()?;
-    Ok((objective, constraints))
-}
-
-/// Multi-fidelity surrogate bundle: a fusion model for the objective and one
-/// for each constraint.
-#[derive(Debug, Clone)]
-pub struct MfSurrogates {
-    objective: MfGp,
-    constraints: Vec<MfGp>,
-}
-
-impl MfSurrogates {
-    /// Assembles a bundle. Every low stage trains on the same inputs:
-    /// subset-of-data picks its subset from the inputs alone.
-    fn new(objective: MfGp, constraints: Vec<MfGp>) -> Self {
-        let low = objective.low().xs();
-        debug_assert!(constraints.iter().all(|c| c.low().xs() == low));
-        MfSurrogates {
-            objective,
-            constraints,
         }
     }
 
-    /// Fits fusion models for every output from the two fidelity data sets,
-    /// each by a full hyperparameter search — seeded with that model's
-    /// previous optimum as one extra start when `warm` is given.
+    fn theta(&self) -> Vec<f64> {
+        Gp::theta(self)
+    }
+
+    fn posterior(&self, x: &[f64]) -> Prediction {
+        self.predict(x)
+    }
+
+    fn posterior_means(&self, points: &[Vec<f64>], out: &mut [f64]) {
+        self.predict_means_standardized(points, out);
+        for m in out {
+            *m = self.standardizer().inverse(*m);
+        }
+    }
+}
+
+/// A fusion model's data is `(low, high)`; its low stage trains on the
+/// shared `X_l`. Each model's high stage sees its own augmented inputs (the
+/// last coordinate is its own low posterior mean), so the high stage
+/// selects its subset and builds its batch per model.
+impl OutputModel for MfGp {
+    type Data<'a> = (&'a FidelityData, &'a FidelityData);
+    type Config = MfGpConfig;
+    type Theta = MfGpThetas;
+    type Plan = MfGpPlan;
+
+    fn shared<'a>((low, high): Self::Data<'a>) -> Result<(&'a FidelityData, usize), GpError> {
+        Ok((
+            low,
+            input_dim(&high.xs, "no high-fidelity training points")?,
+        ))
+    }
+
+    fn gp(config: &MfGpConfig) -> &GpConfig {
+        &config.gp
+    }
+
+    fn plan<R: Rng + ?Sized>(
+        dim: usize,
+        config: &MfGpConfig,
+        warm: Option<&MfGpThetas>,
+        rng: &mut R,
+    ) -> MfGpPlan {
+        MfGp::plan(dim, config, warm, rng)
+    }
+
+    fn train(
+        (_, high): Self::Data<'_>,
+        i: usize,
+        (xl, yl): (Vec<Vec<f64>>, Vec<f64>),
+        config: &MfGpConfig,
+        how: Train<'_, Self>,
+        batch: Option<&DiffBatch>,
+    ) -> Result<Self, GpError> {
+        let (xh, yh) = (high.xs.clone(), high.output(i).to_vec());
+        match how {
+            Train::Search(plan) => MfGp::fit_planned(xl, yl, xh, yh, config, plan, batch),
+            Train::Frozen(theta) => MfGp::fit_frozen(xl, yl, xh, yh, config, theta),
+        }
+    }
+
+    fn theta(&self) -> MfGpThetas {
+        self.thetas()
+    }
+
+    fn posterior(&self, x: &[f64]) -> Prediction {
+        self.predict(x)
+    }
+
+    fn posterior_means(&self, points: &[Vec<f64>], out: &mut [f64]) {
+        self.predict_means(points, out);
+    }
+}
+
+/// A surrogate bundle: one [`OutputModel`] per output, the objective's
+/// first, then one per constraint.
+#[derive(Debug, Clone)]
+pub struct Surrogates<M> {
+    models: Vec<M>,
+}
+
+impl<M: OutputModel> Surrogates<M> {
+    /// Fits every output's model by a full hyperparameter search — seeded
+    /// with that model's previous optimum as one extra start when `warm`
+    /// (objective first) is given.
     ///
     /// Every model's starting points are drawn from `rng` serially, in
     /// output order (objective first, then each constraint); the fits
-    /// themselves are pure and run on `config.gp.parallelism`, so the bundle
-    /// is bit-identical in every mode. All 1+m models train their low stage
-    /// on the same `X_l`, so the bundle builds one difference batch and
-    /// shares it across them (bit-identical to a batch per model).
+    /// themselves are pure and run on the config's pool, so the bundle is
+    /// bit-identical in every mode. The models' first stages train on the
+    /// same inputs, so the bundle selects their subset once and builds one
+    /// difference batch over it that every model's search reads
+    /// (bit-identical to a subset and a batch per model).
     ///
     /// # Errors
     ///
     /// Propagates the first [`GpError`] in output order.
     pub fn fit<R: Rng + ?Sized>(
-        low: &FidelityData,
-        high: &FidelityData,
-        config: &MfGpConfig,
-        warm: Option<&MfBundleThetas>,
+        data: M::Data<'_>,
+        config: &M::Config,
+        warm: Option<&[M::Theta]>,
         rng: &mut R,
     ) -> Result<Self, GpError> {
-        let dim = input_dim(&high.xs, "no high-fidelity training points")?;
-        let n_cons = low.constraints.len().min(high.constraints.len());
-        let plans: Vec<MfGpPlan> = (0..=n_cons)
-            .map(|i| {
-                let w = warm.map(|w| output(&w.objective, &w.constraints, i));
-                MfGp::plan(dim, config, w, rng)
-            })
+        let (shared, dim) = M::shared(data)?;
+        let plans: Vec<M::Plan> = (0..=shared.constraints.len())
+            .map(|i| M::plan(dim, config, warm.map(|w| &w[i]), rng))
             .collect();
-        let batch = shared_batch(&low.xs, &config.gp);
-        let fitted = par_map_indexed(config.gp.parallelism, plans.len(), |i| {
-            MfGp::fit_planned(
-                low.xs.clone(),
-                output(&low.objective, &low.constraints, i).clone(),
-                high.xs.clone(),
-                output(&high.objective, &high.constraints, i).clone(),
-                config,
-                plans[i].clone(),
-                batch.as_ref(),
-            )
-        });
-        let (objective, constraints) = split_models(fitted)?;
-        Ok(MfSurrogates::new(objective, constraints))
+        Self::train_all(data, config, true, |i| Train::Search(plans[i].clone()))
     }
 
-    /// Rebuilds every model on new data with frozen hyperparameters (no
-    /// training) — the cheap path between full refits. Each model reads its
-    /// settings from `config` (see [`MfGp::fit_frozen`]); the refreshes
-    /// consume no randomness and run on `config.gp.parallelism`. With no
-    /// NLML search to serve, they build no difference batch.
+    /// Rebuilds every model on new data at `thetas` (objective first), with
+    /// no search — the cheap path between full refits. It consumes no
+    /// randomness, runs on the config's pool, and builds no difference
+    /// batch; the subset is selected once, as for [`Surrogates::fit`].
     ///
     /// # Errors
     ///
     /// Propagates the first [`GpError`] in output order.
     pub fn fit_frozen(
-        low: &FidelityData,
-        high: &FidelityData,
-        config: &MfGpConfig,
-        thetas: &MfBundleThetas,
+        data: M::Data<'_>,
+        config: &M::Config,
+        thetas: &[M::Theta],
     ) -> Result<Self, GpError> {
-        let n_cons = low.constraints.len().min(high.constraints.len());
-        let fitted = par_map_indexed(config.gp.parallelism, n_cons + 1, |i| {
-            MfGp::fit_frozen(
-                low.xs.clone(),
-                output(&low.objective, &low.constraints, i).clone(),
-                high.xs.clone(),
-                output(&high.objective, &high.constraints, i).clone(),
-                config,
-                output(&thetas.objective, &thetas.constraints, i),
-            )
+        Self::train_all(data, config, false, |i| Train::Frozen(&thetas[i]))
+    }
+
+    /// Trains output `i`'s model as `how(i)` says, for every output, on
+    /// the config's pool, keeping the first error in output order as
+    /// sequential fits would. Every model trains on the rows of the shared
+    /// data that [`GpConfig::training_subset`] keeps, selected once; a
+    /// `search` builds one difference batch over them for every model.
+    fn train_all<'a>(
+        data: M::Data<'_>,
+        config: &M::Config,
+        search: bool,
+        how: impl Fn(usize) -> Train<'a, M> + Sync,
+    ) -> Result<Self, GpError> {
+        let shared = M::shared(data)?.0;
+        let rows = M::gp(config)
+            .training_subset(&shared.xs)
+            .unwrap_or_else(|| (0..shared.len()).collect());
+        let xs = pick(&shared.xs, &rows);
+        let batch = search.then(|| DiffBatch::lower_triangle(&xs));
+        let n = shared.constraints.len() + 1;
+        let fitted = par_map_indexed(M::gp(config).parallelism, n, |i| {
+            let train = (xs.clone(), pick(shared.output(i), &rows));
+            M::train(data, i, train, config, how(i), batch.as_ref())
         });
-        let (objective, constraints) = split_models(fitted)?;
-        Ok(MfSurrogates::new(objective, constraints))
+        let models = fitted.into_iter().collect::<Result<_, _>>()?;
+        Ok(Surrogates { models })
     }
 
-    /// The trained hyperparameters of every model in the bundle.
-    pub fn thetas(&self) -> MfBundleThetas {
-        MfBundleThetas {
-            objective: self.objective.thetas(),
-            constraints: self.constraints.iter().map(MfGp::thetas).collect(),
-        }
+    /// The trained hyperparameters of every model, objective first.
+    pub fn thetas(&self) -> Vec<M::Theta> {
+        self.models.iter().map(M::theta).collect()
     }
 
-    /// `true` when the warm-start seed (plan index 1; see
-    /// [`mfbo_gp::Gp::best_start`]) won the NLML search in *both* stages of
-    /// *every* model in the bundle. Only meaningful after a
-    /// [`MfSurrogates::fit`] given `warm` thetas; the signal behind the
-    /// `theta_warm_wins` counter.
-    pub fn warm_seed_won(&self) -> bool {
-        std::iter::once(&self.objective)
-            .chain(self.constraints.iter())
-            .all(|m| m.best_starts() == (Some(1), Some(1)))
+    /// The objective model.
+    pub fn objective(&self) -> &M {
+        &self.models[0]
     }
 
-    /// The objective fusion model.
-    pub fn objective(&self) -> &MfGp {
-        &self.objective
+    /// The constraint models.
+    pub fn constraints(&self) -> &[M] {
+        &self.models[1..]
     }
 
-    /// The constraint fusion models.
-    pub fn constraints(&self) -> &[MfGp] {
-        &self.constraints
-    }
-
-    /// Weighted EI of the **low-fidelity** models at `x` against incumbent
-    /// `tau_l` (Algorithm 1, line 5). EI comes first, and each constraint is
-    /// predicted only while the running product is nonzero: the
-    /// constraints [`acquisition::weighted_ei`] would skip are never
+    /// Weighted EI of the (high-fidelity) posteriors at `x` against
+    /// incumbent `tau` (Algorithm 1, line 6). EI comes first, and each
+    /// constraint is predicted only while the running product is nonzero:
+    /// the constraints [`acquisition::weighted_ei`] would skip are never
     /// predicted.
-    pub fn wei_low(&self, x: &[f64], tau_l: f64) -> f64 {
-        let p = self.objective.predict_low(x);
-        let cons = self.constraints.iter().map(|c| {
-            let cp = c.predict_low(x);
-            (cp.mean, cp.std_dev())
-        });
-        acquisition::weighted_ei(p.mean, p.std_dev(), tau_l, cons)
-    }
-
-    /// Weighted EI of the **high-fidelity** fusion posteriors at `x` against
-    /// incumbent `tau_h` (Algorithm 1, line 6). As in
-    /// [`MfSurrogates::wei_low`], a constraint is predicted only while the
-    /// running product is nonzero.
-    pub fn wei_high(&self, x: &[f64], tau_h: f64) -> f64 {
-        let p = self.objective.predict(x);
-        let cons = self.constraints.iter().map(|c| {
-            let cp = c.predict(x);
-            (cp.mean, cp.std_dev())
-        });
-        acquisition::weighted_ei(p.mean, p.std_dev(), tau_h, cons)
-    }
-
-    /// Maximum standardized low-fidelity posterior variance over all outputs
-    /// — the left-hand side of the fidelity-selection criterion, eq. (12).
-    pub fn max_low_variance(&self, x: &[f64]) -> f64 {
-        let mut v = self.objective.low_variance_standardized(x);
-        for c in &self.constraints {
-            v = v.max(c.low_variance_standardized(x));
-        }
-        v
-    }
-
-    /// The first-feasible-point objective of eq. (13), with the objective
-    /// tie-break (see [`SfSurrogates::drive`]), at each of `points` into
-    /// `out`, from the high-fidelity posterior means (bit-identical to the
-    /// `mean` of [`MfGp::predict`]). Each stage of each model predicts from
-    /// its own fit-time layout ([`MfGp::predict_means`]), allocating
-    /// nothing once the thread's scratch is warm.
-    pub fn drive(&self, points: &[Vec<f64>], out: &mut [f64]) {
-        drive_from_means(&self.objective, &self.constraints, out, |mf, row| {
-            mf.predict_means(points, row);
-        });
-    }
-}
-
-/// Single-fidelity surrogate bundle (the substrate of the WEIBO baseline and
-/// of this paper's per-fidelity components).
-#[derive(Debug, Clone)]
-pub struct SfSurrogates {
-    objective: Gp<SquaredExponential>,
-    constraints: Vec<Gp<SquaredExponential>>,
-}
-
-impl SfSurrogates {
-    /// Assembles a bundle. Every model trains on the same inputs:
-    /// subset-of-data picks its subset from the inputs alone.
-    fn new(objective: Gp<SquaredExponential>, constraints: Vec<Gp<SquaredExponential>>) -> Self {
-        debug_assert!(constraints.iter().all(|c| c.xs() == objective.xs()));
-        SfSurrogates {
-            objective,
-            constraints,
-        }
-    }
-
-    /// Fits one SE-ARD GP per output by a full hyperparameter search —
-    /// seeded with that model's previous optimum when `warm` is given.
-    /// Planning, parallelism and the shared difference batch work as in
-    /// [`MfSurrogates::fit`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`GpError`] in output order.
-    pub fn fit<R: Rng + ?Sized>(
-        data: &FidelityData,
-        config: &GpConfig,
-        warm: Option<&SfBundleThetas>,
-        rng: &mut R,
-    ) -> Result<Self, GpError> {
-        let dim = input_dim(&data.xs, "no training points")?;
-        let kernel = SquaredExponential::new(dim);
-        let plans: Vec<Vec<Vec<f64>>> = (0..=data.constraints.len())
-            .map(|i| {
-                let w = warm.map(|w| output(&w.objective, &w.constraints, i).as_slice());
-                Gp::plan_starts(&kernel, config, w, rng)
-            })
-            .collect();
-        let batch = shared_batch(&data.xs, config);
-        let fitted = par_map_indexed(config.parallelism, plans.len(), |i| {
-            Gp::fit_planned(
-                SquaredExponential::new(dim),
-                data.xs.clone(),
-                output(&data.objective, &data.constraints, i).clone(),
-                config,
-                plans[i].clone(),
-                batch.as_ref(),
-            )
-        });
-        let (objective, constraints) = split_models(fitted)?;
-        Ok(SfSurrogates::new(objective, constraints))
-    }
-
-    /// Rebuilds every model on new data with frozen hyperparameters, reading
-    /// [`GpConfig::inference`] and [`GpConfig::parallelism`] from `config`
-    /// as a full fit does. Like [`MfSurrogates::fit_frozen`], it builds no
-    /// difference batch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`GpError`] in output order.
-    pub fn fit_frozen(
-        data: &FidelityData,
-        config: &GpConfig,
-        thetas: &SfBundleThetas,
-    ) -> Result<Self, GpError> {
-        let dim = input_dim(&data.xs, "no training points")?;
-        let fitted = par_map_indexed(config.parallelism, data.constraints.len() + 1, |i| {
-            let theta = output(&thetas.objective, &thetas.constraints, i);
-            let (kp, ln) = split_theta(theta.as_slice());
-            Gp::with_params(
-                SquaredExponential::new(dim),
-                data.xs.clone(),
-                output(&data.objective, &data.constraints, i).clone(),
-                kp,
-                ln,
-                config,
-            )
-        });
-        let (objective, constraints) = split_models(fitted)?;
-        Ok(SfSurrogates::new(objective, constraints))
-    }
-
-    /// The trained hyperparameters of every model in the bundle.
-    pub fn thetas(&self) -> SfBundleThetas {
-        SfBundleThetas {
-            objective: self.objective.theta(),
-            constraints: self.constraints.iter().map(Gp::theta).collect(),
-        }
-    }
-
-    /// The objective GP.
-    pub fn objective(&self) -> &Gp<SquaredExponential> {
-        &self.objective
-    }
-
-    /// The constraint GPs.
-    pub fn constraints(&self) -> &[Gp<SquaredExponential>] {
-        &self.constraints
-    }
-
-    /// Weighted EI at `x` against incumbent `tau`. As in
-    /// [`MfSurrogates::wei_low`], a constraint is predicted only while the
-    /// running product is nonzero.
     pub fn wei(&self, x: &[f64], tau: f64) -> f64 {
-        let p = self.objective.predict(x);
-        let cons = self.constraints.iter().map(|c| {
-            let cp = c.predict(x);
+        self.wei_of(x, tau, M::posterior)
+    }
+
+    /// [`Surrogates::wei`] from the posteriors `predict` returns.
+    fn wei_of(&self, x: &[f64], tau: f64, predict: impl Fn(&M, &[f64]) -> Prediction) -> f64 {
+        let p = predict(self.objective(), x);
+        let cons = self.constraints().iter().map(|c| {
+            let cp = predict(c, x);
             (cp.mean, cp.std_dev())
         });
         acquisition::weighted_ei(p.mean, p.std_dev(), tau, cons)
     }
 
-    /// The first-feasible-point objective of eq. (13) plus `1e-4` × the
-    /// objective mean — the tie-break that steers the search toward good
-    /// designs once the drive term flattens at zero — at each of `points`
-    /// into `out`, from the posterior means (bit-identical to the `mean`
-    /// of [`Gp::predict`]). Each model predicts from its own fit-time
-    /// layout ([`Gp::predict_means_standardized`]).
+    /// Eq. (13)'s feasibility drive plus `1e-4` × the objective mean — the
+    /// tie-break that steers the search toward good designs once the drive
+    /// term flattens at zero — at each of `points` into `out`, from the
+    /// posterior means ([`OutputModel::posterior_means`]). Each model
+    /// predicts from its own fit-time layout, allocating nothing once the
+    /// thread's scratch is warm.
     pub fn drive(&self, points: &[Vec<f64>], out: &mut [f64]) {
-        drive_from_means(&self.objective, &self.constraints, out, |gp, row| {
-            gp.predict_means_standardized(points, row);
-            for m in row {
-                *m = gp.standardizer().inverse(*m);
+        let m = out.len();
+        if m == 0 {
+            return;
+        }
+        let c = self.models.len() - 1;
+        with_scratch((1 + c) * m + c, |buf| {
+            let (rows, at) = buf.split_at_mut((1 + c) * m);
+            for (model, row) in self.models.iter().zip(rows.chunks_exact_mut(m)) {
+                model.posterior_means(points, row);
+            }
+            let (obj, cons) = rows.split_at(m);
+            for (q, o) in out.iter_mut().enumerate() {
+                for (a, row) in at.iter_mut().zip(cons.chunks_exact(m)) {
+                    *a = row[q];
+                }
+                *o = acquisition::feasibility_drive(at) + 1e-4 * obj[q];
             }
         });
+    }
+}
+
+/// The entries of `v` at `rows`.
+fn pick<T: Clone>(v: &[T], rows: &[usize]) -> Vec<T> {
+    rows.iter().map(|&k| v[k].clone()).collect()
+}
+
+impl Surrogates<MfGp> {
+    /// Weighted EI of the **low-fidelity** models at `x` against incumbent
+    /// `tau_l` (Algorithm 1, line 5), predicting lazily as
+    /// [`Surrogates::wei`] does.
+    pub fn wei_low(&self, x: &[f64], tau_l: f64) -> f64 {
+        self.wei_of(x, tau_l, MfGp::predict_low)
+    }
+
+    /// Maximum standardized low-fidelity posterior variance over all outputs
+    /// — the left-hand side of the fidelity-selection criterion, eq. (12).
+    pub fn max_low_variance(&self, x: &[f64]) -> f64 {
+        self.models
+            .iter()
+            .map(|m| m.low_variance_standardized(x))
+            .reduce(f64::max)
+            .expect("a bundle contains the objective")
+    }
+
+    /// `true` when the warm-start seed (plan index 1; see
+    /// [`mfbo_gp::Gp::best_start`]) won the NLML search in *both* stages of
+    /// *every* model in the bundle. Only meaningful after a warm
+    /// [`Surrogates::fit`]; the signal behind the `theta_warm_wins`
+    /// counter.
+    pub fn warm_seed_won(&self) -> bool {
+        self.models
+            .iter()
+            .all(|m| m.best_starts() == (Some(1), Some(1)))
+    }
+}
+
+/// How [`RefitSchedule::fit`] produced an iteration's bundle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refit {
+    /// A full search from the default and random starts: the first fit,
+    /// or the recovery after a failed frozen refresh.
+    Cold,
+    /// A scheduled full search with the previous optimum as one extra
+    /// start.
+    Warm,
+    /// A rebuild at the previous optimum, with no search.
+    Frozen,
+}
+
+/// The refit schedule of a BO loop's bundle (Algorithm 1, line 3): a full
+/// hyperparameter search every `every` fits, warm-started from the
+/// previous optimum; frozen refreshes at that optimum in between; and a
+/// cold full search from scratch when a refresh fails, which does not
+/// restart the count. `every` = 1 searches every iteration; 0 does too.
+#[derive(Debug, Clone)]
+pub struct RefitSchedule<M: OutputModel> {
+    every: usize,
+    /// Fits since the last full search.
+    since_search: usize,
+    /// The last fit's hyperparameters, objective first.
+    thetas: Option<Vec<M::Theta>>,
+}
+
+impl<M: OutputModel> RefitSchedule<M> {
+    /// A schedule that searches every `every` fits, before its first.
+    pub fn new(every: usize) -> Self {
+        RefitSchedule {
+            every,
+            since_search: 0,
+            thetas: None,
+        }
+    }
+
+    /// Fits this iteration's bundle on `data` by the schedule, drawing any
+    /// search's starting points from `rng`, and keeps its θ for the next.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the [`GpError`] of a failed full search.
+    pub fn fit<R: Rng + ?Sized>(
+        &mut self,
+        data: M::Data<'_>,
+        config: &M::Config,
+        rng: &mut R,
+    ) -> Result<(Surrogates<M>, Refit), GpError> {
+        let fitted = match &self.thetas {
+            Some(t) if self.since_search < self.every => {
+                match Surrogates::fit_frozen(data, config, t) {
+                    Ok(s) => (s, Refit::Frozen),
+                    Err(_) => (Surrogates::fit(data, config, None, rng)?, Refit::Cold),
+                }
+            }
+            warm => {
+                self.since_search = 0;
+                let kind = warm.as_ref().map_or(Refit::Cold, |_| Refit::Warm);
+                (Surrogates::fit(data, config, warm.as_deref(), rng)?, kind)
+            }
+        };
+        self.since_search += 1;
+        self.thetas = Some(fitted.0.thetas());
+        Ok(fitted)
+    }
+}
+
+/// Serializes a hyperparameter vector for the `hyperparams` trajectory
+/// event: comma-joined shortest-round-trip floats, so the analyzer can parse
+/// the exact `f64` bits back out of a JSONL trace.
+fn fmt_thetas(theta: &[f64]) -> String {
+    let nums: Vec<String> = theta
+        .iter()
+        .map(|&v| mfbo_telemetry::json::Json::Num(v).to_string())
+        .collect();
+    nums.join(",")
+}
+
+/// An ask/tell run's refit schedule, of the bundle kind its data calls for:
+/// fusion models with a low-fidelity design, one SE-ARD GP per output
+/// without.
+pub(crate) enum RunSchedule {
+    Fusion(RefitSchedule<MfGp>),
+    Single(RefitSchedule<Gp<SquaredExponential>>),
+}
+
+/// One iteration's bundle of an ask/tell run.
+pub(crate) enum RunSurrogates {
+    Fusion(Surrogates<MfGp>),
+    Single(Surrogates<Gp<SquaredExponential>>),
+}
+
+impl RunSchedule {
+    /// A schedule searching every `every` fits, of fusion models when
+    /// `fusion`.
+    pub(crate) fn new(fusion: bool, every: usize) -> Self {
+        if fusion {
+            RunSchedule::Fusion(RefitSchedule::new(every))
+        } else {
+            RunSchedule::Single(RefitSchedule::new(every))
+        }
+    }
+
+    /// Iteration `iteration`'s bundle, by [`RefitSchedule::fit`] on the
+    /// `(low, high)` data (a single-fidelity run fits `high` with
+    /// `config.gp`). Counts a fusion bundle's warm search that the warm
+    /// seed won in `theta_warm_wins`, then emits the `hyperparams`
+    /// trajectory event, on the main thread in iteration order
+    /// (worker-thread `gp_fit` events interleave nondeterministically; this
+    /// one is safe to diff run to run).
+    pub(crate) fn fit<R: Rng + ?Sized>(
+        &mut self,
+        low: &FidelityData,
+        high: &FidelityData,
+        config: &MfGpConfig,
+        iteration: usize,
+        rng: &mut R,
+    ) -> Result<RunSurrogates, GpError> {
+        Ok(match self {
+            RunSchedule::Fusion(schedule) => {
+                let (s, refit) = schedule.fit((low, high), config, rng)?;
+                if refit == Refit::Warm && s.warm_seed_won() {
+                    mfbo_telemetry::counter!("theta_warm_wins", 1);
+                }
+                let objective = || s.objective().thetas();
+                mfbo_telemetry::debug_event!(
+                    "hyperparams",
+                    iteration = iteration,
+                    objective_low = fmt_thetas(&objective().low),
+                    objective_high = fmt_thetas(&objective().high),
+                    constraints = s
+                        .constraints()
+                        .iter()
+                        .map(|c| {
+                            let t = c.thetas();
+                            format!("{}|{}", fmt_thetas(&t.low), fmt_thetas(&t.high))
+                        })
+                        .collect::<Vec<_>>()
+                        .join(";"),
+                );
+                RunSurrogates::Fusion(s)
+            }
+            RunSchedule::Single(schedule) => {
+                let (s, _) = schedule.fit(high, &config.gp, rng)?;
+                mfbo_telemetry::debug_event!(
+                    "hyperparams",
+                    iteration = iteration,
+                    objective = fmt_thetas(&s.objective().theta()),
+                    constraints = s
+                        .constraints()
+                        .iter()
+                        .map(|c| fmt_thetas(&c.theta()))
+                        .collect::<Vec<_>>()
+                        .join(";"),
+                );
+                RunSurrogates::Single(s)
+            }
+        })
+    }
+}
+
+impl RunSurrogates {
+    /// [`Surrogates::drive`] of either kind.
+    pub(crate) fn drive(&self, points: &[Vec<f64>], out: &mut [f64]) {
+        match self {
+            RunSurrogates::Fusion(s) => s.drive(points, out),
+            RunSurrogates::Single(s) => s.drive(points, out),
+        }
+    }
+
+    /// [`Surrogates::wei`] of either kind: the high-fidelity wEI.
+    pub(crate) fn wei(&self, x: &[f64], tau: f64) -> f64 {
+        match self {
+            RunSurrogates::Fusion(s) => s.wei(x, tau),
+            RunSurrogates::Single(s) => s.wei(x, tau),
+        }
     }
 }
 
@@ -426,8 +574,11 @@ impl SfSurrogates {
 mod tests {
     use super::*;
     use crate::problem::Evaluation;
+    use mfbo_gp::InferenceMode;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    type SeGp = Gp<SquaredExponential>;
 
     /// Constrained toy problem: objective x², constraint 0.3 - x < 0
     /// (feasible for x > 0.3).
@@ -446,11 +597,27 @@ mod tests {
         d
     }
 
+    /// [`GpConfig::fast`] under subset-of-data capped at `max_points`.
+    fn subset(max_points: usize) -> GpConfig {
+        GpConfig {
+            inference: InferenceMode::SubsetOfData { max_points },
+            ..GpConfig::fast()
+        }
+    }
+
+    /// [`MfGpConfig::fast`] whose stages train under `gp`.
+    fn fusion(gp: GpConfig) -> MfGpConfig {
+        MfGpConfig {
+            gp,
+            ..MfGpConfig::fast()
+        }
+    }
+
     #[test]
     fn sf_bundle_fits_and_predicts() {
         let data = make_data(12, 0.0);
         let mut rng = StdRng::seed_from_u64(0);
-        let s = SfSurrogates::fit(&data, &GpConfig::fast(), None, &mut rng).unwrap();
+        let s = Surrogates::<SeGp>::fit(&data, &GpConfig::fast(), None, &mut rng).unwrap();
         assert!((s.objective().predict(&[0.5]).mean - 0.25).abs() < 0.1);
         assert_eq!(s.constraints().len(), 1);
         assert!((s.constraints()[0].predict(&[0.5]).mean - (-0.2)).abs() < 0.1);
@@ -460,7 +627,7 @@ mod tests {
     fn sf_wei_prefers_feasible_improvement() {
         let data = make_data(12, 0.0);
         let mut rng = StdRng::seed_from_u64(1);
-        let s = SfSurrogates::fit(&data, &GpConfig::fast(), None, &mut rng).unwrap();
+        let s = Surrogates::<SeGp>::fit(&data, &GpConfig::fast(), None, &mut rng).unwrap();
         let tau = 0.5;
         // x = 0.4: feasible with objective 0.16 < τ → good wEI.
         // x = 0.1: better objective but infeasible → tiny wEI.
@@ -473,7 +640,7 @@ mod tests {
     fn sf_drive_is_the_tie_break_inside_feasible_region() {
         let data = make_data(12, 0.0);
         let mut rng = StdRng::seed_from_u64(2);
-        let s = SfSurrogates::fit(&data, &GpConfig::fast(), None, &mut rng).unwrap();
+        let s = Surrogates::<SeGp>::fit(&data, &GpConfig::fast(), None, &mut rng).unwrap();
         let mut d = [0.0; 2];
         s.drive(&[vec![0.9], vec![0.0]], &mut d);
         assert_eq!(d[0], 1e-4 * s.objective().predict(&[0.9]).mean);
@@ -485,7 +652,8 @@ mod tests {
         let low = make_data(20, 0.3);
         let high = make_data(8, 0.0);
         let mut rng = StdRng::seed_from_u64(4);
-        let s = MfSurrogates::fit(&low, &high, &MfGpConfig::fast(), None, &mut rng).unwrap();
+        let cfg = MfGpConfig::fast();
+        let s = Surrogates::<MfGp>::fit((&low, &high), &cfg, None, &mut rng).unwrap();
         assert_eq!(s.constraints().len(), 1);
         let obj = s.objective().predict(&[0.6]);
         assert!((obj.mean - 0.36).abs() < 0.15, "mean = {}", obj.mean);
@@ -497,10 +665,9 @@ mod tests {
         let low_dense = make_data(40, 0.3);
         let high = make_data(6, 0.0);
         let mut rng = StdRng::seed_from_u64(5);
-        let sparse =
-            MfSurrogates::fit(&low_sparse, &high, &MfGpConfig::fast(), None, &mut rng).unwrap();
-        let dense =
-            MfSurrogates::fit(&low_dense, &high, &MfGpConfig::fast(), None, &mut rng).unwrap();
+        let cfg = MfGpConfig::fast();
+        let sparse = Surrogates::<MfGp>::fit((&low_sparse, &high), &cfg, None, &mut rng).unwrap();
+        let dense = Surrogates::<MfGp>::fit((&low_dense, &high), &cfg, None, &mut rng).unwrap();
         // Between training points, the dense model is far more certain.
         let x = [0.513];
         assert!(dense.max_low_variance(&x) <= sparse.max_low_variance(&x) + 1e-6);
@@ -511,10 +678,11 @@ mod tests {
         let low = make_data(15, 0.3);
         let high = make_data(6, 0.0);
         let mut rng = StdRng::seed_from_u64(6);
-        let s = MfSurrogates::fit(&low, &high, &MfGpConfig::fast(), None, &mut rng).unwrap();
+        let cfg = MfGpConfig::fast();
+        let s = Surrogates::<MfGp>::fit((&low, &high), &cfg, None, &mut rng).unwrap();
         for &x in &[0.1, 0.5, 0.77] {
             assert!(s.wei_low(&[x], 0.4) >= 0.0);
-            assert!(s.wei_high(&[x], 0.4) >= 0.0);
+            assert!(s.wei(&[x], 0.4) >= 0.0);
         }
     }
 
@@ -524,21 +692,14 @@ mod tests {
     /// still matches the full posteriors bit for bit.
     #[test]
     fn bit_identity_batched_drive_mf_diverging_subsets() {
-        use mfbo_gp::InferenceMode;
         let low = make_data(14, 0.3);
         let mut high = make_data(9, 0.0);
         for (k, c) in high.constraints[0].iter_mut().enumerate() {
             *c += 3.0 * ((k * 5) % 7) as f64;
         }
-        let cfg = MfGpConfig {
-            gp: GpConfig {
-                inference: InferenceMode::SubsetOfData { max_points: 4 },
-                ..GpConfig::fast()
-            },
-            ..MfGpConfig::fast()
-        };
+        let cfg = fusion(subset(4));
         let mut rng = StdRng::seed_from_u64(13);
-        let s = MfSurrogates::fit(&low, &high, &cfg, None, &mut rng).unwrap();
+        let s = Surrogates::<MfGp>::fit((&low, &high), &cfg, None, &mut rng).unwrap();
         let design = |m: &MfGp| m.high().xs().iter().map(|z| z[0]).collect::<Vec<_>>();
         assert!(
             s.constraints()
@@ -557,21 +718,28 @@ mod tests {
         }
     }
 
-    /// The `predict_batch_points` and difference-batch counters of `f` —
-    /// benchmark per-layer metrics, whose meaning must not drift.
-    fn layer_counts(f: impl FnOnce()) -> [u64; 3] {
+    /// The counters `keys` of `f` — benchmark per-layer metrics among
+    /// them, whose meaning must not drift.
+    fn counts<const N: usize>(keys: [&str; N], f: impl FnOnce()) -> [u64; N] {
         let reg = std::sync::Arc::new(mfbo_telemetry::metrics::MetricsRegistry::new());
         {
             let _g = mfbo_telemetry::scoped_sink(reg.clone());
             f();
         }
         let snap = reg.snapshot();
-        [
-            "predict_batch_points",
-            "diffbatch_builds",
-            "diffbatch_shared_hits",
-        ]
-        .map(|k| snap.counters.get(k).copied().unwrap_or(0))
+        keys.map(|k| snap.counters.get(k).copied().unwrap_or(0))
+    }
+
+    /// The `predict_batch_points` and difference-batch counters of `f`.
+    fn layer_counts(f: impl FnOnce()) -> [u64; 3] {
+        counts(
+            [
+                "predict_batch_points",
+                "diffbatch_builds",
+                "diffbatch_shared_hits",
+            ],
+            f,
+        )
     }
 
     /// A seeded drive call counts `m` points per low stage plus `S` per
@@ -584,7 +752,7 @@ mod tests {
         let high = make_data(6, 0.0);
         let cfg = MfGpConfig::fast();
         let mut rng = StdRng::seed_from_u64(17);
-        let s = MfSurrogates::fit(&low, &high, &cfg, None, &mut rng).unwrap();
+        let s = Surrogates::<MfGp>::fit((&low, &high), &cfg, None, &mut rng).unwrap();
         let tile: Vec<Vec<f64>> = (0..7).map(|i| vec![(i as f64 + 0.37) / 7.3]).collect();
         // Off the training points every low posterior is uncertain, so each
         // query takes all S samples rather than the plug-in one.
@@ -603,19 +771,14 @@ mod tests {
         assert_eq!(predict, [1 + samples, 0, 0]);
 
         let mut rng = StdRng::seed_from_u64(18);
-        let sf = SfSurrogates::fit(&high, &GpConfig::fast(), None, &mut rng).unwrap();
+        let sf = Surrogates::<SeGp>::fit(&high, &GpConfig::fast(), None, &mut rng).unwrap();
         assert_eq!(layer_counts(|| sf.drive(&tile, &mut out)), [0; 3]);
     }
 
     /// θ bits, then posterior mean and variance bits at fixed queries, of
     /// every model in a bundle.
-    fn sf_bits(s: &SfSurrogates) -> Vec<u64> {
-        let t = s.thetas();
-        let mut bits: Vec<u64> = std::iter::once(&t.objective)
-            .chain(&t.constraints)
-            .flatten()
-            .map(|v| v.to_bits())
-            .collect();
+    fn sf_bits(s: &Surrogates<SeGp>) -> Vec<u64> {
+        let mut bits: Vec<u64> = s.thetas().iter().flatten().map(|v| v.to_bits()).collect();
         for &x in &[0.07, 0.52, 0.93] {
             for m in std::iter::once(s.objective()).chain(s.constraints()) {
                 let p = m.predict(&[x]);
@@ -627,10 +790,10 @@ mod tests {
 
     /// [`sf_bits`] for a fusion bundle: both stages' θ, then the propagated
     /// high-fidelity and the low-fidelity posteriors.
-    fn mf_bits(s: &MfSurrogates) -> Vec<u64> {
-        let t = s.thetas();
-        let mut bits: Vec<u64> = std::iter::once(&t.objective)
-            .chain(&t.constraints)
+    fn mf_bits(s: &Surrogates<MfGp>) -> Vec<u64> {
+        let mut bits: Vec<u64> = s
+            .thetas()
+            .iter()
             .flat_map(|m| m.low.iter().chain(&m.high))
             .map(|v| v.to_bits())
             .collect();
@@ -649,237 +812,213 @@ mod tests {
     #[derive(Debug)]
     enum Fit<'a, T> {
         Cold,
-        Warm(&'a T),
-        Frozen(&'a T),
+        Warm(&'a [T]),
+        Frozen(&'a [T]),
     }
 
-    impl<T> Fit<'_, T> {
-        /// The thetas a full fit is warm-started from.
-        fn warm(&self) -> Option<&T> {
-            match self {
-                Fit::Warm(t) => Some(t),
-                _ => None,
-            }
-        }
-    }
-
-    /// An SF bundle over 1-D `data`, fitted as `fit` from the seed-9 stream:
-    /// through [`SfSurrogates`], whose full fits share one difference batch
-    /// across its models, or (`per_model`, full fits only) one model at a
-    /// time, each building its own batch.
-    fn sf_bundle(
-        data: &FidelityData,
-        cfg: &GpConfig,
-        fit: &Fit<SfBundleThetas>,
+    /// A bundle over `data`, fitted as `fit` from the seed-9 stream:
+    /// through [`Surrogates`], which selects one subset of the shared
+    /// inputs and (in a full fit) shares one difference batch across its
+    /// models, or (`per_model`) one model at a time on the full data, each
+    /// selecting its own subset and building its own batch.
+    fn bundle<M: OutputModel>(
+        data: M::Data<'_>,
+        cfg: &M::Config,
+        fit: &Fit<M::Theta>,
         per_model: bool,
-    ) -> SfSurrogates {
+    ) -> Surrogates<M> {
         let mut rng = StdRng::seed_from_u64(9);
+        let warm = match fit {
+            Fit::Warm(t) => Some(*t),
+            _ => None,
+        };
         if !per_model {
             let s = match fit {
-                Fit::Frozen(t) => SfSurrogates::fit_frozen(data, cfg, t),
-                _ => SfSurrogates::fit(data, cfg, fit.warm(), &mut rng),
+                Fit::Frozen(t) => Surrogates::fit_frozen(data, cfg, t),
+                _ => Surrogates::fit(data, cfg, warm, &mut rng),
             };
             return s.unwrap();
         }
-        let kernel = SquaredExponential::new(1);
-        let mut models = (0..=data.constraints.len())
+        let shared = M::shared(data).unwrap().0;
+        let models = (0..=shared.constraints.len())
             .map(|i| {
-                let ys = output(&data.objective, &data.constraints, i).clone();
-                let warm = fit.warm().map(|t| output(&t.objective, &t.constraints, i));
-                let starts = Gp::plan_starts(&kernel, cfg, warm.map(Vec::as_slice), &mut rng);
-                Gp::fit_planned(kernel.clone(), data.xs.clone(), ys, cfg, starts, None)
+                let train = (shared.xs.clone(), shared.output(i).to_vec());
+                let how = match fit {
+                    Fit::Frozen(t) => Train::Frozen(&t[i]),
+                    _ => Train::Search(M::plan(1, cfg, warm.map(|t| &t[i]), &mut rng)),
+                };
+                M::train(data, i, train, cfg, how, None)
             })
             .collect::<Result<Vec<_>, _>>()
             .unwrap();
-        let objective = models.remove(0);
-        SfSurrogates::new(objective, models)
+        Surrogates { models }
     }
 
-    /// [`sf_bundle`] for a fusion bundle over 1-D `low` and `high` data.
-    fn mf_bundle(
-        low: &FidelityData,
-        high: &FidelityData,
-        cfg: &MfGpConfig,
-        fit: &Fit<MfBundleThetas>,
-        per_model: bool,
-    ) -> MfSurrogates {
-        let mut rng = StdRng::seed_from_u64(9);
-        if !per_model {
-            let s = match fit {
-                Fit::Frozen(t) => MfSurrogates::fit_frozen(low, high, cfg, t),
-                _ => MfSurrogates::fit(low, high, cfg, fit.warm(), &mut rng),
-            };
-            return s.unwrap();
-        }
-        let mut models = (0..=low.constraints.len())
-            .map(|i| {
-                let yl = output(&low.objective, &low.constraints, i).clone();
-                let yh = output(&high.objective, &high.constraints, i).clone();
-                let (xl, xh) = (low.xs.clone(), high.xs.clone());
-                let warm = fit.warm().map(|t| output(&t.objective, &t.constraints, i));
-                let plan = MfGp::plan(1, cfg, warm, &mut rng);
-                MfGp::fit_planned(xl, yl, xh, yh, cfg, plan, None)
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap();
-        let objective = models.remove(0);
-        MfSurrogates::new(objective, models)
-    }
-
-    /// The bundle-level oracle of batch sharing: for both bundle kinds and
-    /// both full-fit kinds, a bundle fitted from its one shared difference
-    /// batch yields the θ and posterior bits of the same bundle fitted one
-    /// model at a time, each model building its own batch. (A frozen
-    /// refresh reads no batch, so its bundle and per-model paths are one.)
+    /// The bundle-level oracle of selecting and batching once: for both
+    /// bundle kinds, every fit kind, and the exact and subset-of-data
+    /// engines, a bundle yields the θ and posterior bits of the same
+    /// bundle fitted one model at a time on the full data.
     #[test]
     fn bit_identity_bundle_shared_batch_matches_per_model() {
         let high = make_data(6, 0.0);
-        let (sf_cfg, mf_cfg) = (GpConfig::fast(), MfGpConfig::fast());
         let seed = make_data(9, 0.3);
-        let mut rng = StdRng::seed_from_u64(12);
-        let sf_t = SfSurrogates::fit(&seed, &sf_cfg, None, &mut rng)
-            .unwrap()
-            .thetas();
-        let mf_t = MfSurrogates::fit(&seed, &high, &mf_cfg, None, &mut rng)
-            .unwrap()
-            .thetas();
-        for n in [10usize, 14] {
-            let low = make_data(n, 0.3);
-            for fit in [Fit::Cold, Fit::Warm(&sf_t)] {
-                let shared = sf_bits(&sf_bundle(&low, &sf_cfg, &fit, false));
-                let own = sf_bits(&sf_bundle(&low, &sf_cfg, &fit, true));
-                assert_eq!(shared, own, "Sf {fit:?}, n = {n}");
-            }
-            for fit in [Fit::Cold, Fit::Warm(&mf_t)] {
-                let shared = mf_bits(&mf_bundle(&low, &high, &mf_cfg, &fit, false));
-                let own = mf_bits(&mf_bundle(&low, &high, &mf_cfg, &fit, true));
-                assert_eq!(shared, own, "Mf {fit:?}, n = {n}");
+        for gp in [GpConfig::fast(), subset(8)] {
+            let mf_cfg = fusion(gp.clone());
+            let mut rng = StdRng::seed_from_u64(12);
+            let sf_t = Surrogates::<SeGp>::fit(&seed, &gp, None, &mut rng)
+                .unwrap()
+                .thetas();
+            let mf_t = Surrogates::<MfGp>::fit((&seed, &high), &mf_cfg, None, &mut rng)
+                .unwrap()
+                .thetas();
+            for n in [10usize, 14] {
+                let low = make_data(n, 0.3);
+                for fit in [Fit::Cold, Fit::Warm(&sf_t), Fit::Frozen(&sf_t)] {
+                    let shared = sf_bits(&bundle(&low, &gp, &fit, false));
+                    let own = sf_bits(&bundle(&low, &gp, &fit, true));
+                    assert_eq!(shared, own, "Sf {fit:?}, n = {n}, {:?}", gp.inference);
+                }
+                let data = (&low, &high);
+                for fit in [Fit::Cold, Fit::Warm(&mf_t), Fit::Frozen(&mf_t)] {
+                    let shared = mf_bits(&bundle(data, &mf_cfg, &fit, false));
+                    let own = mf_bits(&bundle(data, &mf_cfg, &fit, true));
+                    assert_eq!(shared, own, "Mf {fit:?}, n = {n}, {:?}", gp.inference);
+                }
             }
         }
     }
 
-    /// The `diffbatch_builds`, `diffbatch_shared_hits` and
-    /// `kernel_matrix_builds` counters of `f`.
-    fn sharing_counts(f: impl FnOnce()) -> (u64, u64, u64) {
-        let reg = std::sync::Arc::new(mfbo_telemetry::metrics::MetricsRegistry::new());
-        {
-            let _g = mfbo_telemetry::scoped_sink(reg.clone());
-            f();
-        }
-        let snap = reg.snapshot();
-        let get = |k: &str| snap.counters.get(k).copied().unwrap_or(0);
-        (
-            get("diffbatch_builds"),
-            get("diffbatch_shared_hits"),
-            get("kernel_matrix_builds"),
+    /// The `diffbatch_builds`, `diffbatch_shared_hits`,
+    /// `kernel_matrix_builds` and `infer_subset_selections` counters of `f`.
+    fn sharing_counts(f: impl FnOnce()) -> [u64; 4] {
+        counts(
+            [
+                "diffbatch_builds",
+                "diffbatch_shared_hits",
+                "kernel_matrix_builds",
+                "infer_subset_selections",
+            ],
+            f,
         )
     }
 
-    /// The whole point of the shared bundle batch: one from-scratch
-    /// lower-triangle build per low fusion stage instead of one per model,
-    /// while the theta-dependent `kernel_matrix_builds` count — which layout
-    /// sharing cannot touch — stays exactly what the per-model NLML search
-    /// demands.
-    #[test]
-    fn mf_bundle_sharing_counters() {
-        let low = make_data(16, 0.3);
-        let high = make_data(6, 0.0);
-        let cfg = MfGpConfig::fast();
-        // Shared: one low-stage build for the whole bundle, plus one
-        // per-model high-stage build (the augmented high X differs per model
-        // and cannot be shared).
-        let (builds_shared, hits, kmb_shared) = sharing_counts(|| {
-            mf_bundle(&low, &high, &cfg, &Fit::Cold, false);
-        });
-        // Unshared baseline: every model builds its own low batch.
-        let (builds_owned, _, kmb_owned) = sharing_counts(|| {
-            mf_bundle(&low, &high, &cfg, &Fit::Cold, true);
-        });
-        // 1 objective + 1 constraint: sharing saves exactly one low-stage
-        // build (the (1+m)× drop for m = 1), and every model's low stage
-        // registers a shared hit.
-        assert_eq!(
-            builds_owned - builds_shared,
-            1,
-            "owned {builds_owned}, shared {builds_shared}"
-        );
-        assert_eq!(hits, 2);
-        // Layout invisibility: the theta-dependent assembly count is
-        // untouched by who owns the difference buffers.
-        assert_eq!(kmb_shared, kmb_owned);
-    }
-
-    /// The single-fidelity counterpart of [`mf_bundle_sharing_counters`]:
-    /// for both full-fit kinds, a bundle of 1+m models makes exactly one
-    /// difference build and 1+m shared hits, and the same
-    /// `kernel_matrix_builds` as 1+m per-model builds. A frozen refresh
-    /// builds no batch and reads none: one kernel matrix per model.
-    #[test]
-    fn sf_bundle_sharing_counters() {
-        let data = make_data(16, 0.0);
-        let cfg = GpConfig::fast();
-        let mut rng = StdRng::seed_from_u64(22);
-        let t = SfSurrogates::fit(&data, &cfg, None, &mut rng)
-            .unwrap()
-            .thetas();
-        let models = 1 + data.constraints.len() as u64;
-        for fit in [Fit::Cold, Fit::Warm(&t)] {
+    /// For both full-fit kinds, a bundle of 1+m models makes m fewer
+    /// difference builds than 1+m per-model fits (one shared build where
+    /// each model's first stage built its own) and 1+m shared hits, and the
+    /// same `kernel_matrix_builds`, which layout sharing cannot touch. A
+    /// frozen refresh builds no batch and reads none: one kernel matrix per
+    /// stage of each model.
+    fn check_sharing_counters<M: OutputModel>(
+        data: M::Data<'_>,
+        cfg: &M::Config,
+        stages: u64,
+        t: &[M::Theta],
+    ) {
+        let models = t.len() as u64;
+        for fit in [Fit::Cold, Fit::Warm(t)] {
             let shared = sharing_counts(|| {
-                sf_bundle(&data, &cfg, &fit, false);
+                bundle::<M>(data, cfg, &fit, false);
             });
             let owned = sharing_counts(|| {
-                sf_bundle(&data, &cfg, &fit, true);
+                bundle::<M>(data, cfg, &fit, true);
             });
-            assert_eq!((shared.0, shared.1), (1, models), "{fit:?}");
-            assert_eq!((owned.0, owned.1), (models, 0), "{fit:?}");
-            assert_eq!(shared.2, owned.2, "{fit:?}");
+            assert_eq!(owned[0] - shared[0], models - 1, "{fit:?}");
+            assert_eq!((shared[1], owned[1]), (models, 0), "{fit:?}");
+            assert_eq!(shared[2], owned[2], "{fit:?}");
         }
         let frozen = sharing_counts(|| {
-            sf_bundle(&data, &cfg, &Fit::Frozen(&t), false);
+            bundle::<M>(data, cfg, &Fit::Frozen(t), false);
         });
-        assert_eq!(frozen, (0, 0, models));
+        assert_eq!(frozen, [0, 0, stages * models, 0]);
     }
 
-    /// Past the subset-of-data cap every model trains on (and builds a
-    /// batch over) its own subset, so a bundle builds no shared batch: a
-    /// 12-point bundle capped at 4 points with one constraint makes one
-    /// build per model and no shared hit on a full fit, and none on a
-    /// frozen refresh.
+    /// The whole point of the shared bundle batch, for both bundle kinds:
+    /// one from-scratch build over the shared inputs instead of one per
+    /// model. A fusion model's high stage trains on its own augmented
+    /// inputs and keeps its own build.
+    #[test]
+    fn sharing_counters_of_both_bundle_kinds() {
+        let (low, high) = (make_data(16, 0.3), make_data(6, 0.0));
+        let (sf_cfg, mf_cfg) = (GpConfig::fast(), MfGpConfig::fast());
+        let mut rng = StdRng::seed_from_u64(22);
+        let sf_t = Surrogates::<SeGp>::fit(&low, &sf_cfg, None, &mut rng)
+            .unwrap()
+            .thetas();
+        let mf_t = Surrogates::<MfGp>::fit((&low, &high), &mf_cfg, None, &mut rng)
+            .unwrap()
+            .thetas();
+        check_sharing_counters::<SeGp>(&low, &sf_cfg, 1, &sf_t);
+        check_sharing_counters::<MfGp>((&low, &high), &mf_cfg, 2, &mf_t);
+    }
+
+    /// Past the subset-of-data cap a bundle selects the subset of its
+    /// shared inputs once and shares one batch over it: a 12-point bundle
+    /// capped at 4 points with one constraint makes one selection, one
+    /// build and a shared hit per model on a full fit, and one selection
+    /// and no build on a frozen refresh. A fusion bundle's high stages
+    /// (6 points each) still select and build one apiece.
     #[test]
     fn subset_bundles_build_no_unread_shared_batch() {
         let data = make_data(12, 0.0);
-        let cfg = GpConfig {
-            inference: mfbo_gp::InferenceMode::SubsetOfData { max_points: 4 },
-            ..GpConfig::fast()
-        };
+        let cfg = subset(4);
         let mut rng = StdRng::seed_from_u64(23);
-        let t = SfSurrogates::fit(&data, &cfg, None, &mut rng)
+        let t = Surrogates::<SeGp>::fit(&data, &cfg, None, &mut rng)
             .unwrap()
             .thetas();
-        for (fit, want) in [(Fit::Cold, (2, 0)), (Fit::Frozen(&t), (0, 0))] {
-            let (builds, hits, _) = sharing_counts(|| {
-                sf_bundle(&data, &cfg, &fit, false);
+        for (fit, want) in [(Fit::Cold, [1, 2, 1]), (Fit::Frozen(&t), [0, 0, 1])] {
+            let [builds, hits, _, selections] = sharing_counts(|| {
+                bundle::<SeGp>(&data, &cfg, &fit, false);
             });
-            assert_eq!((builds, hits), want, "{fit:?}");
+            assert_eq!([builds, hits, selections], want, "{fit:?}");
         }
-        // Fusion bundles: the low and high stage of each of the 2 models.
-        let mf_cfg = MfGpConfig {
-            gp: cfg.clone(),
-            ..MfGpConfig::fast()
-        };
         let high = make_data(6, 0.0);
-        let (builds, hits, _) = sharing_counts(|| {
-            mf_bundle(&data, &high, &mf_cfg, &Fit::Cold, false);
+        let [builds, hits, _, selections] = sharing_counts(|| {
+            bundle::<MfGp>((&data, &high), &fusion(cfg.clone()), &Fit::Cold, false);
         });
-        assert_eq!((builds, hits), (4, 0));
-        // Under the cap the bundle still shares one batch.
-        assert!(Gp::<SquaredExponential>::reads_shared_batch(&cfg, 4));
-        assert!(!Gp::<SquaredExponential>::reads_shared_batch(&cfg, 5));
+        assert_eq!([builds, hits, selections], [3, 2, 3]);
+        // Under the cap a fit trains on every point.
+        assert_eq!(cfg.training_subset(&data.xs[..4]), None);
+        assert!(cfg.training_subset(&data.xs[..5]).is_some());
+    }
+
+    /// A refit schedule searches every `every` fits, warm after the first,
+    /// and refreshes in between; a refresh that fails (here a 1-D θ cannot
+    /// rebuild a model over 2-D inputs) is replaced by a cold search drawn
+    /// from the same stream, which does not restart the count.
+    #[test]
+    fn refit_schedule_recovers_a_failed_refresh_with_a_cold_search() {
+        let cfg = GpConfig::fast();
+        let one = make_data(8, 0.0);
+        let mut two = FidelityData::new(1);
+        for (k, x) in one.xs.iter().enumerate() {
+            let e = one.evaluation(k);
+            two.push(vec![x[0], (3 * k % 8) as f64 / 7.0], &e);
+        }
+        let mut schedule = RefitSchedule::<SeGp>::new(3);
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut kinds = Vec::new();
+        let mut fitted = Vec::new();
+        for data in [&one, &two, &two, &two] {
+            let (s, kind) = schedule.fit(data, &cfg, &mut rng).unwrap();
+            kinds.push(kind);
+            fitted.push(sf_bits_of(&s));
+        }
+        use Refit::*;
+        assert_eq!(kinds, [Cold, Cold, Frozen, Warm]);
+        let mut twin = StdRng::seed_from_u64(31);
+        Surrogates::<SeGp>::fit(&one, &cfg, None, &mut twin).unwrap();
+        let cold = Surrogates::<SeGp>::fit(&two, &cfg, None, &mut twin).unwrap();
+        assert_eq!(fitted[1], sf_bits_of(&cold));
+    }
+
+    /// The θ bits of a bundle over inputs of any dimension.
+    fn sf_bits_of(s: &Surrogates<SeGp>) -> Vec<u64> {
+        s.thetas().iter().flatten().map(|v| v.to_bits()).collect()
     }
 
     /// wEI with every constraint predicted up front, as the bundles
     /// computed it before predicting lazily.
-    fn eager_wei(p: mfbo_gp::Prediction, tau: f64, cons: &[mfbo_gp::Prediction]) -> f64 {
+    fn eager_wei(p: Prediction, tau: f64, cons: &[Prediction]) -> f64 {
         let cons: Vec<(f64, f64)> = cons.iter().map(|c| (c.mean, c.std_dev())).collect();
         acquisition::weighted_ei(p.mean, p.std_dev(), tau, cons)
     }
@@ -894,8 +1033,8 @@ mod tests {
         let high = make_data(6, 0.0);
         let cfg = MfGpConfig::fast();
         let mut rng = StdRng::seed_from_u64(24);
-        let s = MfSurrogates::fit(&low, &high, &cfg, None, &mut rng).unwrap();
-        let sf = SfSurrogates::fit(&high, &GpConfig::fast(), None, &mut rng).unwrap();
+        let s = Surrogates::<MfGp>::fit((&low, &high), &cfg, None, &mut rng).unwrap();
+        let sf = Surrogates::<SeGp>::fit(&high, &GpConfig::fast(), None, &mut rng).unwrap();
         let x = [0.537];
         let per_model = 1 + cfg.mc_samples as u64;
         let (zero, some) = (-1e9, 1e9);
@@ -906,11 +1045,11 @@ mod tests {
             0.0
         );
         assert_eq!(
-            layer_counts(|| assert_eq!(s.wei_high(&x, zero), 0.0))[0],
+            layer_counts(|| assert_eq!(s.wei(&x, zero), 0.0))[0],
             per_model
         );
         assert_eq!(
-            layer_counts(|| assert!(s.wei_high(&x, some) > 0.0))[0],
+            layer_counts(|| assert!(s.wei(&x, some) > 0.0))[0],
             2 * per_model
         );
         assert_eq!(s.wei_low(&x, zero), 0.0);
@@ -922,7 +1061,7 @@ mod tests {
         let sfs: Vec<_> = sf.constraints().iter().map(|m| m.predict(&x)).collect();
         for tau in [zero, some, 0.2] {
             let want = eager_wei(o.predict(&x), tau, &highs);
-            assert_eq!(s.wei_high(&x, tau).to_bits(), want.to_bits());
+            assert_eq!(s.wei(&x, tau).to_bits(), want.to_bits());
             let want = eager_wei(o.predict_low(&x), tau, &lows);
             assert_eq!(s.wei_low(&x, tau).to_bits(), want.to_bits());
             let want = eager_wei(sf.objective().predict(&x), tau, &sfs);

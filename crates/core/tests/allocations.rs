@@ -7,8 +7,9 @@
 //! counts are per thread, so the harness's own threads do not leak in.
 
 use mfbo::problem::Evaluation;
-use mfbo::{FidelityData, MfGpConfig, MfSurrogates, SfSurrogates};
-use mfbo_gp::GpConfig;
+use mfbo::{FidelityData, MfGp, MfGpConfig, Surrogates};
+use mfbo_gp::kernel::SquaredExponential;
+use mfbo_gp::{Gp, GpConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -76,8 +77,9 @@ fn data(n: usize, bias: f64, seed: u64) -> FidelityData {
 fn warm_drive_tiles_allocate_nothing() {
     let (low, high) = (data(14, 0.2, 1), data(6, 0.0, 2));
     let mut rng = StdRng::seed_from_u64(3);
-    let mf = MfSurrogates::fit(&low, &high, &MfGpConfig::fast(), None, &mut rng).unwrap();
-    let sf = SfSurrogates::fit(&high, &GpConfig::fast(), None, &mut rng).unwrap();
+    let mf = Surrogates::<MfGp>::fit((&low, &high), &MfGpConfig::fast(), None, &mut rng).unwrap();
+    let sf = Surrogates::<Gp<SquaredExponential>>::fit(&high, &GpConfig::fast(), None, &mut rng)
+        .unwrap();
     let tile: Vec<Vec<f64>> = (0..7)
         .map(|i| vec![0.13 * i as f64, 0.5, 1.0 - 0.1 * i as f64])
         .collect();

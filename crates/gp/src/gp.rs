@@ -43,7 +43,8 @@ pub struct GpConfig {
     /// restart is selected in start order, so every mode returns
     /// bit-identical models. Nested in the core crate's fusion-model
     /// config, the same value also sets the pool of the surrogate bundle
-    /// fits and of the Monte-Carlo posterior propagation.
+    /// fits. The Monte-Carlo posterior propagation does not read it: it
+    /// runs serially inside each acquisition start.
     pub parallelism: Parallelism,
     /// Inference engine for training and the final model build (see
     /// [`InferenceMode`]). `Exact` — the default — runs the historical
@@ -71,6 +72,20 @@ impl GpConfig {
             restarts: 2,
             max_iters: 40,
             ..Self::default()
+        }
+    }
+
+    /// The rows of `xs` a fit under this config trains on, ascending, or
+    /// `None` when it trains on all of them: past its cap, `SubsetOfData`
+    /// keeps the deterministic farthest-point subset (over committed
+    /// history order). The selection reads the inputs alone, so a bundle
+    /// whose models share their inputs selects once for all of them.
+    pub fn training_subset(&self, xs: &[Vec<f64>]) -> Option<Vec<usize>> {
+        match self.inference {
+            InferenceMode::SubsetOfData { max_points } if xs.len() > max_points => {
+                Some(mfbo_infer::select_subset(xs, max_points))
+            }
+            _ => None,
         }
     }
 }
@@ -206,34 +221,20 @@ impl<K: Kernel> Gp<K> {
         Ok(())
     }
 
-    /// Whether a fit over `n` training points under `config` trains on all
-    /// of them, and so reads a shared difference batch over them (see
-    /// [`Gp::fit_planned`]). Past its cap, `SubsetOfData` trains on a
-    /// subset and builds its own batch: bundle fitters ask this before
-    /// building a batch to share.
-    pub fn reads_shared_batch(config: &GpConfig, n: usize) -> bool {
-        !matches!(config.inference, InferenceMode::SubsetOfData { max_points } if n > max_points)
-    }
-
-    /// Applies [`GpConfig::inference`] to a training set: past its cap (see
-    /// [`Gp::reads_shared_batch`]), `SubsetOfData` keeps the deterministic
-    /// farthest-point subset (over committed history order); otherwise the
-    /// full set passes through unchanged.
+    /// Applies [`GpConfig::inference`] to a training set: the rows
+    /// [`GpConfig::training_subset`] keeps, or the full set unchanged.
     fn training_set(
         xs: Vec<Vec<f64>>,
         ys: Vec<f64>,
         config: &GpConfig,
     ) -> (Vec<Vec<f64>>, Vec<f64>) {
-        match config.inference {
-            InferenceMode::SubsetOfData { max_points }
-                if !Self::reads_shared_batch(config, xs.len()) =>
-            {
-                let keep = mfbo_infer::select_subset(&xs, max_points);
+        match config.training_subset(&xs) {
+            Some(keep) => {
                 let xs_sub = keep.iter().map(|&i| xs[i].clone()).collect();
                 let ys_sub = keep.iter().map(|&i| ys[i]).collect();
                 (xs_sub, ys_sub)
             }
-            _ => (xs, ys),
+            None => (xs, ys),
         }
     }
 
@@ -276,8 +277,9 @@ impl<K: Kernel> Gp<K> {
     /// The lower-triangle difference batch a fit's NLML search over `xs`
     /// reads: the caller's `shared` batch when its shape (pair count and
     /// dimensionality) fits `xs`, counted as a `diffbatch_shared_hits`;
-    /// otherwise one built here. A subset fit's `xs` never fits a batch
-    /// over the full set.
+    /// otherwise one built here. A batch over the full set never fits a
+    /// subset fit's `xs`; a bundle that selects the subset itself
+    /// ([`GpConfig::training_subset`]) shares a batch over the subset.
     fn fit_batch<'b>(shared: Option<&'b DiffBatch>, xs: &[Vec<f64>]) -> Cow<'b, DiffBatch> {
         let n = xs.len();
         match shared {
@@ -305,10 +307,10 @@ impl<K: Kernel> Gp<K> {
     /// constraint GPs of one bundle train on the same `X`, so one batch
     /// serves every model's NLML search). The batch must hold the exact
     /// diffs a fresh build over `xs` would (bit-identical results); a batch
-    /// whose shape does not match `xs` is ignored and a fresh build is used.
-    /// Only the exact path consumes the batch — the subset engine trains on
-    /// a reduced point set. Only the search reads it: the final factor is
-    /// built from the fit-time layout, after the batch is dropped.
+    /// whose shape does not match `xs` is ignored and a fresh build is used,
+    /// as when the subset engine reduces `xs` here. Only the search reads
+    /// it: the final factor is built from the fit-time layout, after the
+    /// batch is dropped.
     ///
     /// # Errors
     ///

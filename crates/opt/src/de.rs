@@ -122,7 +122,6 @@ impl DifferentialEvolution {
         F: Fn(&[f64]) -> Fitness + ?Sized,
         R: Rng + ?Sized,
     {
-        let n = bounds.dim();
         let np = self.population;
         let mut evals = 0usize;
 
@@ -159,17 +158,7 @@ impl DifferentialEvolution {
                 if evals >= self.max_evaluations {
                     break 'outer;
                 }
-                // Pick three distinct partners, all different from i.
-                let (a, b, c) = pick_three(np, i, rng);
-                // Mutation + binomial crossover.
-                let j_rand = rng.gen_range(0..n);
-                let mut trial = pop[i].clone();
-                for j in 0..n {
-                    if j == j_rand || rng.gen::<f64>() < CROSSOVER {
-                        trial[j] = pop[a][j] + SCALE * (pop[b][j] - pop[c][j]);
-                    }
-                }
-                bounds.clamp_in_place(&mut trial);
+                let trial = trial(&pop, i, bounds, rng);
                 let tf = f(&trial);
                 evals += 1;
                 // Selection by feasibility rules.
@@ -191,6 +180,31 @@ impl DifferentialEvolution {
             converged: false,
         }
     }
+}
+
+/// The DE/rand/1/bin trial vector of member `i` of `pop` (at least 4
+/// members): the binomial crossover of `pop[i]` with the mutant
+/// `pop[a] + F·(pop[b] − pop[c])` of three distinct other members, clamped
+/// into `bounds`. It draws the partners, then `j_rand`, then a uniform per
+/// other coordinate; [`DifferentialEvolution::minimize`] and GASPAD's
+/// offspring share it.
+pub fn trial<R: Rng + ?Sized>(
+    pop: &[Vec<f64>],
+    i: usize,
+    bounds: &Bounds,
+    rng: &mut R,
+) -> Vec<f64> {
+    let (a, b, c) = pick_three(pop.len(), i, rng);
+    let n = bounds.dim();
+    let j_rand = rng.gen_range(0..n);
+    let mut trial = pop[i].clone();
+    for j in 0..n {
+        if j == j_rand || rng.gen::<f64>() < CROSSOVER {
+            trial[j] = pop[a][j] + SCALE * (pop[b][j] - pop[c][j]);
+        }
+    }
+    bounds.clamp_in_place(&mut trial);
+    trial
 }
 
 /// Chooses three mutually distinct indices in `0..np`, all different from

@@ -1,12 +1,14 @@
 //! Deterministic scoped-thread work pool for the MFBO hot paths.
 //!
 //! The optimization loop of the paper spends nearly all of its wall-clock
-//! time in three embarrassingly parallel stages: MSP acquisition restarts
-//! (§4.1), multi-restart NLML hyperparameter training (§2.3), and the
-//! Monte-Carlo integration of the NARGP posterior (§3.2, eq. 10). This crate
-//! provides the one primitive those stages share: an order-preserving
-//! parallel map over independent work items, built on [`std::thread::scope`]
-//! so it needs no external dependencies and no long-lived worker state.
+//! time in embarrassingly parallel stages: MSP acquisition restarts (§4.1),
+//! the per-output surrogate fits of a bundle, and multi-restart NLML
+//! hyperparameter training (§2.3). This crate provides the one primitive
+//! those stages share: an order-preserving parallel map over independent
+//! work items, built on [`std::thread::scope`] so it needs no external
+//! dependencies and no long-lived worker state. The Monte-Carlo
+//! integration of the NARGP posterior (§3.2, eq. 10) runs serially inside
+//! each acquisition start, which the pool already distributes.
 //!
 //! # Determinism contract
 //!

@@ -283,9 +283,10 @@ fn gaspad_frozen_refits_honour_the_inference_mode() {
             .expect("gaspad run");
     }
     let selections = reg.snapshot().counters["infer_subset_selections"];
-    // Six refits (two full, four frozen) of two models: objective and one
-    // constraint.
-    assert_eq!(selections, (budget - initial) as u64 * 2);
+    // Six refits (two full, four frozen), each selecting the subset once
+    // for its two models (objective and one constraint) — a frozen refit
+    // that ignored the mode would select none.
+    assert_eq!(selections, (budget - initial) as u64);
 }
 
 #[test]
