@@ -418,7 +418,7 @@ pub struct RefitSchedule<M: OutputModel> {
 }
 
 impl<M: OutputModel> RefitSchedule<M> {
-    /// A schedule that searches every `every` fits, before its first.
+    /// A schedule that searches every `every` fits, the first cold.
     pub fn new(every: usize) -> Self {
         RefitSchedule {
             every,
