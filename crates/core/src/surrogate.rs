@@ -53,10 +53,10 @@ pub trait OutputModel: Sized + Send + Sync {
         rng: &mut R,
     ) -> Self::Plan;
 
-    /// Builds output `i`'s model as `how` says, its first stage on `train`:
-    /// the shared inputs, already reduced to their subset, and output `i`'s
-    /// observations at them. A search reads `batch` when it fits the inputs
-    /// (see [`Gp::fit_planned`]).
+    /// Builds output `i`'s model on `data` as `how` says, its first stage
+    /// on the shared inputs at `rows` (their subset, selected once per
+    /// bundle) and output `i`'s observations there. A search reads `batch`
+    /// when it fits those inputs (see [`Gp::fit_planned`]).
     ///
     /// # Errors
     ///
@@ -64,9 +64,9 @@ pub trait OutputModel: Sized + Send + Sync {
     fn train(
         data: Self::Data<'_>,
         i: usize,
-        train: (Vec<Vec<f64>>, Vec<f64>),
+        rows: &[usize],
         config: &Self::Config,
-        how: Train<'_, Self>,
+        how: Train<Self::Plan, &Self::Theta>,
         batch: Option<&DiffBatch>,
     ) -> Result<Self, GpError>;
 
@@ -81,12 +81,12 @@ pub trait OutputModel: Sized + Send + Sync {
     fn posterior_means(&self, points: &[Vec<f64>], out: &mut [f64]);
 }
 
-/// How [`OutputModel::train`] builds a model.
-pub enum Train<'a, M: OutputModel> {
+/// How a model, or a bundle of them, is built from plan `P` or θ `T`.
+pub enum Train<P, T> {
     /// An NLML search from the plan.
-    Search(M::Plan),
+    Search(P),
     /// A rebuild at θ with no search.
-    Frozen(&'a M::Theta),
+    Frozen(T),
 }
 
 /// The input dimension of a bundle's training points; `empty` is the error
@@ -124,14 +124,15 @@ impl OutputModel for Gp<SquaredExponential> {
     }
 
     fn train(
-        _: &FidelityData,
-        _: usize,
-        (xs, ys): (Vec<Vec<f64>>, Vec<f64>),
+        data: &FidelityData,
+        i: usize,
+        rows: &[usize],
         config: &GpConfig,
-        how: Train<'_, Self>,
+        how: Train<Vec<Vec<f64>>, &Vec<f64>>,
         batch: Option<&DiffBatch>,
     ) -> Result<Self, GpError> {
-        let kernel = SquaredExponential::new(xs[0].len());
+        let kernel = SquaredExponential::new(Self::shared(data)?.1);
+        let (xs, ys) = (pick(&data.xs, rows), pick(data.output(i), rows));
         match how {
             Train::Search(plan) => Gp::fit_planned(kernel, xs, ys, config, plan, batch),
             Train::Frozen(theta) => {
@@ -188,13 +189,14 @@ impl OutputModel for MfGp {
     }
 
     fn train(
-        (_, high): Self::Data<'_>,
+        (low, high): Self::Data<'_>,
         i: usize,
-        (xl, yl): (Vec<Vec<f64>>, Vec<f64>),
+        rows: &[usize],
         config: &MfGpConfig,
-        how: Train<'_, Self>,
+        how: Train<MfGpPlan, &MfGpThetas>,
         batch: Option<&DiffBatch>,
     ) -> Result<Self, GpError> {
+        let (xl, yl) = (pick(&low.xs, rows), pick(low.output(i), rows));
         let (xh, yh) = (high.xs.clone(), high.output(i).to_vec());
         match how {
             Train::Search(plan) => MfGp::fit_planned(xl, yl, xh, yh, config, plan, batch),
@@ -225,19 +227,15 @@ pub struct Surrogates<M> {
 impl<M: OutputModel> Surrogates<M> {
     /// Fits every output's model by a full hyperparameter search — seeded
     /// with that model's previous optimum as one extra start when `warm`
-    /// (objective first) is given.
-    ///
-    /// Every model's starting points are drawn from `rng` serially, in
-    /// output order (objective first, then each constraint); the fits
-    /// themselves are pure and run on the config's pool, so the bundle is
-    /// bit-identical in every mode. The models' first stages train on the
-    /// same inputs, so the bundle selects their subset once and builds one
-    /// difference batch over it that every model's search reads
-    /// (bit-identical to a subset and a batch per model).
+    /// (objective first) is given. The starting points are drawn from `rng`
+    /// serially in output order; the fits are pure and run on the config's
+    /// pool, so the bundle is bit-identical in every mode.
     ///
     /// # Errors
     ///
-    /// Propagates the first [`GpError`] in output order.
+    /// [`GpError::InvalidTrainingSet`] when the full shared data fails
+    /// [`Gp::validate`] for any output; otherwise the first [`GpError`] in
+    /// output order.
     pub fn fit<R: Rng + ?Sized>(
         data: M::Data<'_>,
         config: &M::Config,
@@ -248,46 +246,53 @@ impl<M: OutputModel> Surrogates<M> {
         let plans: Vec<M::Plan> = (0..=shared.constraints.len())
             .map(|i| M::plan(dim, config, warm.map(|w| &w[i]), rng))
             .collect();
-        Self::train_all(data, config, true, |i| Train::Search(plans[i].clone()))
+        Self::train_all(data, config, Train::Search(plans))
     }
 
-    /// Rebuilds every model on new data at `thetas` (objective first), with
-    /// no search — the cheap path between full refits. It consumes no
-    /// randomness, runs on the config's pool, and builds no difference
-    /// batch; the subset is selected once, as for [`Surrogates::fit`].
+    /// Rebuilds every model on new data at `thetas` (objective first) with
+    /// no search — the cheap path between full refits. Consumes no
+    /// randomness and builds no difference batch.
     ///
     /// # Errors
     ///
-    /// Propagates the first [`GpError`] in output order.
+    /// As for [`Surrogates::fit`].
     pub fn fit_frozen(
         data: M::Data<'_>,
         config: &M::Config,
         thetas: &[M::Theta],
     ) -> Result<Self, GpError> {
-        Self::train_all(data, config, false, |i| Train::Frozen(&thetas[i]))
+        Self::train_all(data, config, Train::Frozen(thetas))
     }
 
-    /// Trains output `i`'s model as `how(i)` says, for every output, on
-    /// the config's pool, keeping the first error in output order as
-    /// sequential fits would. Every model trains on the rows of the shared
-    /// data that [`GpConfig::training_subset`] keeps, selected once; a
-    /// `search` builds one difference batch over them for every model.
-    fn train_all<'a>(
+    /// Trains every output's model as `how` says (objective first), on the
+    /// config's pool, keeping the first error in output order. The shared
+    /// data is validated whole; then every first stage trains on the rows
+    /// [`GpConfig::training_subset`] keeps, selected once, and a search
+    /// reads one difference batch over them (bit-identical to a subset and
+    /// a batch per model).
+    fn train_all(
         data: M::Data<'_>,
         config: &M::Config,
-        search: bool,
-        how: impl Fn(usize) -> Train<'a, M> + Sync,
+        how: Train<Vec<M::Plan>, &[M::Theta]>,
     ) -> Result<Self, GpError> {
-        let shared = M::shared(data)?.0;
-        let rows = M::gp(config)
+        let (shared, dim) = M::shared(data)?;
+        let n = shared.constraints.len() + 1;
+        let kernel = SquaredExponential::new(dim);
+        for i in 0..n {
+            Gp::validate(&kernel, &shared.xs, shared.output(i))?;
+        }
+        let gp = M::gp(config);
+        let rows = gp
             .training_subset(&shared.xs)
             .unwrap_or_else(|| (0..shared.len()).collect());
-        let xs = pick(&shared.xs, &rows);
-        let batch = search.then(|| DiffBatch::lower_triangle(&xs));
-        let n = shared.constraints.len() + 1;
-        let fitted = par_map_indexed(M::gp(config).parallelism, n, |i| {
-            let train = (xs.clone(), pick(shared.output(i), &rows));
-            M::train(data, i, train, config, how(i), batch.as_ref())
+        let search = matches!(how, Train::Search(_));
+        let batch = search.then(|| DiffBatch::lower_triangle(&pick(&shared.xs, &rows)));
+        let fitted = par_map_indexed(gp.parallelism, n, |i| {
+            let how = match &how {
+                Train::Search(plans) => Train::Search(plans[i].clone()),
+                Train::Frozen(thetas) => Train::Frozen(&thetas[i]),
+            };
+            M::train(data, i, &rows, config, how, batch.as_ref())
         });
         let models = fitted.into_iter().collect::<Result<_, _>>()?;
         Ok(Surrogates { models })
@@ -462,11 +467,14 @@ impl<M: OutputModel> RefitSchedule<M> {
 /// event: comma-joined shortest-round-trip floats, so the analyzer can parse
 /// the exact `f64` bits back out of a JSONL trace.
 fn fmt_thetas(theta: &[f64]) -> String {
-    let nums: Vec<String> = theta
-        .iter()
-        .map(|&v| mfbo_telemetry::json::Json::Num(v).to_string())
-        .collect();
-    nums.join(",")
+    let mut out = String::new();
+    for (i, v) in theta.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&mfbo_telemetry::json::Json::Num(*v).to_string());
+    }
+    out
 }
 
 /// An ask/tell run's refit schedule, of the bundle kind its data calls for:
@@ -494,13 +502,10 @@ impl RunSchedule {
         }
     }
 
-    /// Iteration `iteration`'s bundle, by [`RefitSchedule::fit`] on the
-    /// `(low, high)` data (a single-fidelity run fits `high` with
-    /// `config.gp`). Counts a fusion bundle's warm search that the warm
-    /// seed won in `theta_warm_wins`, then emits the `hyperparams`
-    /// trajectory event, on the main thread in iteration order
-    /// (worker-thread `gp_fit` events interleave nondeterministically; this
-    /// one is safe to diff run to run).
+    /// Iteration `iteration`'s bundle by [`RefitSchedule::fit`] (a
+    /// single-fidelity run fits `high` with `config.gp`). Counts a fusion
+    /// warm search the warm seed won in `theta_warm_wins`, then emits the
+    /// `hyperparams` event on the main thread, so it diffs run to run.
     pub(crate) fn fit<R: Rng + ?Sized>(
         &mut self,
         low: &FidelityData,
@@ -840,14 +845,14 @@ mod tests {
             return s.unwrap();
         }
         let shared = M::shared(data).unwrap().0;
+        let rows: Vec<usize> = (0..shared.len()).collect();
         let models = (0..=shared.constraints.len())
             .map(|i| {
-                let train = (shared.xs.clone(), shared.output(i).to_vec());
                 let how = match fit {
                     Fit::Frozen(t) => Train::Frozen(&t[i]),
                     _ => Train::Search(M::plan(1, cfg, warm.map(|t| &t[i]), &mut rng)),
                 };
-                M::train(data, i, train, cfg, how, None)
+                M::train(data, i, &rows, cfg, how, None)
             })
             .collect::<Result<Vec<_>, _>>()
             .unwrap();
@@ -902,12 +907,13 @@ mod tests {
         )
     }
 
-    /// For both full-fit kinds, a bundle of 1+m models makes m fewer
-    /// difference builds than 1+m per-model fits (one shared build where
-    /// each model's first stage built its own) and 1+m shared hits, and the
-    /// same `kernel_matrix_builds`, which layout sharing cannot touch. A
-    /// frozen refresh builds no batch and reads none: one kernel matrix per
-    /// stage of each model.
+    /// For both full-fit kinds, a bundle of 1+m models of `stages` stages
+    /// each makes one difference build for every first stage plus one per
+    /// later stage of each model, where 1+m per-model fits make one per
+    /// stage of each model; the bundle's first stages read its build as
+    /// 1+m shared hits, and both make the same `kernel_matrix_builds`,
+    /// which layout sharing cannot touch. A frozen refresh builds no batch
+    /// and reads none: one kernel matrix per stage of each model.
     fn check_sharing_counters<M: OutputModel>(
         data: M::Data<'_>,
         cfg: &M::Config,
@@ -922,7 +928,8 @@ mod tests {
             let owned = sharing_counts(|| {
                 bundle::<M>(data, cfg, &fit, true);
             });
-            assert_eq!(owned[0] - shared[0], models - 1, "{fit:?}");
+            let builds = (1 + (stages - 1) * models, stages * models);
+            assert_eq!((shared[0], owned[0]), builds, "{fit:?}");
             assert_eq!((shared[1], owned[1]), (models, 0), "{fit:?}");
             assert_eq!(shared[2], owned[2], "{fit:?}");
         }
@@ -979,6 +986,43 @@ mod tests {
         // Under the cap a fit trains on every point.
         assert_eq!(cfg.training_subset(&data.xs[..4]), None);
         assert!(cfg.training_subset(&data.xs[..5]).is_some());
+    }
+
+    /// A bundle validates its whole shared set before it selects the
+    /// subset: past the cap, a non-finite constraint value or an input of
+    /// the wrong dimension in a row the subset drops is still an
+    /// [`GpError::InvalidTrainingSet`], for both bundle kinds and both fit
+    /// kinds, as it is for one model's fit.
+    #[test]
+    fn bundles_validate_the_rows_their_subset_drops() {
+        let (data, high) = (make_data(12, 0.0), make_data(6, 0.0));
+        let (cfg, mf_cfg) = (subset(4), fusion(subset(4)));
+        let kept = cfg.training_subset(&data.xs).unwrap();
+        let k = (1..data.len()).find(|k| !kept.contains(k)).unwrap();
+        let mut rng = StdRng::seed_from_u64(25);
+        let sf_t = Surrogates::<SeGp>::fit(&data, &cfg, None, &mut rng)
+            .unwrap()
+            .thetas();
+        let mf_t = Surrogates::<MfGp>::fit((&data, &high), &mf_cfg, None, &mut rng)
+            .unwrap()
+            .thetas();
+        let (mut nan, mut wide) = (data.clone(), data.clone());
+        nan.constraints[0][k] = f64::NAN;
+        wide.xs[k].push(0.5);
+        for bad in [&nan, &wide] {
+            let results = [
+                Surrogates::<SeGp>::fit(bad, &cfg, None, &mut rng).map(drop),
+                Surrogates::<SeGp>::fit_frozen(bad, &cfg, &sf_t).map(drop),
+                Surrogates::<MfGp>::fit((bad, &high), &mf_cfg, None, &mut rng).map(drop),
+                Surrogates::<MfGp>::fit_frozen((bad, &high), &mf_cfg, &mf_t).map(drop),
+            ];
+            for r in results {
+                assert!(
+                    matches!(r, Err(GpError::InvalidTrainingSet { .. })),
+                    "{r:?}"
+                );
+            }
+        }
     }
 
     /// A refit schedule searches every `every` fits, warm after the first,

@@ -75,11 +75,9 @@ impl GpConfig {
         }
     }
 
-    /// The rows of `xs` a fit under this config trains on, ascending, or
-    /// `None` when it trains on all of them: past its cap, `SubsetOfData`
-    /// keeps the deterministic farthest-point subset (over committed
-    /// history order). The selection reads the inputs alone, so a bundle
-    /// whose models share their inputs selects once for all of them.
+    /// The rows of `xs` a fit under this config trains on, or `None` for
+    /// all: past its cap, `SubsetOfData` keeps the deterministic
+    /// farthest-point subset (over committed history order).
     pub fn training_subset(&self, xs: &[Vec<f64>]) -> Option<Vec<usize>> {
         match self.inference {
             InferenceMode::SubsetOfData { max_points } if xs.len() > max_points => {
@@ -191,7 +189,13 @@ impl<K: Kernel> Gp<K> {
         Bounds::new(lo, hi)
     }
 
-    fn validate(kernel: &K, xs: &[Vec<f64>], ys: &[f64]) -> Result<(), GpError> {
+    /// Checks a training set as every fit does before it selects a subset:
+    /// points, one output per input, the kernel's dimension, finite outputs.
+    ///
+    /// # Errors
+    ///
+    /// [`GpError::InvalidTrainingSet`] naming the first failed check.
+    pub fn validate(kernel: &K, xs: &[Vec<f64>], ys: &[f64]) -> Result<(), GpError> {
         if xs.is_empty() {
             return Err(GpError::InvalidTrainingSet {
                 reason: "no training points".into(),
@@ -277,9 +281,8 @@ impl<K: Kernel> Gp<K> {
     /// The lower-triangle difference batch a fit's NLML search over `xs`
     /// reads: the caller's `shared` batch when its shape (pair count and
     /// dimensionality) fits `xs`, counted as a `diffbatch_shared_hits`;
-    /// otherwise one built here. A batch over the full set never fits a
-    /// subset fit's `xs`; a bundle that selects the subset itself
-    /// ([`GpConfig::training_subset`]) shares a batch over the subset.
+    /// otherwise one built here. A subset fit's `xs` never fits a batch
+    /// over the full set.
     fn fit_batch<'b>(shared: Option<&'b DiffBatch>, xs: &[Vec<f64>]) -> Cow<'b, DiffBatch> {
         let n = xs.len();
         match shared {

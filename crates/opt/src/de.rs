@@ -183,11 +183,9 @@ impl DifferentialEvolution {
 }
 
 /// The DE/rand/1/bin trial vector of member `i` of `pop` (at least 4
-/// members): the binomial crossover of `pop[i]` with the mutant
-/// `pop[a] + F·(pop[b] − pop[c])` of three distinct other members, clamped
-/// into `bounds`. It draws the partners, then `j_rand`, then a uniform per
-/// other coordinate; [`DifferentialEvolution::minimize`] and GASPAD's
-/// offspring share it.
+/// members), clamped into `bounds`: `pop[i]` crossed with the mutant
+/// `pop[a] + F·(pop[b] − pop[c])`. Draws the partners, `j_rand`, then one
+/// uniform per other coordinate.
 pub fn trial<R: Rng + ?Sized>(
     pop: &[Vec<f64>],
     i: usize,
